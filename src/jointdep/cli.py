@@ -316,7 +316,7 @@ def run(argv) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, dmv.InfeasibleParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -19,7 +19,7 @@ from .corpus import (
     DepTree,
     Sentence,
     arc_count,
-    from_arc_vector,
+    arc_matrix,
     iter_arcs,
     to_arc_vector,
 )
@@ -218,10 +218,16 @@ class CmstModel:
             tags = None
             rules = set()
             weights = []
-            for line in f:
+            arity = {"lambda": 2, "mu": 2, "rule": 3, "w": 3}
+            for line_no, line in enumerate(f, start=2):
                 parts = line.split()
                 if not parts:
                     continue
+                if len(parts) != arity.get(parts[0], len(parts)):
+                    raise ValueError(
+                        f"line {line_no}: {parts[0]} record needs "
+                        f"{arity[parts[0]] - 1} fields, got {len(parts) - 1}"
+                    )
                 if parts[0] == "lambda":
                     lam = float(parts[1])
                 elif parts[0] == "mu":
@@ -239,6 +245,10 @@ class CmstModel:
             t = FeatureTemplate(tags)
             w = np.zeros(t.dimension)
             for i, v in weights:
+                if not 0 <= i < t.dimension:
+                    raise ValueError(
+                        f"weight index {i} out of range for dimension {t.dimension}"
+                    )
                 w[i] = v
             return cls(w, lam, mu, t, frozenset(rules))
 
@@ -381,13 +391,6 @@ def arc_costs(
     return costs
 
 
-def _cost_matrix(costs: np.ndarray, n: int) -> np.ndarray:
-    mat = np.zeros((n + 1, n + 1))
-    for idx, h, d in iter_arcs(n):
-        mat[h, d] = costs[idx]
-    return mat
-
-
 def lmo_decode(
     x: Sentence,
     m: CmstModel,
@@ -396,7 +399,7 @@ def lmo_decode(
 ) -> tuple[DepTree, float]:
     """Min-cost projective tree under the linearized objective minus prices."""
     costs = arc_costs(x, m, u, features)
-    heads, score = eisner_min(_cost_matrix(costs, x.n))
+    heads, score = eisner_min(arc_matrix(costs, x.n))
     return DepTree(heads), score
 
 
@@ -466,7 +469,7 @@ class FrankWolfeOptimizer:
         denom = 0.0
         for X, v, y, n, sent in zip(self.X, self.v, self.y, self.ns, self.corpus):
             g = (y - X @ w) / n - self.model.mu * v
-            heads, _ = eisner_min(_cost_matrix(g, sent.n))
+            heads, _ = eisner_min(arc_matrix(g, sent.n))
             s = to_arc_vector(DepTree(heads))
             grads.append(g)
             verts.append(s)

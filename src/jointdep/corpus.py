@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -209,13 +210,24 @@ def from_arc_vector(bits: np.ndarray, n: int) -> DepTree:
     return DepTree(tuple(heads))
 
 
+@functools.lru_cache(maxsize=64)
+def _arc_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (heads, deps) of every arc slot, in arc-index order."""
+    grid = np.broadcast_to(np.arange(n + 1), (n, n + 1))
+    deps = np.arange(1, n + 1)
+    heads = grid[grid != deps[:, None]]
+    deps = np.repeat(deps, n)
+    heads.flags.writeable = False
+    deps.flags.writeable = False
+    return heads, deps
+
+
 def arc_matrix(u: np.ndarray | None, n: int) -> np.ndarray | None:
     """Expand a flat arc-slot vector to an (n+1, n+1) matrix keyed [h, d]."""
     if u is None:
         return None
     mat = np.zeros((n + 1, n + 1), dtype=np.float64)
-    for idx, h, d in iter_arcs(n):
-        mat[h, d] = u[idx]
+    mat[_arc_slots(n)] = u
     return mat
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cmst, dmv
-from .corpus import DepTree, Sentence, arc_count, to_arc_vector
+from .corpus import DepTree, Sentence, arc_count, arc_matrix, to_arc_vector
 
 _STEP_RULES = ("constant", "inv", "invsqrt")
 _FALLBACKS = ("generative", "discriminative", "better-objective")
@@ -102,8 +102,7 @@ def dd_decode(
                 cfg_f = replace(cfg_f, max_ce_depth=None)
                 chart = None
         # Discriminative side: argmin G - u.z (same price vector).
-        cost_mat = cmst._cost_matrix(base_costs - u, n)
-        heads, _ = cmst.eisner_min(cost_mat)
+        heads, _ = cmst.eisner_min(arc_matrix(base_costs - u, n))
         z_tree = DepTree(heads)
         if y_tree.heads == z_tree.heads:
             return DDResult(y_tree, True, k, 0, relaxed)

@@ -9,9 +9,11 @@ state) and a soft per-arc length penalty.
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -149,50 +151,66 @@ class DmvParams:
 
     @classmethod
     def load(cls, path) -> "DmvParams":
+        """Read a saved parameter file; raises ValueError unless every record
+        is present, well formed and the tables are normalized."""
         with open(path, encoding="utf-8") as f:
             header = f.readline().split()
             if header[:2] != ["dmvparams", "1"]:
                 raise ValueError(f"unrecognized model header {header!r}")
             vocab_line = f.readline().split()
-            if vocab_line[0] != "vocab":
-                raise ValueError("missing vocab line")
+            if vocab_line[:1] != ["vocab"] or len(vocab_line) < 2:
+                raise ValueError("missing or empty vocab line")
             vocab = tuple(vocab_line[1:])
-            idx = {t: i for i, t in enumerate(vocab)}
-            dir_idx = {"left": LEFT, "right": RIGHT}
+            tag = {t: i for i, t in enumerate(vocab)}
             V = len(vocab)
-            root = np.zeros(V)
-            attach = np.zeros((V, 2, V))
-            stop = np.zeros((V, 2, 2))
-            for line in f:
+            # NaN marks a record not read yet.
+            tables = {
+                "root": np.full(V, np.nan),
+                "attach": np.full((V, 2, V), np.nan),
+                "stop": np.full((V, 2, 2), np.nan),
+            }
+            direction = {"left": LEFT, "right": RIGHT}
+            adj = {str(NO_CHILD): NO_CHILD, str(HAS_CHILD): HAS_CHILD}
+            key_fields = {
+                "root": (tag,), "attach": (tag, direction, tag),
+                "stop": (tag, direction, adj),
+            }
+            for line_no, line in enumerate(f, start=3):
                 parts = line.split()
                 if not parts:
                     continue
-                if parts[0] == "root":
-                    root[idx[parts[1]]] = float(parts[2])
-                elif parts[0] == "attach":
-                    attach[idx[parts[1]], dir_idx[parts[2]], idx[parts[3]]] = float(
-                        parts[4]
+                lookups = key_fields.get(parts[0])
+                if lookups is None:
+                    raise ValueError(
+                        f"line {line_no}: unrecognized record {parts[0]!r}"
                     )
-                elif parts[0] == "stop":
-                    stop[idx[parts[1]], dir_idx[parts[2]], int(parts[3])] = float(
-                        parts[4]
+                if len(parts) != len(lookups) + 2:
+                    raise ValueError(
+                        f"line {line_no}: {parts[0]} record needs "
+                        f"{len(lookups) + 1} fields, got {len(parts) - 1}"
                     )
-                else:
-                    raise ValueError(f"unrecognized record {parts[0]!r}")
-            return cls(vocab, root, attach, stop)
+                try:
+                    key = tuple(t[v] for t, v in zip(lookups, parts[1:-1]))
+                except KeyError as exc:
+                    raise ValueError(
+                        f"line {line_no}: unknown field {exc.args[0]!r}"
+                    ) from None
+                tables[parts[0]][key] = float(parts[-1])
+            missing = sum(int(np.isnan(t).sum()) for t in tables.values())
+            if missing:
+                raise ValueError(f"incomplete model file: {missing} records missing")
+            params = cls(vocab, tables["root"], tables["attach"], tables["stop"])
+            params.validate()
+            return params
 
 
 # ---------------------------------------------------------------------------
 # Initialization
 # ---------------------------------------------------------------------------
 
-def init_params(c: Corpus, mode: str = "harmonic", seed: int = 0) -> DmvParams:
-    """Uniform or harmonic (short-arc-biased) initializer.
-
-    The initializers are fully deterministic; the seed is accepted for
-    interface stability and reserved for future randomized schemes.
-    """
-    del seed
+def init_params(c: Corpus, mode: str = "harmonic") -> DmvParams:
+    """Uniform or harmonic (short-arc-biased) initializer; both are
+    deterministic."""
     vocab = c.pos_vocab
     V = len(vocab)
     if V == 0:
@@ -225,7 +243,7 @@ def init_params(c: Corpus, mode: str = "harmonic", seed: int = 0) -> DmvParams:
 
 
 # ---------------------------------------------------------------------------
-# Chart construction.
+# Chart compilation.
 #
 # Split-head items over 1-based token positions:
 #   LO[h][i]  h's left children cover [i, h-1], direction still open
@@ -241,46 +259,108 @@ def init_params(c: Corpus, mode: str = "harmonic", seed: int = 0) -> DmvParams:
 # attached).  p = -1 encodes "no child yet".  Closed halves carry the
 # resolved value v = max(s, p, 0); a full subtree's value is the max of its
 # two halves.  Items whose settled value exceeds the cap are pruned.
+#
+# The items and edges depend only on the sentence length and the cap; the
+# tags only choose which weights the edges read.  `_compile` therefore
+# enumerates each (length, cap) once into flat arrays, and `_build_chart`
+# maps one sentence's tags onto the weights with a gather.  Nodes are
+# numbered by topological level (width, then incomplete / open / closed
+# items), so every pass runs level by level: a level's nodes depend only on
+# lower levels.
 # ---------------------------------------------------------------------------
 
 _LO, _LC, _RO, _RC, _IL, _IR, _GOAL = range(7)
 
+# Edge record fields, in emission order.
+_HEAD, _TAIL0, _TAIL1, _SLOT0, _SLOT1, _ARC_H, _ARC_D = range(7)
 
-class _Chart:
-    __slots__ = ("n", "node_edges", "goal")
 
-    def __init__(self, n: int, node_edges, goal: int):
+class _Structure:
+    """Read-only compiled chart of one (length, depth cap) pair.
+
+    Edge e derives node head[e] from nodes tail0[e] and tail1[e]; the
+    sentinel node n_nodes, whose value is 0, fills unused tails.  It reads
+    the weight slots slots[:, e], where slot 0 is the unit weight (log 1),
+    then root(c), stop(h, dir, adj), continue(h, dir, adj) and attach(h, c)
+    for 1-based tokens.  arc_d[e] > 0 marks the attachment of token arc_d[e]
+    to arc_h[e] (0 for the root).  Edges are sorted by head, then by build
+    order.  levels holds one tuple per topological level: its node range
+    a, b; seg, the offset of each of those nodes' first edge within the
+    level; the level's edge slice; and its views of head, tail0 and tail1.
+    """
+
+    def __init__(self, n: int, level: np.ndarray, rec: np.ndarray):
+        order = np.argsort(level, kind="stable")
+        n_nodes = len(level)
+        renum = np.empty(n_nodes + 1, dtype=np.int32)
+        renum[order] = np.arange(n_nodes, dtype=np.int32)
+        renum[n_nodes] = n_nodes  # tail -1 is the sentinel
+        head = renum[rec[:, _HEAD]]
+        by_head = np.argsort(head, kind="stable")
+        rec = rec[by_head]
         self.n = n
-        self.node_edges = node_edges
-        self.goal = goal
+        self.n_nodes = n_nodes
+        self.goal = n_nodes - 1  # the goal is the only top-level node
+        self.head = head[by_head]
+        self.tail0 = renum[rec[:, _TAIL0]]
+        self.tail1 = renum[rec[:, _TAIL1]]
+        self.slots = np.ascontiguousarray(rec[:, _SLOT0 : _SLOT1 + 1].T)
+        self.arc_h = rec[:, _ARC_H].copy()
+        self.arc_d = rec[:, _ARC_D].copy()
+        self.arc_edges = np.flatnonzero(self.arc_d).astype(np.int32)
+        self.arc_eh = self.arc_h[self.arc_edges]
+        self.arc_ed = self.arc_d[self.arc_edges]
+        # Length penalty units |h - d| - 1 per arc edge; root arcs are free.
+        self.arc_pen = np.where(
+            self.arc_eh > 0, np.abs(self.arc_eh - self.arc_ed) - 1, 0
+        ).astype(np.int32)
+        first = np.searchsorted(self.head, np.arange(n_nodes + 1))
+        sorted_level = level[order]
+        starts = np.flatnonzero(np.diff(sorted_level)) + 1
+        bounds = [0, *starts.tolist(), n_nodes]
+        for arr in (self.head, self.tail0, self.tail1, self.slots, self.arc_h,
+                    self.arc_d, self.arc_edges, self.arc_eh, self.arc_ed,
+                    self.arc_pen):
+            arr.flags.writeable = False
+        levels = []
+        for a, b in zip(bounds, bounds[1:]):
+            e0, e1 = int(first[a]), int(first[b])
+            seg = first[a:b] - e0
+            seg.flags.writeable = False
+            levels.append((a, b, seg, slice(e0, e1), self.head[e0:e1],
+                           self.tail0[e0:e1], self.tail1[e0:e1]))
+        self.levels = tuple(levels)
 
 
-def _build_chart(pos: tuple[int, ...], V: int, cap: int | None) -> _Chart:
-    n = len(pos)
-    wi = _WeightIndex(V)
-    node_edges: list[list[tuple]] = []
+@functools.lru_cache(maxsize=32)
+def _compile(n: int, cap: int | None) -> _Structure:
+    """Enumerate the chart of every length-n sentence under depth cap `cap`."""
+    stop_base, cont_base, attach_base = 1 + n, 1 + 5 * n, 1 + 9 * n
+
+    def stop(h, direction, adj):
+        return stop_base + 4 * (h - 1) + 2 * direction + adj
+
+    def cont(h, direction, adj):
+        return cont_base + 4 * (h - 1) + 2 * direction + adj
+
+    def attach(h, c):
+        return attach_base + n * (h - 1) + c - 1
+
     index: dict[tuple, int] = {}
-    # States present per (kind, a, b) cell, in creation order.
-    cell_states: dict[tuple, list[tuple]] = {}
+    level = array("i")
+    # States present per (kind, a, b) cell in creation order, each followed
+    # by its node id.
+    cells: dict[tuple, list[tuple]] = {}
+    records = array("i")
+    emit = records.extend
 
-    def get_or_create(key):
+    def node(key, lv):
         nid = index.get(key)
         if nid is None:
-            nid = len(node_edges)
-            index[key] = nid
-            node_edges.append([])
-            cell_states.setdefault(key[:3], []).append(key[3:])
+            nid = index[key] = len(level)
+            level.append(lv)
+            cells.setdefault(key[:3], []).append(key[3:] + (nid,))
         return nid
-
-    def add_edge(head_key, tail_keys, wrefs, arc=None):
-        tails = []
-        for k in tail_keys:
-            t = index.get(k)
-            if t is None:
-                return
-            tails.append(t)
-        nid = get_or_create(head_key)
-        node_edges[nid].append((tuple(tails), wrefs, arc))
 
     def attach_settled(s, p):
         if cap is None:
@@ -297,200 +377,183 @@ def _build_chart(pos: tuple[int, ...], V: int, cap: int | None) -> _Chart:
     def close_val(s, p):
         return 0 if cap is None else max(s, p, 0)
 
-    # Width-0 axioms and their closed forms.
+    # Width-0 axioms (level 0) and their closed forms (level 1).
     for h in range(1, n + 1):
-        base_l = (_LO, h, h, 0, -1)
-        nid = get_or_create(base_l)
-        node_edges[nid].append(((), (), None))
-        add_edge((_LC, h, h, 0), (base_l,), (wi.stop(pos[h - 1], LEFT, NO_CHILD),))
-        base_r = (_RO, h, h, 0, -1)
-        nid = get_or_create(base_r)
-        node_edges[nid].append(((), (), None))
-        add_edge((_RC, h, h, 0), (base_r,), (wi.stop(pos[h - 1], RIGHT, NO_CHILD),))
+        for open_kind, closed_kind, direction in ((_LO, _LC, LEFT),
+                                                  (_RO, _RC, RIGHT)):
+            base = node((open_kind, h, h, 0, -1), 0)
+            emit((base, -1, -1, 0, 0, 0, 0))
+            emit((node((closed_kind, h, h, 0), 1), base, -1,
+                  stop(h, direction, NO_CHILD), 0, 0, 0))
 
     for m in range(1, n):
+        lv_inc, lv_open, lv_closed = 3 * m - 1, 3 * m, 3 * m + 1
         # Incomplete items of width m (arc attachments).
         for h in range(1, n + 1):
             c = h - m
             if c >= 1:  # left attachment h -> c
-                hp = pos[h - 1]
-                att = wi.attach(hp, LEFT, pos[c - 1])
+                att = attach(h, c)
                 for k in range(c, h):
-                    adj = HAS_CHILD if k + 1 < h else NO_CHILD
-                    cont = wi.cont(hp, LEFT, adj)
-                    for (vr,) in cell_states.get((_RC, c, k), []):
-                        for s, p in cell_states.get((_LO, h, k + 1), []):
+                    cont_ref = cont(h, LEFT, HAS_CHILD if k + 1 < h else NO_CHILD)
+                    for vr, t0 in cells.get((_RC, c, k), ()):
+                        for s, p, t1 in cells.get((_LO, h, k + 1), ()):
                             s2 = attach_settled(s, p)
                             if s2 is None:
                                 continue
-                            add_edge(
-                                (_IL, c, h, s2, vr),
-                                ((_RC, c, k, vr), (_LO, h, k + 1, s, p)),
-                                (cont, att),
-                                (h, c),
-                            )
+                            emit((node((_IL, c, h, s2, vr), lv_inc), t0, t1,
+                                  cont_ref, att, h, c))
             c = h + m
             if c <= n:  # right attachment h -> c
-                hp = pos[h - 1]
-                att = wi.attach(hp, RIGHT, pos[c - 1])
+                att = attach(h, c)
                 for k in range(h + 1, c + 1):
-                    adj = HAS_CHILD if k - 1 > h else NO_CHILD
-                    cont = wi.cont(hp, RIGHT, adj)
-                    for (vl,) in cell_states.get((_LC, c, k), []):
-                        for s, p in cell_states.get((_RO, h, k - 1), []):
+                    cont_ref = cont(h, RIGHT, HAS_CHILD if k - 1 > h else NO_CHILD)
+                    for vl, t0 in cells.get((_LC, c, k), ()):
+                        for s, p, t1 in cells.get((_RO, h, k - 1), ()):
                             s2 = attach_settled(s, p)
                             if s2 is None:
                                 continue
-                            add_edge(
-                                (_IR, h, c, s2, vl),
-                                ((_LC, c, k, vl), (_RO, h, k - 1, s, p)),
-                                (cont, att),
-                                (h, c),
-                            )
+                            emit((node((_IR, h, c, s2, vl), lv_inc), t0, t1,
+                                  cont_ref, att, h, c))
         # Open and closed halves of width m.
         for h in range(1, n + 1):
             i = h - m
             if i >= 1:
                 for c in range(i, h):
-                    for s2, vr in cell_states.get((_IL, c, h), []):
-                        for (vl,) in cell_states.get((_LC, c, i), []):
+                    for s2, vr, t0 in cells.get((_IL, c, h), ()):
+                        for vl, t1 in cells.get((_LC, c, i), ()):
                             v = child_val(vl, vr)
                             if v is None:
                                 continue
-                            add_edge(
-                                (_LO, h, i, s2, v),
-                                ((_IL, c, h, s2, vr), (_LC, c, i, vl)),
-                                (),
-                            )
-                stop_ref = (wi.stop(pos[h - 1], LEFT, HAS_CHILD),)
-                for s, p in cell_states.get((_LO, h, i), []):
-                    add_edge(
-                        (_LC, h, i, close_val(s, p)),
-                        ((_LO, h, i, s, p),),
-                        stop_ref,
-                    )
+                            emit((node((_LO, h, i, s2, v), lv_open), t0, t1,
+                                  0, 0, 0, 0))
+                stop_ref = stop(h, LEFT, HAS_CHILD)
+                for s, p, t0 in cells.get((_LO, h, i), ()):
+                    emit((node((_LC, h, i, close_val(s, p)), lv_closed), t0, -1,
+                          stop_ref, 0, 0, 0))
             j = h + m
             if j <= n:
                 for c in range(h + 1, j + 1):
-                    for s2, vl in cell_states.get((_IR, h, c), []):
-                        for (vr,) in cell_states.get((_RC, c, j), []):
+                    for s2, vl, t0 in cells.get((_IR, h, c), ()):
+                        for vr, t1 in cells.get((_RC, c, j), ()):
                             v = child_val(vl, vr)
                             if v is None:
                                 continue
-                            add_edge(
-                                (_RO, h, j, s2, v),
-                                ((_IR, h, c, s2, vl), (_RC, c, j, vr)),
-                                (),
-                            )
-                stop_ref = (wi.stop(pos[h - 1], RIGHT, HAS_CHILD),)
-                for s, p in cell_states.get((_RO, h, j), []):
-                    add_edge(
-                        (_RC, h, j, close_val(s, p)),
-                        ((_RO, h, j, s, p),),
-                        stop_ref,
-                    )
+                            emit((node((_RO, h, j, s2, v), lv_open), t0, t1,
+                                  0, 0, 0, 0))
+                stop_ref = stop(h, RIGHT, HAS_CHILD)
+                for s, p, t0 in cells.get((_RO, h, j), ()):
+                    emit((node((_RC, h, j, close_val(s, p)), lv_closed), t0, -1,
+                          stop_ref, 0, 0, 0))
 
-    goal_key = (_GOAL, 0, 0)
-    goal = get_or_create(goal_key + ())
+    goal = node((_GOAL, 0, 0), 3 * n - 1)
     for c in range(1, n + 1):
-        for (vl,) in cell_states.get((_LC, c, 1), []):
-            for (vr,) in cell_states.get((_RC, c, n), []):
-                add_edge(
-                    goal_key,
-                    ((_LC, c, 1, vl), (_RC, c, n, vr)),
-                    (wi.root(pos[c - 1]),),
-                    (0, c),
-                )
-    return _Chart(n, node_edges, goal)
+        for vl, t0 in cells.get((_LC, c, 1), ()):
+            for vr, t1 in cells.get((_RC, c, n), ()):
+                emit((goal, t0, t1, c, 0, 0, c))  # slot c is root(c)
+    rec = np.frombuffer(records, dtype=np.int32).reshape(-1, 7)
+    return _Structure(n, np.frombuffer(level, dtype=np.int32), rec)
 
 
-def _edge_score(edge, wlog, beta, prices):
-    tails, wrefs, arc = edge
-    w = 0.0
-    for r in wrefs:
-        w += wlog[r]
-    if arc is not None:
-        h, d = arc
-        if h != 0 and beta:
-            w -= beta * (abs(h - d) - 1)
-        if prices is not None:
-            w -= prices[h, d]
-    return w
+def _slot_refs(pos: Sequence[int], V: int) -> np.ndarray:
+    """Log-weight index of every weight slot (in `_Structure`'s slot
+    order) of a sentence with tag ids `pos`; the unit slot maps to the
+    extra entry appended after the weights."""
+    wi = _WeightIndex(V)
+    ids = np.asarray(pos, dtype=np.int64)
+    n = ids.size
+    hda = (4 * ids[:, None] + np.arange(4)).ravel()  # (h * 2 + dir) * 2 + adj
+    right = np.arange(n)[None, :] > np.arange(n)[:, None]  # c after h
+    att = wi.attach_off + (2 * ids[:, None] + right) * V + ids[None, :]
+    return np.concatenate(
+        ([wi.size], ids, wi.stop_off + hda, wi.cont_off + hda, att.ravel())
+    )
 
 
-def _logsumexp(values):
-    m = max(values)
-    if m == NEG_INF:
-        return NEG_INF
-    return m + math.log(sum(math.exp(v - m) for v in values))
+class _Chart(NamedTuple):
+    """One sentence's chart: the shared structure, the log-weight index of
+    each edge's two weight slots, and each edge's static score under the
+    parameters and length penalty it was built with."""
+
+    s: _Structure
+    refs: np.ndarray    # (2, edges)
+    score: np.ndarray   # (edges,)
 
 
-def _inside(chart: _Chart, wlog, beta, prices=None):
-    vals = [NEG_INF] * len(chart.node_edges)
-    for nid, edges in enumerate(chart.node_edges):
-        terms = []
-        for e in edges:
-            s = _edge_score(e, wlog, beta, prices)
-            for t in e[0]:
-                s += vals[t]
-            terms.append(s)
-        if terms:
-            vals[nid] = _logsumexp(terms)
+def _build_chart(
+    pos: Sequence[int], V: int, cap: int | None, wlog: np.ndarray, beta: float
+) -> _Chart:
+    """Chart of the sentence with tag ids `pos` under log-weights `wlog`."""
+    s = _compile(len(pos), cap)
+    refs = _slot_refs(pos, V)[s.slots]
+    w = np.append(wlog, 0.0)
+    score = (0.0 + w[refs[0]]) + w[refs[1]]
+    if beta:
+        score[s.arc_edges] -= beta * s.arc_pen
+    return _Chart(s, refs, score)
+
+
+def _inside(chart: _Chart) -> np.ndarray:
+    """Inside log-values of every node (plus the zero sentinel)."""
+    s, score = chart.s, chart.score
+    vals = np.zeros(s.n_nodes + 1)
+    with np.errstate(divide="ignore"):
+        for a, b, seg, edges, head, t0, t1 in s.levels:
+            sc = score[edges] + vals[t0] + vals[t1]
+            m = np.maximum.reduceat(sc, seg)
+            m[m == NEG_INF] = 0.0  # no support: exp gives 0 and log -inf
+            vals[a:b] = m
+            total = np.add.reduceat(np.exp(sc - vals[head]), seg)
+            vals[a:b] = m + np.log(total)
     return vals
 
 
-def _viterbi(chart: _Chart, wlog, beta, prices=None):
-    vals = [NEG_INF] * len(chart.node_edges)
-    best = [None] * len(chart.node_edges)
-    for nid, edges in enumerate(chart.node_edges):
-        b = NEG_INF
-        be = None
-        for e in edges:
-            s = _edge_score(e, wlog, beta, prices)
-            for t in e[0]:
-                s += vals[t]
-            if s > b:  # strict: ties keep the earliest-built derivation
-                b = s
-                be = e
-        vals[nid] = b
-        best[nid] = be
-    if vals[chart.goal] == NEG_INF:
+def _viterbi(chart: _Chart, prices: np.ndarray | None) -> tuple[DepTree, float]:
+    s, score = chart.s, chart.score
+    if prices is not None:
+        score = score.copy()
+        score[s.arc_edges] -= prices[s.arc_eh, s.arc_ed]
+    vals = np.zeros(s.n_nodes + 1)
+    best = np.empty(s.n_nodes, dtype=np.intp)
+    for a, b, seg, edges, head, t0, t1 in s.levels:
+        sc = score[edges] + vals[t0] + vals[t1]
+        vals[a:b] = np.maximum.reduceat(sc, seg)
+        # Ties keep the earliest-built derivation: each node takes the first
+        # edge of its segment that reaches the maximum.
+        hit = (sc == vals[head]).nonzero()[0]
+        best[a:b] = hit[hit.searchsorted(seg)] + edges.start
+    if vals[s.goal] == NEG_INF:
         raise InfeasibleParseError(
             "no parse satisfies the active structural constraints"
         )
-    heads = [-1] * chart.n
-    stack = [chart.goal]
+    heads = [-1] * s.n
+    stack = [s.goal]
     while stack:
         e = best[stack.pop()]
-        if e is None or not (e[0] or e[2]):
-            continue
-        if e[2] is not None:
-            h, d = e[2]
-            heads[d - 1] = h
-        stack.extend(e[0])
-    return DepTree(tuple(heads)), vals[chart.goal]
+        d = s.arc_d[e]
+        if d:
+            heads[d - 1] = s.arc_h[e]
+        for t in (s.tail0[e], s.tail1[e]):
+            if t != s.n_nodes:
+                stack.append(t)
+    return DepTree(tuple(heads)), float(vals[s.goal])
 
 
-def _outside_counts(chart: _Chart, wlog, beta, vals, logz, counts):
-    """Accumulate expected rule counts into `counts` (posterior mass)."""
-    out = [NEG_INF] * len(chart.node_edges)
-    out[chart.goal] = 0.0
-    for nid in range(len(chart.node_edges) - 1, -1, -1):
-        o = out[nid]
-        if o == NEG_INF:
-            continue
-        for e in chart.node_edges[nid]:
-            s_full = _edge_score(e, wlog, beta, None)
-            for t in e[0]:
-                s_full += vals[t]
-            if s_full == NEG_INF:
-                continue
-            post = math.exp(o + s_full - logz)
-            for r in e[1]:
-                counts[r] += post
-            for t in e[0]:
-                c = o + s_full - vals[t]
-                out[t] = c if out[t] == NEG_INF else np.logaddexp(out[t], c)
+def _expected_counts(
+    chart: _Chart, vals: np.ndarray, logz: float, size: int
+) -> np.ndarray:
+    """Posterior mass of every log-weight index (the unit slot included)."""
+    s, score = chart.s, chart.score
+    out = np.full(s.n_nodes + 1, NEG_INF)
+    out[s.goal] = 0.0
+    post = np.empty(score.size)
+    for a, b, seg, edges, head, t0, t1 in reversed(s.levels):
+        c = out[head] + (score[edges] + vals[t0] + vals[t1])
+        post[edges] = np.exp(c - logz)
+        keep = (c > NEG_INF).nonzero()[0]
+        c = c[keep]
+        for t in (t0[keep], t1[keep]):
+            np.logaddexp.at(out, t, c - vals[t])
+    return np.bincount(chart.refs.ravel(), np.tile(post, 2), minlength=size)
 
 
 # ---------------------------------------------------------------------------
@@ -534,9 +597,11 @@ def tree_logprob(
 
 def inside_loglik(x: Sentence, theta: DmvParams, cfg: ConstraintConfig) -> float:
     """Log of the constrained marginal: sum over feasible trees of P(x, y)*f."""
-    chart = _build_chart(theta.tag_ids(x), theta.V, cfg.max_ce_depth)
-    vals = _inside(chart, theta.log_weights(), cfg.dep_len_beta)
-    return vals[chart.goal]
+    chart = _build_chart(
+        theta.tag_ids(x), theta.V, cfg.max_ce_depth, theta.log_weights(),
+        cfg.dep_len_beta,
+    )
+    return float(_inside(chart)[chart.s.goal])
 
 
 def viterbi_decode(
@@ -547,15 +612,22 @@ def viterbi_decode(
     _chart: _Chart | None = None,
 ) -> tuple[DepTree, float]:
     """Best tree under -tree_logprob(x, y) + u.y; returns (tree, minimum)."""
-    chart = _chart or _build_chart(theta.tag_ids(x), theta.V, cfg.max_ce_depth)
+    chart = build_decode_chart(x, theta, cfg) if _chart is None else _chart
     prices = arc_matrix(u, x.n) if u is not None and u.ndim == 1 else u
-    tree, best = _viterbi(chart, theta.log_weights(), cfg.dep_len_beta, prices)
+    tree, best = _viterbi(chart, prices)
     return tree, -best
 
 
 def build_decode_chart(x: Sentence, theta: DmvParams, cfg: ConstraintConfig) -> _Chart:
-    """Prebuild a chart for repeated price-modified decodes of one sentence."""
-    return _build_chart(theta.tag_ids(x), theta.V, cfg.max_ce_depth)
+    """Prebuild a chart for repeated price-modified decodes of one sentence.
+
+    The chart carries its edges' scores under `theta` and `cfg`, so decodes
+    that pass it must use the same parameters.
+    """
+    return _build_chart(
+        theta.tag_ids(x), theta.V, cfg.max_ce_depth, theta.log_weights(),
+        cfg.dep_len_beta,
+    )
 
 
 def em_step(
@@ -574,21 +646,24 @@ def em_step(
         raise ValueError("smoothing must be >= 0")
     wi = _WeightIndex(theta.V)
     wlog = theta.log_weights()
-    counts = np.zeros(wi.size)
+    counts = np.zeros(wi.size + 1)  # the last entry takes the unit slot's mass
     total = 0.0
     skipped = 0
     for sent in c:
-        chart = _build_chart(theta.tag_ids(sent), theta.V, cfg.max_ce_depth)
-        vals = _inside(chart, wlog, cfg.dep_len_beta)
-        logz = vals[chart.goal]
+        chart = _build_chart(
+            theta.tag_ids(sent), theta.V, cfg.max_ce_depth, wlog,
+            cfg.dep_len_beta,
+        )
+        vals = _inside(chart)
+        logz = float(vals[chart.s.goal])
         if logz == NEG_INF:
             skipped += 1
             continue
         total += logz
-        _outside_counts(chart, wlog, cfg.dep_len_beta, vals, logz, counts)
+        counts += _expected_counts(chart, vals, logz, counts.size)
     if diagnostics is not None:
         diagnostics["skipped"] = skipped
-    new = _params_from_counts(theta, counts, smoothing)
+    new = _params_from_counts(theta, counts[:-1], smoothing)
     return new, total
 
 

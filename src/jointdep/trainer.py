@@ -77,7 +77,7 @@ class TrainState:
 # ---------------------------------------------------------------------------
 
 def _pretrain_dmv(c: Corpus, cfg: TrainConfig) -> dmv.DmvParams:
-    theta = dmv.init_params(c, cfg.init, cfg.seed)
+    theta = dmv.init_params(c, cfg.init)
     diag: dict = {}
     for i in range(cfg.em_pretrain_iters):
         theta, ll = dmv.em_step(c, theta, cfg.constraint, 0.0, diag)
@@ -259,7 +259,7 @@ def train(c: Corpus, cfg: TrainConfig, checkpoint_dir=None) -> TrainState:
     if cfg.mode == "joint":
         return joint_train(c, cfg, checkpoint_dir)
     if cfg.mode == "dmv-only":
-        theta = dmv.init_params(c, cfg.init, cfg.seed)
+        theta = dmv.init_params(c, cfg.init)
         for _ in range(cfg.em_pretrain_iters + cfg.outer_iters):
             theta, _ = dmv.em_step(c, theta, cfg.constraint, 0.0)
         state = TrainState(theta, None)
@@ -278,8 +278,11 @@ def decode_corpus(
     cfg: TrainConfig | None = None,
     decoder: str = "dd",
 ) -> list[DepTree]:
-    """Parse a corpus with one model or with agreement decoding."""
+    """Parse a corpus with one model or with agreement decoding; agreement
+    decoding runs on `cfg.workers` processes."""
     cfg = cfg or TrainConfig()
+    if decoder == "dd":
+        return [r.tree for r in _decode_all(c, state, cfg)]
     trees = []
     for sent in c:
         if decoder == "dmv":
@@ -292,11 +295,6 @@ def decode_corpus(
                 )
         elif decoder == "cmst":
             tree, _ = cmst.lmo_decode(sent, state.model)
-        elif decoder == "dd":
-            tree = dd_decode(
-                sent, state.theta, cfg.constraint, state.model, cfg.dd,
-                g_weight=cfg.g_weight,
-            ).tree
         else:
             raise ValueError(f"unknown decoder {decoder!r}")
         trees.append(tree)

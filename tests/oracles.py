@@ -118,3 +118,109 @@ def random_dmv_params(rng, vocab):
         rng.dirichlet(np.ones(V), size=(V, 2)),
         rng.uniform(0.05, 0.95, size=(V, 2, 2)),
     )
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference passes over a compiled chart
+#
+# Unlike the oracles above, these share the chart structure with the code
+# they check: they replace the level-by-level numpy passes with loops over
+# the edges in build order, and resolve the weight slots from the tag ids
+# one by one.  Edges are sorted by head and heads are numbered in
+# topological order, so one forward sweep sees every tail before its heads.
+# ---------------------------------------------------------------------------
+
+def slot_weight_refs(pos, V):
+    """Log-weight index of every weight slot of a chart over tag ids `pos`;
+    the unit slot maps to index size (the appended log 1)."""
+    from jointdep.dmv import LEFT, RIGHT, _WeightIndex
+
+    wi = _WeightIndex(V)
+    n = len(pos)
+    refs = [wi.size]
+    refs += [wi.root(pos[c]) for c in range(n)]
+    for ref in (wi.stop, wi.cont):
+        refs += [ref(pos[h], d, a) for h in range(n) for d in (0, 1) for a in (0, 1)]
+    refs += [
+        wi.attach(pos[h], RIGHT if c > h else LEFT, pos[c])
+        for h in range(n) for c in range(n)
+    ]
+    return refs
+
+
+def _scalar_edges(s, pos, V, wlog, beta, prices):
+    """Per edge: (head, tails, weight refs, score before tails), the score
+    summed as ((0.0 + w[r0]) + w[r1]) - beta*(|h-d|-1) - price."""
+    refs = slot_weight_refs(pos, V)
+    w = [float(v) for v in wlog] + [0.0]
+    for e in range(s.head.size):
+        r0, r1 = refs[s.slots[0, e]], refs[s.slots[1, e]]
+        h, d = int(s.arc_h[e]), int(s.arc_d[e])
+        score = (0.0 + w[r0]) + w[r1]
+        if d and h and beta:
+            score -= beta * (abs(h - d) - 1)
+        if d and prices is not None:
+            score -= float(prices[h, d])
+        tails = [int(t) for t in (s.tail0[e], s.tail1[e]) if t != s.n_nodes]
+        yield int(s.head[e]), tails, (r0, r1), score
+
+
+def scalar_viterbi(s, pos, V, wlog, beta, prices=None):
+    """(heads, best log score) by strict-improvement Viterbi: each node keeps
+    its earliest-built edge among equal scores."""
+    vals = [0.0] * s.n_nodes
+    best = [None] * s.n_nodes
+    for e, (v, tails, _, score) in enumerate(
+        _scalar_edges(s, pos, V, wlog, beta, prices)
+    ):
+        for t in tails:
+            score = score + vals[t]
+        if best[v] is None or score > vals[v]:
+            vals[v], best[v] = score, e
+    heads = [-1] * s.n
+    stack = [s.goal]
+    while stack:
+        e = best[stack.pop()]
+        if s.arc_d[e]:
+            heads[s.arc_d[e] - 1] = int(s.arc_h[e])
+        stack.extend(int(t) for t in (s.tail0[e], s.tail1[e]) if t != s.n_nodes)
+    return tuple(heads), vals[s.goal]
+
+
+def scalar_inside(s, pos, V, wlog, beta):
+    """Inside log-value of every node, one logsumexp per node."""
+    vals = [0.0] * s.n_nodes
+    edges = _scalar_edges(s, pos, V, wlog, beta, None)
+    for v, group in itertools.groupby(edges, key=lambda edge: edge[0]):
+        terms = []
+        for _, tails, _, score in group:
+            for t in tails:
+                score = score + vals[t]
+            terms.append(score)
+        vals[v] = logsumexp(terms)
+    return vals
+
+
+def scalar_expected_counts(s, pos, V, wlog, beta):
+    """(inside values, expected count of every log-weight index with the
+    unit slot last) by an edge-by-edge outside sweep from the goal."""
+    vals = scalar_inside(s, pos, V, wlog, beta)
+    logz = vals[s.goal]
+    edges = list(_scalar_edges(s, pos, V, wlog, beta, None))
+    out = [-math.inf] * s.n_nodes
+    out[s.goal] = 0.0
+    counts = np.zeros(len(wlog) + 1)
+    for v, tails, refs, score in reversed(edges):
+        if out[v] == -math.inf:
+            continue
+        for t in tails:
+            score = score + vals[t]
+        if score == -math.inf:
+            continue
+        post = math.exp(out[v] + score - logz)
+        for r in refs:
+            counts[r] += post
+        for t in tails:
+            c = out[v] + score - vals[t]
+            out[t] = c if out[t] == -math.inf else float(np.logaddexp(out[t], c))
+    return vals, counts

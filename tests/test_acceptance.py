@@ -152,7 +152,7 @@ def test_criterion_3_dd_certificate(rng):
 
 def test_criterion_4_em_monotone(rng):
     c = random_corpus(rng, VOCAB, 100, max_len=7, min_len=1)
-    theta = dmv.init_params(c, "harmonic", 0)
+    theta = dmv.init_params(c, "harmonic")
     prev = None
     worst = 0.0
     for _ in range(20):
@@ -205,7 +205,7 @@ def test_criterion_6_gradient_check(rng):
 
 def test_criterion_7_normalization_and_structure(rng):
     c = random_corpus(rng, VOCAB, 30, max_len=6, min_len=1)
-    theta = dmv.init_params(c, "harmonic", 0)
+    theta = dmv.init_params(c, "harmonic")
     # Every emitted parameter set stays normalized.
     norm_err = 0.0
 

@@ -3,8 +3,9 @@ import io
 import numpy as np
 import pytest
 
-from oracles import random_corpus
+from oracles import random_corpus, random_dmv_params
 
+from jointdep import trainer
 from jointdep.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, load_config, run
 from jointdep.corpus import DepTree, parse_conllu, read_conllu, write_conllu_file
 from jointdep.cmst import CmstModel
@@ -180,3 +181,90 @@ def test_train_determinism_via_cli(tmp_path, train_file, fast_args):
     last = iters[-1]
     for name in ("dmv.txt", "cmst.txt", "trees.conllu"):
         assert (a / last / name).read_bytes() == (b / last / name).read_bytes()
+
+
+@pytest.fixture
+def model_dir(tmp_path, rng):
+    """Untrained models over the train_file vocabulary."""
+    vocab = ("DET", "NOUN", "VERB")
+    d = tmp_path / "models"
+    d.mkdir()
+    random_dmv_params(rng, vocab).save(d / "dmv.txt")
+    model = CmstModel.create(vocab)
+    model.w[:: 97] = 0.25
+    model.save(d / "cmst.txt")
+    return d
+
+
+def _parse(model, input_file, output, decoder="dd"):
+    return run([
+        "parse", "--model", str(model), "--decoder", decoder,
+        "--input", str(input_file), "--output", str(output),
+    ])
+
+
+@pytest.mark.parametrize("name, damage", [
+    pytest.param("dmv.txt", lambda lines: [], id="dmv-empty"),
+    pytest.param("dmv.txt", lambda lines: lines[:1], id="dmv-header-only"),
+    pytest.param("dmv.txt", lambda lines: lines[:30], id="dmv-head-30"),
+    pytest.param("dmv.txt", lambda lines: lines[:-1], id="dmv-last-missing"),
+    pytest.param(
+        "dmv.txt", lambda lines: lines[:-1] + [lines[-1].rsplit(" ", 1)[0]],
+        id="dmv-short-record",
+    ),
+    pytest.param(
+        "dmv.txt", lambda lines: lines[:-1] + [lines[-1].replace("VERB", "ADJ")],
+        id="dmv-unknown-tag",
+    ),
+    pytest.param("cmst.txt", lambda lines: lines[:1], id="cmst-header-only"),
+    pytest.param("cmst.txt", lambda lines: lines + ["w 3"], id="cmst-short-w"),
+    pytest.param(
+        "cmst.txt", lambda lines: lines + ["w 99999999 1.0"],
+        id="cmst-w-out-of-range",
+    ),
+])
+def test_damaged_model_file_is_data_error(
+    tmp_path, train_file, model_dir, capsys, name, damage
+):
+    path = model_dir / name
+    path.write_text("".join(
+        line + "\n" for line in damage(path.read_text().splitlines())
+    ))
+    rc = _parse(model_dir, train_file, tmp_path / "o.conllu")
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unparseable_sentence_is_data_error(tmp_path, model_dir, capsys):
+    theta = DmvParams.load(model_dir / "dmv.txt")
+    theta.stop[:] = 1.0  # no token may take a dependent
+    theta.save(model_dir / "dmv.txt")
+    src = tmp_path / "two.conllu"
+    src.write_text(
+        "1\tw\tw\tNOUN\t_\t_\t0\t_\t_\t_\n"
+        "2\tw\tw\tVERB\t_\t_\t1\t_\t_\t_\n\n"
+    )
+    assert _parse(model_dir, src, tmp_path / "o.conllu", "dmv") == EXIT_DATA
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_parse_workers_write_identical_trees(
+    tmp_path, train_file, model_dir, monkeypatch
+):
+    pools = []
+    real_pool = trainer.ProcessPoolExecutor
+
+    def spy_pool(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "ProcessPoolExecutor", spy_pool)
+    outputs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("JOINTDEP_WORKERS", workers)
+        pred = tmp_path / f"pred{workers}.conllu"
+        assert _parse(model_dir, train_file, pred) == EXIT_OK
+        outputs.append(pred.read_bytes())
+    assert pools == [2]
+    assert outputs[0] == outputs[1]

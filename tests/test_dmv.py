@@ -9,6 +9,9 @@ from oracles import (
     make_sentence,
     random_corpus,
     random_dmv_params,
+    scalar_expected_counts,
+    scalar_viterbi,
+    slot_weight_refs,
     span_nesting_depth,
 )
 
@@ -226,6 +229,118 @@ def test_viterbi_deterministic_tie_break(rng):
     t1, _ = viterbi_decode(x, p, UNCONSTRAINED)
     t2, _ = viterbi_decode(x, p, UNCONSTRAINED)
     assert t1 == t2
+
+
+# ---------------------------------------------------------------------------
+# compiled chart passes against the scalar reference passes
+# ---------------------------------------------------------------------------
+
+# Inside and outside sum in another order than the scalar passes, so their
+# results may differ in the last digits; Viterbi only takes maxima and must
+# agree exactly.
+ENGINE_RTOL = 1e-12
+ENGINE_VOCAB = ("A", "B", "C")
+
+
+def _impossible_events(p):
+    """p with some events of zero probability (log weight -inf)."""
+    root, attach, stop = p.root.copy(), p.attach.copy(), p.stop.copy()
+    root[2] = 0.0
+    root /= root.sum()
+    attach[0, dmv.RIGHT, 1] = 0.0
+    attach[2, dmv.LEFT, :2] = 0.0
+    attach /= attach.sum(axis=2, keepdims=True)
+    stop[1, dmv.LEFT, dmv.HAS_CHILD] = 1.0   # B takes at most one left child
+    stop[0, dmv.RIGHT, dmv.NO_CHILD] = 0.0   # A must take a right child
+    return dmv.DmvParams(p.vocab, root, attach, stop)
+
+
+def _engine_params(rng, kind, corpus):
+    if kind == "uniform":
+        return init_params(corpus, "uniform")
+    p = random_dmv_params(rng, ENGINE_VOCAB)
+    return _impossible_events(p) if kind == "impossible" else p
+
+
+@pytest.mark.parametrize("cap", [None, 0, 1, 2])
+@pytest.mark.parametrize("beta", [0.0, 0.1])
+@pytest.mark.parametrize("kind", ["random", "uniform", "impossible"])
+def test_viterbi_matches_scalar_reference(rng, cap, beta, kind):
+    cfg = ConstraintConfig(cap, beta)
+    for trial in range(12):
+        x = random_corpus(rng, ENGINE_VOCAB, 1, max_len=7).sentences[0]
+        p = _engine_params(rng, kind, Corpus((x,), ENGINE_VOCAB))
+        n = x.n
+        u = (None, rng.integers(-2, 3, size=n * n).astype(float),
+             rng.normal(size=n * n))[trial % 3]
+        want_heads, want = scalar_viterbi(
+            dmv._compile(n, cap), p.tag_ids(x), p.V, p.log_weights(), beta,
+            arc_matrix(u, n),
+        )
+        if want == -math.inf:
+            with pytest.raises(dmv.InfeasibleParseError):
+                viterbi_decode(x, p, cfg, u)
+            continue
+        tree, got = viterbi_decode(x, p, cfg, u)
+        assert tree.heads == want_heads
+        assert -got == want
+
+
+@pytest.mark.parametrize("cap", [None, 0, 1, 2])
+@pytest.mark.parametrize("beta", [0.0, 0.1])
+@pytest.mark.parametrize("kind", ["random", "impossible"])
+def test_inside_and_counts_match_scalar_reference(rng, cap, beta, kind):
+    cfg = ConstraintConfig(cap, beta)
+    c = random_corpus(rng, ENGINE_VOCAB, 8, max_len=7)
+    p = _engine_params(rng, kind, c)
+    wlog = p.log_weights()
+    total = np.zeros(wlog.size + 1)
+    loglik = 0.0
+    for x in c:
+        pos = p.tag_ids(x)
+        want_vals, want_counts = scalar_expected_counts(
+            dmv._compile(x.n, cap), pos, p.V, wlog, beta
+        )
+        chart = dmv._build_chart(pos, p.V, cap, wlog, beta)
+        assert chart.refs.tolist() == [
+            [slot_weight_refs(pos, p.V)[k] for k in row]
+            for row in chart.s.slots
+        ]
+        vals = dmv._inside(chart)
+        np.testing.assert_allclose(vals[:-1], want_vals, rtol=ENGINE_RTOL, atol=0)
+        logz = want_vals[chart.s.goal]
+        if logz == -math.inf:
+            continue
+        loglik += logz
+        total += want_counts
+        counts = dmv._expected_counts(chart, vals, vals[chart.s.goal], total.size)
+        np.testing.assert_allclose(counts, want_counts, rtol=ENGINE_RTOL, atol=0)
+    new, ll = em_step(c, p, cfg, 0.0)
+    want = dmv._params_from_counts(p, total[:-1], 0.0)
+    assert ll == pytest.approx(loglik, rel=ENGINE_RTOL, abs=0)
+    for got_table, want_table in ((new.root, want.root),
+                                  (new.attach, want.attach),
+                                  (new.stop, want.stop)):
+        np.testing.assert_allclose(got_table, want_table, rtol=ENGINE_RTOL, atol=0)
+
+
+def test_chart_structure_is_shared_per_length_and_read_only(rng):
+    p = random_dmv_params(rng, ENGINE_VOCAB)
+    cfg = ConstraintConfig(1, 0.1)
+    a = dmv.build_decode_chart(make_sentence(["A", "B", "C", "A"]), p, cfg)
+    b = dmv.build_decode_chart(make_sentence(["C", "C", "B", "A"]), p, cfg)
+    assert a.s is b.s
+    assert not np.array_equal(a.refs, b.refs)
+    arrays = [v for v in vars(a.s).values() if isinstance(v, np.ndarray)]
+    arrays += [v for lv in a.s.levels for v in lv if isinstance(v, np.ndarray)]
+    assert len(arrays) > 10
+    assert not any(arr.flags.writeable for arr in arrays)
+    with pytest.raises(ValueError):
+        a.s.head[0] = 0
+    uncapped = dmv.build_decode_chart(
+        make_sentence(["A", "B", "C", "A"]), p, ConstraintConfig(None, 0.1)
+    )
+    assert uncapped.s is not a.s
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ def test_parallel_decode_matches_serial(small_corpus):
 
 def test_dmv_only_improves_likelihood(small_corpus):
     cfg = _fast_cfg(mode="dmv-only", em_pretrain_iters=0, outer_iters=5)
-    theta0 = dmv.init_params(small_corpus, cfg.init, cfg.seed)
+    theta0 = dmv.init_params(small_corpus, cfg.init)
     ll0 = sum(
         dmv.inside_loglik(s, theta0, cfg.constraint) for s in small_corpus
     )
