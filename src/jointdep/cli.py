@@ -40,8 +40,6 @@ _DEFAULTS = {
     "dd_step_rule": "invsqrt",
     "dd_max_iters": 50,
     "dd_fallback": "better-objective",
-    "sgd_lr": 0.05,
-    "sgd_batch": 32,
     "mstep_smoothing": 0.1,
     "g_weight": 1.0,
     "rules": "",
@@ -51,11 +49,10 @@ _DEFAULTS = {
 _BOOL_KEYS = {"count_punct"}
 _INT_KEYS = {
     "max_len", "outer_iters", "extra_separate_iters", "em_pretrain_iters",
-    "fw_pretrain_iters", "seed", "dd_max_iters", "sgd_batch", "workers",
+    "fw_pretrain_iters", "seed", "dd_max_iters", "workers",
 }
 _FLOAT_KEYS = {
-    "dep_len_beta", "lambda", "mu", "dd_tau0", "sgd_lr", "mstep_smoothing",
-    "g_weight",
+    "dep_len_beta", "lambda", "mu", "dd_tau0", "mstep_smoothing", "g_weight",
 }
 
 
@@ -127,8 +124,6 @@ def _train_config(cfg: dict) -> trainer.TrainConfig:
             cfg["dd_tau0"], cfg["dd_step_rule"], cfg["dd_max_iters"],
             cfg["dd_fallback"],
         ),
-        sgd_lr=cfg["sgd_lr"],
-        sgd_batch=cfg["sgd_batch"],
         mstep_smoothing=cfg["mstep_smoothing"],
         g_weight=cfg["g_weight"],
         rules=rules,

@@ -1,18 +1,17 @@
 """Discriminative clustering parser: arc features, rule priors, projective
-min-cost decoding, Frank-Wolfe training over relaxed tree variables, and the
-SGD weight update used during joint training."""
+min-cost decoding, and Frank-Wolfe training over relaxed tree variables with
+an exact ridge solve for the weights."""
 
 from __future__ import annotations
 
 import importlib.resources
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse.linalg import lsqr
+from scipy.sparse.linalg import splu
 
 from .corpus import (
     Corpus,
@@ -30,8 +29,6 @@ UNK_TAG = "<UNK>"
 # Distance bins: 1, 2, 3, 4, 5, 6-10, >10.
 _BIN_EDGES = (1, 2, 3, 4, 5, 10)
 _NUM_BINS = len(_BIN_EDGES) + 1
-
-_DENSE_SOLVE_LIMIT = 5000
 
 
 def _dist_bin(dist: int) -> int:
@@ -415,9 +412,19 @@ class FrankWolfeOptimizer:
     """Block optimization of the discriminative clustering objective: exact
     ridge re-solve for w given the relaxed tree variables, then one
     Frank-Wolfe step (projective-tree linear minimization plus exact line
-    search) on the relaxed variables jointly."""
+    search) on the relaxed variables jointly.
+
+    The ridge matrix sum_i (1/n_i) X_i'X_i + lam*I is the same for every
+    solve, so it is factored once. SuperLU gets a symmetric ordering: its
+    default column ordering fills the factors about 20 times more here."""
 
     def __init__(self, corpus: Corpus, model: CmstModel):
+        if not model.lam > 0:
+            raise ValueError(
+                f"lambda must be > 0 for a unique weight solution, got {model.lam}"
+            )
+        if corpus.N == 0:
+            raise ValueError("cannot train on an empty corpus")
         self.corpus = corpus
         self.model = model
         self.X = [extract_features(s, model.templates) for s in corpus]
@@ -427,30 +434,26 @@ class FrankWolfeOptimizer:
         # Stacked design matrix with rows scaled 1/sqrt(n) so that the ridge
         # normal equations sum (1/n) X'X per sentence.
         scaled = [X / math.sqrt(n) for X, n in zip(self.X, self.ns)]
-        self.D = sp.vstack(scaled).tocsr() if scaled else None
-        self.dim = model.templates.dimension
-        self._chol = None
-        if self.D is not None and self.dim <= _DENSE_SOLVE_LIMIT:
-            gram = (self.D.T @ self.D).toarray()
-            gram[np.diag_indices_from(gram)] += model.lam
-            self._chol = cho_factor(gram)
+        self.D = sp.vstack(scaled).tocsr()
+        gram = self.D.T @ self.D + model.lam * sp.identity(self.D.shape[1])
+        self._lu = splu(
+            gram.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
         self.objective_history: list[float] = []
         self.gap_history: list[float] = []
 
     def _solve_w(self) -> None:
-        if self.D is None:
-            return
         ytil = np.concatenate(
             [y / math.sqrt(n) for y, n in zip(self.y, self.ns)]
         )
-        rhs = self.D.T @ ytil
-        if self._chol is not None:
-            self.model.w = cho_solve(self._chol, rhs)
-        else:
-            self.model.w = lsqr(
-                self.D, ytil, damp=math.sqrt(self.model.lam),
-                atol=1e-10, btol=1e-10, iter_lim=10 * self.dim,
-            )[0]
+        self.model.w = self._lu.solve(self.D.T @ ytil)
+
+    def fit_trees(self, trees: Sequence[DepTree]) -> None:
+        """Set the relaxed tree variables to fixed trees and re-solve w: the
+        exact minimizer of the objective over w at those trees."""
+        self.y = [to_arc_vector(t) for t in trees]
+        self._solve_w()
 
     def objective(self) -> float:
         total = self.model.lam / 2.0 * float(self.model.w @ self.model.w)
@@ -463,7 +466,6 @@ class FrankWolfeOptimizer:
         """Run one iteration; returns the Frank-Wolfe duality gap."""
         self._solve_w()
         w = self.model.w
-        grads = []
         verts = []
         gap = 0.0
         denom = 0.0
@@ -471,7 +473,6 @@ class FrankWolfeOptimizer:
             g = (y - X @ w) / n - self.model.mu * v
             heads, _ = eisner_min(arc_matrix(g, sent.n))
             s = to_arc_vector(DepTree(heads))
-            grads.append(g)
             verts.append(s)
             diff = y - s
             gap += float(g @ diff)
@@ -491,28 +492,8 @@ class FrankWolfeOptimizer:
             self.step()
 
 
-def fw_train(
-    c: Corpus,
-    m: CmstModel,
-    iters: int,
-    state: FrankWolfeOptimizer | None = None,
-) -> CmstModel:
-    """Optimize the clustering objective for `iters` iterations.
-
-    Pass a previously returned optimizer as `state` to resume with its
-    relaxed tree variables; the optimizer is reachable as `m._fw_state`
-    on the returned model for callers that need warm restarts.
-    """
-    opt = state if state is not None else FrankWolfeOptimizer(c, m)
-    opt.model = m
-    opt.run(iters)
-    model = opt.model
-    model._fw_state = opt
-    return model
-
-
 # ---------------------------------------------------------------------------
-# SGD update for joint training
+# Weight gradient
 # ---------------------------------------------------------------------------
 
 def sentence_gradient(
@@ -525,31 +506,3 @@ def sentence_gradient(
     """Gradient of sentence_objective with respect to w."""
     X = features if features is not None else extract_features(x, m.templates)
     return X.T @ (X @ m.w - y) / x.n + (m.lam / N) * m.w
-
-
-def sgd_update(
-    c_batch: Sequence[Sentence],
-    trees: Sequence[DepTree | np.ndarray],
-    m: CmstModel,
-    lr: float,
-    N: int,
-    batch_size: int = 32,
-    features: Sequence[sp.csr_matrix] | None = None,
-) -> CmstModel:
-    """One pass of mini-batch SGD over fixed parses, in corpus order."""
-    if lr <= 0:
-        raise ValueError("learning rate must be > 0")
-    if len(trees) != len(c_batch):
-        raise ValueError(f"got {len(trees)} trees for {len(c_batch)} sentences")
-    w = m.w.copy()
-    model = replace(m, w=w)
-    arcs = [t if isinstance(t, np.ndarray) else to_arc_vector(t) for t in trees]
-    for start in range(0, len(c_batch), batch_size):
-        grad = np.zeros_like(w)
-        count = 0
-        for i in range(start, min(start + batch_size, len(c_batch))):
-            f = features[i] if features is not None else None
-            grad += sentence_gradient(c_batch[i], arcs[i], model, N, f)
-            count += 1
-        w -= lr * grad / count
-    return model

@@ -115,8 +115,11 @@ class DmvParams:
         sums = self.attach.sum(axis=2)
         if not np.allclose(sums, 1.0, atol=tol, rtol=0.0):
             raise ValueError("attach distributions do not sum to one")
-        if np.any(self.stop < -tol) or np.any(self.stop > 1.0 + tol):
-            raise ValueError("stop probabilities outside [0, 1]")
+        for name, table in (
+            ("root", self.root), ("attach", self.attach), ("stop", self.stop)
+        ):
+            if np.any(table < -tol) or np.any(table > 1.0 + tol):
+                raise ValueError(f"{name} probabilities outside [0, 1]")
 
     def log_weights(self) -> np.ndarray:
         wi = _WeightIndex(self.V)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -21,8 +20,6 @@ log = logging.getLogger(__name__)
 
 MODES = ("dmv-only", "cmst-only", "dmv-init-from-cmst", "joint")
 
-_SGD_AUDIT_RETRIES = 8
-
 
 @dataclass
 class TrainConfig:
@@ -37,8 +34,6 @@ class TrainConfig:
     lam: float = 1.0
     mu: float = 0.5
     dd: DDConfig = field(default_factory=DDConfig)
-    sgd_lr: float = 0.05
-    sgd_batch: int = 32
     mstep_smoothing: float = 0.1
     g_weight: float = 1.0
     rules: cmst.RuleSet | None = None
@@ -60,6 +55,9 @@ class TrainState:
     trees: list[DepTree] | None = None
     iteration: int = 0
     stats: dict = field(default_factory=dict)
+    # The Frank-Wolfe optimizer that trains `model`, kept so that joint
+    # training continues from its features and factored ridge matrix.
+    optimizer: cmst.FrankWolfeOptimizer | None = field(default=None, repr=False)
 
     def save(self, out_dir, corpus: Corpus | None = None) -> None:
         out = Path(out_dir)
@@ -86,18 +84,19 @@ def _pretrain_dmv(c: Corpus, cfg: TrainConfig) -> dmv.DmvParams:
     return theta
 
 
-def _pretrain_cmst(c: Corpus, cfg: TrainConfig) -> cmst.CmstModel:
+def _pretrain_cmst(c: Corpus, cfg: TrainConfig) -> cmst.FrankWolfeOptimizer:
     model = cmst.CmstModel.create(c.pos_vocab, cfg.lam, cfg.mu, cfg.rules)
+    opt = cmst.FrankWolfeOptimizer(c, model)
     if cfg.fw_pretrain_iters > 0:
-        model = cmst.fw_train(c, model, cfg.fw_pretrain_iters)
-    return model
+        opt.run(cfg.fw_pretrain_iters)
+    return opt
 
 
 def pretrain(c: Corpus, cfg: TrainConfig) -> TrainState:
     """Train both models separately with their own algorithms."""
     theta = _pretrain_dmv(c, cfg)
-    model = _pretrain_cmst(c, cfg)
-    return TrainState(theta, model)
+    opt = _pretrain_cmst(c, cfg)
+    return TrainState(theta, opt.model, optimizer=opt)
 
 
 def train_baseline_d_init(c: Corpus, cfg: TrainConfig) -> TrainState:
@@ -105,9 +104,9 @@ def train_baseline_d_init(c: Corpus, cfg: TrainConfig) -> TrainState:
     the parses to initialize the generative model, then train with EM."""
     if cfg.mode != "dmv-init-from-cmst":
         raise ValueError(f"expected mode dmv-init-from-cmst, got {cfg.mode!r}")
-    model = _pretrain_cmst(c, cfg)
-    features = [cmst.extract_features(s, model.templates) for s in c]
-    trees = [cmst.lmo_decode(s, model, features=f)[0] for s, f in zip(c, features)]
+    opt = _pretrain_cmst(c, cfg)
+    model = opt.model
+    trees = [cmst.lmo_decode(s, model, features=f)[0] for s, f in zip(c, opt.X)]
     theta = dmv.mstep_from_trees(c, trees, cfg.mstep_smoothing)
     for _ in range(cfg.outer_iters):
         theta, _ = dmv.em_step(c, theta, cfg.constraint, 0.0)
@@ -150,7 +149,10 @@ def joint_objective(
     trees: Sequence[DepTree],
     features=None,
 ) -> float:
-    """Sum over sentences of F + G at fixed trees (w-regularizer included).
+    """Sum over sentences of F + G at fixed trees (w-regularizer included),
+    plus the Dirichlet prior -eps * sum(log theta) over the root, attach,
+    stop and continue probabilities, eps = cfg.mstep_smoothing, under which
+    the smoothed `mstep_from_trees` is the exact minimizer over theta.
 
     The depth cap is a tree-only constant at fixed parses, so it is dropped
     here to keep the objective finite for cap-relaxed sentences.
@@ -163,70 +165,49 @@ def joint_objective(
         total += cfg.g_weight * cmst.sentence_objective(
             sent, to_arc_vector(tree), state.model, c.N, f
         )
+    if cfg.mstep_smoothing:
+        theta = state.theta
+        with np.errstate(divide="ignore"):
+            total -= cfg.mstep_smoothing * sum(
+                float(np.log(p).sum())
+                for p in (theta.root, theta.attach, theta.stop, 1.0 - theta.stop)
+            )
     return total
-
-
-def _sgd_with_audit(c, trees, model, cfg, features) -> cmst.CmstModel:
-    """SGD pass that never increases the discriminative loss at fixed trees;
-    the rate is halved (bounded retries) if a pass overshoots."""
-    arcs = [to_arc_vector(t) for t in trees]
-
-    def loss(m):
-        return sum(
-            cmst.sentence_objective(s, y, m, c.N, f)
-            for s, y, f in zip(c, arcs, features)
-        )
-
-    before = loss(model)
-    lr = cfg.sgd_lr
-    for attempt in range(_SGD_AUDIT_RETRIES):
-        updated = cmst.sgd_update(
-            c.sentences, arcs, model, lr, c.N, cfg.sgd_batch, features
-        )
-        if loss(updated) <= before + 1e-12:
-            return updated
-        lr /= 2.0
-        log.info("SGD pass increased the loss; retrying with rate %g", lr)
-    log.warning("SGD audit failed after %d retries; keeping previous weights",
-                _SGD_AUDIT_RETRIES)
-    return model
 
 
 def joint_train(
     c: Corpus, cfg: TrainConfig, checkpoint_dir=None
 ) -> TrainState:
-    """Coordinate descent: agreement-decode all sentences, re-estimate both
-    models from the decoded trees, then give each model a few separate
-    training iterations."""
+    """Coordinate descent: agreement-decode all sentences, then minimize the
+    joint objective at the decoded trees exactly (the smoothed M-step for the
+    grammar, the ridge solve for the weights), then give each model a few
+    separate training iterations, the Frank-Wolfe ones starting from the
+    decoded trees."""
     if cfg.mode != "joint":
         raise ValueError(f"expected mode joint, got {cfg.mode!r}")
     state = pretrain(c, cfg)
-    features = [cmst.extract_features(s, state.model.templates) for s in c]
-    fw_state = getattr(state.model, "_fw_state", None)
+    opt = state.optimizer
     prev_heads = None
     metrics_rows = []
     for it in range(1, cfg.outer_iters + 1):
         results = _decode_all(c, state, cfg)
         trees = [r.tree for r in results]
         converged = sum(r.converged for r in results)
-        j_before = joint_objective(c, state, cfg, trees, features)
+        j_before = joint_objective(c, state, cfg, trees, opt.X)
 
         state.theta = dmv.mstep_from_trees(c, trees, cfg.mstep_smoothing)
-        state.model = _sgd_with_audit(c, trees, state.model, cfg, features)
-        j_after = joint_objective(c, state, cfg, trees, features)
+        opt.fit_trees(trees)
+        j_after = joint_objective(c, state, cfg, trees, opt.X)
         if j_after > j_before + 1e-9:
             log.warning(
                 "parameter update increased the joint objective "
-                "(%.6f -> %.6f); smoothing effects", j_before, j_after,
+                "(%.6f -> %.6f)", j_before, j_after,
             )
 
         for _ in range(cfg.extra_separate_iters):
             state.theta, _ = dmv.em_step(c, state.theta, cfg.constraint, 0.0)
         if cfg.extra_separate_iters > 0:
-            state.model = cmst.fw_train(
-                c, state.model, cfg.extra_separate_iters, state=fw_state
-            )
-            fw_state = state.model._fw_state
+            opt.run(cfg.extra_separate_iters)
 
         state.trees = trees
         state.iteration = it
@@ -264,7 +245,7 @@ def train(c: Corpus, cfg: TrainConfig, checkpoint_dir=None) -> TrainState:
             theta, _ = dmv.em_step(c, theta, cfg.constraint, 0.0)
         state = TrainState(theta, None)
     elif cfg.mode == "cmst-only":
-        state = TrainState(None, _pretrain_cmst(c, cfg))
+        state = TrainState(None, _pretrain_cmst(c, cfg).model)
     else:
         state = train_baseline_d_init(c, cfg)
     if checkpoint_dir is not None:

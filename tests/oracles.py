@@ -95,6 +95,14 @@ def logsumexp(values) -> float:
     return m + math.log(sum(math.exp(v - m) for v in values))
 
 
+# The 17 Universal Dependencies POS tags. Over this vocabulary the
+# discriminative feature dimension is 6210, as on real treebank data.
+UPOS_TAGS = (
+    "ADJ", "ADP", "ADV", "AUX", "CCONJ", "DET", "INTJ", "NOUN", "NUM", "PART",
+    "PRON", "PROPN", "PUNCT", "SCONJ", "SYM", "VERB", "X",
+)
+
+
 def make_sentence(tags) -> Sentence:
     return Sentence(tuple(Token(f"w{i}", t) for i, t in enumerate(tags)))
 

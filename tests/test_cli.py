@@ -1,10 +1,20 @@
+import functools
 import io
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import random_corpus, random_dmv_params
+from conftest import CONLLU_SAMPLE
+from oracles import UPOS_TAGS, random_corpus, random_dmv_params
 
+import jointdep
 from jointdep import trainer
 from jointdep.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, load_config, run
 from jointdep.corpus import DepTree, parse_conllu, read_conllu, write_conllu_file
@@ -170,6 +180,41 @@ def test_max_ce_depth_inf_accepted(tmp_path, train_file, fast_args):
     assert rc == EXIT_OK
 
 
+def test_train_rejects_nonpositive_lambda(tmp_path, train_file, capsys):
+    rc = run(["train", "--train", str(train_file), "--out", str(tmp_path / "m"),
+              "--mode", "cmst-only", "--lambda", "0"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert err.startswith("error: lambda must be > 0") and err.count("\n") == 1
+
+
+def test_cmst_weights_do_not_depend_on_blas_threads(tmp_path):
+    # 120 sentences of length 2-15 over the 17 UPOS tags: a stacked design of
+    # about 9000 rows, long enough for OpenBLAS to split its reductions over
+    # threads when it may use more than one.
+    c = random_corpus(
+        np.random.default_rng(7), UPOS_TAGS, 120, max_len=15, min_len=2
+    )
+    train = tmp_path / "train.conllu"
+    write_conllu_file(
+        c, [DepTree((0,) + (1,) * (s.n - 1)) for s in c], train
+    )
+    src = str(Path(jointdep.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join([src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+        subprocess.run(
+            [sys.executable, "-m", "jointdep.cli", "train", "--mode",
+             "cmst-only", "--train", str(train), "--out", str(out),
+             "--fw-pretrain-iters", "2"],
+            env=env, check=True,
+        )
+        written.append((out / "cmst.txt").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_train_determinism_via_cli(tmp_path, train_file, fast_args):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -203,6 +248,16 @@ def _parse(model, input_file, output, decoder="dd"):
     ])
 
 
+def _negative_root(lines):
+    """Root probabilities -1, 1, 1: they sum to one, but one is negative."""
+    values = iter(("-1", "1", "1"))
+    return [
+        f"root {line.split()[1]} {next(values)}" if line.startswith("root ")
+        else line
+        for line in lines
+    ]
+
+
 @pytest.mark.parametrize("name, damage", [
     pytest.param("dmv.txt", lambda lines: [], id="dmv-empty"),
     pytest.param("dmv.txt", lambda lines: lines[:1], id="dmv-header-only"),
@@ -216,6 +271,7 @@ def _parse(model, input_file, output, decoder="dd"):
         "dmv.txt", lambda lines: lines[:-1] + [lines[-1].replace("VERB", "ADJ")],
         id="dmv-unknown-tag",
     ),
+    pytest.param("dmv.txt", _negative_root, id="dmv-negative-root"),
     pytest.param("cmst.txt", lambda lines: lines[:1], id="cmst-header-only"),
     pytest.param("cmst.txt", lambda lines: lines + ["w 3"], id="cmst-short-w"),
     pytest.param(
@@ -268,3 +324,69 @@ def test_parse_workers_write_identical_trees(
         outputs.append(pred.read_bytes())
     assert pools == [2]
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# Loader fuzz: any text either loads or raises ValueError, which the command
+# line reports as a one-line data error (exit 2).
+# ---------------------------------------------------------------------------
+
+_FUZZ_TOKENS = st.sampled_from((
+    "", "0", "1", "-1", "2", "0.5", "1e400", "nan", "inf", "-inf",
+    "99999999", "x", "_", "VERB", "left", "right", "vocab", "root",
+    "attach", "stop", "tags", "rule", "w", "lambda", "mu",
+)) | st.text(max_size=6)
+
+
+@st.composite
+def _damaged(draw, text, sep):
+    """`text` with a few lines dropped, tokens replaced or lines inserted."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(("drop", "token", "insert")))
+        if op == "insert" or i == len(lines):
+            lines.insert(i, sep.join(draw(st.lists(_FUZZ_TOKENS, max_size=6))))
+        elif op == "drop":
+            del lines[i]
+        else:
+            parts = lines[i].split(sep)
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(_FUZZ_TOKENS)
+            lines[i] = sep.join(parts)
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_base(kind):
+    """A valid file of each kind, for the fuzz to damage."""
+    if kind == "conllu":
+        return CONLLU_SAMPLE
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "model.txt"
+        if kind == "dmv":
+            random_dmv_params(np.random.default_rng(5), ("DET", "NOUN")).save(path)
+        else:
+            model = CmstModel.create(
+                ("DET", "NOUN"), rules=frozenset({("NOUN", "DET")})
+            )
+            model.w[:: 41] = 0.5
+            model.save(path)
+        return path.read_text()
+
+
+_LOADERS = {"dmv": DmvParams.load, "cmst": CmstModel.load, "conllu": read_conllu}
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_loaders_load_or_raise_value_error(kind, data):
+    sep = "\t" if kind == "conllu" else " "
+    text = data.draw(st.text() | _damaged(_fuzz_base(kind), sep))
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        try:
+            _LOADERS[kind](path)
+        except ValueError:
+            pass

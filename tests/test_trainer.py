@@ -87,45 +87,66 @@ def test_checkpoints_written_per_iteration(small_corpus, tmp_path):
     assert len(lines) == state.iteration + 1
 
 
+def _nudged(theta, t, ds):
+    """theta mixed with the uniform tables by weight t, stop then shifted
+    by ds."""
+    V = theta.V
+    return dmv.DmvParams(
+        theta.vocab,
+        (1 - t) * theta.root + t / V,
+        (1 - t) * theta.attach + t / V,
+        (1 - t) * theta.stop + t / 2 + ds,
+    )
+
+
 def test_parameter_update_does_not_increase_objective(small_corpus):
-    # With no smoothing the M-step and the audited SGD pass are both exact
-    # descent steps on the joint objective at fixed trees.
-    cfg = _fast_cfg(mstep_smoothing=0.0)
-    state = pretrain(small_corpus, cfg)
-    features = [
-        cmst.extract_features(s, state.model.templates) for s in small_corpus
-    ]
-    results = trainer._decode_all(small_corpus, state, cfg)
-    trees = [r.tree for r in results]
-    before = joint_objective(small_corpus, state, cfg, trees, features)
-    state.theta = dmv.mstep_from_trees(small_corpus, trees, 0.0)
-    state.model = trainer._sgd_with_audit(
-        small_corpus, trees, state.model, cfg, features
-    )
-    after = joint_objective(small_corpus, state, cfg, trees, features)
-    assert after <= before + 1e-9
+    # At fixed trees the smoothed M-step is the exact minimizer of the
+    # grammar's part of the joint objective (its Dirichlet prior included)
+    # and the ridge solve that of the discriminative part, so one block can
+    # only lower the objective. The second block starts from a smoothed
+    # grammar, where the objective before the update is finite.
+    for eps in (0.0, 0.1):
+        cfg = _fast_cfg(mstep_smoothing=eps)
+        state = pretrain(small_corpus, cfg)
+        opt = state.optimizer
+        for _ in range(2):
+            results = trainer._decode_all(small_corpus, state, cfg)
+            trees = [r.tree for r in results]
+            before = joint_objective(small_corpus, state, cfg, trees, opt.X)
+            state.theta = dmv.mstep_from_trees(small_corpus, trees, eps)
+            opt.fit_trees(trees)
+            after = joint_objective(small_corpus, state, cfg, trees, opt.X)
+            assert math.isfinite(after)
+            assert after <= before + 1e-9
+        assert math.isfinite(before)
+
+        # Moving off the update raises the objective: w scaled either way;
+        # theta toward uniform, and with smoothing (no zero or one entries
+        # then) also away from uniform and with stop shifted either way.
+        best_theta, best_w = state.theta, state.model.w
+        for scale in (1.01, 0.99):
+            state.model.w = best_w * scale
+            assert joint_objective(small_corpus, state, cfg, trees, opt.X) > after
+        state.model.w = best_w
+        nudges = [(1e-3, 0.0)]
+        if eps:
+            nudges += [(-1e-3, 0.0), (0.0, 1e-4), (0.0, -1e-4)]
+        for t, ds in nudges:
+            state.theta = _nudged(best_theta, t, ds)
+            assert joint_objective(small_corpus, state, cfg, trees, opt.X) > after
 
 
-def test_sgd_audit_halves_overshooting_rate(small_corpus):
-    cfg = _fast_cfg(sgd_lr=1e6)
-    state = pretrain(small_corpus, cfg)
-    features = [
-        cmst.extract_features(s, state.model.templates) for s in small_corpus
-    ]
-    trees = decode_corpus(small_corpus, state, cfg, decoder="cmst")
-    arcs = [cmst.to_arc_vector(t) for t in trees]
-
-    def loss(m):
-        return sum(
-            cmst.sentence_objective(s, y, m, small_corpus.N, f)
-            for s, y, f in zip(small_corpus, arcs, features)
-        )
-
-    before = loss(state.model)
-    updated = trainer._sgd_with_audit(
-        small_corpus, trees, state.model, cfg, features
-    )
-    assert loss(updated) <= before + 1e-12
+def test_joint_weights_leave_the_separate_path(small_corpus):
+    # Joint training re-solves w from the agreement-decoded trees, so its
+    # weights differ from those of the same number of plain Frank-Wolfe
+    # steps after the same pretraining.
+    cfg = _fast_cfg(extra_separate_iters=1)
+    joint = joint_train(small_corpus, cfg)
+    separate = train(small_corpus, _fast_cfg(
+        mode="cmst-only",
+        fw_pretrain_iters=cfg.fw_pretrain_iters + joint.iteration,
+    ))
+    assert float(np.abs(joint.model.w - separate.model.w).max()) > 1e-6
 
 
 def test_mode_dispatch(small_corpus):
