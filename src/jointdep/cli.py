@@ -30,7 +30,6 @@ _DEFAULTS = {
     "extra_separate_iters": 3,
     "em_pretrain_iters": 10,
     "fw_pretrain_iters": 50,
-    "seed": 0,
     "init": "harmonic",
     "max_ce_depth": "1",       # integer or 'inf'
     "dep_len_beta": 0.1,
@@ -49,7 +48,7 @@ _DEFAULTS = {
 _BOOL_KEYS = {"count_punct"}
 _INT_KEYS = {
     "max_len", "outer_iters", "extra_separate_iters", "em_pretrain_iters",
-    "fw_pretrain_iters", "seed", "dd_max_iters", "workers",
+    "fw_pretrain_iters", "dd_max_iters", "workers",
 }
 _FLOAT_KEYS = {
     "dep_len_beta", "lambda", "mu", "dd_tau0", "mstep_smoothing", "g_weight",
@@ -115,7 +114,6 @@ def _train_config(cfg: dict) -> trainer.TrainConfig:
         extra_separate_iters=cfg["extra_separate_iters"],
         em_pretrain_iters=cfg["em_pretrain_iters"],
         fw_pretrain_iters=cfg["fw_pretrain_iters"],
-        seed=cfg["seed"],
         init=cfg["init"],
         constraint=dmv.ConstraintConfig(cap, cfg["dep_len_beta"]),
         lam=cfg["lambda"],
@@ -258,7 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--em-pretrain-iters", dest="em_pretrain_iters", type=int)
     tr.add_argument("--fw-pretrain-iters", dest="fw_pretrain_iters", type=int)
     tr.add_argument("--extra-separate-iters", dest="extra_separate_iters", type=int)
-    tr.add_argument("--seed", type=int)
     tr.add_argument("--init", choices=("uniform", "harmonic"))
     tr.add_argument("--max-ce-depth", dest="max_ce_depth")
     tr.add_argument("--dep-len-beta", dest="dep_len_beta", type=float)

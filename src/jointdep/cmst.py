@@ -13,15 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .corpus import (
-    Corpus,
-    DepTree,
-    Sentence,
-    arc_count,
-    arc_matrix,
-    iter_arcs,
-    to_arc_vector,
-)
+from .corpus import Corpus, DepTree, Sentence, tree_matrix
 
 ROOT_TAG = "<ROOT>"
 UNK_TAG = "<UNK>"
@@ -74,7 +66,7 @@ class FeatureTemplate:
         return self._tag_index.get(tag, 1)  # UNK at index 1
 
     def arc_features(self, head_tag: str, dep_tag: str, h: int, d: int) -> list[int]:
-        """Active feature indices for the arc slot (h, d)."""
+        """Active feature indices for the arc (h, d)."""
         T = self.T
         B = _NUM_BINS
         ht = self.tag_id(head_tag)
@@ -98,19 +90,22 @@ class FeatureTemplate:
 
 
 def extract_features(x: Sentence, t: FeatureTemplate) -> sp.csr_matrix:
-    """Sparse 0/1 matrix with one row per arc slot, in arc-index order."""
+    """Sparse 0/1 matrix with one row per cell [h, d] of the (n+1, n+1) arc
+    matrix, in row-major order. Rows of non-arc cells (d = 0 or h = d) are
+    empty, so (X @ w).reshape(n + 1, n + 1) is the arc score matrix."""
     n = x.n
-    tags = x.upos
+    tags = (ROOT_TAG,) + x.upos
     indptr = [0]
     cols: list[int] = []
-    for _, h, d in iter_arcs(n):
-        head_tag = ROOT_TAG if h == 0 else tags[h - 1]
-        cols.extend(t.arc_features(head_tag, tags[d - 1], h, d))
-        indptr.append(len(cols))
+    for h in range(n + 1):
+        for d in range(n + 1):
+            if d and d != h:
+                cols.extend(t.arc_features(tags[h], tags[d], h, d))
+            indptr.append(len(cols))
     data = np.ones(len(cols), dtype=np.float64)
     return sp.csr_matrix(
         (data, np.asarray(cols), np.asarray(indptr)),
-        shape=(arc_count(n), t.dimension),
+        shape=((n + 1) ** 2, t.dimension),
     )
 
 
@@ -149,14 +144,15 @@ def default_rules() -> RuleSet:
 
 
 def rule_vector(x: Sentence, r: RuleSet) -> np.ndarray:
-    """1.0 on arc slots whose (head tag, dependent tag) pair is licensed."""
+    """(n+1, n+1) matrix keyed [h, d]: 1.0 on the arcs whose (head tag,
+    dependent tag) pair is licensed, 0 elsewhere and on non-arc cells."""
     n = x.n
-    tags = x.upos
-    v = np.zeros(arc_count(n))
-    for idx, h, d in iter_arcs(n):
-        head_tag = "ROOT" if h == 0 else tags[h - 1]
-        if (head_tag, tags[d - 1]) in r:
-            v[idx] = 1.0
+    tags = ("ROOT",) + x.upos
+    v = np.zeros((n + 1, n + 1))
+    for h in range(n + 1):
+        for d in range(1, n + 1):
+            if h != d and (tags[h], tags[d]) in r:
+                v[h, d] = 1.0
     return v
 
 
@@ -257,18 +253,20 @@ def sentence_objective(
     N: int,
     features: sp.csr_matrix | None = None,
 ) -> float:
-    """Per-sentence discriminative loss:
+    """Per-sentence discriminative loss at the (n+1, n+1) arc matrix y:
     (1/2n)||y - Xw||^2 + (lam/2N)||w||^2 - mu * v.y
     """
-    if y.shape != (arc_count(x.n),):
-        raise ValueError(f"arc vector has shape {y.shape}, expected ({x.n ** 2},)")
+    if y.shape != (x.n + 1, x.n + 1):
+        raise ValueError(
+            f"arc matrix has shape {y.shape}, expected {(x.n + 1, x.n + 1)}"
+        )
     X = features if features is not None else extract_features(x, m.templates)
-    resid = y - X @ m.w
+    resid = y - (X @ m.w).reshape(y.shape)
     v = rule_vector(x, m.rules)
     return (
-        float(resid @ resid) / (2.0 * x.n)
+        float(np.vdot(resid, resid)) / (2.0 * x.n)
         + m.lam / (2.0 * N) * float(m.w @ m.w)
-        - m.mu * float(v @ y)
+        - m.mu * float(np.vdot(v, y))
     )
 
 
@@ -377,12 +375,15 @@ def arc_costs(
     u: np.ndarray | None = None,
     features: sp.csr_matrix | None = None,
 ) -> np.ndarray:
-    """Per-arc linear cost of the discriminative objective over 0/1 trees:
-    (1/2n)(1 - 2*(Xw)_i) - mu*v_i - u_i.
+    """(n+1, n+1) matrix of the per-arc linear cost of the discriminative
+    objective over 0/1 trees, keyed [h, d]: (1/2n)(1 - 2(Xw)[h, d]) -
+    mu v[h, d] - u[h, d] on arcs, 0 on non-arc cells.
     """
     X = features if features is not None else extract_features(x, m.templates)
-    q = X @ m.w
+    q = (X @ m.w).reshape(x.n + 1, x.n + 1)
     costs = (1.0 - 2.0 * q) / (2.0 * x.n) - m.mu * rule_vector(x, m.rules)
+    costs[:, 0] = 0.0
+    np.fill_diagonal(costs, 0.0)
     if u is not None:
         costs = costs - u
     return costs
@@ -395,8 +396,7 @@ def lmo_decode(
     features: sp.csr_matrix | None = None,
 ) -> tuple[DepTree, float]:
     """Min-cost projective tree under the linearized objective minus prices."""
-    costs = arc_costs(x, m, u, features)
-    heads, score = eisner_min(arc_matrix(costs, x.n))
+    heads, score = eisner_min(arc_costs(x, m, u, features))
     return DepTree(heads), score
 
 
@@ -425,11 +425,10 @@ class FrankWolfeOptimizer:
             )
         if corpus.N == 0:
             raise ValueError("cannot train on an empty corpus")
-        self.corpus = corpus
         self.model = model
         self.X = [extract_features(s, model.templates) for s in corpus]
         self.v = [rule_vector(s, model.rules) for s in corpus]
-        self.y = [to_arc_vector(_chain_tree(s.n)) for s in corpus]
+        self.y = [tree_matrix(_chain_tree(s.n)) for s in corpus]
         self.ns = np.array([s.n for s in corpus], dtype=np.float64)
         # Stacked design matrix with rows scaled 1/sqrt(n) so that the ridge
         # normal equations sum (1/n) X'X per sentence.
@@ -445,21 +444,24 @@ class FrankWolfeOptimizer:
 
     def _solve_w(self) -> None:
         ytil = np.concatenate(
-            [y / math.sqrt(n) for y, n in zip(self.y, self.ns)]
+            [y.ravel() / math.sqrt(n) for y, n in zip(self.y, self.ns)]
         )
         self.model.w = self._lu.solve(self.D.T @ ytil)
 
     def fit_trees(self, trees: Sequence[DepTree]) -> None:
         """Set the relaxed tree variables to fixed trees and re-solve w: the
         exact minimizer of the objective over w at those trees."""
-        self.y = [to_arc_vector(t) for t in trees]
+        self.y = [tree_matrix(t) for t in trees]
         self._solve_w()
 
     def objective(self) -> float:
         total = self.model.lam / 2.0 * float(self.model.w @ self.model.w)
         for X, v, y, n in zip(self.X, self.v, self.y, self.ns):
-            resid = y - X @ self.model.w
-            total += float(resid @ resid) / (2.0 * n) - self.model.mu * float(v @ y)
+            resid = y - (X @ self.model.w).reshape(y.shape)
+            total += (
+                float(np.vdot(resid, resid)) / (2.0 * n)
+                - self.model.mu * float(np.vdot(v, y))
+            )
         return total
 
     def step(self) -> float:
@@ -469,14 +471,13 @@ class FrankWolfeOptimizer:
         verts = []
         gap = 0.0
         denom = 0.0
-        for X, v, y, n, sent in zip(self.X, self.v, self.y, self.ns, self.corpus):
-            g = (y - X @ w) / n - self.model.mu * v
-            heads, _ = eisner_min(arc_matrix(g, sent.n))
-            s = to_arc_vector(DepTree(heads))
+        for X, v, y, n in zip(self.X, self.v, self.y, self.ns):
+            g = (y - (X @ w).reshape(y.shape)) / n - self.model.mu * v
+            s = tree_matrix(DepTree(eisner_min(g)[0]))
             verts.append(s)
             diff = y - s
-            gap += float(g @ diff)
-            denom += float(diff @ diff) / n
+            gap += float(np.vdot(g, diff))
+            denom += float(np.vdot(diff, diff)) / n
         if denom > 0.0:
             gamma = min(1.0, max(0.0, gap / denom))
             for y, s in zip(self.y, verts):
@@ -505,4 +506,4 @@ def sentence_gradient(
 ) -> np.ndarray:
     """Gradient of sentence_objective with respect to w."""
     X = features if features is not None else extract_features(x, m.templates)
-    return X.T @ (X @ m.w - y) / x.n + (m.lam / N) * m.w
+    return X.T @ (X @ m.w - y.ravel()) / x.n + (m.lam / N) * m.w

@@ -1,8 +1,7 @@
-"""CoNLL-U corpus handling, dependency trees, and arc-vector indexing."""
+"""CoNLL-U corpus handling, dependency trees, and the arc-matrix layout."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -167,67 +166,15 @@ def _is_projective(heads: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Arc-vector indexing: slots (h, d) with h in [0, n], d in [1, n], h != d.
-# Dimension n*n; root-headed arcs use h = 0.
+# Arc layout: an (n+1, n+1) matrix keyed [h, d], with h the head (0 for the
+# root pseudo-node) and d the dependent. Column 0 and the diagonal are not
+# arcs and stay 0.
 # ---------------------------------------------------------------------------
 
-def arc_count(n: int) -> int:
-    return n * n
-
-
-def arc_index(h: int, d: int, n: int) -> int:
-    if not (1 <= d <= n and 0 <= h <= n and h != d):
-        raise ValueError(f"invalid arc slot ({h}, {d}) for n={n}")
-    return (d - 1) * n + (h if h < d else h - 1)
-
-
-def iter_arcs(n: int) -> Iterator[tuple[int, int, int]]:
-    """Yield (index, head, dependent) for every arc slot."""
-    for d in range(1, n + 1):
-        for h in range(0, n + 1):
-            if h != d:
-                yield arc_index(h, d, n), h, d
-
-
-def to_arc_vector(tree: DepTree) -> np.ndarray:
-    bits = np.zeros(arc_count(tree.n), dtype=np.float64)
-    for d, h in enumerate(tree.heads, start=1):
-        bits[arc_index(h, d, tree.n)] = 1.0
-    return bits
-
-
-def from_arc_vector(bits: np.ndarray, n: int) -> DepTree:
-    if bits.shape != (arc_count(n),):
-        raise ValueError(f"arc vector has shape {bits.shape}, expected ({n * n},)")
-    heads = [-1] * n
-    for idx, h, d in iter_arcs(n):
-        if bits[idx] == 1.0:
-            if heads[d - 1] != -1:
-                raise ValueError(f"token {d} has multiple heads set")
-            heads[d - 1] = h
-    if any(h == -1 for h in heads):
-        raise ValueError("arc vector does not assign a head to every token")
-    return DepTree(tuple(heads))
-
-
-@functools.lru_cache(maxsize=64)
-def _arc_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (heads, deps) of every arc slot, in arc-index order."""
-    grid = np.broadcast_to(np.arange(n + 1), (n, n + 1))
-    deps = np.arange(1, n + 1)
-    heads = grid[grid != deps[:, None]]
-    deps = np.repeat(deps, n)
-    heads.flags.writeable = False
-    deps.flags.writeable = False
-    return heads, deps
-
-
-def arc_matrix(u: np.ndarray | None, n: int) -> np.ndarray | None:
-    """Expand a flat arc-slot vector to an (n+1, n+1) matrix keyed [h, d]."""
-    if u is None:
-        return None
-    mat = np.zeros((n + 1, n + 1), dtype=np.float64)
-    mat[_arc_slots(n)] = u
+def tree_matrix(tree: DepTree) -> np.ndarray:
+    """0/1 arc matrix of a tree: 1.0 at [heads[d-1], d] for d in 1..n."""
+    mat = np.zeros((tree.n + 1, tree.n + 1))
+    mat[tree.heads, np.arange(1, tree.n + 1)] = 1.0
     return mat
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cmst, dmv
-from .corpus import DepTree, Sentence, arc_count, arc_matrix, to_arc_vector
+from .corpus import DepTree, Sentence, tree_matrix
 
 _STEP_RULES = ("constant", "inv", "invsqrt")
 _FALLBACKS = ("generative", "discriminative", "better-objective")
@@ -49,15 +49,18 @@ class DDResult:
     tree: DepTree
     converged: bool
     iterations: int
-    final_gap: int  # number of disagreeing arc slots
+    final_gap: int  # number of disagreeing arc cells
     relaxed_depth_cap: bool = False
 
 
 def _joint_cost(x, tree, theta, cfg_f, model, q, v, g_weight):
     """F + G at a tree (w-regularizer omitted: constant across trees)."""
-    y = to_arc_vector(tree)
+    y = tree_matrix(tree)
     resid = y - q
-    g_val = float(resid @ resid) / (2.0 * x.n) - model.mu * float(v @ y)
+    g_val = (
+        float(np.vdot(resid, resid)) / (2.0 * x.n)
+        - model.mu * float(np.vdot(v, y))
+    )
     return -dmv.tree_logprob(x, tree, theta, cfg_f) + g_weight * g_val
 
 
@@ -81,8 +84,8 @@ def dd_decode(
         features = cmst.extract_features(x, m.templates)
     base_costs = cmst.arc_costs(x, m, features=features) * g_weight
     v = cmst.rule_vector(x, m.rules)
-    q = features @ m.w
-    u = np.zeros(arc_count(n))
+    q = (features @ m.w).reshape(n + 1, n + 1)
+    u = np.zeros((n + 1, n + 1))
     relaxed = False
     chart = None
     y_tree = z_tree = None
@@ -101,13 +104,12 @@ def dd_decode(
                 relaxed = True
                 cfg_f = replace(cfg_f, max_ce_depth=None)
                 chart = None
-        # Discriminative side: argmin G - u.z (same price vector).
-        heads, _ = cmst.eisner_min(arc_matrix(base_costs - u, n))
+        # Discriminative side: argmin G - u.z (same price matrix).
+        heads, _ = cmst.eisner_min(base_costs - u)
         z_tree = DepTree(heads)
         if y_tree.heads == z_tree.heads:
             return DDResult(y_tree, True, k, 0, relaxed)
-        diff = to_arc_vector(y_tree) - to_arc_vector(z_tree)
-        u = u + dd.step_size(k) * diff
+        u = u + dd.step_size(k) * (tree_matrix(y_tree) - tree_matrix(z_tree))
     gap = int(sum(a != b for a, b in zip(y_tree.heads, z_tree.heads))) * 2
     if dd.fallback == "generative":
         tree = y_tree

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, DepTree, Sentence, arc_matrix
+from .corpus import Corpus, DepTree, Sentence
 
 LEFT, RIGHT = 0, 1
 NO_CHILD, HAS_CHILD = 0, 1
@@ -563,6 +563,24 @@ def _expected_counts(
 # Public operations
 # ---------------------------------------------------------------------------
 
+def _tree_events(pos: Sequence[int], y: DepTree, wi: _WeightIndex) -> list[int]:
+    """Log-weight indices of the events that generate tree y over tag ids
+    `pos`: the root choice, then per head and direction a continue and an
+    attach for each child, and the stop."""
+    events = [wi.root(pos[y.root() - 1])]
+    for h, kids in enumerate(y.children()[1:], start=1):
+        hp = pos[h - 1]
+        for direction, side in ((LEFT, [c for c in kids if c < h]),
+                                (RIGHT, [c for c in kids if c > h])):
+            adj = NO_CHILD
+            for c in side:
+                events += (wi.cont(hp, direction, adj),
+                           wi.attach(hp, direction, pos[c - 1]))
+                adj = HAS_CHILD
+            events.append(wi.stop(hp, direction, adj))
+    return events
+
+
 def tree_logprob(
     x: Sentence, y: DepTree, theta: DmvParams, cfg: ConstraintConfig
 ) -> float:
@@ -571,26 +589,8 @@ def tree_logprob(
         raise ValueError(f"tree length {y.n} != sentence length {x.n}")
     if cfg.max_ce_depth is not None and ce_depth(y) > cfg.max_ce_depth:
         return NEG_INF
-    ids = theta.tag_ids(x)
-    children = y.children()
-    with np.errstate(divide="ignore"):
-        lroot = np.log(theta.root)
-        lattach = np.log(theta.attach)
-        lstop = np.log(theta.stop)
-        lcont = np.log(1.0 - theta.stop)
-    lp = lroot[ids[y.root() - 1]]
-    for h in range(1, x.n + 1):
-        hp = ids[h - 1]
-        for direction in (LEFT, RIGHT):
-            if direction == LEFT:
-                kids = [c for c in children[h] if c < h]
-            else:
-                kids = [c for c in children[h] if c > h]
-            adj = NO_CHILD
-            for c in kids:
-                lp += lcont[hp, direction, adj] + lattach[hp, direction, ids[c - 1]]
-                adj = HAS_CHILD
-            lp += lstop[hp, direction, adj]
+    events = _tree_events(theta.tag_ids(x), y, _WeightIndex(theta.V))
+    lp = float(theta.log_weights()[events].sum())
     if cfg.dep_len_beta:
         for d, h in enumerate(y.heads, start=1):
             if h != 0:
@@ -614,10 +614,10 @@ def viterbi_decode(
     u: np.ndarray | None = None,
     _chart: _Chart | None = None,
 ) -> tuple[DepTree, float]:
-    """Best tree under -tree_logprob(x, y) + u.y; returns (tree, minimum)."""
+    """Best tree under -tree_logprob(x, y) + u.y, with the prices u an
+    (n+1, n+1) matrix keyed [h, d]; returns (tree, minimum)."""
     chart = build_decode_chart(x, theta, cfg) if _chart is None else _chart
-    prices = arc_matrix(u, x.n) if u is not None and u.ndim == 1 else u
-    tree, best = _viterbi(chart, prices)
+    tree, best = _viterbi(chart, u)
     return tree, -best
 
 
@@ -703,25 +703,14 @@ def mstep_from_trees(
     V = len(vocab)
     idx = {t: i for i, t in enumerate(vocab)}
     wi = _WeightIndex(V)
-    counts = np.zeros(wi.size)
+    events: list[int] = []
     for sent, tree in zip(c, trees):
         if tree.n != sent.n:
             raise ValueError(
                 f"tree of length {tree.n} paired with sentence of length {sent.n}"
             )
-        ids = [idx[t] for t in sent.upos]
-        children = tree.children()
-        counts[wi.root(ids[tree.root() - 1])] += 1.0
-        for h in range(1, sent.n + 1):
-            hp = ids[h - 1]
-            for direction in (LEFT, RIGHT):
-                kids = [ch for ch in children[h] if (ch < h) == (direction == LEFT)]
-                adj = NO_CHILD
-                for ch in kids:
-                    counts[wi.cont(hp, direction, adj)] += 1.0
-                    counts[wi.attach(hp, direction, ids[ch - 1])] += 1.0
-                    adj = HAS_CHILD
-                counts[wi.stop(hp, direction, adj)] += 1.0
+        events += _tree_events([idx[t] for t in sent.upos], tree, wi)
+    counts = np.bincount(np.asarray(events, dtype=np.intp), minlength=wi.size)
     base = DmvParams(
         vocab,
         np.full(V, 1.0 / V),

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import cmst, dmv
-from .corpus import Corpus, DepTree, Sentence, to_arc_vector, write_conllu_file
+from .corpus import Corpus, DepTree, Sentence, tree_matrix, write_conllu_file
 from .decoder import DDConfig, DDResult, dd_decode
 
 log = logging.getLogger(__name__)
@@ -28,7 +28,6 @@ class TrainConfig:
     extra_separate_iters: int = 3
     em_pretrain_iters: int = 10
     fw_pretrain_iters: int = 50
-    seed: int = 0
     init: str = "harmonic"
     constraint: dmv.ConstraintConfig = field(default_factory=dmv.ConstraintConfig)
     lam: float = 1.0
@@ -163,7 +162,7 @@ def joint_objective(
         f = features[i] if features is not None else None
         total += -dmv.tree_logprob(sent, tree, state.theta, cfg_eval)
         total += cfg.g_weight * cmst.sentence_objective(
-            sent, to_arc_vector(tree), state.model, c.N, f
+            sent, tree_matrix(tree), state.model, c.N, f
         )
     if cfg.mstep_smoothing:
         theta = state.theta

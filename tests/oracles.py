@@ -107,6 +107,15 @@ def make_sentence(tags) -> Sentence:
     return Sentence(tuple(Token(f"w{i}", t) for i, t in enumerate(tags)))
 
 
+def price_matrix(values, n):
+    """(n+1, n+1) matrix keyed [h, d] holding the n*n `values` on the arc
+    cells, dependent by dependent (d = 1..n, then h = 0..n without d), so a
+    test draws one random number per arc."""
+    mat = np.zeros((n + 1, n + 1))
+    mat.T[1:][~np.eye(n + 1, dtype=bool)[1:]] = values
+    return mat
+
+
 def random_corpus(rng, vocab, n_sentences, max_len=7, min_len=1) -> Corpus:
     sents = []
     for _ in range(n_sentences):

@@ -59,9 +59,10 @@ def test_load_config_file_and_overrides(tmp_path):
 
 def test_load_config_rejects_unknown_key(tmp_path):
     p = tmp_path / "cfg"
-    p.write_text("bogus=1\n")
-    with pytest.raises(Exception):
-        load_config(str(p), {})
+    for line in ("bogus=1\n", "seed=0\n"):
+        p.write_text(line)
+        with pytest.raises(Exception):
+            load_config(str(p), {})
 
 
 def test_dump_config(capsys):
@@ -219,8 +220,8 @@ def test_train_determinism_via_cli(tmp_path, train_file, fast_args):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert run(
-            ["train", "--train", str(train_file), "--out", str(out),
-             "--seed", "7"] + fast_args
+            ["train", "--train", str(train_file), "--out", str(out)]
+            + fast_args
         ) == EXIT_OK
     iters = sorted(p.name for p in a.iterdir() if p.is_dir())
     last = iters[-1]

@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import UPOS_TAGS, all_projective_trees, make_sentence, random_corpus
+from oracles import (
+    UPOS_TAGS,
+    all_projective_trees,
+    make_sentence,
+    price_matrix,
+    random_corpus,
+)
 
 from jointdep import cmst
-from jointdep.corpus import Corpus, DepTree, iter_arcs, to_arc_vector
+from jointdep.corpus import Corpus, DepTree, tree_matrix
 from jointdep.cmst import (
     CmstModel,
     FeatureTemplate,
@@ -31,8 +37,8 @@ def test_single_token_features():
     t = FeatureTemplate.for_vocab(("NOUN",))
     x = make_sentence(["NOUN"])
     X = extract_features(x, t)
-    assert X.shape == (1, t.dimension)
-    row = X.getrow(0).indices
+    assert X.shape == (4, t.dimension)
+    row = X.getrow(1).indices  # cell [0, 1]: the root arc
     assert 0 in row  # bias always fires
     assert len(row) == 9  # all templates incl. both root templates
 
@@ -42,18 +48,17 @@ def test_direction_distinguishes_rows():
     x = make_sentence(["DET", "NOUN"])
     X = extract_features(x, t)
     n = 2
-    arcs = {(h, d): i for i, h, d in iter_arcs(n)}
-    left = set(X.getrow(arcs[(2, 1)]).indices)
-    right = set(X.getrow(arcs[(1, 2)]).indices)
+    left = set(X.getrow(2 * (n + 1) + 1).indices)
+    right = set(X.getrow(1 * (n + 1) + 2).indices)
     assert left != right
 
 
 def test_noun_det_arc_features_by_hand():
     t = FeatureTemplate.for_vocab(("DET", "NOUN"))
     x = make_sentence(["DET", "NOUN"])
-    arcs = {(h, d): i for i, h, d in iter_arcs(2)}
+    n = 2
     X = extract_features(x, t)
-    active = set(X.getrow(arcs[(2, 1)]).indices)
+    active = set(X.getrow(2 * (n + 1) + 1).indices)
     # Hand-applied templates for head=NOUN, dep=DET, head follows dependent,
     # distance bin 1.
     expect = set(t.arc_features("NOUN", "DET", 2, 1))
@@ -72,6 +77,27 @@ def test_template_determinism():
     assert a.arc_features("A", "B", 1, 2) == b.arc_features("A", "B", 1, 2)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_non_arc_cells_are_empty(rng, n):
+    # Column 0 and the diagonal of the arc matrix are not arcs: they get no
+    # features, no rule credit and no cost, even when every pair is licensed.
+    vocab = ("DET", "NOUN", "VERB")
+    x = make_sentence([vocab[i % 3] for i in range(n)])
+    everything = frozenset((h, d) for h in ("ROOT",) + vocab for d in vocab)
+    arcs = np.ones((n + 1, n + 1), dtype=bool)
+    arcs[:, 0] = False
+    np.fill_diagonal(arcs, False)
+    m = CmstModel.create(vocab, rules=everything)
+    m.w = rng.normal(size=m.w.shape)
+    row_nnz = np.diff(extract_features(x, m.templates).indptr)
+    assert not row_nnz.reshape(n + 1, n + 1)[~arcs].any()
+    assert row_nnz.reshape(n + 1, n + 1)[arcs].all()
+    assert np.array_equal(rule_vector(x, everything), arcs.astype(float))
+    costs = arc_costs(x, m, price_matrix(rng.normal(size=n * n), n))
+    assert not costs[~arcs].any()
+    assert costs[arcs].all()
+
+
 # ---------------------------------------------------------------------------
 # rules
 # ---------------------------------------------------------------------------
@@ -85,10 +111,9 @@ def test_default_rule_membership():
     rules = default_rules()
     x = make_sentence(["DET", "NOUN", "VERB"])
     v = rule_vector(x, rules)
-    arcs = {(h, d): i for i, h, d in iter_arcs(3)}
-    assert v[arcs[(2, 1)]] == 1.0  # NOUN -> DET
-    assert v[arcs[(1, 3)]] == 0.0  # DET -> VERB unlicensed
-    assert v[arcs[(0, 3)]] == 1.0  # ROOT -> VERB
+    assert v[2, 1] == 1.0  # NOUN -> DET
+    assert v[1, 3] == 0.0  # DET -> VERB unlicensed
+    assert v[0, 3] == 1.0  # ROOT -> VERB
 
 
 def test_rule_vector_permutation_equivariance(rng):
@@ -100,9 +125,10 @@ def test_rule_vector_permutation_equivariance(rng):
     n = 4
     pos = {old + 1: int(np.where(perm == old)[0][0]) + 1 for old in range(n)}
     pos[0] = 0
-    for idx, h, d in iter_arcs(n):
-        from jointdep.corpus import arc_index
-        assert y[arc_index(pos[h], pos[d], n)] == x[idx]
+    for h in range(n + 1):
+        for d in range(1, n + 1):
+            if h != d:
+                assert y[pos[h], pos[d]] == x[h, d]
 
 
 def test_parse_rules_rejects_bad_lines():
@@ -117,7 +143,7 @@ def test_parse_rules_rejects_bad_lines():
 def test_objective_zero_weights():
     x = make_sentence(["NOUN", "VERB"])
     m = CmstModel.create(("NOUN", "VERB"), mu=0.0)
-    y = to_arc_vector(DepTree((2, 0)))
+    y = tree_matrix(DepTree((2, 0)))
     assert sentence_objective(x, y, m, N=1) == pytest.approx(0.5)
 
 
@@ -125,13 +151,13 @@ def test_objective_vanishing_residual(rng):
     x = make_sentence(["NOUN", "VERB"])
     m = CmstModel.create(("NOUN", "VERB"), lam=0.0, mu=0.7)
     tree = DepTree((2, 0))
-    y = to_arc_vector(tree)
+    y = tree_matrix(tree)
     X = extract_features(x, m.templates)
     # Least-squares fit so that Xw == y (the system is underdetermined).
-    m.w = np.linalg.lstsq(X.toarray(), y, rcond=None)[0]
+    m.w = np.linalg.lstsq(X.toarray(), y.ravel(), rcond=None)[0]
     v = rule_vector(x, m.rules)
     assert sentence_objective(x, y, m, N=1) == pytest.approx(
-        -0.7 * float(v @ y), abs=1e-9
+        -0.7 * float(np.vdot(v, y)), abs=1e-9
     )
 
 
@@ -140,15 +166,15 @@ def test_objective_matches_naive_evaluation(rng):
     m = CmstModel.create(("DET", "NOUN", "VERB"), lam=0.3, mu=0.9)
     m.w = rng.normal(size=m.w.shape)
     tree = all_projective_trees(3)[4]
-    y = to_arc_vector(tree)
+    y = tree_matrix(tree)
     N = 7
     # Naive re-evaluation with dense arithmetic.
     X = extract_features(x, m.templates).toarray()
     v = rule_vector(x, m.rules)
     naive = (
-        float(np.sum((y - X @ m.w) ** 2)) / (2 * 3)
+        float(np.sum((y.ravel() - X @ m.w) ** 2)) / (2 * 3)
         + m.lam / (2 * N) * float(np.sum(m.w**2))
-        - m.mu * float(v @ y)
+        - m.mu * float(np.sum(v * y))
     )
     assert sentence_objective(x, y, m, N) == pytest.approx(naive, abs=1e-12)
 
@@ -163,9 +189,9 @@ def test_lmo_rule_dominated():
     tree, _ = lmo_decode(x, m)
     v = rule_vector(x, m.rules)
     best_sat = max(
-        float(v @ to_arc_vector(t)) for t in all_projective_trees(3)
+        float(np.vdot(v, tree_matrix(t))) for t in all_projective_trees(3)
     )
-    assert float(v @ to_arc_vector(tree)) == best_sat
+    assert float(np.vdot(v, tree_matrix(tree))) == best_sat
 
 
 def test_lmo_matches_bruteforce(rng):
@@ -175,14 +201,17 @@ def test_lmo_matches_bruteforce(rng):
         x = make_sentence([vocab[i] for i in rng.integers(0, 3, size=n)])
         m = CmstModel.create(vocab, mu=float(rng.uniform(0, 2)))
         m.w = rng.normal(scale=0.5, size=m.w.shape)
-        u = rng.normal(size=n * n) if rng.random() < 0.5 else None
+        u = (price_matrix(rng.normal(size=n * n), n)
+             if rng.random() < 0.5 else None)
         tree, score = lmo_decode(x, m, u)
         costs = arc_costs(x, m, u)
         best = min(
-            float(costs @ to_arc_vector(t)) for t in all_projective_trees(n)
+            float(np.vdot(costs, tree_matrix(t))) for t in all_projective_trees(n)
         )
         assert score == pytest.approx(best, abs=1e-9)
-        assert float(costs @ to_arc_vector(tree)) == pytest.approx(score, abs=1e-9)
+        assert float(np.vdot(costs, tree_matrix(tree))) == pytest.approx(
+            score, abs=1e-9
+        )
 
 
 def test_eisner_min_trivial():
@@ -222,8 +251,12 @@ def test_fw_toy_sentence_learns_rule_arcs():
     assert tree.heads == (2, 3, 0)
     # Brute-force check: the decoded tree minimizes the final objective.
     costs = arc_costs(x, m)
-    best = min(float(costs @ to_arc_vector(t)) for t in all_projective_trees(3))
-    assert float(costs @ to_arc_vector(tree)) == pytest.approx(best, abs=1e-9)
+    best = min(
+        float(np.vdot(costs, tree_matrix(t))) for t in all_projective_trees(3)
+    )
+    assert float(np.vdot(costs, tree_matrix(tree))) == pytest.approx(
+        best, abs=1e-9
+    )
 
 
 def test_fw_rejects_bad_iters(toy_corpus):
@@ -257,7 +290,7 @@ def test_fit_trees_solves_for_a_stationary_w(rng, vocab):
     ]
     opt.fit_trees(trees)
     grad = sum(
-        sentence_gradient(x, to_arc_vector(t), m, c.N)
+        sentence_gradient(x, tree_matrix(t), m, c.N)
         for x, t in zip(c, trees)
     )
     assert float(np.abs(grad).max()) < 1e-10
@@ -272,7 +305,7 @@ def test_sgd_gradient_matches_finite_differences(rng):
     x = make_sentence(["DET", "NOUN", "VERB"])
     m = CmstModel.create(("DET", "NOUN", "VERB"), lam=0.8, mu=0.3)
     m.w = rng.normal(scale=0.3, size=m.w.shape)
-    y = to_arc_vector(all_projective_trees(3)[2])
+    y = tree_matrix(all_projective_trees(3)[2])
     N = 9
     g = sentence_gradient(x, y, m, N)
     h = 1e-5

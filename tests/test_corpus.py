@@ -2,8 +2,6 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import all_projective_heads
 
@@ -11,13 +9,9 @@ from jointdep.corpus import (
     ConlluParseError,
     Corpus,
     DepTree,
-    arc_count,
-    arc_index,
     filter_corpus,
-    from_arc_vector,
-    iter_arcs,
     parse_conllu,
-    to_arc_vector,
+    tree_matrix,
     write_conllu,
 )
 
@@ -144,27 +138,14 @@ def test_deptree_validation():
         DepTree((2, 4, 0, 3))  # crossing arcs
 
 
-def test_arc_indexing_is_bijective():
-    n = 5
-    seen = set()
-    for idx, h, d in iter_arcs(n):
-        assert idx == arc_index(h, d, n)
-        seen.add(idx)
-    assert seen == set(range(arc_count(n)))
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_arcvector_bijection_exhaustive(n):
+def test_tree_matrix_exhaustive(n):
     for heads in all_projective_heads(n):
-        tree = DepTree(heads)
-        bits = to_arc_vector(tree)
-        assert bits.sum() == n
-        assert from_arc_vector(bits, n) == tree
-
-
-@given(st.integers(min_value=1, max_value=6), st.randoms(use_true_random=False))
-@settings(max_examples=50, deadline=None)
-def test_arcvector_roundtrip_random(n, rnd):
-    heads_all = all_projective_heads(n)
-    tree = DepTree(heads_all[rnd.randrange(len(heads_all))])
-    assert from_arc_vector(to_arc_vector(tree), n) == tree
+        mat = tree_matrix(DepTree(heads))
+        assert mat.shape == (n + 1, n + 1)
+        assert not mat[:, 0].any()
+        assert not np.diag(mat).any()
+        for d in range(1, n + 1):
+            want = np.zeros(n + 1)
+            want[heads[d - 1]] = 1.0
+            assert np.array_equal(mat[:, d], want)

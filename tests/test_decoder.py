@@ -7,17 +7,17 @@ from oracles import all_projective_trees, make_sentence, random_dmv_params
 
 from jointdep import cmst, dmv
 from jointdep.cmst import CmstModel
-from jointdep.corpus import to_arc_vector
+from jointdep.corpus import tree_matrix
 from jointdep.decoder import DDConfig, dd_decode
 from jointdep.dmv import ConstraintConfig, UNCONSTRAINED
 
 
 def _joint_objective(x, tree, theta, cfg, m, g_weight=1.0):
-    y = to_arc_vector(tree)
+    y = tree_matrix(tree)
     X = cmst.extract_features(x, m.templates)
     v = cmst.rule_vector(x, m.rules)
-    resid = y - X @ m.w
-    g = float(resid @ resid) / (2 * x.n) - m.mu * float(v @ y)
+    resid = y.ravel() - X @ m.w
+    g = float(resid @ resid) / (2 * x.n) - m.mu * float(np.vdot(v, y))
     return -dmv.tree_logprob(x, tree, theta, cfg) + g_weight * g
 
 
@@ -98,7 +98,7 @@ def test_fallback_better_objective(rng):
         assert res.final_gap > 0
         assert res.final_gap % 2 == 0
         y_tree, _ = dmv.viterbi_decode(
-            x, theta, UNCONSTRAINED, np.zeros(n * n)
+            x, theta, UNCONSTRAINED, np.zeros((n + 1, n + 1))
         )
         z_tree, _ = cmst.lmo_decode(x, m)
         cy = _joint_objective(x, y_tree, theta, UNCONSTRAINED, m)
@@ -127,7 +127,7 @@ def test_fallback_policies_pick_sides(rng):
             DDConfig(max_iters=1, fallback="discriminative"),
         )
         y_tree, _ = dmv.viterbi_decode(
-            x, theta, UNCONSTRAINED, np.zeros(n * n)
+            x, theta, UNCONSTRAINED, np.zeros((n + 1, n + 1))
         )
         z_tree, _ = cmst.lmo_decode(x, m)
         assert res_g.tree.heads == y_tree.heads
@@ -171,7 +171,7 @@ def test_g_weight_zero_reduces_to_viterbi(rng):
         m = CmstModel.create(vocab)
         m.w = rng.normal(size=m.w.shape)
         res = dd_decode(x, theta, UNCONSTRAINED, m, DDConfig(), g_weight=0.0)
-        y_tree, _ = dmv.viterbi_decode(x, theta, UNCONSTRAINED, np.zeros(n * n))
+        y_tree, _ = dmv.viterbi_decode(x, theta, UNCONSTRAINED, np.zeros((n + 1, n + 1)))
         assert _joint_objective(
             x, res.tree, theta, UNCONSTRAINED, m, 0.0
         ) == pytest.approx(

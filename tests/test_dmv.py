@@ -7,6 +7,7 @@ from oracles import (
     all_projective_trees,
     logsumexp,
     make_sentence,
+    price_matrix,
     random_corpus,
     random_dmv_params,
     scalar_expected_counts,
@@ -16,7 +17,7 @@ from oracles import (
 )
 
 from jointdep import dmv
-from jointdep.corpus import Corpus, DepTree, arc_matrix, to_arc_vector
+from jointdep.corpus import Corpus, DepTree
 from jointdep.dmv import (
     ConstraintConfig,
     UNCONSTRAINED,
@@ -187,13 +188,12 @@ def test_viterbi_matches_bruteforce_with_prices(rng):
         x = make_sentence([vocab[i] for i in rng.integers(0, 2, size=n)])
         p = random_dmv_params(rng, vocab)
         cfg = [UNCONSTRAINED, ConstraintConfig(1, 0.2)][trial % 2]
-        u = rng.normal(size=n * n)
-        um = arc_matrix(u, n)
+        u = price_matrix(rng.normal(size=n * n), n)
         tree, score = viterbi_decode(x, p, cfg, u)
         best = math.inf
         for t in all_projective_trees(n):
             lp = tree_logprob(x, t, p, cfg)
-            val = -lp + float(sum(um[h, d] for d, h in enumerate(t.heads, 1)))
+            val = -lp + float(sum(u[h, d] for d, h in enumerate(t.heads, 1)))
             best = min(best, val)
         assert score == pytest.approx(best, abs=1e-9)
         assert ce_depth(tree) <= (cfg.max_ce_depth or n)
@@ -204,7 +204,7 @@ def test_viterbi_price_shift_invariance(rng):
     n = 4
     x = make_sentence(["A", "B", "A", "B"])
     p = random_dmv_params(rng, vocab)
-    u = rng.normal(size=n * n)
+    u = price_matrix(rng.normal(size=n * n), n)
     tree1, s1 = viterbi_decode(x, p, UNCONSTRAINED, u)
     tree2, s2 = viterbi_decode(x, p, UNCONSTRAINED, u + 3.5)
     assert tree1 == tree2
@@ -273,9 +273,11 @@ def test_viterbi_matches_scalar_reference(rng, cap, beta, kind):
         n = x.n
         u = (None, rng.integers(-2, 3, size=n * n).astype(float),
              rng.normal(size=n * n))[trial % 3]
+        if u is not None:
+            u = price_matrix(u, n)
         want_heads, want = scalar_viterbi(
             dmv._compile(n, cap), p.tag_ids(x), p.V, p.log_weights(), beta,
-            arc_matrix(u, n),
+            u,
         )
         if want == -math.inf:
             with pytest.raises(dmv.InfeasibleParseError):
