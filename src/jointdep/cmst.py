@@ -156,6 +156,13 @@ def rule_vector(x: Sentence, r: RuleSet) -> np.ndarray:
     return v
 
 
+def sentence_terms(x: Sentence, m: CmstModel) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The discriminative terms of a sentence under a model: its feature
+    matrix X (see `extract_features`) and its rule matrix v (see
+    `rule_vector`). Every scorer below takes these rather than the sentence."""
+    return extract_features(x, m.templates), rule_vector(x, m.rules)
+
+
 # ---------------------------------------------------------------------------
 # Model
 # ---------------------------------------------------------------------------
@@ -169,13 +176,17 @@ class CmstModel:
     rules: RuleSet
 
     def __post_init__(self):
-        if self.lam < 0 or self.mu < 0:
-            raise ValueError("hyperparameters must be >= 0")
+        if not (0 <= self.lam < math.inf and 0 <= self.mu < math.inf):
+            raise ValueError(
+                f"lambda and mu must be finite and >= 0, got {self.lam}, {self.mu}"
+            )
         if self.w.shape != (self.templates.dimension,):
             raise ValueError(
                 f"weight vector has shape {self.w.shape}, expected "
                 f"({self.templates.dimension},)"
             )
+        if not np.isfinite(self.w).all():
+            raise ValueError("weight vector has non-finite entries")
 
     @classmethod
     def create(
@@ -246,28 +257,29 @@ class CmstModel:
             return cls(w, lam, mu, t, frozenset(rules))
 
 
-def sentence_objective(
-    x: Sentence,
-    y: np.ndarray,
-    m: CmstModel,
-    N: int,
-    features: sp.csr_matrix | None = None,
-) -> float:
-    """Per-sentence discriminative loss at the (n+1, n+1) arc matrix y:
-    (1/2n)||y - Xw||^2 + (lam/2N)||w||^2 - mu * v.y
+def tree_loss(y: np.ndarray, q: np.ndarray, v: np.ndarray, mu: float) -> float:
+    """The w-free part of the per-sentence loss at the (n+1, n+1) arc matrix
+    y, with q = (Xw).reshape(n + 1, n + 1) the arc scores:
+    (1/2n)||y - q||^2 - mu * v.y
     """
-    if y.shape != (x.n + 1, x.n + 1):
-        raise ValueError(
-            f"arc matrix has shape {y.shape}, expected {(x.n + 1, x.n + 1)}"
-        )
-    X = features if features is not None else extract_features(x, m.templates)
-    resid = y - (X @ m.w).reshape(y.shape)
-    v = rule_vector(x, m.rules)
+    resid = y - q
     return (
-        float(np.vdot(resid, resid)) / (2.0 * x.n)
-        + m.lam / (2.0 * N) * float(m.w @ m.w)
-        - m.mu * float(np.vdot(v, y))
+        float(np.vdot(resid, resid)) / (2.0 * (y.shape[0] - 1))
+        - mu * float(np.vdot(v, y))
     )
+
+
+def sentence_objective(
+    X: sp.csr_matrix, v: np.ndarray, y: np.ndarray, m: CmstModel, N: int
+) -> float:
+    """Per-sentence discriminative loss at the (n+1, n+1) arc matrix y, for a
+    sentence with terms (X, v) in a corpus of N sentences:
+    (1/2n)||y - Xw||^2 - mu * v.y + (lam/2N)||w||^2
+    """
+    if y.shape != v.shape:
+        raise ValueError(f"arc matrix has shape {y.shape}, expected {v.shape}")
+    q = (X @ m.w).reshape(y.shape)
+    return tree_loss(y, q, v, m.mu) + m.lam / (2.0 * N) * float(m.w @ m.w)
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +382,15 @@ def eisner_min(cost: np.ndarray) -> tuple[tuple[int, ...], float]:
 
 
 def arc_costs(
-    x: Sentence,
-    m: CmstModel,
-    u: np.ndarray | None = None,
-    features: sp.csr_matrix | None = None,
+    X: sp.csr_matrix, v: np.ndarray, m: CmstModel, u: np.ndarray | None = None
 ) -> np.ndarray:
     """(n+1, n+1) matrix of the per-arc linear cost of the discriminative
-    objective over 0/1 trees, keyed [h, d]: (1/2n)(1 - 2(Xw)[h, d]) -
-    mu v[h, d] - u[h, d] on arcs, 0 on non-arc cells.
+    objective over 0/1 trees, keyed [h, d], for a sentence with terms (X, v):
+    (1/2n)(1 - 2(Xw)[h, d]) - mu v[h, d] - u[h, d] on arcs, 0 on non-arc
+    cells.
     """
-    X = features if features is not None else extract_features(x, m.templates)
-    q = (X @ m.w).reshape(x.n + 1, x.n + 1)
-    costs = (1.0 - 2.0 * q) / (2.0 * x.n) - m.mu * rule_vector(x, m.rules)
+    q = (X @ m.w).reshape(v.shape)
+    costs = (1.0 - 2.0 * q) / (2.0 * (v.shape[0] - 1)) - m.mu * v
     costs[:, 0] = 0.0
     np.fill_diagonal(costs, 0.0)
     if u is not None:
@@ -390,13 +399,11 @@ def arc_costs(
 
 
 def lmo_decode(
-    x: Sentence,
-    m: CmstModel,
-    u: np.ndarray | None = None,
-    features: sp.csr_matrix | None = None,
+    X: sp.csr_matrix, v: np.ndarray, m: CmstModel, u: np.ndarray | None = None
 ) -> tuple[DepTree, float]:
-    """Min-cost projective tree under the linearized objective minus prices."""
-    heads, score = eisner_min(arc_costs(x, m, u, features))
+    """Min-cost projective tree under the linearized objective minus prices,
+    for a sentence with terms (X, v)."""
+    heads, score = eisner_min(arc_costs(X, v, m, u))
     return DepTree(heads), score
 
 
@@ -426,8 +433,7 @@ class FrankWolfeOptimizer:
         if corpus.N == 0:
             raise ValueError("cannot train on an empty corpus")
         self.model = model
-        self.X = [extract_features(s, model.templates) for s in corpus]
-        self.v = [rule_vector(s, model.rules) for s in corpus]
+        self.X, self.v = zip(*(sentence_terms(s, model) for s in corpus))
         self.y = [tree_matrix(_chain_tree(s.n)) for s in corpus]
         self.ns = np.array([s.n for s in corpus], dtype=np.float64)
         # Stacked design matrix with rows scaled 1/sqrt(n) so that the ridge
@@ -455,13 +461,10 @@ class FrankWolfeOptimizer:
         self._solve_w()
 
     def objective(self) -> float:
-        total = self.model.lam / 2.0 * float(self.model.w @ self.model.w)
-        for X, v, y, n in zip(self.X, self.v, self.y, self.ns):
-            resid = y - (X @ self.model.w).reshape(y.shape)
-            total += (
-                float(np.vdot(resid, resid)) / (2.0 * n)
-                - self.model.mu * float(np.vdot(v, y))
-            )
+        w = self.model.w
+        total = self.model.lam / 2.0 * float(w @ w)
+        for X, v, y in zip(self.X, self.v, self.y):
+            total += tree_loss(y, (X @ w).reshape(y.shape), v, self.model.mu)
         return total
 
     def step(self) -> float:
@@ -498,12 +501,8 @@ class FrankWolfeOptimizer:
 # ---------------------------------------------------------------------------
 
 def sentence_gradient(
-    x: Sentence,
-    y: np.ndarray,
-    m: CmstModel,
-    N: int,
-    features: sp.csr_matrix | None = None,
+    X: sp.csr_matrix, y: np.ndarray, m: CmstModel, N: int
 ) -> np.ndarray:
-    """Gradient of sentence_objective with respect to w."""
-    X = features if features is not None else extract_features(x, m.templates)
-    return X.T @ (X @ m.w - y.ravel()) / x.n + (m.lam / N) * m.w
+    """Gradient of sentence_objective with respect to w, for a sentence with
+    feature matrix X (the rule term does not depend on w)."""
+    return X.T @ (X @ m.w - y.ravel()) / (y.shape[0] - 1) + (m.lam / N) * m.w

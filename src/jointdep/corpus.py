@@ -74,54 +74,40 @@ class Corpus:
         return iter(self.sentences)
 
 
-def _check_tree_heads(heads: Sequence[int]) -> str | None:
-    """Return an error message if `heads` is not a single-rooted tree."""
+def _tree_spans(heads: Sequence[int]) -> list[tuple[int, int]]:
+    """Span [l, r] (1-based, inclusive) of each token's subtree, found in one
+    walk down from the root. Raises ValueError unless `heads` is a
+    single-rooted projective tree: heads in range, no self-heads, one root,
+    every token reachable from it (no cycles), every subtree contiguous."""
     n = len(heads)
-    roots = [i for i, h in enumerate(heads) if h == 0]
-    if len(roots) != 1:
-        return f"expected exactly one root, found {len(roots)}"
-    for i, h in enumerate(heads):
+    children: list[list[int]] = [[] for _ in range(n + 1)]
+    for d, h in enumerate(heads, start=1):
         if not 0 <= h <= n:
-            return f"head {h} of token {i + 1} out of range"
-        if h == i + 1:
-            return f"token {i + 1} is its own head"
-    # Cycle check: walk up from every token.
-    for i in range(n):
-        seen = set()
-        j = i + 1
-        while j != 0:
-            if j in seen:
-                return f"cycle through token {j}"
-            seen.add(j)
-            j = heads[j - 1]
-    return None
-
-
-def _subtree_spans(heads: Sequence[int]) -> list[tuple[int, int]]:
-    """Span [l, r] (1-based, inclusive) of each token's subtree."""
-    n = len(heads)
-    lo = list(range(1, n + 1))
-    hi = list(range(1, n + 1))
-    size = [1] * n
-    # Propagate bottom-up; order children before parents by repeated sweeps
-    # over a topological order obtained from depth.
-    order = sorted(range(n), key=lambda i: -_depth_of(heads, i))
-    for i in order:
-        h = heads[i]
-        if h != 0:
-            lo[h - 1] = min(lo[h - 1], lo[i])
-            hi[h - 1] = max(hi[h - 1], hi[i])
-            size[h - 1] += size[i]
-    return [(lo[i], hi[i]) for i in range(n)], size
-
-
-def _depth_of(heads: Sequence[int], i: int) -> int:
-    d = 0
-    j = i + 1
-    while heads[j - 1] != 0:
-        j = heads[j - 1]
-        d += 1
-    return d
+            raise ValueError(f"head {h} of token {d} out of range")
+        if h == d:
+            raise ValueError(f"token {d} is its own head")
+        children[h].append(d)
+    if len(children[0]) != 1:
+        raise ValueError(f"expected exactly one root, found {len(children[0])}")
+    # Breadth-first order from the root. Each token has one head, so it is
+    # listed at most once; a token left out sits on or under a cycle.
+    order = list(children[0])
+    for j in order:
+        order.extend(children[j])
+    if len(order) != n:
+        unreached = min(set(range(1, n + 1)).difference(order))
+        raise ValueError(f"token {unreached} is on or under a cycle")
+    lo = list(range(n + 1))
+    hi = list(range(n + 1))
+    size = [1] * (n + 1)
+    for j in reversed(order):  # children before their heads
+        if hi[j] - lo[j] + 1 != size[j]:
+            raise ValueError("tree is not projective")
+        h = heads[j - 1]
+        lo[h] = min(lo[h], lo[j])
+        hi[h] = max(hi[h], hi[j])
+        size[h] += size[j]
+    return list(zip(lo[1:], hi[1:]))
 
 
 @dataclass(frozen=True)
@@ -135,11 +121,10 @@ class DepTree:
 
     def __post_init__(self):
         object.__setattr__(self, "heads", tuple(int(h) for h in self.heads))
-        err = _check_tree_heads(self.heads)
-        if err is None and not _is_projective(self.heads):
-            err = "tree is not projective"
-        if err is not None:
-            raise ValueError(f"invalid dependency tree {self.heads}: {err}")
+        try:
+            _tree_spans(self.heads)
+        except ValueError as exc:
+            raise ValueError(f"invalid dependency tree {self.heads}: {exc}") from None
 
     @property
     def n(self) -> int:
@@ -156,13 +141,7 @@ class DepTree:
         return out
 
     def spans(self) -> list[tuple[int, int]]:
-        spans, _ = _subtree_spans(self.heads)
-        return spans
-
-
-def _is_projective(heads: Sequence[int]) -> bool:
-    spans, size = _subtree_spans(heads)
-    return all(hi - lo + 1 == sz for (lo, hi), sz in zip(spans, size))
+        return _tree_spans(self.heads)
 
 
 # ---------------------------------------------------------------------------

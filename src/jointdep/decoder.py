@@ -27,8 +27,8 @@ class DDConfig:
     fallback: str = "better-objective"
 
     def __post_init__(self):
-        if self.tau0 <= 0:
-            raise ValueError("tau0 must be > 0")
+        if not 0 < self.tau0 < math.inf:
+            raise ValueError(f"tau0 must be finite and > 0, got {self.tau0}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.step_rule not in _STEP_RULES:
@@ -55,12 +55,7 @@ class DDResult:
 
 def _joint_cost(x, tree, theta, cfg_f, model, q, v, g_weight):
     """F + G at a tree (w-regularizer omitted: constant across trees)."""
-    y = tree_matrix(tree)
-    resid = y - q
-    g_val = (
-        float(np.vdot(resid, resid)) / (2.0 * x.n)
-        - model.mu * float(np.vdot(v, y))
-    )
+    g_val = cmst.tree_loss(tree_matrix(tree), q, v, model.mu)
     return -dmv.tree_logprob(x, tree, theta, cfg_f) + g_weight * g_val
 
 
@@ -70,7 +65,6 @@ def dd_decode(
     cfg_f: dmv.ConstraintConfig,
     m: cmst.CmstModel,
     dd: DDConfig,
-    features=None,
     g_weight: float = 1.0,
 ) -> DDResult:
     """Agreement decoding: minimize F(x, y) + G(x, y) over projective trees.
@@ -79,13 +73,9 @@ def dd_decode(
     optimum of the joint objective; otherwise the configured fallback policy
     picks between the two final subproblem trees.
     """
-    n = x.n
-    if features is None:
-        features = cmst.extract_features(x, m.templates)
-    base_costs = cmst.arc_costs(x, m, features=features) * g_weight
-    v = cmst.rule_vector(x, m.rules)
-    q = (features @ m.w).reshape(n + 1, n + 1)
-    u = np.zeros((n + 1, n + 1))
+    X, v = cmst.sentence_terms(x, m)
+    base_costs = cmst.arc_costs(X, v, m) * g_weight
+    u = np.zeros(v.shape)
     relaxed = False
     chart = None
     y_tree = z_tree = None
@@ -116,6 +106,7 @@ def dd_decode(
     elif dd.fallback == "discriminative":
         tree = z_tree
     else:
+        q = (X @ m.w).reshape(v.shape)
         cy = _joint_cost(x, y_tree, theta, cfg_f, m, q, v, g_weight)
         cz = _joint_cost(x, z_tree, theta, cfg_f, m, q, v, g_weight)
         tree = y_tree if cy <= cz else z_tree

@@ -697,6 +697,8 @@ def mstep_from_trees(
     c: Corpus, trees: Sequence[DepTree], smoothing: float = 0.1
 ) -> DmvParams:
     """Re-estimate parameters from hard counts over fixed parse trees."""
+    if smoothing < 0:
+        raise ValueError("smoothing must be >= 0")
     if len(trees) != c.N:
         raise ValueError(f"got {len(trees)} trees for {c.N} sentences")
     vocab = c.pos_vocab

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -45,6 +46,16 @@ class TrainConfig:
             raise ValueError("outer_iters must be >= 1")
         if self.extra_separate_iters < 0:
             raise ValueError("extra_separate_iters must be >= 0")
+        if self.em_pretrain_iters < 0 or self.fw_pretrain_iters < 0:
+            raise ValueError("em_pretrain_iters and fw_pretrain_iters must be >= 0")
+        if not 0 <= self.mstep_smoothing < math.inf:
+            raise ValueError(
+                f"mstep_smoothing must be finite and >= 0, got {self.mstep_smoothing}"
+            )
+        if not math.isfinite(self.g_weight):
+            raise ValueError(f"g_weight must be finite, got {self.g_weight}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -105,7 +116,7 @@ def train_baseline_d_init(c: Corpus, cfg: TrainConfig) -> TrainState:
         raise ValueError(f"expected mode dmv-init-from-cmst, got {cfg.mode!r}")
     opt = _pretrain_cmst(c, cfg)
     model = opt.model
-    trees = [cmst.lmo_decode(s, model, features=f)[0] for s, f in zip(c, opt.X)]
+    trees = [cmst.lmo_decode(X, v, model)[0] for X, v in zip(opt.X, opt.v)]
     theta = dmv.mstep_from_trees(c, trees, cfg.mstep_smoothing)
     for _ in range(cfg.outer_iters):
         theta, _ = dmv.em_step(c, theta, cfg.constraint, 0.0)
@@ -146,9 +157,11 @@ def joint_objective(
     state: TrainState,
     cfg: TrainConfig,
     trees: Sequence[DepTree],
-    features=None,
+    X: Sequence,
+    v: Sequence[np.ndarray],
 ) -> float:
     """Sum over sentences of F + G at fixed trees (w-regularizer included),
+    with X and v the sentences' discriminative terms (`cmst.sentence_terms`),
     plus the Dirichlet prior -eps * sum(log theta) over the root, attach,
     stop and continue probabilities, eps = cfg.mstep_smoothing, under which
     the smoothed `mstep_from_trees` is the exact minimizer over theta.
@@ -158,11 +171,10 @@ def joint_objective(
     """
     cfg_eval = replace(cfg.constraint, max_ce_depth=None)
     total = 0.0
-    for i, (sent, tree) in enumerate(zip(c, trees)):
-        f = features[i] if features is not None else None
+    for sent, tree, X_i, v_i in zip(c, trees, X, v):
         total += -dmv.tree_logprob(sent, tree, state.theta, cfg_eval)
         total += cfg.g_weight * cmst.sentence_objective(
-            sent, tree_matrix(tree), state.model, c.N, f
+            X_i, v_i, tree_matrix(tree), state.model, c.N
         )
     if cfg.mstep_smoothing:
         theta = state.theta
@@ -192,11 +204,11 @@ def joint_train(
         results = _decode_all(c, state, cfg)
         trees = [r.tree for r in results]
         converged = sum(r.converged for r in results)
-        j_before = joint_objective(c, state, cfg, trees, opt.X)
+        j_before = joint_objective(c, state, cfg, trees, opt.X, opt.v)
 
         state.theta = dmv.mstep_from_trees(c, trees, cfg.mstep_smoothing)
         opt.fit_trees(trees)
-        j_after = joint_objective(c, state, cfg, trees, opt.X)
+        j_after = joint_objective(c, state, cfg, trees, opt.X, opt.v)
         if j_after > j_before + 1e-9:
             log.warning(
                 "parameter update increased the joint objective "
@@ -274,7 +286,8 @@ def decode_corpus(
                     sent, state.theta, replace(constraint, max_ce_depth=None)
                 )
         elif decoder == "cmst":
-            tree, _ = cmst.lmo_decode(sent, state.model)
+            X, v = cmst.sentence_terms(sent, state.model)
+            tree, _ = cmst.lmo_decode(X, v, state.model)
         else:
             raise ValueError(f"unknown decoder {decoder!r}")
         trees.append(tree)

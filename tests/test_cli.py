@@ -189,6 +189,23 @@ def test_train_rejects_nonpositive_lambda(tmp_path, train_file, capsys):
     assert err.startswith("error: lambda must be > 0") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("setting", [
+    "dd_tau0=nan", "dd_tau0=inf", "g_weight=nan", "g_weight=inf",
+    "mstep_smoothing=-0.5", "em_pretrain_iters=-1", "fw_pretrain_iters=-1",
+    "workers=0",
+])
+def test_train_rejects_out_of_range_setting(tmp_path, train_file, capsys, setting):
+    config = tmp_path / "train.cfg"
+    config.write_text(setting + "\n")
+    rc = run(["train", "--config", str(config), "--train", str(train_file),
+              "--out", str(tmp_path / "m")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    key = setting.split("=")[0].removeprefix("dd_")
+    assert err.startswith("error: ") and key in err and err.count("\n") == 1
+    assert not (tmp_path / "m").exists()
+
+
 def test_cmst_weights_do_not_depend_on_blas_threads(tmp_path):
     # 120 sentences of length 2-15 over the 17 UPOS tags: a stacked design of
     # about 9000 rows, long enough for OpenBLAS to split its reductions over
@@ -278,6 +295,12 @@ def _negative_root(lines):
     pytest.param(
         "cmst.txt", lambda lines: lines + ["w 99999999 1.0"],
         id="cmst-w-out-of-range",
+    ),
+    pytest.param("cmst.txt", lambda lines: lines + ["w 0 nan"], id="cmst-nan-weight"),
+    pytest.param(
+        "cmst.txt",
+        lambda lines: ["mu nan" if line.startswith("mu ") else line for line in lines],
+        id="cmst-nan-mu",
     ),
 ])
 def test_damaged_model_file_is_data_error(

@@ -26,6 +26,7 @@ from jointdep.cmst import (
     rule_vector,
     sentence_gradient,
     sentence_objective,
+    sentence_terms,
 )
 
 
@@ -93,7 +94,8 @@ def test_non_arc_cells_are_empty(rng, n):
     assert not row_nnz.reshape(n + 1, n + 1)[~arcs].any()
     assert row_nnz.reshape(n + 1, n + 1)[arcs].all()
     assert np.array_equal(rule_vector(x, everything), arcs.astype(float))
-    costs = arc_costs(x, m, price_matrix(rng.normal(size=n * n), n))
+    u = price_matrix(rng.normal(size=n * n), n)
+    costs = arc_costs(*sentence_terms(x, m), m, u)
     assert not costs[~arcs].any()
     assert costs[arcs].all()
 
@@ -144,7 +146,8 @@ def test_objective_zero_weights():
     x = make_sentence(["NOUN", "VERB"])
     m = CmstModel.create(("NOUN", "VERB"), mu=0.0)
     y = tree_matrix(DepTree((2, 0)))
-    assert sentence_objective(x, y, m, N=1) == pytest.approx(0.5)
+    got = sentence_objective(*sentence_terms(x, m), y, m, N=1)
+    assert got == pytest.approx(0.5)
 
 
 def test_objective_vanishing_residual(rng):
@@ -156,9 +159,8 @@ def test_objective_vanishing_residual(rng):
     # Least-squares fit so that Xw == y (the system is underdetermined).
     m.w = np.linalg.lstsq(X.toarray(), y.ravel(), rcond=None)[0]
     v = rule_vector(x, m.rules)
-    assert sentence_objective(x, y, m, N=1) == pytest.approx(
-        -0.7 * float(np.vdot(v, y)), abs=1e-9
-    )
+    got = sentence_objective(X, v, y, m, N=1)
+    assert got == pytest.approx(-0.7 * float(np.vdot(v, y)), abs=1e-9)
 
 
 def test_objective_matches_naive_evaluation(rng):
@@ -176,7 +178,8 @@ def test_objective_matches_naive_evaluation(rng):
         + m.lam / (2 * N) * float(np.sum(m.w**2))
         - m.mu * float(np.sum(v * y))
     )
-    assert sentence_objective(x, y, m, N) == pytest.approx(naive, abs=1e-12)
+    got = sentence_objective(*sentence_terms(x, m), y, m, N)
+    assert got == pytest.approx(naive, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +189,7 @@ def test_objective_matches_naive_evaluation(rng):
 def test_lmo_rule_dominated():
     x = make_sentence(["DET", "NOUN", "VERB"])
     m = CmstModel.create(("DET", "NOUN", "VERB"), mu=100.0)
-    tree, _ = lmo_decode(x, m)
+    tree, _ = lmo_decode(*sentence_terms(x, m), m)
     v = rule_vector(x, m.rules)
     best_sat = max(
         float(np.vdot(v, tree_matrix(t))) for t in all_projective_trees(3)
@@ -203,8 +206,8 @@ def test_lmo_matches_bruteforce(rng):
         m.w = rng.normal(scale=0.5, size=m.w.shape)
         u = (price_matrix(rng.normal(size=n * n), n)
              if rng.random() < 0.5 else None)
-        tree, score = lmo_decode(x, m, u)
-        costs = arc_costs(x, m, u)
+        tree, score = lmo_decode(*sentence_terms(x, m), m, u)
+        costs = arc_costs(*sentence_terms(x, m), m, u)
         best = min(
             float(np.vdot(costs, tree_matrix(t))) for t in all_projective_trees(n)
         )
@@ -247,10 +250,10 @@ def test_fw_toy_sentence_learns_rule_arcs():
     c = Corpus((x,), ("DET", "NOUN", "VERB"))
     m = CmstModel.create(c.pos_vocab, lam=1.0, mu=1.0)
     FrankWolfeOptimizer(c, m).run(60)
-    tree, _ = lmo_decode(x, m)
+    tree, _ = lmo_decode(*sentence_terms(x, m), m)
     assert tree.heads == (2, 3, 0)
     # Brute-force check: the decoded tree minimizes the final objective.
-    costs = arc_costs(x, m)
+    costs = arc_costs(*sentence_terms(x, m), m)
     best = min(
         float(np.vdot(costs, tree_matrix(t))) for t in all_projective_trees(3)
     )
@@ -290,8 +293,8 @@ def test_fit_trees_solves_for_a_stationary_w(rng, vocab):
     ]
     opt.fit_trees(trees)
     grad = sum(
-        sentence_gradient(x, tree_matrix(t), m, c.N)
-        for x, t in zip(c, trees)
+        sentence_gradient(X, tree_matrix(t), m, c.N)
+        for X, t in zip(opt.X, trees)
     )
     assert float(np.abs(grad).max()) < 1e-10
     assert float(np.abs(m.w).max()) > 1e-3  # not vacuously at w = 0
@@ -307,14 +310,14 @@ def test_sgd_gradient_matches_finite_differences(rng):
     m.w = rng.normal(scale=0.3, size=m.w.shape)
     y = tree_matrix(all_projective_trees(3)[2])
     N = 9
-    g = sentence_gradient(x, y, m, N)
+    g = sentence_gradient(extract_features(x, m.templates), y, m, N)
     h = 1e-5
     for j in rng.integers(0, m.w.size, size=20):
         w0 = m.w[j]
         m.w[j] = w0 + h
-        fp = sentence_objective(x, y, m, N)
+        fp = sentence_objective(*sentence_terms(x, m), y, m, N)
         m.w[j] = w0 - h
-        fm = sentence_objective(x, y, m, N)
+        fm = sentence_objective(*sentence_terms(x, m), y, m, N)
         m.w[j] = w0
         fd = (fp - fm) / (2 * h)
         assert abs(fd - g[j]) / max(1.0, abs(fd)) < 1e-6

@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -130,12 +131,33 @@ def test_write_length_mismatch(conllu_sample):
 
 def test_deptree_validation():
     DepTree((2, 0, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one root"):
         DepTree((0, 0))  # two roots
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one root"):
         DepTree((2, 1))  # mutual heads, no root
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not projective"):
         DepTree((2, 4, 0, 3))  # crossing arcs
+    with pytest.raises(ValueError, match="cycle"):
+        DepTree((0, 3, 2))  # mutual heads beside the root
+    with pytest.raises(ValueError, match="own head"):
+        DepTree((0, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        DepTree((0, 3))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_deptree_accepts_exactly_the_projective_trees(n):
+    # Every head array over {0..n}^n: DepTree must accept exactly those the
+    # oracle finds single-rooted, acyclic and projective.
+    valid = set(all_projective_heads(n))
+    for heads in itertools.product(range(n + 1), repeat=n):
+        try:
+            DepTree(heads)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == (heads in valid), heads
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -424,6 +424,12 @@ def test_mstep_add_one_smoothing():
     assert p.root[1] == pytest.approx(2.0 / 3.0)
 
 
+def test_mstep_rejects_negative_smoothing():
+    c = Corpus((make_sentence(["NOUN", "VERB"]),), ("NOUN", "VERB"))
+    with pytest.raises(ValueError, match="smoothing"):
+        mstep_from_trees(c, [DepTree((2, 0))], smoothing=-0.5)
+
+
 def test_mstep_alignment_mismatch(toy_corpus):
     with pytest.raises(ValueError):
         mstep_from_trees(toy_corpus, [DepTree((0,))], 0.1)

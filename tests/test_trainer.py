@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from oracles import random_corpus
 
 from jointdep import cmst, dmv, trainer
-from jointdep.decoder import DDConfig
+from jointdep.decoder import DDConfig, dd_decode
 from jointdep.dmv import ConstraintConfig
 from jointdep.trainer import (
     TrainConfig,
@@ -44,6 +45,41 @@ def test_config_validation():
         TrainConfig(outer_iters=0)
     with pytest.raises(ValueError):
         TrainConfig(extra_separate_iters=-1)
+    for key, value in [
+        ("em_pretrain_iters", -1), ("fw_pretrain_iters", -1),
+        ("mstep_smoothing", -0.5), ("mstep_smoothing", math.inf),
+        ("mstep_smoothing", math.nan), ("g_weight", math.nan),
+        ("g_weight", -math.inf), ("workers", 0),
+    ]:
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: value})
+
+
+def test_discriminative_terms_are_built_once(small_corpus, monkeypatch):
+    # The joint objective scores with the optimizer's terms and builds none;
+    # agreement decoding builds its one sentence's terms exactly once, the
+    # fallback included.
+    cfg = _fast_cfg(dd=DDConfig(max_iters=2))
+    state = pretrain(small_corpus, cfg)
+    calls = collections.Counter()
+    for name in ("extract_features", "rule_vector"):
+        def counted(*args, _fn=getattr(cmst, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(cmst, name, counted)
+    results = []
+    for sent in small_corpus:
+        calls.clear()
+        results.append(
+            dd_decode(sent, state.theta, cfg.constraint, state.model, cfg.dd)
+        )
+        assert calls == {"extract_features": 1, "rule_vector": 1}
+    assert not all(r.converged for r in results)
+    calls.clear()
+    trees = [r.tree for r in results]
+    opt = state.optimizer
+    joint_objective(small_corpus, state, cfg, trees, opt.X, opt.v)
+    assert not calls
 
 
 def test_pretrain_produces_valid_models(small_corpus):
@@ -112,10 +148,10 @@ def test_parameter_update_does_not_increase_objective(small_corpus):
         for _ in range(2):
             results = trainer._decode_all(small_corpus, state, cfg)
             trees = [r.tree for r in results]
-            before = joint_objective(small_corpus, state, cfg, trees, opt.X)
+            before = joint_objective(small_corpus, state, cfg, trees, opt.X, opt.v)
             state.theta = dmv.mstep_from_trees(small_corpus, trees, eps)
             opt.fit_trees(trees)
-            after = joint_objective(small_corpus, state, cfg, trees, opt.X)
+            after = joint_objective(small_corpus, state, cfg, trees, opt.X, opt.v)
             assert math.isfinite(after)
             assert after <= before + 1e-9
         assert math.isfinite(before)
@@ -126,14 +162,16 @@ def test_parameter_update_does_not_increase_objective(small_corpus):
         best_theta, best_w = state.theta, state.model.w
         for scale in (1.01, 0.99):
             state.model.w = best_w * scale
-            assert joint_objective(small_corpus, state, cfg, trees, opt.X) > after
+            again = joint_objective(small_corpus, state, cfg, trees, opt.X, opt.v)
+            assert again > after
         state.model.w = best_w
         nudges = [(1e-3, 0.0)]
         if eps:
             nudges += [(-1e-3, 0.0), (0.0, 1e-4), (0.0, -1e-4)]
         for t, ds in nudges:
             state.theta = _nudged(best_theta, t, ds)
-            assert joint_objective(small_corpus, state, cfg, trees, opt.X) > after
+            again = joint_objective(small_corpus, state, cfg, trees, opt.X, opt.v)
+            assert again > after
 
 
 def test_joint_weights_leave_the_separate_path(small_corpus):
