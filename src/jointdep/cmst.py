@@ -257,14 +257,18 @@ class CmstModel:
             return cls(w, lam, mu, t, frozenset(rules))
 
 
-def tree_loss(y: np.ndarray, q: np.ndarray, v: np.ndarray, mu: float) -> float:
-    """The w-free part of the per-sentence loss at the (n+1, n+1) arc matrix
-    y, with q = (Xw).reshape(n + 1, n + 1) the arc scores:
-    (1/2n)||y - q||^2 - mu * v.y
+def tree_loss(
+    y: np.ndarray, q: np.ndarray, v: np.ndarray, mu: float, ridge: float = 0.0
+) -> float:
+    """The per-sentence loss at the (n+1, n+1) arc matrix y, with
+    q = (Xw).reshape(n + 1, n + 1) the arc scores and `ridge` the sentence's
+    share of the w-regularizer:
+    (1/2n)||y - q||^2 + ridge - mu * v.y
     """
     resid = y - q
     return (
         float(np.vdot(resid, resid)) / (2.0 * (y.shape[0] - 1))
+        + ridge
         - mu * float(np.vdot(v, y))
     )
 
@@ -274,12 +278,12 @@ def sentence_objective(
 ) -> float:
     """Per-sentence discriminative loss at the (n+1, n+1) arc matrix y, for a
     sentence with terms (X, v) in a corpus of N sentences:
-    (1/2n)||y - Xw||^2 - mu * v.y + (lam/2N)||w||^2
+    (1/2n)||y - Xw||^2 + (lam/2N)||w||^2 - mu * v.y
     """
     if y.shape != v.shape:
         raise ValueError(f"arc matrix has shape {y.shape}, expected {v.shape}")
     q = (X @ m.w).reshape(y.shape)
-    return tree_loss(y, q, v, m.mu) + m.lam / (2.0 * N) * float(m.w @ m.w)
+    return tree_loss(y, q, v, m.mu, m.lam / (2.0 * N) * float(m.w @ m.w))
 
 
 # ---------------------------------------------------------------------------

@@ -157,12 +157,9 @@ def joint_objective(
     state: TrainState,
     cfg: TrainConfig,
     trees: Sequence[DepTree],
-    X: Sequence,
-    v: Sequence[np.ndarray],
 ) -> float:
     """Sum over sentences of F + G at fixed trees (w-regularizer included),
-    with X and v the sentences' discriminative terms (`cmst.sentence_terms`),
-    plus the Dirichlet prior -eps * sum(log theta) over the root, attach,
+    scored with the discriminative terms held by `state.optimizer`, plus the Dirichlet prior -eps * sum(log theta) over the root, attach,
     stop and continue probabilities, eps = cfg.mstep_smoothing, under which
     the smoothed `mstep_from_trees` is the exact minimizer over theta.
 
@@ -170,8 +167,9 @@ def joint_objective(
     here to keep the objective finite for cap-relaxed sentences.
     """
     cfg_eval = replace(cfg.constraint, max_ce_depth=None)
+    opt = state.optimizer
     total = 0.0
-    for sent, tree, X_i, v_i in zip(c, trees, X, v):
+    for sent, tree, X_i, v_i in zip(c, trees, opt.X, opt.v, strict=True):
         total += -dmv.tree_logprob(sent, tree, state.theta, cfg_eval)
         total += cfg.g_weight * cmst.sentence_objective(
             X_i, v_i, tree_matrix(tree), state.model, c.N
@@ -204,11 +202,11 @@ def joint_train(
         results = _decode_all(c, state, cfg)
         trees = [r.tree for r in results]
         converged = sum(r.converged for r in results)
-        j_before = joint_objective(c, state, cfg, trees, opt.X, opt.v)
+        j_before = joint_objective(c, state, cfg, trees)
 
         state.theta = dmv.mstep_from_trees(c, trees, cfg.mstep_smoothing)
         opt.fit_trees(trees)
-        j_after = joint_objective(c, state, cfg, trees, opt.X, opt.v)
+        j_after = joint_objective(c, state, cfg, trees)
         if j_after > j_before + 1e-9:
             log.warning(
                 "parameter update increased the joint objective "

@@ -293,8 +293,10 @@ def test_fit_trees_solves_for_a_stationary_w(rng, vocab):
     ]
     opt.fit_trees(trees)
     grad = sum(
-        sentence_gradient(X, tree_matrix(t), m, c.N)
-        for X, t in zip(opt.X, trees)
+        sentence_gradient(
+            extract_features(x, m.templates), tree_matrix(t), m, c.N
+        )
+        for x, t in zip(c, trees)
     )
     assert float(np.abs(grad).max()) < 1e-10
     assert float(np.abs(m.w).max()) > 1e-3  # not vacuously at w = 0

@@ -77,8 +77,7 @@ def test_discriminative_terms_are_built_once(small_corpus, monkeypatch):
     assert not all(r.converged for r in results)
     calls.clear()
     trees = [r.tree for r in results]
-    opt = state.optimizer
-    joint_objective(small_corpus, state, cfg, trees, opt.X, opt.v)
+    joint_objective(small_corpus, state, cfg, trees)
     assert not calls
 
 
@@ -148,10 +147,10 @@ def test_parameter_update_does_not_increase_objective(small_corpus):
         for _ in range(2):
             results = trainer._decode_all(small_corpus, state, cfg)
             trees = [r.tree for r in results]
-            before = joint_objective(small_corpus, state, cfg, trees, opt.X, opt.v)
+            before = joint_objective(small_corpus, state, cfg, trees)
             state.theta = dmv.mstep_from_trees(small_corpus, trees, eps)
             opt.fit_trees(trees)
-            after = joint_objective(small_corpus, state, cfg, trees, opt.X, opt.v)
+            after = joint_objective(small_corpus, state, cfg, trees)
             assert math.isfinite(after)
             assert after <= before + 1e-9
         assert math.isfinite(before)
@@ -162,7 +161,7 @@ def test_parameter_update_does_not_increase_objective(small_corpus):
         best_theta, best_w = state.theta, state.model.w
         for scale in (1.01, 0.99):
             state.model.w = best_w * scale
-            again = joint_objective(small_corpus, state, cfg, trees, opt.X, opt.v)
+            again = joint_objective(small_corpus, state, cfg, trees)
             assert again > after
         state.model.w = best_w
         nudges = [(1e-3, 0.0)]
@@ -170,7 +169,7 @@ def test_parameter_update_does_not_increase_objective(small_corpus):
             nudges += [(-1e-3, 0.0), (0.0, 1e-4), (0.0, -1e-4)]
         for t, ds in nudges:
             state.theta = _nudged(best_theta, t, ds)
-            again = joint_objective(small_corpus, state, cfg, trees, opt.X, opt.v)
+            again = joint_objective(small_corpus, state, cfg, trees)
             assert again > after
 
 
