@@ -107,7 +107,11 @@ def _train_config(cfg: dict) -> trainer.TrainConfig:
     depth = cfg["max_ce_depth"]
     cap = None if str(depth).lower() in ("inf", "none") else int(depth)
     rules = cmst.load_rules(cfg["rules"]) if cfg["rules"] else None
-    workers = int(os.environ.get("JOINTDEP_WORKERS", cfg["workers"]))
+    workers = os.environ.get("JOINTDEP_WORKERS", cfg["workers"])
+    try:
+        workers = int(workers)
+    except ValueError:
+        raise DataError(f"JOINTDEP_WORKERS must be an integer, got {workers!r}")
     return trainer.TrainConfig(
         mode=cfg["mode"],
         outer_iters=cfg["outer_iters"],

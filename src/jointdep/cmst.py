@@ -4,10 +4,11 @@ an exact ridge solve for the weights."""
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -287,102 +288,164 @@ def sentence_objective(
 
 
 # ---------------------------------------------------------------------------
-# Arc-factored projective decoding (split-head min-cost chart)
+# Arc-factored projective decoding: one batched split-head min-cost chart
 # ---------------------------------------------------------------------------
+#
+# Each sentence of length n owns an n*n block of two flat charts, cell (a, b)
+# of the block (1 <= a, b <= n) at offset + (a-1)*n + (b-1):
+#   C[h, x]  best cost of h's half-span reaching x: its left half when x < h,
+#            its right half when x > h, and 0 when x == h;
+#   I[h, c]  best cost of the span between h and c with the arc h -> c.
+# A cell of width m = |h - c| has exactly m split candidates whatever n is,
+#   I[h, c] = min_k (C[c, k] + C[h, k + 1]) + cost[h, c]   (c < h, k = c..h-1)
+#   I[h, c] = min_k (C[c, k] + C[h, k - 1]) + cost[h, c]   (c > h, k = h+1..c)
+#   C[h, x] = min_c (I[h, c] + C[c, x])   (c = x..h-1 or h+1..x)
+# so the cells of one width from every sentence of a batch, of any lengths,
+# stack into one (cells, m) candidate array with no padding.
+#
+# A plan takes about 12 bytes per n^3 of the sentences it covers, so a batch
+# is decoded in passes of at most _PASS_CUBES: each pass's plan stays under
+# about 1.6 MB (a longer sentence gets a pass of its own), and the 8 cached
+# plans under about 13 MB, however large the corpus. Compiling a plan takes
+# about three times as long as one pass over it, so passes that fall out of
+# the cache still cost far less than a cell-by-cell chart.
+_PASS_CUBES = 1 << 17
 
-def eisner_min(cost: np.ndarray) -> tuple[tuple[int, ...], float]:
-    """Min-cost projective single-rooted tree for an (n+1, n+1) arc-cost
-    matrix keyed [head, dependent]; row/column 0 is the root pseudo-node.
 
-    Ties are broken toward the earliest-constructed derivation (smaller
-    split point, then nearer attachment).
+@dataclass(frozen=True)
+class _EisnerPlan:
+    """The chart layout of one tuple of sentence lengths."""
+
+    size: int                  # cells of the flat charts
+    offsets: tuple[int, ...]   # where each sentence's block starts
+    # Per width m = 1, 2, ...: the target cells, the (cells, m) candidate
+    # indices of the two operands of I and of the two operands of C, and
+    # the flat index of each target's first candidate.
+    widths: tuple[tuple[np.ndarray, ...], ...]
+    root_cells: np.ndarray     # C[c, 1] then C[c, n], c = 1..n, per sentence
+
+
+def _width_cells(n: int, m: int, offs: Sequence[int]) -> list[np.ndarray]:
+    """Target cells (as a column), and the (cells, m) candidate indices of
+    the two operands of I and of C, of the width-m cells of sentences of
+    length n at offsets `offs`: sentence by sentence, left arcs (c = h - m)
+    before right ones."""
+    h = np.concatenate([np.arange(m + 1, n + 1), np.arange(1, n - m + 1)])
+    c = np.concatenate([h[: n - m] - m, h[n - m:] + m])
+    left = (c < h)[:, None]
+    h, c = h[:, None] - 1, c[:, None] - 1  # 0-based from here
+    k = np.where(left, c, h + 1) + np.arange(m)  # split points of each cell
+    local = [
+        h * n + c,                           # target I[h, c] and C[h, c]
+        c * n + k,                           # I: C[c, k]
+        h * n + k + np.where(left, 1, -1),   # I: C[h, k + 1] or C[h, k - 1]
+        h * n + k,                           # C: I[h, k]
+        k * n + c,                           # C: C[k, c]
+    ]
+    offs = np.array(offs)[:, None, None]
+    return [(offs + idx).reshape(-1, idx.shape[1]) for idx in local]
+
+
+@functools.lru_cache(maxsize=8)
+def _eisner_plan(ns: tuple[int, ...]) -> _EisnerPlan:
+    """Compile the chart layout of a batch of sentences of lengths `ns`."""
+    offsets = np.cumsum((0,) + tuple(n * n for n in ns)).tolist()
+    by_length: dict[int, list[int]] = {}
+    for n, off in zip(ns, offsets):
+        by_length.setdefault(n, []).append(off)
+    widths = []
+    for m in range(1, max(ns)):
+        parts = [_width_cells(n, m, offs) for n, offs in by_length.items() if n > m]
+        tgt, *cand = (np.concatenate(rows) for rows in zip(*parts))
+        widths.append((tgt[:, 0], *cand, np.arange(0, tgt.size * m, m)))
+    root_cells = [
+        off + np.arange(n) * n + np.array([[0], [n - 1]])
+        for n, off in zip(ns, offsets)
+    ]
+    return _EisnerPlan(
+        offsets[-1], tuple(offsets[:-1]), tuple(widths),
+        np.concatenate(root_cells, axis=1),
+    )
+
+
+def eisner_min(
+    costs: Sequence[np.ndarray],
+) -> list[tuple[tuple[int, ...], float]]:
+    """Min-cost projective single-rooted tree, and its cost, of every
+    (n+1, n+1) arc-cost matrix in `costs`, keyed [head, dependent], with
+    row/column 0 the root pseudo-node. The matrices may have any sizes; they
+    are decoded together, in as few chart passes as the plan bound allows.
+
+    Costs are summed as min_k(C + C) + cost for incomplete spans, min_c(I + C)
+    for complete ones and (cost[0, c] + C[c, 1]) + C[c, n] at the root. Ties
+    go to the first minimum: the smaller split point, then the nearer
+    attachment, then the leftmost root.
     """
-    n = cost.shape[0] - 1
-    INF = math.inf
-    # L[h][i]: best cost of h's left half spanning [i, h]; mirrored R.
-    L = [[INF] * (n + 2) for _ in range(n + 2)]
-    R = [[INF] * (n + 2) for _ in range(n + 2)]
-    IL = [[INF] * (n + 2) for _ in range(n + 2)]  # IL[c][h], arc h -> c
-    IR = [[INF] * (n + 2) for _ in range(n + 2)]  # IR[h][c], arc h -> c
-    bL = [[-1] * (n + 2) for _ in range(n + 2)]
-    bR = [[-1] * (n + 2) for _ in range(n + 2)]
-    bIL = [[-1] * (n + 2) for _ in range(n + 2)]
-    bIR = [[-1] * (n + 2) for _ in range(n + 2)]
-    for h in range(1, n + 1):
-        L[h][h] = 0.0
-        R[h][h] = 0.0
-    for m in range(1, n):
-        for h in range(1, n + 1):
-            c = h - m
-            if c >= 1:
-                best = INF
-                for k in range(c, h):
-                    val = R[c][k] + L[h][k + 1]
-                    if val < best:
-                        best = val
-                        bIL[c][h] = k
-                IL[c][h] = best + cost[h, c]
-            c = h + m
-            if c <= n:
-                best = INF
-                for k in range(h + 1, c + 1):
-                    val = L[c][k] + R[h][k - 1]
-                    if val < best:
-                        best = val
-                        bIR[h][c] = k
-                IR[h][c] = best + cost[h, c]
-        for h in range(1, n + 1):
-            i = h - m
-            if i >= 1:
-                best = INF
-                for c in range(i, h):
-                    val = IL[c][h] + L[c][i]
-                    if val < best:
-                        best = val
-                        bL[h][i] = c
-                L[h][i] = best
-            j = h + m
-            if j <= n:
-                best = INF
-                for c in range(h + 1, j + 1):
-                    val = IR[h][c] + R[c][j]
-                    if val < best:
-                        best = val
-                        bR[h][j] = c
-                R[h][j] = best
-    best = INF
-    root = -1
-    for c in range(1, n + 1):
-        val = cost[0, c] + L[c][1] + R[c][n]
-        if val < best:
-            best = val
-            root = c
-    heads = [-1] * n
-    heads[root - 1] = 0
+    out: list[tuple[tuple[int, ...], float]] = []
+    batch: list[np.ndarray] = []
+    cubes = 0
+    for cost in costs:
+        n = cost.shape[0] - 1
+        if batch and cubes + n**3 > _PASS_CUBES:
+            out += _eisner_pass(batch)
+            batch, cubes = [], 0
+        batch.append(cost)
+        cubes += n**3
+    if batch:
+        out += _eisner_pass(batch)
+    return out
 
-    def take_left(h, i):
-        if i == h:
-            return
-        c = bL[h][i]
-        heads[c - 1] = h
-        k = bIL[c][h]
-        take_right(c, k)
-        take_left(h, k + 1)
-        take_left(c, i)
 
-    def take_right(h, j):
-        if j == h:
-            return
-        c = bR[h][j]
-        heads[c - 1] = h
-        k = bIR[h][c]
-        take_left(c, k)
-        take_right(h, k - 1)
-        take_right(c, j)
-
-    take_left(root, 1)
-    take_right(root, n)
-    return tuple(heads), best
+def _eisner_pass(
+    costs: list[np.ndarray],
+) -> list[tuple[tuple[int, ...], float]]:
+    """`eisner_min` of a non-empty batch in one chart pass."""
+    ns = tuple(c.shape[0] - 1 for c in costs)
+    plan = _eisner_plan(ns)
+    arc_cost = np.concatenate([c[1:, 1:].ravel() for c in costs])
+    C = np.zeros(plan.size)
+    I = np.zeros(plan.size)
+    back_C = np.zeros(plan.size, dtype=np.int32)
+    back_I = np.zeros(plan.size, dtype=np.int32)
+    for tgt, a, b, ia, ib, first in plan.widths:
+        cand = C[a]
+        cand += C[b]
+        j = cand.argmin(axis=1)
+        I[tgt] = cand.ravel()[first + j] + arc_cost[tgt]
+        back_I[tgt] = j
+        cand = I[ia]
+        cand += C[ib]
+        j = cand.argmin(axis=1)
+        C[tgt] = cand.ravel()[first + j]
+        back_C[tgt] = j
+    root_cost = np.concatenate([c[0, 1:] for c in costs])
+    root_vals = ((root_cost + C[plan.root_cells[0]]) + C[plan.root_cells[1]]).tolist()
+    back_C, back_I = back_C.tolist(), back_I.tolist()
+    out = []
+    start = 0
+    for n, off in zip(ns, plan.offsets):
+        vals = root_vals[start:start + n]
+        start += n
+        best = min(vals)
+        root = vals.index(best) + 1
+        heads = [0] * n
+        stack = [(root, 1), (root, n)]
+        while stack:
+            h, x = stack.pop()
+            if x == h:
+                continue
+            row = off + (h - 1) * n - 1  # cell (h, y) is row + y
+            if x < h:
+                c = x + back_C[row + x]
+                k = c + back_I[row + c]
+                stack += ((c, k), (h, k + 1), (c, x))
+            else:
+                c = h + 1 + back_C[row + x]
+                k = h + 1 + back_I[row + c]
+                stack += ((c, k), (h, k - 1), (c, x))
+            heads[c - 1] = h
+        out.append((tuple(heads), best))
+    return out
 
 
 def arc_costs(
@@ -403,12 +466,20 @@ def arc_costs(
 
 
 def lmo_decode(
-    X: sp.csr_matrix, v: np.ndarray, m: CmstModel, u: np.ndarray | None = None
-) -> tuple[DepTree, float]:
-    """Min-cost projective tree under the linearized objective minus prices,
-    for a sentence with terms (X, v)."""
-    heads, score = eisner_min(arc_costs(X, v, m, u))
-    return DepTree(heads), score
+    terms: Iterable[tuple[sp.csr_matrix, np.ndarray]],
+    m: CmstModel,
+    prices: Sequence[np.ndarray | None] | None = None,
+) -> list[tuple[DepTree, float]]:
+    """Min-cost projective tree, and its cost, of every sentence with terms
+    (X, v) under the linearized objective minus its prices (`prices[i]` for
+    sentence i, default none), all in one `eisner_min` call. `terms` may be
+    an iterator, so that each sentence's features are dropped once its arc
+    costs are built."""
+    if prices is None:
+        costs = [arc_costs(X, v, m) for X, v in terms]
+    else:
+        costs = [arc_costs(X, v, m, u) for (X, v), u in zip(terms, prices, strict=True)]
+    return [(DepTree(heads), score) for heads, score in eisner_min(costs)]
 
 
 # ---------------------------------------------------------------------------
@@ -440,23 +511,32 @@ class FrankWolfeOptimizer:
         self.X, self.v = zip(*(sentence_terms(s, model) for s in corpus))
         self.y = [tree_matrix(_chain_tree(s.n)) for s in corpus]
         self.ns = np.array([s.n for s in corpus], dtype=np.float64)
-        # Stacked design matrix with rows scaled 1/sqrt(n) so that the ridge
-        # normal equations sum (1/n) X'X per sentence.
-        scaled = [X / math.sqrt(n) for X, n in zip(self.X, self.ns)]
-        self.D = sp.vstack(scaled).tocsr()
-        gram = self.D.T @ self.D + model.lam * sp.identity(self.D.shape[1])
+        # The ridge design D stacks the sentences' rows scaled 1/sqrt(n), so
+        # that the normal equations sum (1/n) X'X per sentence.
+        D = sp.vstack([X / math.sqrt(n) for X, n in zip(self.X, self.ns)]).tocsr()
+        gram = D.T @ D + model.lam * sp.identity(D.shape[1])
         self._lu = splu(
             gram.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
         )
+        # D is dropped before the unscaled stack X_all is built, so that peak
+        # memory does not grow; `_solve_w` uses X_all in its place. One CSR
+        # matvec with X_all scores every arc of the corpus, each row summed
+        # as X_i @ w would sum it.
+        del D, gram
+        self.X_all = sp.vstack(self.X).tocsr()
+        self._row_ends = np.cumsum([X.shape[0] for X in self.X])[:-1]
         self.objective_history: list[float] = []
         self.gap_history: list[float] = []
 
     def _solve_w(self) -> None:
-        ytil = np.concatenate(
-            [y.ravel() / math.sqrt(n) for y, n in zip(self.y, self.ns)]
+        # D' (y / sqrt(n)) as X_all' (y / sqrt(n) * (1 / sqrt(n))): D's
+        # entries are 1 / sqrt(n) where X_all's are 1, so the products and
+        # their order are the same.
+        z = np.concatenate(
+            [y.ravel() / s * (1.0 / s) for y, s in zip(self.y, np.sqrt(self.ns))]
         )
-        self.model.w = self._lu.solve(self.D.T @ ytil)
+        self.model.w = self._lu.solve(self.X_all.T @ z)
 
     def fit_trees(self, trees: Sequence[DepTree]) -> None:
         """Set the relaxed tree variables to fixed trees and re-solve w: the
@@ -464,24 +544,37 @@ class FrankWolfeOptimizer:
         self.y = [tree_matrix(t) for t in trees]
         self._solve_w()
 
-    def objective(self) -> float:
+    def _scores(self) -> list[np.ndarray]:
+        """Every sentence's (n+1, n+1) arc score matrix q = Xw."""
+        q = self.X_all @ self.model.w
+        return [
+            qi.reshape(y.shape) for qi, y in zip(np.split(q, self._row_ends), self.y)
+        ]
+
+    def objective(self, q: Sequence[np.ndarray] | None = None) -> float:
+        """The objective at the current w and relaxed trees; `q` are the arc
+        scores at the current w, when the caller already has them."""
+        if q is None:
+            q = self._scores()
         w = self.model.w
         total = self.model.lam / 2.0 * float(w @ w)
-        for X, v, y in zip(self.X, self.v, self.y):
-            total += tree_loss(y, (X @ w).reshape(y.shape), v, self.model.mu)
+        for qi, v, y in zip(q, self.v, self.y):
+            total += tree_loss(y, qi, v, self.model.mu)
         return total
 
     def step(self) -> float:
-        """Run one iteration; returns the Frank-Wolfe duality gap."""
+        """Run one iteration; returns the Frank-Wolfe duality gap. Every
+        sentence's linear minimization runs in one `eisner_min` call."""
         self._solve_w()
-        w = self.model.w
-        verts = []
+        q = self._scores()
+        mu = self.model.mu
+        grads = [
+            (y - qi) / n - mu * v for y, qi, v, n in zip(self.y, q, self.v, self.ns)
+        ]
+        verts = [tree_matrix(DepTree(heads)) for heads, _ in eisner_min(grads)]
         gap = 0.0
         denom = 0.0
-        for X, v, y, n in zip(self.X, self.v, self.y, self.ns):
-            g = (y - (X @ w).reshape(y.shape)) / n - self.model.mu * v
-            s = tree_matrix(DepTree(eisner_min(g)[0]))
-            verts.append(s)
+        for g, y, s, n in zip(grads, self.y, verts, self.ns):
             diff = y - s
             gap += float(np.vdot(g, diff))
             denom += float(np.vdot(diff, diff)) / n
@@ -489,7 +582,7 @@ class FrankWolfeOptimizer:
             gamma = min(1.0, max(0.0, gap / denom))
             for y, s in zip(self.y, verts):
                 y += gamma * (s - y)
-        self.objective_history.append(self.objective())
+        self.objective_history.append(self.objective(q))
         self.gap_history.append(gap)
         return gap
 

@@ -95,7 +95,7 @@ def dd_decode(
                 cfg_f = replace(cfg_f, max_ce_depth=None)
                 chart = None
         # Discriminative side: argmin G - u.z (same price matrix).
-        heads, _ = cmst.eisner_min(base_costs - u)
+        [(heads, _)] = cmst.eisner_min([base_costs - u])
         z_tree = DepTree(heads)
         if y_tree.heads == z_tree.heads:
             return DDResult(y_tree, True, k, 0, relaxed)

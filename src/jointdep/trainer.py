@@ -116,7 +116,7 @@ def train_baseline_d_init(c: Corpus, cfg: TrainConfig) -> TrainState:
         raise ValueError(f"expected mode dmv-init-from-cmst, got {cfg.mode!r}")
     opt = _pretrain_cmst(c, cfg)
     model = opt.model
-    trees = [cmst.lmo_decode(X, v, model)[0] for X, v in zip(opt.X, opt.v)]
+    trees = [tree for tree, _ in cmst.lmo_decode(zip(opt.X, opt.v), model)]
     theta = dmv.mstep_from_trees(c, trees, cfg.mstep_smoothing)
     for _ in range(cfg.outer_iters):
         theta, _ = dmv.em_step(c, theta, cfg.constraint, 0.0)
@@ -273,20 +273,18 @@ def decode_corpus(
     cfg = cfg or TrainConfig()
     if decoder == "dd":
         return [r.tree for r in _decode_all(c, state, cfg)]
+    if decoder == "cmst":
+        terms = (cmst.sentence_terms(sent, state.model) for sent in c)
+        return [tree for tree, _ in cmst.lmo_decode(terms, state.model)]
+    if decoder != "dmv":
+        raise ValueError(f"unknown decoder {decoder!r}")
     trees = []
     for sent in c:
-        if decoder == "dmv":
-            constraint = cfg.constraint
-            try:
-                tree, _ = dmv.viterbi_decode(sent, state.theta, constraint)
-            except dmv.InfeasibleParseError:
-                tree, _ = dmv.viterbi_decode(
-                    sent, state.theta, replace(constraint, max_ce_depth=None)
-                )
-        elif decoder == "cmst":
-            X, v = cmst.sentence_terms(sent, state.model)
-            tree, _ = cmst.lmo_decode(X, v, state.model)
-        else:
-            raise ValueError(f"unknown decoder {decoder!r}")
+        try:
+            tree, _ = dmv.viterbi_decode(sent, state.theta, cfg.constraint)
+        except dmv.InfeasibleParseError:
+            tree, _ = dmv.viterbi_decode(
+                sent, state.theta, replace(cfg.constraint, max_ce_depth=None)
+            )
         trees.append(tree)
     return trees

@@ -138,6 +138,106 @@ def random_dmv_params(rng, vocab):
 
 
 # ---------------------------------------------------------------------------
+# Scalar reference for the batched Eisner chart
+# ---------------------------------------------------------------------------
+
+def eisner_min_reference(cost):
+    """Min-cost projective single-rooted tree, and its cost, for one (n+1, n+1)
+    arc-cost matrix keyed [head, dependent]; row/column 0 is the root
+    pseudo-node. A cell-by-cell loop over the split-head chart, the reference
+    for the batched `cmst.eisner_min`: the same sums in the same order, and
+    ties broken toward the earliest-constructed derivation (smaller split
+    point, then nearer attachment, then the leftmost root).
+    """
+    n = cost.shape[0] - 1
+    INF = math.inf
+    # L[h][i]: best cost of h's left half spanning [i, h]; mirrored R.
+    L = [[INF] * (n + 2) for _ in range(n + 2)]
+    R = [[INF] * (n + 2) for _ in range(n + 2)]
+    IL = [[INF] * (n + 2) for _ in range(n + 2)]  # IL[c][h], arc h -> c
+    IR = [[INF] * (n + 2) for _ in range(n + 2)]  # IR[h][c], arc h -> c
+    bL = [[-1] * (n + 2) for _ in range(n + 2)]
+    bR = [[-1] * (n + 2) for _ in range(n + 2)]
+    bIL = [[-1] * (n + 2) for _ in range(n + 2)]
+    bIR = [[-1] * (n + 2) for _ in range(n + 2)]
+    for h in range(1, n + 1):
+        L[h][h] = 0.0
+        R[h][h] = 0.0
+    for m in range(1, n):
+        for h in range(1, n + 1):
+            c = h - m
+            if c >= 1:
+                best = INF
+                for k in range(c, h):
+                    val = R[c][k] + L[h][k + 1]
+                    if val < best:
+                        best = val
+                        bIL[c][h] = k
+                IL[c][h] = best + cost[h, c]
+            c = h + m
+            if c <= n:
+                best = INF
+                for k in range(h + 1, c + 1):
+                    val = L[c][k] + R[h][k - 1]
+                    if val < best:
+                        best = val
+                        bIR[h][c] = k
+                IR[h][c] = best + cost[h, c]
+        for h in range(1, n + 1):
+            i = h - m
+            if i >= 1:
+                best = INF
+                for c in range(i, h):
+                    val = IL[c][h] + L[c][i]
+                    if val < best:
+                        best = val
+                        bL[h][i] = c
+                L[h][i] = best
+            j = h + m
+            if j <= n:
+                best = INF
+                for c in range(h + 1, j + 1):
+                    val = IR[h][c] + R[c][j]
+                    if val < best:
+                        best = val
+                        bR[h][j] = c
+                R[h][j] = best
+    best = INF
+    root = -1
+    for c in range(1, n + 1):
+        val = cost[0, c] + L[c][1] + R[c][n]
+        if val < best:
+            best = val
+            root = c
+    heads = [-1] * n
+    heads[root - 1] = 0
+
+    def take_left(h, i):
+        if i == h:
+            return
+        c = bL[h][i]
+        heads[c - 1] = h
+        k = bIL[c][h]
+        take_right(c, k)
+        take_left(h, k + 1)
+        take_left(c, i)
+
+    def take_right(h, j):
+        if j == h:
+            return
+        c = bR[h][j]
+        heads[c - 1] = h
+        k = bIR[h][c]
+        take_left(c, k)
+        take_right(h, k - 1)
+        take_right(c, j)
+
+    take_left(root, 1)
+    take_right(root, n)
+    return tuple(heads), best
+
+
+# ---------------------------------------------------------------------------
 # Scalar reference passes over a compiled chart
 #
 # Unlike the oracles above, these share the chart structure with the code

@@ -109,7 +109,7 @@ def test_criterion_2_lmo_vs_oracle(rng):
         u = (price_matrix(rng.normal(size=x.n * x.n), x.n)
              if rng.random() < 0.5 else None)
         X, v = cmst.sentence_terms(x, m)
-        tree, score = cmst.lmo_decode(X, v, m, u)
+        [(tree, score)] = cmst.lmo_decode([(X, v)], m, [u])
         costs = cmst.arc_costs(X, v, m, u)
         best = min(
             float(np.vdot(costs, tree_matrix(t)))

@@ -206,6 +206,18 @@ def test_train_rejects_out_of_range_setting(tmp_path, train_file, capsys, settin
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_train_rejects_non_integer_workers_variable(
+    tmp_path, train_file, capsys, monkeypatch, value
+):
+    monkeypatch.setenv("JOINTDEP_WORKERS", value)
+    rc = run(["train", "--train", str(train_file), "--out", str(tmp_path / "m")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert err.startswith("error: JOINTDEP_WORKERS") and err.count("\n") == 1
+    assert not (tmp_path / "m").exists()
+
+
 def test_cmst_weights_do_not_depend_on_blas_threads(tmp_path):
     # 120 sentences of length 2-15 over the 17 UPOS tags: a stacked design of
     # about 9000 rows, long enough for OpenBLAS to split its reductions over

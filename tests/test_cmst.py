@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     UPOS_TAGS,
     all_projective_trees,
+    eisner_min_reference,
     make_sentence,
     price_matrix,
     random_corpus,
@@ -189,7 +190,7 @@ def test_objective_matches_naive_evaluation(rng):
 def test_lmo_rule_dominated():
     x = make_sentence(["DET", "NOUN", "VERB"])
     m = CmstModel.create(("DET", "NOUN", "VERB"), mu=100.0)
-    tree, _ = lmo_decode(*sentence_terms(x, m), m)
+    [(tree, _)] = lmo_decode([sentence_terms(x, m)], m)
     v = rule_vector(x, m.rules)
     best_sat = max(
         float(np.vdot(v, tree_matrix(t))) for t in all_projective_trees(3)
@@ -206,7 +207,7 @@ def test_lmo_matches_bruteforce(rng):
         m.w = rng.normal(scale=0.5, size=m.w.shape)
         u = (price_matrix(rng.normal(size=n * n), n)
              if rng.random() < 0.5 else None)
-        tree, score = lmo_decode(*sentence_terms(x, m), m, u)
+        [(tree, score)] = lmo_decode([sentence_terms(x, m)], m, [u])
         costs = arc_costs(*sentence_terms(x, m), m, u)
         best = min(
             float(np.vdot(costs, tree_matrix(t))) for t in all_projective_trees(n)
@@ -218,9 +219,46 @@ def test_lmo_matches_bruteforce(rng):
 
 
 def test_eisner_min_trivial():
-    heads, score = eisner_min(np.zeros((2, 2)))
-    assert heads == (0,)
-    assert score == 0.0
+    assert eisner_min([np.zeros((2, 2))]) == [((0,), 0.0)]
+    assert eisner_min([np.array([[0.0, -1.5], [7.0, 0.0]])]) == [((0,), -1.5)]
+    assert eisner_min([]) == []
+
+
+def _random_cost_batch(rng, integer):
+    """1-12 cost matrices of lengths 1-25; integer costs force ties."""
+    ns = rng.integers(1, 26, size=int(rng.integers(1, 13)))
+    if integer:
+        return [rng.integers(-2, 3, size=(n + 1, n + 1)).astype(float) for n in ns]
+    return [rng.normal(size=(n + 1, n + 1)) for n in ns]
+
+
+def test_eisner_min_matches_reference(rng):
+    # Same heads and the same score bit for bit as the cell-by-cell chart,
+    # sentence by sentence, inside batches that mix lengths.
+    sentences = 0
+    for trial in range(60):
+        costs = _random_cost_batch(rng, integer=trial % 3 == 0)
+        for cost, (heads, score) in zip(costs, eisner_min(costs), strict=True):
+            ref_heads, ref_score = eisner_min_reference(cost)
+            assert heads == ref_heads
+            assert float(score).hex() == float(ref_score).hex()
+            sentences += 1
+    assert sentences > 300
+
+
+@pytest.mark.parametrize("pass_cubes", [cmst._PASS_CUBES, 1, 3000])
+def test_eisner_min_is_batch_invariant(rng, monkeypatch, pass_cubes):
+    # A sentence decodes the same alone, inside any batch and at any place in
+    # it, ties included, however the batch is split into chart passes.
+    monkeypatch.setattr(cmst, "_PASS_CUBES", pass_cubes)
+    for trial in range(20):
+        costs = _random_cost_batch(rng, integer=trial % 2 == 0)
+        alone = [eisner_min([cost])[0] for cost in costs]
+        assert eisner_min(costs) == alone
+        order = rng.permutation(len(costs))
+        assert eisner_min([costs[i] for i in order]) == [alone[i] for i in order]
+        doubled = eisner_min(costs + costs[::-1])
+        assert doubled == alone + alone[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +276,22 @@ def test_fw_objective_monotone(rng):
     assert all(g >= -1e-9 for g in opt.gap_history)
 
 
+def test_fw_stacked_scores_match_per_sentence(rng):
+    # One stacked matvec scores every sentence exactly as its own X @ w does,
+    # so the objective is the per-sentence sum bit for bit.
+    c = random_corpus(rng, UPOS_TAGS, 30, max_len=9, min_len=1)
+    m = CmstModel.create(c.pos_vocab, lam=0.6, mu=0.3)
+    opt = FrankWolfeOptimizer(c, m)
+    opt.run(3)
+    want = m.lam / 2.0 * float(m.w @ m.w)
+    for x, y in zip(c, opt.y):
+        X, v = sentence_terms(x, m)
+        q = (X @ m.w).reshape(y.shape)
+        want += cmst.tree_loss(y, q, v, m.mu)
+    assert opt.objective() == want
+    assert opt.objective_history[-1] == want
+
+
 def test_fw_large_lambda_kills_weights(rng):
     c = random_corpus(rng, ("DET", "NOUN", "VERB"), 10, max_len=5, min_len=2)
     m = CmstModel.create(c.pos_vocab, lam=1e9)
@@ -250,7 +304,7 @@ def test_fw_toy_sentence_learns_rule_arcs():
     c = Corpus((x,), ("DET", "NOUN", "VERB"))
     m = CmstModel.create(c.pos_vocab, lam=1.0, mu=1.0)
     FrankWolfeOptimizer(c, m).run(60)
-    tree, _ = lmo_decode(*sentence_terms(x, m), m)
+    [(tree, _)] = lmo_decode([sentence_terms(x, m)], m)
     assert tree.heads == (2, 3, 0)
     # Brute-force check: the decoded tree minimizes the final objective.
     costs = arc_costs(*sentence_terms(x, m), m)
@@ -289,7 +343,8 @@ def test_fit_trees_solves_for_a_stationary_w(rng, vocab):
     opt = FrankWolfeOptimizer(c, m)
     opt.run(2)
     trees = [
-        DepTree(eisner_min(rng.normal(size=(s.n + 1, s.n + 1)))[0]) for s in c
+        DepTree(heads) for heads, _ in
+        eisner_min([rng.normal(size=(s.n + 1, s.n + 1)) for s in c])
     ]
     opt.fit_trees(trees)
     grad = sum(

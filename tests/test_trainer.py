@@ -7,6 +7,7 @@ import pytest
 from oracles import random_corpus
 
 from jointdep import cmst, dmv, trainer
+from jointdep.corpus import Corpus
 from jointdep.decoder import DDConfig, dd_decode
 from jointdep.dmv import ConstraintConfig
 from jointdep.trainer import (
@@ -79,6 +80,32 @@ def test_discriminative_terms_are_built_once(small_corpus, monkeypatch):
     trees = [r.tree for r in results]
     joint_objective(small_corpus, state, cfg, trees)
     assert not calls
+
+
+def test_corpus_lmo_callers_make_one_engine_call(small_corpus, monkeypatch):
+    # Each Frank-Wolfe step, `decode_corpus(..., "cmst")` and the
+    # dmv-init-from-cmst baseline decode the whole corpus in one engine call,
+    # with the trees that decoding each sentence alone gives.
+    calls = []
+
+    def counted(costs, _fn=cmst.eisner_min):
+        calls.append(len(costs))
+        return _fn(costs)
+
+    monkeypatch.setattr(cmst, "eisner_min", counted)
+    N = small_corpus.N
+    cfg = _fast_cfg(mode="dmv-init-from-cmst")
+    state = train(small_corpus, cfg)
+    assert calls == [N] * (cfg.fw_pretrain_iters + 1)
+    calls.clear()
+    trees = decode_corpus(small_corpus, state, cfg, decoder="cmst")
+    assert calls == [N]
+    assert trees == state.trees
+    alone = [
+        decode_corpus(Corpus((s,), small_corpus.pos_vocab), state, cfg, "cmst")[0]
+        for s in small_corpus
+    ]
+    assert trees == alone
 
 
 def test_pretrain_produces_valid_models(small_corpus):
