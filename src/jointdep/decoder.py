@@ -2,13 +2,16 @@
 
 Iterates the two price-modified subproblem decoders, updates the per-arc
 prices on disagreement, and returns a certified optimum on agreement or a
-deterministic fallback otherwise.
+deterministic fallback otherwise. A group of sentences iterates in lockstep,
+each iteration one batched pass of each decoder.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -67,45 +70,118 @@ def dd_decode(
     dd: DDConfig,
     g_weight: float = 1.0,
 ) -> DDResult:
-    """Agreement decoding: minimize F(x, y) + G(x, y) over projective trees.
+    """Agreement decoding of one sentence: `dd_decode_group` of a group of
+    one."""
+    [result] = dd_decode_group([x], theta, cfg_f, m, dd, g_weight)
+    return result
 
-    On agreement within the iteration budget the returned tree is a certified
-    optimum of the joint objective; otherwise the configured fallback policy
-    picks between the two final subproblem trees.
+
+def dd_decode_group(
+    xs: Sequence[Sentence],
+    theta: dmv.DmvParams,
+    cfg_f: dmv.ConstraintConfig,
+    m: cmst.CmstModel,
+    dd: DDConfig,
+    g_weight: float = 1.0,
+) -> list[DDResult]:
+    """Agreement decoding of every sentence of `xs`: minimize F(x, y) +
+    G(x, y) over projective trees.
+
+    The sentences iterate in lockstep, and each iteration makes one batched
+    Viterbi pass and one `eisner_min` call over the sentences still planned.
+    A sentence leaves once its two trees agree; its result is then a
+    certified optimum of the joint objective. A sentence still disagreeing
+    after `dd.max_iters` iterations gets one of its two final trees, picked
+    by the fallback policy. Every result equals what the sentence gives
+    decoded alone.
     """
-    X, v = cmst.sentence_terms(x, m)
-    base_costs = cmst.arc_costs(X, v, m) * g_weight
-    u = np.zeros(v.shape)
-    relaxed = False
-    chart = None
-    y_tree = z_tree = None
+    terms = [cmst.sentence_terms(x, m) for x in xs]
+    base = [cmst.arc_costs(X, v, m) * g_weight for X, v in terms]
+    sizes = [c.size for c in base]
+    offsets = np.cumsum([0] + sizes[:-1]).tolist()
+    # Every sentence's prices u, (n+1, n+1) keyed [h, d], in one flat vector.
+    u = np.zeros(sum(sizes))
+    prices = [u[o:o + c.size].reshape(c.shape) for o, c in zip(offsets, base)]
+    cols = [o + np.arange(1, x.n + 1) for o, x in zip(offsets, xs)]
+    cfgs = [cfg_f] * len(xs)
+    charts = [dmv.build_decode_chart(x, theta, cfg_f) for x in xs]
+    results: list[DDResult | None] = [None] * len(xs)
+
+    def plan(rows):
+        return dmv.viterbi_plan(
+            [charts[i] for i in rows], [offsets[i] for i in rows]
+        )
+
+    # `planned` are the rows the chart passes run over; `active` those not yet
+    # decided. The plan is rebuilt only when half of its rows have left.
+    planned = active = list(range(len(xs)))
+    vit = plan(planned)
     for k in range(1, dd.max_iters + 1):
-        # Generative side: argmin F + u.y.  Infeasibility under the depth cap
-        # is handled by relaxing the cap for this sentence only.
-        while True:
-            if chart is None:
-                chart = dmv.build_decode_chart(x, theta, cfg_f)
-            try:
-                y_tree, _ = dmv.viterbi_decode(x, theta, cfg_f, u, _chart=chart)
-                break
-            except dmv.InfeasibleParseError:
-                if relaxed or cfg_f.max_ce_depth is None:
-                    raise
-                relaxed = True
-                cfg_f = replace(cfg_f, max_ce_depth=None)
-                chart = None
-        # Discriminative side: argmin G - u.z (same price matrix).
-        [(heads, _)] = cmst.eisner_min([base_costs - u])
-        z_tree = DepTree(heads)
-        if y_tree.heads == z_tree.heads:
-            return DDResult(y_tree, True, k, 0, relaxed)
-        u = u + dd.step_size(k) * (tree_matrix(y_tree) - tree_matrix(z_tree))
-    gap = int(sum(a != b for a, b in zip(y_tree.heads, z_tree.heads))) * 2
+        at = {i: j for j, i in enumerate(planned)}
+        ys = dmv.viterbi_batch(vit, u, [at[i] for i in active])
+        if k == 1:
+            # Finite prices cannot change feasibility, so a sentence
+            # infeasible under the depth cap shows here, at zero prices; its
+            # cap is relaxed for it alone.
+            stuck = [i for i, (y, _) in zip(active, ys) if y is None]
+            if stuck:
+                if cfg_f.max_ce_depth is None:
+                    raise dmv.InfeasibleParseError()
+                relaxed = replace(cfg_f, max_ce_depth=None)
+                for i in stuck:
+                    cfgs[i] = relaxed
+                    charts[i] = dmv.build_decode_chart(xs[i], theta, relaxed)
+                vit = plan(planned)
+                ys = dmv.viterbi_batch(vit, u, [at[i] for i in active])
+                if any(y is None for y, _ in ys):
+                    raise dmv.InfeasibleParseError()
+        zs = cmst.eisner_min([base[i] - prices[i] for i in planned])
+        left = []
+        for i, (y, _) in zip(active, ys):
+            z = zs[at[i]][0]
+            if y == z:
+                results[i] = DDResult(
+                    DepTree(y), True, k, 0, cfgs[i] is not cfg_f
+                )
+            else:
+                left.append((i, y, z))
+        if k == dd.max_iters:
+            for i, y, z in left:
+                results[i] = _fallback(
+                    xs[i], y, z, theta, cfgs[i], cfgs[i] is not cfg_f, m,
+                    terms[i], dd, g_weight,
+                )
+            break
+        if not left:
+            break
+        # u + tau * (Y - Z) for each disagreeing sentence, with Y and Z its
+        # two trees' 0/1 arc matrices: cell [h, d] of a sentence's prices
+        # sits at its offset + h * (n+1) + d.
+        cell = np.concatenate([cols[i] for i, _, _ in left])
+        stride = np.concatenate([np.full(xs[i].n, xs[i].n + 1) for i, _, _ in left])
+        diff = np.zeros(u.size)
+        for side, sign in ((1, 1.0), (2, -1.0)):  # y, then z
+            heads = np.fromiter(chain.from_iterable(t[side] for t in left), np.intp)
+            diff[heads * stride + cell] += sign
+        u += dd.step_size(k) * diff
+        active = [i for i, _, _ in left]
+        if 2 * len(active) <= len(planned):
+            planned = active
+            vit = plan(planned)
+    return results
+
+
+def _fallback(x, y, z, theta, cfg_f, relaxed, m, terms, dd, g_weight) -> DDResult:
+    """The result of a sentence whose trees y and z still disagree at the
+    iteration budget."""
+    y_tree, z_tree = DepTree(y), DepTree(z)
+    gap = sum(a != b for a, b in zip(y, z)) * 2
     if dd.fallback == "generative":
         tree = y_tree
     elif dd.fallback == "discriminative":
         tree = z_tree
     else:
+        X, v = terms
         q = (X @ m.w).reshape(v.shape)
         cy = _joint_cost(x, y_tree, theta, cfg_f, m, q, v, g_weight)
         cz = _joint_cost(x, z_tree, theta, cfg_f, m, q, v, g_weight)

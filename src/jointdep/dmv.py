@@ -29,6 +29,9 @@ _LOG_FMT = "%.17e"
 class InfeasibleParseError(RuntimeError):
     """No parse tree satisfies the active structural constraints."""
 
+    def __init__(self, msg="no parse satisfies the active structural constraints"):
+        super().__init__(msg)
+
 
 @dataclass(frozen=True)
 class ConstraintConfig:
@@ -286,10 +289,13 @@ class _Structure:
     the weight slots slots[:, e], where slot 0 is the unit weight (log 1),
     then root(c), stop(h, dir, adj), continue(h, dir, adj) and attach(h, c)
     for 1-based tokens.  arc_d[e] > 0 marks the attachment of token arc_d[e]
-    to arc_h[e] (0 for the root).  Edges are sorted by head, then by build
-    order.  levels holds one tuple per topological level: its node range
-    a, b; seg, the offset of each of those nodes' first edge within the
-    level; the level's edge slice; and its views of head, tail0 and tail1.
+    to arc_h[e] (0 for the root); the arc edges arc_edges read the price at
+    arc_price in a flattened (n+1, n+1) price matrix.  Edges are sorted by
+    head, then by build order.  levels holds one tuple per topological
+    level: its node range a, b; seg, the offset of each of those nodes'
+    first edge within the level; the level's edge slice; and its views of
+    head, tail0 and tail1.  level_sizes holds each level's node and edge
+    counts as two rows.
     """
 
     def __init__(self, n: int, level: np.ndarray, rec: np.ndarray):
@@ -311,19 +317,19 @@ class _Structure:
         self.arc_h = rec[:, _ARC_H].copy()
         self.arc_d = rec[:, _ARC_D].copy()
         self.arc_edges = np.flatnonzero(self.arc_d).astype(np.int32)
-        self.arc_eh = self.arc_h[self.arc_edges]
-        self.arc_ed = self.arc_d[self.arc_edges]
+        arc_h, arc_d = self.arc_h[self.arc_edges], self.arc_d[self.arc_edges]
+        self.arc_price = arc_h * (n + 1) + arc_d
         # Length penalty units |h - d| - 1 per arc edge; root arcs are free.
         self.arc_pen = np.where(
-            self.arc_eh > 0, np.abs(self.arc_eh - self.arc_ed) - 1, 0
+            arc_h > 0, np.abs(arc_h - arc_d) - 1, 0
         ).astype(np.int32)
         first = np.searchsorted(self.head, np.arange(n_nodes + 1))
-        sorted_level = level[order]
-        starts = np.flatnonzero(np.diff(sorted_level)) + 1
+        starts = np.flatnonzero(np.diff(level[order])) + 1
         bounds = [0, *starts.tolist(), n_nodes]
+        self.level_sizes = np.diff([bounds, first[bounds]]).astype(np.int32)
         for arr in (self.head, self.tail0, self.tail1, self.slots, self.arc_h,
-                    self.arc_d, self.arc_edges, self.arc_eh, self.arc_ed,
-                    self.arc_pen):
+                    self.arc_d, self.arc_edges, self.arc_price, self.arc_pen,
+                    self.level_sizes):
             arr.flags.writeable = False
         levels = []
         for a, b in zip(bounds, bounds[1:]):
@@ -510,35 +516,157 @@ def _inside(chart: _Chart) -> np.ndarray:
     return vals
 
 
-def _viterbi(chart: _Chart, prices: np.ndarray | None) -> tuple[DepTree, float]:
-    s, score = chart.s, chart.score
+class ViterbiPlan(NamedTuple):
+    """The Viterbi layout of a batch of decode charts, of any lengths and
+    depth caps: one node and edge numbering in which level l of every chart
+    follows level l - 1 of every chart, with one shared sentinel. Edge
+    arrays are in plan order; `levels` is as in `_Structure`. Arc edge
+    arc_edges[j] reads the price at arc_price[j] of the flat price vector
+    the plan was laid out for."""
+
+    n_nodes: int
+    goals: list[int]          # each chart's goal node
+    lengths: list[int]        # each chart's sentence length
+    levels: tuple
+    score: np.ndarray         # the charts' static edge scores
+    arc_edges: np.ndarray
+    arc_price: np.ndarray
+    arc_h: np.ndarray
+    arc_d: np.ndarray
+    tail0: np.ndarray
+    tail1: np.ndarray
+
+
+def viterbi_plan(
+    charts: Sequence[_Chart], price_offsets: Sequence[int] | None = None
+) -> ViterbiPlan:
+    """Lay out `charts` for `viterbi_batch`, chart i reading its prices as
+    an (n+1, n+1) matrix flattened at price_offsets[i] (default: one after
+    another). One chart runs on its structure's own arrays.
+
+    Level l of the plan is level l of every chart in chart order, so each
+    chart keeps its own node and edge order within a level, and a level's
+    edges stay grouped by head."""
+    if price_offsets is None:
+        price_offsets = np.cumsum([0] + [(c.s.n + 1) ** 2 for c in charts[:-1]])
+    if len(charts) == 1:
+        [(s, _, score)] = charts
+        off = int(price_offsets[0])
+        return ViterbiPlan(
+            s.n_nodes, [s.goal], [s.n], s.levels, score, s.arc_edges,
+            s.arc_price + off if off else s.arc_price,
+            s.arc_h, s.arc_d, s.tail0, s.tail1,
+        )
+    ss = [c.s for c in charts]
+    # Node and edge counts per (chart, level); each chart's sentinel counts
+    # as one more node, in a last column.
+    top = max(s.level_sizes.shape[1] for s in ss)
+    nodes = np.zeros((len(ss), top + 1), dtype=np.int32)
+    edges = np.zeros((len(ss), top), dtype=np.int32)
+    for i, s in enumerate(ss):
+        k = s.level_sizes.shape[1]
+        nodes[i, :k], edges[i, :k] = s.level_sizes
+    nodes[:, top] = 1
+    n_nodes = int(nodes[:, :top].sum())
+    node_to = _level_major(nodes)
+    node_to[:, top] = n_nodes  # every sentinel becomes the plan's one
+    node_new = _moved(nodes, node_to)
+    edge_new = _moved(edges, _level_major(edges))
+    slots, n_edges = nodes.sum(axis=1), edges.sum(axis=1)
+    node_base = np.cumsum(slots) - slots
+    shift = np.repeat(node_base.astype(np.int32), n_edges)
+
+    def place(arrays, renumber=False):
+        """The charts' per-edge `arrays`, in plan order; node ids renumbered
+        if `renumber`."""
+        flat = np.concatenate(arrays)
+        if renumber:
+            flat = node_new[flat + shift]
+        out = np.empty_like(flat)
+        out[edge_new] = flat
+        return out
+
+    head = place([s.head for s in ss], True)
+    tail0 = place([s.tail0 for s in ss], True)
+    tail1 = place([s.tail1 for s in ss], True)
+    first = np.searchsorted(head, np.arange(n_nodes + 1))
+    bounds = np.cumsum(nodes[:, :top].sum(axis=0)).tolist()
+    levels = []
+    for a, b in zip([0] + bounds, bounds):
+        e0, e1 = int(first[a]), int(first[b])
+        levels.append((a, b, first[a:b] - e0, slice(e0, e1), head[e0:e1],
+                       tail0[e0:e1], tail1[e0:e1]))
+    edge_base = np.cumsum(n_edges) - n_edges
+    return ViterbiPlan(
+        n_nodes, node_new[node_base + slots - 2].tolist(), [s.n for s in ss],
+        tuple(levels), place([c.score for c in charts]),
+        edge_new[np.concatenate([s.arc_edges + b for s, b in zip(ss, edge_base)])],
+        np.concatenate([s.arc_price + off for s, off in zip(ss, price_offsets)]),
+        place([s.arc_h for s in ss]), place([s.arc_d for s in ss]), tail0, tail1,
+    )
+
+
+def _level_major(counts: np.ndarray) -> np.ndarray:
+    """Where each (chart, level) block of sizes `counts` starts when the
+    blocks are laid out level by level, chart by chart within a level."""
+    by_level = counts.T.ravel()
+    return (np.cumsum(by_level) - by_level).reshape(counts.T.shape).T.copy()
+
+
+def _moved(counts: np.ndarray, to: np.ndarray) -> np.ndarray:
+    """New position of every element of (chart, level) blocks of sizes
+    `counts`, laid out chart by chart, when block (i, l) moves to to[i, l]."""
+    sizes = counts.ravel()
+    shift = to.ravel() - (np.cumsum(sizes) - sizes)
+    return np.arange(sizes.sum(), dtype=np.int32) + np.repeat(
+        shift.astype(np.int32), sizes)
+
+
+def viterbi_batch(
+    plan: ViterbiPlan,
+    prices: np.ndarray | None = None,
+    rows: Sequence[int] | None = None,
+) -> list[tuple[tuple[int, ...] | None, float]]:
+    """Best tree of each chart of `plan` under its edge scores minus the
+    prices of its arcs, read from the flat vector `prices`: the heads, or
+    None where no tree is feasible, and the best score. Only the charts
+    `rows` (default all) are read back."""
+    score = plan.score
     if prices is not None:
         score = score.copy()
-        score[s.arc_edges] -= prices[s.arc_eh, s.arc_ed]
-    vals = np.zeros(s.n_nodes + 1)
-    best = np.empty(s.n_nodes, dtype=np.intp)
-    for a, b, seg, edges, head, t0, t1 in s.levels:
+        score[plan.arc_edges] -= prices[plan.arc_price]
+    vals = np.zeros(plan.n_nodes + 1)
+    best = np.empty(plan.n_nodes, dtype=np.intp)
+    for a, b, seg, edges, head, t0, t1 in plan.levels:
         sc = score[edges] + vals[t0] + vals[t1]
         vals[a:b] = np.maximum.reduceat(sc, seg)
         # Ties keep the earliest-built derivation: each node takes the first
         # edge of its segment that reaches the maximum.
         hit = (sc == vals[head]).nonzero()[0]
         best[a:b] = hit[hit.searchsorted(seg)] + edges.start
-    if vals[s.goal] == NEG_INF:
-        raise InfeasibleParseError(
-            "no parse satisfies the active structural constraints"
-        )
-    heads = [-1] * s.n
-    stack = [s.goal]
-    while stack:
-        e = best[stack.pop()]
-        d = s.arc_d[e]
-        if d:
-            heads[d - 1] = s.arc_h[e]
-        for t in (s.tail0[e], s.tail1[e]):
-            if t != s.n_nodes:
-                stack.append(t)
-    return DepTree(tuple(heads)), float(vals[s.goal])
+    out = []
+    sentinel = plan.n_nodes
+    best_of, arc_d, arc_h = best.item, plan.arc_d.item, plan.arc_h.item
+    tail0, tail1 = plan.tail0.item, plan.tail1.item
+    for r in range(len(plan.goals)) if rows is None else rows:
+        goal = plan.goals[r]
+        if vals[goal] == NEG_INF:
+            out.append((None, NEG_INF))
+            continue
+        heads = [-1] * plan.lengths[r]
+        stack = [goal]
+        while stack:
+            e = best_of(stack.pop())
+            d = arc_d(e)
+            if d:
+                heads[d - 1] = arc_h(e)
+            t0, t1 = tail0(e), tail1(e)
+            if t0 != sentinel:
+                stack.append(t0)
+            if t1 != sentinel:
+                stack.append(t1)
+        out.append((tuple(heads), float(vals[goal])))
+    return out
 
 
 def _expected_counts(
@@ -612,13 +740,20 @@ def viterbi_decode(
     theta: DmvParams,
     cfg: ConstraintConfig,
     u: np.ndarray | None = None,
-    _chart: _Chart | None = None,
 ) -> tuple[DepTree, float]:
     """Best tree under -tree_logprob(x, y) + u.y, with the prices u an
     (n+1, n+1) matrix keyed [h, d]; returns (tree, minimum)."""
-    chart = build_decode_chart(x, theta, cfg) if _chart is None else _chart
-    tree, best = _viterbi(chart, u)
-    return tree, -best
+    plan = viterbi_plan([build_decode_chart(x, theta, cfg)])
+    [(heads, best)] = viterbi_batch(plan, None if u is None else u.ravel())
+    if heads is None:
+        raise InfeasibleParseError()
+    return DepTree(heads), -best
+
+
+def chart_edges(n: int, cap: int | None) -> int:
+    """Edges of the compiled chart of a length-n sentence under depth cap
+    `cap` (compiling it if it is not cached)."""
+    return int(_compile(n, cap).head.size)
 
 
 def build_decode_chart(x: Sentence, theta: DmvParams, cfg: ConstraintConfig) -> _Chart:

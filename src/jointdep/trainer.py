@@ -9,13 +9,13 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import cmst, dmv
-from .corpus import Corpus, DepTree, Sentence, tree_matrix, write_conllu_file
-from .decoder import DDConfig, DDResult, dd_decode
+from .corpus import Corpus, DepTree, tree_matrix, write_conllu_file
+from .decoder import DDConfig, DDResult, dd_decode_group
 
 log = logging.getLogger(__name__)
 
@@ -127,29 +127,69 @@ def train_baseline_d_init(c: Corpus, cfg: TrainConfig) -> TrainState:
 # Joint training (coordinate descent with agreement decoding)
 # ---------------------------------------------------------------------------
 
+# Agreement decoding runs on groups of sentences of similar length whose
+# charts hold at most this many edges under the configured depth cap. While
+# a group is decoded, its charts and their stacked Viterbi layout take about
+# 75 bytes per edge, so the bound keeps that near 2.5 MB whatever the corpus.
+# At depth cap 1, one sentence of each length 10-15 fills a group, and one
+# of length 23 or more is always a group of its own.
+_GROUP_EDGES = 1 << 15
+
+
+def _length_groups(c: Corpus, cap: int | None) -> Iterator[list[int]]:
+    """Indices of the sentences of `c`, longest first (stably), cut into
+    groups under `_GROUP_EDGES`; a larger sentence is a group of its own.
+    Groups are yielded as they are cut, so that the charts compiled to count
+    their edges are still cached when the group is decoded. Longest first,
+    the largest chart is compiled while the fewest others are cached."""
+    group: list[int] = []
+    edges = 0
+    for i in sorted(range(c.N), key=lambda i: -c.sentences[i].n):
+        e = dmv.chart_edges(c.sentences[i].n, cap)
+        if group and edges + e > _GROUP_EDGES:
+            yield group
+            group, edges = [], 0
+        group.append(i)
+        edges += e
+    if group:
+        yield group
+
+
 _WORKER = {}
 
 
-def _decode_worker_init(theta, constraint, model, dd, g_weight):
-    _WORKER["args"] = (theta, constraint, model, dd, g_weight)
+def _decode_worker_init(sents, theta, constraint, model, dd, g_weight):
+    _WORKER["args"] = (sents, theta, constraint, model, dd, g_weight)
 
 
-def _decode_worker(sent: Sentence) -> DDResult:
-    theta, constraint, model, dd, g_weight = _WORKER["args"]
-    return dd_decode(sent, theta, constraint, model, dd, g_weight=g_weight)
+def _decode_worker(group: list[int]) -> tuple[list[int], list[DDResult]]:
+    sents, theta, constraint, model, dd, g_weight = _WORKER["args"]
+    xs = [sents[i] for i in group]
+    return group, dd_decode_group(xs, theta, constraint, model, dd, g_weight)
 
 
 def _decode_all(c: Corpus, state: TrainState, cfg: TrainConfig) -> list[DDResult]:
-    args = (state.theta, cfg.constraint, state.model, cfg.dd, cfg.g_weight)
+    """Agreement decoding of every sentence of `c`, one length group per
+    `dd_decode_group` call. A sentence's result does not depend on its
+    group, so neither the grouping nor `cfg.workers` can change it."""
+    args = (c.sentences, state.theta, cfg.constraint, state.model, cfg.dd,
+            cfg.g_weight)
+    groups = _length_groups(c, cfg.constraint.max_ce_depth)
     if cfg.workers > 1:
         with ProcessPoolExecutor(
             max_workers=cfg.workers,
             initializer=_decode_worker_init,
             initargs=args,
         ) as pool:
-            return list(pool.map(_decode_worker, c.sentences, chunksize=8))
-    _decode_worker_init(*args)
-    return [_decode_worker(s) for s in c]
+            decoded = list(pool.map(_decode_worker, groups))
+    else:
+        _decode_worker_init(*args)
+        decoded = map(_decode_worker, groups)
+    out: list[DDResult | None] = [None] * c.N
+    for group, results in decoded:
+        for i, r in zip(group, results):
+            out[i] = r
+    return out
 
 
 def joint_objective(
@@ -278,13 +318,20 @@ def decode_corpus(
         return [tree for tree, _ in cmst.lmo_decode(terms, state.model)]
     if decoder != "dmv":
         raise ValueError(f"unknown decoder {decoder!r}")
-    trees = []
-    for sent in c:
-        try:
-            tree, _ = dmv.viterbi_decode(sent, state.theta, cfg.constraint)
-        except dmv.InfeasibleParseError:
-            tree, _ = dmv.viterbi_decode(
-                sent, state.theta, replace(cfg.constraint, max_ce_depth=None)
-            )
-        trees.append(tree)
+    trees: list[DepTree | None] = [None] * c.N
+    for group in _length_groups(c, cfg.constraint.max_ce_depth):
+        charts = [
+            dmv.build_decode_chart(c.sentences[i], state.theta, cfg.constraint)
+            for i in group
+        ]
+        for i, (heads, _) in zip(group, dmv.viterbi_batch(dmv.viterbi_plan(charts))):
+            if heads is None:
+                # Infeasible under the depth cap: decode this sentence alone
+                # without it.
+                trees[i], _ = dmv.viterbi_decode(
+                    c.sentences[i], state.theta,
+                    replace(cfg.constraint, max_ce_depth=None),
+                )
+            else:
+                trees[i] = DepTree(heads)
     return trees

@@ -137,6 +137,26 @@ def random_dmv_params(rng, vocab):
     )
 
 
+def flat_grammar():
+    """A grammar whose only parse of B...B C is the flat tree under C: the
+    root is C, C takes one or more left children, all B, and A and B take
+    none. Every B but the first lies strictly inside C's span, so from two
+    Bs on the parse has nesting depth 1 and cap 0 is infeasible."""
+    from jointdep.dmv import DmvParams
+
+    vocab = ("A", "B", "C")
+    V = 3
+    root = np.array([0.0, 0.0, 1.0])  # root must be C
+    attach = np.zeros((V, 2, V))
+    attach[2, :, 1] = 1.0  # C only ever attaches B
+    attach[1, :, 0] = 1.0
+    attach[0, :, 0] = 1.0
+    stop = np.ones((V, 2, 2))  # A and B never take children
+    stop[2, 0, 0] = 0.0  # C must take a first left child
+    stop[2, 0, 1] = 0.5  # and may keep taking more
+    return DmvParams(vocab, root, attach, stop)
+
+
 # ---------------------------------------------------------------------------
 # Scalar reference for the batched Eisner chart
 # ---------------------------------------------------------------------------
@@ -341,3 +361,58 @@ def scalar_expected_counts(s, pos, V, wlog, beta):
             c = out[v] + score - vals[t]
             out[t] = c if out[t] == -math.inf else float(np.logaddexp(out[t], c))
     return vals, counts
+
+
+# ---------------------------------------------------------------------------
+# Per-sentence reference for agreement decoding
+# ---------------------------------------------------------------------------
+
+def dd_decode_reference(x, theta, cfg_f, m, dd, g_weight=1.0):
+    """Agreement decoding of one sentence alone, the reference for the
+    lockstep group decoder: subgradient steps on the arc prices u, each
+    iteration one `scalar_viterbi` of the grammar under +u and one
+    `eisner_min_reference` of the discriminative arc costs under -u, with
+    `DepTree`s and 0/1 arc matrices for the update u + tau * (Y - Z). A
+    sentence infeasible under the depth cap is decoded without it."""
+    from dataclasses import replace
+
+    from jointdep import cmst, dmv
+    from jointdep.corpus import tree_matrix
+    from jointdep.decoder import DDResult
+
+    X, v = cmst.sentence_terms(x, m)
+    base = cmst.arc_costs(X, v, m) * g_weight
+    pos, wlog = theta.tag_ids(x), theta.log_weights()
+    u = np.zeros(v.shape)
+    relaxed = False
+    for k in range(1, dd.max_iters + 1):
+        while True:
+            heads, best = scalar_viterbi(
+                dmv._compile(x.n, cfg_f.max_ce_depth), pos, theta.V, wlog,
+                cfg_f.dep_len_beta, u,
+            )
+            if best > -math.inf:
+                break
+            if relaxed or cfg_f.max_ce_depth is None:
+                raise dmv.InfeasibleParseError()
+            relaxed = True
+            cfg_f = replace(cfg_f, max_ce_depth=None)
+        y = DepTree(heads)
+        z = DepTree(eisner_min_reference(base - u)[0])
+        if y == z:
+            return DDResult(y, True, k, 0, relaxed)
+        u = u + dd.step_size(k) * (tree_matrix(y) - tree_matrix(z))
+    gap = 2 * sum(a != b for a, b in zip(y.heads, z.heads))
+    if dd.fallback == "generative":
+        tree = y
+    elif dd.fallback == "discriminative":
+        tree = z
+    else:
+        q = (X @ m.w).reshape(v.shape)
+        cost = [
+            -dmv.tree_logprob(x, t, theta, cfg_f)
+            + g_weight * cmst.tree_loss(tree_matrix(t), q, v, m.mu)
+            for t in (y, z)
+        ]
+        tree = y if cost[0] <= cost[1] else z
+    return DDResult(tree, False, dd.max_iters, gap, relaxed)

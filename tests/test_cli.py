@@ -362,6 +362,22 @@ def test_parse_workers_write_identical_trees(
     assert outputs[0] == outputs[1]
 
 
+def test_joint_train_workers_write_identical_files(tmp_path, train_file, fast_args):
+    written = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert run(
+            ["train", "--train", str(train_file), "--out", str(out),
+             "--workers", workers] + fast_args
+        ) == EXIT_OK
+        written.append({
+            p.relative_to(out): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()
+        })
+    assert len(written[0]) > 3
+    assert written[0] == written[1]
+
+
 # ---------------------------------------------------------------------------
 # Loader fuzz: any text either loads or raises ValueError, which the command
 # line reports as a one-line data error (exit 2).

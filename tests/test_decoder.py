@@ -3,12 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from oracles import all_projective_trees, make_sentence, random_dmv_params
+from oracles import (
+    all_projective_trees,
+    dd_decode_reference,
+    flat_grammar,
+    make_sentence,
+    random_corpus,
+    random_dmv_params,
+)
 
-from jointdep import cmst, dmv
+from jointdep import cmst, dmv, trainer
 from jointdep.cmst import CmstModel
-from jointdep.corpus import tree_matrix
-from jointdep.decoder import DDConfig, dd_decode
+from jointdep.corpus import Corpus, tree_matrix
+from jointdep.decoder import _FALLBACKS, DDConfig, dd_decode, dd_decode_group
 from jointdep.dmv import ConstraintConfig, UNCONSTRAINED
 
 
@@ -137,21 +144,10 @@ def test_fallback_policies_pick_sides(rng):
 
 
 def test_depth_cap_relaxation_flagged():
-    # A grammar whose only parse of "B B C" is the flat tree (3, 3, 0): the
-    # inner B spans [2,2], strictly inside C's span [1,3], so the parse has
-    # nesting depth 1 and cap 0 is infeasible.  The decoder must relax the
-    # cap for this sentence and flag it.
+    # The only parse of "B B C" is the flat tree (3, 3, 0), of nesting depth
+    # 1.  The decoder must relax cap 0 for this sentence and flag it.
     vocab = ("A", "B", "C")
-    V = 3
-    root = np.array([0.0, 0.0, 1.0])  # root must be C
-    attach = np.zeros((V, 2, V))
-    attach[2, :, 1] = 1.0  # C only ever attaches B
-    attach[1, :, 0] = 1.0
-    attach[0, :, 0] = 1.0
-    stop = np.ones((V, 2, 2))  # A and B never take children
-    stop[2, 0, 0] = 0.0  # C must take a first left child
-    stop[2, 0, 1] = 0.5  # and may keep taking more
-    theta = dmv.DmvParams(vocab, root, attach, stop)
+    theta = flat_grammar()
     x = make_sentence(["B", "B", "C"])
     cfg = ConstraintConfig(max_ce_depth=0, dep_len_beta=0.0)
     assert dmv.inside_loglik(x, theta, cfg) == -math.inf
@@ -160,6 +156,37 @@ def test_depth_cap_relaxation_flagged():
     assert res.relaxed_depth_cap
     assert res.tree.heads == (3, 3, 0)
     assert dmv.tree_logprob(x, res.tree, theta, UNCONSTRAINED) > -math.inf
+
+
+def test_fallback_scores_a_relaxed_sentence_without_the_cap(rng):
+    # Every parse of "A B C D E" under this grammar nests B inside C's span,
+    # so cap 0 is lifted for it; its three parses differ right of C. Stopped
+    # after one iteration, the better-objective fallback must compare the two
+    # trees under the lifted cap. Under cap 0 both would cost inf, and the
+    # grammar's tree would always be kept.
+    vocab = ("A", "B", "C", "D", "E")
+    root = np.array([0.0, 0.0, 1.0, 0.0, 0.0])  # root must be C
+    attach = np.full((5, 2, 5), 0.2)  # rows of tags that take no children
+    attach[2] = [[0.5, 0.5, 0, 0, 0], [0, 0, 0, 0.5, 0.5]]  # C: A, B | D, E
+    attach[3, dmv.RIGHT] = [0, 0, 0, 0, 1.0]  # D may take E on its right
+    attach[4, dmv.LEFT] = [0, 0, 0, 1.0, 0]  # E may take D on its left
+    stop = np.ones((5, 2, 2))  # A and B take no children
+    stop[2] = [[0.0, 0.5], [0.5, 0.5]]  # C takes one or more left children
+    stop[3, dmv.RIGHT, dmv.NO_CHILD] = stop[4, dmv.LEFT, dmv.NO_CHILD] = 0.5
+    theta = dmv.DmvParams(vocab, root, attach, stop)
+    x = make_sentence(list(vocab))
+    cfg = ConstraintConfig(max_ce_depth=0, dep_len_beta=0.1)
+    y_tree, _ = dmv.viterbi_decode(x, theta, ConstraintConfig(None, 0.1))
+    dd = DDConfig(max_iters=1)
+    picked_z = 0
+    for _ in range(60):
+        m = CmstModel.create(vocab, mu=0.0)
+        m.w = rng.normal(scale=3.0, size=m.w.shape)
+        res = dd_decode(x, theta, cfg, m, dd)
+        assert res == dd_decode_reference(x, theta, cfg, m, dd)
+        assert res.relaxed_depth_cap
+        picked_z += not res.converged and res.tree != y_tree
+    assert picked_z
 
 
 def test_g_weight_zero_reduces_to_viterbi(rng):
@@ -190,3 +217,68 @@ def test_deterministic(rng):
     a = dd_decode(x, theta, cfg, m, DDConfig())
     b = dd_decode(x, theta, cfg, m, DDConfig())
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Lockstep groups
+# ---------------------------------------------------------------------------
+
+GROUP_VOCAB = ("A", "B", "C")
+
+
+def _group_case(rng, case):
+    """(sentences, grammar, constraints, model, DD settings, g_weight)."""
+    m = CmstModel.create(GROUP_VOCAB, mu=float(rng.uniform(0, 1)))
+    m.w = rng.normal(scale=1.0, size=m.w.shape)
+    if case.startswith("relaxed"):
+        xs = [make_sentence(["B"] * k + ["C"]) for k in (1, 2, 3, 1, 2)]
+        dd = DDConfig(max_iters=1 if case == "relaxed-at-cap" else 4)
+        return xs, flat_grammar(), ConstraintConfig(0, 0.1), m, dd, 1.0
+    xs = list(random_corpus(rng, GROUP_VOCAB, 10, max_len=6).sentences)
+    theta = random_dmv_params(rng, GROUP_VOCAB)
+    cfg = ConstraintConfig(1, 0.1)
+    if case == "converging":
+        return xs, theta, cfg, m, DDConfig(), 1.0
+    if case == "g_weight_zero":
+        return xs, theta, cfg, m, DDConfig(max_iters=6), 0.0
+    return xs, theta, cfg, m, DDConfig(max_iters=3, fallback=case), 1.0
+
+
+@pytest.mark.parametrize("case", [
+    "converging", "generative", "discriminative", "better-objective",
+    "g_weight_zero", "relaxed", "relaxed-at-cap",
+])
+def test_group_results_equal_decoding_alone(rng, monkeypatch, case):
+    # Every sentence gets the same DDResult, every field, decoded alone, by
+    # the per-sentence reference, in a mixed group, in a permuted group, and
+    # through the trainer with an edge budget that makes each sentence a
+    # group of its own.
+    xs, theta, cfg, m, dd, g = _group_case(rng, case)
+    alone = [dd_decode(x, theta, cfg, m, dd, g) for x in xs]
+    assert alone == [dd_decode_reference(x, theta, cfg, m, dd, g) for x in xs]
+    assert dd_decode_group(xs, theta, cfg, m, dd, g) == alone
+    perm = rng.permutation(len(xs))
+    assert dd_decode_group([xs[i] for i in perm], theta, cfg, m, dd, g) == [
+        alone[i] for i in perm
+    ]
+    monkeypatch.setattr(trainer, "_GROUP_EDGES", 1)
+    state = trainer.TrainState(theta, m)
+    tcfg = trainer.TrainConfig(constraint=cfg, dd=dd, g_weight=g)
+    assert trainer._decode_all(Corpus(tuple(xs), GROUP_VOCAB), state, tcfg) == alone
+    # The case covers what it is named for.
+    converged = [r.converged for r in alone]
+    if case == "converging":
+        assert any(converged) and max(r.iterations for r in alone) > 1
+    if case in _FALLBACKS or case == "g_weight_zero":
+        assert any(converged) and not all(converged)
+    if case.startswith("relaxed"):
+        relaxed = [r.relaxed_depth_cap for r in alone]
+        assert any(relaxed) and not all(relaxed)
+        assert any(converged) == (case == "relaxed")
+
+
+def test_group_with_an_unparseable_sentence_raises(rng):
+    m = CmstModel.create(GROUP_VOCAB)
+    xs = [make_sentence(["B", "C"]), make_sentence(["A", "C"])]
+    with pytest.raises(dmv.InfeasibleParseError):
+        dd_decode_group(xs, flat_grammar(), ConstraintConfig(0, 0.1), m, DDConfig())

@@ -288,6 +288,64 @@ def test_viterbi_matches_scalar_reference(rng, cap, beta, kind):
         assert -got == want
 
 
+def test_viterbi_batch_matches_scalar_reference(rng):
+    # Mixed batches of lengths 1-12 and caps None/0/1/2, each chart under its
+    # own grammar, some with impossible events, read prices from one flat
+    # vector at scattered offsets. Every row must give the scalar pass's
+    # heads and score bits, or come back infeasible where it has no tree.
+    infeasible = feasible = 0
+    for trial in range(24):
+        rows = []
+        for _ in range(int(rng.integers(1, 6))):
+            n = int(rng.integers(1, 13))
+            x = make_sentence([ENGINE_VOCAB[i] for i in rng.integers(0, 3, size=n)])
+            cap = (None, 0, 1, 2)[int(rng.integers(0, 4))]
+            beta = (0.0, 0.1)[int(rng.integers(0, 2))]
+            p = random_dmv_params(rng, ENGINE_VOCAB)
+            if rng.random() < 0.4:
+                p = _impossible_events(p)
+            rows.append((x, p, ConstraintConfig(cap, beta)))
+        mode = trial % 3  # no prices, integer prices (ties), real prices
+        sizes = [(x.n + 1) ** 2 for x, _, _ in rows]
+        # The rows' price matrices lie last row first, with gaps between.
+        spans = np.add(sizes, rng.integers(0, 4, size=len(rows)))[::-1]
+        offsets = (np.cumsum(spans) - spans)[::-1]
+        prices = rng.integers(-2, 3, size=int(spans.sum())).astype(float)
+        if mode == 2:
+            prices = rng.normal(size=prices.size)
+        charts = [dmv.build_decode_chart(x, p, cfg) for x, p, cfg in rows]
+        plan = dmv.viterbi_plan(charts, offsets.tolist())
+        got = dmv.viterbi_batch(plan, None if mode == 0 else prices)
+        for (x, p, cfg), off, size, (heads, best) in zip(rows, offsets, sizes, got):
+            u = None if mode == 0 else prices[off:off + size].reshape(x.n + 1, -1)
+            want_heads, want = scalar_viterbi(
+                dmv._compile(x.n, cfg.max_ce_depth), p.tag_ids(x), p.V,
+                p.log_weights(), cfg.dep_len_beta, u,
+            )
+            if want == -math.inf:
+                infeasible += 1
+                assert heads is None and best == -math.inf
+                continue
+            feasible += 1
+            assert heads == want_heads
+            assert best.hex() == want.hex()
+        some = sorted(rng.choice(len(rows), size=len(rows) // 2, replace=False))
+        assert dmv.viterbi_batch(plan, None if mode == 0 else prices, some) == [
+            got[r] for r in some
+        ]
+    assert infeasible >= 5 and feasible >= 40
+
+
+def test_viterbi_plan_of_one_runs_on_the_structure(rng):
+    p = random_dmv_params(rng, ENGINE_VOCAB)
+    chart = dmv.build_decode_chart(
+        make_sentence(["A", "B", "C", "A"]), p, ConstraintConfig(1, 0.1)
+    )
+    plan = dmv.viterbi_plan([chart])
+    assert plan.levels is chart.s.levels
+    assert plan.tail0 is chart.s.tail0 and plan.score is chart.score
+
+
 @pytest.mark.parametrize("cap", [None, 0, 1, 2])
 @pytest.mark.parametrize("beta", [0.0, 0.1])
 @pytest.mark.parametrize("kind", ["random", "impossible"])
