@@ -12,7 +12,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .corpus import Corpus, DepTree, Sentence, tree_matrix
 
@@ -515,6 +514,10 @@ class FrankWolfeOptimizer:
         # that the normal equations sum (1/n) X'X per sentence.
         D = sp.vstack([X / math.sqrt(n) for X, n in zip(self.X, self.ns)]).tocsr()
         gram = D.T @ D + model.lam * sp.identity(D.shape[1])
+        # Imported here, not at module load: it costs about 0.2 s and 10 MB
+        # that parsing and evaluation never use.
+        from scipy.sparse.linalg import splu
+
         self._lu = splu(
             gram.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -268,17 +267,150 @@ def init_params(c: Corpus, mode: str = "harmonic") -> DmvParams:
 #
 # The items and edges depend only on the sentence length and the cap; the
 # tags only choose which weights the edges read.  `_compile` therefore
-# enumerates each (length, cap) once into flat arrays, and `_build_chart`
-# maps one sentence's tags onto the weights with a gather.  Nodes are
-# numbered by topological level (width, then incomplete / open / closed
-# items), so every pass runs level by level: a level's nodes depend only on
-# lower levels.
+# builds each (length, cap) once into flat arrays, and `_build_chart` maps
+# one sentence's tags onto the weights with a gather.  Nodes are numbered by
+# topological level (width, then incomplete / open / closed items), so every
+# pass runs level by level: a level's nodes depend only on lower levels.
+#
+# The chart is translation-invariant.  A cell is one item kind at one width
+# m, keyed by its head h (IL[h-m][h] and IR[h][h+m] too).  Its states, and
+# the edges into each state in emission order, depend only on the kind, m
+# and the cap, not on h or the length.  `_templates` enumerates each width
+# once per cap, relative to h, and every length shares it.  `_compile` tiles
+# the templates over h with a fixed number of numpy calls.  Within a level,
+# cells come head by head, the left kind before the right one; a cell's
+# states keep their template order, and a node's edges their emission
+# order.  So each cell's first node and first edge are running sums of
+# template sizes, and every edge field is a per-template-edge constant plus
+# a coefficient times h.
 # ---------------------------------------------------------------------------
 
-_LO, _LC, _RO, _RC, _IL, _IR, _GOAL = range(7)
+_LO, _LC, _RO, _RC, _IL, _IR = range(6)
+_SIDE = (0, 0, 1, 1, 0, 1)  # left kinds come first in their level
+_LEVEL_OFF = (0, 1, 0, 1, -1, -1)  # a cell's level is 3 * width + this
 
-# Edge record fields, in emission order.
+# Rows of a compiled edge block, in `_Structure`'s order.
 _HEAD, _TAIL0, _TAIL1, _SLOT0, _SLOT1, _ARC_H, _ARC_D = range(7)
+
+# Fields of a template edge, relative to the cell's head h: the head's state;
+# per tail the level, side, head offset and state of the tail's cell, level
+# -1 marking the sentinel; the first weight slot k * n + off + b * h (unit,
+# stop or continue); and att = 1 for the attachment of child h + dc, whose
+# weight is the second slot.
+_ST, _T0, _T1, _SLOT_K, _SLOT_OFF, _SLOT_B, _ATT, _DC = 0, 1, 5, 9, 10, 11, 12, 13
+_SENTINEL = (-1, 0, 0, 0)
+_UNIT = (0, 0, 0)
+_NO_ARC = (0, 0)
+
+
+class _Template(NamedTuple):
+    """The cells of one item kind at one width: their states in creation
+    order, and the edges into them, one column of template fields each,
+    sorted by head state and in emission order within a state."""
+
+    states: tuple
+    rows: np.ndarray  # (fields, edges) int32
+
+
+def _template(edges) -> _Template:
+    """Template of `edges`, (state, fields) pairs in emission order."""
+    index: dict[tuple, int] = {}
+    rows = [(index.setdefault(key, len(index)), *fields) for key, fields in edges]
+    a = np.array(rows, dtype=np.int32).reshape(-1, _DC + 1).T
+    return _Template(tuple(index), a[:, np.argsort(a[_ST], kind="stable")])
+
+
+# Unbounded, but it holds only the widths below the longest sentence seen
+# under each cap: 0.95 MB for every width below 40 at cap 1.
+@functools.lru_cache(maxsize=None)
+def _templates(m: int, cap: int | None) -> tuple[_Template, ...]:
+    """The templates of the six item kinds, in kind order, at width m under
+    depth cap `cap`. Each width reads every lower one, so call with widths
+    ascending: a cold call recurses once per width not yet cached."""
+    low = [_templates(w, cap) for w in range(m)]
+    cur: dict[int, _Template] = {}
+
+    def cells(kind, w):
+        return enumerate((cur[kind] if w == m else low[w][kind]).states)
+
+    def ref(kind, w, dh, i):
+        return (3 * w + _LEVEL_OFF[kind], _SIDE[kind], dh, i)
+
+    def stop(direction, adj):
+        return (1, 2 * direction + adj - 3, 4)
+
+    def cont(direction, adj):
+        return (5, 2 * direction + adj - 3, 4)
+
+    def settled(s, p):
+        if cap is None:
+            return 0
+        s2 = max(s, p + 1)
+        return None if s2 > cap else s2
+
+    def child_val(vl, vr):
+        if cap is None:
+            return 0
+        v = max(vl, vr)
+        return None if v > cap else v
+
+    # Incomplete items: h attaches c = h - m (IL) or c = h + m (IR) over the
+    # split j, c's closed half taking j of the m - 1 inner tokens.
+    cur[_IL] = _template(
+        ((s2, vr), ref(_RC, j, -m, i0) + ref(_LO, m - 1 - j, 0, i1)
+         + cont(LEFT, HAS_CHILD if j < m - 1 else NO_CHILD) + (1, -m))
+        for j in range(m)
+        for i0, (vr,) in cells(_RC, j)
+        for i1, (s, p) in cells(_LO, m - 1 - j)
+        if (s2 := settled(s, p)) is not None
+    )
+    cur[_IR] = _template(
+        ((s2, vl), ref(_LC, m - 1 - j, m, i0) + ref(_RO, j, 0, i1)
+         + cont(RIGHT, HAS_CHILD if j else NO_CHILD) + (1, m))
+        for j in range(m)
+        for i0, (vl,) in cells(_LC, m - 1 - j)
+        for i1, (s, p) in cells(_RO, j)
+        if (s2 := settled(s, p)) is not None
+    )
+    # Open halves: width 0 is the axiom; otherwise an attachment of width w,
+    # children nearest h first, and the child's own outer half.
+    if m == 0:
+        cur[_LO] = cur[_RO] = _template(
+            [((0, -1), _SENTINEL + _SENTINEL + _UNIT + _NO_ARC)]
+        )
+    else:
+        cur[_LO] = _template(
+            ((s2, v), ref(_IL, w, 0, i0) + ref(_LC, m - w, -w, i1) + _UNIT + _NO_ARC)
+            for w in range(m, 0, -1)
+            for i0, (s2, vr) in cells(_IL, w)
+            for i1, (vl,) in cells(_LC, m - w)
+            if (v := child_val(vl, vr)) is not None
+        )
+        cur[_RO] = _template(
+            ((s2, v), ref(_IR, w, 0, i0) + ref(_RC, m - w, w, i1) + _UNIT + _NO_ARC)
+            for w in range(1, m + 1)
+            for i0, (s2, vl) in cells(_IR, w)
+            for i1, (vr,) in cells(_RC, m - w)
+            if (v := child_val(vl, vr)) is not None
+        )
+    # Closed halves: the stop decision, resolving the open half's value.
+    adj = HAS_CHILD if m else NO_CHILD
+    for open_kind, closed_kind, direction in ((_LO, _LC, LEFT), (_RO, _RC, RIGHT)):
+        cur[closed_kind] = _template(
+            ((0 if cap is None else max(s, p, 0),),
+             ref(open_kind, m, 0, i) + _SENTINEL + stop(direction, adj) + _NO_ARC)
+            for i, (s, p) in cells(open_kind, m)
+        )
+    return tuple(cur[kind] for kind in range(6))
+
+
+def _template_tables(n: int, cap: int | None):
+    """The templates of every width below n, and their state and edge
+    counts as (n, 6) int32 tables keyed [width, kind]."""
+    ts = [_templates(m, cap) for m in range(n)]
+    states = np.array([[len(t.states) for t in w] for w in ts], dtype=np.int32)
+    edges = np.array([[t.rows.shape[1] for t in w] for w in ts], dtype=np.int32)
+    return ts, states, edges
 
 
 class _Structure:
@@ -298,24 +430,18 @@ class _Structure:
     counts as two rows.
     """
 
-    def __init__(self, n: int, level: np.ndarray, rec: np.ndarray):
-        order = np.argsort(level, kind="stable")
-        n_nodes = len(level)
-        renum = np.empty(n_nodes + 1, dtype=np.int32)
-        renum[order] = np.arange(n_nodes, dtype=np.int32)
-        renum[n_nodes] = n_nodes  # tail -1 is the sentinel
-        head = renum[rec[:, _HEAD]]
-        by_head = np.argsort(head, kind="stable")
-        rec = rec[by_head]
+    def __init__(self, n: int, edges: np.ndarray, level_nodes: np.ndarray):
+        """Structure of the (7, edges) int32 block `edges`, whose rows are
+        head, tail0, tail1, the two slots, arc_h and arc_d, given the node
+        count of every level in order."""
+        bounds = [0, *np.cumsum(level_nodes).tolist()]
+        n_nodes = bounds[-1]
         self.n = n
         self.n_nodes = n_nodes
         self.goal = n_nodes - 1  # the goal is the only top-level node
-        self.head = head[by_head]
-        self.tail0 = renum[rec[:, _TAIL0]]
-        self.tail1 = renum[rec[:, _TAIL1]]
-        self.slots = np.ascontiguousarray(rec[:, _SLOT0 : _SLOT1 + 1].T)
-        self.arc_h = rec[:, _ARC_H].copy()
-        self.arc_d = rec[:, _ARC_D].copy()
+        self.head, self.tail0, self.tail1 = edges[_HEAD], edges[_TAIL0], edges[_TAIL1]
+        self.slots = edges[_SLOT0 : _SLOT1 + 1]
+        self.arc_h, self.arc_d = edges[_ARC_H], edges[_ARC_D]
         self.arc_edges = np.flatnonzero(self.arc_d).astype(np.int32)
         arc_h, arc_d = self.arc_h[self.arc_edges], self.arc_d[self.arc_edges]
         self.arc_price = arc_h * (n + 1) + arc_d
@@ -323,9 +449,7 @@ class _Structure:
         self.arc_pen = np.where(
             arc_h > 0, np.abs(arc_h - arc_d) - 1, 0
         ).astype(np.int32)
-        first = np.searchsorted(self.head, np.arange(n_nodes + 1))
-        starts = np.flatnonzero(np.diff(level[order])) + 1
-        bounds = [0, *starts.tolist(), n_nodes]
+        first = np.searchsorted(self.head, np.arange(n_nodes + 1, dtype=np.int32))
         self.level_sizes = np.diff([bounds, first[bounds]]).astype(np.int32)
         for arr in (self.head, self.tail0, self.tail1, self.slots, self.arc_h,
                     self.arc_d, self.arc_edges, self.arc_price, self.arc_pen,
@@ -341,126 +465,86 @@ class _Structure:
         self.levels = tuple(levels)
 
 
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """Where each block of `sizes` starts when the blocks are laid end to end."""
+    out = np.zeros_like(sizes)
+    np.cumsum(sizes[:-1], out=out[1:])
+    return out
+
+
 @functools.lru_cache(maxsize=32)
 def _compile(n: int, cap: int | None) -> _Structure:
-    """Enumerate the chart of every length-n sentence under depth cap `cap`."""
-    stop_base, cont_base, attach_base = 1 + n, 1 + 5 * n, 1 + 9 * n
+    """The chart of every length-n sentence under depth cap `cap`, tiled
+    from the templates of widths below n."""
+    ts, states, counts = _template_tables(n, cap)
+    rows = np.concatenate([t.rows for w in ts for t in w], axis=1)
+    # The cells in node order, as a (level, h, side) grid of template ids
+    # 6 * width + kind; a left cell of width m exists for h > m, a right one
+    # for h <= n - m, and the others count no nodes or edges.
+    lv = np.arange(3 * n - 1)
+    width = (lv + 1) // 3
+    kinds = np.array([[_IL, _IR], [_LO, _RO], [_LC, _RC]])[lv - 3 * width + 1]
+    width = width[:, None, None]
+    h = np.arange(1, n + 1, dtype=np.int32)[None, :, None]
+    exists = np.concatenate((h > width, h <= n - width), axis=2)
+    tmpl = np.broadcast_to(6 * width + kinds[:, None, :], exists.shape).ravel()
+    cell_nodes = (states.ravel()[tmpl] * exists.ravel()).astype(np.int32)
+    cell_edges = (counts.ravel()[tmpl] * exists.ravel()).astype(np.int32)
 
-    def stop(h, direction, adj):
-        return stop_base + 4 * (h - 1) + 2 * direction + adj
+    def cell(level, side, h):
+        """Index in `base` of the cell at (level, side) keyed by head h."""
+        return (level * n + h - 1) * 2 + side
 
-    def cont(h, direction, adj):
-        return cont_base + 4 * (h - 1) + 2 * direction + adj
+    # Node ids: each cell's first, then the goal, then the sentinel.
+    base = _starts(np.append(cell_nodes, [1, 0]).astype(np.int32))
+    goal = int(base[-2])
+    # The goal's edges: for each root c, the closed halves LC of width c - 1
+    # and RC of width n - c keyed at c, every pair of their states.
+    c = np.arange(1, n + 1, dtype=np.int32)
+    n_right = states[::-1, _RC]
+    per_root = states[:, _LC] * n_right
+    n_main, n_goal = int(cell_edges.sum()), int(per_root.sum())
+    block = np.empty((7, n_main + n_goal), dtype=np.int32)
 
-    def attach(h, c):
-        return attach_base + n * (h - 1) + c - 1
+    # Every other edge: a template edge tiled at head h.
+    main = block[:, :n_main]
+    row = np.repeat(_starts(counts.ravel())[tmpl] - _starts(cell_edges), cell_edges)
+    row += np.arange(n_main, dtype=np.int32)
+    hs = np.repeat(np.broadcast_to(h, exists.shape).ravel(), cell_edges)
 
-    index: dict[tuple, int] = {}
-    level = array("i")
-    # States present per (kind, a, b) cell in creation order, each followed
-    # by its node id.
-    cells: dict[tuple, list[tuple]] = {}
-    records = array("i")
-    emit = records.extend
+    def tile(const, coef, out):
+        """out[e] = const[row[e]] + coef[row[e]] * h of every edge e."""
+        np.multiply(coef[row], hs, out=out)
+        out += const[row]
 
-    def node(key, lv):
-        nid = index.get(key)
-        if nid is None:
-            nid = index[key] = len(level)
-            level.append(lv)
-            cells.setdefault(key[:3], []).append(key[3:] + (nid,))
-        return nid
+    np.add(np.repeat(base[:-2], cell_edges), rows[_ST][row], out=main[_HEAD])
+    for out, t in ((main[_TAIL0], _T0), (main[_TAIL1], _T1)):
+        level, side, dh, state = rows[t : t + 4]
+        real = (level >= 0).astype(np.int32)
+        tile(np.where(real, cell(level, side, dh), base.size - 1), 2 * real, out)
+        out[:] = base[out]
+        out += state[row]
+    att, dc = rows[_ATT], rows[_DC]
+    tile(rows[_SLOT_K] * n + rows[_SLOT_OFF], rows[_SLOT_B], main[_SLOT0])
+    tile(att * (8 * n) + dc, att * (n + 1), main[_SLOT1])
+    np.multiply(att[row], hs, out=main[_ARC_H])
+    tile(dc, att, main[_ARC_D])
 
-    def attach_settled(s, p):
-        if cap is None:
-            return 0
-        s2 = max(s, p + 1)
-        return None if s2 > cap else s2
+    goal_edges = block[:, n_main:]
+    q = np.arange(n_goal, dtype=np.int32) - np.repeat(_starts(per_root), per_root)
+    right = np.repeat(n_right, per_root)
+    goal_edges[_HEAD] = goal
+    # LC of width c - 1 is at level 3c - 2, RC of width n - c at 3(n - c) + 1.
+    goal_edges[_TAIL0] = np.repeat(base[cell(3 * c - 2, 0, c)], per_root) + q // right
+    goal_edges[_TAIL1] = (
+        np.repeat(base[cell(3 * (n - c) + 1, 1, c)], per_root) + q % right
+    )
+    # Slot c is root(c).
+    goal_edges[_SLOT0] = goal_edges[_ARC_D] = np.repeat(c, per_root)
+    goal_edges[_SLOT1] = goal_edges[_ARC_H] = 0
 
-    def child_val(vl, vr):
-        if cap is None:
-            return 0
-        v = max(vl, vr)
-        return None if v > cap else v
-
-    def close_val(s, p):
-        return 0 if cap is None else max(s, p, 0)
-
-    # Width-0 axioms (level 0) and their closed forms (level 1).
-    for h in range(1, n + 1):
-        for open_kind, closed_kind, direction in ((_LO, _LC, LEFT),
-                                                  (_RO, _RC, RIGHT)):
-            base = node((open_kind, h, h, 0, -1), 0)
-            emit((base, -1, -1, 0, 0, 0, 0))
-            emit((node((closed_kind, h, h, 0), 1), base, -1,
-                  stop(h, direction, NO_CHILD), 0, 0, 0))
-
-    for m in range(1, n):
-        lv_inc, lv_open, lv_closed = 3 * m - 1, 3 * m, 3 * m + 1
-        # Incomplete items of width m (arc attachments).
-        for h in range(1, n + 1):
-            c = h - m
-            if c >= 1:  # left attachment h -> c
-                att = attach(h, c)
-                for k in range(c, h):
-                    cont_ref = cont(h, LEFT, HAS_CHILD if k + 1 < h else NO_CHILD)
-                    for vr, t0 in cells.get((_RC, c, k), ()):
-                        for s, p, t1 in cells.get((_LO, h, k + 1), ()):
-                            s2 = attach_settled(s, p)
-                            if s2 is None:
-                                continue
-                            emit((node((_IL, c, h, s2, vr), lv_inc), t0, t1,
-                                  cont_ref, att, h, c))
-            c = h + m
-            if c <= n:  # right attachment h -> c
-                att = attach(h, c)
-                for k in range(h + 1, c + 1):
-                    cont_ref = cont(h, RIGHT, HAS_CHILD if k - 1 > h else NO_CHILD)
-                    for vl, t0 in cells.get((_LC, c, k), ()):
-                        for s, p, t1 in cells.get((_RO, h, k - 1), ()):
-                            s2 = attach_settled(s, p)
-                            if s2 is None:
-                                continue
-                            emit((node((_IR, h, c, s2, vl), lv_inc), t0, t1,
-                                  cont_ref, att, h, c))
-        # Open and closed halves of width m.
-        for h in range(1, n + 1):
-            i = h - m
-            if i >= 1:
-                for c in range(i, h):
-                    for s2, vr, t0 in cells.get((_IL, c, h), ()):
-                        for vl, t1 in cells.get((_LC, c, i), ()):
-                            v = child_val(vl, vr)
-                            if v is None:
-                                continue
-                            emit((node((_LO, h, i, s2, v), lv_open), t0, t1,
-                                  0, 0, 0, 0))
-                stop_ref = stop(h, LEFT, HAS_CHILD)
-                for s, p, t0 in cells.get((_LO, h, i), ()):
-                    emit((node((_LC, h, i, close_val(s, p)), lv_closed), t0, -1,
-                          stop_ref, 0, 0, 0))
-            j = h + m
-            if j <= n:
-                for c in range(h + 1, j + 1):
-                    for s2, vl, t0 in cells.get((_IR, h, c), ()):
-                        for vr, t1 in cells.get((_RC, c, j), ()):
-                            v = child_val(vl, vr)
-                            if v is None:
-                                continue
-                            emit((node((_RO, h, j, s2, v), lv_open), t0, t1,
-                                  0, 0, 0, 0))
-                stop_ref = stop(h, RIGHT, HAS_CHILD)
-                for s, p, t0 in cells.get((_RO, h, j), ()):
-                    emit((node((_RC, h, j, close_val(s, p)), lv_closed), t0, -1,
-                          stop_ref, 0, 0, 0))
-
-    goal = node((_GOAL, 0, 0), 3 * n - 1)
-    for c in range(1, n + 1):
-        for vl, t0 in cells.get((_LC, c, 1), ()):
-            for vr, t1 in cells.get((_RC, c, n), ()):
-                emit((goal, t0, t1, c, 0, 0, c))  # slot c is root(c)
-    rec = np.frombuffer(records, dtype=np.int32).reshape(-1, 7)
-    return _Structure(n, np.frombuffer(level, dtype=np.int32), rec)
+    level_nodes = np.append(cell_nodes.reshape(3 * n - 1, -1).sum(axis=1), 1)
+    return _Structure(n, block, level_nodes[level_nodes > 0])
 
 
 def _slot_refs(pos: Sequence[int], V: int) -> np.ndarray:
@@ -480,25 +564,28 @@ def _slot_refs(pos: Sequence[int], V: int) -> np.ndarray:
 
 class _Chart(NamedTuple):
     """One sentence's chart: the shared structure, the log-weight index of
-    each edge's two weight slots, and each edge's static score under the
+    each edge's two weight slots (EM charts only: the expected counts read
+    them, decoding does not), and each edge's static score under the
     parameters and length penalty it was built with."""
 
     s: _Structure
-    refs: np.ndarray    # (2, edges)
-    score: np.ndarray   # (edges,)
+    refs: np.ndarray | None  # (2, edges)
+    score: np.ndarray        # (edges,)
 
 
 def _build_chart(
-    pos: Sequence[int], V: int, cap: int | None, wlog: np.ndarray, beta: float
+    pos: Sequence[int], V: int, cap: int | None, wlog: np.ndarray, beta: float,
+    refs: bool = False,
 ) -> _Chart:
-    """Chart of the sentence with tag ids `pos` under log-weights `wlog`."""
+    """Chart of the sentence with tag ids `pos` under log-weights `wlog`,
+    with its edges' weight refs if `refs`."""
     s = _compile(len(pos), cap)
-    refs = _slot_refs(pos, V)[s.slots]
-    w = np.append(wlog, 0.0)
-    score = (0.0 + w[refs[0]]) + w[refs[1]]
+    slot_refs = _slot_refs(pos, V)
+    w = np.append(wlog, 0.0)[slot_refs]  # the weight of every slot
+    score = (0.0 + w[s.slots[0]]) + w[s.slots[1]]
     if beta:
         score[s.arc_edges] -= beta * s.arc_pen
-    return _Chart(s, refs, score)
+    return _Chart(s, slot_refs[s.slots] if refs else None, score)
 
 
 def _inside(chart: _Chart) -> np.ndarray:
@@ -752,15 +839,21 @@ def viterbi_decode(
 
 def chart_edges(n: int, cap: int | None) -> int:
     """Edges of the compiled chart of a length-n sentence under depth cap
-    `cap` (compiling it if it is not cached)."""
-    return int(_compile(n, cap).head.size)
+    `cap`, counted from the templates without compiling the chart: width m
+    has n - m cells of each kind, and the goal one edge per root and pair of
+    its closed halves' states."""
+    _, states, edges = _template_tables(n, cap)
+    return int(
+        (n - np.arange(n)) @ edges.sum(axis=1)
+        + states[:, _LC] @ states[::-1, _RC]
+    )
 
 
 def build_decode_chart(x: Sentence, theta: DmvParams, cfg: ConstraintConfig) -> _Chart:
     """Prebuild a chart for repeated price-modified decodes of one sentence.
 
     The chart carries its edges' scores under `theta` and `cfg`, so decodes
-    that pass it must use the same parameters.
+    that pass it must use the same parameters, and no weight refs.
     """
     return _build_chart(
         theta.tag_ids(x), theta.V, cfg.max_ce_depth, theta.log_weights(),
@@ -790,7 +883,7 @@ def em_step(
     for sent in c:
         chart = _build_chart(
             theta.tag_ids(sent), theta.V, cfg.max_ce_depth, wlog,
-            cfg.dep_len_beta,
+            cfg.dep_len_beta, refs=True,
         )
         vals = _inside(chart)
         logz = float(vals[chart.s.goal])

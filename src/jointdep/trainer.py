@@ -130,7 +130,7 @@ def train_baseline_d_init(c: Corpus, cfg: TrainConfig) -> TrainState:
 # Agreement decoding runs on groups of sentences of similar length whose
 # charts hold at most this many edges under the configured depth cap. While
 # a group is decoded, its charts and their stacked Viterbi layout take about
-# 75 bytes per edge, so the bound keeps that near 2.5 MB whatever the corpus.
+# 60 bytes per edge, so the bound keeps that near 2 MB whatever the corpus.
 # At depth cap 1, one sentence of each length 10-15 fills a group, and one
 # of length 23 or more is always a group of its own.
 _GROUP_EDGES = 1 << 15
@@ -139,9 +139,10 @@ _GROUP_EDGES = 1 << 15
 def _length_groups(c: Corpus, cap: int | None) -> Iterator[list[int]]:
     """Indices of the sentences of `c`, longest first (stably), cut into
     groups under `_GROUP_EDGES`; a larger sentence is a group of its own.
-    Groups are yielded as they are cut, so that the charts compiled to count
-    their edges are still cached when the group is decoded. Longest first,
-    the largest chart is compiled while the fewest others are cached."""
+    Edges are counted from the chart templates, so cutting the groups
+    compiles no chart: each chart is compiled where its group is decoded, in
+    a worker when there are workers. Longest first, the largest chart is
+    compiled while the fewest others are cached."""
     group: list[int] = []
     edges = 0
     for i in sorted(range(c.N), key=lambda i: -c.sentences[i].n):

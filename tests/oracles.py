@@ -416,3 +416,174 @@ def dd_decode_reference(x, theta, cfg_f, m, dd, g_weight=1.0):
         ]
         tree = y if cost[0] <= cost[1] else z
     return DDResult(tree, False, dd.max_iters, gap, relaxed)
+
+
+# ---------------------------------------------------------------------------
+# Cell-by-cell chart compilation
+# ---------------------------------------------------------------------------
+
+def compile_reference(n, cap):
+    """The compiled chart of a length-n sentence under depth cap `cap`, built
+    cell by cell, split point by split point and state pair by state pair,
+    with every attribute `dmv._Structure` has: the reference that the
+    template-tiled `dmv._compile` must equal array for array, dtypes
+    included.
+
+    Nodes are numbered by level, then in creation order; edges are sorted
+    by head, then kept in emission order."""
+    from array import array
+    from types import SimpleNamespace
+
+    from jointdep.dmv import (
+        HAS_CHILD, LEFT, NO_CHILD, RIGHT, _IL, _IR, _LC, _LO, _RC, _RO,
+    )
+
+    stop_base, cont_base, attach_base = 1 + n, 1 + 5 * n, 1 + 9 * n
+
+    def stop(h, direction, adj):
+        return stop_base + 4 * (h - 1) + 2 * direction + adj
+
+    def cont(h, direction, adj):
+        return cont_base + 4 * (h - 1) + 2 * direction + adj
+
+    def attach(h, c):
+        return attach_base + n * (h - 1) + c - 1
+
+    index = {}
+    level = array("i")
+    # States present per (kind, a, b) cell in creation order, each followed
+    # by its node id.
+    cells = {}
+    records = array("i")
+    emit = records.extend
+
+    def node(key, lv):
+        nid = index.get(key)
+        if nid is None:
+            nid = index[key] = len(level)
+            level.append(lv)
+            cells.setdefault(key[:3], []).append(key[3:] + (nid,))
+        return nid
+
+    def attach_settled(s, p):
+        if cap is None:
+            return 0
+        s2 = max(s, p + 1)
+        return None if s2 > cap else s2
+
+    def child_val(vl, vr):
+        if cap is None:
+            return 0
+        v = max(vl, vr)
+        return None if v > cap else v
+
+    def close_val(s, p):
+        return 0 if cap is None else max(s, p, 0)
+
+    # Width-0 axioms (level 0) and their closed forms (level 1).
+    for h in range(1, n + 1):
+        for open_kind, closed_kind, direction in ((_LO, _LC, LEFT),
+                                                  (_RO, _RC, RIGHT)):
+            base = node((open_kind, h, h, 0, -1), 0)
+            emit((base, -1, -1, 0, 0, 0, 0))
+            emit((node((closed_kind, h, h, 0), 1), base, -1,
+                  stop(h, direction, NO_CHILD), 0, 0, 0))
+
+    for m in range(1, n):
+        lv_inc, lv_open, lv_closed = 3 * m - 1, 3 * m, 3 * m + 1
+        # Incomplete items of width m (arc attachments).
+        for h in range(1, n + 1):
+            c = h - m
+            if c >= 1:  # left attachment h -> c
+                att = attach(h, c)
+                for k in range(c, h):
+                    cont_ref = cont(h, LEFT, HAS_CHILD if k + 1 < h else NO_CHILD)
+                    for vr, t0 in cells.get((_RC, c, k), ()):
+                        for s, p, t1 in cells.get((_LO, h, k + 1), ()):
+                            s2 = attach_settled(s, p)
+                            if s2 is None:
+                                continue
+                            emit((node((_IL, c, h, s2, vr), lv_inc), t0, t1,
+                                  cont_ref, att, h, c))
+            c = h + m
+            if c <= n:  # right attachment h -> c
+                att = attach(h, c)
+                for k in range(h + 1, c + 1):
+                    cont_ref = cont(h, RIGHT, HAS_CHILD if k - 1 > h else NO_CHILD)
+                    for vl, t0 in cells.get((_LC, c, k), ()):
+                        for s, p, t1 in cells.get((_RO, h, k - 1), ()):
+                            s2 = attach_settled(s, p)
+                            if s2 is None:
+                                continue
+                            emit((node((_IR, h, c, s2, vl), lv_inc), t0, t1,
+                                  cont_ref, att, h, c))
+        # Open and closed halves of width m.
+        for h in range(1, n + 1):
+            i = h - m
+            if i >= 1:
+                for c in range(i, h):
+                    for s2, vr, t0 in cells.get((_IL, c, h), ()):
+                        for vl, t1 in cells.get((_LC, c, i), ()):
+                            v = child_val(vl, vr)
+                            if v is None:
+                                continue
+                            emit((node((_LO, h, i, s2, v), lv_open), t0, t1,
+                                  0, 0, 0, 0))
+                stop_ref = stop(h, LEFT, HAS_CHILD)
+                for s, p, t0 in cells.get((_LO, h, i), ()):
+                    emit((node((_LC, h, i, close_val(s, p)), lv_closed), t0, -1,
+                          stop_ref, 0, 0, 0))
+            j = h + m
+            if j <= n:
+                for c in range(h + 1, j + 1):
+                    for s2, vl, t0 in cells.get((_IR, h, c), ()):
+                        for vr, t1 in cells.get((_RC, c, j), ()):
+                            v = child_val(vl, vr)
+                            if v is None:
+                                continue
+                            emit((node((_RO, h, j, s2, v), lv_open), t0, t1,
+                                  0, 0, 0, 0))
+                stop_ref = stop(h, RIGHT, HAS_CHILD)
+                for s, p, t0 in cells.get((_RO, h, j), ()):
+                    emit((node((_RC, h, j, close_val(s, p)), lv_closed), t0, -1,
+                          stop_ref, 0, 0, 0))
+
+    goal = node(("goal", 0, 0), 3 * n - 1)
+    for c in range(1, n + 1):
+        for vl, t0 in cells.get((_LC, c, 1), ()):
+            for vr, t1 in cells.get((_RC, c, n), ()):
+                emit((goal, t0, t1, c, 0, 0, c))  # slot c is root(c)
+    rec = np.frombuffer(records, dtype=np.int32).reshape(-1, 7)
+    level = np.frombuffer(level, dtype=np.int32)
+
+    # Renumber nodes by level (stably), then sort edges by head (stably).
+    order = np.argsort(level, kind="stable")
+    n_nodes = len(level)
+    renum = np.empty(n_nodes + 1, dtype=np.int32)
+    renum[order] = np.arange(n_nodes, dtype=np.int32)
+    renum[n_nodes] = n_nodes  # tail -1 is the sentinel
+    head = renum[rec[:, 0]]
+    by_head = np.argsort(head, kind="stable")
+    rec = rec[by_head]
+    s = SimpleNamespace(n=n, n_nodes=n_nodes, goal=n_nodes - 1)
+    s.head = head[by_head]
+    s.tail0 = renum[rec[:, 1]]
+    s.tail1 = renum[rec[:, 2]]
+    s.slots = np.ascontiguousarray(rec[:, 3:5].T)
+    s.arc_h = rec[:, 5].copy()
+    s.arc_d = rec[:, 6].copy()
+    s.arc_edges = np.flatnonzero(s.arc_d).astype(np.int32)
+    arc_h, arc_d = s.arc_h[s.arc_edges], s.arc_d[s.arc_edges]
+    s.arc_price = arc_h * (n + 1) + arc_d
+    s.arc_pen = np.where(arc_h > 0, np.abs(arc_h - arc_d) - 1, 0).astype(np.int32)
+    first = np.searchsorted(s.head, np.arange(n_nodes + 1))
+    starts = np.flatnonzero(np.diff(level[order])) + 1
+    bounds = [0, *starts.tolist(), n_nodes]
+    s.level_sizes = np.diff([bounds, first[bounds]]).astype(np.int32)
+    levels = []
+    for a, b in zip(bounds, bounds[1:]):
+        e0, e1 = int(first[a]), int(first[b])
+        levels.append((a, b, first[a:b] - e0, slice(e0, e1), s.head[e0:e1],
+                       s.tail0[e0:e1], s.tail1[e0:e1]))
+    s.levels = tuple(levels)
+    return s

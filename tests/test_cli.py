@@ -245,6 +245,19 @@ def test_cmst_weights_do_not_depend_on_blas_threads(tmp_path):
     assert written[0] == written[1]
 
 
+def test_cli_import_leaves_sparse_solver_unloaded():
+    # Only Frank-Wolfe training factors the ridge system; parse, eval and
+    # make_inputs must not pay for importing the sparse solver.
+    src = str(Path(jointdep.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, jointdep.cli; print('scipy.sparse.linalg' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), check=True, capture_output=True,
+        text=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_train_determinism_via_cli(tmp_path, train_file, fast_args):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

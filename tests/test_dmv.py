@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     all_projective_trees,
+    compile_reference,
     logsumexp,
     make_sentence,
     price_matrix,
@@ -361,7 +362,7 @@ def test_inside_and_counts_match_scalar_reference(rng, cap, beta, kind):
         want_vals, want_counts = scalar_expected_counts(
             dmv._compile(x.n, cap), pos, p.V, wlog, beta
         )
-        chart = dmv._build_chart(pos, p.V, cap, wlog, beta)
+        chart = dmv._build_chart(pos, p.V, cap, wlog, beta, refs=True)
         assert chart.refs.tolist() == [
             [slot_weight_refs(pos, p.V)[k] for k in row]
             for row in chart.s.slots
@@ -390,7 +391,18 @@ def test_chart_structure_is_shared_per_length_and_read_only(rng):
     a = dmv.build_decode_chart(make_sentence(["A", "B", "C", "A"]), p, cfg)
     b = dmv.build_decode_chart(make_sentence(["C", "C", "B", "A"]), p, cfg)
     assert a.s is b.s
-    assert not np.array_equal(a.refs, b.refs)
+    # Decode charts carry scores only; EM charts carry weight refs too.
+    assert a.refs is None and b.refs is None
+    assert not np.array_equal(a.score, b.score)
+    wlog = p.log_weights()
+    em_a, em_b = (
+        dmv._build_chart(p.tag_ids(x), p.V, 1, wlog, 0.1, refs=True)
+        for x in (make_sentence(["A", "B", "C", "A"]),
+                  make_sentence(["C", "C", "B", "A"]))
+    )
+    assert em_a.s is a.s and em_b.s is a.s
+    assert not np.array_equal(em_a.refs, em_b.refs)
+    assert em_a.score.tobytes() == a.score.tobytes()
     arrays = [v for v in vars(a.s).values() if isinstance(v, np.ndarray)]
     arrays += [v for lv in a.s.levels for v in lv if isinstance(v, np.ndarray)]
     assert len(arrays) > 10
@@ -401,6 +413,47 @@ def test_chart_structure_is_shared_per_length_and_read_only(rng):
         make_sentence(["A", "B", "C", "A"]), p, ConstraintConfig(None, 0.1)
     )
     assert uncapped.s is not a.s
+
+
+def _assert_same_structure(got, want):
+    """Every attribute of the compiled chart `want` equals `got`'s: arrays
+    in dtype, shape and values, `levels` element by element."""
+    assert set(vars(got)) == set(vars(want))
+    for name, w in vars(want).items():
+        g = getattr(got, name)
+        pairs = (
+            [(gi, wi) for gl, wl in zip(g, w, strict=True)
+             for gi, wi in zip(gl, wl, strict=True)]
+            if name == "levels" else [(g, w)]
+        )
+        for gi, wi in pairs:
+            assert type(gi) is type(wi), name
+            if isinstance(wi, np.ndarray):
+                assert gi.dtype == wi.dtype and gi.shape == wi.shape, name
+                assert np.array_equal(gi, wi), name
+            else:
+                assert gi == wi, name
+
+
+@pytest.mark.parametrize("cap", [None, 0, 1, 2, 3])
+def test_compile_equals_cell_by_cell_reference(cap):
+    # Node order and edge order within a head decide ties, so the tiled
+    # chart must equal the cell-by-cell one array for array.
+    for n in range(1, 17):
+        _assert_same_structure(dmv._compile(n, cap), compile_reference(n, cap))
+
+
+@pytest.mark.parametrize("n", [25, 40])
+def test_compile_equals_cell_by_cell_reference_long(n):
+    _assert_same_structure(dmv._compile(n, 1), compile_reference(n, 1))
+
+
+def test_chart_edges_counts_without_compiling():
+    sizes = [(n, cap) for cap in (None, 0, 1, 2) for n in range(1, 31)]
+    misses = dmv._compile.cache_info().misses
+    counted = [dmv.chart_edges(n, cap) for n, cap in sizes]
+    assert dmv._compile.cache_info().misses == misses
+    assert counted == [dmv._compile(n, cap).head.size for n, cap in sizes]
 
 
 # ---------------------------------------------------------------------------
