@@ -1,6 +1,11 @@
 """Discriminative clustering parser: arc features, rule priors, projective
 min-cost decoding, and Frank-Wolfe training over relaxed tree variables with
-an exact ridge solve for the weights."""
+an exact ridge solve for the weights.
+
+Decoding scores arcs from tables of weight sums (`sentence_terms`), one entry
+per head tag, dependent tag, direction and distance bin, so it builds no
+feature matrix. Only Frank-Wolfe training builds the sparse features X
+(`extract_features`), and only it imports scipy."""
 
 from __future__ import annotations
 
@@ -8,12 +13,14 @@ import functools
 import importlib.resources
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import Corpus, DepTree, Sentence, tree_matrix
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 ROOT_TAG = "<ROOT>"
 UNK_TAG = "<UNK>"
@@ -40,13 +47,46 @@ class FeatureTemplate:
     head tag; tags unseen at extraction time map to UNK.
     """
 
+    # Each template's block of weights, in index order, named by the axes of
+    # a feature cell [head tag, dependent tag, direction, distance bin] that
+    # index it (row-major). The last `_ROOT_BLOCKS` fire on root arcs only.
+    _BLOCK_AXES = (
+        (False, False, False, False),  # bias
+        (True, False, False, False),  # head tag
+        (False, True, False, False),  # dependent tag
+        (True, True, False, False),  # tag pair
+        (True, True, True, False),  # pair + direction
+        (True, True, True, True),  # pair + direction + distance bin
+        (False, False, True, True),  # direction + distance bin
+        (False, False, False, False),  # root-arc indicator
+        (False, True, False, False),  # root + dependent tag
+    )
+    _ROOT_BLOCKS = 2
+
     tags: tuple[str, ...]  # ROOT, UNK, then the corpus vocabulary
     _tag_index: dict = field(default=None, repr=False, compare=False)
+    # Per block: its 4-d shape, its first index, and the stride of each cell
+    # axis in it (0 for the axes it ignores).
+    _blocks: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "_tag_index", {t: i for i, t in enumerate(self.tags)}
         )
+        blocks = []
+        off = 0
+        for axes in self._BLOCK_AXES:
+            shape = tuple(
+                size if used else 1
+                for size, used in zip((self.T, self.T, 2, _NUM_BINS), axes)
+            )
+            strides = tuple(
+                math.prod(shape[i + 1:]) if used else 0
+                for i, used in enumerate(axes)
+            )
+            blocks.append((shape, off, strides))
+            off += math.prod(shape)
+        object.__setattr__(self, "_blocks", tuple(blocks))
 
     @classmethod
     def for_vocab(cls, pos_vocab: Sequence[str]) -> "FeatureTemplate":
@@ -58,41 +98,65 @@ class FeatureTemplate:
 
     @property
     def dimension(self) -> int:
-        T = self.T
-        B = _NUM_BINS
-        return 1 + 2 * T + 3 * T * T + 2 * B * T * T + 2 * B + 1 + T
+        shape, off, _ = self._blocks[-1]
+        return off + math.prod(shape)
 
     def tag_id(self, tag: str) -> int:
         return self._tag_index.get(tag, 1)  # UNK at index 1
 
     def arc_features(self, head_tag: str, dep_tag: str, h: int, d: int) -> list[int]:
         """Active feature indices for the arc (h, d)."""
-        T = self.T
-        B = _NUM_BINS
         ht = self.tag_id(head_tag)
         dt = self.tag_id(dep_tag)
         direction = 1 if h < d else 0  # 1 = head precedes dependent
         b = _dist_bin(abs(h - d))
-        pair = ht * T + dt
-        off = 1
-        feats = [0, off + ht, off + T + dt, off + 2 * T + pair]
-        off += 2 * T + T * T
-        feats.append(off + pair * 2 + direction)
-        off += 2 * T * T
-        feats.append(off + (pair * 2 + direction) * B + b)
-        off += 2 * B * T * T
-        feats.append(off + direction * B + b)
-        off += 2 * B
-        if h == 0:
-            feats.append(off)
-            feats.append(off + 1 + dt)
-        return feats
+        blocks = self._blocks if h == 0 else self._blocks[:-self._ROOT_BLOCKS]
+        return [
+            off + ht * sh + dt * sd + direction * sr + b * sb
+            for _, off, (sh, sd, sr, sb) in blocks
+        ]
+
+    def weight_sums(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The score of every arc feature cell under weights w: a (T, T, 2, B)
+        table keyed [head tag, dependent tag, direction, bin] for heads that
+        are tokens, and a (T, B) table keyed [dependent tag, bin] for the
+        root. Each entry adds its cell's weights to 0.0 one at a time, in
+        `arc_features` order, as a CSR matvec sums a row of X @ w."""
+        split = len(self._blocks) - self._ROOT_BLOCKS
+        sums = np.zeros((self.T, self.T, 2, _NUM_BINS))
+        for shape, off, _ in self._blocks[:split]:
+            sums += w[off:off + math.prod(shape)].reshape(shape)
+        root = sums[self.tag_id(ROOT_TAG), :, 1, :]
+        for shape, off, _ in self._blocks[split:]:
+            root = root + w[off:off + math.prod(shape)].reshape(shape)[0, :, 0, :]
+        return sums, root
+
+
+def _arc_scores(
+    x: Sentence, t: FeatureTemplate, sums: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """The (n+1, n+1) arc score matrix of x, keyed [h, d], read from the
+    tables `sums = t.weight_sums(w)`: bit for bit
+    (extract_features(x, t) @ w).reshape(n + 1, n + 1), with no feature
+    matrix built. Column 0 and the diagonal are 0."""
+    pair, root = sums
+    ids = np.array([t.tag_id(tag) for tag in (ROOT_TAG,) + x.upos])
+    pos = np.arange(x.n + 1)
+    bins = np.searchsorted(_BIN_EDGES, np.abs(pos[:, None] - pos))
+    q = pair[ids[:, None], ids, (pos[:, None] < pos).astype(np.intp), bins]
+    q[0] = root[ids, bins[0]]
+    q[:, 0] = 0.0
+    np.fill_diagonal(q, 0.0)
+    return q
 
 
 def extract_features(x: Sentence, t: FeatureTemplate) -> sp.csr_matrix:
     """Sparse 0/1 matrix with one row per cell [h, d] of the (n+1, n+1) arc
     matrix, in row-major order. Rows of non-arc cells (d = 0 or h = d) are
     empty, so (X @ w).reshape(n + 1, n + 1) is the arc score matrix."""
+    # Imported here, not at module load, as in `FrankWolfeOptimizer`.
+    import scipy.sparse as sp
+
     n = x.n
     tags = (ROOT_TAG,) + x.upos
     indptr = [0]
@@ -156,11 +220,16 @@ def rule_vector(x: Sentence, r: RuleSet) -> np.ndarray:
     return v
 
 
-def sentence_terms(x: Sentence, m: CmstModel) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The discriminative terms of a sentence under a model: its feature
-    matrix X (see `extract_features`) and its rule matrix v (see
-    `rule_vector`). Every scorer below takes these rather than the sentence."""
-    return extract_features(x, m.templates), rule_vector(x, m.rules)
+def sentence_terms(
+    xs: Iterable[Sentence], m: CmstModel
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The discriminative terms of each sentence of xs under a model, one at
+    a time: its arc scores q (see `_arc_scores`) and its rule matrix v (see
+    `rule_vector`), with the weight sums built once for all of them. Every
+    scorer below takes these rather than the sentence."""
+    sums = m.templates.weight_sums(m.w)
+    for x in xs:
+        yield _arc_scores(x, m.templates, sums), rule_vector(x, m.rules)
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +343,14 @@ def tree_loss(
 
 
 def sentence_objective(
-    X: sp.csr_matrix, v: np.ndarray, y: np.ndarray, m: CmstModel, N: int
+    q: np.ndarray, v: np.ndarray, y: np.ndarray, m: CmstModel, N: int
 ) -> float:
     """Per-sentence discriminative loss at the (n+1, n+1) arc matrix y, for a
-    sentence with terms (X, v) in a corpus of N sentences:
-    (1/2n)||y - Xw||^2 + (lam/2N)||w||^2 - mu * v.y
+    sentence with terms (q, v) in a corpus of N sentences:
+    (1/2n)||y - q||^2 + (lam/2N)||w||^2 - mu * v.y
     """
     if y.shape != v.shape:
         raise ValueError(f"arc matrix has shape {y.shape}, expected {v.shape}")
-    q = (X @ m.w).reshape(y.shape)
     return tree_loss(y, q, v, m.mu, m.lam / (2.0 * N) * float(m.w @ m.w))
 
 
@@ -448,14 +516,12 @@ def _eisner_pass(
 
 
 def arc_costs(
-    X: sp.csr_matrix, v: np.ndarray, m: CmstModel, u: np.ndarray | None = None
+    q: np.ndarray, v: np.ndarray, m: CmstModel, u: np.ndarray | None = None
 ) -> np.ndarray:
     """(n+1, n+1) matrix of the per-arc linear cost of the discriminative
-    objective over 0/1 trees, keyed [h, d], for a sentence with terms (X, v):
-    (1/2n)(1 - 2(Xw)[h, d]) - mu v[h, d] - u[h, d] on arcs, 0 on non-arc
-    cells.
+    objective over 0/1 trees, keyed [h, d], for a sentence with terms (q, v):
+    (1/2n)(1 - 2q[h, d]) - mu v[h, d] - u[h, d] on arcs, 0 on non-arc cells.
     """
-    q = (X @ m.w).reshape(v.shape)
     costs = (1.0 - 2.0 * q) / (2.0 * (v.shape[0] - 1)) - m.mu * v
     costs[:, 0] = 0.0
     np.fill_diagonal(costs, 0.0)
@@ -465,19 +531,19 @@ def arc_costs(
 
 
 def lmo_decode(
-    terms: Iterable[tuple[sp.csr_matrix, np.ndarray]],
+    terms: Iterable[tuple[np.ndarray, np.ndarray]],
     m: CmstModel,
     prices: Sequence[np.ndarray | None] | None = None,
 ) -> list[tuple[DepTree, float]]:
     """Min-cost projective tree, and its cost, of every sentence with terms
-    (X, v) under the linearized objective minus its prices (`prices[i]` for
+    (q, v) under the linearized objective minus its prices (`prices[i]` for
     sentence i, default none), all in one `eisner_min` call. `terms` may be
-    an iterator, so that each sentence's features are dropped once its arc
+    an iterator, so that each sentence's terms are dropped once its arc
     costs are built."""
     if prices is None:
-        costs = [arc_costs(X, v, m) for X, v in terms]
+        costs = [arc_costs(q, v, m) for q, v in terms]
     else:
-        costs = [arc_costs(X, v, m, u) for (X, v), u in zip(terms, prices, strict=True)]
+        costs = [arc_costs(q, v, m, u) for (q, v), u in zip(terms, prices, strict=True)]
     return [(DepTree(heads), score) for heads, score in eisner_min(costs)]
 
 
@@ -506,16 +572,21 @@ class FrankWolfeOptimizer:
             )
         if corpus.N == 0:
             raise ValueError("cannot train on an empty corpus")
+        # Imported here, not at module load: scipy costs about 0.2 s and
+        # 20 MB that parsing and evaluation never use.
+        import scipy.sparse as sp
+
         self.model = model
-        self.X, self.v = zip(*(sentence_terms(s, model) for s in corpus))
+        X = [extract_features(s, model.templates) for s in corpus]
+        self.v = [rule_vector(s, model.rules) for s in corpus]
         self.y = [tree_matrix(_chain_tree(s.n)) for s in corpus]
         self.ns = np.array([s.n for s in corpus], dtype=np.float64)
         # The ridge design D stacks the sentences' rows scaled 1/sqrt(n), so
         # that the normal equations sum (1/n) X'X per sentence.
-        D = sp.vstack([X / math.sqrt(n) for X, n in zip(self.X, self.ns)]).tocsr()
+        D = sp.vstack([Xi / math.sqrt(n) for Xi, n in zip(X, self.ns)]).tocsr()
         gram = D.T @ D + model.lam * sp.identity(D.shape[1])
-        # Imported here, not at module load: it costs about 0.2 s and 10 MB
-        # that parsing and evaluation never use.
+        # Imported only now: imported before the features were built, it
+        # raised the peak RSS of cmst-only training by about 1 MB.
         from scipy.sparse.linalg import splu
 
         self._lu = splu(
@@ -527,8 +598,8 @@ class FrankWolfeOptimizer:
         # matvec with X_all scores every arc of the corpus, each row summed
         # as X_i @ w would sum it.
         del D, gram
-        self.X_all = sp.vstack(self.X).tocsr()
-        self._row_ends = np.cumsum([X.shape[0] for X in self.X])[:-1]
+        self.X_all = sp.vstack(X).tocsr()
+        self._row_ends = np.cumsum([Xi.shape[0] for Xi in X])[:-1]
         self.objective_history: list[float] = []
         self.gap_history: list[float] = []
 
@@ -547,7 +618,7 @@ class FrankWolfeOptimizer:
         self.y = [tree_matrix(t) for t in trees]
         self._solve_w()
 
-    def _scores(self) -> list[np.ndarray]:
+    def scores(self) -> list[np.ndarray]:
         """Every sentence's (n+1, n+1) arc score matrix q = Xw."""
         q = self.X_all @ self.model.w
         return [
@@ -558,7 +629,7 @@ class FrankWolfeOptimizer:
         """The objective at the current w and relaxed trees; `q` are the arc
         scores at the current w, when the caller already has them."""
         if q is None:
-            q = self._scores()
+            q = self.scores()
         w = self.model.w
         total = self.model.lam / 2.0 * float(w @ w)
         for qi, v, y in zip(q, self.v, self.y):
@@ -569,7 +640,7 @@ class FrankWolfeOptimizer:
         """Run one iteration; returns the Frank-Wolfe duality gap. Every
         sentence's linear minimization runs in one `eisner_min` call."""
         self._solve_w()
-        q = self._scores()
+        q = self.scores()
         mu = self.model.mu
         grads = [
             (y - qi) / n - mu * v for y, qi, v, n in zip(self.y, q, self.v, self.ns)

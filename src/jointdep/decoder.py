@@ -95,8 +95,8 @@ def dd_decode_group(
     by the fallback policy. Every result equals what the sentence gives
     decoded alone.
     """
-    terms = [cmst.sentence_terms(x, m) for x in xs]
-    base = [cmst.arc_costs(X, v, m) * g_weight for X, v in terms]
+    terms = list(cmst.sentence_terms(xs, m))
+    base = [cmst.arc_costs(q, v, m) * g_weight for q, v in terms]
     sizes = [c.size for c in base]
     offsets = np.cumsum([0] + sizes[:-1]).tolist()
     # Every sentence's prices u, (n+1, n+1) keyed [h, d], in one flat vector.
@@ -181,8 +181,7 @@ def _fallback(x, y, z, theta, cfg_f, relaxed, m, terms, dd, g_weight) -> DDResul
     elif dd.fallback == "discriminative":
         tree = z_tree
     else:
-        X, v = terms
-        q = (X @ m.w).reshape(v.shape)
+        q, v = terms
         cy = _joint_cost(x, y_tree, theta, cfg_f, m, q, v, g_weight)
         cz = _joint_cost(x, z_tree, theta, cfg_f, m, q, v, g_weight)
         tree = y_tree if cy <= cz else z_tree

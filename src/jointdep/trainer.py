@@ -116,7 +116,7 @@ def train_baseline_d_init(c: Corpus, cfg: TrainConfig) -> TrainState:
         raise ValueError(f"expected mode dmv-init-from-cmst, got {cfg.mode!r}")
     opt = _pretrain_cmst(c, cfg)
     model = opt.model
-    trees = [tree for tree, _ in cmst.lmo_decode(zip(opt.X, opt.v), model)]
+    trees = [tree for tree, _ in cmst.lmo_decode(zip(opt.scores(), opt.v), model)]
     theta = dmv.mstep_from_trees(c, trees, cfg.mstep_smoothing)
     for _ in range(cfg.outer_iters):
         theta, _ = dmv.em_step(c, theta, cfg.constraint, 0.0)
@@ -200,9 +200,10 @@ def joint_objective(
     trees: Sequence[DepTree],
 ) -> float:
     """Sum over sentences of F + G at fixed trees (w-regularizer included),
-    scored with the discriminative terms held by `state.optimizer`, plus the Dirichlet prior -eps * sum(log theta) over the root, attach,
-    stop and continue probabilities, eps = cfg.mstep_smoothing, under which
-    the smoothed `mstep_from_trees` is the exact minimizer over theta.
+    scored with the arc scores and rule matrices of `state.optimizer`, plus
+    the Dirichlet prior -eps * sum(log theta) over the root, attach, stop and
+    continue probabilities, eps = cfg.mstep_smoothing, under which the
+    smoothed `mstep_from_trees` is the exact minimizer over theta.
 
     The depth cap is a tree-only constant at fixed parses, so it is dropped
     here to keep the objective finite for cap-relaxed sentences.
@@ -210,10 +211,10 @@ def joint_objective(
     cfg_eval = replace(cfg.constraint, max_ce_depth=None)
     opt = state.optimizer
     total = 0.0
-    for sent, tree, X_i, v_i in zip(c, trees, opt.X, opt.v, strict=True):
+    for sent, tree, q_i, v_i in zip(c, trees, opt.scores(), opt.v, strict=True):
         total += -dmv.tree_logprob(sent, tree, state.theta, cfg_eval)
         total += cfg.g_weight * cmst.sentence_objective(
-            X_i, v_i, tree_matrix(tree), state.model, c.N
+            q_i, v_i, tree_matrix(tree), state.model, c.N
         )
     if cfg.mstep_smoothing:
         theta = state.theta
@@ -315,7 +316,7 @@ def decode_corpus(
     if decoder == "dd":
         return [r.tree for r in _decode_all(c, state, cfg)]
     if decoder == "cmst":
-        terms = (cmst.sentence_terms(sent, state.model) for sent in c)
+        terms = cmst.sentence_terms(c, state.model)
         return [tree for tree, _ in cmst.lmo_decode(terms, state.model)]
     if decoder != "dmv":
         raise ValueError(f"unknown decoder {decoder!r}")

@@ -380,8 +380,10 @@ def dd_decode_reference(x, theta, cfg_f, m, dd, g_weight=1.0):
     from jointdep.corpus import tree_matrix
     from jointdep.decoder import DDResult
 
-    X, v = cmst.sentence_terms(x, m)
-    base = cmst.arc_costs(X, v, m) * g_weight
+    # Scored through the sparse features, not the decoders' weight sums.
+    v = cmst.rule_vector(x, m.rules)
+    q = (cmst.extract_features(x, m.templates) @ m.w).reshape(v.shape)
+    base = cmst.arc_costs(q, v, m) * g_weight
     pos, wlog = theta.tag_ids(x), theta.log_weights()
     u = np.zeros(v.shape)
     relaxed = False
@@ -408,7 +410,6 @@ def dd_decode_reference(x, theta, cfg_f, m, dd, g_weight=1.0):
     elif dd.fallback == "discriminative":
         tree = z
     else:
-        q = (X @ m.w).reshape(v.shape)
         cost = [
             -dmv.tree_logprob(x, t, theta, cfg_f)
             + g_weight * cmst.tree_loss(tree_matrix(t), q, v, m.mu)

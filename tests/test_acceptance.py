@@ -108,9 +108,9 @@ def test_criterion_2_lmo_vs_oracle(rng):
         m.w = rng.normal(scale=0.7, size=m.w.shape)
         u = (price_matrix(rng.normal(size=x.n * x.n), x.n)
              if rng.random() < 0.5 else None)
-        X, v = cmst.sentence_terms(x, m)
-        [(tree, score)] = cmst.lmo_decode([(X, v)], m, [u])
-        costs = cmst.arc_costs(X, v, m, u)
+        q, v = next(cmst.sentence_terms([x], m))
+        [(tree, score)] = cmst.lmo_decode([(q, v)], m, [u])
+        costs = cmst.arc_costs(q, v, m, u)
         best = min(
             float(np.vdot(costs, tree_matrix(t)))
             for t in all_projective_trees(x.n)
@@ -193,14 +193,13 @@ def test_criterion_6_gradient_check(rng):
         trees = all_projective_trees(x.n)
         y = tree_matrix(trees[int(rng.integers(len(trees)))])
         N = int(rng.integers(1, 20))
-        X, v = cmst.sentence_terms(x, m)
-        g = cmst.sentence_gradient(X, y, m, N)
+        g = cmst.sentence_gradient(cmst.extract_features(x, m.templates), y, m, N)
         for j in rng.integers(0, m.w.size, size=10):
             w0 = m.w[j]
             m.w[j] = w0 + h
-            fp = cmst.sentence_objective(X, v, y, m, N)
+            fp = cmst.sentence_objective(*next(cmst.sentence_terms([x], m)), y, m, N)
             m.w[j] = w0 - h
-            fm = cmst.sentence_objective(X, v, y, m, N)
+            fm = cmst.sentence_objective(*next(cmst.sentence_terms([x], m)), y, m, N)
             m.w[j] = w0
             fd = (fp - fm) / (2 * h)
             worst = max(worst, abs(fd - g[j]) / max(1.0, abs(fd)))

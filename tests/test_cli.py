@@ -1,5 +1,6 @@
 import functools
 import io
+import json
 import os
 import subprocess
 import sys
@@ -245,17 +246,47 @@ def test_cmst_weights_do_not_depend_on_blas_threads(tmp_path):
     assert written[0] == written[1]
 
 
-def test_cli_import_leaves_sparse_solver_unloaded():
-    # Only Frank-Wolfe training factors the ridge system; parse, eval and
-    # make_inputs must not pay for importing the sparse solver.
+_SCIPY_PROBE = """
+import json, sys
+import jointdep.cli
+
+def scipy_loaded():
+    return any(name.split(".")[0] == "scipy" for name in sys.modules)
+
+print(scipy_loaded())
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["jointdep", *argv]
+    try:
+        jointdep.cli.main()
+    except SystemExit as exc:
+        assert exc.code == 0, (argv, exc.code)
+    print(scipy_loaded())
+"""
+
+
+def test_cli_import_leaves_sparse_solver_unloaded(tmp_path, model_dir, train_file):
+    # Only Frank-Wolfe training builds sparse features and factors the ridge
+    # system: importing the CLI, every parse decoder, eval and analyze must
+    # not import scipy at all. cmst-only training still does.
+    pred = tmp_path / "pred.conllu"
+    commands = [
+        ["parse", "--model", str(model_dir), "--decoder", decoder,
+         "--input", str(train_file), "--output", str(pred)]
+        for decoder in ("dd", "dmv", "cmst")
+    ] + [
+        ["eval", "--gold", str(train_file), "--pred", str(pred)],
+        ["analyze", "--pred", str(pred)],
+        ["train", "--mode", "cmst-only", "--fw-pretrain-iters", "1",
+         "--train", str(train_file), "--out", str(tmp_path / "cmst")],
+    ]
     src = str(Path(jointdep.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, jointdep.cli; print('scipy.sparse.linalg' in sys.modules)"],
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
         env=dict(os.environ, PYTHONPATH=src), check=True, capture_output=True,
         text=True,
     )
-    assert out.stdout.strip() == "False"
+    loaded = [line for line in out.stdout.splitlines() if line in ("True", "False")]
+    assert loaded == ["False"] * 6 + ["True"]
 
 
 def test_train_determinism_via_cli(tmp_path, train_file, fast_args):

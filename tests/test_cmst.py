@@ -96,9 +96,31 @@ def test_non_arc_cells_are_empty(rng, n):
     assert row_nnz.reshape(n + 1, n + 1)[arcs].all()
     assert np.array_equal(rule_vector(x, everything), arcs.astype(float))
     u = price_matrix(rng.normal(size=n * n), n)
-    costs = arc_costs(*sentence_terms(x, m), m, u)
+    costs = arc_costs(*next(sentence_terms([x], m)), m, u)
     assert not costs[~arcs].any()
     assert costs[arcs].all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 11, 12, 40])
+def test_arc_scores_equal_feature_matvec_in_bytes(rng, n):
+    # Decoding reads arc scores from weight sums; they must be the very bits
+    # of X @ w, since the decoded trees break ties on them. Weights span 16
+    # orders of magnitude, so a sum in any other order rounds differently,
+    # and hold exact zeros and -0.0. Tags include one unseen (UNK), UNK
+    # itself and a token tagged <ROOT>; n >= 12 reaches distances above 10.
+    vocab = UPOS_TAGS[:5]
+    tags = (*vocab, "UNSEEN", cmst.UNK_TAG, cmst.ROOT_TAG)
+    for _ in range(5):
+        x = make_sentence([tags[i % len(tags)] for i in rng.permutation(n)])
+        m = CmstModel.create(vocab)
+        w = rng.normal(size=m.w.shape) * 10.0 ** rng.integers(-8, 8, size=m.w.size)
+        w[rng.random(w.size) < 0.2] = 0.0
+        w[rng.random(w.size) < 0.2] = -0.0
+        m.w = w
+        want = (extract_features(x, m.templates) @ m.w).reshape(n + 1, n + 1)
+        got = next(sentence_terms([x], m))[0]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +169,7 @@ def test_objective_zero_weights():
     x = make_sentence(["NOUN", "VERB"])
     m = CmstModel.create(("NOUN", "VERB"), mu=0.0)
     y = tree_matrix(DepTree((2, 0)))
-    got = sentence_objective(*sentence_terms(x, m), y, m, N=1)
+    got = sentence_objective(*next(sentence_terms([x], m)), y, m, N=1)
     assert got == pytest.approx(0.5)
 
 
@@ -160,7 +182,7 @@ def test_objective_vanishing_residual(rng):
     # Least-squares fit so that Xw == y (the system is underdetermined).
     m.w = np.linalg.lstsq(X.toarray(), y.ravel(), rcond=None)[0]
     v = rule_vector(x, m.rules)
-    got = sentence_objective(X, v, y, m, N=1)
+    got = sentence_objective((X @ m.w).reshape(y.shape), v, y, m, N=1)
     assert got == pytest.approx(-0.7 * float(np.vdot(v, y)), abs=1e-9)
 
 
@@ -179,7 +201,7 @@ def test_objective_matches_naive_evaluation(rng):
         + m.lam / (2 * N) * float(np.sum(m.w**2))
         - m.mu * float(np.sum(v * y))
     )
-    got = sentence_objective(*sentence_terms(x, m), y, m, N)
+    got = sentence_objective(*next(sentence_terms([x], m)), y, m, N)
     assert got == pytest.approx(naive, abs=1e-12)
 
 
@@ -190,7 +212,7 @@ def test_objective_matches_naive_evaluation(rng):
 def test_lmo_rule_dominated():
     x = make_sentence(["DET", "NOUN", "VERB"])
     m = CmstModel.create(("DET", "NOUN", "VERB"), mu=100.0)
-    [(tree, _)] = lmo_decode([sentence_terms(x, m)], m)
+    [(tree, _)] = lmo_decode(sentence_terms([x], m), m)
     v = rule_vector(x, m.rules)
     best_sat = max(
         float(np.vdot(v, tree_matrix(t))) for t in all_projective_trees(3)
@@ -207,8 +229,8 @@ def test_lmo_matches_bruteforce(rng):
         m.w = rng.normal(scale=0.5, size=m.w.shape)
         u = (price_matrix(rng.normal(size=n * n), n)
              if rng.random() < 0.5 else None)
-        [(tree, score)] = lmo_decode([sentence_terms(x, m)], m, [u])
-        costs = arc_costs(*sentence_terms(x, m), m, u)
+        [(tree, score)] = lmo_decode(sentence_terms([x], m), m, [u])
+        costs = arc_costs(*next(sentence_terms([x], m)), m, u)
         best = min(
             float(np.vdot(costs, tree_matrix(t))) for t in all_projective_trees(n)
         )
@@ -285,8 +307,8 @@ def test_fw_stacked_scores_match_per_sentence(rng):
     opt.run(3)
     want = m.lam / 2.0 * float(m.w @ m.w)
     for x, y in zip(c, opt.y):
-        X, v = sentence_terms(x, m)
-        q = (X @ m.w).reshape(y.shape)
+        v = rule_vector(x, m.rules)
+        q = (extract_features(x, m.templates) @ m.w).reshape(y.shape)
         want += cmst.tree_loss(y, q, v, m.mu)
     assert opt.objective() == want
     assert opt.objective_history[-1] == want
@@ -304,10 +326,10 @@ def test_fw_toy_sentence_learns_rule_arcs():
     c = Corpus((x,), ("DET", "NOUN", "VERB"))
     m = CmstModel.create(c.pos_vocab, lam=1.0, mu=1.0)
     FrankWolfeOptimizer(c, m).run(60)
-    [(tree, _)] = lmo_decode([sentence_terms(x, m)], m)
+    [(tree, _)] = lmo_decode(sentence_terms([x], m), m)
     assert tree.heads == (2, 3, 0)
     # Brute-force check: the decoded tree minimizes the final objective.
-    costs = arc_costs(*sentence_terms(x, m), m)
+    costs = arc_costs(*next(sentence_terms([x], m)), m)
     best = min(
         float(np.vdot(costs, tree_matrix(t))) for t in all_projective_trees(3)
     )
@@ -372,9 +394,9 @@ def test_sgd_gradient_matches_finite_differences(rng):
     for j in rng.integers(0, m.w.size, size=20):
         w0 = m.w[j]
         m.w[j] = w0 + h
-        fp = sentence_objective(*sentence_terms(x, m), y, m, N)
+        fp = sentence_objective(*next(sentence_terms([x], m)), y, m, N)
         m.w[j] = w0 - h
-        fm = sentence_objective(*sentence_terms(x, m), y, m, N)
+        fm = sentence_objective(*next(sentence_terms([x], m)), y, m, N)
         m.w[j] = w0
         fd = (fp - fm) / (2 * h)
         assert abs(fd - g[j]) / max(1.0, abs(fd)) < 1e-6

@@ -107,7 +107,7 @@ def test_fallback_better_objective(rng):
         y_tree, _ = dmv.viterbi_decode(
             x, theta, UNCONSTRAINED, np.zeros((n + 1, n + 1))
         )
-        [(z_tree, _)] = cmst.lmo_decode([cmst.sentence_terms(x, m)], m)
+        [(z_tree, _)] = cmst.lmo_decode(cmst.sentence_terms([x], m), m)
         cy = _joint_objective(x, y_tree, theta, UNCONSTRAINED, m)
         cz = _joint_objective(x, z_tree, theta, UNCONSTRAINED, m)
         want = y_tree if cy <= cz else z_tree
@@ -136,7 +136,7 @@ def test_fallback_policies_pick_sides(rng):
         y_tree, _ = dmv.viterbi_decode(
             x, theta, UNCONSTRAINED, np.zeros((n + 1, n + 1))
         )
-        [(z_tree, _)] = cmst.lmo_decode([cmst.sentence_terms(x, m)], m)
+        [(z_tree, _)] = cmst.lmo_decode(cmst.sentence_terms([x], m), m)
         assert res_g.tree.heads == y_tree.heads
         assert res_d.tree.heads == z_tree.heads
         return
