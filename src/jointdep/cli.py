@@ -35,8 +35,6 @@ _DEFAULTS = {
     "dep_len_beta": 0.1,
     "lambda": 1.0,
     "mu": 0.5,
-    "dd_tau0": 1.0,
-    "dd_step_rule": "invsqrt",
     "dd_max_iters": 50,
     "dd_fallback": "better-objective",
     "mstep_smoothing": 0.1,
@@ -51,7 +49,7 @@ _INT_KEYS = {
     "fw_pretrain_iters", "dd_max_iters", "workers",
 }
 _FLOAT_KEYS = {
-    "dep_len_beta", "lambda", "mu", "dd_tau0", "mstep_smoothing", "g_weight",
+    "dep_len_beta", "lambda", "mu", "mstep_smoothing", "g_weight",
 }
 
 
@@ -122,10 +120,7 @@ def _train_config(cfg: dict) -> trainer.TrainConfig:
         constraint=dmv.ConstraintConfig(cap, cfg["dep_len_beta"]),
         lam=cfg["lambda"],
         mu=cfg["mu"],
-        dd=DDConfig(
-            cfg["dd_tau0"], cfg["dd_step_rule"], cfg["dd_max_iters"],
-            cfg["dd_fallback"],
-        ),
+        dd=DDConfig(cfg["dd_max_iters"], cfg["dd_fallback"]),
         mstep_smoothing=cfg["mstep_smoothing"],
         g_weight=cfg["g_weight"],
         rules=rules,

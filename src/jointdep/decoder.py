@@ -1,14 +1,14 @@
 """Joint decoding of the two models by dual decomposition.
 
-Iterates the two price-modified subproblem decoders, updates the per-arc
-prices on disagreement, and returns a certified optimum on agreement or a
-deterministic fallback otherwise. A group of sentences iterates in lockstep,
-each iteration one batched pass of each decoder.
+Iterates the two price-modified subproblem decoders and updates the per-arc
+prices by Polyak steps toward the best primal cost found. A sentence is
+certified once its two trees agree or its dual gap closes; otherwise it ends
+on a deterministic fallback. A group of sentences iterates in lockstep, each
+iteration one batched pass of each decoder.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Sequence
@@ -18,33 +18,22 @@ import numpy as np
 from . import cmst, dmv
 from .corpus import DepTree, Sentence, tree_matrix
 
-_STEP_RULES = ("constant", "inv", "invsqrt")
 _FALLBACKS = ("generative", "discriminative", "better-objective")
+# A sentence is certified once its dual gap is at most _GAP_TOL * (1 + |L|),
+# L the dual value: the rounding of sums of a few dozen terms stays far below.
+_GAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class DDConfig:
-    tau0: float = 1.0
-    step_rule: str = "invsqrt"
     max_iters: int = 50
     fallback: str = "better-objective"
 
     def __post_init__(self):
-        if not 0 < self.tau0 < math.inf:
-            raise ValueError(f"tau0 must be finite and > 0, got {self.tau0}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.step_rule not in _STEP_RULES:
-            raise ValueError(f"step_rule must be one of {_STEP_RULES}")
         if self.fallback not in _FALLBACKS:
             raise ValueError(f"fallback must be one of {_FALLBACKS}")
-
-    def step_size(self, k: int) -> float:
-        if self.step_rule == "constant":
-            return self.tau0
-        if self.step_rule == "inv":
-            return self.tau0 / k
-        return self.tau0 / math.sqrt(k)
 
 
 @dataclass(frozen=True)
@@ -52,7 +41,7 @@ class DDResult:
     tree: DepTree
     converged: bool
     iterations: int
-    final_gap: int  # number of disagreeing arc cells
+    final_gap: float  # best primal cost minus dual value; 0.0 on agreement
     relaxed_depth_cap: bool = False
 
 
@@ -89,23 +78,33 @@ def dd_decode_group(
 
     The sentences iterate in lockstep, and each iteration makes one batched
     Viterbi pass and one `eisner_min` call over the sentences still planned.
-    A sentence leaves once its two trees agree; its result is then a
-    certified optimum of the joint objective. A sentence still disagreeing
-    after `dd.max_iters` iterations gets one of its two final trees, picked
-    by the fallback policy. Every result equals what the sentence gives
-    decoded alone.
+    Their scores bound each sentence's optimum from both sides: below by the
+    dual value L = eis - vit, above by the joint cost P = (base - u).Y - vit
+    of the grammar's tree y (F + G but for a term shared by every tree). A
+    sentence leaves, certified, once its two trees agree, or once its lowest
+    P so far is within `_GAP_TOL` * (1 + |L|) of L, with the tree that first
+    reached that P.
+    Otherwise its prices take the Polyak step u + (min P - L) / |Y - Z|^2 *
+    (Y - Z). A sentence still uncertified after `dd.max_iters` iterations
+    gets one of its two final trees, picked by the fallback policy. Every
+    result equals what the sentence gives decoded alone.
     """
     terms = list(cmst.sentence_terms(xs, m))
     base = [cmst.arc_costs(q, v, m) * g_weight for q, v in terms]
     sizes = [c.size for c in base]
     offsets = np.cumsum([0] + sizes[:-1]).tolist()
-    # Every sentence's prices u, (n+1, n+1) keyed [h, d], in one flat vector.
+    # Every sentence's prices u, (n+1, n+1) keyed [h, d], in one flat vector,
+    # and its arc costs alongside: cell [h, d] sits at its offset + h * (n+1)
+    # + d.
     u = np.zeros(sum(sizes))
+    flat_base = np.concatenate([c.ravel() for c in base])
     prices = [u[o:o + c.size].reshape(c.shape) for o, c in zip(offsets, base)]
     cols = [o + np.arange(1, x.n + 1) for o, x in zip(offsets, xs)]
     cfgs = [cfg_f] * len(xs)
     charts = [dmv.build_decode_chart(x, theta, cfg_f) for x in xs]
     results: list[DDResult | None] = [None] * len(xs)
+    best_cost = np.full(len(xs), np.inf)  # each sentence's lowest P so far
+    best_heads: list[tuple[int, ...] | None] = [None] * len(xs)
 
     def plan(rows):
         return dmv.viterbi_plan(
@@ -137,45 +136,73 @@ def dd_decode_group(
                     raise dmv.InfeasibleParseError()
         zs = cmst.eisner_min([base[i] - prices[i] for i in planned])
         left = []
-        for i, (y, _) in zip(active, ys):
-            z = zs[at[i]][0]
+        for i, (y, y_score) in zip(active, ys):
+            z, z_cost = zs[at[i]]
             if y == z:
                 results[i] = DDResult(
-                    DepTree(y), True, k, 0, cfgs[i] is not cfg_f
+                    DepTree(y), True, k, 0.0, cfgs[i] is not cfg_f
                 )
             else:
-                left.append((i, y, z))
-        if k == dd.max_iters:
-            for i, y, z in left:
-                results[i] = _fallback(
-                    xs[i], y, z, theta, cfgs[i], cfgs[i] is not cfg_f, m,
-                    terms[i], dd, g_weight,
-                )
-            break
+                left.append((i, y, z, y_score, z_cost))
         if not left:
             break
-        # u + tau * (Y - Z) for each disagreeing sentence, with Y and Z its
-        # two trees' 0/1 arc matrices: cell [h, d] of a sentence's prices
-        # sits at its offset + h * (n+1) + d.
-        cell = np.concatenate([cols[i] for i, _, _ in left])
-        stride = np.concatenate([np.full(xs[i].n, xs[i].n + 1) for i, _, _ in left])
-        diff = np.zeros(u.size)
-        for side, sign in ((1, 1.0), (2, -1.0)):  # y, then z
-            heads = np.fromiter(chain.from_iterable(t[side] for t in left), np.intp)
-            diff[heads * stride + cell] += sign
-        u += dd.step_size(k) * diff
-        active = [i for i, _, _ in left]
+        rows = np.array([t[0] for t in left])
+        lengths = [xs[i].n for i in rows]
+        token_row = np.repeat(np.arange(len(left)), lengths)
+        cell = np.concatenate([cols[i] for i in rows])
+        stride = np.repeat([n + 1 for n in lengths], lengths)
+        y_at, z_at = (
+            np.fromiter(chain.from_iterable(t[side] for t in left), np.intp)
+            * stride + cell
+            for side in (1, 2)
+        )
+        y_score, z_cost = (np.array([t[side] for t in left]) for side in (3, 4))
+        # Per-row sums are bincounts, which add a row's cells in order from
+        # 0.0: a row gets the same bits alone or in any group.
+        cost = np.bincount(token_row, flat_base[y_at] - u[y_at], len(left))
+        cost -= y_score
+        dual = z_cost - y_score
+        lower = (cost < best_cost[rows]).nonzero()[0]
+        best_cost[rows[lower]] = cost[lower]
+        for j in lower:
+            best_heads[left[j][0]] = left[j][1]
+        gap = best_cost[rows] - dual
+        closed = gap <= _GAP_TOL * (1.0 + np.abs(dual))
+        for j, (i, y, z, _, _) in enumerate(left):
+            if closed[j]:
+                results[i] = DDResult(
+                    DepTree(best_heads[i]), True, k, float(gap[j]),
+                    cfgs[i] is not cfg_f,
+                )
+            elif k == dd.max_iters:
+                results[i] = _fallback(
+                    xs[i], y, z, theta, cfgs[i], cfgs[i] is not cfg_f, m,
+                    terms[i], dd, g_weight, float(gap[j]),
+                )
+        active = rows[~closed].tolist()
+        if not active or k == dd.max_iters:
+            break
+        # The Polyak step on each open row, over the cells where Y - Z is
+        # +1 (y's arcs) or -1 (z's); |Y - Z|^2 is twice the tokens whose
+        # heads differ.
+        moved = y_at != z_at
+        tau = gap / (2 * np.bincount(token_row[moved], minlength=len(left)))
+        moved &= ~closed[token_row]
+        step = tau[token_row[moved]]
+        u[y_at[moved]] += step
+        u[z_at[moved]] -= step
         if 2 * len(active) <= len(planned):
             planned = active
             vit = plan(planned)
     return results
 
 
-def _fallback(x, y, z, theta, cfg_f, relaxed, m, terms, dd, g_weight) -> DDResult:
-    """The result of a sentence whose trees y and z still disagree at the
-    iteration budget."""
+def _fallback(
+    x, y, z, theta, cfg_f, relaxed, m, terms, dd, g_weight, gap
+) -> DDResult:
+    """The result of a sentence whose trees y and z are still uncertified at
+    the iteration budget, with dual gap `gap`."""
     y_tree, z_tree = DepTree(y), DepTree(z)
-    gap = sum(a != b for a, b in zip(y, z)) * 2
     if dd.fallback == "generative":
         tree = y_tree
     elif dd.fallback == "discriminative":

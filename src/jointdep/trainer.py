@@ -265,19 +265,27 @@ def joint_train(
         state.stats = {
             "dd_converged": converged,
             "dd_rate": converged / c.N if c.N else 0.0,
+            "dd_gap_max": max((r.final_gap for r in results), default=0.0),
             "joint_objective": j_after,
         }
-        metrics_rows.append(
-            (it, j_after, state.stats["dd_rate"], sum(r.iterations for r in results))
-        )
+        metrics_rows.append((
+            it, j_after, state.stats["dd_rate"], sum(r.iterations for r in results),
+            state.stats["dd_gap_max"],
+        ))
         if checkpoint_dir is not None:
             ckpt = Path(checkpoint_dir) / f"iter{it:03d}"
             state.save(ckpt, c)
             with open(Path(checkpoint_dir) / "metrics.csv", "w", newline="") as f:
                 wr = csv.writer(f)
-                wr.writerow(["iteration", "joint_objective", "dd_rate", "dd_iters"])
+                wr.writerow([
+                    "iteration", "joint_objective", "dd_rate", "dd_iters",
+                    "dd_gap_max",
+                ])
                 for row in metrics_rows:
-                    wr.writerow([row[0], "%.12g" % row[1], "%.6f" % row[2], row[3]])
+                    wr.writerow([
+                        row[0], "%.12g" % row[1], "%.6f" % row[2], row[3],
+                        "%.12g" % row[4],
+                    ])
         heads = tuple(t.heads for t in trees)
         if heads == prev_heads:
             log.info("decoded trees unchanged at iteration %d; stopping", it)

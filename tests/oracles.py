@@ -369,16 +369,17 @@ def scalar_expected_counts(s, pos, V, wlog, beta):
 
 def dd_decode_reference(x, theta, cfg_f, m, dd, g_weight=1.0):
     """Agreement decoding of one sentence alone, the reference for the
-    lockstep group decoder: subgradient steps on the arc prices u, each
-    iteration one `scalar_viterbi` of the grammar under +u and one
+    lockstep group decoder: Polyak subgradient steps on the arc prices u,
+    each iteration one `scalar_viterbi` of the grammar under +u and one
     `eisner_min_reference` of the discriminative arc costs under -u, with
-    `DepTree`s and 0/1 arc matrices for the update u + tau * (Y - Z). A
-    sentence infeasible under the depth cap is decoded without it."""
+    `DepTree`s and 0/1 arc matrices for the update u + tau * (Y - Z), and a
+    Python loop for the joint cost of the grammar's tree. A sentence
+    infeasible under the depth cap is decoded without it."""
     from dataclasses import replace
 
     from jointdep import cmst, dmv
     from jointdep.corpus import tree_matrix
-    from jointdep.decoder import DDResult
+    from jointdep.decoder import _GAP_TOL, DDResult
 
     # Scored through the sparse features, not the decoders' weight sums.
     v = cmst.rule_vector(x, m.rules)
@@ -387,24 +388,38 @@ def dd_decode_reference(x, theta, cfg_f, m, dd, g_weight=1.0):
     pos, wlog = theta.tag_ids(x), theta.log_weights()
     u = np.zeros(v.shape)
     relaxed = False
+    best_cost, best = math.inf, None
     for k in range(1, dd.max_iters + 1):
         while True:
-            heads, best = scalar_viterbi(
+            heads, y_score = scalar_viterbi(
                 dmv._compile(x.n, cfg_f.max_ce_depth), pos, theta.V, wlog,
                 cfg_f.dep_len_beta, u,
             )
-            if best > -math.inf:
+            if y_score > -math.inf:
                 break
             if relaxed or cfg_f.max_ce_depth is None:
                 raise dmv.InfeasibleParseError()
             relaxed = True
             cfg_f = replace(cfg_f, max_ce_depth=None)
         y = DepTree(heads)
-        z = DepTree(eisner_min_reference(base - u)[0])
+        z_heads, z_cost = eisner_min_reference(base - u)
+        z = DepTree(z_heads)
         if y == z:
-            return DDResult(y, True, k, 0, relaxed)
-        u = u + dd.step_size(k) * (tree_matrix(y) - tree_matrix(z))
-    gap = 2 * sum(a != b for a, b in zip(y.heads, z.heads))
+            return DDResult(y, True, k, 0.0, relaxed)
+        cost = 0.0
+        for d, h in enumerate(y.heads, 1):
+            cost += base[h, d] - u[h, d]
+        cost -= y_score
+        dual = z_cost - y_score
+        if cost < best_cost:
+            best_cost, best = cost, y
+        gap = float(best_cost - dual)
+        if gap <= _GAP_TOL * (1.0 + abs(dual)):
+            return DDResult(best, True, k, gap, relaxed)
+        if k == dd.max_iters:
+            break
+        diff = tree_matrix(y) - tree_matrix(z)
+        u = u + gap / float(np.vdot(diff, diff)) * diff
     if dd.fallback == "generative":
         tree = y
     elif dd.fallback == "discriminative":

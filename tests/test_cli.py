@@ -191,8 +191,7 @@ def test_train_rejects_nonpositive_lambda(tmp_path, train_file, capsys):
 
 
 @pytest.mark.parametrize("setting", [
-    "dd_tau0=nan", "dd_tau0=inf", "g_weight=nan", "g_weight=inf",
-    "mstep_smoothing=-0.5", "em_pretrain_iters=-1", "fw_pretrain_iters=-1",
+    "g_weight=nan", "g_weight=inf", "mstep_smoothing=-0.5", "em_pretrain_iters=-1", "fw_pretrain_iters=-1",
     "workers=0",
 ])
 def test_train_rejects_out_of_range_setting(tmp_path, train_file, capsys, setting):
@@ -202,8 +201,23 @@ def test_train_rejects_out_of_range_setting(tmp_path, train_file, capsys, settin
               "--out", str(tmp_path / "m")])
     err = capsys.readouterr().err
     assert rc == EXIT_DATA
-    key = setting.split("=")[0].removeprefix("dd_")
+    key = setting.split("=")[0]
     assert err.startswith("error: ") and key in err and err.count("\n") == 1
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("setting", ["dd_step_rule=invsqrt", "dd_tau0=1.0"])
+def test_train_rejects_removed_step_settings(tmp_path, train_file, capsys, setting):
+    # Agreement decoding takes Polyak steps only: the step schedule settings
+    # are gone, and a config file naming one is a usage error.
+    config = tmp_path / "train.cfg"
+    config.write_text(setting + "\n")
+    rc = run(["train", "--config", str(config), "--train", str(train_file),
+              "--out", str(tmp_path / "m")])
+    err = capsys.readouterr().err
+    key = setting.split("=")[0]
+    assert rc == EXIT_USAGE
+    assert err == f"error: {config}:1: unknown config key {key!r}\n"
     assert not (tmp_path / "m").exists()
 
 

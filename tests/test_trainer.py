@@ -146,8 +146,26 @@ def test_checkpoints_written_per_iteration(small_corpus, tmp_path):
         assert (d / "cmst.txt").exists()
         assert (d / "trees.conllu").exists()
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
-    assert lines[0] == "iteration,joint_objective,dd_rate,dd_iters"
+    assert lines[0] == "iteration,joint_objective,dd_rate,dd_iters,dd_gap_max"
     assert len(lines) == state.iteration + 1
+
+
+def test_metrics_record_the_largest_dual_gap(small_corpus, tmp_path, monkeypatch):
+    # `dd_gap_max` is the largest final dual gap of each outer iteration's
+    # decode; two DD iterations leave some sentences uncertified.
+    decoded = []
+
+    def recorded(*args, _fn=trainer._decode_all):
+        decoded.append(_fn(*args))
+        return decoded[-1]
+
+    monkeypatch.setattr(trainer, "_decode_all", recorded)
+    state = joint_train(small_corpus, _fast_cfg(dd=DDConfig(max_iters=2)), tmp_path)
+    gaps = [max(r.final_gap for r in results) for results in decoded]
+    assert gaps[0] > 0.0
+    assert state.stats["dd_gap_max"] == gaps[-1]
+    rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["%.12g" % g for g in gaps]
 
 
 def _nudged(theta, t, ds):
