@@ -36,7 +36,6 @@ _DEFAULTS = {
     "lambda": 1.0,
     "mu": 0.5,
     "dd_max_iters": 50,
-    "dd_fallback": "better-objective",
     "mstep_smoothing": 0.1,
     "g_weight": 1.0,
     "rules": "",
@@ -120,7 +119,7 @@ def _train_config(cfg: dict) -> trainer.TrainConfig:
         constraint=dmv.ConstraintConfig(cap, cfg["dep_len_beta"]),
         lam=cfg["lambda"],
         mu=cfg["mu"],
-        dd=DDConfig(cfg["dd_max_iters"], cfg["dd_fallback"]),
+        dd=DDConfig(cfg["dd_max_iters"]),
         mstep_smoothing=cfg["mstep_smoothing"],
         g_weight=cfg["g_weight"],
         rules=rules,

@@ -2,9 +2,10 @@
 
 Iterates the two price-modified subproblem decoders and updates the per-arc
 prices by Polyak steps toward the best primal cost found. A sentence is
-certified once its two trees agree or its dual gap closes; otherwise it ends
-on a deterministic fallback. A group of sentences iterates in lockstep, each
-iteration one batched pass of each decoder.
+certified once its two trees agree or its dual gap closes; otherwise it ends,
+uncertified, on the grammar tree of least joint cost the iterations found. A
+group of sentences iterates in lockstep, each iteration one batched pass of
+each decoder.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from . import cmst, dmv
-from .corpus import DepTree, Sentence, tree_matrix
+from .corpus import DepTree, Sentence
 
-_FALLBACKS = ("generative", "discriminative", "better-objective")
 # A sentence is certified once its dual gap is at most _GAP_TOL * (1 + |L|),
 # L the dual value: the rounding of sums of a few dozen terms stays far below.
 _GAP_TOL = 1e-9
@@ -27,13 +27,10 @@ _GAP_TOL = 1e-9
 @dataclass(frozen=True)
 class DDConfig:
     max_iters: int = 50
-    fallback: str = "better-objective"
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.fallback not in _FALLBACKS:
-            raise ValueError(f"fallback must be one of {_FALLBACKS}")
 
 
 @dataclass(frozen=True)
@@ -43,12 +40,6 @@ class DDResult:
     iterations: int
     final_gap: float  # best primal cost minus dual value; 0.0 on agreement
     relaxed_depth_cap: bool = False
-
-
-def _joint_cost(x, tree, theta, cfg_f, model, q, v, g_weight):
-    """F + G at a tree (w-regularizer omitted: constant across trees)."""
-    g_val = cmst.tree_loss(tree_matrix(tree), q, v, model.mu)
-    return -dmv.tree_logprob(x, tree, theta, cfg_f) + g_weight * g_val
 
 
 def dd_decode(
@@ -86,11 +77,12 @@ def dd_decode_group(
     reached that P.
     Otherwise its prices take the Polyak step u + (min P - L) / |Y - Z|^2 *
     (Y - Z). A sentence still uncertified after `dd.max_iters` iterations
-    gets one of its two final trees, picked by the fallback policy. Every
+    leaves the same way, with the same tree, but flagged uncertified. Every
     result equals what the sentence gives decoded alone.
     """
-    terms = list(cmst.sentence_terms(xs, m))
-    base = [cmst.arc_costs(q, v, m) * g_weight for q, v in terms]
+    base = [
+        cmst.arc_costs(q, v, m) * g_weight for q, v in cmst.sentence_terms(xs, m)
+    ]
     sizes = [c.size for c in base]
     offsets = np.cumsum([0] + sizes[:-1]).tolist()
     # Every sentence's prices u, (n+1, n+1) keyed [h, d], in one flat vector,
@@ -100,7 +92,7 @@ def dd_decode_group(
     flat_base = np.concatenate([c.ravel() for c in base])
     prices = [u[o:o + c.size].reshape(c.shape) for o, c in zip(offsets, base)]
     cols = [o + np.arange(1, x.n + 1) for o, x in zip(offsets, xs)]
-    cfgs = [cfg_f] * len(xs)
+    relaxed: set[int] = set()  # rows decoded without the depth cap
     charts = [dmv.build_decode_chart(x, theta, cfg_f) for x in xs]
     results: list[DDResult | None] = [None] * len(xs)
     best_cost = np.full(len(xs), np.inf)  # each sentence's lowest P so far
@@ -126,10 +118,10 @@ def dd_decode_group(
             if stuck:
                 if cfg_f.max_ce_depth is None:
                     raise dmv.InfeasibleParseError()
-                relaxed = replace(cfg_f, max_ce_depth=None)
+                uncapped = replace(cfg_f, max_ce_depth=None)
+                relaxed.update(stuck)
                 for i in stuck:
-                    cfgs[i] = relaxed
-                    charts[i] = dmv.build_decode_chart(xs[i], theta, relaxed)
+                    charts[i] = dmv.build_decode_chart(xs[i], theta, uncapped)
                 vit = plan(planned)
                 ys = dmv.viterbi_batch(vit, u, [at[i] for i in active])
                 if any(y is None for y, _ in ys):
@@ -139,9 +131,7 @@ def dd_decode_group(
         for i, (y, y_score) in zip(active, ys):
             z, z_cost = zs[at[i]]
             if y == z:
-                results[i] = DDResult(
-                    DepTree(y), True, k, 0.0, cfgs[i] is not cfg_f
-                )
+                results[i] = DDResult(DepTree(y), True, k, 0.0, i in relaxed)
             else:
                 left.append((i, y, z, y_score, z_cost))
         if not left:
@@ -168,16 +158,11 @@ def dd_decode_group(
             best_heads[left[j][0]] = left[j][1]
         gap = best_cost[rows] - dual
         closed = gap <= _GAP_TOL * (1.0 + np.abs(dual))
-        for j, (i, y, z, _, _) in enumerate(left):
-            if closed[j]:
+        for j, i in enumerate(rows.tolist()):
+            if closed[j] or k == dd.max_iters:
                 results[i] = DDResult(
-                    DepTree(best_heads[i]), True, k, float(gap[j]),
-                    cfgs[i] is not cfg_f,
-                )
-            elif k == dd.max_iters:
-                results[i] = _fallback(
-                    xs[i], y, z, theta, cfgs[i], cfgs[i] is not cfg_f, m,
-                    terms[i], dd, g_weight, float(gap[j]),
+                    DepTree(best_heads[i]), bool(closed[j]), k, float(gap[j]),
+                    i in relaxed,
                 )
         active = rows[~closed].tolist()
         if not active or k == dd.max_iters:
@@ -195,21 +180,3 @@ def dd_decode_group(
             planned = active
             vit = plan(planned)
     return results
-
-
-def _fallback(
-    x, y, z, theta, cfg_f, relaxed, m, terms, dd, g_weight, gap
-) -> DDResult:
-    """The result of a sentence whose trees y and z are still uncertified at
-    the iteration budget, with dual gap `gap`."""
-    y_tree, z_tree = DepTree(y), DepTree(z)
-    if dd.fallback == "generative":
-        tree = y_tree
-    elif dd.fallback == "discriminative":
-        tree = z_tree
-    else:
-        q, v = terms
-        cy = _joint_cost(x, y_tree, theta, cfg_f, m, q, v, g_weight)
-        cz = _joint_cost(x, z_tree, theta, cfg_f, m, q, v, g_weight)
-        tree = y_tree if cy <= cz else z_tree
-    return DDResult(tree, False, dd.max_iters, gap, relaxed)

@@ -417,21 +417,9 @@ def dd_decode_reference(x, theta, cfg_f, m, dd, g_weight=1.0):
         if gap <= _GAP_TOL * (1.0 + abs(dual)):
             return DDResult(best, True, k, gap, relaxed)
         if k == dd.max_iters:
-            break
+            return DDResult(best, False, k, gap, relaxed)
         diff = tree_matrix(y) - tree_matrix(z)
         u = u + gap / float(np.vdot(diff, diff)) * diff
-    if dd.fallback == "generative":
-        tree = y
-    elif dd.fallback == "discriminative":
-        tree = z
-    else:
-        cost = [
-            -dmv.tree_logprob(x, t, theta, cfg_f)
-            + g_weight * cmst.tree_loss(tree_matrix(t), q, v, m.mu)
-            for t in (y, z)
-        ]
-        tree = y if cost[0] <= cost[1] else z
-    return DDResult(tree, False, dd.max_iters, gap, relaxed)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,7 @@ def test_dump_config(capsys):
     out = capsys.readouterr().out
     assert "mu=0.25" in out
     assert "mode=joint" in out
+    assert "dd_fallback" not in out
 
 
 def test_missing_subcommand_is_usage_error():
@@ -206,10 +207,13 @@ def test_train_rejects_out_of_range_setting(tmp_path, train_file, capsys, settin
     assert not (tmp_path / "m").exists()
 
 
-@pytest.mark.parametrize("setting", ["dd_step_rule=invsqrt", "dd_tau0=1.0"])
+@pytest.mark.parametrize(
+    "setting", ["dd_step_rule=invsqrt", "dd_tau0=1.0", "dd_fallback=generative"]
+)
 def test_train_rejects_removed_step_settings(tmp_path, train_file, capsys, setting):
-    # Agreement decoding takes Polyak steps only: the step schedule settings
-    # are gone, and a config file naming one is a usage error.
+    # Agreement decoding takes Polyak steps only and ends on the best tree it
+    # found: the step schedule and fallback settings are gone, and a config
+    # file naming one is a usage error.
     config = tmp_path / "train.cfg"
     config.write_text(setting + "\n")
     rc = run(["train", "--config", str(config), "--train", str(train_file),

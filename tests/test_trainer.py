@@ -60,7 +60,7 @@ def test_discriminative_terms_are_built_once(small_corpus, monkeypatch):
     # The joint objective scores with the optimizer's terms and builds none;
     # agreement decoding reads its arc scores from the weight sums, so it
     # builds no feature matrix, and builds its one sentence's rule matrix
-    # exactly once, the fallback included.
+    # exactly once, whether the sentence is certified or not.
     cfg = _fast_cfg(dd=DDConfig(max_iters=2))
     state = pretrain(small_corpus, cfg)
     calls = collections.Counter()
