@@ -2,22 +2,26 @@
 min-cost decoding, and Frank-Wolfe training over relaxed tree variables with
 an exact ridge solve for the weights.
 
-Decoding scores arcs from tables of weight sums (`sentence_terms`), one entry
-per head tag, dependent tag, direction and distance bin, so it builds no
-feature matrix. Only Frank-Wolfe training builds the sparse features X
-(`extract_features`), and only it imports scipy."""
+An arc's features depend only on its cell [head tag, dependent tag,
+direction, distance bin] (`_arc_cells`). Decoding scores arcs from tables of
+weight sums (`sentence_terms`), one entry per cell, so it builds no feature
+matrix. Only Frank-Wolfe training builds the sparse features X, in one numpy
+pass per sentence (`_feature_rows`), and only it imports scipy. Its state is
+a few flat corpus vectors, so each step is a handful of corpus-wide numpy
+operations around one `eisner_min` call."""
 
 from __future__ import annotations
 
 import functools
 import importlib.resources
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, DepTree, Sentence, tree_matrix
+from .corpus import Corpus, DepTree, Sentence
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -25,16 +29,10 @@ if TYPE_CHECKING:
 ROOT_TAG = "<ROOT>"
 UNK_TAG = "<UNK>"
 
-# Distance bins: 1, 2, 3, 4, 5, 6-10, >10.
+# Distance bins: 1, 2, 3, 4, 5, 6-10, >10. The bin of a distance is the
+# first edge it does not exceed.
 _BIN_EDGES = (1, 2, 3, 4, 5, 10)
 _NUM_BINS = len(_BIN_EDGES) + 1
-
-
-def _dist_bin(dist: int) -> int:
-    for b, edge in enumerate(_BIN_EDGES):
-        if dist <= edge:
-            return b
-    return _NUM_BINS - 1
 
 
 @dataclass(frozen=True)
@@ -104,24 +102,12 @@ class FeatureTemplate:
     def tag_id(self, tag: str) -> int:
         return self._tag_index.get(tag, 1)  # UNK at index 1
 
-    def arc_features(self, head_tag: str, dep_tag: str, h: int, d: int) -> list[int]:
-        """Active feature indices for the arc (h, d)."""
-        ht = self.tag_id(head_tag)
-        dt = self.tag_id(dep_tag)
-        direction = 1 if h < d else 0  # 1 = head precedes dependent
-        b = _dist_bin(abs(h - d))
-        blocks = self._blocks if h == 0 else self._blocks[:-self._ROOT_BLOCKS]
-        return [
-            off + ht * sh + dt * sd + direction * sr + b * sb
-            for _, off, (sh, sd, sr, sb) in blocks
-        ]
-
     def weight_sums(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The score of every arc feature cell under weights w: a (T, T, 2, B)
         table keyed [head tag, dependent tag, direction, bin] for heads that
         are tokens, and a (T, B) table keyed [dependent tag, bin] for the
         root. Each entry adds its cell's weights to 0.0 one at a time, in
-        `arc_features` order, as a CSR matvec sums a row of X @ w."""
+        block order, as a CSR matvec sums a row of X @ w."""
         split = len(self._blocks) - self._ROOT_BLOCKS
         sums = np.zeros((self.T, self.T, 2, _NUM_BINS))
         for shape, off, _ in self._blocks[:split]:
@@ -132,6 +118,18 @@ class FeatureTemplate:
         return sums, root
 
 
+def _arc_cells(x: Sentence, t: FeatureTemplate) -> tuple[np.ndarray, ...]:
+    """The feature cell [head tag, dependent tag, direction, distance bin] of
+    every cell [h, d] of x's (n+1, n+1) arc matrix, as four index arrays that
+    broadcast to (n+1, n+1). Row 0 is headed by the ROOT tag; direction is
+    1 when the head precedes the dependent."""
+    ids = np.array([t.tag_id(tag) for tag in (ROOT_TAG,) + x.upos])
+    pos = np.arange(x.n + 1)
+    right = (pos[:, None] < pos).astype(np.intp)
+    bins = np.searchsorted(_BIN_EDGES, np.abs(pos[:, None] - pos))
+    return ids[:, None], ids, right, bins
+
+
 def _arc_scores(
     x: Sentence, t: FeatureTemplate, sums: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
@@ -140,14 +138,29 @@ def _arc_scores(
     (extract_features(x, t) @ w).reshape(n + 1, n + 1), with no feature
     matrix built. Column 0 and the diagonal are 0."""
     pair, root = sums
-    ids = np.array([t.tag_id(tag) for tag in (ROOT_TAG,) + x.upos])
-    pos = np.arange(x.n + 1)
-    bins = np.searchsorted(_BIN_EDGES, np.abs(pos[:, None] - pos))
-    q = pair[ids[:, None], ids, (pos[:, None] < pos).astype(np.intp), bins]
-    q[0] = root[ids, bins[0]]
+    heads, deps, right, bins = _arc_cells(x, t)
+    q = pair[heads, deps, right, bins]
+    q[0] = root[deps, bins[0]]
     q[:, 0] = 0.0
     np.fill_diagonal(q, 0.0)
     return q
+
+
+def _feature_rows(x: Sentence, t: FeatureTemplate) -> tuple[np.ndarray, np.ndarray]:
+    """The active feature indices of every cell [h, d] of x's arc matrix, in
+    row-major cell order and, within a cell, in block order, and the number
+    of them in each cell: one per block on root arcs, one per block but the
+    root-only ones on other arcs, none on non-arc cells (d = 0 or h = d)."""
+    blocks = t._blocks
+    offs = np.array([off for _, off, _ in blocks])
+    strides = np.array([s for _, _, s in blocks])  # (blocks, 4)
+    cells = np.stack(np.broadcast_arrays(*_arc_cells(x, t)), axis=-1)
+    idx = offs + cells @ strides.T  # (n+1, n+1, blocks): index in each block
+    pos = np.arange(x.n + 1)
+    arc = (pos != 0) & (pos[:, None] != pos)
+    fires = np.arange(len(blocks)) < len(blocks) - t._ROOT_BLOCKS
+    active = arc[..., None] & (fires | (pos == 0)[:, None, None])
+    return idx[active], active.sum(axis=2).ravel()
 
 
 def extract_features(x: Sentence, t: FeatureTemplate) -> sp.csr_matrix:
@@ -157,19 +170,10 @@ def extract_features(x: Sentence, t: FeatureTemplate) -> sp.csr_matrix:
     # Imported here, not at module load, as in `FrankWolfeOptimizer`.
     import scipy.sparse as sp
 
-    n = x.n
-    tags = (ROOT_TAG,) + x.upos
-    indptr = [0]
-    cols: list[int] = []
-    for h in range(n + 1):
-        for d in range(n + 1):
-            if d and d != h:
-                cols.extend(t.arc_features(tags[h], tags[d], h, d))
-            indptr.append(len(cols))
-    data = np.ones(len(cols), dtype=np.float64)
+    cols, counts = _feature_rows(x, t)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
     return sp.csr_matrix(
-        (data, np.asarray(cols), np.asarray(indptr)),
-        shape=((n + 1) ** 2, t.dimension),
+        (np.ones(cols.size), cols, indptr), shape=((x.n + 1) ** 2, t.dimension),
     )
 
 
@@ -209,14 +213,14 @@ def default_rules() -> RuleSet:
 
 def rule_vector(x: Sentence, r: RuleSet) -> np.ndarray:
     """(n+1, n+1) matrix keyed [h, d]: 1.0 on the arcs whose (head tag,
-    dependent tag) pair is licensed, 0 elsewhere and on non-arc cells."""
-    n = x.n
-    tags = ("ROOT",) + x.upos
-    v = np.zeros((n + 1, n + 1))
-    for h in range(n + 1):
-        for d in range(1, n + 1):
-            if h != d and (tags[h], tags[d]) in r:
-                v[h, d] = 1.0
+    dependent tag) pair is licensed, 0 elsewhere and on non-arc cells. Read
+    from a table over the sentence's distinct tags and the "ROOT" literal."""
+    kinds: dict[str, int] = {}
+    ids = np.array([kinds.setdefault(tag, len(kinds)) for tag in ("ROOT",) + x.upos])
+    licensed = np.array([[(h, d) in r for d in kinds] for h in kinds], dtype=float)
+    v = licensed[ids[:, None], ids]
+    v[:, 0] = 0.0
+    np.fill_diagonal(v, 0.0)
     return v
 
 
@@ -551,15 +555,20 @@ def lmo_decode(
 # Frank-Wolfe training over relaxed per-sentence tree variables
 # ---------------------------------------------------------------------------
 
-def _chain_tree(n: int) -> DepTree:
-    return DepTree(tuple(range(0, n)))  # token 1 rooted, each next one chained
-
-
 class FrankWolfeOptimizer:
     """Block optimization of the discriminative clustering objective: exact
     ridge re-solve for w given the relaxed tree variables, then one
     Frank-Wolfe step (projective-tree linear minimization plus exact line
     search) on the relaxed variables jointly.
+
+    The state is flat corpus vectors laid out as the rows of the stacked
+    feature matrix `X_all`: sentence i's (n+1, n+1) arc matrix, keyed [h, d],
+    fills its (n+1)^2 cells in row-major order from offset i. The relaxed
+    trees, the rule matrices and the gradient, vertex and residual buffers
+    all take that layout, and `y` and `v` are per-sentence views into the
+    first two. So a step's elementwise algebra runs once over the corpus;
+    only the sums run per sentence, one `np.vdot` on each sentence's views,
+    added in corpus order as a per-sentence loop over matrices adds them.
 
     The ridge matrix sum_i (1/n_i) X_i'X_i + lam*I is the same for every
     solve, so it is factored once. SuperLU gets a symmetric ordering: its
@@ -577,13 +586,30 @@ class FrankWolfeOptimizer:
         import scipy.sparse as sp
 
         self.model = model
-        X = [extract_features(s, model.templates) for s in corpus]
-        self.v = [rule_vector(s, model.rules) for s in corpus]
-        self.y = [tree_matrix(_chain_tree(s.n)) for s in corpus]
-        self.ns = np.array([s.n for s in corpus], dtype=np.float64)
-        # The ridge design D stacks the sentences' rows scaled 1/sqrt(n), so
-        # that the normal equations sum (1/n) X'X per sentence.
-        D = sp.vstack([Xi / math.sqrt(n) for Xi, n in zip(X, self.ns)]).tocsr()
+        self._lengths = [s.n for s in corpus]
+        sizes = [(n + 1) ** 2 for n in self._lengths]
+        self._offsets = np.cumsum([0] + sizes).tolist()
+        cells = self._offsets[-1]
+        # One CSR matvec with X_all scores every arc of the corpus, each row
+        # summed as sentence i's own features X_i @ w would sum it.
+        rows = [_feature_rows(s, model.templates) for s in corpus]
+        cols = np.concatenate([c for c, _ in rows])
+        indptr = np.concatenate(([0], np.cumsum(np.concatenate([k for _, k in rows]))))
+        self.X_all = sp.csr_matrix(
+            (np.ones(cols.size), cols, indptr), shape=(cells, model.templates.dimension)
+        )
+        # Per cell: its sentence's length n, as a float, and sqrt(n).
+        ns = np.array(self._lengths, dtype=np.float64)
+        self._n = np.repeat(ns, sizes)
+        self._sqrt_n = np.repeat(np.sqrt(ns), sizes)
+        # The ridge design D is X_all with sentence i's rows scaled 1/sqrt(n),
+        # so that the normal equations sum (1/n) X'X per sentence. It shares
+        # X_all's structure.
+        scale = np.repeat(1.0 / np.sqrt(ns), [c.size for c, _ in rows])
+        del rows, cols, indptr
+        D = sp.csr_matrix(
+            (scale, self.X_all.indices, self.X_all.indptr), shape=self.X_all.shape
+        )
         gram = D.T @ D + model.lam * sp.identity(D.shape[1])
         # Imported only now: imported before the features were built, it
         # raised the peak RSS of cmst-only training by about 1 MB.
@@ -593,69 +619,99 @@ class FrankWolfeOptimizer:
             gram.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
         )
-        # D is dropped before the unscaled stack X_all is built, so that peak
-        # memory does not grow; `_solve_w` uses X_all in its place. One CSR
-        # matvec with X_all scores every arc of the corpus, each row summed
-        # as X_i @ w would sum it.
         del D, gram
-        self.X_all = sp.vstack(X).tocsr()
-        self._row_ends = np.cumsum([Xi.shape[0] for Xi in X])[:-1]
+        # A token's cell under head h is base + h * stride: the vertex and
+        # tree scatters index with these, d = 1..n of every sentence.
+        self._dep_base = np.concatenate(
+            [off + np.arange(1, n + 1) for off, n in zip(self._offsets, self._lengths)]
+        )
+        self._dep_stride = np.repeat(np.array(self._lengths) + 1, self._lengths)
+        self._V = np.concatenate([rule_vector(s, model.rules).ravel() for s in corpus])
+        self._Y = np.zeros(cells)
+        self._grad = np.empty(cells)
+        self._diff = np.empty(cells)  # Y - S, then the residual Y - q
+        self._vert = np.empty(cells)
+        self.v = self._views(self._V)
+        self.y = self._views(self._Y)
+        self._grad_views = self._views(self._grad)
+        self._diff_views = self._views(self._diff)
+        # Start from the chain trees: token 1 rooted, each next one chained.
+        self._scatter(self._Y, [range(n) for n in self._lengths])
         self.objective_history: list[float] = []
         self.gap_history: list[float] = []
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Every sentence's (n+1, n+1) arc matrix, as a view into `flat`."""
+        return [
+            flat[a:b].reshape(n + 1, n + 1)
+            for a, b, n in zip(self._offsets, self._offsets[1:], self._lengths)
+        ]
+
+    def _scatter(self, flat: np.ndarray, heads: Iterable[Iterable[int]]) -> None:
+        """Set `flat` to the 0/1 arc matrices of the trees with the given head
+        sequences, one per sentence in corpus order."""
+        h = np.fromiter(
+            itertools.chain.from_iterable(heads), np.intp, self._dep_base.size
+        )
+        flat.fill(0.0)
+        flat[self._dep_base + h * self._dep_stride] = 1.0
 
     def _solve_w(self) -> None:
         # D' (y / sqrt(n)) as X_all' (y / sqrt(n) * (1 / sqrt(n))): D's
         # entries are 1 / sqrt(n) where X_all's are 1, so the products and
         # their order are the same.
-        z = np.concatenate(
-            [y.ravel() / s * (1.0 / s) for y, s in zip(self.y, np.sqrt(self.ns))]
-        )
+        z = self._Y / self._sqrt_n
+        z *= 1.0 / self._sqrt_n
         self.model.w = self._lu.solve(self.X_all.T @ z)
 
     def fit_trees(self, trees: Sequence[DepTree]) -> None:
         """Set the relaxed tree variables to fixed trees and re-solve w: the
         exact minimizer of the objective over w at those trees."""
-        self.y = [tree_matrix(t) for t in trees]
+        if [t.n for t in trees] != self._lengths:
+            raise ValueError("trees do not match the training sentences")
+        self._scatter(self._Y, (t.heads for t in trees))
         self._solve_w()
 
     def scores(self) -> list[np.ndarray]:
         """Every sentence's (n+1, n+1) arc score matrix q = Xw."""
-        q = self.X_all @ self.model.w
-        return [
-            qi.reshape(y.shape) for qi, y in zip(np.split(q, self._row_ends), self.y)
-        ]
+        return self._views(self.X_all @ self.model.w)
 
-    def objective(self, q: Sequence[np.ndarray] | None = None) -> float:
-        """The objective at the current w and relaxed trees; `q` are the arc
-        scores at the current w, when the caller already has them."""
+    def objective(self, q: np.ndarray | None = None) -> float:
+        """The objective at the current w and relaxed trees; `q` is the flat
+        arc score vector X_all @ w at the current w, when the caller already
+        has it. Each sentence's `tree_loss` is added to the w-regularizer in
+        corpus order."""
         if q is None:
-            q = self.scores()
-        w = self.model.w
+            q = self.X_all @ self.model.w
+        w, mu = self.model.w, self.model.mu
+        np.subtract(self._Y, q, out=self._diff)
         total = self.model.lam / 2.0 * float(w @ w)
-        for qi, v, y in zip(q, self.v, self.y):
-            total += tree_loss(y, qi, v, self.model.mu)
+        for r, v, y, n in zip(self._diff_views, self.v, self.y, self._lengths):
+            total += float(np.vdot(r, r)) / (2.0 * n) - mu * float(np.vdot(v, y))
         return total
 
     def step(self) -> float:
         """Run one iteration; returns the Frank-Wolfe duality gap. Every
-        sentence's linear minimization runs in one `eisner_min` call."""
+        sentence's linear minimization runs in one `eisner_min` call, whose
+        heads are scattered straight into the flat vertex."""
         self._solve_w()
-        q = self.scores()
-        mu = self.model.mu
-        grads = [
-            (y - qi) / n - mu * v for y, qi, v, n in zip(self.y, q, self.v, self.ns)
-        ]
-        verts = [tree_matrix(DepTree(heads)) for heads, _ in eisner_min(grads)]
+        q = self.X_all @ self.model.w
+        g, s, diff = self._grad, self._vert, self._diff
+        np.subtract(self._Y, q, out=g)
+        g /= self._n
+        g -= self.model.mu * self._V
+        self._scatter(s, (heads for heads, _ in eisner_min(self._grad_views)))
+        np.subtract(self._Y, s, out=diff)
         gap = 0.0
         denom = 0.0
-        for g, y, s, n in zip(grads, self.y, verts, self.ns):
-            diff = y - s
-            gap += float(np.vdot(g, diff))
-            denom += float(np.vdot(diff, diff)) / n
+        for gi, di, n in zip(self._grad_views, self._diff_views, self._lengths):
+            gap += float(np.vdot(gi, di))
+            denom += float(np.vdot(di, di)) / n
         if denom > 0.0:
             gamma = min(1.0, max(0.0, gap / denom))
-            for y, s in zip(self.y, verts):
-                y += gamma * (s - y)
+            s -= self._Y
+            s *= gamma
+            self._Y += s
         self.objective_history.append(self.objective(q))
         self.gap_history.append(gap)
         return gap
@@ -665,15 +721,3 @@ class FrankWolfeOptimizer:
             raise ValueError("iters must be >= 1")
         for _ in range(iters):
             self.step()
-
-
-# ---------------------------------------------------------------------------
-# Weight gradient
-# ---------------------------------------------------------------------------
-
-def sentence_gradient(
-    X: sp.csr_matrix, y: np.ndarray, m: CmstModel, N: int
-) -> np.ndarray:
-    """Gradient of sentence_objective with respect to w, for a sentence with
-    feature matrix X (the rule term does not depend on w)."""
-    return X.T @ (X @ m.w - y.ravel()) / (y.shape[0] - 1) + (m.lam / N) * m.w

@@ -258,6 +258,146 @@ def eisner_min_reference(cost):
 
 
 # ---------------------------------------------------------------------------
+# Per-arc references for the discriminative parser
+# ---------------------------------------------------------------------------
+
+def dist_bin(dist: int) -> int:
+    """The distance bin of an arc of length `dist`: the first bin edge it
+    does not exceed, or the last bin."""
+    from jointdep.cmst import _BIN_EDGES
+
+    for b, edge in enumerate(_BIN_EDGES):
+        if dist <= edge:
+            return b
+    return len(_BIN_EDGES)
+
+
+def arc_features(t, head_tag: str, dep_tag: str, h: int, d: int) -> list[int]:
+    """Active feature indices of template `t` for the arc (h, d), block by
+    block: the per-arc reference for `cmst.extract_features`."""
+    ht = t.tag_id(head_tag)
+    dt = t.tag_id(dep_tag)
+    direction = 1 if h < d else 0  # 1 = head precedes dependent
+    b = dist_bin(abs(h - d))
+    blocks = t._blocks if h == 0 else t._blocks[:-t._ROOT_BLOCKS]
+    return [
+        off + ht * sh + dt * sd + direction * sr + b * sb
+        for _, off, (sh, sd, sr, sb) in blocks
+    ]
+
+
+def extract_features_reference(x, t):
+    """`cmst.extract_features`, built arc by arc from `arc_features`."""
+    import scipy.sparse as sp
+
+    from jointdep.cmst import ROOT_TAG
+
+    n = x.n
+    tags = (ROOT_TAG,) + x.upos
+    indptr = [0]
+    cols: list[int] = []
+    for h in range(n + 1):
+        for d in range(n + 1):
+            if d and d != h:
+                cols.extend(arc_features(t, tags[h], tags[d], h, d))
+            indptr.append(len(cols))
+    return sp.csr_matrix(
+        (np.ones(len(cols)), np.asarray(cols), np.asarray(indptr)),
+        shape=((n + 1) ** 2, t.dimension),
+    )
+
+
+def rule_vector_reference(x, r):
+    """`cmst.rule_vector` by one rule-set lookup per arc."""
+    n = x.n
+    tags = ("ROOT",) + x.upos
+    v = np.zeros((n + 1, n + 1))
+    for h in range(n + 1):
+        for d in range(1, n + 1):
+            if h != d and (tags[h], tags[d]) in r:
+                v[h, d] = 1.0
+    return v
+
+
+def sentence_gradient(X, y, m, N):
+    """Gradient of `cmst.sentence_objective` with respect to w, for a
+    sentence with feature matrix X (the rule term does not depend on w)."""
+    return X.T @ (X @ m.w - y.ravel()) / (y.shape[0] - 1) + (m.lam / N) * m.w
+
+
+def fw_run_reference(corpus, model, iters, trees=None):
+    """Frank-Wolfe training of `model` on `corpus` as a loop over
+    per-sentence matrices: the reference for `cmst.FrankWolfeOptimizer`,
+    whose state is flat corpus vectors. From the chain trees, or from
+    `trees` with w re-solved at them, run `iters` steps. Each step re-solves
+    w, takes each sentence's gradient, decodes each vertex with
+    `eisner_min_reference` and builds it as a `DepTree` and a 0/1 matrix,
+    then line-searches. The ridge system and its factorization are those of
+    the optimizer, built from per-sentence feature matrices.
+
+    Returns the relaxed trees `y` (a list of matrices), the objective and
+    gap histories, and `w` (also left in model.w)."""
+    from types import SimpleNamespace
+
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
+    from jointdep.cmst import tree_loss
+    from jointdep.corpus import tree_matrix
+
+    X = [extract_features_reference(s, model.templates) for s in corpus]
+    v = [rule_vector_reference(s, model.rules) for s in corpus]
+    y = [tree_matrix(DepTree(tuple(range(s.n)))) for s in corpus]
+    ns = np.array([s.n for s in corpus], dtype=np.float64)
+    D = sp.vstack([Xi / math.sqrt(n) for Xi, n in zip(X, ns)]).tocsr()
+    gram = D.T @ D + model.lam * sp.identity(D.shape[1])
+    lu = splu(
+        gram.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+    X_all = sp.vstack(X).tocsr()
+    ends = np.cumsum([Xi.shape[0] for Xi in X])[:-1]
+
+    def solve_w():
+        z = np.concatenate(
+            [yi.ravel() / s * (1.0 / s) for yi, s in zip(y, np.sqrt(ns))]
+        )
+        model.w = lu.solve(X_all.T @ z)
+
+    if trees is not None:
+        y = [tree_matrix(t) for t in trees]
+        solve_w()
+    objectives, gaps = [], []
+    mu = model.mu
+    for _ in range(iters):
+        solve_w()
+        q = [
+            qi.reshape(yi.shape)
+            for qi, yi in zip(np.split(X_all @ model.w, ends), y)
+        ]
+        grads = [(yi - qi) / n - mu * vi for yi, qi, vi, n in zip(y, q, v, ns)]
+        verts = [tree_matrix(DepTree(eisner_min_reference(g)[0])) for g in grads]
+        gap = 0.0
+        denom = 0.0
+        for g, yi, s, n in zip(grads, y, verts, ns):
+            diff = yi - s
+            gap += float(np.vdot(g, diff))
+            denom += float(np.vdot(diff, diff)) / n
+        if denom > 0.0:
+            gamma = min(1.0, max(0.0, gap / denom))
+            for yi, s in zip(y, verts):
+                yi += gamma * (s - yi)
+        total = model.lam / 2.0 * float(model.w @ model.w)
+        for qi, vi, yi in zip(q, v, y):
+            total += tree_loss(yi, qi, vi, mu)
+        objectives.append(total)
+        gaps.append(gap)
+    return SimpleNamespace(
+        w=model.w, y=y, objective_history=objectives, gap_history=gaps
+    )
+
+
+# ---------------------------------------------------------------------------
 # Scalar reference passes over a compiled chart
 #
 # Unlike the oracles above, these share the chart structure with the code
@@ -381,9 +521,9 @@ def dd_decode_reference(x, theta, cfg_f, m, dd, g_weight=1.0):
     from jointdep.corpus import tree_matrix
     from jointdep.decoder import _GAP_TOL, DDResult
 
-    # Scored through the sparse features, not the decoders' weight sums.
-    v = cmst.rule_vector(x, m.rules)
-    q = (cmst.extract_features(x, m.templates) @ m.w).reshape(v.shape)
+    # Scored through per-arc features, not the decoders' weight sums.
+    v = rule_vector_reference(x, m.rules)
+    q = (extract_features_reference(x, m.templates) @ m.w).reshape(v.shape)
     base = cmst.arc_costs(q, v, m) * g_weight
     pos, wlog = theta.tag_ids(x), theta.log_weights()
     u = np.zeros(v.shape)

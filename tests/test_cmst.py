@@ -6,10 +6,16 @@ import pytest
 from oracles import (
     UPOS_TAGS,
     all_projective_trees,
+    arc_features,
+    dist_bin,
     eisner_min_reference,
+    extract_features_reference,
+    fw_run_reference,
     make_sentence,
     price_matrix,
     random_corpus,
+    rule_vector_reference,
+    sentence_gradient,
 )
 
 from jointdep import cmst
@@ -25,7 +31,6 @@ from jointdep.cmst import (
     lmo_decode,
     parse_rules,
     rule_vector,
-    sentence_gradient,
     sentence_objective,
     sentence_terms,
 )
@@ -63,7 +68,7 @@ def test_noun_det_arc_features_by_hand():
     active = set(X.getrow(2 * (n + 1) + 1).indices)
     # Hand-applied templates for head=NOUN, dep=DET, head follows dependent,
     # distance bin 1.
-    expect = set(t.arc_features("NOUN", "DET", 2, 1))
+    expect = set(arc_features(t, "NOUN", "DET", 2, 1))
     assert active == expect
     assert len(expect) == 7  # no root templates on a non-root arc
 
@@ -76,7 +81,23 @@ def test_unseen_tag_maps_to_unk():
 def test_template_determinism():
     a = FeatureTemplate.for_vocab(("A", "B"))
     b = FeatureTemplate.for_vocab(("A", "B"))
-    assert a.arc_features("A", "B", 1, 2) == b.arc_features("A", "B", 1, 2)
+    assert arc_features(a, "A", "B", 1, 2) == arc_features(b, "A", "B", 1, 2)
+
+
+def test_features_equal_per_arc_reference(rng):
+    # The one-pass feature builder gives the CSR arrays of the arc-by-arc
+    # reference, over root arcs, every distance bin and unseen (UNK) tags.
+    t = FeatureTemplate.for_vocab(UPOS_TAGS[:4])
+    tags = (*UPOS_TAGS[:6], cmst.UNK_TAG, cmst.ROOT_TAG)
+    bins = set()
+    for n in [1, 2, 3, 6, 11, 12, 17]:
+        x = make_sentence([tags[i] for i in rng.integers(0, len(tags), size=n)])
+        got, want = extract_features(x, t), extract_features_reference(x, t)
+        assert got.shape == want.shape
+        for name in ("indices", "indptr", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        bins |= {dist_bin(d) for d in range(1, n + 1)}
+    assert bins == set(range(cmst._NUM_BINS))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -139,6 +160,20 @@ def test_default_rule_membership():
     assert v[2, 1] == 1.0  # NOUN -> DET
     assert v[1, 3] == 0.0  # DET -> VERB unlicensed
     assert v[0, 3] == 1.0  # ROOT -> VERB
+
+
+def test_rule_vector_equals_per_arc_lookup(rng):
+    # The tag-table build gives the bits of one rule lookup per arc, with
+    # repeated tags, a token tagged like the ROOT literal and a rule set
+    # drawn over the tags.
+    tags = ("DET", "NOUN", "VERB", "ADJ", "ROOT")
+    pairs = [(h, d) for h in tags for d in tags]
+    for _ in range(30):
+        n = int(rng.integers(1, 9))
+        x = make_sentence([tags[i] for i in rng.integers(0, len(tags), size=n)])
+        rules = frozenset(p for p in pairs if rng.random() < 0.4)
+        got, want = rule_vector(x, rules), rule_vector_reference(x, rules)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_rule_vector_permutation_equivariance(rng):
@@ -377,6 +412,44 @@ def test_fit_trees_solves_for_a_stationary_w(rng, vocab):
     )
     assert float(np.abs(grad).max()) < 1e-10
     assert float(np.abs(m.w).max()) > 1e-3  # not vacuously at w = 0
+
+
+@pytest.mark.parametrize("from_trees", [False, True])
+def test_fw_flat_state_equals_per_sentence_reference(rng, from_trees):
+    # The flat-vector optimizer leaves w, every relaxed tree and both
+    # histories bit for bit where the per-sentence matrix loop leaves them,
+    # from the chain trees and after `fit_trees`. Corpora hold length-1
+    # sentences and tags the template maps to UNK.
+    vocab = UPOS_TAGS[:8]
+    for _ in range(3):
+        c = random_corpus(rng, vocab, 25, max_len=8, min_len=1)
+        assert any(s.n == 1 for s in c)
+        assert any(tag not in vocab[:6] for s in c for tag in s.upos)
+        lam, mu = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.0, 1.5))
+        trees = None
+        if from_trees:
+            trees = [
+                DepTree(heads) for heads, _ in
+                eisner_min([rng.normal(size=(s.n + 1, s.n + 1)) for s in c])
+            ]
+        ref = fw_run_reference(c, CmstModel.create(vocab[:6], lam, mu), 6, trees)
+        m = CmstModel.create(vocab[:6], lam, mu)
+        opt = FrankWolfeOptimizer(c, m)
+        if from_trees:
+            opt.fit_trees(trees)
+        opt.run(6)
+        assert m.w.tobytes() == ref.w.tobytes()
+        assert len(opt.y) == len(ref.y)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(opt.y, ref.y))
+        assert opt.objective_history == ref.objective_history
+        assert opt.gap_history == ref.gap_history
+
+
+def test_fit_trees_rejects_trees_of_other_lengths(toy_corpus):
+    opt = FrankWolfeOptimizer(toy_corpus, CmstModel.create(toy_corpus.pos_vocab))
+    trees = [DepTree(tuple(range(s.n + 1))) for s in toy_corpus]
+    with pytest.raises(ValueError, match="do not match"):
+        opt.fit_trees(trees)
 
 
 # ---------------------------------------------------------------------------
