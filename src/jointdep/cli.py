@@ -4,8 +4,8 @@ driven by a flat key=value config file with flag overrides."""
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import cmst, dmv, evaluation, trainer
@@ -22,34 +22,43 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-_DEFAULTS = {
-    "mode": "joint",
-    "max_len": 15,
-    "count_punct": True,
-    "outer_iters": 10,
-    "extra_separate_iters": 3,
-    "em_pretrain_iters": 10,
-    "fw_pretrain_iters": 50,
-    "init": "harmonic",
-    "max_ce_depth": "1",       # integer or 'inf'
-    "dep_len_beta": 0.1,
-    "lambda": 1.0,
-    "mu": 0.5,
-    "dd_max_iters": 50,
-    "mstep_smoothing": 0.1,
-    "g_weight": 1.0,
-    "rules": "",
-    "workers": 1,
-}
 
-_BOOL_KEYS = {"count_punct"}
-_INT_KEYS = {
-    "max_len", "outer_iters", "extra_separate_iters", "em_pretrain_iters",
-    "fw_pretrain_iters", "dd_max_iters", "workers",
+def _bool(text: str) -> bool:
+    if text.lower() in ("1", "true", "yes"):
+        return True
+    if text.lower() in ("0", "false", "no"):
+        return False
+    raise ValueError(text)
+
+
+def _depth(text: str) -> int | None:
+    return None if text.lower() in ("inf", "none") else int(text)
+
+
+# Every setting, keyed by its config-file key, as (reader of its text,
+# default). Each key is also a `train` flag, `--key-with-dashes`; the
+# defaults of the training settings are those of `TrainConfig`.
+_T = trainer.TrainConfig()
+SETTINGS = {
+    "mode": (str, _T.mode),
+    "max_len": (int, 15),
+    "count_punct": (_bool, True),
+    "outer_iters": (int, _T.outer_iters),
+    "extra_separate_iters": (int, _T.extra_separate_iters),
+    "em_pretrain_iters": (int, _T.em_pretrain_iters),
+    "fw_pretrain_iters": (int, _T.fw_pretrain_iters),
+    "init": (str, _T.init),
+    "max_ce_depth": (_depth, _T.constraint.max_ce_depth),
+    "dep_len_beta": (float, _T.constraint.dep_len_beta),
+    "lambda": (float, _T.lam),
+    "mu": (float, _T.mu),
+    "dd_max_iters": (int, _T.dd.max_iters),
+    "mstep_smoothing": (float, _T.mstep_smoothing),
+    "g_weight": (float, _T.g_weight),
+    "rules": (str, ""),
+    "workers": (int, _T.workers),
 }
-_FLOAT_KEYS = {
-    "dep_len_beta", "lambda", "mu", "mstep_smoothing", "g_weight",
-}
+_CHOICES = {"mode": trainer.MODES, "init": ("uniform", "harmonic")}
 
 
 class UsageError(Exception):
@@ -60,26 +69,12 @@ class DataError(Exception):
     pass
 
 
-def _coerce(key: str, value):
-    if isinstance(value, str):
-        if key in _BOOL_KEYS:
-            if value.lower() in ("1", "true", "yes"):
-                return True
-            if value.lower() in ("0", "false", "no"):
-                return False
-            raise UsageError(f"invalid boolean for {key}: {value!r}")
-        try:
-            if key in _INT_KEYS:
-                return int(value)
-            if key in _FLOAT_KEYS:
-                return float(value)
-        except ValueError:
-            raise UsageError(f"invalid value for {key}: {value!r}")
-    return value
-
-
 def load_config(path: str | None, overrides: dict) -> dict:
-    cfg = dict(_DEFAULTS)
+    """The defaults, overridden by the key=value lines of the file at `path`
+    and then by the `overrides` that name a setting and are not None; each
+    text is read by its key's reader."""
+    cfg = {key: default for key, (_, default) in SETTINGS.items()}
+    text = {}
     if path:
         p = Path(path)
         if not p.is_file():
@@ -91,40 +86,27 @@ def load_config(path: str | None, overrides: dict) -> dict:
             if "=" not in line:
                 raise UsageError(f"{path}:{line_no}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _DEFAULTS:
+            if key not in SETTINGS:
                 raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
-            cfg[key] = value
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
-    return {k: _coerce(k, v) for k, v in cfg.items()}
+            text[key] = value
+    text.update((k, v) for k, v in overrides.items() if k in SETTINGS and v is not None)
+    for key, value in text.items():
+        try:
+            cfg[key] = SETTINGS[key][0](value)
+        except ValueError:
+            raise UsageError(f"invalid value for {key}: {value!r}")
+    return cfg
 
 
 def _train_config(cfg: dict) -> trainer.TrainConfig:
-    depth = cfg["max_ce_depth"]
-    cap = None if str(depth).lower() in ("inf", "none") else int(depth)
-    rules = cmst.load_rules(cfg["rules"]) if cfg["rules"] else None
-    workers = os.environ.get("JOINTDEP_WORKERS", cfg["workers"])
-    try:
-        workers = int(workers)
-    except ValueError:
-        raise DataError(f"JOINTDEP_WORKERS must be an integer, got {workers!r}")
-    return trainer.TrainConfig(
-        mode=cfg["mode"],
-        outer_iters=cfg["outer_iters"],
-        extra_separate_iters=cfg["extra_separate_iters"],
-        em_pretrain_iters=cfg["em_pretrain_iters"],
-        fw_pretrain_iters=cfg["fw_pretrain_iters"],
-        init=cfg["init"],
-        constraint=dmv.ConstraintConfig(cap, cfg["dep_len_beta"]),
+    kw = {f.name: cfg[f.name] for f in fields(trainer.TrainConfig) if f.name in cfg}
+    kw.update(
+        constraint=dmv.ConstraintConfig(cfg["max_ce_depth"], cfg["dep_len_beta"]),
         lam=cfg["lambda"],
-        mu=cfg["mu"],
         dd=DDConfig(cfg["dd_max_iters"]),
-        mstep_smoothing=cfg["mstep_smoothing"],
-        g_weight=cfg["g_weight"],
-        rules=rules,
-        workers=workers,
+        rules=cmst.load_rules(cfg["rules"]) if cfg["rules"] else None,
     )
+    return trainer.TrainConfig(**kw)
 
 
 def _require_file(path, what: str) -> Path:
@@ -142,27 +124,19 @@ def _read_corpus(path):
 
 
 def _cmd_train(args) -> int:
-    overrides = {
-        k: getattr(args, k.replace("-", "_"), None)
-        for k in _DEFAULTS
-        if hasattr(args, k.replace("-", "_"))
-    }
-    overrides["lambda"] = getattr(args, "lam", None)
-    cfg = load_config(args.config, overrides)
+    cfg = load_config(args.config, vars(args))
     if args.dump_config:
-        for key in sorted(cfg):
-            print(f"{key}={cfg[key]}")
+        for key, value in sorted(cfg.items()):
+            print(f"{key}={'inf' if value is None else value}")
         return EXIT_OK
     if not args.train:
         raise UsageError("--train is required")
     if cfg["rules"]:
         _require_file(cfg["rules"], "rules file")
-    corpus = _read_corpus(args.train)
-    corpus = filter_corpus(corpus, cfg["max_len"], cfg["count_punct"])
+    corpus = filter_corpus(_read_corpus(args.train), cfg["max_len"], cfg["count_punct"])
     if corpus.N == 0:
         raise DataError(f"no sentences of length <= {cfg['max_len']} in {args.train}")
-    tcfg = _train_config(cfg)
-    trainer.train(corpus, tcfg, args.out)
+    trainer.train(corpus, _train_config(cfg), args.out)
     return EXIT_OK
 
 
@@ -181,9 +155,7 @@ def _load_models(model_dir, decoder: str) -> trainer.TrainState:
 
 
 def _cmd_parse(args) -> int:
-    cfg = load_config(args.config, {
-        "max_ce_depth": args.max_ce_depth, "dep_len_beta": args.dep_len_beta,
-    })
+    cfg = load_config(args.config, vars(args))
     state = _load_models(args.model, args.decoder)
     corpus = _read_corpus(args.input)
     tcfg = _train_config(cfg)
@@ -236,6 +208,13 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _add_setting_flags(parser, keys) -> None:
+    for key in keys:
+        parser.add_argument(
+            "--" + key.replace("_", "-"), dest=key, choices=_CHOICES.get(key)
+        )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jointdep",
@@ -248,20 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--config", help="key=value config file")
     tr.add_argument("--train", help="training CoNLL-U file")
     tr.add_argument("--out", help="checkpoint directory")
-    tr.add_argument("--mode", choices=trainer.MODES)
-    tr.add_argument("--max-len", dest="max_len", type=int)
-    tr.add_argument("--outer-iters", dest="outer_iters", type=int)
-    tr.add_argument("--em-pretrain-iters", dest="em_pretrain_iters", type=int)
-    tr.add_argument("--fw-pretrain-iters", dest="fw_pretrain_iters", type=int)
-    tr.add_argument("--extra-separate-iters", dest="extra_separate_iters", type=int)
-    tr.add_argument("--init", choices=("uniform", "harmonic"))
-    tr.add_argument("--max-ce-depth", dest="max_ce_depth")
-    tr.add_argument("--dep-len-beta", dest="dep_len_beta", type=float)
-    tr.add_argument("--lambda", dest="lam", type=float)
-    tr.add_argument("--mu", type=float)
-    tr.add_argument("--g-weight", dest="g_weight", type=float)
-    tr.add_argument("--rules")
-    tr.add_argument("--workers", type=int)
+    _add_setting_flags(tr, SETTINGS)
     tr.add_argument("--dump-config", action="store_true",
                     help="print the merged configuration and exit")
     tr.set_defaults(func=_cmd_train)
@@ -272,8 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--decoder", choices=("dmv", "cmst", "dd"), default="dd")
     pa.add_argument("--input", required=True, help="input CoNLL-U file")
     pa.add_argument("--output", required=True, help="output CoNLL-U file")
-    pa.add_argument("--max-ce-depth", dest="max_ce_depth")
-    pa.add_argument("--dep-len-beta", dest="dep_len_beta", type=float)
+    _add_setting_flags(pa, ("max_ce_depth", "dep_len_beta", "workers"))
     pa.set_defaults(func=_cmd_parse)
 
     ev = sub.add_parser("eval", help="directed dependency accuracy")
@@ -303,10 +268,7 @@ def run(argv) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, KeyError, OSError, dmv.InfeasibleParseError) as exc:
+    except (DataError, ValueError, KeyError, OSError, dmv.InfeasibleParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

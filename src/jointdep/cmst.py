@@ -240,6 +240,16 @@ def sentence_terms(
 # Model
 # ---------------------------------------------------------------------------
 
+def check_weights(lam: float, mu: float, train: bool = False) -> None:
+    """Raise ValueError unless the ridge weight `lam` and the rule weight `mu`
+    are finite and >= 0, and, to `train` on them, `lam` > 0 so that the
+    weight solution is unique."""
+    if train and not lam > 0:
+        raise ValueError(f"lambda must be > 0 for a unique weight solution, got {lam}")
+    if not (0 <= lam < math.inf and 0 <= mu < math.inf):
+        raise ValueError(f"lambda and mu must be finite and >= 0, got {lam}, {mu}")
+
+
 @dataclass
 class CmstModel:
     w: np.ndarray
@@ -249,10 +259,7 @@ class CmstModel:
     rules: RuleSet
 
     def __post_init__(self):
-        if not (0 <= self.lam < math.inf and 0 <= self.mu < math.inf):
-            raise ValueError(
-                f"lambda and mu must be finite and >= 0, got {self.lam}, {self.mu}"
-            )
+        check_weights(self.lam, self.mu)
         if self.w.shape != (self.templates.dimension,):
             raise ValueError(
                 f"weight vector has shape {self.w.shape}, expected "
@@ -575,10 +582,7 @@ class FrankWolfeOptimizer:
     default column ordering fills the factors about 20 times more here."""
 
     def __init__(self, corpus: Corpus, model: CmstModel):
-        if not model.lam > 0:
-            raise ValueError(
-                f"lambda must be > 0 for a unique weight solution, got {model.lam}"
-            )
+        check_weights(model.lam, model.mu, train=True)
         if corpus.N == 0:
             raise ValueError("cannot train on an empty corpus")
         # Imported here, not at module load: scipy costs about 0.2 s and

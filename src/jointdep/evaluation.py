@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import dmv
@@ -18,8 +18,6 @@ class EvalReport:
     tokens_scored: int
     tokens_scored_le15: int
     sentences_scored: int
-    per_sentence: list[tuple[int, int, int]] = field(default_factory=list)
-    # (sentence index, correct, scored)
 
     def rows(self) -> list[tuple[str, str]]:
         return [
@@ -72,7 +70,6 @@ def directed_accuracy(
     correct = scored = 0
     correct15 = scored15 = 0
     n_sent = 0
-    per_sentence = []
     for i, (sent, tree) in enumerate(zip(gold, pred)):
         if sent.n > max_len:
             continue
@@ -91,7 +88,6 @@ def directed_accuracy(
             if g == p:
                 c += 1
         n_sent += 1
-        per_sentence.append((i, c, s))
         correct += c
         scored += s
         if sent.n <= 15:
@@ -103,7 +99,6 @@ def directed_accuracy(
         tokens_scored=scored,
         tokens_scored_le15=scored15,
         sentences_scored=n_sent,
-        per_sentence=per_sentence,
     )
 
 

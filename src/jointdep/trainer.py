@@ -84,12 +84,12 @@ class TrainState:
 # Pretraining and baselines
 # ---------------------------------------------------------------------------
 
-def _pretrain_dmv(c: Corpus, cfg: TrainConfig) -> dmv.DmvParams:
-    theta = dmv.init_params(c, cfg.init)
+def _em(c: Corpus, theta: dmv.DmvParams, cfg: TrainConfig, iters: int) -> dmv.DmvParams:
+    """`iters` unsmoothed EM iterations from `theta`."""
     diag: dict = {}
-    for i in range(cfg.em_pretrain_iters):
-        theta, ll = dmv.em_step(c, theta, cfg.constraint, 0.0, diag)
-        if diag.get("skipped"):
+    for i in range(iters):
+        theta, _ = dmv.em_step(c, theta, cfg.constraint, 0.0, diag)
+        if diag["skipped"]:
             log.info("EM iter %d: skipped %d infeasible sentences", i, diag["skipped"])
     return theta
 
@@ -104,7 +104,7 @@ def _pretrain_cmst(c: Corpus, cfg: TrainConfig) -> cmst.FrankWolfeOptimizer:
 
 def pretrain(c: Corpus, cfg: TrainConfig) -> TrainState:
     """Train both models separately with their own algorithms."""
-    theta = _pretrain_dmv(c, cfg)
+    theta = _em(c, dmv.init_params(c, cfg.init), cfg, cfg.em_pretrain_iters)
     opt = _pretrain_cmst(c, cfg)
     return TrainState(theta, opt.model, optimizer=opt)
 
@@ -117,9 +117,8 @@ def train_baseline_d_init(c: Corpus, cfg: TrainConfig) -> TrainState:
     opt = _pretrain_cmst(c, cfg)
     model = opt.model
     trees = [tree for tree, _ in cmst.lmo_decode(zip(opt.scores(), opt.v), model)]
-    theta = dmv.mstep_from_trees(c, trees, cfg.mstep_smoothing)
-    for _ in range(cfg.outer_iters):
-        theta, _ = dmv.em_step(c, theta, cfg.constraint, 0.0)
+    theta = _em(c, dmv.mstep_from_trees(c, trees, cfg.mstep_smoothing), cfg,
+                cfg.outer_iters)
     return TrainState(theta, model, trees)
 
 
@@ -255,8 +254,7 @@ def joint_train(
                 "(%.6f -> %.6f)", j_before, j_after,
             )
 
-        for _ in range(cfg.extra_separate_iters):
-            state.theta, _ = dmv.em_step(c, state.theta, cfg.constraint, 0.0)
+        state.theta = _em(c, state.theta, cfg, cfg.extra_separate_iters)
         if cfg.extra_separate_iters > 0:
             opt.run(cfg.extra_separate_iters)
 
@@ -295,14 +293,16 @@ def joint_train(
 
 
 def train(c: Corpus, cfg: TrainConfig, checkpoint_dir=None) -> TrainState:
-    """Dispatch on the configured training mode."""
+    """Dispatch on the configured training mode. Every mode but dmv-only
+    trains the discriminative model, so its weights are checked first, before
+    any EM iteration runs."""
+    if cfg.mode != "dmv-only":
+        cmst.check_weights(cfg.lam, cfg.mu, train=True)
     if cfg.mode == "joint":
         return joint_train(c, cfg, checkpoint_dir)
     if cfg.mode == "dmv-only":
-        theta = dmv.init_params(c, cfg.init)
-        for _ in range(cfg.em_pretrain_iters + cfg.outer_iters):
-            theta, _ = dmv.em_step(c, theta, cfg.constraint, 0.0)
-        state = TrainState(theta, None)
+        iters = cfg.em_pretrain_iters + cfg.outer_iters
+        state = TrainState(_em(c, dmv.init_params(c, cfg.init), cfg, iters), None)
     elif cfg.mode == "cmst-only":
         state = TrainState(None, _pretrain_cmst(c, cfg).model)
     else:

@@ -16,7 +16,7 @@ from conftest import CONLLU_SAMPLE
 from oracles import UPOS_TAGS, random_corpus, random_dmv_params
 
 import jointdep
-from jointdep import trainer
+from jointdep import cli, trainer
 from jointdep.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, load_config, run
 from jointdep.corpus import DepTree, parse_conllu, read_conllu, write_conllu_file
 from jointdep.cmst import CmstModel
@@ -72,6 +72,72 @@ def test_dump_config(capsys):
     assert "mu=0.25" in out
     assert "mode=joint" in out
     assert "dd_fallback" not in out
+
+
+def test_dump_config_prints_every_default(capsys):
+    assert run(["train", "--dump-config"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "count_punct=True\n"
+        "dd_max_iters=50\n"
+        "dep_len_beta=0.1\n"
+        "em_pretrain_iters=10\n"
+        "extra_separate_iters=3\n"
+        "fw_pretrain_iters=50\n"
+        "g_weight=1.0\n"
+        "init=harmonic\n"
+        "lambda=1.0\n"
+        "max_ce_depth=1\n"
+        "max_len=15\n"
+        "mode=joint\n"
+        "mstep_smoothing=0.1\n"
+        "mu=0.5\n"
+        "outer_iters=10\n"
+        "rules=\n"
+        "workers=1\n"
+    )
+
+
+def test_every_setting_reads_alike_from_config_file_and_flag(tmp_path):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("VERB NOUN\n")
+    values = {
+        "mode": "dmv-only", "max_len": "20", "count_punct": "no",
+        "outer_iters": "3", "extra_separate_iters": "1",
+        "em_pretrain_iters": "2", "fw_pretrain_iters": "4", "init": "uniform",
+        "max_ce_depth": "inf", "dep_len_beta": "0.3", "lambda": "2.5",
+        "mu": "0.25", "dd_max_iters": "7", "mstep_smoothing": "0.2",
+        "g_weight": "0.5", "rules": str(rules), "workers": "2",
+    }
+    assert values.keys() == cli.SETTINGS.keys()
+    config = tmp_path / "train.cfg"
+    config.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+    flags = [a for k, v in values.items() for a in ("--" + k.replace("_", "-"), v)]
+    parser = cli._build_parser()
+    from_file = load_config(str(config), {})
+    from_flags = load_config(None, vars(parser.parse_args(["train", *flags])))
+    defaults = load_config(None, {})
+    assert all(from_file[k] != defaults[k] for k in values)
+    assert from_flags == from_file
+    assert cli._train_config(from_flags) == cli._train_config(from_file)
+    assert cli._train_config(from_file).rules == frozenset({("VERB", "NOUN")})
+
+
+@pytest.mark.parametrize("setting", ["lambda=0", "lambda=inf", "mu=nan", "mu=-1"])
+def test_joint_train_checks_weights_before_em(
+    tmp_path, train_file, capsys, monkeypatch, setting
+):
+    em_calls = []
+    monkeypatch.setattr(
+        trainer.dmv, "em_step", lambda *args, **kw: em_calls.append(args)
+    )
+    key, value = setting.split("=")
+    rc = run(["train", "--train", str(train_file), "--out", str(tmp_path / "m"),
+              "--mode", "joint", "--em-pretrain-iters", "30", f"--{key}", value])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert err.startswith("error: lambda") and err.count("\n") == 1
+    assert em_calls == []
+    assert not (tmp_path / "m").exists()
 
 
 def test_missing_subcommand_is_usage_error():
@@ -226,15 +292,17 @@ def test_train_rejects_removed_step_settings(tmp_path, train_file, capsys, setti
 
 
 @pytest.mark.parametrize("value", ["abc", "1.5", ""])
-def test_train_rejects_non_integer_workers_variable(
-    tmp_path, train_file, capsys, monkeypatch, value
-):
-    monkeypatch.setenv("JOINTDEP_WORKERS", value)
-    rc = run(["train", "--train", str(train_file), "--out", str(tmp_path / "m")])
-    err = capsys.readouterr().err
-    assert rc == EXIT_DATA
-    assert err.startswith("error: JOINTDEP_WORKERS") and err.count("\n") == 1
-    assert not (tmp_path / "m").exists()
+def test_rejects_non_integer_workers(tmp_path, train_file, model_dir, capsys, value):
+    for command in (
+        ["train", "--train", str(train_file), "--out", str(tmp_path / "m")],
+        ["parse", "--model", str(model_dir), "--input", str(train_file),
+         "--output", str(tmp_path / "m")],
+    ):
+        rc = run(command + ["--workers", value])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err == f"error: invalid value for workers: {value!r}\n"
+        assert not (tmp_path / "m").exists()
 
 
 def test_cmst_weights_do_not_depend_on_blas_threads(tmp_path):
@@ -333,10 +401,10 @@ def model_dir(tmp_path, rng):
     return d
 
 
-def _parse(model, input_file, output, decoder="dd"):
+def _parse(model, input_file, output, decoder="dd", *flags):
     return run([
         "parse", "--model", str(model), "--decoder", decoder,
-        "--input", str(input_file), "--output", str(output),
+        "--input", str(input_file), "--output", str(output), *flags,
     ])
 
 
@@ -416,9 +484,9 @@ def test_parse_workers_write_identical_trees(
     monkeypatch.setattr(trainer, "ProcessPoolExecutor", spy_pool)
     outputs = []
     for workers in ("1", "2"):
-        monkeypatch.setenv("JOINTDEP_WORKERS", workers)
         pred = tmp_path / f"pred{workers}.conllu"
-        assert _parse(model_dir, train_file, pred) == EXIT_OK
+        rc = _parse(model_dir, train_file, pred, "dd", "--workers", workers)
+        assert rc == EXIT_OK
         outputs.append(pred.read_bytes())
     assert pools == [2]
     assert outputs[0] == outputs[1]

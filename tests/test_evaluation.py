@@ -46,7 +46,8 @@ def test_partial_accuracy_by_hand():
     rep = directed_accuracy(gold, pred)
     # First sentence: 3/3 scored tokens correct; second: 0/2.
     assert rep.dda_all == pytest.approx(3 / 5)
-    assert rep.per_sentence == [(0, 3, 3), (1, 0, 2)]
+    assert rep.dda_le15 == pytest.approx(3 / 5)
+    assert (rep.tokens_scored, rep.sentences_scored) == (5, 2)
 
 
 def test_punctuation_included_when_asked():
