@@ -58,7 +58,7 @@ SETTINGS = {
     "rules": (str, ""),
     "workers": (int, _T.workers),
 }
-_CHOICES = {"mode": trainer.MODES, "init": ("uniform", "harmonic")}
+_CHOICES = {"mode": trainer.MODES, "init": dmv.INITS}
 
 
 class UsageError(Exception):
@@ -98,12 +98,18 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
+def _decode_settings(cfg: dict) -> dict:
+    """The `TrainConfig` fields that decoding reads."""
+    constraint = dmv.ConstraintConfig(cfg["max_ce_depth"], cfg["dep_len_beta"])
+    return dict(constraint=constraint, dd=DDConfig(cfg["dd_max_iters"]),
+                g_weight=cfg["g_weight"], workers=cfg["workers"])
+
+
 def _train_config(cfg: dict) -> trainer.TrainConfig:
     kw = {f.name: cfg[f.name] for f in fields(trainer.TrainConfig) if f.name in cfg}
     kw.update(
-        constraint=dmv.ConstraintConfig(cfg["max_ce_depth"], cfg["dep_len_beta"]),
+        _decode_settings(cfg),
         lam=cfg["lambda"],
-        dd=DDConfig(cfg["dd_max_iters"]),
         rules=cmst.load_rules(cfg["rules"]) if cfg["rules"] else None,
     )
     return trainer.TrainConfig(**kw)
@@ -158,7 +164,7 @@ def _cmd_parse(args) -> int:
     cfg = load_config(args.config, vars(args))
     state = _load_models(args.model, args.decoder)
     corpus = _read_corpus(args.input)
-    tcfg = _train_config(cfg)
+    tcfg = trainer.TrainConfig(**_decode_settings(cfg))
     trees = trainer.decode_corpus(corpus, state, tcfg, args.decoder)
     write_conllu_file(corpus, trees, args.output)
     return EXIT_OK

@@ -10,7 +10,7 @@ each decoder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
@@ -92,46 +92,26 @@ def dd_decode_group(
     flat_base = np.concatenate([c.ravel() for c in base])
     prices = [u[o:o + c.size].reshape(c.shape) for o, c in zip(offsets, base)]
     cols = [o + np.arange(1, x.n + 1) for o, x in zip(offsets, xs)]
-    relaxed: set[int] = set()  # rows decoded without the depth cap
-    charts = [dmv.build_decode_chart(x, theta, cfg_f) for x in xs]
+    # Iteration 1 is at zero prices, with the depth cap lifted where it leaves
+    # no tree; the plan reads prices laid out as `u` is.
+    charts, vit, ys, relaxed = dmv.decode_group(xs, theta, cfg_f)
     results: list[DDResult | None] = [None] * len(xs)
     best_cost = np.full(len(xs), np.inf)  # each sentence's lowest P so far
     best_heads: list[tuple[int, ...] | None] = [None] * len(xs)
 
-    def plan(rows):
-        return dmv.viterbi_plan(
-            [charts[i] for i in rows], [offsets[i] for i in rows]
-        )
-
     # `planned` are the rows the chart passes run over; `active` those not yet
     # decided. The plan is rebuilt only when half of its rows have left.
     planned = active = list(range(len(xs)))
-    vit = plan(planned)
     for k in range(1, dd.max_iters + 1):
         at = {i: j for j, i in enumerate(planned)}
-        ys = dmv.viterbi_batch(vit, u, [at[i] for i in active])
-        if k == 1:
-            # Finite prices cannot change feasibility, so a sentence
-            # infeasible under the depth cap shows here, at zero prices; its
-            # cap is relaxed for it alone.
-            stuck = [i for i, (y, _) in zip(active, ys) if y is None]
-            if stuck:
-                if cfg_f.max_ce_depth is None:
-                    raise dmv.InfeasibleParseError()
-                uncapped = replace(cfg_f, max_ce_depth=None)
-                relaxed.update(stuck)
-                for i in stuck:
-                    charts[i] = dmv.build_decode_chart(xs[i], theta, uncapped)
-                vit = plan(planned)
-                ys = dmv.viterbi_batch(vit, u, [at[i] for i in active])
-                if any(y is None for y, _ in ys):
-                    raise dmv.InfeasibleParseError()
+        if k > 1:
+            ys = dmv.viterbi_batch(vit, u, [at[i] for i in active])
         zs = cmst.eisner_min([base[i] - prices[i] for i in planned])
         left = []
         for i, (y, y_score) in zip(active, ys):
             z, z_cost = zs[at[i]]
             if y == z:
-                results[i] = DDResult(DepTree(y), True, k, 0.0, i in relaxed)
+                results[i] = DDResult(DepTree(y), True, k, 0.0, relaxed[i])
             else:
                 left.append((i, y, z, y_score, z_cost))
         if not left:
@@ -162,7 +142,7 @@ def dd_decode_group(
             if closed[j] or k == dd.max_iters:
                 results[i] = DDResult(
                     DepTree(best_heads[i]), bool(closed[j]), k, float(gap[j]),
-                    i in relaxed,
+                    relaxed[i],
                 )
         active = rows[~closed].tolist()
         if not active or k == dd.max_iters:
@@ -178,5 +158,7 @@ def dd_decode_group(
         u[z_at[moved]] -= step
         if 2 * len(active) <= len(planned):
             planned = active
-            vit = plan(planned)
+            vit = dmv.viterbi_plan(
+                [charts[i] for i in planned], [offsets[i] for i in planned]
+            )
     return results

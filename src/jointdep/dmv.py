@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -213,9 +213,14 @@ class DmvParams:
 # Initialization
 # ---------------------------------------------------------------------------
 
+INITS = ("uniform", "harmonic")
+
+
 def init_params(c: Corpus, mode: str = "harmonic") -> DmvParams:
     """Uniform or harmonic (short-arc-biased) initializer; both are
     deterministic."""
+    if mode not in INITS:
+        raise ValueError(f"init must be one of {INITS}, got {mode!r}")
     vocab = c.pos_vocab
     V = len(vocab)
     if V == 0:
@@ -224,7 +229,7 @@ def init_params(c: Corpus, mode: str = "harmonic") -> DmvParams:
     if mode == "uniform":
         root = np.full(V, 1.0 / V)
         attach = np.full((V, 2, V), 1.0 / V)
-    elif mode == "harmonic":
+    else:
         root = np.zeros(V)
         attach = np.zeros((V, 2, V))
         for sent in c:
@@ -241,8 +246,6 @@ def init_params(c: Corpus, mode: str = "harmonic") -> DmvParams:
         attach += 1.0
         root /= root.sum()
         attach /= attach.sum(axis=2, keepdims=True)
-    else:
-        raise ValueError(f"unknown init mode {mode!r}")
     stop = np.full((V, 2, 2), 0.5)
     return DmvParams(vocab, root, attach, stop)
 
@@ -859,6 +862,54 @@ def build_decode_chart(x: Sentence, theta: DmvParams, cfg: ConstraintConfig) -> 
         theta.tag_ids(x), theta.V, cfg.max_ce_depth, theta.log_weights(),
         cfg.dep_len_beta,
     )
+
+
+# Sentences are decoded in groups of similar length whose charts hold at most
+# this many edges under the depth cap. While a group is decoded, its charts
+# and their stacked Viterbi layout take about 60 bytes per edge, so the bound
+# keeps that near 2 MB whatever the corpus.
+_GROUP_EDGES = 1 << 15
+
+
+def length_groups(lengths: Sequence[int], cap: int | None) -> Iterator[list[int]]:
+    """Indices of `lengths`, longest first (stably), cut into groups under
+    `_GROUP_EDGES`; a larger sentence is a group of its own. Edges are
+    counted from the chart templates, so cutting the groups compiles no
+    chart: each chart is compiled where its group is decoded. Longest first,
+    the largest chart is compiled while the fewest others are cached."""
+    group: list[int] = []
+    edges = 0
+    for i in sorted(range(len(lengths)), key=lambda i: -lengths[i]):
+        e = chart_edges(lengths[i], cap)
+        if group and edges + e > _GROUP_EDGES:
+            yield group
+            group, edges = [], 0
+        group.append(i)
+        edges += e
+    if group:
+        yield group
+
+
+def decode_group(
+    xs: Sequence[Sentence], theta: DmvParams, cfg: ConstraintConfig
+) -> tuple[list[_Chart], ViterbiPlan, list[tuple[tuple[int, ...], float]], list[bool]]:
+    """The charts of `xs`, their plan (prices laid out one (n+1, n+1) matrix
+    after another), each sentence's (heads, score) at zero prices, as decoded
+    alone, and whether its depth cap was lifted: a sentence with no tree under
+    the cap is decoded without it, as finite prices cannot make it feasible."""
+    charts = [build_decode_chart(x, theta, cfg) for x in xs]
+    plan = viterbi_plan(charts)
+    trees = viterbi_batch(plan)
+    relaxed = [heads is None for heads, _ in trees]
+    if any(relaxed) and cfg.max_ce_depth is not None:
+        uncapped = replace(cfg, max_ce_depth=None)
+        charts = [build_decode_chart(x, theta, uncapped) if lift else chart
+                  for x, lift, chart in zip(xs, relaxed, charts)]
+        plan = viterbi_plan(charts)
+        trees = viterbi_batch(plan)
+    if any(heads is None for heads, _ in trees):
+        raise InfeasibleParseError()
+    return charts, plan, trees, relaxed
 
 
 def em_step(

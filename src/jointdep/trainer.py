@@ -9,7 +9,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,6 +42,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if self.init not in dmv.INITS:
+            raise ValueError(f"init must be one of {dmv.INITS}, got {self.init!r}")
         if self.outer_iters < 1:
             raise ValueError("outer_iters must be >= 1")
         if self.extra_separate_iters < 0:
@@ -126,35 +128,6 @@ def train_baseline_d_init(c: Corpus, cfg: TrainConfig) -> TrainState:
 # Joint training (coordinate descent with agreement decoding)
 # ---------------------------------------------------------------------------
 
-# Agreement decoding runs on groups of sentences of similar length whose
-# charts hold at most this many edges under the configured depth cap. While
-# a group is decoded, its charts and their stacked Viterbi layout take about
-# 60 bytes per edge, so the bound keeps that near 2 MB whatever the corpus.
-# At depth cap 1, one sentence of each length 10-15 fills a group, and one
-# of length 23 or more is always a group of its own.
-_GROUP_EDGES = 1 << 15
-
-
-def _length_groups(c: Corpus, cap: int | None) -> Iterator[list[int]]:
-    """Indices of the sentences of `c`, longest first (stably), cut into
-    groups under `_GROUP_EDGES`; a larger sentence is a group of its own.
-    Edges are counted from the chart templates, so cutting the groups
-    compiles no chart: each chart is compiled where its group is decoded, in
-    a worker when there are workers. Longest first, the largest chart is
-    compiled while the fewest others are cached."""
-    group: list[int] = []
-    edges = 0
-    for i in sorted(range(c.N), key=lambda i: -c.sentences[i].n):
-        e = dmv.chart_edges(c.sentences[i].n, cap)
-        if group and edges + e > _GROUP_EDGES:
-            yield group
-            group, edges = [], 0
-        group.append(i)
-        edges += e
-    if group:
-        yield group
-
-
 _WORKER = {}
 
 
@@ -162,19 +135,25 @@ def _decode_worker_init(sents, theta, constraint, model, dd, g_weight):
     _WORKER["args"] = (sents, theta, constraint, model, dd, g_weight)
 
 
-def _decode_worker(group: list[int]) -> tuple[list[int], list[DDResult]]:
+def _decode_worker(group: list[int]) -> tuple[list[int], list]:
     sents, theta, constraint, model, dd, g_weight = _WORKER["args"]
     xs = [sents[i] for i in group]
+    if model is None:  # the grammar decodes alone
+        _, _, trees, _ = dmv.decode_group(xs, theta, constraint)
+        return group, [DepTree(heads) for heads, _ in trees]
     return group, dd_decode_group(xs, theta, constraint, model, dd, g_weight)
 
 
-def _decode_all(c: Corpus, state: TrainState, cfg: TrainConfig) -> list[DDResult]:
-    """Agreement decoding of every sentence of `c`, one length group per
-    `dd_decode_group` call. A sentence's result does not depend on its
-    group, so neither the grouping nor `cfg.workers` can change it."""
-    args = (c.sentences, state.theta, cfg.constraint, state.model, cfg.dd,
-            cfg.g_weight)
-    groups = _length_groups(c, cfg.constraint.max_ce_depth)
+def _decode_all(
+    c: Corpus, state: TrainState, cfg: TrainConfig, decoder: str = "dd"
+) -> list[DDResult] | list[DepTree]:
+    """Decode every sentence of `c`, one `dmv.length_groups` group per call:
+    agreement decoding gives each a `DDResult`, the grammar alone ("dmv") a
+    `DepTree`. A sentence's result does not depend on its group, so neither
+    the grouping nor `cfg.workers` can change it."""
+    model = state.model if decoder == "dd" else None
+    args = (c.sentences, state.theta, cfg.constraint, model, cfg.dd, cfg.g_weight)
+    groups = dmv.length_groups([x.n for x in c], cfg.constraint.max_ce_depth)
     if cfg.workers > 1:
         with ProcessPoolExecutor(
             max_workers=cfg.workers,
@@ -185,7 +164,7 @@ def _decode_all(c: Corpus, state: TrainState, cfg: TrainConfig) -> list[DDResult
     else:
         _decode_worker_init(*args)
         decoded = map(_decode_worker, groups)
-    out: list[DDResult | None] = [None] * c.N
+    out: list = [None] * c.N
     for group, results in decoded:
         for i, r in zip(group, results):
             out[i] = r
@@ -238,7 +217,6 @@ def joint_train(
     state = pretrain(c, cfg)
     opt = state.optimizer
     prev_heads = None
-    metrics_rows = []
     for it in range(1, cfg.outer_iters + 1):
         results = _decode_all(c, state, cfg)
         trees = [r.tree for r in results]
@@ -266,24 +244,18 @@ def joint_train(
             "dd_gap_max": max((r.final_gap for r in results), default=0.0),
             "joint_objective": j_after,
         }
-        metrics_rows.append((
-            it, j_after, state.stats["dd_rate"], sum(r.iterations for r in results),
-            state.stats["dd_gap_max"],
-        ))
         if checkpoint_dir is not None:
-            ckpt = Path(checkpoint_dir) / f"iter{it:03d}"
-            state.save(ckpt, c)
-            with open(Path(checkpoint_dir) / "metrics.csv", "w", newline="") as f:
+            state.save(Path(checkpoint_dir) / f"iter{it:03d}", c)
+            # The header comes with the first row; each iteration appends one.
+            with open(Path(checkpoint_dir) / "metrics.csv", "a" if it > 1 else "w",
+                      newline="") as f:
                 wr = csv.writer(f)
-                wr.writerow([
-                    "iteration", "joint_objective", "dd_rate", "dd_iters",
-                    "dd_gap_max",
-                ])
-                for row in metrics_rows:
-                    wr.writerow([
-                        row[0], "%.12g" % row[1], "%.6f" % row[2], row[3],
-                        "%.12g" % row[4],
-                    ])
+                if it == 1:
+                    wr.writerow(["iteration", "joint_objective", "dd_rate",
+                                 "dd_iters", "dd_gap_max"])
+                wr.writerow([it, "%.12g" % j_after, "%.6f" % state.stats["dd_rate"],
+                             sum(r.iterations for r in results),
+                             "%.12g" % state.stats["dd_gap_max"]])
         heads = tuple(t.heads for t in trees)
         if heads == prev_heads:
             log.info("decoded trees unchanged at iteration %d; stopping", it)
@@ -318,30 +290,14 @@ def decode_corpus(
     cfg: TrainConfig | None = None,
     decoder: str = "dd",
 ) -> list[DepTree]:
-    """Parse a corpus with one model or with agreement decoding; agreement
-    decoding runs on `cfg.workers` processes."""
+    """Parse a corpus with one model or with agreement decoding; the
+    grammar's decoders run on `cfg.workers` processes."""
     cfg = cfg or TrainConfig()
-    if decoder == "dd":
-        return [r.tree for r in _decode_all(c, state, cfg)]
     if decoder == "cmst":
         terms = cmst.sentence_terms(c, state.model)
         return [tree for tree, _ in cmst.lmo_decode(terms, state.model)]
-    if decoder != "dmv":
-        raise ValueError(f"unknown decoder {decoder!r}")
-    trees: list[DepTree | None] = [None] * c.N
-    for group in _length_groups(c, cfg.constraint.max_ce_depth):
-        charts = [
-            dmv.build_decode_chart(c.sentences[i], state.theta, cfg.constraint)
-            for i in group
-        ]
-        for i, (heads, _) in zip(group, dmv.viterbi_batch(dmv.viterbi_plan(charts))):
-            if heads is None:
-                # Infeasible under the depth cap: decode this sentence alone
-                # without it.
-                trees[i], _ = dmv.viterbi_decode(
-                    c.sentences[i], state.theta,
-                    replace(cfg.constraint, max_ce_depth=None),
-                )
-            else:
-                trees[i] = DepTree(heads)
-    return trees
+    if decoder == "dmv":
+        return _decode_all(c, state, cfg, decoder)
+    if decoder == "dd":
+        return [r.tree for r in _decode_all(c, state, cfg)]
+    raise ValueError(f"unknown decoder {decoder!r}")

@@ -273,6 +273,22 @@ def test_train_rejects_out_of_range_setting(tmp_path, train_file, capsys, settin
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("mode", trainer.MODES)
+def test_train_rejects_unknown_init_in_every_mode(
+    tmp_path, train_file, capsys, mode
+):
+    # The initialiser is checked with the other settings, before training,
+    # also in the mode that never initialises the grammar.
+    config = tmp_path / "train.cfg"
+    config.write_text("init=bogus\n")
+    rc = run(["train", "--config", str(config), "--train", str(train_file),
+              "--mode", mode, "--out", str(tmp_path / "m")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert err.startswith("error: init must be one of") and err.count("\n") == 1
+    assert not (tmp_path / "m").exists()
+
+
 @pytest.mark.parametrize(
     "setting", ["dd_step_rule=invsqrt", "dd_tau0=1.0", "dd_fallback=generative"]
 )
@@ -458,6 +474,32 @@ def test_damaged_model_file_is_data_error(
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("decoder", ["dmv", "dd"])
+def test_parse_reads_only_the_decode_settings(
+    tmp_path, train_file, model_dir, capsys, decoder
+):
+    # Settings that only training reads do not stop a parse: neither an
+    # out-of-range iteration count nor a rules file that does not exist.
+    plain = tmp_path / "plain.conllu"
+    assert _parse(model_dir, train_file, plain, decoder) == EXIT_OK
+    for i, setting in enumerate(["outer_iters=0", "rules=no-such-rules.txt"]):
+        config = tmp_path / f"{i}.cfg"
+        config.write_text(setting + "\n")
+        pred = tmp_path / f"pred{i}.conllu"
+        rc = _parse(model_dir, train_file, pred, decoder, "--config", str(config))
+        assert rc == EXIT_OK
+        assert pred.read_bytes() == plain.read_bytes()
+    # A decode setting out of range still fails with one line.
+    config = tmp_path / "beta.cfg"
+    config.write_text("dep_len_beta=-1\n")
+    capsys.readouterr()
+    rc = _parse(model_dir, train_file, tmp_path / "o.conllu", decoder,
+                "--config", str(config))
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert err.startswith("error: dep_len_beta") and err.count("\n") == 1
+
+
 def test_unparseable_sentence_is_data_error(tmp_path, model_dir, capsys):
     theta = DmvParams.load(model_dir / "dmv.txt")
     theta.stop[:] = 1.0  # no token may take a dependent
@@ -482,14 +524,16 @@ def test_parse_workers_write_identical_trees(
         return real_pool(*args, **kwargs)
 
     monkeypatch.setattr(trainer, "ProcessPoolExecutor", spy_pool)
-    outputs = []
-    for workers in ("1", "2"):
-        pred = tmp_path / f"pred{workers}.conllu"
-        rc = _parse(model_dir, train_file, pred, "dd", "--workers", workers)
-        assert rc == EXIT_OK
-        outputs.append(pred.read_bytes())
-    assert pools == [2]
-    assert outputs[0] == outputs[1]
+    # Agreement decoding and the grammar alone both run on the workers.
+    for decoder in ("dd", "dmv"):
+        outputs = []
+        for workers in ("1", "2"):
+            pred = tmp_path / f"pred-{decoder}{workers}.conllu"
+            rc = _parse(model_dir, train_file, pred, decoder, "--workers", workers)
+            assert rc == EXIT_OK
+            outputs.append(pred.read_bytes())
+        assert outputs[0] == outputs[1]
+    assert pools == [2, 2]
 
 
 def test_joint_train_workers_write_identical_files(tmp_path, train_file, fast_args):

@@ -210,7 +210,7 @@ def test_group_results_equal_decoding_alone(rng, monkeypatch, case):
     assert dd_decode_group([xs[i] for i in perm], theta, cfg, m, dd, g) == [
         alone[i] for i in perm
     ]
-    monkeypatch.setattr(trainer, "_GROUP_EDGES", 1)
+    monkeypatch.setattr(dmv, "_GROUP_EDGES", 1)
     state = trainer.TrainState(theta, m)
     tcfg = trainer.TrainConfig(constraint=cfg, dd=dd, g_weight=g)
     assert trainer._decode_all(Corpus(tuple(xs), GROUP_VOCAB), state, tcfg) == alone

@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     all_projective_trees,
     compile_reference,
+    flat_grammar,
     logsumexp,
     make_sentence,
     price_matrix,
@@ -454,6 +455,43 @@ def test_chart_edges_counts_without_compiling():
     counted = [dmv.chart_edges(n, cap) for n, cap in sizes]
     assert dmv._compile.cache_info().misses == misses
     assert counted == [dmv._compile(n, cap).head.size for n, cap in sizes]
+
+
+def test_decode_group_lifts_the_cap_of_infeasible_rows_only():
+    # Under the flat grammar, B B C and B B B C have no tree at cap 0 and B C
+    # has one. Each row's tree and score are those of decoding its sentence
+    # alone: without the cap where the group lifted it, under it elsewhere.
+    theta = flat_grammar()
+    cfg, uncapped = ConstraintConfig(0, 0.1), ConstraintConfig(None, 0.1)
+    xs = [make_sentence(["B"] * k + ["C"]) for k in (2, 1, 3, 1)]
+    charts, plan, trees, relaxed = dmv.decode_group(xs, theta, cfg)
+    assert relaxed == [True, False, True, False]
+    for x, lifted, (heads, score) in zip(xs, relaxed, trees):
+        tree, cost = viterbi_decode(x, theta, uncapped if lifted else cfg)
+        assert heads == tree.heads and (-score).hex() == cost.hex()
+    # The plan is that of the trees, over the lifted charts.
+    assert dmv.viterbi_batch(plan) == trees
+    for x, lifted, chart in zip(xs, relaxed, charts):
+        assert chart.s is dmv._compile(x.n, None if lifted else 0)
+    # With no cap to lift, or none that helps, the group cannot be decoded.
+    with pytest.raises(dmv.InfeasibleParseError):
+        dmv.decode_group(xs + [make_sentence(["A", "C"])], theta, cfg)
+    with pytest.raises(dmv.InfeasibleParseError):
+        dmv.decode_group([make_sentence(["A", "C"])], theta, uncapped)
+
+
+def test_length_groups_cut_longest_first_under_the_edge_budget(monkeypatch):
+    lengths = [3, 9, 5, 9, 1, 30]
+    groups = list(dmv.length_groups(lengths, 1))
+    assert [i for g in groups for i in g] == [5, 1, 3, 2, 0, 4]
+    edges = [sum(dmv.chart_edges(lengths[i], 1) for i in g) for g in groups]
+    # A group is only over the budget when it holds one sentence, and no
+    # group could take the next group's first sentence.
+    assert all(e <= dmv._GROUP_EDGES or len(g) == 1 for g, e in zip(groups, edges))
+    for e, nxt in zip(edges, groups[1:]):
+        assert e + dmv.chart_edges(lengths[nxt[0]], 1) > dmv._GROUP_EDGES
+    monkeypatch.setattr(dmv, "_GROUP_EDGES", 1)
+    assert list(dmv.length_groups(lengths, 1)) == [[5], [1], [3], [2], [0], [4]]
 
 
 # ---------------------------------------------------------------------------

@@ -263,8 +263,8 @@ def test_decode_corpus_decoders(small_corpus):
 
 def test_decode_corpus_dmv_decodes_groups(monkeypatch):
     # One batched Viterbi pass per length group, with the trees of decoding
-    # each sentence alone; a sentence without a tree under the depth cap is
-    # decoded alone without it.
+    # each sentence alone; when a sentence has no tree under the depth cap,
+    # the group is decoded again with that sentence's cap lifted.
     c = Corpus(
         tuple(make_sentence(["B"] * k + ["C"]) for k in (2, 1, 3, 1)),
         ("A", "B", "C"),
@@ -279,7 +279,7 @@ def test_decode_corpus_dmv_decodes_groups(monkeypatch):
     monkeypatch.setattr(dmv, "viterbi_batch", counted)
     cfg = _fast_cfg(constraint=ConstraintConfig(0, 0.1))
     trees = decode_corpus(c, state, cfg, decoder="dmv")
-    assert passes == [4, 1, 1]
+    assert passes == [4, 4]
     assert [t.heads for t in trees] == [(3, 3, 0), (2, 0), (4, 4, 4, 0), (2, 0)]
 
 
@@ -292,6 +292,15 @@ def test_parallel_decode_matches_serial(small_corpus):
     )
     assert serial == parallel  # every field: iterations, final_gap, ...
     assert not all(r.converged for r in serial)
+    # The grammar alone, as `parse --decoder dmv` decodes: the same trees on
+    # two workers as on one, each that of decoding its sentence alone.
+    serial = trainer._decode_all(small_corpus, state, cfg, "dmv")
+    assert serial == trainer._decode_all(
+        small_corpus, state, _fast_cfg(workers=2), "dmv"
+    )
+    assert serial == [
+        dmv.viterbi_decode(x, state.theta, cfg.constraint)[0] for x in small_corpus
+    ]
 
 
 def test_dmv_only_improves_likelihood(small_corpus):
