@@ -14,7 +14,7 @@ from .corpus import (
 )
 from .dmv import ConstraintConfig, DmvParams
 from .cmst import CmstModel
-from .decoder import DDConfig, DDResult, dd_decode
+from .decoder import DDResult, dd_decode_group
 from .trainer import TrainConfig, TrainState, joint_train, pretrain, train
 
 __version__ = "0.1.0"
@@ -23,6 +23,6 @@ __all__ = [
     "Corpus", "DepTree", "Sentence", "Token",
     "filter_corpus", "parse_conllu", "read_conllu", "write_conllu",
     "ConstraintConfig", "DmvParams", "CmstModel",
-    "DDConfig", "DDResult", "dd_decode",
+    "DDResult", "dd_decode_group",
     "TrainConfig", "TrainState", "joint_train", "pretrain", "train",
 ]

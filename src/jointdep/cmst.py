@@ -5,10 +5,10 @@ an exact ridge solve for the weights.
 An arc's features depend only on its cell [head tag, dependent tag,
 direction, distance bin] (`_arc_cells`). Decoding scores arcs from tables of
 weight sums (`sentence_terms`), one entry per cell, so it builds no feature
-matrix. Only Frank-Wolfe training builds the sparse features X, in one numpy
-pass per sentence (`_feature_rows`), and only it imports scipy. Its state is
-a few flat corpus vectors, so each step is a handful of corpus-wide numpy
-operations around one `eisner_min` call."""
+matrix. Only Frank-Wolfe training builds the sparse features X
+(`extract_features`), in one numpy pass per sentence, and only it imports
+scipy. Its state is a few flat corpus vectors, so each step is a handful of
+corpus-wide numpy operations around one `eisner_min` call."""
 
 from __future__ import annotations
 
@@ -68,9 +68,22 @@ class FeatureTemplate:
     _blocks: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        # `tag_id` scores every unseen tag as index 1, and a repeated tag
+        # would give one tag two rows of weights.
+        if self.tags[:2] != (ROOT_TAG, UNK_TAG):
+            raise ValueError(
+                f"feature tags must start with {ROOT_TAG} {UNK_TAG}, got "
+                f"{' '.join(self.tags[:2])!r}"
+            )
         object.__setattr__(
             self, "_tag_index", {t: i for i, t in enumerate(self.tags)}
         )
+        if len(self._tag_index) < self.T:
+            dup = next(t for i, t in enumerate(self.tags) if self._tag_index[t] != i)
+            raise ValueError(
+                f"feature tag {dup!r} appears more than once "
+                f"({ROOT_TAG} and {UNK_TAG} are reserved)"
+            )
         blocks = []
         off = 0
         for axes in self._BLOCK_AXES:
@@ -135,7 +148,7 @@ def _arc_scores(
 ) -> np.ndarray:
     """The (n+1, n+1) arc score matrix of x, keyed [h, d], read from the
     tables `sums = t.weight_sums(w)`: bit for bit
-    (extract_features(x, t) @ w).reshape(n + 1, n + 1), with no feature
+    (extract_features([x], t) @ w).reshape(n + 1, n + 1), with no feature
     matrix built. Column 0 and the diagonal are 0."""
     pair, root = sums
     heads, deps, right, bins = _arc_cells(x, t)
@@ -163,17 +176,19 @@ def _feature_rows(x: Sentence, t: FeatureTemplate) -> tuple[np.ndarray, np.ndarr
     return idx[active], active.sum(axis=2).ravel()
 
 
-def extract_features(x: Sentence, t: FeatureTemplate) -> sp.csr_matrix:
-    """Sparse 0/1 matrix with one row per cell [h, d] of the (n+1, n+1) arc
-    matrix, in row-major order. Rows of non-arc cells (d = 0 or h = d) are
-    empty, so (X @ w).reshape(n + 1, n + 1) is the arc score matrix."""
+def extract_features(xs: Sequence[Sentence], t: FeatureTemplate) -> sp.csr_matrix:
+    """Sparse 0/1 matrix with one row per cell [h, d] of each sentence's
+    (n+1, n+1) arc matrix, in row-major order, the sentences stacked in order.
+    Rows of non-arc cells (d = 0 or h = d) are empty, so the rows of sentence
+    x give (X @ w).reshape(n + 1, n + 1), its arc score matrix."""
     # Imported here, not at module load, as in `FrankWolfeOptimizer`.
     import scipy.sparse as sp
 
-    cols, counts = _feature_rows(x, t)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
+    rows = [_feature_rows(x, t) for x in xs]
+    cols = np.concatenate([c for c, _ in rows])
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate([k for _, k in rows]))))
     return sp.csr_matrix(
-        (np.ones(cols.size), cols, indptr), shape=((x.n + 1) ** 2, t.dimension),
+        (np.ones(cols.size), cols, indptr), shape=(indptr.size - 1, t.dimension),
     )
 
 
@@ -526,35 +541,25 @@ def _eisner_pass(
     return out
 
 
-def arc_costs(
-    q: np.ndarray, v: np.ndarray, m: CmstModel, u: np.ndarray | None = None
-) -> np.ndarray:
+def arc_costs(q: np.ndarray, v: np.ndarray, m: CmstModel) -> np.ndarray:
     """(n+1, n+1) matrix of the per-arc linear cost of the discriminative
     objective over 0/1 trees, keyed [h, d], for a sentence with terms (q, v):
-    (1/2n)(1 - 2q[h, d]) - mu v[h, d] - u[h, d] on arcs, 0 on non-arc cells.
+    (1/2n)(1 - 2q[h, d]) - mu v[h, d] on arcs, 0 on non-arc cells.
     """
     costs = (1.0 - 2.0 * q) / (2.0 * (v.shape[0] - 1)) - m.mu * v
     costs[:, 0] = 0.0
     np.fill_diagonal(costs, 0.0)
-    if u is not None:
-        costs = costs - u
     return costs
 
 
 def lmo_decode(
-    terms: Iterable[tuple[np.ndarray, np.ndarray]],
-    m: CmstModel,
-    prices: Sequence[np.ndarray | None] | None = None,
+    terms: Iterable[tuple[np.ndarray, np.ndarray]], m: CmstModel
 ) -> list[tuple[DepTree, float]]:
     """Min-cost projective tree, and its cost, of every sentence with terms
-    (q, v) under the linearized objective minus its prices (`prices[i]` for
-    sentence i, default none), all in one `eisner_min` call. `terms` may be
-    an iterator, so that each sentence's terms are dropped once its arc
-    costs are built."""
-    if prices is None:
-        costs = [arc_costs(q, v, m) for q, v in terms]
-    else:
-        costs = [arc_costs(q, v, m, u) for (q, v), u in zip(terms, prices, strict=True)]
+    (q, v) under the linearized objective, all in one `eisner_min` call.
+    `terms` may be an iterator, so that each sentence's terms are dropped once
+    its arc costs are built."""
+    costs = [arc_costs(q, v, m) for q, v in terms]
     return [(DepTree(heads), score) for heads, score in eisner_min(costs)]
 
 
@@ -596,12 +601,7 @@ class FrankWolfeOptimizer:
         cells = self._offsets[-1]
         # One CSR matvec with X_all scores every arc of the corpus, each row
         # summed as sentence i's own features X_i @ w would sum it.
-        rows = [_feature_rows(s, model.templates) for s in corpus]
-        cols = np.concatenate([c for c, _ in rows])
-        indptr = np.concatenate(([0], np.cumsum(np.concatenate([k for _, k in rows]))))
-        self.X_all = sp.csr_matrix(
-            (np.ones(cols.size), cols, indptr), shape=(cells, model.templates.dimension)
-        )
+        self.X_all = extract_features(corpus.sentences, model.templates)
         # Per cell: its sentence's length n, as a float, and sqrt(n).
         ns = np.array(self._lengths, dtype=np.float64)
         self._n = np.repeat(ns, sizes)
@@ -609,8 +609,7 @@ class FrankWolfeOptimizer:
         # The ridge design D is X_all with sentence i's rows scaled 1/sqrt(n),
         # so that the normal equations sum (1/n) X'X per sentence. It shares
         # X_all's structure.
-        scale = np.repeat(1.0 / np.sqrt(ns), [c.size for c, _ in rows])
-        del rows, cols, indptr
+        scale = np.repeat(1.0 / np.sqrt(ns), np.diff(self.X_all.indptr[self._offsets]))
         D = sp.csr_matrix(
             (scale, self.X_all.indices, self.X_all.indptr), shape=self.X_all.shape
         )

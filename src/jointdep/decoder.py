@@ -25,35 +25,12 @@ _GAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class DDConfig:
-    max_iters: int = 50
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-
-
-@dataclass(frozen=True)
 class DDResult:
     tree: DepTree
     converged: bool
     iterations: int
     final_gap: float  # best primal cost minus dual value; 0.0 on agreement
-    relaxed_depth_cap: bool = False
-
-
-def dd_decode(
-    x: Sentence,
-    theta: dmv.DmvParams,
-    cfg_f: dmv.ConstraintConfig,
-    m: cmst.CmstModel,
-    dd: DDConfig,
-    g_weight: float = 1.0,
-) -> DDResult:
-    """Agreement decoding of one sentence: `dd_decode_group` of a group of
-    one."""
-    [result] = dd_decode_group([x], theta, cfg_f, m, dd, g_weight)
-    return result
+    relaxed_depth_cap: bool
 
 
 def dd_decode_group(
@@ -61,7 +38,7 @@ def dd_decode_group(
     theta: dmv.DmvParams,
     cfg_f: dmv.ConstraintConfig,
     m: cmst.CmstModel,
-    dd: DDConfig,
+    max_iters: int,
     g_weight: float = 1.0,
 ) -> list[DDResult]:
     """Agreement decoding of every sentence of `xs`: minimize F(x, y) +
@@ -76,10 +53,12 @@ def dd_decode_group(
     P so far is within `_GAP_TOL` * (1 + |L|) of L, with the tree that first
     reached that P.
     Otherwise its prices take the Polyak step u + (min P - L) / |Y - Z|^2 *
-    (Y - Z). A sentence still uncertified after `dd.max_iters` iterations
+    (Y - Z). A sentence still uncertified after `max_iters` iterations
     leaves the same way, with the same tree, but flagged uncertified. Every
     result equals what the sentence gives decoded alone.
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     base = [
         cmst.arc_costs(q, v, m) * g_weight for q, v in cmst.sentence_terms(xs, m)
     ]
@@ -102,7 +81,7 @@ def dd_decode_group(
     # `planned` are the rows the chart passes run over; `active` those not yet
     # decided. The plan is rebuilt only when half of its rows have left.
     planned = active = list(range(len(xs)))
-    for k in range(1, dd.max_iters + 1):
+    for k in range(1, max_iters + 1):
         at = {i: j for j, i in enumerate(planned)}
         if k > 1:
             ys = dmv.viterbi_batch(vit, u, [at[i] for i in active])
@@ -139,13 +118,13 @@ def dd_decode_group(
         gap = best_cost[rows] - dual
         closed = gap <= _GAP_TOL * (1.0 + np.abs(dual))
         for j, i in enumerate(rows.tolist()):
-            if closed[j] or k == dd.max_iters:
+            if closed[j] or k == max_iters:
                 results[i] = DDResult(
                     DepTree(best_heads[i]), bool(closed[j]), k, float(gap[j]),
                     relaxed[i],
                 )
         active = rows[~closed].tolist()
-        if not active or k == dd.max_iters:
+        if not active or k == max_iters:
             break
         # The Polyak step on each open row, over the cells where Y - Z is
         # +1 (y's arcs) or -1 (z's); |Y - Z|^2 is twice the tokens whose

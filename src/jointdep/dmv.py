@@ -109,7 +109,9 @@ class DmvParams:
         try:
             return tuple(self._tag_index[t] for t in sentence.upos)
         except KeyError as exc:
-            raise KeyError(f"UPOS tag {exc.args[0]!r} not in model vocabulary")
+            raise ValueError(
+                f"UPOS tag {exc.args[0]!r} not in model vocabulary"
+            ) from None
 
     def validate(self, tol: float = 1e-12) -> None:
         if not math.isclose(self.root.sum(), 1.0, abs_tol=tol):
@@ -818,10 +820,7 @@ def tree_logprob(
 
 def inside_loglik(x: Sentence, theta: DmvParams, cfg: ConstraintConfig) -> float:
     """Log of the constrained marginal: sum over feasible trees of P(x, y)*f."""
-    chart = _build_chart(
-        theta.tag_ids(x), theta.V, cfg.max_ce_depth, theta.log_weights(),
-        cfg.dep_len_beta,
-    )
+    chart = build_decode_chart(x, theta, cfg)
     return float(_inside(chart)[chart.s.goal])
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import cmst, dmv
 from .corpus import Corpus, DepTree, tree_matrix, write_conllu_file
-from .decoder import DDConfig, DDResult, dd_decode_group
+from .decoder import DDResult, dd_decode_group
 
 log = logging.getLogger(__name__)
 
@@ -33,7 +33,7 @@ class TrainConfig:
     constraint: dmv.ConstraintConfig = field(default_factory=dmv.ConstraintConfig)
     lam: float = 1.0
     mu: float = 0.5
-    dd: DDConfig = field(default_factory=DDConfig)
+    dd_max_iters: int = 50
     mstep_smoothing: float = 0.1
     g_weight: float = 1.0
     rules: cmst.RuleSet | None = None
@@ -48,6 +48,8 @@ class TrainConfig:
             raise ValueError("outer_iters must be >= 1")
         if self.extra_separate_iters < 0:
             raise ValueError("extra_separate_iters must be >= 0")
+        if self.dd_max_iters < 1:
+            raise ValueError(f"dd_max_iters must be >= 1, got {self.dd_max_iters}")
         if self.em_pretrain_iters < 0 or self.fw_pretrain_iters < 0:
             raise ValueError("em_pretrain_iters and fw_pretrain_iters must be >= 0")
         if not 0 <= self.mstep_smoothing < math.inf:
@@ -131,17 +133,17 @@ def train_baseline_d_init(c: Corpus, cfg: TrainConfig) -> TrainState:
 _WORKER = {}
 
 
-def _decode_worker_init(sents, theta, constraint, model, dd, g_weight):
-    _WORKER["args"] = (sents, theta, constraint, model, dd, g_weight)
+def _decode_worker_init(sents, theta, constraint, model, max_iters, g_weight):
+    _WORKER["args"] = (sents, theta, constraint, model, max_iters, g_weight)
 
 
 def _decode_worker(group: list[int]) -> tuple[list[int], list]:
-    sents, theta, constraint, model, dd, g_weight = _WORKER["args"]
+    sents, theta, constraint, model, max_iters, g_weight = _WORKER["args"]
     xs = [sents[i] for i in group]
     if model is None:  # the grammar decodes alone
         _, _, trees, _ = dmv.decode_group(xs, theta, constraint)
         return group, [DepTree(heads) for heads, _ in trees]
-    return group, dd_decode_group(xs, theta, constraint, model, dd, g_weight)
+    return group, dd_decode_group(xs, theta, constraint, model, max_iters, g_weight)
 
 
 def _decode_all(
@@ -152,7 +154,8 @@ def _decode_all(
     `DepTree`. A sentence's result does not depend on its group, so neither
     the grouping nor `cfg.workers` can change it."""
     model = state.model if decoder == "dd" else None
-    args = (c.sentences, state.theta, cfg.constraint, model, cfg.dd, cfg.g_weight)
+    args = (c.sentences, state.theta, cfg.constraint, model, cfg.dd_max_iters,
+            cfg.g_weight)
     groups = dmv.length_groups([x.n for x in c], cfg.constraint.max_ce_depth)
     if cfg.workers > 1:
         with ProcessPoolExecutor(

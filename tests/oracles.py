@@ -507,7 +507,7 @@ def scalar_expected_counts(s, pos, V, wlog, beta):
 # Per-sentence reference for agreement decoding
 # ---------------------------------------------------------------------------
 
-def dd_decode_reference(x, theta, cfg_f, m, dd, g_weight=1.0):
+def dd_decode_reference(x, theta, cfg_f, m, max_iters, g_weight=1.0):
     """Agreement decoding of one sentence alone, the reference for the
     lockstep group decoder: Polyak subgradient steps on the arc prices u,
     each iteration one `scalar_viterbi` of the grammar under +u and one
@@ -529,7 +529,7 @@ def dd_decode_reference(x, theta, cfg_f, m, dd, g_weight=1.0):
     u = np.zeros(v.shape)
     relaxed = False
     best_cost, best = math.inf, None
-    for k in range(1, dd.max_iters + 1):
+    for k in range(1, max_iters + 1):
         while True:
             heads, y_score = scalar_viterbi(
                 dmv._compile(x.n, cfg_f.max_ce_depth), pos, theta.V, wlog,
@@ -556,7 +556,7 @@ def dd_decode_reference(x, theta, cfg_f, m, dd, g_weight=1.0):
         gap = float(best_cost - dual)
         if gap <= _GAP_TOL * (1.0 + abs(dual)):
             return DDResult(best, True, k, gap, relaxed)
-        if k == dd.max_iters:
+        if k == max_iters:
             return DDResult(best, False, k, gap, relaxed)
         diff = tree_matrix(y) - tree_matrix(z)
         u = u + gap / float(np.vdot(diff, diff)) * diff

@@ -36,7 +36,7 @@ from jointdep.corpus import (
     tree_matrix,
     write_conllu_file,
 )
-from jointdep.decoder import DDConfig, dd_decode
+from jointdep.decoder import dd_decode_group
 from jointdep.dmv import ConstraintConfig, UNCONSTRAINED
 
 VOCAB = ("DET", "NOUN", "VERB", "ADJ")
@@ -110,8 +110,13 @@ def test_criterion_2_lmo_vs_oracle(rng):
         u = (price_matrix(rng.normal(size=x.n * x.n), x.n)
              if rng.random() < 0.5 else None)
         q, v = next(cmst.sentence_terms([x], m))
-        [(tree, score)] = cmst.lmo_decode([(q, v)], m, [u])
-        costs = cmst.arc_costs(q, v, m, u)
+        costs = cmst.arc_costs(q, v, m)
+        if u is None:
+            [(tree, score)] = cmst.lmo_decode([(q, v)], m)
+        else:
+            costs = costs - u
+            [(heads, score)] = cmst.eisner_min([costs])
+            tree = DepTree(heads)
         best = min(
             float(np.vdot(costs, tree_matrix(t)))
             for t in all_projective_trees(x.n)
@@ -123,7 +128,7 @@ def test_criterion_2_lmo_vs_oracle(rng):
 
 def _joint_cost(x, tree, theta, cfg, m):
     y = tree_matrix(tree)
-    X = cmst.extract_features(x, m.templates)
+    X = cmst.extract_features([x], m.templates)
     v = cmst.rule_vector(x, m.rules)
     resid = y.ravel() - X @ m.w
     g = float(resid @ resid) / (2 * x.n) - m.mu * float(np.vdot(v, y))
@@ -138,7 +143,7 @@ def test_criterion_3_dd_certificate(rng):
         theta = random_dmv_params(rng, VOCAB)
         m = CmstModel.create(VOCAB, mu=float(rng.uniform(0.0, 1.0)))
         m.w = rng.normal(scale=0.4, size=m.w.shape)
-        res = dd_decode(x, theta, UNCONSTRAINED, m, DDConfig())
+        [res] = dd_decode_group([x], theta, UNCONSTRAINED, m, 50)
         if not res.converged:
             continue
         converged += 1
@@ -194,7 +199,7 @@ def test_criterion_6_gradient_check(rng):
         trees = all_projective_trees(x.n)
         y = tree_matrix(trees[int(rng.integers(len(trees)))])
         N = int(rng.integers(1, 20))
-        g = sentence_gradient(cmst.extract_features(x, m.templates), y, m, N)
+        g = sentence_gradient(cmst.extract_features([x], m.templates), y, m, N)
         for j in rng.integers(0, m.w.size, size=10):
             w0 = m.w[j]
             m.w[j] = w0 + h
@@ -249,7 +254,7 @@ def test_criterion_7_normalization_and_structure(rng):
             cap_violations += 1
         decodes += 1
         if decodes % 4 == 0:
-            res = dd_decode(x, theta_i, cfg, m, DDConfig(max_iters=10))
+            [res] = dd_decode_group([x], theta_i, cfg, m, 10)
             d = span_nesting_depth(res.tree.heads)
             if cap is not None and not res.relaxed_depth_cap and d > cap:
                 cap_violations += 1

@@ -434,6 +434,15 @@ def _negative_root(lines):
     ]
 
 
+def _tags(tags):
+    """Damage to cmst.txt: its tags line replaced and its weight records
+    dropped, so that nothing but the tags line can reject the file."""
+    return lambda lines: [
+        "tags " + tags if line.startswith("tags ") else line
+        for line in lines if not line.startswith("w ")
+    ]
+
+
 @pytest.mark.parametrize("name, damage", [
     pytest.param("dmv.txt", lambda lines: [], id="dmv-empty"),
     pytest.param("dmv.txt", lambda lines: lines[:1], id="dmv-header-only"),
@@ -460,6 +469,13 @@ def _negative_root(lines):
         lambda lines: ["mu nan" if line.startswith("mu ") else line for line in lines],
         id="cmst-nan-mu",
     ),
+    pytest.param("cmst.txt", _tags("<ROOT>"), id="cmst-tags-root-only"),
+    pytest.param(
+        "cmst.txt", _tags("DET NOUN VERB <ROOT> <UNK>"), id="cmst-tags-reserved-last"
+    ),
+    pytest.param(
+        "cmst.txt", _tags("<ROOT> <UNK> DET NOUN VERB NOUN"), id="cmst-tags-repeated"
+    ),
 ])
 def test_damaged_model_file_is_data_error(
     tmp_path, train_file, model_dir, capsys, name, damage
@@ -472,6 +488,19 @@ def test_damaged_model_file_is_data_error(
     err = capsys.readouterr().err
     assert rc == EXIT_DATA
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("decoder", ["dmv", "dd"])
+def test_unknown_upos_is_data_error(tmp_path, model_dir, capsys, decoder):
+    src = tmp_path / "zzz.conllu"
+    src.write_text(
+        "1\tw\tw\tNOUN\t_\t_\t0\t_\t_\t_\n"
+        "2\tw\tw\tZZZ\t_\t_\t1\t_\t_\t_\n\n"
+    )
+    assert _parse(model_dir, src, tmp_path / "o.conllu", decoder) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "error: UPOS tag 'ZZZ' not in model vocabulary\n"
+    )
 
 
 @pytest.mark.parametrize("decoder", ["dmv", "dd"])

@@ -43,7 +43,7 @@ from jointdep.cmst import (
 def test_single_token_features():
     t = FeatureTemplate.for_vocab(("NOUN",))
     x = make_sentence(["NOUN"])
-    X = extract_features(x, t)
+    X = extract_features([x], t)
     assert X.shape == (4, t.dimension)
     row = X.getrow(1).indices  # cell [0, 1]: the root arc
     assert 0 in row  # bias always fires
@@ -53,7 +53,7 @@ def test_single_token_features():
 def test_direction_distinguishes_rows():
     t = FeatureTemplate.for_vocab(("DET", "NOUN"))
     x = make_sentence(["DET", "NOUN"])
-    X = extract_features(x, t)
+    X = extract_features([x], t)
     n = 2
     left = set(X.getrow(2 * (n + 1) + 1).indices)
     right = set(X.getrow(1 * (n + 1) + 2).indices)
@@ -64,7 +64,7 @@ def test_noun_det_arc_features_by_hand():
     t = FeatureTemplate.for_vocab(("DET", "NOUN"))
     x = make_sentence(["DET", "NOUN"])
     n = 2
-    X = extract_features(x, t)
+    X = extract_features([x], t)
     active = set(X.getrow(2 * (n + 1) + 1).indices)
     # Hand-applied templates for head=NOUN, dep=DET, head follows dependent,
     # distance bin 1.
@@ -76,6 +76,14 @@ def test_noun_det_arc_features_by_hand():
 def test_unseen_tag_maps_to_unk():
     t = FeatureTemplate.for_vocab(("NOUN",))
     assert t.tag_id("XYZ") == t.tag_id(cmst.UNK_TAG)
+
+
+@pytest.mark.parametrize("vocab", [(cmst.UNK_TAG, "NOUN"), ("NOUN", cmst.ROOT_TAG)])
+def test_corpus_tags_may_not_repeat_reserved_ones(vocab):
+    # <ROOT> and <UNK> are the first two feature tags; a corpus tagged with
+    # either would give one tag two rows of weights.
+    with pytest.raises(ValueError, match="more than once"):
+        CmstModel.create(vocab)
 
 
 def test_template_determinism():
@@ -92,7 +100,7 @@ def test_features_equal_per_arc_reference(rng):
     bins = set()
     for n in [1, 2, 3, 6, 11, 12, 17]:
         x = make_sentence([tags[i] for i in rng.integers(0, len(tags), size=n)])
-        got, want = extract_features(x, t), extract_features_reference(x, t)
+        got, want = extract_features([x], t), extract_features_reference(x, t)
         assert got.shape == want.shape
         for name in ("indices", "indptr", "data"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -112,12 +120,11 @@ def test_non_arc_cells_are_empty(rng, n):
     np.fill_diagonal(arcs, False)
     m = CmstModel.create(vocab, rules=everything)
     m.w = rng.normal(size=m.w.shape)
-    row_nnz = np.diff(extract_features(x, m.templates).indptr)
+    row_nnz = np.diff(extract_features([x], m.templates).indptr)
     assert not row_nnz.reshape(n + 1, n + 1)[~arcs].any()
     assert row_nnz.reshape(n + 1, n + 1)[arcs].all()
     assert np.array_equal(rule_vector(x, everything), arcs.astype(float))
-    u = price_matrix(rng.normal(size=n * n), n)
-    costs = arc_costs(*next(sentence_terms([x], m)), m, u)
+    costs = arc_costs(*next(sentence_terms([x], m)), m)
     assert not costs[~arcs].any()
     assert costs[arcs].all()
 
@@ -138,7 +145,7 @@ def test_arc_scores_equal_feature_matvec_in_bytes(rng, n):
         w[rng.random(w.size) < 0.2] = 0.0
         w[rng.random(w.size) < 0.2] = -0.0
         m.w = w
-        want = (extract_features(x, m.templates) @ m.w).reshape(n + 1, n + 1)
+        want = (extract_features([x], m.templates) @ m.w).reshape(n + 1, n + 1)
         got = next(sentence_terms([x], m))[0]
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -213,7 +220,7 @@ def test_objective_vanishing_residual(rng):
     m = CmstModel.create(("NOUN", "VERB"), lam=0.0, mu=0.7)
     tree = DepTree((2, 0))
     y = tree_matrix(tree)
-    X = extract_features(x, m.templates)
+    X = extract_features([x], m.templates)
     # Least-squares fit so that Xw == y (the system is underdetermined).
     m.w = np.linalg.lstsq(X.toarray(), y.ravel(), rcond=None)[0]
     v = rule_vector(x, m.rules)
@@ -229,7 +236,7 @@ def test_objective_matches_naive_evaluation(rng):
     y = tree_matrix(tree)
     N = 7
     # Naive re-evaluation with dense arithmetic.
-    X = extract_features(x, m.templates).toarray()
+    X = extract_features([x], m.templates).toarray()
     v = rule_vector(x, m.rules)
     naive = (
         float(np.sum((y.ravel() - X @ m.w) ** 2)) / (2 * 3)
@@ -264,8 +271,14 @@ def test_lmo_matches_bruteforce(rng):
         m.w = rng.normal(scale=0.5, size=m.w.shape)
         u = (price_matrix(rng.normal(size=n * n), n)
              if rng.random() < 0.5 else None)
-        [(tree, score)] = lmo_decode(sentence_terms([x], m), m, [u])
-        costs = arc_costs(*next(sentence_terms([x], m)), m, u)
+        q, v = next(sentence_terms([x], m))
+        costs = arc_costs(q, v, m)
+        if u is None:
+            [(tree, score)] = lmo_decode([(q, v)], m)
+        else:
+            costs = costs - u
+            [(heads, score)] = eisner_min([costs])
+            tree = DepTree(heads)
         best = min(
             float(np.vdot(costs, tree_matrix(t))) for t in all_projective_trees(n)
         )
@@ -343,10 +356,26 @@ def test_fw_stacked_scores_match_per_sentence(rng):
     want = m.lam / 2.0 * float(m.w @ m.w)
     for x, y in zip(c, opt.y):
         v = rule_vector(x, m.rules)
-        q = (extract_features(x, m.templates) @ m.w).reshape(y.shape)
+        q = (extract_features([x], m.templates) @ m.w).reshape(y.shape)
         want += cmst.tree_loss(y, q, v, m.mu)
     assert opt.objective() == want
     assert opt.objective_history[-1] == want
+
+
+def test_stacked_features_equal_per_sentence_matrices(rng):
+    # Frank-Wolfe's X_all is `extract_features` of its corpus: the
+    # per-sentence matrices stacked in corpus order, array for array.
+    import scipy.sparse as sp
+
+    c = random_corpus(rng, UPOS_TAGS, 12, max_len=13, min_len=1)
+    m = CmstModel.create(c.pos_vocab)
+    got = extract_features(c.sentences, m.templates)
+    stacked = sp.vstack([extract_features([x], m.templates) for x in c], format="csr")
+    fw = FrankWolfeOptimizer(c, m).X_all
+    assert got.shape == stacked.shape == fw.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(stacked, name)), name
+        assert getattr(got, name).tobytes() == getattr(fw, name).tobytes(), name
 
 
 def test_fw_large_lambda_kills_weights(rng):
@@ -406,7 +435,7 @@ def test_fit_trees_solves_for_a_stationary_w(rng, vocab):
     opt.fit_trees(trees)
     grad = sum(
         sentence_gradient(
-            extract_features(x, m.templates), tree_matrix(t), m, c.N
+            extract_features([x], m.templates), tree_matrix(t), m, c.N
         )
         for x, t in zip(c, trees)
     )
@@ -462,7 +491,7 @@ def test_sgd_gradient_matches_finite_differences(rng):
     m.w = rng.normal(scale=0.3, size=m.w.shape)
     y = tree_matrix(all_projective_trees(3)[2])
     N = 9
-    g = sentence_gradient(extract_features(x, m.templates), y, m, N)
+    g = sentence_gradient(extract_features([x], m.templates), y, m, N)
     h = 1e-5
     for j in rng.integers(0, m.w.size, size=20):
         w0 = m.w[j]

@@ -16,13 +16,13 @@ from oracles import (
 from jointdep import cmst, dmv, trainer
 from jointdep.cmst import CmstModel
 from jointdep.corpus import Corpus, DepTree, tree_matrix
-from jointdep.decoder import _GAP_TOL, DDConfig, dd_decode, dd_decode_group
+from jointdep.decoder import _GAP_TOL, dd_decode_group
 from jointdep.dmv import ConstraintConfig, UNCONSTRAINED
 
 
 def _joint_objective(x, tree, theta, cfg, m, g_weight=1.0):
     y = tree_matrix(tree)
-    X = cmst.extract_features(x, m.templates)
+    X = cmst.extract_features([x], m.templates)
     v = cmst.rule_vector(x, m.rules)
     resid = y.ravel() - X @ m.w
     g = float(resid @ resid) / (2 * x.n) - m.mu * float(np.vdot(v, y))
@@ -30,8 +30,11 @@ def _joint_objective(x, tree, theta, cfg, m, g_weight=1.0):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        DDConfig(max_iters=0)
+    with pytest.raises(ValueError, match="dd_max_iters"):
+        trainer.TrainConfig(dd_max_iters=0)
+    m = CmstModel.create(GROUP_VOCAB)
+    with pytest.raises(ValueError, match="max_iters"):
+        dd_decode_group([make_sentence(["C"])], flat_grammar(), UNCONSTRAINED, m, 0)
 
 
 def test_single_token_converges_immediately(rng):
@@ -39,7 +42,7 @@ def test_single_token_converges_immediately(rng):
     x = make_sentence(["NOUN"])
     theta = random_dmv_params(rng, vocab)
     m = CmstModel.create(vocab)
-    res = dd_decode(x, theta, UNCONSTRAINED, m, DDConfig())
+    [res] = dd_decode_group([x], theta, UNCONSTRAINED, m, 50)
     assert res.converged
     assert res.iterations == 1
     assert res.final_gap == 0
@@ -63,7 +66,7 @@ def test_certified_tree_is_a_brute_force_optimum(rng, cap, g_weight):
         theta = random_dmv_params(rng, vocab)
         m = CmstModel.create(vocab, mu=float(rng.uniform(0, 1)))
         m.w = rng.normal(scale=1.0, size=m.w.shape)
-        res = dd_decode(x, theta, cfg, m, DDConfig(), g_weight)
+        [res] = dd_decode_group([x], theta, cfg, m, 50, g_weight)
         if not res.converged:
             continue
         certified += 1
@@ -103,15 +106,15 @@ def test_uncertified_tree_is_the_best_grammar_tree_visited(rng, monkeypatch):
         theta = random_dmv_params(rng, vocab)
         m = CmstModel.create(vocab, mu=float(rng.uniform(0, 1)))
         m.w = rng.normal(scale=1.0, size=m.w.shape)
-        dd = DDConfig(max_iters=int(rng.integers(2, 4)))
+        k = int(rng.integers(2, 4))
         visited.clear()
-        dd_decode_reference(x, theta, cfg, m, dd)
-        res = dd_decode(x, theta, cfg, m, dd)
+        dd_decode_reference(x, theta, cfg, m, k)
+        [res] = dd_decode_group([x], theta, cfg, m, k)
         if res.converged:
             continue
         uncertified += 1
-        assert res.iterations == dd.max_iters and res.final_gap > 0
-        assert len(visited) == dd.max_iters
+        assert res.iterations == k and res.final_gap > 0
+        assert len(visited) == k
         assert _joint_objective(x, res.tree, theta, cfg, m) == min(
             _joint_objective(x, DepTree(h), theta, cfg, m) for h in visited
         )
@@ -127,7 +130,7 @@ def test_depth_cap_relaxation_flagged():
     cfg = ConstraintConfig(max_ce_depth=0, dep_len_beta=0.0)
     assert dmv.inside_loglik(x, theta, cfg) == -math.inf
     m = CmstModel.create(vocab)
-    res = dd_decode(x, theta, cfg, m, DDConfig())
+    [res] = dd_decode_group([x], theta, cfg, m, 50)
     assert res.relaxed_depth_cap
     assert res.tree.heads == (3, 3, 0)
     assert dmv.tree_logprob(x, res.tree, theta, UNCONSTRAINED) > -math.inf
@@ -141,7 +144,7 @@ def test_g_weight_zero_reduces_to_viterbi(rng):
         theta = random_dmv_params(rng, vocab)
         m = CmstModel.create(vocab)
         m.w = rng.normal(size=m.w.shape)
-        res = dd_decode(x, theta, UNCONSTRAINED, m, DDConfig(), g_weight=0.0)
+        [res] = dd_decode_group([x], theta, UNCONSTRAINED, m, 50, g_weight=0.0)
         y_tree, _ = dmv.viterbi_decode(x, theta, UNCONSTRAINED, np.zeros((n + 1, n + 1)))
         assert _joint_objective(
             x, res.tree, theta, UNCONSTRAINED, m, 0.0
@@ -158,8 +161,8 @@ def test_deterministic(rng):
     m = CmstModel.create(vocab)
     m.w = rng.normal(scale=0.5, size=m.w.shape)
     cfg = ConstraintConfig(max_ce_depth=1, dep_len_beta=0.1)
-    a = dd_decode(x, theta, cfg, m, DDConfig())
-    b = dd_decode(x, theta, cfg, m, DDConfig())
+    a = dd_decode_group([x], theta, cfg, m, 50)
+    b = dd_decode_group([x], theta, cfg, m, 50)
     assert a == b
 
 
@@ -171,26 +174,26 @@ GROUP_VOCAB = ("A", "B", "C")
 
 
 def _group_case(rng, case):
-    """(sentences, grammar, constraints, model, DD settings, g_weight)."""
+    """(sentences, grammar, constraints, model, DD iteration budget, g_weight)."""
     m = CmstModel.create(GROUP_VOCAB, mu=float(rng.uniform(0, 1)))
     m.w = rng.normal(scale=1.0, size=m.w.shape)
     if case.startswith("relaxed"):
         xs = [make_sentence(["B"] * k + ["C"]) for k in (1, 2, 3, 1, 2)]
-        dd = DDConfig(max_iters=1 if case == "relaxed-at-cap" else 4)
-        return xs, flat_grammar(), ConstraintConfig(0, 0.1), m, dd, 1.0
+        k = 1 if case == "relaxed-at-cap" else 4
+        return xs, flat_grammar(), ConstraintConfig(0, 0.1), m, k, 1.0
     xs = list(random_corpus(rng, GROUP_VOCAB, 10, max_len=6).sentences)
     theta = random_dmv_params(rng, GROUP_VOCAB)
     cfg = ConstraintConfig(1, 0.1)
     if case == "converging":
-        return xs, theta, cfg, m, DDConfig(), 1.0
+        return xs, theta, cfg, m, 50, 1.0
     if case == "g_weight_zero":
-        return xs, theta, cfg, m, DDConfig(max_iters=6), 0.0
+        return xs, theta, cfg, m, 6, 0.0
     # The uncertified cases stop some sentences at the iteration budget. In
     # "discriminative" the CMST side outweighs the grammar, and some of its
     # trees break cap 0.
     if case == "discriminative":
-        return xs, theta, ConstraintConfig(0, 0.1), m, DDConfig(max_iters=3), 4.0
-    return xs, theta, cfg, m, DDConfig(max_iters=3), 1.0
+        return xs, theta, ConstraintConfig(0, 0.1), m, 3, 4.0
+    return xs, theta, cfg, m, 3, 1.0
 
 
 @pytest.mark.parametrize("case", [
@@ -202,17 +205,17 @@ def test_group_results_equal_decoding_alone(rng, monkeypatch, case):
     # the per-sentence reference, in a mixed group, in a permuted group, and
     # through the trainer with an edge budget that makes each sentence a
     # group of its own.
-    xs, theta, cfg, m, dd, g = _group_case(rng, case)
-    alone = [dd_decode(x, theta, cfg, m, dd, g) for x in xs]
-    assert alone == [dd_decode_reference(x, theta, cfg, m, dd, g) for x in xs]
-    assert dd_decode_group(xs, theta, cfg, m, dd, g) == alone
+    xs, theta, cfg, m, k, g = _group_case(rng, case)
+    alone = [dd_decode_group([x], theta, cfg, m, k, g)[0] for x in xs]
+    assert alone == [dd_decode_reference(x, theta, cfg, m, k, g) for x in xs]
+    assert dd_decode_group(xs, theta, cfg, m, k, g) == alone
     perm = rng.permutation(len(xs))
-    assert dd_decode_group([xs[i] for i in perm], theta, cfg, m, dd, g) == [
+    assert dd_decode_group([xs[i] for i in perm], theta, cfg, m, k, g) == [
         alone[i] for i in perm
     ]
     monkeypatch.setattr(dmv, "_GROUP_EDGES", 1)
     state = trainer.TrainState(theta, m)
-    tcfg = trainer.TrainConfig(constraint=cfg, dd=dd, g_weight=g)
+    tcfg = trainer.TrainConfig(constraint=cfg, dd_max_iters=k, g_weight=g)
     assert trainer._decode_all(Corpus(tuple(xs), GROUP_VOCAB), state, tcfg) == alone
     # The case covers what it is named for.
     converged = [r.converged for r in alone]
@@ -236,9 +239,8 @@ def test_group_results_equal_decoding_alone(rng, monkeypatch, case):
     if case == "better-objective":
         # One more iteration only adds trees to choose from, so it never
         # ends a sentence on a tree of larger F + G.
-        fewer = DDConfig(max_iters=dd.max_iters - 1)
         for x, r in zip(xs, alone):
-            s = dd_decode(x, theta, cfg, m, fewer, g)
+            [s] = dd_decode_group([x], theta, cfg, m, k - 1, g)
             assert _joint_objective(x, r.tree, theta, cfg, m, g) <= (
                 _joint_objective(x, s.tree, theta, cfg, m, g)
             )
@@ -257,4 +259,4 @@ def test_group_with_an_unparseable_sentence_raises(rng):
     m = CmstModel.create(GROUP_VOCAB)
     xs = [make_sentence(["B", "C"]), make_sentence(["A", "C"])]
     with pytest.raises(dmv.InfeasibleParseError):
-        dd_decode_group(xs, flat_grammar(), ConstraintConfig(0, 0.1), m, DDConfig())
+        dd_decode_group(xs, flat_grammar(), ConstraintConfig(0, 0.1), m, 50)

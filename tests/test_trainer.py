@@ -8,7 +8,7 @@ from oracles import flat_grammar, make_sentence, random_corpus
 
 from jointdep import cmst, dmv, trainer
 from jointdep.corpus import Corpus
-from jointdep.decoder import DDConfig, dd_decode
+from jointdep.decoder import dd_decode_group
 from jointdep.dmv import ConstraintConfig
 from jointdep.trainer import (
     TrainConfig,
@@ -33,7 +33,7 @@ def _fast_cfg(**kw):
         extra_separate_iters=1,
         em_pretrain_iters=3,
         fw_pretrain_iters=5,
-        dd=DDConfig(max_iters=10),
+        dd_max_iters=10,
     )
     base.update(kw)
     return TrainConfig(**base)
@@ -61,7 +61,7 @@ def test_discriminative_terms_are_built_once(small_corpus, monkeypatch):
     # agreement decoding reads its arc scores from the weight sums, so it
     # builds no feature matrix, and builds its one sentence's rule matrix
     # exactly once, whether the sentence is certified or not.
-    cfg = _fast_cfg(dd=DDConfig(max_iters=2))
+    cfg = _fast_cfg(dd_max_iters=2)
     state = pretrain(small_corpus, cfg)
     calls = collections.Counter()
     for name in ("extract_features", "rule_vector"):
@@ -72,8 +72,8 @@ def test_discriminative_terms_are_built_once(small_corpus, monkeypatch):
     results = []
     for sent in small_corpus:
         calls.clear()
-        results.append(
-            dd_decode(sent, state.theta, cfg.constraint, state.model, cfg.dd)
+        results += dd_decode_group(
+            [sent], state.theta, cfg.constraint, state.model, cfg.dd_max_iters
         )
         assert calls == {"rule_vector": 1}
     assert not all(r.converged for r in results)
@@ -160,7 +160,7 @@ def test_metrics_record_the_largest_dual_gap(small_corpus, tmp_path, monkeypatch
         return decoded[-1]
 
     monkeypatch.setattr(trainer, "_decode_all", recorded)
-    state = joint_train(small_corpus, _fast_cfg(dd=DDConfig(max_iters=2)), tmp_path)
+    state = joint_train(small_corpus, _fast_cfg(dd_max_iters=2), tmp_path)
     gaps = [max(r.final_gap for r in results) for results in decoded]
     assert gaps[0] > 0.0
     assert state.stats["dd_gap_max"] == gaps[-1]
