@@ -138,6 +138,11 @@ def _cmd_train(args) -> int:
         raise UsageError("--train is required")
     if cfg["rules"]:
         _require_file(cfg["rules"], "rules file")
+    if args.out:
+        # Checked before training, whose checkpoints would fail only at the end.
+        first = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
+        if not first.is_dir():
+            raise DataError(f"--out {args.out}: {first} is not a directory")
     corpus = filter_corpus(_read_corpus(args.train), cfg["max_len"], cfg["count_punct"])
     if corpus.N == 0:
         raise DataError(f"no sentences of length <= {cfg['max_len']} in {args.train}")

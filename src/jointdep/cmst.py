@@ -352,34 +352,6 @@ class CmstModel:
             return cls(w, lam, mu, t, frozenset(rules))
 
 
-def tree_loss(
-    y: np.ndarray, q: np.ndarray, v: np.ndarray, mu: float, ridge: float = 0.0
-) -> float:
-    """The per-sentence loss at the (n+1, n+1) arc matrix y, with
-    q = (Xw).reshape(n + 1, n + 1) the arc scores and `ridge` the sentence's
-    share of the w-regularizer:
-    (1/2n)||y - q||^2 + ridge - mu * v.y
-    """
-    resid = y - q
-    return (
-        float(np.vdot(resid, resid)) / (2.0 * (y.shape[0] - 1))
-        + ridge
-        - mu * float(np.vdot(v, y))
-    )
-
-
-def sentence_objective(
-    q: np.ndarray, v: np.ndarray, y: np.ndarray, m: CmstModel, N: int
-) -> float:
-    """Per-sentence discriminative loss at the (n+1, n+1) arc matrix y, for a
-    sentence with terms (q, v) in a corpus of N sentences:
-    (1/2n)||y - q||^2 + (lam/2N)||w||^2 - mu * v.y
-    """
-    if y.shape != v.shape:
-        raise ValueError(f"arc matrix has shape {y.shape}, expected {v.shape}")
-    return tree_loss(y, q, v, m.mu, m.lam / (2.0 * N) * float(m.w @ m.w))
-
-
 # ---------------------------------------------------------------------------
 # Arc-factored projective decoding: one batched split-head min-cost chart
 # ---------------------------------------------------------------------------
@@ -667,29 +639,39 @@ class FrankWolfeOptimizer:
         z *= 1.0 / self._sqrt_n
         self.model.w = self._lu.solve(self.X_all.T @ z)
 
+    def _heads(self, trees: Sequence[DepTree]) -> Iterator[tuple[int, ...]]:
+        """The head sequences of `trees`, one tree per training sentence in
+        corpus order; raises ValueError if their lengths do not match."""
+        if [t.n for t in trees] != self._lengths:
+            raise ValueError("trees do not match the training sentences")
+        return (t.heads for t in trees)
+
     def fit_trees(self, trees: Sequence[DepTree]) -> None:
         """Set the relaxed tree variables to fixed trees and re-solve w: the
         exact minimizer of the objective over w at those trees."""
-        if [t.n for t in trees] != self._lengths:
-            raise ValueError("trees do not match the training sentences")
-        self._scatter(self._Y, (t.heads for t in trees))
+        self._scatter(self._Y, self._heads(trees))
         self._solve_w()
 
-    def scores(self) -> list[np.ndarray]:
-        """Every sentence's (n+1, n+1) arc score matrix q = Xw."""
-        return self._views(self.X_all @ self.model.w)
-
-    def objective(self, q: np.ndarray | None = None) -> float:
-        """The objective at the current w and relaxed trees; `q` is the flat
-        arc score vector X_all @ w at the current w, when the caller already
-        has it. Each sentence's `tree_loss` is added to the w-regularizer in
-        corpus order."""
+    def objective(
+        self, q: np.ndarray | None = None, trees: Sequence[DepTree] | None = None
+    ) -> float:
+        """The objective at the current w, over the relaxed trees or, given
+        `trees` (one per training sentence), over their 0/1 arc matrices,
+        which leaves the relaxed trees as they are. `q` is the flat arc score
+        vector X_all @ w at the current w, when the caller already has it.
+        Each sentence's loss (1/2n)||y - q||^2 - mu * v.y is added to the
+        w-regularizer (lam/2)||w||^2 in corpus order."""
         if q is None:
             q = self.X_all @ self.model.w
+        Y, ys = self._Y, self.y
+        if trees is not None:
+            Y = self._vert
+            self._scatter(Y, self._heads(trees))
+            ys = self._views(Y)
         w, mu = self.model.w, self.model.mu
-        np.subtract(self._Y, q, out=self._diff)
+        np.subtract(Y, q, out=self._diff)
         total = self.model.lam / 2.0 * float(w @ w)
-        for r, v, y, n in zip(self._diff_views, self.v, self.y, self._lengths):
+        for r, v, y, n in zip(self._diff_views, self.v, ys, self._lengths):
             total += float(np.vdot(r, r)) / (2.0 * n) - mu * float(np.vdot(v, y))
         return total
 

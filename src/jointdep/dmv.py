@@ -202,7 +202,13 @@ class DmvParams:
                     raise ValueError(
                         f"line {line_no}: unknown field {exc.args[0]!r}"
                     ) from None
-                tables[parts[0]][key] = float(parts[-1])
+                value = float(parts[-1])
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"line {line_no}: {parts[0]} probability {parts[-1]!r} "
+                        "is not finite"
+                    )
+                tables[parts[0]][key] = value
             missing = sum(int(np.isnan(t).sum()) for t in tables.values())
             if missing:
                 raise ValueError(f"incomplete model file: {missing} records missing")

@@ -11,10 +11,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import cmst, dmv
-from .corpus import Corpus, DepTree, tree_matrix, write_conllu_file
+from .corpus import Corpus, DepTree, write_conllu_file
 from .decoder import DDResult, dd_decode_group
 
 log = logging.getLogger(__name__)
@@ -118,9 +116,8 @@ def train_baseline_d_init(c: Corpus, cfg: TrainConfig) -> TrainState:
     the parses to initialize the generative model, then train with EM."""
     if cfg.mode != "dmv-init-from-cmst":
         raise ValueError(f"expected mode dmv-init-from-cmst, got {cfg.mode!r}")
-    opt = _pretrain_cmst(c, cfg)
-    model = opt.model
-    trees = [tree for tree, _ in cmst.lmo_decode(zip(opt.scores(), opt.v), model)]
+    model = _pretrain_cmst(c, cfg).model
+    trees = decode_corpus(c, TrainState(None, model), cfg, "cmst")
     theta = _em(c, dmv.mstep_from_trees(c, trees, cfg.mstep_smoothing), cfg,
                 cfg.outer_iters)
     return TrainState(theta, model, trees)
@@ -180,30 +177,24 @@ def joint_objective(
     cfg: TrainConfig,
     trees: Sequence[DepTree],
 ) -> float:
-    """Sum over sentences of F + G at fixed trees (w-regularizer included),
-    scored with the arc scores and rule matrices of `state.optimizer`, plus
-    the Dirichlet prior -eps * sum(log theta) over the root, attach, stop and
-    continue probabilities, eps = cfg.mstep_smoothing, under which the
-    smoothed `mstep_from_trees` is the exact minimizer over theta.
+    """F + G at fixed trees: the grammar's negative log-likelihood of the
+    trees, plus g_weight times the objective of `state.optimizer` at them
+    (w-regularizer included), plus the Dirichlet prior -eps * sum(log theta)
+    over the root, attach, stop and continue probabilities,
+    eps = cfg.mstep_smoothing, under which the smoothed `mstep_from_trees` is
+    the exact minimizer over theta. The prior is added only for eps > 0,
+    where 0 * log 0 would give NaN.
 
     The depth cap is a tree-only constant at fixed parses, so it is dropped
     here to keep the objective finite for cap-relaxed sentences.
     """
     cfg_eval = replace(cfg.constraint, max_ce_depth=None)
-    opt = state.optimizer
-    total = 0.0
-    for sent, tree, q_i, v_i in zip(c, trees, opt.scores(), opt.v, strict=True):
-        total += -dmv.tree_logprob(sent, tree, state.theta, cfg_eval)
-        total += cfg.g_weight * cmst.sentence_objective(
-            q_i, v_i, tree_matrix(tree), state.model, c.N
-        )
+    total = cfg.g_weight * state.optimizer.objective(trees=trees) - sum(
+        dmv.tree_logprob(sent, tree, state.theta, cfg_eval)
+        for sent, tree in zip(c, trees, strict=True)
+    )
     if cfg.mstep_smoothing:
-        theta = state.theta
-        with np.errstate(divide="ignore"):
-            total -= cfg.mstep_smoothing * sum(
-                float(np.log(p).sum())
-                for p in (theta.root, theta.attach, theta.stop, 1.0 - theta.stop)
-            )
+        total -= cfg.mstep_smoothing * float(state.theta.log_weights().sum())
     return total
 
 
@@ -269,10 +260,12 @@ def joint_train(
 
 def train(c: Corpus, cfg: TrainConfig, checkpoint_dir=None) -> TrainState:
     """Dispatch on the configured training mode. Every mode but dmv-only
-    trains the discriminative model, so its weights are checked first, before
-    any EM iteration runs."""
+    trains the discriminative model, so its weights and the corpus tags its
+    features are built from are checked first, before any EM iteration
+    runs."""
     if cfg.mode != "dmv-only":
         cmst.check_weights(cfg.lam, cfg.mu, train=True)
+        cmst.FeatureTemplate.for_vocab(c.pos_vocab)
     if cfg.mode == "joint":
         return joint_train(c, cfg, checkpoint_dir)
     if cfg.mode == "dmv-only":

@@ -319,9 +319,59 @@ def rule_vector_reference(x, r):
     return v
 
 
+def tree_loss(y, q, v, mu, ridge=0.0):
+    """The per-sentence loss at the (n+1, n+1) arc matrix y, with
+    q = (Xw).reshape(n + 1, n + 1) the arc scores and `ridge` the sentence's
+    share of the w-regularizer:
+    (1/2n)||y - q||^2 + ridge - mu * v.y
+    """
+    resid = y - q
+    return (
+        float(np.vdot(resid, resid)) / (2.0 * (y.shape[0] - 1))
+        + ridge
+        - mu * float(np.vdot(v, y))
+    )
+
+
+def sentence_objective(q, v, y, m, N):
+    """Per-sentence discriminative loss at the (n+1, n+1) arc matrix y, for a
+    sentence with terms (q, v) in a corpus of N sentences:
+    (1/2n)||y - q||^2 + (lam/2N)||w||^2 - mu * v.y
+    """
+    return tree_loss(y, q, v, m.mu, m.lam / (2.0 * N) * float(m.w @ m.w))
+
+
+def joint_objective_reference(c, state, cfg, trees):
+    """`trainer.joint_objective` sentence by sentence: each sentence's
+    grammar loss -log p(tree) (depth cap lifted) and g_weight times its
+    `sentence_objective` at its 0/1 arc matrix, then the Dirichlet prior
+    -eps * sum(log theta), table by table, for eps > 0."""
+    from dataclasses import replace
+
+    from jointdep import cmst, dmv
+    from jointdep.corpus import tree_matrix
+
+    cfg_eval = replace(cfg.constraint, max_ce_depth=None)
+    total = 0.0
+    terms = cmst.sentence_terms(c, state.model)
+    for sent, tree, (q, v) in zip(c, trees, terms, strict=True):
+        total += -dmv.tree_logprob(sent, tree, state.theta, cfg_eval)
+        total += cfg.g_weight * sentence_objective(
+            q, v, tree_matrix(tree), state.model, c.N
+        )
+    if cfg.mstep_smoothing:
+        theta = state.theta
+        with np.errstate(divide="ignore"):
+            total -= cfg.mstep_smoothing * sum(
+                float(np.log(p).sum())
+                for p in (theta.root, theta.attach, theta.stop, 1.0 - theta.stop)
+            )
+    return total
+
+
 def sentence_gradient(X, y, m, N):
-    """Gradient of `cmst.sentence_objective` with respect to w, for a
-    sentence with feature matrix X (the rule term does not depend on w)."""
+    """Gradient of `sentence_objective` with respect to w, for a sentence
+    with feature matrix X (the rule term does not depend on w)."""
     return X.T @ (X @ m.w - y.ravel()) / (y.shape[0] - 1) + (m.lam / N) * m.w
 
 
@@ -342,7 +392,6 @@ def fw_run_reference(corpus, model, iters, trees=None):
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
-    from jointdep.cmst import tree_loss
     from jointdep.corpus import tree_matrix
 
     X = [extract_features_reference(s, model.templates) for s in corpus]

@@ -30,6 +30,7 @@ from jointdep import cmst, dmv, evaluation, trainer
 from jointdep.cli import EXIT_OK, run
 from jointdep.cmst import CmstModel
 from jointdep.corpus import (
+    Corpus,
     DepTree,
     filter_corpus,
     read_conllu,
@@ -197,15 +198,20 @@ def test_criterion_6_gradient_check(rng):
         )
         m.w = rng.normal(scale=0.4, size=m.w.shape)
         trees = all_projective_trees(x.n)
-        y = tree_matrix(trees[int(rng.integers(len(trees)))])
+        tree = trees[int(rng.integers(len(trees)))]
         N = int(rng.integers(1, 20))
-        g = sentence_gradient(cmst.extract_features([x], m.templates), y, m, N)
+        g = sentence_gradient(
+            cmst.extract_features([x], m.templates), tree_matrix(tree), m, N
+        )
+        # The objective Frank-Wolfe trains, at N copies of the tree, over N:
+        # the sentence's loss plus its share (lam/2N)||w||^2 of the ridge.
+        opt = cmst.FrankWolfeOptimizer(Corpus((x,) * N, VOCAB), m)
         for j in rng.integers(0, m.w.size, size=10):
             w0 = m.w[j]
             m.w[j] = w0 + h
-            fp = cmst.sentence_objective(*next(cmst.sentence_terms([x], m)), y, m, N)
+            fp = opt.objective(trees=[tree] * N) / N
             m.w[j] = w0 - h
-            fm = cmst.sentence_objective(*next(cmst.sentence_terms([x], m)), y, m, N)
+            fm = opt.objective(trees=[tree] * N) / N
             m.w[j] = w0
             fd = (fp - fm) / (2 * h)
             worst = max(worst, abs(fd - g[j]) / max(1.0, abs(fd)))

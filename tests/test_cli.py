@@ -140,6 +140,50 @@ def test_joint_train_checks_weights_before_em(
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("tag", ["<UNK>", "<ROOT>"])
+def test_joint_train_checks_corpus_tags_before_em(
+    tmp_path, train_file, capsys, monkeypatch, tag
+):
+    # The feature tags start with <ROOT> <UNK>, so a corpus tagged with
+    # either is refused before the first EM iteration, not after the last.
+    em_calls = []
+    monkeypatch.setattr(
+        trainer.dmv, "em_step", lambda *args, **kw: em_calls.append(args)
+    )
+    src = tmp_path / "reserved.conllu"
+    src.write_text(train_file.read_text().replace("\tNOUN\t", f"\t{tag}\t"))
+    rc = run(["train", "--train", str(src), "--out", str(tmp_path / "m"),
+              "--mode", "joint", "--em-pretrain-iters", "30"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert err.startswith(f"error: feature tag '{tag}'") and err.count("\n") == 1
+    assert em_calls == []
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("mode", ["joint", "cmst-only"])
+def test_train_out_naming_a_file_is_refused_before_training(
+    tmp_path, train_file, capsys, monkeypatch, mode
+):
+    trained = []
+    monkeypatch.setattr(trainer, "train", lambda *args: trained.append(args))
+    out = tmp_path / "out"
+    out.write_text("keep\n")
+    for target in (out, out / "sub"):
+        rc = run(["train", "--train", str(train_file), "--out", str(target),
+                  "--mode", mode])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert err == f"error: --out {target}: {out} is not a directory\n"
+    assert trained == []
+    assert out.read_text() == "keep\n"
+    # An existing directory is still a checkpoint directory.
+    out.unlink()
+    out.mkdir()
+    rc = run(["train", "--train", str(train_file), "--out", str(out), "--mode", mode])
+    assert rc == EXIT_OK and len(trained) == 1
+
+
 def test_missing_subcommand_is_usage_error():
     assert run([]) == EXIT_USAGE
     assert run(["train"]) == EXIT_USAGE  # --train missing
@@ -488,6 +532,22 @@ def test_damaged_model_file_is_data_error(
     err = capsys.readouterr().err
     assert rc == EXIT_DATA
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_finite_probability_is_refused_on_its_line(
+    tmp_path, train_file, model_dir, capsys
+):
+    # NaN marks a record the loader has not read yet, so a nan value is
+    # refused where it is read, not counted as a missing record.
+    path = model_dir / "dmv.txt"
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("stop "))
+    lines[i] = lines[i].rsplit(" ", 1)[0] + " nan"
+    path.write_text("".join(line + "\n" for line in lines))
+    assert _parse(model_dir, train_file, tmp_path / "o.conllu", "dmv") == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: line {i + 1}: stop probability 'nan' is not finite\n"
+    )
 
 
 @pytest.mark.parametrize("decoder", ["dmv", "dd"])

@@ -16,6 +16,7 @@ from oracles import (
     random_corpus,
     rule_vector_reference,
     sentence_gradient,
+    tree_loss,
 )
 
 from jointdep import cmst
@@ -31,7 +32,6 @@ from jointdep.cmst import (
     lmo_decode,
     parse_rules,
     rule_vector,
-    sentence_objective,
     sentence_terms,
 )
 
@@ -204,28 +204,37 @@ def test_parse_rules_rejects_bad_lines():
 
 
 # ---------------------------------------------------------------------------
-# sentence_objective
+# FrankWolfeOptimizer.objective at fixed trees
 # ---------------------------------------------------------------------------
+
+def _copies_objective(x, m, N):
+    """The objective at fixed trees of a corpus of N copies of x, as a
+    function of the tree and divided by N: one sentence's loss plus its
+    share (lam/2N)||w||^2 of the regularizer, at the current m.w."""
+    opt = FrankWolfeOptimizer(Corpus((x,) * N, m.templates.tags[2:]), m)
+    return lambda tree: opt.objective(trees=[tree] * N) / N
+
 
 def test_objective_zero_weights():
     x = make_sentence(["NOUN", "VERB"])
     m = CmstModel.create(("NOUN", "VERB"), mu=0.0)
-    y = tree_matrix(DepTree((2, 0)))
-    got = sentence_objective(*next(sentence_terms([x], m)), y, m, N=1)
+    got = _copies_objective(x, m, 1)(DepTree((2, 0)))
     assert got == pytest.approx(0.5)
 
 
 def test_objective_vanishing_residual(rng):
+    # A small lambda (Frank-Wolfe needs lambda > 0) adds (lam/2)||w||^2.
     x = make_sentence(["NOUN", "VERB"])
-    m = CmstModel.create(("NOUN", "VERB"), lam=0.0, mu=0.7)
+    m = CmstModel.create(("NOUN", "VERB"), lam=1e-3, mu=0.7)
     tree = DepTree((2, 0))
     y = tree_matrix(tree)
     X = extract_features([x], m.templates)
     # Least-squares fit so that Xw == y (the system is underdetermined).
     m.w = np.linalg.lstsq(X.toarray(), y.ravel(), rcond=None)[0]
     v = rule_vector(x, m.rules)
-    got = sentence_objective((X @ m.w).reshape(y.shape), v, y, m, N=1)
-    assert got == pytest.approx(-0.7 * float(np.vdot(v, y)), abs=1e-9)
+    got = _copies_objective(x, m, 1)(tree)
+    want = m.lam / 2.0 * float(m.w @ m.w) - 0.7 * float(np.vdot(v, y))
+    assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_objective_matches_naive_evaluation(rng):
@@ -243,7 +252,7 @@ def test_objective_matches_naive_evaluation(rng):
         + m.lam / (2 * N) * float(np.sum(m.w**2))
         - m.mu * float(np.sum(v * y))
     )
-    got = sentence_objective(*next(sentence_terms([x], m)), y, m, N)
+    got = _copies_objective(x, m, N)(tree)
     assert got == pytest.approx(naive, abs=1e-12)
 
 
@@ -348,18 +357,33 @@ def test_fw_objective_monotone(rng):
 
 def test_fw_stacked_scores_match_per_sentence(rng):
     # One stacked matvec scores every sentence exactly as its own X @ w does,
-    # so the objective is the per-sentence sum bit for bit.
+    # so the objective is the per-sentence sum bit for bit, over the relaxed
+    # trees and, given `trees`, over their 0/1 arc matrices. The latter
+    # leaves the relaxed trees, w and the objective over them as they were.
     c = random_corpus(rng, UPOS_TAGS, 30, max_len=9, min_len=1)
     m = CmstModel.create(c.pos_vocab, lam=0.6, mu=0.3)
     opt = FrankWolfeOptimizer(c, m)
     opt.run(3)
-    want = m.lam / 2.0 * float(m.w @ m.w)
-    for x, y in zip(c, opt.y):
+    trees = [
+        DepTree(heads) for heads, _ in
+        eisner_min([rng.normal(size=(s.n + 1, s.n + 1)) for s in c])
+    ]
+    want = want_at_trees = m.lam / 2.0 * float(m.w @ m.w)
+    for x, y, t in zip(c, opt.y, trees):
         v = rule_vector(x, m.rules)
         q = (extract_features([x], m.templates) @ m.w).reshape(y.shape)
-        want += cmst.tree_loss(y, q, v, m.mu)
+        want += tree_loss(y, q, v, m.mu)
+        want_at_trees += tree_loss(tree_matrix(t), q, v, m.mu)
+    Y, w = opt._Y.copy(), m.w.copy()
+    assert opt.objective(trees=trees) == want_at_trees
+    assert opt._Y.tobytes() == Y.tobytes()
+    assert m.w.tobytes() == w.tobytes()
     assert opt.objective() == want
     assert opt.objective_history[-1] == want
+    with pytest.raises(ValueError, match="do not match"):
+        opt.objective(trees=trees[1:])
+    with pytest.raises(ValueError, match="do not match"):
+        opt.objective(trees=trees[::-1])
 
 
 def test_stacked_features_equal_per_sentence_matrices(rng):
@@ -489,16 +513,17 @@ def test_sgd_gradient_matches_finite_differences(rng):
     x = make_sentence(["DET", "NOUN", "VERB"])
     m = CmstModel.create(("DET", "NOUN", "VERB"), lam=0.8, mu=0.3)
     m.w = rng.normal(scale=0.3, size=m.w.shape)
-    y = tree_matrix(all_projective_trees(3)[2])
+    tree = all_projective_trees(3)[2]
     N = 9
-    g = sentence_gradient(extract_features([x], m.templates), y, m, N)
+    g = sentence_gradient(extract_features([x], m.templates), tree_matrix(tree), m, N)
+    f = _copies_objective(x, m, N)
     h = 1e-5
     for j in rng.integers(0, m.w.size, size=20):
         w0 = m.w[j]
         m.w[j] = w0 + h
-        fp = sentence_objective(*next(sentence_terms([x], m)), y, m, N)
+        fp = f(tree)
         m.w[j] = w0 - h
-        fm = sentence_objective(*next(sentence_terms([x], m)), y, m, N)
+        fm = f(tree)
         m.w[j] = w0
         fd = (fp - fm) / (2 * h)
         assert abs(fd - g[j]) / max(1.0, abs(fd)) < 1e-6

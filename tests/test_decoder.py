@@ -74,7 +74,7 @@ def test_certified_tree_is_a_brute_force_optimum(rng, cap, g_weight):
         [(q, v)] = cmst.sentence_terms([x], m)
 
         def cost(tree):
-            g = cmst.tree_loss(tree_matrix(tree), q, v, m.mu)
+            g = oracles.tree_loss(tree_matrix(tree), q, v, m.mu)
             return -dmv.tree_logprob(x, tree, theta, cfg_x) + g_weight * g
 
         best = min(c for c in map(cost, all_projective_trees(n)) if math.isfinite(c))

@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import flat_grammar, make_sentence, random_corpus
+from oracles import (
+    flat_grammar,
+    joint_objective_reference,
+    make_sentence,
+    random_corpus,
+)
 
 from jointdep import cmst, dmv, trainer
 from jointdep.corpus import Corpus
@@ -217,6 +222,23 @@ def test_parameter_update_does_not_increase_objective(small_corpus):
             state.theta = _nudged(best_theta, t, ds)
             again = joint_objective(small_corpus, state, cfg, trees)
             assert again > after
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_joint_objective_equals_the_per_sentence_sum(small_corpus, eps):
+    # Frank-Wolfe's objective at the decoded trees, added to the grammar's
+    # terms, is the sum of each sentence's F + G, before and after the
+    # parameter update.
+    cfg = _fast_cfg(mstep_smoothing=eps, g_weight=0.7)
+    state = pretrain(small_corpus, cfg)
+    trees = [r.tree for r in trainer._decode_all(small_corpus, state, cfg)]
+    for _ in range(2):
+        got = joint_objective(small_corpus, state, cfg, trees)
+        want = joint_objective_reference(small_corpus, state, cfg, trees)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        state.theta = dmv.mstep_from_trees(small_corpus, trees, eps)
+        state.optimizer.fit_trees(trees)
+    assert math.isfinite(got)
 
 
 def test_joint_weights_leave_the_separate_path(small_corpus):
