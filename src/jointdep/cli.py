@@ -143,6 +143,9 @@ def _cmd_train(args) -> int:
         first = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
         if not first.is_dir():
             raise DataError(f"--out {args.out}: {first} is not a directory")
+        if first == Path(args.out) and any(first.iterdir()):
+            # An earlier run's checkpoints would sit beside this run's.
+            raise DataError(f"--out {args.out}: directory is not empty")
     corpus = filter_corpus(_read_corpus(args.train), cfg["max_len"], cfg["count_punct"])
     if corpus.N == 0:
         raise DataError(f"no sentences of length <= {cfg['max_len']} in {args.train}")

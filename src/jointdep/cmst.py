@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import functools
 import importlib.resources
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, DepTree, Sentence
+from .corpus import ArcLayout, Corpus, DepTree, Sentence
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -312,41 +311,46 @@ class CmstModel:
         with open(path, encoding="utf-8") as f:
             header = f.readline().split()
             if header[:2] != ["cmstmodel", "1"]:
-                raise ValueError(f"unrecognized model header {header!r}")
+                raise ValueError(f"line 1: unrecognized model header {header!r}")
             lam = mu = None
             tags = None
             rules = set()
             weights = []
-            arity = {"lambda": 2, "mu": 2, "rule": 3, "w": 3}
+            arity = {"lambda": 2, "mu": 2, "tags": None, "rule": 3, "w": 3}
             for line_no, line in enumerate(f, start=2):
                 parts = line.split()
                 if not parts:
                     continue
-                if len(parts) != arity.get(parts[0], len(parts)):
+                kind = parts[0]
+                if kind not in arity:
+                    raise ValueError(f"line {line_no}: unrecognized record {kind!r}")
+                if arity[kind] not in (None, len(parts)):
                     raise ValueError(
-                        f"line {line_no}: {parts[0]} record needs "
-                        f"{arity[parts[0]] - 1} fields, got {len(parts) - 1}"
+                        f"line {line_no}: {kind} record needs "
+                        f"{arity[kind] - 1} fields, got {len(parts) - 1}"
                     )
-                if parts[0] == "lambda":
-                    lam = float(parts[1])
-                elif parts[0] == "mu":
-                    mu = float(parts[1])
-                elif parts[0] == "tags":
-                    tags = tuple(parts[1:])
-                elif parts[0] == "rule":
-                    rules.add((parts[1], parts[2]))
-                elif parts[0] == "w":
-                    weights.append((int(parts[1]), float(parts[2])))
-                else:
-                    raise ValueError(f"unrecognized record {parts[0]!r}")
+                try:
+                    if kind == "lambda":
+                        lam = float(parts[1])
+                    elif kind == "mu":
+                        mu = float(parts[1])
+                    elif kind == "tags":
+                        tags = tuple(parts[1:])
+                    elif kind == "rule":
+                        rules.add((parts[1], parts[2]))
+                    else:
+                        weights.append((line_no, int(parts[1]), float(parts[2])))
+                except ValueError as exc:
+                    raise ValueError(f"line {line_no}: {kind} record: {exc}") from None
             if lam is None or mu is None or tags is None:
                 raise ValueError("incomplete model file")
             t = FeatureTemplate(tags)
             w = np.zeros(t.dimension)
-            for i, v in weights:
+            for line_no, i, v in weights:
                 if not 0 <= i < t.dimension:
                     raise ValueError(
-                        f"weight index {i} out of range for dimension {t.dimension}"
+                        f"line {line_no}: weight index {i} out of range for "
+                        f"dimension {t.dimension}"
                     )
                 w[i] = v
             return cls(w, lam, mu, t, frozenset(rules))
@@ -545,14 +549,14 @@ class FrankWolfeOptimizer:
     Frank-Wolfe step (projective-tree linear minimization plus exact line
     search) on the relaxed variables jointly.
 
-    The state is flat corpus vectors laid out as the rows of the stacked
-    feature matrix `X_all`: sentence i's (n+1, n+1) arc matrix, keyed [h, d],
-    fills its (n+1)^2 cells in row-major order from offset i. The relaxed
-    trees, the rule matrices and the gradient, vertex and residual buffers
-    all take that layout, and `y` and `v` are per-sentence views into the
-    first two. So a step's elementwise algebra runs once over the corpus;
-    only the sums run per sentence, one `np.vdot` on each sentence's views,
-    added in corpus order as a per-sentence loop over matrices adds them.
+    The state is flat corpus vectors in the `ArcLayout` of the training
+    sentences, which is also the row layout of the stacked feature matrix
+    `X_all`. The relaxed trees, the rule matrices and the gradient, vertex
+    and residual buffers all take that layout, and `y` and `v` are
+    per-sentence views into the first two. So a step's elementwise algebra
+    runs once over the corpus; only the sums run per sentence, one `np.vdot`
+    on each sentence's views, added in corpus order as a per-sentence loop
+    over matrices adds them.
 
     The ridge matrix sum_i (1/n_i) X_i'X_i + lam*I is the same for every
     solve, so it is factored once. SuperLU gets a symmetric ordering: its
@@ -567,21 +571,18 @@ class FrankWolfeOptimizer:
         import scipy.sparse as sp
 
         self.model = model
-        self._lengths = [s.n for s in corpus]
-        sizes = [(n + 1) ** 2 for n in self._lengths]
-        self._offsets = np.cumsum([0] + sizes).tolist()
-        cells = self._offsets[-1]
+        self.layout = layout = ArcLayout(s.n for s in corpus)
         # One CSR matvec with X_all scores every arc of the corpus, each row
         # summed as sentence i's own features X_i @ w would sum it.
         self.X_all = extract_features(corpus.sentences, model.templates)
         # Per cell: its sentence's length n, as a float, and sqrt(n).
-        ns = np.array(self._lengths, dtype=np.float64)
-        self._n = np.repeat(ns, sizes)
-        self._sqrt_n = np.repeat(np.sqrt(ns), sizes)
+        ns = np.array(layout.lengths, dtype=np.float64)
+        self._n = np.repeat(ns, np.diff(layout.offsets))
+        self._sqrt_n = np.sqrt(self._n)
         # The ridge design D is X_all with sentence i's rows scaled 1/sqrt(n),
         # so that the normal equations sum (1/n) X'X per sentence. It shares
         # X_all's structure.
-        scale = np.repeat(1.0 / np.sqrt(ns), np.diff(self.X_all.indptr[self._offsets]))
+        scale = np.repeat(1.0 / np.sqrt(ns), np.diff(self.X_all.indptr[layout.offsets]))
         D = sp.csr_matrix(
             (scale, self.X_all.indices, self.X_all.indptr), shape=self.X_all.shape
         )
@@ -595,41 +596,25 @@ class FrankWolfeOptimizer:
             options=dict(SymmetricMode=True),
         )
         del D, gram
-        # A token's cell under head h is base + h * stride: the vertex and
-        # tree scatters index with these, d = 1..n of every sentence.
-        self._dep_base = np.concatenate(
-            [off + np.arange(1, n + 1) for off, n in zip(self._offsets, self._lengths)]
-        )
-        self._dep_stride = np.repeat(np.array(self._lengths) + 1, self._lengths)
         self._V = np.concatenate([rule_vector(s, model.rules).ravel() for s in corpus])
-        self._Y = np.zeros(cells)
-        self._grad = np.empty(cells)
-        self._diff = np.empty(cells)  # Y - S, then the residual Y - q
-        self._vert = np.empty(cells)
-        self.v = self._views(self._V)
-        self.y = self._views(self._Y)
-        self._grad_views = self._views(self._grad)
-        self._diff_views = self._views(self._diff)
+        self._Y = np.zeros(layout.size)
+        self._grad = np.empty(layout.size)
+        self._diff = np.empty(layout.size)  # Y - S, then the residual Y - q
+        self._vert = np.empty(layout.size)
+        self.v = layout.views(self._V)
+        self.y = layout.views(self._Y)
+        self._grad_views = layout.views(self._grad)
+        self._diff_views = layout.views(self._diff)
         # Start from the chain trees: token 1 rooted, each next one chained.
-        self._scatter(self._Y, [range(n) for n in self._lengths])
+        self._scatter(self._Y, [range(n) for n in layout.lengths])
         self.objective_history: list[float] = []
         self.gap_history: list[float] = []
-
-    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Every sentence's (n+1, n+1) arc matrix, as a view into `flat`."""
-        return [
-            flat[a:b].reshape(n + 1, n + 1)
-            for a, b, n in zip(self._offsets, self._offsets[1:], self._lengths)
-        ]
 
     def _scatter(self, flat: np.ndarray, heads: Iterable[Iterable[int]]) -> None:
         """Set `flat` to the 0/1 arc matrices of the trees with the given head
         sequences, one per sentence in corpus order."""
-        h = np.fromiter(
-            itertools.chain.from_iterable(heads), np.intp, self._dep_base.size
-        )
         flat.fill(0.0)
-        flat[self._dep_base + h * self._dep_stride] = 1.0
+        flat[self.layout.arcs(heads)] = 1.0
 
     def _solve_w(self) -> None:
         # D' (y / sqrt(n)) as X_all' (y / sqrt(n) * (1 / sqrt(n))): D's
@@ -642,7 +627,7 @@ class FrankWolfeOptimizer:
     def _heads(self, trees: Sequence[DepTree]) -> Iterator[tuple[int, ...]]:
         """The head sequences of `trees`, one tree per training sentence in
         corpus order; raises ValueError if their lengths do not match."""
-        if [t.n for t in trees] != self._lengths:
+        if [t.n for t in trees] != self.layout.lengths:
             raise ValueError("trees do not match the training sentences")
         return (t.heads for t in trees)
 
@@ -667,11 +652,11 @@ class FrankWolfeOptimizer:
         if trees is not None:
             Y = self._vert
             self._scatter(Y, self._heads(trees))
-            ys = self._views(Y)
+            ys = self.layout.views(Y)
         w, mu = self.model.w, self.model.mu
         np.subtract(Y, q, out=self._diff)
         total = self.model.lam / 2.0 * float(w @ w)
-        for r, v, y, n in zip(self._diff_views, self.v, ys, self._lengths):
+        for r, v, y, n in zip(self._diff_views, self.v, ys, self.layout.lengths):
             total += float(np.vdot(r, r)) / (2.0 * n) - mu * float(np.vdot(v, y))
         return total
 
@@ -689,7 +674,7 @@ class FrankWolfeOptimizer:
         np.subtract(self._Y, s, out=diff)
         gap = 0.0
         denom = 0.0
-        for gi, di, n in zip(self._grad_views, self._diff_views, self._lengths):
+        for gi, di, n in zip(self._grad_views, self._diff_views, self.layout.lengths):
             gap += float(np.vdot(gi, di))
             denom += float(np.vdot(di, di)) / n
         if denom > 0.0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -155,6 +156,31 @@ def tree_matrix(tree: DepTree) -> np.ndarray:
     mat = np.zeros((tree.n + 1, tree.n + 1))
     mat[tree.heads, np.arange(1, tree.n + 1)] = 1.0
     return mat
+
+
+class ArcLayout:
+    """Arc matrices of sentences of the given lengths in one flat vector: row
+    i's fills (n+1)^2 cells in row-major order from offsets[i], so cell [h, d]
+    is at offsets[i] + h * (n+1) + d. The last of the N+1 offsets is `size`."""
+
+    def __init__(self, lengths: Iterable[int]):
+        self.lengths = list(lengths)
+        self.offsets = np.cumsum([0] + [(n + 1) ** 2 for n in self.lengths]).tolist()
+        self.size = self.offsets[-1]
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Every row's (n+1, n+1) arc matrix, as a view into `flat`."""
+        return [flat[a:b].reshape(n + 1, n + 1) for a, b, n
+                in zip(self.offsets, self.offsets[1:], self.lengths)]
+
+    def arcs(self, heads: Iterable[Iterable[int]], rows=None) -> np.ndarray:
+        """The flat index of every token's arc [head, d], row by row, given
+        one head sequence per row of `rows` (default: every row, in order)."""
+        rows = range(len(self.lengths)) if rows is None else rows
+        ns = [self.lengths[i] for i in rows]
+        h = np.fromiter(itertools.chain.from_iterable(heads), np.intp, sum(ns))
+        d = [self.offsets[i] + np.arange(1, n + 1) for i, n in zip(rows, ns)]
+        return h * np.repeat(np.array(ns) + 1, ns) + np.concatenate(d)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,12 @@ each decoder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from . import cmst, dmv
-from .corpus import DepTree, Sentence
+from .corpus import ArcLayout, DepTree, Sentence
 
 # A sentence is certified once its dual gap is at most _GAP_TOL * (1 + |L|),
 # L the dual value: the rounding of sums of a few dozen terms stays far below.
@@ -62,17 +61,13 @@ def dd_decode_group(
     base = [
         cmst.arc_costs(q, v, m) * g_weight for q, v in cmst.sentence_terms(xs, m)
     ]
-    sizes = [c.size for c in base]
-    offsets = np.cumsum([0] + sizes[:-1]).tolist()
-    # Every sentence's prices u, (n+1, n+1) keyed [h, d], in one flat vector,
-    # and its arc costs alongside: cell [h, d] sits at its offset + h * (n+1)
-    # + d.
-    u = np.zeros(sum(sizes))
+    # Every sentence's prices u and arc costs, in the `ArcLayout` of `xs`;
+    # the grammar's plans read their prices in that layout too.
+    layout = ArcLayout(x.n for x in xs)
+    u = np.zeros(layout.size)
     flat_base = np.concatenate([c.ravel() for c in base])
-    prices = [u[o:o + c.size].reshape(c.shape) for o, c in zip(offsets, base)]
-    cols = [o + np.arange(1, x.n + 1) for o, x in zip(offsets, xs)]
-    # Iteration 1 is at zero prices, with the depth cap lifted where it leaves
-    # no tree; the plan reads prices laid out as `u` is.
+    prices = layout.views(u)
+    # Iteration 1 is at zero prices, the depth cap lifted where it leaves no tree.
     charts, vit, ys, relaxed = dmv.decode_group(xs, theta, cfg_f)
     results: list[DDResult | None] = [None] * len(xs)
     best_cost = np.full(len(xs), np.inf)  # each sentence's lowest P so far
@@ -96,15 +91,8 @@ def dd_decode_group(
         if not left:
             break
         rows = np.array([t[0] for t in left])
-        lengths = [xs[i].n for i in rows]
-        token_row = np.repeat(np.arange(len(left)), lengths)
-        cell = np.concatenate([cols[i] for i in rows])
-        stride = np.repeat([n + 1 for n in lengths], lengths)
-        y_at, z_at = (
-            np.fromiter(chain.from_iterable(t[side] for t in left), np.intp)
-            * stride + cell
-            for side in (1, 2)
-        )
+        token_row = np.repeat(np.arange(len(left)), [xs[i].n for i in rows])
+        y_at, z_at = (layout.arcs((t[side] for t in left), rows) for side in (1, 2))
         y_score, z_cost = (np.array([t[side] for t in left]) for side in (3, 4))
         # Per-row sums are bincounts, which add a row's cells in order from
         # 0.0: a row gets the same bits alone or in any group.
@@ -138,6 +126,6 @@ def dd_decode_group(
         if 2 * len(active) <= len(planned):
             planned = active
             vit = dmv.viterbi_plan(
-                [charts[i] for i in planned], [offsets[i] for i in planned]
+                [charts[i] for i in planned], [layout.offsets[i] for i in planned]
             )
     return results

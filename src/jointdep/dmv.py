@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, DepTree, Sentence
+from .corpus import ArcLayout, Corpus, DepTree, Sentence
 
 LEFT, RIGHT = 0, 1
 NO_CHILD, HAS_CHILD = 0, 1
@@ -635,21 +635,17 @@ class ViterbiPlan(NamedTuple):
     tail1: np.ndarray
 
 
-def viterbi_plan(
-    charts: Sequence[_Chart], price_offsets: Sequence[int] | None = None
-) -> ViterbiPlan:
+def viterbi_plan(charts: Sequence[_Chart], price_offsets: Sequence[int]) -> ViterbiPlan:
     """Lay out `charts` for `viterbi_batch`, chart i reading its prices as
-    an (n+1, n+1) matrix flattened at price_offsets[i] (default: one after
-    another). One chart runs on its structure's own arrays.
+    an (n+1, n+1) matrix flattened at price_offsets[i], its row's offset in
+    an `ArcLayout`. One chart runs on its structure's own arrays.
 
     Level l of the plan is level l of every chart in chart order, so each
     chart keeps its own node and edge order within a level, and a level's
     edges stay grouped by head."""
-    if price_offsets is None:
-        price_offsets = np.cumsum([0] + [(c.s.n + 1) ** 2 for c in charts[:-1]])
     if len(charts) == 1:
         [(s, _, score)] = charts
-        off = int(price_offsets[0])
+        off = price_offsets[0]
         return ViterbiPlan(
             s.n_nodes, [s.goal], [s.n], s.levels, score, s.arc_edges,
             s.arc_price + off if off else s.arc_price,
@@ -838,7 +834,7 @@ def viterbi_decode(
 ) -> tuple[DepTree, float]:
     """Best tree under -tree_logprob(x, y) + u.y, with the prices u an
     (n+1, n+1) matrix keyed [h, d]; returns (tree, minimum)."""
-    plan = viterbi_plan([build_decode_chart(x, theta, cfg)])
+    plan = viterbi_plan([build_decode_chart(x, theta, cfg)], [0])
     [(heads, best)] = viterbi_batch(plan, None if u is None else u.ravel())
     if heads is None:
         raise InfeasibleParseError()
@@ -898,19 +894,20 @@ def length_groups(lengths: Sequence[int], cap: int | None) -> Iterator[list[int]
 def decode_group(
     xs: Sequence[Sentence], theta: DmvParams, cfg: ConstraintConfig
 ) -> tuple[list[_Chart], ViterbiPlan, list[tuple[tuple[int, ...], float]], list[bool]]:
-    """The charts of `xs`, their plan (prices laid out one (n+1, n+1) matrix
-    after another), each sentence's (heads, score) at zero prices, as decoded
-    alone, and whether its depth cap was lifted: a sentence with no tree under
-    the cap is decoded without it, as finite prices cannot make it feasible."""
+    """The charts of `xs`, their plan (prices in the `ArcLayout` of `xs`),
+    each sentence's (heads, score) at zero prices, as decoded alone, and
+    whether its depth cap was lifted: a sentence with no tree under the cap
+    is decoded without it, as finite prices cannot make it feasible."""
     charts = [build_decode_chart(x, theta, cfg) for x in xs]
-    plan = viterbi_plan(charts)
+    offsets = ArcLayout(x.n for x in xs).offsets
+    plan = viterbi_plan(charts, offsets)
     trees = viterbi_batch(plan)
     relaxed = [heads is None for heads, _ in trees]
     if any(relaxed) and cfg.max_ce_depth is not None:
         uncapped = replace(cfg, max_ce_depth=None)
         charts = [build_decode_chart(x, theta, uncapped) if lift else chart
                   for x, lift, chart in zip(xs, relaxed, charts)]
-        plan = viterbi_plan(charts)
+        plan = viterbi_plan(charts, offsets)
         trees = viterbi_batch(plan)
     if any(heads is None for heads, _ in trees):
         raise InfeasibleParseError()

@@ -184,6 +184,24 @@ def test_train_out_naming_a_file_is_refused_before_training(
     assert rc == EXIT_OK and len(trained) == 1
 
 
+def test_train_into_a_used_out_is_refused_before_training(
+    tmp_path, train_file, fast_args, capsys, monkeypatch
+):
+    out = tmp_path / "model"
+    args = ["train", "--train", str(train_file), "--out", str(out)] + fast_args
+    assert run(args) == EXIT_OK
+    capsys.readouterr()
+    written = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert any(p.parent.name == "iter001" for p in written)
+    trained = []
+    monkeypatch.setattr(trainer, "train", lambda *args: trained.append(args))
+    rc = run(args)
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == f"error: --out {out}: directory is not empty\n"
+    assert trained == []
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
+
+
 def test_missing_subcommand_is_usage_error():
     assert run([]) == EXIT_USAGE
     assert run(["train"]) == EXIT_USAGE  # --train missing
@@ -547,6 +565,45 @@ def test_non_finite_probability_is_refused_on_its_line(
     assert _parse(model_dir, train_file, tmp_path / "o.conllu", "dmv") == EXIT_DATA
     assert capsys.readouterr().err == (
         f"error: line {i + 1}: stop probability 'nan' is not finite\n"
+    )
+
+
+@pytest.mark.parametrize("prefix, record, message", [
+    pytest.param(
+        "lambda ", "lambda abc",
+        "lambda record: could not convert string to float: 'abc'", id="lambda",
+    ),
+    pytest.param(
+        "mu ", "mu 0,5", "mu record: could not convert string to float: '0,5'",
+        id="mu",
+    ),
+    pytest.param(
+        "w ", "w x 1.0", "w record: invalid literal for int() with base 10: 'x'",
+        id="w-index",
+    ),
+    pytest.param(
+        "w ", "w 99999999 1.0",
+        "weight index 99999999 out of range for dimension {dimension}",
+        id="w-index-out-of-range",
+    ),
+    pytest.param(
+        "w ", "w 3 1.0e", "w record: could not convert string to float: '1.0e'",
+        id="w-value",
+    ),
+    pytest.param("rule ", "bogus 1", "unrecognized record 'bogus'", id="unknown"),
+])
+def test_malformed_cmst_record_is_refused_on_its_line(
+    tmp_path, train_file, model_dir, capsys, prefix, record, message
+):
+    path = model_dir / "cmst.txt"
+    dimension = CmstModel.load(path).templates.dimension
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[i] = record
+    path.write_text("".join(line + "\n" for line in lines))
+    assert _parse(model_dir, train_file, tmp_path / "o.conllu", "cmst") == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: line {i + 1}: {message.format(dimension=dimension)}\n"
     )
 
 

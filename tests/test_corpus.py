@@ -7,6 +7,7 @@ import pytest
 from oracles import all_projective_heads
 
 from jointdep.corpus import (
+    ArcLayout,
     ConlluParseError,
     Corpus,
     DepTree,
@@ -171,3 +172,54 @@ def test_tree_matrix_exhaustive(n):
             want = np.zeros(n + 1)
             want[heads[d - 1]] = 1.0
             assert np.array_equal(mat[:, d], want)
+
+
+def _random_projective_heads(rng, n):
+    """A random single-rooted projective head array of length n; every such
+    array has a chance. Each span of tokens hanging from one head is cut
+    into contiguous subtrees, and each subtree picks its own head."""
+    heads = [0] * n
+
+    def hang(a, b, h):  # tokens a..b are subtrees whose heads attach to h
+        while a <= b:
+            e = int(rng.integers(a, b + 1))
+            c = int(rng.integers(a, e + 1))
+            heads[c - 1] = h
+            hang(a, c - 1, c)
+            hang(c + 1, e, c)
+            a = e + 1
+
+    root = int(rng.integers(1, n + 1))
+    hang(1, root - 1, root)
+    hang(root + 1, n, root)
+    return tuple(heads)
+
+
+def test_arc_layout_agrees_with_tree_matrix(rng):
+    lengths = rng.permutation(list(range(1, 9)) * 3).tolist()
+    trees = [DepTree(_random_projective_heads(rng, n)) for n in lengths]
+    layout = ArcLayout(lengths)
+    assert layout.lengths == lengths
+    assert len(layout.offsets) == len(lengths) + 1
+    assert layout.offsets[-1] == layout.size == sum((n + 1) ** 2 for n in lengths)
+
+    flat = np.zeros(layout.size)
+    flat[layout.arcs(t.heads for t in trees)] = 1.0
+    views = layout.views(flat)
+    assert len(views) == len(trees)
+    for view, tree in zip(views, trees):
+        assert np.array_equal(view, tree_matrix(tree))
+        assert np.shares_memory(view, flat)
+
+    # A shuffled subset of rows: arcs follows `rows`, row by row, and hits
+    # exactly those rows' arc cells.
+    rows = rng.permutation(len(lengths))[:10]
+    at = layout.arcs((trees[i].heads for i in rows), rows)
+    assert np.array_equal(
+        at, np.concatenate([layout.arcs([trees[i].heads], [i]) for i in rows])
+    )
+    sub = np.zeros(layout.size)
+    sub[at] = 1.0
+    for i, view in enumerate(layout.views(sub)):
+        want = tree_matrix(trees[i]) if i in rows else np.zeros(view.shape)
+        assert np.array_equal(view, want)

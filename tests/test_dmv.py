@@ -343,7 +343,7 @@ def test_viterbi_plan_of_one_runs_on_the_structure(rng):
     chart = dmv.build_decode_chart(
         make_sentence(["A", "B", "C", "A"]), p, ConstraintConfig(1, 0.1)
     )
-    plan = dmv.viterbi_plan([chart])
+    plan = dmv.viterbi_plan([chart], [0])
     assert plan.levels is chart.s.levels
     assert plan.tail0 is chart.s.tail0 and plan.score is chart.score
 
