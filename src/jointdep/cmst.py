@@ -200,13 +200,15 @@ RuleSet = frozenset  # of (head_tag, dep_tag) pairs; "ROOT" literal allowed
 
 def parse_rules(lines) -> RuleSet:
     rules = set()
-    for raw in lines:
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"rule line must be 'HEADTAG DEPTAG': {raw!r}")
+            raise ValueError(
+                f"line {line_no}: rule line must be 'HEADTAG DEPTAG': {raw.strip()!r}"
+            )
         rules.add((parts[0], parts[1]))
     return frozenset(rules)
 
@@ -312,8 +314,8 @@ class CmstModel:
             header = f.readline().split()
             if header[:2] != ["cmstmodel", "1"]:
                 raise ValueError(f"line 1: unrecognized model header {header!r}")
-            lam = mu = None
-            tags = None
+            t = None
+            scalars = {}  # lambda and mu
             rules = set()
             weights = []
             arity = {"lambda": 2, "mu": 2, "tags": None, "rule": 3, "w": 3}
@@ -330,21 +332,21 @@ class CmstModel:
                         f"{arity[kind] - 1} fields, got {len(parts) - 1}"
                     )
                 try:
-                    if kind == "lambda":
-                        lam = float(parts[1])
-                    elif kind == "mu":
-                        mu = float(parts[1])
+                    if kind in ("lambda", "mu"):
+                        value = float(parts[1])
+                        if not 0 <= value < math.inf:
+                            raise ValueError(f"must be finite and >= 0, got {value}")
+                        scalars[kind] = value
                     elif kind == "tags":
-                        tags = tuple(parts[1:])
+                        t = FeatureTemplate(tuple(parts[1:]))
                     elif kind == "rule":
                         rules.add((parts[1], parts[2]))
                     else:
                         weights.append((line_no, int(parts[1]), float(parts[2])))
                 except ValueError as exc:
                     raise ValueError(f"line {line_no}: {kind} record: {exc}") from None
-            if lam is None or mu is None or tags is None:
+            if len(scalars) < 2 or t is None:
                 raise ValueError("incomplete model file")
-            t = FeatureTemplate(tags)
             w = np.zeros(t.dimension)
             for line_no, i, v in weights:
                 if not 0 <= i < t.dimension:
@@ -353,7 +355,7 @@ class CmstModel:
                         f"dimension {t.dimension}"
                     )
                 w[i] = v
-            return cls(w, lam, mu, t, frozenset(rules))
+            return cls(w, scalars["lambda"], scalars["mu"], t, frozenset(rules))
 
 
 # ---------------------------------------------------------------------------

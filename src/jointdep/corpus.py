@@ -167,6 +167,10 @@ class ArcLayout:
         self.lengths = list(lengths)
         self.offsets = np.cumsum([0] + [(n + 1) ** 2 for n in self.lengths]).tolist()
         self.size = self.offsets[-1]
+        # Every token's cell [0, d] and its row's stride n + 1, row by row.
+        self._n = n = np.array(self.lengths, dtype=np.intp)
+        self._dep = _ranges(np.array(self.offsets[:-1], dtype=np.intp) + 1, n)
+        self._stride = np.repeat(n + 1, n)
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Every row's (n+1, n+1) arc matrix, as a view into `flat`."""
@@ -176,11 +180,18 @@ class ArcLayout:
     def arcs(self, heads: Iterable[Iterable[int]], rows=None) -> np.ndarray:
         """The flat index of every token's arc [head, d], row by row, given
         one head sequence per row of `rows` (default: every row, in order)."""
-        rows = range(len(self.lengths)) if rows is None else rows
-        ns = [self.lengths[i] for i in rows]
-        h = np.fromiter(itertools.chain.from_iterable(heads), np.intp, sum(ns))
-        d = [self.offsets[i] + np.arange(1, n + 1) for i, n in zip(rows, ns)]
-        return h * np.repeat(np.array(ns) + 1, ns) + np.concatenate(d)
+        dep, stride = self._dep, self._stride
+        if rows is not None:
+            tokens = _ranges((np.cumsum(self._n) - self._n)[rows], self._n[rows])
+            dep, stride = dep[tokens], stride[tokens]
+        h = np.fromiter(itertools.chain.from_iterable(heads), np.intp, dep.size)
+        return dep + h * stride
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [start, start + count) laid end to end."""
+    shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return shift + np.arange(shift.size)
 
 
 # ---------------------------------------------------------------------------

@@ -186,28 +186,27 @@ class DmvParams:
                 parts = line.split()
                 if not parts:
                     continue
-                lookups = key_fields.get(parts[0])
-                if lookups is None:
-                    raise ValueError(
-                        f"line {line_no}: unrecognized record {parts[0]!r}"
-                    )
-                if len(parts) != len(lookups) + 2:
-                    raise ValueError(
-                        f"line {line_no}: {parts[0]} record needs "
-                        f"{len(lookups) + 1} fields, got {len(parts) - 1}"
-                    )
                 try:
+                    lookups = key_fields.get(parts[0])
+                    if lookups is None:
+                        raise ValueError(f"unrecognized record {parts[0]!r}")
+                    if len(parts) != len(lookups) + 2:
+                        raise ValueError(
+                            f"{parts[0]} record needs {len(lookups) + 1} fields, "
+                            f"got {len(parts) - 1}"
+                        )
                     key = tuple(t[v] for t, v in zip(lookups, parts[1:-1]))
+                    value = float(parts[-1])
+                    if not math.isfinite(value):
+                        raise ValueError(
+                            f"{parts[0]} probability {parts[-1]!r} is not finite"
+                        )
                 except KeyError as exc:
                     raise ValueError(
                         f"line {line_no}: unknown field {exc.args[0]!r}"
                     ) from None
-                value = float(parts[-1])
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"line {line_no}: {parts[0]} probability {parts[-1]!r} "
-                        "is not finite"
-                    )
+                except ValueError as exc:
+                    raise ValueError(f"line {line_no}: {exc}") from None
                 tables[parts[0]][key] = value
             missing = sum(int(np.isnan(t).sum()) for t in tables.values())
             if missing:
@@ -226,36 +225,27 @@ INITS = ("uniform", "harmonic")
 
 def init_params(c: Corpus, mode: str = "harmonic") -> DmvParams:
     """Uniform or harmonic (short-arc-biased) initializer; both are
-    deterministic."""
+    deterministic. Harmonic counts are smoothed by 1, so every event keeps
+    support."""
     if mode not in INITS:
         raise ValueError(f"init must be one of {INITS}, got {mode!r}")
     vocab = c.pos_vocab
     V = len(vocab)
     if V == 0:
         raise ValueError("corpus has an empty POS vocabulary")
-    idx = {t: i for i, t in enumerate(vocab)}
+    uniform = DmvParams(vocab, np.full(V, 1.0 / V), np.full((V, 2, V), 1.0 / V),
+                        np.full((V, 2, 2), 0.5))
     if mode == "uniform":
-        root = np.full(V, 1.0 / V)
-        attach = np.full((V, 2, V), 1.0 / V)
-    else:
-        root = np.zeros(V)
-        attach = np.zeros((V, 2, V))
-        for sent in c:
-            ids = [idx[t] for t in sent.upos]
-            for i, hi_tag in enumerate(ids):
-                root[hi_tag] += 1.0 / sent.n
-                for j, dj_tag in enumerate(ids):
-                    if i == j:
-                        continue
-                    direction = LEFT if j < i else RIGHT
-                    attach[hi_tag, direction, dj_tag] += 1.0 / (abs(i - j) + 1.0)
-        # Smooth so every event keeps support, then normalize.
-        root += 1.0
-        attach += 1.0
-        root /= root.sum()
-        attach /= attach.sum(axis=2, keepdims=True)
-    stop = np.full((V, 2, 2), 0.5)
-    return DmvParams(vocab, root, attach, stop)
+        return uniform
+    wi = _WeightIndex(V)
+    counts = np.zeros(wi.size)
+    for sent in c:
+        ids = np.array(uniform.tag_ids(sent), dtype=np.intp)
+        i, j = (~np.eye(sent.n, dtype=bool)).nonzero()  # head i, dependent j
+        np.add.at(counts, ids, 1.0 / sent.n)
+        np.add.at(counts, wi.attach_off + (ids[i] * 2 + (j > i)) * V + ids[j],
+                  1.0 / (abs(i - j) + 1.0))
+    return _params_from_counts(uniform, counts, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -789,6 +779,8 @@ def _tree_events(pos: Sequence[int], y: DepTree, wi: _WeightIndex) -> list[int]:
     """Log-weight indices of the events that generate tree y over tag ids
     `pos`: the root choice, then per head and direction a continue and an
     attach for each child, and the stop."""
+    if y.n != len(pos):
+        raise ValueError(f"tree of length {y.n} for a sentence of length {len(pos)}")
     events = [wi.root(pos[y.root() - 1])]
     for h, kids in enumerate(y.children()[1:], start=1):
         hp = pos[h - 1]
@@ -807,11 +799,9 @@ def tree_logprob(
     x: Sentence, y: DepTree, theta: DmvParams, cfg: ConstraintConfig
 ) -> float:
     """log P(x, y) plus the log constraint factor (soft penalty / hard cap)."""
-    if y.n != x.n:
-        raise ValueError(f"tree length {y.n} != sentence length {x.n}")
+    events = _tree_events(theta.tag_ids(x), y, _WeightIndex(theta.V))
     if cfg.max_ce_depth is not None and ce_depth(y) > cfg.max_ce_depth:
         return NEG_INF
-    events = _tree_events(theta.tag_ids(x), y, _WeightIndex(theta.V))
     lp = float(theta.log_weights()[events].sum())
     if cfg.dep_len_beta:
         for d, h in enumerate(y.heads, start=1):
@@ -926,8 +916,6 @@ def em_step(
     Sentences whose constrained marginal is zero are skipped and tallied in
     `diagnostics["skipped"]` when a dict is supplied.
     """
-    if smoothing < 0:
-        raise ValueError("smoothing must be >= 0")
     wi = _WeightIndex(theta.V)
     wlog = theta.log_weights()
     counts = np.zeros(wi.size + 1)  # the last entry takes the unit slot's mass
@@ -954,6 +942,10 @@ def em_step(
 def _params_from_counts(
     theta: DmvParams, counts: np.ndarray, eps: float
 ) -> DmvParams:
+    """Tables of the `_WeightIndex` event counts `counts`, each smoothed by
+    `eps`; a distribution with no mass keeps its table from `theta`."""
+    if eps < 0:
+        raise ValueError("smoothing must be >= 0")
     wi = _WeightIndex(theta.V)
     V = theta.V
     root_c = counts[: wi.attach_off] + eps
@@ -974,33 +966,21 @@ def _params_from_counts(
     return DmvParams(theta.vocab, root, attach, stop)
 
 
+def tree_counts(c: Corpus, trees: Sequence[DepTree], theta: DmvParams) -> np.ndarray:
+    """How often each event of `theta`'s `_WeightIndex` generates `trees`
+    over `c`, one tree per sentence; the depth cap plays no part."""
+    wi = _WeightIndex(theta.V)
+    events = [e for sent, tree in zip(c, trees, strict=True)
+              for e in _tree_events(theta.tag_ids(sent), tree, wi)]
+    return np.bincount(np.asarray(events, dtype=np.intp), minlength=wi.size)
+
+
 def mstep_from_trees(
     c: Corpus, trees: Sequence[DepTree], smoothing: float = 0.1
 ) -> DmvParams:
     """Re-estimate parameters from hard counts over fixed parse trees."""
-    if smoothing < 0:
-        raise ValueError("smoothing must be >= 0")
-    if len(trees) != c.N:
-        raise ValueError(f"got {len(trees)} trees for {c.N} sentences")
-    vocab = c.pos_vocab
-    V = len(vocab)
-    idx = {t: i for i, t in enumerate(vocab)}
-    wi = _WeightIndex(V)
-    events: list[int] = []
-    for sent, tree in zip(c, trees):
-        if tree.n != sent.n:
-            raise ValueError(
-                f"tree of length {tree.n} paired with sentence of length {sent.n}"
-            )
-        events += _tree_events([idx[t] for t in sent.upos], tree, wi)
-    counts = np.bincount(np.asarray(events, dtype=np.intp), minlength=wi.size)
-    base = DmvParams(
-        vocab,
-        np.full(V, 1.0 / V),
-        np.full((V, 2, V), 1.0 / V),
-        np.full((V, 2, 2), 0.5),
-    )
-    return _params_from_counts(base, counts, smoothing)
+    base = init_params(c, "uniform")
+    return _params_from_counts(base, tree_counts(c, trees, base), smoothing)
 
 
 def ce_depth(y: DepTree) -> int:

@@ -7,7 +7,7 @@ import csv
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -177,25 +177,22 @@ def joint_objective(
     cfg: TrainConfig,
     trees: Sequence[DepTree],
 ) -> float:
-    """F + G at fixed trees: the grammar's negative log-likelihood of the
-    trees, plus g_weight times the objective of `state.optimizer` at them
-    (w-regularizer included), plus the Dirichlet prior -eps * sum(log theta)
-    over the root, attach, stop and continue probabilities,
-    eps = cfg.mstep_smoothing, under which the smoothed `mstep_from_trees` is
-    the exact minimizer over theta. The prior is added only for eps > 0,
-    where 0 * log 0 would give NaN.
-
-    The depth cap is a tree-only constant at fixed parses, so it is dropped
-    here to keep the objective finite for cap-relaxed sentences.
-    """
-    cfg_eval = replace(cfg.constraint, max_ce_depth=None)
-    total = cfg.g_weight * state.optimizer.objective(trees=trees) - sum(
-        dmv.tree_logprob(sent, tree, state.theta, cfg_eval)
-        for sent, tree in zip(c, trees, strict=True)
+    """F + G at fixed trees: the grammar's block -(counts + eps) . log theta
+    plus the length penalty, with `counts` the trees' events (no depth cap:
+    at fixed trees it is a constant) and eps = cfg.mstep_smoothing, a
+    Dirichlet prior under which the smoothed `mstep_from_trees` minimizes the
+    block; plus g_weight times `state.optimizer`'s objective at the trees
+    (w-regularizer included). Events of weight 0 are left out, so 0 * log 0
+    never enters."""
+    counts = dmv.tree_counts(c, trees, state.theta) + cfg.mstep_smoothing
+    used = counts > 0
+    penalty = sum(abs(h - d) - 1 for t in trees
+                  for d, h in enumerate(t.heads, start=1) if h)
+    return float(
+        cfg.g_weight * state.optimizer.objective(trees=trees)
+        - counts[used] @ state.theta.log_weights()[used]
+        + cfg.constraint.dep_len_beta * penalty
     )
-    if cfg.mstep_smoothing:
-        total -= cfg.mstep_smoothing * float(state.theta.log_weights().sum())
-    return total
 
 
 def joint_train(

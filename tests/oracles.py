@@ -137,6 +137,39 @@ def random_dmv_params(rng, vocab):
     )
 
 
+def init_params_reference(c, mode="harmonic"):
+    """The initializer's tables built entry by entry: the uniform tables, or
+    the harmonic counts summed sentence by sentence and token pair by token
+    pair, smoothed by 1 and normalized table by table."""
+    from jointdep.dmv import LEFT, RIGHT, DmvParams
+
+    vocab = c.pos_vocab
+    V = len(vocab)
+    idx = {t: i for i, t in enumerate(vocab)}
+    if mode == "uniform":
+        root = np.full(V, 1.0 / V)
+        attach = np.full((V, 2, V), 1.0 / V)
+    else:
+        root = np.zeros(V)
+        attach = np.zeros((V, 2, V))
+        for sent in c:
+            ids = [idx[t] for t in sent.upos]
+            for i, hi_tag in enumerate(ids):
+                root[hi_tag] += 1.0 / sent.n
+                for j, dj_tag in enumerate(ids):
+                    if i == j:
+                        continue
+                    direction = LEFT if j < i else RIGHT
+                    attach[hi_tag, direction, dj_tag] += 1.0 / (abs(i - j) + 1.0)
+        # Smooth so every event keeps support, then normalize.
+        root += 1.0
+        attach += 1.0
+        root /= root.sum()
+        attach /= attach.sum(axis=2, keepdims=True)
+    stop = np.full((V, 2, 2), 0.5)
+    return DmvParams(vocab, root, attach, stop)
+
+
 def flat_grammar():
     """A grammar whose only parse of B...B C is the flat tree under C: the
     root is C, C takes one or more left children, all B, and A and B take

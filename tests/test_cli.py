@@ -505,42 +505,51 @@ def _tags(tags):
     ]
 
 
-@pytest.mark.parametrize("name, damage", [
-    pytest.param("dmv.txt", lambda lines: [], id="dmv-empty"),
-    pytest.param("dmv.txt", lambda lines: lines[:1], id="dmv-header-only"),
-    pytest.param("dmv.txt", lambda lines: lines[:30], id="dmv-head-30"),
-    pytest.param("dmv.txt", lambda lines: lines[:-1], id="dmv-last-missing"),
+@pytest.mark.parametrize("name, damage, message", [
+    pytest.param("dmv.txt", lambda lines: [], None, id="dmv-empty"),
+    pytest.param("dmv.txt", lambda lines: lines[:1], None, id="dmv-header-only"),
+    pytest.param("dmv.txt", lambda lines: lines[:30], None, id="dmv-head-30"),
+    pytest.param("dmv.txt", lambda lines: lines[:-1], None, id="dmv-last-missing"),
     pytest.param(
         "dmv.txt", lambda lines: lines[:-1] + [lines[-1].rsplit(" ", 1)[0]],
-        id="dmv-short-record",
+        None, id="dmv-short-record",
     ),
     pytest.param(
         "dmv.txt", lambda lines: lines[:-1] + [lines[-1].replace("VERB", "ADJ")],
-        id="dmv-unknown-tag",
+        None, id="dmv-unknown-tag",
     ),
-    pytest.param("dmv.txt", _negative_root, id="dmv-negative-root"),
-    pytest.param("cmst.txt", lambda lines: lines[:1], id="cmst-header-only"),
-    pytest.param("cmst.txt", lambda lines: lines + ["w 3"], id="cmst-short-w"),
+    pytest.param("dmv.txt", _negative_root, None, id="dmv-negative-root"),
+    pytest.param("cmst.txt", lambda lines: lines[:1], None, id="cmst-header-only"),
+    pytest.param("cmst.txt", lambda lines: lines + ["w 3"], None, id="cmst-short-w"),
     pytest.param(
         "cmst.txt", lambda lines: lines + ["w 99999999 1.0"],
-        id="cmst-w-out-of-range",
+        None, id="cmst-w-out-of-range",
     ),
-    pytest.param("cmst.txt", lambda lines: lines + ["w 0 nan"], id="cmst-nan-weight"),
+    pytest.param(
+        "cmst.txt", lambda lines: lines + ["w 0 nan"], None, id="cmst-nan-weight"
+    ),
     pytest.param(
         "cmst.txt",
         lambda lines: ["mu nan" if line.startswith("mu ") else line for line in lines],
-        id="cmst-nan-mu",
+        None, id="cmst-nan-mu",
     ),
-    pytest.param("cmst.txt", _tags("<ROOT>"), id="cmst-tags-root-only"),
+    pytest.param("cmst.txt", _tags("<ROOT>"), None, id="cmst-tags-root-only"),
     pytest.param(
-        "cmst.txt", _tags("DET NOUN VERB <ROOT> <UNK>"), id="cmst-tags-reserved-last"
+        "cmst.txt", _tags("DET NOUN VERB <ROOT> <UNK>"), None,
+        id="cmst-tags-reserved-last",
     ),
     pytest.param(
-        "cmst.txt", _tags("<ROOT> <UNK> DET NOUN VERB NOUN"), id="cmst-tags-repeated"
+        "cmst.txt", _tags("<ROOT> <UNK> DET NOUN VERB NOUN"), None,
+        id="cmst-tags-repeated",
+    ),
+    pytest.param(
+        "dmv.txt", lambda lines: lines[:2] + ["root DET abc"] + lines[3:],
+        "line 3: could not convert string to float: 'abc'",
+        id="dmv-root-not-a-number",
     ),
 ])
 def test_damaged_model_file_is_data_error(
-    tmp_path, train_file, model_dir, capsys, name, damage
+    tmp_path, train_file, model_dir, capsys, name, damage, message
 ):
     path = model_dir / name
     path.write_text("".join(
@@ -550,6 +559,8 @@ def test_damaged_model_file_is_data_error(
     err = capsys.readouterr().err
     assert rc == EXIT_DATA
     assert err.startswith("error: ") and err.count("\n") == 1
+    if message is not None:
+        assert err == f"error: {message}\n"
 
 
 def test_non_finite_probability_is_refused_on_its_line(
@@ -591,6 +602,15 @@ def test_non_finite_probability_is_refused_on_its_line(
         id="w-value",
     ),
     pytest.param("rule ", "bogus 1", "unrecognized record 'bogus'", id="unknown"),
+    pytest.param(
+        "mu ", "mu nan", "mu record: must be finite and >= 0, got nan", id="mu-nan"
+    ),
+    pytest.param(
+        "tags ", "tags <ROOT> <UNK> DET NOUN VERB NOUN",
+        "tags record: feature tag 'NOUN' appears more than once "
+        "(<ROOT> and <UNK> are reserved)",
+        id="tags-repeated",
+    ),
 ])
 def test_malformed_cmst_record_is_refused_on_its_line(
     tmp_path, train_file, model_dir, capsys, prefix, record, message
@@ -644,6 +664,18 @@ def test_parse_reads_only_the_decode_settings(
     err = capsys.readouterr().err
     assert rc == EXIT_DATA
     assert err.startswith("error: dep_len_beta") and err.count("\n") == 1
+
+
+def test_malformed_rule_is_refused_on_its_line(tmp_path, train_file, capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("VERB NOUN\n# a comment\n\n  VERB NOUN ADJ  # three\n")
+    rc = run(["train", "--mode", "cmst-only", "--rules", str(rules),
+              "--train", str(train_file), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "error: line 4: rule line must be 'HEADTAG DEPTAG': "
+        "'VERB NOUN ADJ  # three'\n"
+    )
 
 
 def test_unparseable_sentence_is_data_error(tmp_path, model_dir, capsys):

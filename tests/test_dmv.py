@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from oracles import (
+    all_projective_heads,
     all_projective_trees,
     compile_reference,
     flat_grammar,
+    init_params_reference,
     logsumexp,
     make_sentence,
     price_matrix,
@@ -59,6 +61,22 @@ def test_harmonic_init_prefers_short_arcs():
     raw = np.array([1.0 / 2 + 1.0 / 3 + 1, 1.0, 1.0 / 2 + 1])
     expect = raw / raw.sum()
     assert np.allclose(p.attach[b, dmv.LEFT, [a, b, cc]], expect)
+
+
+@pytest.mark.parametrize("mode", dmv.INITS)
+def test_init_params_equals_the_table_loop_bit_for_bit(rng, mode):
+    # The counts go through the M-step's normalisation, and are summed in
+    # the table loop's order, so every probability keeps its bits.
+    for vocab, n_sentences, max_len in (
+        (("A",), 3, 4), (("DET", "NOUN", "VERB"), 12, 9),
+        (tuple("ABCDEFG"), 30, 15), (("X", "Y"), 1, 1),
+    ):
+        c = random_corpus(rng, vocab, n_sentences, max_len=max_len)
+        got, want = init_params(c, mode), init_params_reference(c, mode)
+        assert got.vocab == want.vocab
+        for table in ("root", "attach", "stop"):
+            a, b = getattr(got, table), getattr(want, table)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), table
 
 
 def test_init_empty_vocab_rejected():
@@ -557,6 +575,32 @@ def test_em_skips_impossible_sentences(rng):
 # ---------------------------------------------------------------------------
 # mstep_from_trees
 # ---------------------------------------------------------------------------
+
+def test_tree_counts_sum_the_per_tree_events(rng):
+    # One bincount over the corpus is the per-tree event bincounts summed,
+    # with the tags read through the model's own vocabulary order.
+    c = random_corpus(rng, ("A", "B", "C"), 20, max_len=6)
+    theta = random_dmv_params(rng, ("C", "A", "B"))
+    trees = []
+    for x in c:
+        heads = all_projective_heads(x.n)
+        trees.append(DepTree(heads[rng.integers(len(heads))]))
+    wi = dmv._WeightIndex(theta.V)
+    want = sum(
+        np.bincount(dmv._tree_events(theta.tag_ids(x), t, wi), minlength=wi.size)
+        for x, t in zip(c, trees)
+    )
+    got = dmv.tree_counts(c, trees, theta)
+    assert got.shape == (wi.size,)
+    assert np.array_equal(got, want)
+    # One root, a continue and an attach per other token, and a stop per
+    # head and side.
+    assert got.sum() == sum(1 + 2 * (x.n - 1) + 2 * x.n for x in c)
+    with pytest.raises(ValueError):
+        dmv.tree_counts(c, trees[:-1], theta)
+    with pytest.raises(ValueError, match="tree of length"):
+        dmv.tree_counts(c, trees[1:] + trees[:1], theta)
+
 
 def test_mstep_single_event_counts():
     c = Corpus((make_sentence(["NOUN", "VERB"]),), ("NOUN", "VERB"))

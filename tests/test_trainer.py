@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    all_projective_heads,
     flat_grammar,
     joint_objective_reference,
     make_sentence,
@@ -12,7 +13,7 @@ from oracles import (
 )
 
 from jointdep import cmst, dmv, trainer
-from jointdep.corpus import Corpus
+from jointdep.corpus import Corpus, DepTree
 from jointdep.decoder import dd_decode_group
 from jointdep.dmv import ConstraintConfig
 from jointdep.trainer import (
@@ -239,6 +240,40 @@ def test_joint_objective_equals_the_per_sentence_sum(small_corpus, eps):
         state.theta = dmv.mstep_from_trees(small_corpus, trees, eps)
         state.optimizer.fit_trees(trees)
     assert math.isfinite(got)
+
+    def check(theta, trees):
+        state.theta = theta
+        got = joint_objective(small_corpus, state, cfg, trees)
+        want = joint_objective_reference(small_corpus, state, cfg, trees)
+        if math.isinf(want):
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        return got
+
+    # Trees deeper than the depth cap, under a grammar with no zero: the
+    # counts carry no cap.
+    theta = dmv.mstep_from_trees(small_corpus, trees, 0.1)
+    deep = [max(map(DepTree, all_projective_heads(x.n)), key=dmv.ce_depth)
+            for x in small_corpus]
+    assert max(map(dmv.ce_depth, deep)) > cfg.constraint.max_ce_depth
+    assert math.isfinite(check(theta, deep))
+
+    # A zero probability that the trees use gives +inf on both sides; zero
+    # probabilities that no tree uses leave the objective finite without
+    # the prior, and make it +inf with it.
+    counts = dmv.tree_counts(small_corpus, trees, theta)
+    wi = dmv._WeightIndex(theta.V)
+    root = theta.root.copy()
+    root[counts[: wi.attach_off] > 0] = 0.0
+    assert check(dmv.DmvParams(theta.vocab, root, theta.attach, theta.stop),
+                 trees) == math.inf
+    unused = counts[wi.attach_off : wi.stop_off] == 0
+    assert unused.any()
+    attach = theta.attach.copy()
+    attach.reshape(-1)[unused] = 0.0
+    got = check(dmv.DmvParams(theta.vocab, theta.root, attach, theta.stop), trees)
+    assert math.isfinite(got) == (eps == 0)
 
 
 def test_joint_weights_leave_the_separate_path(small_corpus):
