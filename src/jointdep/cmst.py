@@ -342,7 +342,10 @@ class CmstModel:
                     elif kind == "rule":
                         rules.add((parts[1], parts[2]))
                     else:
-                        weights.append((line_no, int(parts[1]), float(parts[2])))
+                        value = float(parts[2])
+                        if not math.isfinite(value):
+                            raise ValueError(f"must be finite, got {value}")
+                        weights.append((line_no, int(parts[1]), value))
                 except ValueError as exc:
                     raise ValueError(f"line {line_no}: {kind} record: {exc}") from None
             if len(scalars) < 2 or t is None:

@@ -125,7 +125,7 @@ def dd_decode_group(
         u[z_at[moved]] -= step
         if 2 * len(active) <= len(planned):
             planned = active
-            vit = dmv.viterbi_plan(
+            vit = dmv.chart_plan(
                 [charts[i] for i in planned], [layout.offsets[i] for i in planned]
             )
     return results

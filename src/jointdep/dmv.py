@@ -169,6 +169,9 @@ class DmvParams:
                 raise ValueError("missing or empty vocab line")
             vocab = tuple(vocab_line[1:])
             tag = {t: i for i, t in enumerate(vocab)}
+            if len(tag) < len(vocab):
+                dup = next(t for i, t in enumerate(vocab) if tag[t] != i)
+                raise ValueError(f"line 2: vocab tag {dup!r} appears more than once")
             V = len(vocab)
             # NaN marks a record not read yet.
             tables = {
@@ -589,34 +592,20 @@ def _build_chart(
     return _Chart(s, slot_refs[s.slots] if refs else None, score)
 
 
-def _inside(chart: _Chart) -> np.ndarray:
-    """Inside log-values of every node (plus the zero sentinel)."""
-    s, score = chart.s, chart.score
-    vals = np.zeros(s.n_nodes + 1)
-    with np.errstate(divide="ignore"):
-        for a, b, seg, edges, head, t0, t1 in s.levels:
-            sc = score[edges] + vals[t0] + vals[t1]
-            m = np.maximum.reduceat(sc, seg)
-            m[m == NEG_INF] = 0.0  # no support: exp gives 0 and log -inf
-            vals[a:b] = m
-            total = np.add.reduceat(np.exp(sc - vals[head]), seg)
-            vals[a:b] = m + np.log(total)
-    return vals
-
-
-class ViterbiPlan(NamedTuple):
-    """The Viterbi layout of a batch of decode charts, of any lengths and
-    depth caps: one node and edge numbering in which level l of every chart
-    follows level l - 1 of every chart, with one shared sentinel. Edge
-    arrays are in plan order; `levels` is as in `_Structure`. Arc edge
-    arc_edges[j] reads the price at arc_price[j] of the flat price vector
-    the plan was laid out for."""
+class ChartPlan(NamedTuple):
+    """The layout of a batch of charts, of any lengths and depth caps, that
+    every chart pass runs on: one node and edge numbering in which level l
+    of every chart follows level l - 1 of every chart, with one shared
+    sentinel. Edge arrays are in plan order; `levels` is as in `_Structure`.
+    Arc edge arc_edges[j] reads the price at arc_price[j] of the flat price
+    vector the plan was laid out for."""
 
     n_nodes: int
     goals: list[int]          # each chart's goal node
     lengths: list[int]        # each chart's sentence length
     levels: tuple
     score: np.ndarray         # the charts' static edge scores
+    refs: np.ndarray | None   # their weight refs (EM charts only)
     arc_edges: np.ndarray
     arc_price: np.ndarray
     arc_h: np.ndarray
@@ -625,8 +614,8 @@ class ViterbiPlan(NamedTuple):
     tail1: np.ndarray
 
 
-def viterbi_plan(charts: Sequence[_Chart], price_offsets: Sequence[int]) -> ViterbiPlan:
-    """Lay out `charts` for `viterbi_batch`, chart i reading its prices as
+def chart_plan(charts: Sequence[_Chart], price_offsets: Sequence[int]) -> ChartPlan:
+    """Lay out `charts` for the chart passes, chart i reading its prices as
     an (n+1, n+1) matrix flattened at price_offsets[i], its row's offset in
     an `ArcLayout`. One chart runs on its structure's own arrays.
 
@@ -634,10 +623,10 @@ def viterbi_plan(charts: Sequence[_Chart], price_offsets: Sequence[int]) -> Vite
     chart keeps its own node and edge order within a level, and a level's
     edges stay grouped by head."""
     if len(charts) == 1:
-        [(s, _, score)] = charts
+        [(s, refs, score)] = charts
         off = price_offsets[0]
-        return ViterbiPlan(
-            s.n_nodes, [s.goal], [s.n], s.levels, score, s.arc_edges,
+        return ChartPlan(
+            s.n_nodes, [s.goal], [s.n], s.levels, score, refs, s.arc_edges,
             s.arc_price + off if off else s.arc_price,
             s.arc_h, s.arc_d, s.tail0, s.tail1,
         )
@@ -661,13 +650,13 @@ def viterbi_plan(charts: Sequence[_Chart], price_offsets: Sequence[int]) -> Vite
     shift = np.repeat(node_base.astype(np.int32), n_edges)
 
     def place(arrays, renumber=False):
-        """The charts' per-edge `arrays`, in plan order; node ids renumbered
-        if `renumber`."""
-        flat = np.concatenate(arrays)
+        """The charts' per-edge `arrays` (edges on the last axis), in plan
+        order; node ids renumbered if `renumber`."""
+        flat = np.concatenate(arrays, axis=-1)
         if renumber:
             flat = node_new[flat + shift]
         out = np.empty_like(flat)
-        out[edge_new] = flat
+        out[..., edge_new] = flat
         return out
 
     head = place([s.head for s in ss], True)
@@ -681,9 +670,10 @@ def viterbi_plan(charts: Sequence[_Chart], price_offsets: Sequence[int]) -> Vite
         levels.append((a, b, first[a:b] - e0, slice(e0, e1), head[e0:e1],
                        tail0[e0:e1], tail1[e0:e1]))
     edge_base = np.cumsum(n_edges) - n_edges
-    return ViterbiPlan(
+    return ChartPlan(
         n_nodes, node_new[node_base + slots - 2].tolist(), [s.n for s in ss],
         tuple(levels), place([c.score for c in charts]),
+        None if charts[0].refs is None else place([c.refs for c in charts]),
         edge_new[np.concatenate([s.arc_edges + b for s, b in zip(ss, edge_base)])],
         np.concatenate([s.arc_price + off for s, off in zip(ss, price_offsets)]),
         place([s.arc_h for s in ss]), place([s.arc_d for s in ss]), tail0, tail1,
@@ -707,7 +697,7 @@ def _moved(counts: np.ndarray, to: np.ndarray) -> np.ndarray:
 
 
 def viterbi_batch(
-    plan: ViterbiPlan,
+    plan: ChartPlan,
     prices: np.ndarray | None = None,
     rows: Sequence[int] | None = None,
 ) -> list[tuple[tuple[int, ...] | None, float]]:
@@ -753,22 +743,35 @@ def viterbi_batch(
     return out
 
 
-def _expected_counts(
-    chart: _Chart, vals: np.ndarray, logz: float, size: int
-) -> np.ndarray:
-    """Posterior mass of every log-weight index (the unit slot included)."""
-    s, score = chart.s, chart.score
-    out = np.full(s.n_nodes + 1, NEG_INF)
-    out[s.goal] = 0.0
-    post = np.empty(score.size)
-    for a, b, seg, edges, head, t0, t1 in reversed(s.levels):
-        c = out[head] + (score[edges] + vals[t0] + vals[t1])
-        post[edges] = np.exp(c - logz)
+def _inside(plan: ChartPlan) -> np.ndarray:
+    """Inside log-values of every node of `plan` (plus the zero sentinel)."""
+    vals = np.zeros(plan.n_nodes + 1)
+    with np.errstate(divide="ignore"):
+        for a, b, seg, edges, head, t0, t1 in plan.levels:
+            sc = plan.score[edges] + vals[t0] + vals[t1]
+            m = np.maximum.reduceat(sc, seg)
+            m[m == NEG_INF] = 0.0  # no support: exp gives 0 and log -inf
+            vals[a:b] = m
+            total = np.add.reduceat(np.exp(sc - vals[head]), seg)
+            vals[a:b] = m + np.log(total)
+    return vals
+
+
+def _expected_counts(plan: ChartPlan, vals: np.ndarray, size: int) -> np.ndarray:
+    """Posterior mass of every log-weight index (the unit slot included) over
+    `plan`; each goal's outside value is -log Z, or -inf if it has no tree."""
+    out = np.full(plan.n_nodes + 1, NEG_INF)
+    logz = vals[plan.goals]
+    out[plan.goals] = np.where(logz > NEG_INF, -logz, NEG_INF)
+    post = np.empty(plan.score.size)
+    for a, b, seg, edges, head, t0, t1 in reversed(plan.levels):
+        c = out[head] + (plan.score[edges] + vals[t0] + vals[t1])
+        post[edges] = np.exp(c)
         keep = (c > NEG_INF).nonzero()[0]
         c = c[keep]
         for t in (t0[keep], t1[keep]):
             np.logaddexp.at(out, t, c - vals[t])
-    return np.bincount(chart.refs.ravel(), np.tile(post, 2), minlength=size)
+    return np.bincount(plan.refs.ravel(), np.tile(post, 2), minlength=size)
 
 
 # ---------------------------------------------------------------------------
@@ -812,8 +815,8 @@ def tree_logprob(
 
 def inside_loglik(x: Sentence, theta: DmvParams, cfg: ConstraintConfig) -> float:
     """Log of the constrained marginal: sum over feasible trees of P(x, y)*f."""
-    chart = build_decode_chart(x, theta, cfg)
-    return float(_inside(chart)[chart.s.goal])
+    plan = chart_plan([build_decode_chart(x, theta, cfg)], [0])
+    return float(_inside(plan)[plan.goals[0]])
 
 
 def viterbi_decode(
@@ -824,7 +827,7 @@ def viterbi_decode(
 ) -> tuple[DepTree, float]:
     """Best tree under -tree_logprob(x, y) + u.y, with the prices u an
     (n+1, n+1) matrix keyed [h, d]; returns (tree, minimum)."""
-    plan = viterbi_plan([build_decode_chart(x, theta, cfg)], [0])
+    plan = chart_plan([build_decode_chart(x, theta, cfg)], [0])
     [(heads, best)] = viterbi_batch(plan, None if u is None else u.ravel())
     if heads is None:
         raise InfeasibleParseError()
@@ -855,10 +858,10 @@ def build_decode_chart(x: Sentence, theta: DmvParams, cfg: ConstraintConfig) -> 
     )
 
 
-# Sentences are decoded in groups of similar length whose charts hold at most
-# this many edges under the depth cap. While a group is decoded, its charts
-# and their stacked Viterbi layout take about 60 bytes per edge, so the bound
-# keeps that near 2 MB whatever the corpus.
+# Sentences are decoded, and run through EM, in groups of similar length whose
+# charts hold at most this many edges under the depth cap. A group's charts and
+# plan take about 60 bytes per edge decoded, and 101-110 in EM (weight refs and
+# edge posteriors), so the bound keeps a group near 2 or 3.5 MB whatever the corpus.
 _GROUP_EDGES = 1 << 15
 
 
@@ -866,7 +869,7 @@ def length_groups(lengths: Sequence[int], cap: int | None) -> Iterator[list[int]
     """Indices of `lengths`, longest first (stably), cut into groups under
     `_GROUP_EDGES`; a larger sentence is a group of its own. Edges are
     counted from the chart templates, so cutting the groups compiles no
-    chart: each chart is compiled where its group is decoded. Longest first,
+    chart: each chart is compiled where its group runs. Longest first,
     the largest chart is compiled while the fewest others are cached."""
     group: list[int] = []
     edges = 0
@@ -883,21 +886,21 @@ def length_groups(lengths: Sequence[int], cap: int | None) -> Iterator[list[int]
 
 def decode_group(
     xs: Sequence[Sentence], theta: DmvParams, cfg: ConstraintConfig
-) -> tuple[list[_Chart], ViterbiPlan, list[tuple[tuple[int, ...], float]], list[bool]]:
+) -> tuple[list[_Chart], ChartPlan, list[tuple[tuple[int, ...], float]], list[bool]]:
     """The charts of `xs`, their plan (prices in the `ArcLayout` of `xs`),
     each sentence's (heads, score) at zero prices, as decoded alone, and
     whether its depth cap was lifted: a sentence with no tree under the cap
     is decoded without it, as finite prices cannot make it feasible."""
     charts = [build_decode_chart(x, theta, cfg) for x in xs]
     offsets = ArcLayout(x.n for x in xs).offsets
-    plan = viterbi_plan(charts, offsets)
+    plan = chart_plan(charts, offsets)
     trees = viterbi_batch(plan)
     relaxed = [heads is None for heads, _ in trees]
     if any(relaxed) and cfg.max_ce_depth is not None:
         uncapped = replace(cfg, max_ce_depth=None)
         charts = [build_decode_chart(x, theta, uncapped) if lift else chart
                   for x, lift, chart in zip(xs, relaxed, charts)]
-        plan = viterbi_plan(charts, offsets)
+        plan = chart_plan(charts, offsets)
         trees = viterbi_batch(plan)
     if any(heads is None for heads, _ in trees):
         raise InfeasibleParseError()
@@ -916,25 +919,21 @@ def em_step(
     Sentences whose constrained marginal is zero are skipped and tallied in
     `diagnostics["skipped"]` when a dict is supplied.
     """
-    wi = _WeightIndex(theta.V)
     wlog = theta.log_weights()
-    counts = np.zeros(wi.size + 1)  # the last entry takes the unit slot's mass
-    total = 0.0
-    skipped = 0
-    for sent in c:
-        chart = _build_chart(
-            theta.tag_ids(sent), theta.V, cfg.max_ce_depth, wlog,
-            cfg.dep_len_beta, refs=True,
-        )
-        vals = _inside(chart)
-        logz = float(vals[chart.s.goal])
-        if logz == NEG_INF:
-            skipped += 1
-            continue
-        total += logz
-        counts += _expected_counts(chart, vals, logz, counts.size)
+    counts = np.zeros(wlog.size + 1)  # the last entry takes the unit slot's mass
+    xs, cap = c.sentences, cfg.max_ce_depth
+    logz = np.empty(len(xs))
+    for group in length_groups([x.n for x in xs], cap):
+        charts = [_build_chart(theta.tag_ids(xs[i]), theta.V, cap, wlog,
+                               cfg.dep_len_beta, refs=True) for i in group]
+        plan = chart_plan(charts, [0] * len(group))  # EM reads no prices
+        vals = _inside(plan)
+        logz[group] = vals[plan.goals]
+        counts += _expected_counts(plan, vals, counts.size)
+    # Added in corpus order, so that the grouping cannot move its bits.
+    total = functools.reduce(float.__add__, logz[logz > NEG_INF].tolist(), 0.0)
     if diagnostics is not None:
-        diagnostics["skipped"] = skipped
+        diagnostics["skipped"] = int((logz == NEG_INF).sum())
     new = _params_from_counts(theta, counts[:-1], smoothing)
     return new, total
 

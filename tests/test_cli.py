@@ -547,6 +547,10 @@ def _tags(tags):
         "line 3: could not convert string to float: 'abc'",
         id="dmv-root-not-a-number",
     ),
+    pytest.param(
+        "dmv.txt", lambda lines: [lines[0], "vocab DET NOUN DET"] + lines[2:],
+        "line 2: vocab tag 'DET' appears more than once", id="dmv-vocab-repeated",
+    ),
 ])
 def test_damaged_model_file_is_data_error(
     tmp_path, train_file, model_dir, capsys, name, damage, message
@@ -605,6 +609,7 @@ def test_non_finite_probability_is_refused_on_its_line(
     pytest.param(
         "mu ", "mu nan", "mu record: must be finite and >= 0, got nan", id="mu-nan"
     ),
+    pytest.param("w ", "w 0 nan", "w record: must be finite, got nan", id="w-nan"),
     pytest.param(
         "tags ", "tags <ROOT> <UNK> DET NOUN VERB NOUN",
         "tags record: feature tag 'NOUN' appears more than once "

@@ -334,7 +334,7 @@ def test_viterbi_batch_matches_scalar_reference(rng):
         if mode == 2:
             prices = rng.normal(size=prices.size)
         charts = [dmv.build_decode_chart(x, p, cfg) for x, p, cfg in rows]
-        plan = dmv.viterbi_plan(charts, offsets.tolist())
+        plan = dmv.chart_plan(charts, offsets.tolist())
         got = dmv.viterbi_batch(plan, None if mode == 0 else prices)
         for (x, p, cfg), off, size, (heads, best) in zip(rows, offsets, sizes, got):
             u = None if mode == 0 else prices[off:off + size].reshape(x.n + 1, -1)
@@ -356,14 +356,15 @@ def test_viterbi_batch_matches_scalar_reference(rng):
     assert infeasible >= 5 and feasible >= 40
 
 
-def test_viterbi_plan_of_one_runs_on_the_structure(rng):
+def test_chart_plan_of_one_runs_on_the_structure(rng):
     p = random_dmv_params(rng, ENGINE_VOCAB)
     chart = dmv.build_decode_chart(
         make_sentence(["A", "B", "C", "A"]), p, ConstraintConfig(1, 0.1)
     )
-    plan = dmv.viterbi_plan([chart], [0])
+    plan = dmv.chart_plan([chart], [0])
     assert plan.levels is chart.s.levels
     assert plan.tail0 is chart.s.tail0 and plan.score is chart.score
+    assert plan.refs is None
 
 
 @pytest.mark.parametrize("cap", [None, 0, 1, 2])
@@ -386,14 +387,16 @@ def test_inside_and_counts_match_scalar_reference(rng, cap, beta, kind):
             [slot_weight_refs(pos, p.V)[k] for k in row]
             for row in chart.s.slots
         ]
-        vals = dmv._inside(chart)
+        plan = dmv.chart_plan([chart], [0])
+        assert plan.refs is chart.refs
+        vals = dmv._inside(plan)
         np.testing.assert_allclose(vals[:-1], want_vals, rtol=ENGINE_RTOL, atol=0)
         logz = want_vals[chart.s.goal]
         if logz == -math.inf:
             continue
         loglik += logz
         total += want_counts
-        counts = dmv._expected_counts(chart, vals, vals[chart.s.goal], total.size)
+        counts = dmv._expected_counts(plan, vals, total.size)
         np.testing.assert_allclose(counts, want_counts, rtol=ENGINE_RTOL, atol=0)
     new, ll = em_step(c, p, cfg, 0.0)
     want = dmv._params_from_counts(p, total[:-1], 0.0)
@@ -402,6 +405,83 @@ def test_inside_and_counts_match_scalar_reference(rng, cap, beta, kind):
                                   (new.attach, want.attach),
                                   (new.stop, want.stop)):
         np.testing.assert_allclose(got_table, want_table, rtol=ENGINE_RTOL, atol=0)
+
+
+def test_plan_inside_and_counts_match_charts_alone(rng):
+    # One plan over EM charts of mixed lengths and caps, each under its own
+    # grammar, one of them with no tree: every goal keeps the inside bits of
+    # its chart run alone, and the plan's counts are the sum of the scalar
+    # counts of the charts that have a tree.
+    wlog_size = dmv._WeightIndex(len(ENGINE_VOCAB)).size + 1
+    infeasible = 0
+    for trial in range(8):
+        rows = []
+        for _ in range(int(rng.integers(2, 7))):
+            n = int(rng.integers(1, 10))
+            pos = [int(t) for t in rng.integers(0, 3, size=n)]
+            rows.append((pos, random_dmv_params(rng, ENGINE_VOCAB),
+                         (None, 0, 1, 2)[int(rng.integers(0, 4))],
+                         (0.0, 0.1)[int(rng.integers(0, 2))]))
+        # A must take a right child, so a sentence ending in A has no tree.
+        impossible = _impossible_events(random_dmv_params(rng, ENGINE_VOCAB))
+        at = int(rng.integers(0, len(rows) + 1))
+        rows.insert(at, ([1, 2, 0], impossible, 1, 0.1))
+        charts = [
+            dmv._build_chart(pos, p.V, cap, p.log_weights(), beta, refs=True)
+            for pos, p, cap, beta in rows
+        ]
+        plan = dmv.chart_plan(charts, [0] * len(charts))
+        vals = dmv._inside(plan)
+        want = np.zeros(wlog_size)
+        for (pos, p, cap, beta), chart, goal in zip(rows, charts, plan.goals):
+            alone = dmv._inside(dmv.chart_plan([chart], [0]))[chart.s.goal]
+            assert vals[goal].hex() == alone.hex()
+            want_vals, want_counts = scalar_expected_counts(
+                chart.s, pos, p.V, p.log_weights(), beta
+            )
+            if want_vals[chart.s.goal] == -math.inf:
+                infeasible += 1
+                assert alone == -math.inf
+                continue
+            want += want_counts
+        got = dmv._expected_counts(plan, vals, wlog_size)
+        np.testing.assert_allclose(got, want, rtol=ENGINE_RTOL, atol=0)
+    assert infeasible >= 8
+
+
+def test_em_step_does_not_depend_on_the_grouping(rng, monkeypatch):
+    # Sentences one per group give the log likelihood's bits and the skipped
+    # count of the default groups, and tables within summation order; each
+    # group takes one inside and one outside pass.
+    c = random_corpus(rng, ENGINE_VOCAB, 40, max_len=13)
+    p = _impossible_events(random_dmv_params(rng, ENGINE_VOCAB))
+    cfg = ConstraintConfig(1, 0.1)
+    groups = list(dmv.length_groups([x.n for x in c], 1))
+    assert len(groups) > 1 and any(len(g) > 1 for g in groups)
+    passes = []
+
+    def counted(name):
+        fn = getattr(dmv, name)
+
+        def run(plan, *args):
+            passes.append((name, len(plan.goals)))
+            return fn(plan, *args)
+        return run
+
+    for name in ("_inside", "_expected_counts"):
+        monkeypatch.setattr(dmv, name, counted(name))
+    diag, diag_alone = {}, {}
+    grouped, ll = em_step(c, p, cfg, 0.0, diag)
+    assert passes == [
+        (name, len(g)) for g in groups for name in ("_inside", "_expected_counts")
+    ]
+    monkeypatch.setattr(dmv, "_GROUP_EDGES", 1)
+    alone, ll_alone = em_step(c, p, cfg, 0.0, diag_alone)
+    assert diag["skipped"] == diag_alone["skipped"] > 0
+    assert ll.hex() == ll_alone.hex()
+    for got, want in ((grouped.root, alone.root), (grouped.attach, alone.attach),
+                      (grouped.stop, alone.stop)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_chart_structure_is_shared_per_length_and_read_only(rng):
