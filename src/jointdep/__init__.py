@@ -1,6 +1,6 @@
 """Unsupervised dependency parsing with a jointly trained generative
 valence grammar and discriminative clustering parser, coupled through
-dual-decomposition agreement decoding."""
+joint decoding that solves their dual-decomposition problem exactly."""
 
 from .corpus import (
     Corpus,
@@ -14,7 +14,6 @@ from .corpus import (
 )
 from .dmv import ConstraintConfig, DmvParams
 from .cmst import CmstModel
-from .decoder import DDResult, dd_decode_group
 from .trainer import TrainConfig, TrainState, joint_train, pretrain, train
 
 __version__ = "0.1.0"
@@ -23,6 +22,5 @@ __all__ = [
     "Corpus", "DepTree", "Sentence", "Token",
     "filter_corpus", "parse_conllu", "read_conllu", "write_conllu",
     "ConstraintConfig", "DmvParams", "CmstModel",
-    "DDResult", "dd_decode_group",
     "TrainConfig", "TrainState", "joint_train", "pretrain", "train",
 ]

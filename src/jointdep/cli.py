@@ -51,7 +51,6 @@ SETTINGS = {
     "dep_len_beta": (float, _T.constraint.dep_len_beta),
     "lambda": (float, _T.lam),
     "mu": (float, _T.mu),
-    "dd_max_iters": (int, _T.dd_max_iters),
     "mstep_smoothing": (float, _T.mstep_smoothing),
     "g_weight": (float, _T.g_weight),
     "rules": (str, ""),
@@ -100,8 +99,8 @@ def load_config(path: str | None, overrides: dict) -> dict:
 def _decode_settings(cfg: dict) -> dict:
     """The `TrainConfig` fields that decoding reads."""
     constraint = dmv.ConstraintConfig(cfg["max_ce_depth"], cfg["dep_len_beta"])
-    return dict(constraint=constraint, dd_max_iters=cfg["dd_max_iters"],
-                g_weight=cfg["g_weight"], workers=cfg["workers"])
+    return dict(constraint=constraint, g_weight=cfg["g_weight"],
+                workers=cfg["workers"])
 
 
 def _train_config(cfg: dict) -> trainer.TrainConfig:

@@ -168,7 +168,7 @@ class ArcLayout:
         self.offsets = np.cumsum([0] + [(n + 1) ** 2 for n in self.lengths]).tolist()
         self.size = self.offsets[-1]
         # Every token's cell [0, d] and its row's stride n + 1, row by row.
-        self._n = n = np.array(self.lengths, dtype=np.intp)
+        n = np.array(self.lengths, dtype=np.intp)
         self._dep = _ranges(np.array(self.offsets[:-1], dtype=np.intp) + 1, n)
         self._stride = np.repeat(n + 1, n)
 
@@ -177,15 +177,11 @@ class ArcLayout:
         return [flat[a:b].reshape(n + 1, n + 1) for a, b, n
                 in zip(self.offsets, self.offsets[1:], self.lengths)]
 
-    def arcs(self, heads: Iterable[Iterable[int]], rows=None) -> np.ndarray:
+    def arcs(self, heads: Iterable[Iterable[int]]) -> np.ndarray:
         """The flat index of every token's arc [head, d], row by row, given
-        one head sequence per row of `rows` (default: every row, in order)."""
-        dep, stride = self._dep, self._stride
-        if rows is not None:
-            tokens = _ranges((np.cumsum(self._n) - self._n)[rows], self._n[rows])
-            dep, stride = dep[tokens], stride[tokens]
-        h = np.fromiter(itertools.chain.from_iterable(heads), np.intp, dep.size)
-        return dep + h * stride
+        one head sequence per row."""
+        h = np.fromiter(itertools.chain.from_iterable(heads), np.intp, self._dep.size)
+        return self._dep + h * self._stride
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -697,14 +697,11 @@ def _moved(counts: np.ndarray, to: np.ndarray) -> np.ndarray:
 
 
 def viterbi_batch(
-    plan: ChartPlan,
-    prices: np.ndarray | None = None,
-    rows: Sequence[int] | None = None,
+    plan: ChartPlan, prices: np.ndarray | None = None
 ) -> list[tuple[tuple[int, ...] | None, float]]:
     """Best tree of each chart of `plan` under its edge scores minus the
     prices of its arcs, read from the flat vector `prices`: the heads, or
-    None where no tree is feasible, and the best score. Only the charts
-    `rows` (default all) are read back."""
+    None where no tree is feasible, and the best score."""
     score = plan.score
     if prices is not None:
         score = score.copy()
@@ -722,12 +719,11 @@ def viterbi_batch(
     sentinel = plan.n_nodes
     best_of, arc_d, arc_h = best.item, plan.arc_d.item, plan.arc_h.item
     tail0, tail1 = plan.tail0.item, plan.tail1.item
-    for r in range(len(plan.goals)) if rows is None else rows:
-        goal = plan.goals[r]
+    for goal, n in zip(plan.goals, plan.lengths):
         if vals[goal] == NEG_INF:
             out.append((None, NEG_INF))
             continue
-        heads = [-1] * plan.lengths[r]
+        heads = [-1] * n
         stack = [goal]
         while stack:
             e = best_of(stack.pop())
@@ -885,26 +881,28 @@ def length_groups(lengths: Sequence[int], cap: int | None) -> Iterator[list[int]
 
 
 def decode_group(
-    xs: Sequence[Sentence], theta: DmvParams, cfg: ConstraintConfig
-) -> tuple[list[_Chart], ChartPlan, list[tuple[tuple[int, ...], float]], list[bool]]:
-    """The charts of `xs`, their plan (prices in the `ArcLayout` of `xs`),
-    each sentence's (heads, score) at zero prices, as decoded alone, and
-    whether its depth cap was lifted: a sentence with no tree under the cap
-    is decoded without it, as finite prices cannot make it feasible."""
+    xs: Sequence[Sentence],
+    theta: DmvParams,
+    cfg: ConstraintConfig,
+    prices: np.ndarray | None = None,
+) -> tuple[list[DepTree], list[bool]]:
+    """Best tree of each sentence of `xs` under the grammar's score minus
+    the `prices` of its arcs, flat in the `ArcLayout` of `xs` (none: zero),
+    as decoded alone, and whether its depth cap was lifted: a sentence with
+    no tree under the cap is decoded without it, as finite prices cannot
+    make it feasible."""
     charts = [build_decode_chart(x, theta, cfg) for x in xs]
     offsets = ArcLayout(x.n for x in xs).offsets
-    plan = chart_plan(charts, offsets)
-    trees = viterbi_batch(plan)
-    relaxed = [heads is None for heads, _ in trees]
-    if any(relaxed) and cfg.max_ce_depth is not None:
+    trees = viterbi_batch(chart_plan(charts, offsets), prices)
+    lifted = [heads is None for heads, _ in trees]
+    if any(lifted) and cfg.max_ce_depth is not None:
         uncapped = replace(cfg, max_ce_depth=None)
         charts = [build_decode_chart(x, theta, uncapped) if lift else chart
-                  for x, lift, chart in zip(xs, relaxed, charts)]
-        plan = chart_plan(charts, offsets)
-        trees = viterbi_batch(plan)
+                  for x, lift, chart in zip(xs, lifted, charts)]
+        trees = viterbi_batch(chart_plan(charts, offsets), prices)
     if any(heads is None for heads, _ in trees):
         raise InfeasibleParseError()
-    return charts, plan, trees, relaxed
+    return [DepTree(heads) for heads, _ in trees], lifted
 
 
 def em_step(

@@ -65,6 +65,8 @@ def directed_accuracy(
     than max_len are skipped.  Both the max_len slice and the <=15 slice are
     reported.
     """
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
     if len(pred) != gold.N:
         raise ValueError(f"got {len(pred)} trees for {gold.N} sentences")
     correct = scored = 0

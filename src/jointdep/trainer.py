@@ -11,9 +11,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import cmst, dmv
 from .corpus import Corpus, DepTree, write_conllu_file
-from .decoder import DDResult, dd_decode_group
 
 log = logging.getLogger(__name__)
 
@@ -31,7 +32,6 @@ class TrainConfig:
     constraint: dmv.ConstraintConfig = field(default_factory=dmv.ConstraintConfig)
     lam: float = 1.0
     mu: float = 0.5
-    dd_max_iters: int = 50
     mstep_smoothing: float = 0.1
     g_weight: float = 1.0
     rules: cmst.RuleSet | None = None
@@ -46,8 +46,6 @@ class TrainConfig:
             raise ValueError("outer_iters must be >= 1")
         if self.extra_separate_iters < 0:
             raise ValueError("extra_separate_iters must be >= 0")
-        if self.dd_max_iters < 1:
-            raise ValueError(f"dd_max_iters must be >= 1, got {self.dd_max_iters}")
         if self.em_pretrain_iters < 0 or self.fw_pretrain_iters < 0:
             raise ValueError("em_pretrain_iters and fw_pretrain_iters must be >= 0")
         if not 0 <= self.mstep_smoothing < math.inf:
@@ -124,35 +122,39 @@ def train_baseline_d_init(c: Corpus, cfg: TrainConfig) -> TrainState:
 
 
 # ---------------------------------------------------------------------------
-# Joint training (coordinate descent with agreement decoding)
+# Joint training (coordinate descent with joint decoding)
 # ---------------------------------------------------------------------------
 
 _WORKER = {}
 
 
-def _decode_worker_init(sents, theta, constraint, model, max_iters, g_weight):
-    _WORKER["args"] = (sents, theta, constraint, model, max_iters, g_weight)
+def _decode_worker_init(sents, theta, constraint, model, g_weight):
+    _WORKER["args"] = (sents, theta, constraint, model, g_weight)
 
 
-def _decode_worker(group: list[int]) -> tuple[list[int], list]:
-    sents, theta, constraint, model, max_iters, g_weight = _WORKER["args"]
+def _decode_worker(group: list[int]) -> tuple[list[int], list[DepTree], list[bool]]:
+    sents, theta, constraint, model, g_weight = _WORKER["args"]
     xs = [sents[i] for i in group]
-    if model is None:  # the grammar decodes alone
-        _, _, trees, _ = dmv.decode_group(xs, theta, constraint)
-        return group, [DepTree(heads) for heads, _ in trees]
-    return group, dd_decode_group(xs, theta, constraint, model, max_iters, g_weight)
+    prices = None
+    if model is not None:  # G is linear on 0/1 trees: it prices the arcs
+        terms = cmst.sentence_terms(xs, model)
+        prices = g_weight * np.concatenate(
+            [cmst.arc_costs(q, v, model).ravel() for q, v in terms]
+        )
+    return (group, *dmv.decode_group(xs, theta, constraint, prices))
 
 
 def _decode_all(
     c: Corpus, state: TrainState, cfg: TrainConfig, decoder: str = "dd"
-) -> list[DDResult] | list[DepTree]:
-    """Decode every sentence of `c`, one `dmv.length_groups` group per call:
-    agreement decoding gives each a `DDResult`, the grammar alone ("dmv") a
-    `DepTree`. A sentence's result does not depend on its group, so neither
-    the grouping nor `cfg.workers` can change it."""
+) -> tuple[list[DepTree], list[bool]]:
+    """Each sentence of `c`'s tree, and whether its depth cap was lifted,
+    decoded one `dmv.length_groups` group per call: jointly ("dd"), the
+    grammar's Viterbi priced by g_weight times `cmst.arc_costs`, which is
+    the exact minimum of F + G, or by the grammar alone ("dmv"). A
+    sentence's result does not depend on its group, so neither the grouping
+    nor `cfg.workers` can change it."""
     model = state.model if decoder == "dd" else None
-    args = (c.sentences, state.theta, cfg.constraint, model, cfg.dd_max_iters,
-            cfg.g_weight)
+    args = (c.sentences, state.theta, cfg.constraint, model, cfg.g_weight)
     groups = dmv.length_groups([x.n for x in c], cfg.constraint.max_ce_depth)
     if cfg.workers > 1:
         with ProcessPoolExecutor(
@@ -164,11 +166,12 @@ def _decode_all(
     else:
         _decode_worker_init(*args)
         decoded = map(_decode_worker, groups)
-    out: list = [None] * c.N
-    for group, results in decoded:
-        for i, r in zip(group, results):
-            out[i] = r
-    return out
+    trees: list = [None] * c.N
+    lifted = [False] * c.N
+    for group, group_trees, group_lifted in decoded:
+        for i, tree, lift in zip(group, group_trees, group_lifted):
+            trees[i], lifted[i] = tree, lift
+    return trees, lifted
 
 
 def joint_objective(
@@ -198,7 +201,7 @@ def joint_objective(
 def joint_train(
     c: Corpus, cfg: TrainConfig, checkpoint_dir=None
 ) -> TrainState:
-    """Coordinate descent: agreement-decode all sentences, then minimize the
+    """Coordinate descent: decode all sentences jointly, then minimize the
     joint objective at the decoded trees exactly (the smoothed M-step for the
     grammar, the ridge solve for the weights), then give each model a few
     separate training iterations, the Frank-Wolfe ones starting from the
@@ -209,9 +212,7 @@ def joint_train(
     opt = state.optimizer
     prev_heads = None
     for it in range(1, cfg.outer_iters + 1):
-        results = _decode_all(c, state, cfg)
-        trees = [r.tree for r in results]
-        converged = sum(r.converged for r in results)
+        trees, lifted = _decode_all(c, state, cfg)
         j_before = joint_objective(c, state, cfg, trees)
 
         state.theta = dmv.mstep_from_trees(c, trees, cfg.mstep_smoothing)
@@ -229,12 +230,7 @@ def joint_train(
 
         state.trees = trees
         state.iteration = it
-        state.stats = {
-            "dd_converged": converged,
-            "dd_rate": converged / c.N if c.N else 0.0,
-            "dd_gap_max": max((r.final_gap for r in results), default=0.0),
-            "joint_objective": j_after,
-        }
+        state.stats = {"cap_lifted": sum(lifted), "joint_objective": j_after}
         if checkpoint_dir is not None:
             state.save(Path(checkpoint_dir) / f"iter{it:03d}", c)
             # The header comes with the first row; each iteration appends one.
@@ -242,11 +238,8 @@ def joint_train(
                       newline="") as f:
                 wr = csv.writer(f)
                 if it == 1:
-                    wr.writerow(["iteration", "joint_objective", "dd_rate",
-                                 "dd_iters", "dd_gap_max"])
-                wr.writerow([it, "%.12g" % j_after, "%.6f" % state.stats["dd_rate"],
-                             sum(r.iterations for r in results),
-                             "%.12g" % state.stats["dd_gap_max"]])
+                    wr.writerow(["iteration", "joint_objective", "cap_lifted"])
+                wr.writerow([it, "%.12g" % j_after, state.stats["cap_lifted"]])
         heads = tuple(t.heads for t in trees)
         if heads == prev_heads:
             log.info("decoded trees unchanged at iteration %d; stopping", it)
@@ -283,14 +276,12 @@ def decode_corpus(
     cfg: TrainConfig | None = None,
     decoder: str = "dd",
 ) -> list[DepTree]:
-    """Parse a corpus with one model or with agreement decoding; the
+    """Parse a corpus with one model or with both jointly ("dd"); the
     grammar's decoders run on `cfg.workers` processes."""
     cfg = cfg or TrainConfig()
     if decoder == "cmst":
         terms = cmst.sentence_terms(c, state.model)
         return [tree for tree, _ in cmst.lmo_decode(terms, state.model)]
-    if decoder == "dmv":
-        return _decode_all(c, state, cfg, decoder)
-    if decoder == "dd":
-        return [r.tree for r in _decode_all(c, state, cfg)]
+    if decoder in ("dmv", "dd"):
+        return _decode_all(c, state, cfg, decoder)[0]
     raise ValueError(f"unknown decoder {decoder!r}")

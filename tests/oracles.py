@@ -9,6 +9,7 @@ verify.
 import itertools
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -589,19 +590,40 @@ def scalar_expected_counts(s, pos, V, wlog, beta):
 # Per-sentence reference for agreement decoding
 # ---------------------------------------------------------------------------
 
+# The reference certifies a sentence once its dual gap is at most
+# DD_GAP_TOL * (1 + |L|), L the dual value: the rounding of sums of a few
+# dozen terms stays far below.
+DD_GAP_TOL = 1e-9
+
+
+class DDReference(NamedTuple):
+    tree: DepTree
+    converged: bool
+    iterations: int
+    final_gap: float  # best primal cost minus dual value; 0.0 on agreement
+    dual: float       # the dual value L of the last iteration
+    relaxed_depth_cap: bool
+
+
 def dd_decode_reference(x, theta, cfg_f, m, max_iters, g_weight=1.0):
-    """Agreement decoding of one sentence alone, the reference for the
-    lockstep group decoder: Polyak subgradient steps on the arc prices u,
-    each iteration one `scalar_viterbi` of the grammar under +u and one
+    """Agreement decoding of one sentence alone by dual decomposition, as
+    the paper decodes: Polyak subgradient steps on the arc prices u, each
+    iteration one `scalar_viterbi` of the grammar under +u and one
     `eisner_min_reference` of the discriminative arc costs under -u, with
     `DepTree`s and 0/1 arc matrices for the update u + tau * (Y - Z), and a
-    Python loop for the joint cost of the grammar's tree. A sentence
-    infeasible under the depth cap is decoded without it."""
+    Python loop for the joint cost P of the grammar's tree. A sentence
+    infeasible under the depth cap is decoded without it.
+
+    P and the dual value L = eis - vit leave out g_weight * ||q||^2 / 2n,
+    the term G gives every tree alike, so every L is a lower bound on the
+    least P, which the exact joint decode reaches. The sentence is
+    certified once its two trees agree, or once its lowest P so far is
+    within `DD_GAP_TOL` * (1 + |L|) of L, with the tree that first reached
+    it; after `max_iters` iterations it ends the same way, uncertified."""
     from dataclasses import replace
 
     from jointdep import cmst, dmv
     from jointdep.corpus import tree_matrix
-    from jointdep.decoder import _GAP_TOL, DDResult
 
     # Scored through per-arc features, not the decoders' weight sums.
     v = rule_vector_reference(x, m.rules)
@@ -626,20 +648,20 @@ def dd_decode_reference(x, theta, cfg_f, m, max_iters, g_weight=1.0):
         y = DepTree(heads)
         z_heads, z_cost = eisner_min_reference(base - u)
         z = DepTree(z_heads)
+        dual = z_cost - y_score
         if y == z:
-            return DDResult(y, True, k, 0.0, relaxed)
+            return DDReference(y, True, k, 0.0, dual, relaxed)
         cost = 0.0
         for d, h in enumerate(y.heads, 1):
             cost += base[h, d] - u[h, d]
         cost -= y_score
-        dual = z_cost - y_score
         if cost < best_cost:
             best_cost, best = cost, y
         gap = float(best_cost - dual)
-        if gap <= _GAP_TOL * (1.0 + abs(dual)):
-            return DDResult(best, True, k, gap, relaxed)
+        if gap <= DD_GAP_TOL * (1.0 + abs(dual)):
+            return DDReference(best, True, k, gap, dual, relaxed)
         if k == max_iters:
-            return DDResult(best, False, k, gap, relaxed)
+            return DDReference(best, False, k, gap, dual, relaxed)
         diff = tree_matrix(y) - tree_matrix(z)
         u = u + gap / float(np.vdot(diff, diff)) * diff
 

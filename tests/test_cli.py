@@ -78,7 +78,6 @@ def test_dump_config_prints_every_default(capsys):
     assert run(["train", "--dump-config"]) == EXIT_OK
     assert capsys.readouterr().out == (
         "count_punct=True\n"
-        "dd_max_iters=50\n"
         "dep_len_beta=0.1\n"
         "em_pretrain_iters=10\n"
         "extra_separate_iters=3\n"
@@ -105,7 +104,7 @@ def test_every_setting_reads_alike_from_config_file_and_flag(tmp_path):
         "outer_iters": "3", "extra_separate_iters": "1",
         "em_pretrain_iters": "2", "fw_pretrain_iters": "4", "init": "uniform",
         "max_ce_depth": "inf", "dep_len_beta": "0.3", "lambda": "2.5",
-        "mu": "0.25", "dd_max_iters": "7", "mstep_smoothing": "0.2",
+        "mu": "0.25", "mstep_smoothing": "0.2",
         "g_weight": "0.5", "rules": str(rules), "workers": "2",
     }
     assert values.keys() == cli.SETTINGS.keys()
@@ -291,6 +290,15 @@ def test_eval_sentence_count_mismatch(tmp_path, train_file, capsys):
     assert rc == EXIT_DATA
 
 
+def test_eval_max_len_below_one_is_refused(tmp_path, train_file, capsys):
+    # With no sentence scored, the accuracy would read 0.000000, as for a
+    # parser that is always wrong.
+    rc = run(["eval", "--gold", str(train_file), "--pred", str(train_file),
+              "--max-len", "0"])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == "error: max_len must be >= 1, got 0\n"
+
+
 def test_eval_rejects_invalid_predicted_tree(tmp_path, train_file, capsys):
     bad = tmp_path / "badpred.conllu"
     bad.write_text(
@@ -367,6 +375,29 @@ def test_train_rejects_removed_step_settings(tmp_path, train_file, capsys, setti
     assert rc == EXIT_USAGE
     assert err == f"error: {config}:1: unknown config key {key!r}\n"
     assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "parse"])
+def test_config_naming_dd_max_iters_is_refused(
+    tmp_path, train_file, model_dir, capsys, command
+):
+    # Joint decoding is exact and runs no iterations, so the setting of the
+    # old iteration budget is gone, and a config file that still names it
+    # is a usage error on its line.
+    config = tmp_path / "old.cfg"
+    config.write_text("g_weight=1.0\ndd_max_iters=50\n")
+    out = tmp_path / "out"
+    args = {
+        "train": ["train", "--train", str(train_file), "--out", str(out)],
+        "parse": ["parse", "--model", str(model_dir), "--input", str(train_file),
+                  "--output", str(out)],
+    }[command]
+    rc = run([*args, "--config", str(config)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: {config}:2: unknown config key 'dd_max_iters'\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "1.5", ""])

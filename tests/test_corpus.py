@@ -210,16 +210,3 @@ def test_arc_layout_agrees_with_tree_matrix(rng):
     for view, tree in zip(views, trees):
         assert np.array_equal(view, tree_matrix(tree))
         assert np.shares_memory(view, flat)
-
-    # A shuffled subset of rows: arcs follows `rows`, row by row, and hits
-    # exactly those rows' arc cells.
-    rows = rng.permutation(len(lengths))[:10]
-    at = layout.arcs((trees[i].heads for i in rows), rows)
-    assert np.array_equal(
-        at, np.concatenate([layout.arcs([trees[i].heads], [i]) for i in rows])
-    )
-    sub = np.zeros(layout.size)
-    sub[at] = 1.0
-    for i, view in enumerate(layout.views(sub)):
-        want = tree_matrix(trees[i]) if i in rows else np.zeros(view.shape)
-        assert np.array_equal(view, want)

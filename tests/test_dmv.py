@@ -21,7 +21,7 @@ from oracles import (
 )
 
 from jointdep import dmv
-from jointdep.corpus import Corpus, DepTree
+from jointdep.corpus import ArcLayout, Corpus, DepTree
 from jointdep.dmv import (
     ConstraintConfig,
     UNCONSTRAINED,
@@ -349,10 +349,6 @@ def test_viterbi_batch_matches_scalar_reference(rng):
             feasible += 1
             assert heads == want_heads
             assert best.hex() == want.hex()
-        some = sorted(rng.choice(len(rows), size=len(rows) // 2, replace=False))
-        assert dmv.viterbi_batch(plan, None if mode == 0 else prices, some) == [
-            got[r] for r in some
-        ]
     assert infeasible >= 5 and feasible >= 40
 
 
@@ -555,22 +551,21 @@ def test_chart_edges_counts_without_compiling():
     assert counted == [dmv._compile(n, cap).head.size for n, cap in sizes]
 
 
-def test_decode_group_lifts_the_cap_of_infeasible_rows_only():
+def test_decode_group_lifts_the_cap_of_infeasible_rows_only(rng):
     # Under the flat grammar, B B C and B B B C have no tree at cap 0 and B C
-    # has one. Each row's tree and score are those of decoding its sentence
-    # alone: without the cap where the group lifted it, under it elsewhere.
+    # has one. Each row's tree is that of decoding its sentence alone, under
+    # its own block of the flat prices: without the cap where the group
+    # lifted it, under it elsewhere.
     theta = flat_grammar()
     cfg, uncapped = ConstraintConfig(0, 0.1), ConstraintConfig(None, 0.1)
     xs = [make_sentence(["B"] * k + ["C"]) for k in (2, 1, 3, 1)]
-    charts, plan, trees, relaxed = dmv.decode_group(xs, theta, cfg)
-    assert relaxed == [True, False, True, False]
-    for x, lifted, (heads, score) in zip(xs, relaxed, trees):
-        tree, cost = viterbi_decode(x, theta, uncapped if lifted else cfg)
-        assert heads == tree.heads and (-score).hex() == cost.hex()
-    # The plan is that of the trees, over the lifted charts.
-    assert dmv.viterbi_batch(plan) == trees
-    for x, lifted, chart in zip(xs, relaxed, charts):
-        assert chart.s is dmv._compile(x.n, None if lifted else 0)
+    layout = ArcLayout(x.n for x in xs)
+    for prices in (None, rng.normal(size=layout.size)):
+        trees, lifted = dmv.decode_group(xs, theta, cfg, prices)
+        assert lifted == [True, False, True, False]
+        blocks = [None] * len(xs) if prices is None else layout.views(prices)
+        for x, lift, tree, u in zip(xs, lifted, trees, blocks):
+            assert tree == viterbi_decode(x, theta, uncapped if lift else cfg, u)[0]
     # With no cap to lift, or none that helps, the group cannot be decoded.
     with pytest.raises(dmv.InfeasibleParseError):
         dmv.decode_group(xs + [make_sentence(["A", "C"])], theta, cfg)

@@ -14,7 +14,6 @@ from oracles import (
 
 from jointdep import cmst, dmv, trainer
 from jointdep.corpus import Corpus, DepTree
-from jointdep.decoder import dd_decode_group
 from jointdep.dmv import ConstraintConfig
 from jointdep.trainer import (
     TrainConfig,
@@ -39,7 +38,6 @@ def _fast_cfg(**kw):
         extra_separate_iters=1,
         em_pretrain_iters=3,
         fw_pretrain_iters=5,
-        dd_max_iters=10,
     )
     base.update(kw)
     return TrainConfig(**base)
@@ -64,10 +62,9 @@ def test_config_validation():
 
 def test_discriminative_terms_are_built_once(small_corpus, monkeypatch):
     # The joint objective scores with the optimizer's terms and builds none;
-    # agreement decoding reads its arc scores from the weight sums, so it
-    # builds no feature matrix, and builds its one sentence's rule matrix
-    # exactly once, whether the sentence is certified or not.
-    cfg = _fast_cfg(dd_max_iters=2)
+    # joint decoding reads its arc scores from the weight sums, so it builds
+    # no feature matrix, and builds each sentence's rule matrix exactly once.
+    cfg = _fast_cfg()
     state = pretrain(small_corpus, cfg)
     calls = collections.Counter()
     for name in ("extract_features", "rule_vector"):
@@ -75,16 +72,9 @@ def test_discriminative_terms_are_built_once(small_corpus, monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(cmst, name, counted)
-    results = []
-    for sent in small_corpus:
-        calls.clear()
-        results += dd_decode_group(
-            [sent], state.theta, cfg.constraint, state.model, cfg.dd_max_iters
-        )
-        assert calls == {"rule_vector": 1}
-    assert not all(r.converged for r in results)
+    trees, _ = trainer._decode_all(small_corpus, state, cfg)
+    assert calls == {"rule_vector": small_corpus.N}
     calls.clear()
-    trees = [r.tree for r in results]
     joint_objective(small_corpus, state, cfg, trees)
     assert not calls
 
@@ -126,7 +116,7 @@ def test_joint_train_runs_and_reports(small_corpus):
     state = joint_train(small_corpus, _fast_cfg())
     assert state.iteration >= 1
     assert len(state.trees) == small_corpus.N
-    assert 0.0 <= state.stats["dd_rate"] <= 1.0
+    assert state.stats["cap_lifted"] == 0
     assert math.isfinite(state.stats["joint_objective"])
     for sent, tree in zip(small_corpus, state.trees):
         assert len(tree.heads) == sent.n
@@ -152,26 +142,30 @@ def test_checkpoints_written_per_iteration(small_corpus, tmp_path):
         assert (d / "cmst.txt").exists()
         assert (d / "trees.conllu").exists()
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
-    assert lines[0] == "iteration,joint_objective,dd_rate,dd_iters,dd_gap_max"
+    assert lines[0] == "iteration,joint_objective,cap_lifted"
     assert len(lines) == state.iteration + 1
 
 
-def test_metrics_record_the_largest_dual_gap(small_corpus, tmp_path, monkeypatch):
-    # `dd_gap_max` is the largest final dual gap of each outer iteration's
-    # decode; two DD iterations leave some sentences uncertified.
-    decoded = []
+def test_metrics_record_the_lifted_caps(tmp_path, monkeypatch):
+    # `cap_lifted` counts the sentences of each outer iteration's decode
+    # that have no tree under the depth cap. Training starts here from the
+    # flat grammar, under which B B C and B B B C have none at cap 0; the
+    # smoothed M-step then gives every tree some probability.
+    c = Corpus(
+        tuple(make_sentence(["B"] * k + ["C"]) for k in (2, 1, 3, 1, 2)),
+        ("A", "B", "C"),
+    )
 
-    def recorded(*args, _fn=trainer._decode_all):
-        decoded.append(_fn(*args))
-        return decoded[-1]
+    def flat_start(*args, _fn=trainer.pretrain):
+        state = _fn(*args)
+        state.theta = flat_grammar()
+        return state
 
-    monkeypatch.setattr(trainer, "_decode_all", recorded)
-    state = joint_train(small_corpus, _fast_cfg(dd_max_iters=2), tmp_path)
-    gaps = [max(r.final_gap for r in results) for results in decoded]
-    assert gaps[0] > 0.0
-    assert state.stats["dd_gap_max"] == gaps[-1]
+    monkeypatch.setattr(trainer, "pretrain", flat_start)
+    state = joint_train(c, _fast_cfg(constraint=ConstraintConfig(0, 0.1)), tmp_path)
     rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
-    assert [row.split(",")[4] for row in rows] == ["%.12g" % g for g in gaps]
+    assert [row.split(",")[2] for row in rows] == ["3", "0"]
+    assert state.stats["cap_lifted"] == 0
 
 
 def _nudged(theta, t, ds):
@@ -197,8 +191,7 @@ def test_parameter_update_does_not_increase_objective(small_corpus):
         state = pretrain(small_corpus, cfg)
         opt = state.optimizer
         for _ in range(2):
-            results = trainer._decode_all(small_corpus, state, cfg)
-            trees = [r.tree for r in results]
+            trees, _ = trainer._decode_all(small_corpus, state, cfg)
             before = joint_objective(small_corpus, state, cfg, trees)
             state.theta = dmv.mstep_from_trees(small_corpus, trees, eps)
             opt.fit_trees(trees)
@@ -232,7 +225,7 @@ def test_joint_objective_equals_the_per_sentence_sum(small_corpus, eps):
     # parameter update.
     cfg = _fast_cfg(mstep_smoothing=eps, g_weight=0.7)
     state = pretrain(small_corpus, cfg)
-    trees = [r.tree for r in trainer._decode_all(small_corpus, state, cfg)]
+    trees, _ = trainer._decode_all(small_corpus, state, cfg)
     for _ in range(2):
         got = joint_objective(small_corpus, state, cfg, trees)
         want = joint_objective_reference(small_corpus, state, cfg, trees)
@@ -341,21 +334,17 @@ def test_decode_corpus_dmv_decodes_groups(monkeypatch):
 
 
 def test_parallel_decode_matches_serial(small_corpus):
+    # Joint decoding and the grammar alone, as `parse --decoder dmv`
+    # decodes: the same trees and cap flags on two workers as on one; the
+    # grammar's trees are those of decoding each sentence alone.
     cfg = _fast_cfg()
     state = pretrain(small_corpus, cfg)
-    serial = trainer._decode_all(small_corpus, state, cfg)
-    parallel = trainer._decode_all(
-        small_corpus, state, _fast_cfg(workers=2)
-    )
-    assert serial == parallel  # every field: iterations, final_gap, ...
-    assert not all(r.converged for r in serial)
-    # The grammar alone, as `parse --decoder dmv` decodes: the same trees on
-    # two workers as on one, each that of decoding its sentence alone.
-    serial = trainer._decode_all(small_corpus, state, cfg, "dmv")
-    assert serial == trainer._decode_all(
-        small_corpus, state, _fast_cfg(workers=2), "dmv"
-    )
-    assert serial == [
+    for decoder in ("dd", "dmv"):
+        serial = trainer._decode_all(small_corpus, state, cfg, decoder)
+        assert serial == trainer._decode_all(
+            small_corpus, state, _fast_cfg(workers=2), decoder
+        )
+    assert serial[0] == [
         dmv.viterbi_decode(x, state.theta, cfg.constraint)[0] for x in small_corpus
     ]
 
