@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -271,22 +271,26 @@ def init_params(c: Corpus, mode: str = "harmonic") -> DmvParams:
 #
 # The items and edges depend only on the sentence length and the cap; the
 # tags only choose which weights the edges read.  `_compile` therefore
-# builds each (length, cap) once into flat arrays, and `_build_chart` maps
-# one sentence's tags onto the weights with a gather.  Nodes are numbered by
-# topological level (width, then incomplete / open / closed items), so every
-# pass runs level by level: a level's nodes depend only on lower levels.
+# builds the charts of a group of lengths once into flat arrays, and
+# `edge_scores` maps the group's tags onto the weights with a gather.  Nodes
+# are numbered by topological level (width, then incomplete / open / closed
+# items), so every pass runs level by level over the whole group: a level's
+# nodes depend only on lower levels.
 #
 # The chart is translation-invariant.  A cell is one item kind at one width
 # m, keyed by its head h (IL[h-m][h] and IR[h][h+m] too).  Its states, and
 # the edges into each state in emission order, depend only on the kind, m
 # and the cap, not on h or the length.  `_templates` enumerates each width
-# once per cap, relative to h, and every length shares it.  `_compile` tiles
-# the templates over h with a fixed number of numpy calls.  Within a level,
-# cells come head by head, the left kind before the right one; a cell's
-# states keep their template order, and a node's edges their emission
-# order.  So each cell's first node and first edge are running sums of
-# template sizes, and every edge field is a per-template-edge constant plus
-# a coefficient times h.
+# once per cap, relative to h, and every length shares it; `_goal` makes a
+# length's goal a cell too, keyed by head 0.  `_compile` tiles the templates
+# over the charts and heads with a fixed number of numpy calls.  Level l of
+# the group is level l of every chart in chart order.  Within a chart's
+# level, cells come head by head, the left kind before the right one; the
+# goal of a length-n chart is alone at its level 3n - 1.  A cell's states
+# keep their template order, and a node's edges their emission order.  So
+# each cell's first node and first edge are running sums of template sizes,
+# and every edge field is a per-template-edge constant plus coefficients
+# times the cell's head and its chart's length and offsets.
 # ---------------------------------------------------------------------------
 
 _LO, _LC, _RO, _RC, _IL, _IR = range(6)
@@ -299,8 +303,9 @@ _HEAD, _TAIL0, _TAIL1, _SLOT0, _SLOT1, _ARC_H, _ARC_D = range(7)
 # Fields of a template edge, relative to the cell's head h: the head's state;
 # per tail the level, side, head offset and state of the tail's cell, level
 # -1 marking the sentinel; the first weight slot k * n + off + b * h (unit,
-# stop or continue); and att = 1 for the attachment of child h + dc, whose
-# weight is the second slot.
+# root, stop or continue); and att = 1 for the attachment of child h + dc,
+# whose weight is the second slot.  A goal edge (h = 0, att = 0) attaches
+# its root dc.
 _ST, _T0, _T1, _SLOT_K, _SLOT_OFF, _SLOT_B, _ATT, _DC = 0, 1, 5, 9, 10, 11, 12, 13
 _SENTINEL = (-1, 0, 0, 0)
 _UNIT = (0, 0, 0)
@@ -324,6 +329,11 @@ def _template(edges) -> _Template:
     return _Template(tuple(index), a[:, np.argsort(a[_ST], kind="stable")])
 
 
+def _ref(kind, w, dh, i):
+    """Tail fields of state i of the `kind` cell of width w keyed by h + dh."""
+    return (3 * w + _LEVEL_OFF[kind], _SIDE[kind], dh, i)
+
+
 # Unbounded, but it holds only the widths below the longest sentence seen
 # under each cap: 0.95 MB for every width below 40 at cap 1.
 @functools.lru_cache(maxsize=None)
@@ -336,9 +346,6 @@ def _templates(m: int, cap: int | None) -> tuple[_Template, ...]:
 
     def cells(kind, w):
         return enumerate((cur[kind] if w == m else low[w][kind]).states)
-
-    def ref(kind, w, dh, i):
-        return (3 * w + _LEVEL_OFF[kind], _SIDE[kind], dh, i)
 
     def stop(direction, adj):
         return (1, 2 * direction + adj - 3, 4)
@@ -361,7 +368,7 @@ def _templates(m: int, cap: int | None) -> tuple[_Template, ...]:
     # Incomplete items: h attaches c = h - m (IL) or c = h + m (IR) over the
     # split j, c's closed half taking j of the m - 1 inner tokens.
     cur[_IL] = _template(
-        ((s2, vr), ref(_RC, j, -m, i0) + ref(_LO, m - 1 - j, 0, i1)
+        ((s2, vr), _ref(_RC, j, -m, i0) + _ref(_LO, m - 1 - j, 0, i1)
          + cont(LEFT, HAS_CHILD if j < m - 1 else NO_CHILD) + (1, -m))
         for j in range(m)
         for i0, (vr,) in cells(_RC, j)
@@ -369,7 +376,7 @@ def _templates(m: int, cap: int | None) -> tuple[_Template, ...]:
         if (s2 := settled(s, p)) is not None
     )
     cur[_IR] = _template(
-        ((s2, vl), ref(_LC, m - 1 - j, m, i0) + ref(_RO, j, 0, i1)
+        ((s2, vl), _ref(_LC, m - 1 - j, m, i0) + _ref(_RO, j, 0, i1)
          + cont(RIGHT, HAS_CHILD if j else NO_CHILD) + (1, m))
         for j in range(m)
         for i0, (vl,) in cells(_LC, m - 1 - j)
@@ -384,14 +391,14 @@ def _templates(m: int, cap: int | None) -> tuple[_Template, ...]:
         )
     else:
         cur[_LO] = _template(
-            ((s2, v), ref(_IL, w, 0, i0) + ref(_LC, m - w, -w, i1) + _UNIT + _NO_ARC)
+            ((s2, v), _ref(_IL, w, 0, i0) + _ref(_LC, m - w, -w, i1) + _UNIT + _NO_ARC)
             for w in range(m, 0, -1)
             for i0, (s2, vr) in cells(_IL, w)
             for i1, (vl,) in cells(_LC, m - w)
             if (v := child_val(vl, vr)) is not None
         )
         cur[_RO] = _template(
-            ((s2, v), ref(_IR, w, 0, i0) + ref(_RC, m - w, w, i1) + _UNIT + _NO_ARC)
+            ((s2, v), _ref(_IR, w, 0, i0) + _ref(_RC, m - w, w, i1) + _UNIT + _NO_ARC)
             for w in range(1, m + 1)
             for i0, (s2, vl) in cells(_IR, w)
             for i1, (vr,) in cells(_RC, m - w)
@@ -402,10 +409,22 @@ def _templates(m: int, cap: int | None) -> tuple[_Template, ...]:
     for open_kind, closed_kind, direction in ((_LO, _LC, LEFT), (_RO, _RC, RIGHT)):
         cur[closed_kind] = _template(
             ((0 if cap is None else max(s, p, 0),),
-             ref(open_kind, m, 0, i) + _SENTINEL + stop(direction, adj) + _NO_ARC)
+             _ref(open_kind, m, 0, i) + _SENTINEL + stop(direction, adj) + _NO_ARC)
             for i, (s, p) in cells(open_kind, m)
         )
     return tuple(cur[kind] for kind in range(6))
+
+
+def _goal(n: int, cap: int | None) -> _Template:
+    """The goal of a length-n chart as a cell keyed by head 0: per root c,
+    one edge for each pair of states of its closed halves, LC of width c - 1
+    and RC of width n - c keyed at c, reading root(c), slot c."""
+    return _template(
+        ((), _ref(_LC, c - 1, c, i0) + _ref(_RC, n - c, c, i1) + (0, c, 0, 0, c))
+        for c in range(1, n + 1)
+        for i0 in range(len(_templates(c - 1, cap)[_LC].states))
+        for i1 in range(len(_templates(n - c, cap)[_RC].states))
+    )
 
 
 def _template_tables(n: int, cap: int | None):
@@ -418,46 +437,49 @@ def _template_tables(n: int, cap: int | None):
 
 
 class _Structure:
-    """Read-only compiled chart of one (length, depth cap) pair.
+    """Read-only compiled charts of sentences of the given lengths under one
+    depth cap.
 
     Edge e derives node head[e] from nodes tail0[e] and tail1[e]; the
     sentinel node n_nodes, whose value is 0, fills unused tails.  It reads
-    the weight slots slots[:, e], where slot 0 is the unit weight (log 1),
-    then root(c), stop(h, dir, adj), continue(h, dir, adj) and attach(h, c)
+    the weight slots slots[:, e] of the sentences' slots laid end to end
+    (see `_slot_refs`); a sentence's slot 0 is the unit weight (log 1), then
+    come root(c), stop(h, dir, adj), continue(h, dir, adj) and attach(h, c)
     for 1-based tokens.  arc_d[e] > 0 marks the attachment of token arc_d[e]
     to arc_h[e] (0 for the root); the arc edges arc_edges read the price at
-    arc_price in a flattened (n+1, n+1) price matrix.  Edges are sorted by
-    head, then by build order.  levels holds one tuple per topological
-    level: its node range a, b; seg, the offset of each of those nodes'
-    first edge within the level; the level's edge slice; and its views of
-    head, tail0 and tail1.  level_sizes holds each level's node and edge
-    counts as two rows.
+    arc_price in a flat price vector in the `ArcLayout` of `lengths`.
+    goals[i] is chart i's goal.  Edges are sorted by head, then by build
+    order.  levels holds one tuple per topological level: its node range a,
+    b; seg, the offset of each of those nodes' first edge within the level;
+    the level's edge slice; and its views of head, tail0 and tail1.
     """
 
-    def __init__(self, n: int, edges: np.ndarray, level_nodes: np.ndarray):
+    def __init__(self, lengths: tuple[int, ...], edges: np.ndarray,
+                 level_nodes: np.ndarray, goals: np.ndarray, chart: np.ndarray):
         """Structure of the (7, edges) int32 block `edges`, whose rows are
         head, tail0, tail1, the two slots, arc_h and arc_d, given the node
-        count of every level in order."""
+        count of every level in order, the goals and each edge's chart."""
         bounds = [0, *np.cumsum(level_nodes).tolist()]
         n_nodes = bounds[-1]
-        self.n = n
+        self.lengths = lengths
         self.n_nodes = n_nodes
-        self.goal = n_nodes - 1  # the goal is the only top-level node
+        self.goals = goals
         self.head, self.tail0, self.tail1 = edges[_HEAD], edges[_TAIL0], edges[_TAIL1]
         self.slots = edges[_SLOT0 : _SLOT1 + 1]
         self.arc_h, self.arc_d = edges[_ARC_H], edges[_ARC_D]
         self.arc_edges = np.flatnonzero(self.arc_d).astype(np.int32)
         arc_h, arc_d = self.arc_h[self.arc_edges], self.arc_d[self.arc_edges]
-        self.arc_price = arc_h * (n + 1) + arc_d
+        n = np.array(lengths, dtype=np.int32)
+        chart = chart[self.arc_edges]
+        self.arc_price = arc_h * (n[chart] + 1) + arc_d + _starts((n + 1) ** 2)[chart]
         # Length penalty units |h - d| - 1 per arc edge; root arcs are free.
         self.arc_pen = np.where(
             arc_h > 0, np.abs(arc_h - arc_d) - 1, 0
         ).astype(np.int32)
         first = np.searchsorted(self.head, np.arange(n_nodes + 1, dtype=np.int32))
-        self.level_sizes = np.diff([bounds, first[bounds]]).astype(np.int32)
-        for arr in (self.head, self.tail0, self.tail1, self.slots, self.arc_h,
-                    self.arc_d, self.arc_edges, self.arc_price, self.arc_pen,
-                    self.level_sizes):
+        for arr in (self.goals, self.head, self.tail0, self.tail1, self.slots,
+                    self.arc_h, self.arc_d, self.arc_edges, self.arc_price,
+                    self.arc_pen):
             arr.flags.writeable = False
         levels = []
         for a, b in zip(bounds, bounds[1:]):
@@ -476,79 +498,90 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
     return out
 
 
+# 32 group layouts of about 34 bytes per edge, each at most 1.1 MB
+# (`_GROUP_EDGES`) unless it holds one long sentence (7.2 MB at n = 40, cap 1).
+# 2000 sentences of lengths 1-15 fall into 19 distinct groups, whose layouts
+# stay cached, about 15 MB at cap 1; lengths 1-40 give 43, and the cache
+# cycles.
 @functools.lru_cache(maxsize=32)
-def _compile(n: int, cap: int | None) -> _Structure:
-    """The chart of every length-n sentence under depth cap `cap`, tiled
-    from the templates of widths below n."""
-    ts, states, counts = _template_tables(n, cap)
-    rows = np.concatenate([t.rows for w in ts for t in w], axis=1)
-    # The cells in node order, as a (level, h, side) grid of template ids
-    # 6 * width + kind; a left cell of width m exists for h > m, a right one
-    # for h <= n - m, and the others count no nodes or edges.
-    lv = np.arange(3 * n - 1)
+def _compile(lengths: tuple[int, ...], cap: int | None) -> _Structure:
+    """The charts of sentences of `lengths` under depth cap `cap`, tiled
+    from the templates of widths below the longest and the goals."""
+    n = np.array(lengths, dtype=np.int32)
+    top, sizes = int(n.max()), sorted(set(lengths))
+    ts, states, counts = _template_tables(top, cap)
+    goals = [_goal(m, cap) for m in sizes]
+    rows = np.concatenate([t.rows for w in ts for t in w] + [g.rows for g in goals],
+                          axis=1)
+    # Template ids: 6 * width + kind, then the goal of each distinct length;
+    # id -1 has no states or edges.
+    t_nodes = np.append(states.ravel(), [1] * len(goals) + [0]).astype(np.int32)
+    t_edges = np.append(
+        counts.ravel(), [g.rows.shape[1] for g in goals] + [0]
+    ).astype(np.int32)
+    # The cells in node order, as a (level, position) grid of template ids.
+    # Chart i takes 2 n_i + 1 positions of every level: the cell of head h
+    # and side `side` at 2(h - 1) + side, then the goal, given head 0. A left
+    # cell of width m exists for h > m, a right one for h <= n_i - m, and the
+    # goal at level 3 n_i - 1.
+    chart = np.repeat(np.arange(n.size, dtype=np.int32), 2 * n + 1)
+    first = _starts(2 * n + 1)
+    pos = np.arange(chart.size, dtype=np.int32) - first[chart]
+    side, nc = pos % 2, n[chart]
+    h = np.where(pos < 2 * nc, pos // 2 + 1, 0)
+    lv = np.arange(3 * top, dtype=np.int32)[:, None]
     width = (lv + 1) // 3
-    kinds = np.array([[_IL, _IR], [_LO, _RO], [_LC, _RC]])[lv - 3 * width + 1]
-    width = width[:, None, None]
-    h = np.arange(1, n + 1, dtype=np.int32)[None, :, None]
-    exists = np.concatenate((h > width, h <= n - width), axis=2)
-    tmpl = np.broadcast_to(6 * width + kinds[:, None, :], exists.shape).ravel()
-    cell_nodes = (states.ravel()[tmpl] * exists.ravel()).astype(np.int32)
-    cell_edges = (counts.ravel()[tmpl] * exists.ravel()).astype(np.int32)
+    kind = np.array([[_IL, _IR], [_LO, _RO], [_LC, _RC]])[lv - 3 * width + 1, side]
+    exists = np.where(
+        h > 0, np.where(side == 1, h <= nc - width, h > width), lv == 3 * nc - 1
+    )
+    tmpl = np.where(h > 0, 6 * width + kind, 6 * top + np.searchsorted(sizes, nc))
+    tmpl = np.where(exists, tmpl, -1).ravel()
+    cell_nodes, cell_edges = t_nodes[tmpl], t_edges[tmpl]
 
-    def cell(level, side, h):
-        """Index in `base` of the cell at (level, side) keyed by head h."""
-        return (level * n + h - 1) * 2 + side
+    # Node ids: each cell's first, then the sentinel.
+    base = _starts(np.append(cell_nodes, 0).astype(np.int32))
+    n_edges = int(cell_edges.sum())
+    block = np.empty((7, n_edges), dtype=np.int32)
+    # Every edge is a template edge tiled at its cell's head h (hs) in its
+    # chart c (cs).
+    row = np.repeat(_starts(t_edges)[tmpl] - _starts(cell_edges), cell_edges)
+    row += np.arange(n_edges, dtype=np.int32)
+    hs = np.repeat(np.tile(h, 3 * top), cell_edges)
+    cs = np.repeat(np.tile(chart, 3 * top), cell_edges)
 
-    # Node ids: each cell's first, then the goal, then the sentinel.
-    base = _starts(np.append(cell_nodes, [1, 0]).astype(np.int32))
-    goal = int(base[-2])
-    # The goal's edges: for each root c, the closed halves LC of width c - 1
-    # and RC of width n - c keyed at c, every pair of their states.
-    c = np.arange(1, n + 1, dtype=np.int32)
-    n_right = states[::-1, _RC]
-    per_root = states[:, _LC] * n_right
-    n_main, n_goal = int(cell_edges.sum()), int(per_root.sum())
-    block = np.empty((7, n_main + n_goal), dtype=np.int32)
-
-    # Every other edge: a template edge tiled at head h.
-    main = block[:, :n_main]
-    row = np.repeat(_starts(counts.ravel())[tmpl] - _starts(cell_edges), cell_edges)
-    row += np.arange(n_main, dtype=np.int32)
-    hs = np.repeat(np.broadcast_to(h, exists.shape).ravel(), cell_edges)
-
-    def tile(const, coef, out):
-        """out[e] = const[row[e]] + coef[row[e]] * h of every edge e."""
-        np.multiply(coef[row], hs, out=out)
-        out += const[row]
-
-    np.add(np.repeat(base[:-2], cell_edges), rows[_ST][row], out=main[_HEAD])
-    for out, t in ((main[_TAIL0], _T0), (main[_TAIL1], _T1)):
-        level, side, dh, state = rows[t : t + 4]
+    np.add(np.repeat(base[:-1], cell_edges), rows[_ST][row], out=block[_HEAD])
+    # A tail's cell: its level's row of the grid, then its head's position
+    # in the edge's chart.
+    at = first[cs] + 2 * hs
+    for out, t in ((block[_TAIL0], _T0), (block[_TAIL1], _T1)):
+        level, tside, dh, state = rows[t : t + 4]
         real = (level >= 0).astype(np.int32)
-        tile(np.where(real, cell(level, side, dh), base.size - 1), 2 * real, out)
+        const = np.where(real, level * chart.size + 2 * (dh - 1) + tside, base.size - 1)
+        np.multiply(real[row], at, out=out)
+        out += const[row]
         out[:] = base[out]
         out += state[row]
-    att, dc = rows[_ATT], rows[_DC]
-    tile(rows[_SLOT_K] * n + rows[_SLOT_OFF], rows[_SLOT_B], main[_SLOT0])
-    tile(att * (8 * n) + dc, att * (n + 1), main[_SLOT1])
-    np.multiply(att[row], hs, out=main[_ARC_H])
-    tile(dc, att, main[_ARC_D])
+    # Slots: chart c's follow the 1 + 9n + n^2 of each chart before it.
+    ns = n[cs]
+    slot_base = _starts(1 + 9 * n + n * n)[cs]
+    s0, s1 = block[_SLOT0], block[_SLOT1]
+    np.multiply(rows[_SLOT_K][row], ns, out=s0)
+    s0 += rows[_SLOT_OFF][row]
+    s0 += rows[_SLOT_B][row] * hs
+    s0 += slot_base
+    att, dc = rows[_ATT][row], rows[_DC][row]
+    np.multiply(ns + 1, hs, out=s1)  # attach(h, h + dc) is 8n + (n + 1)h + dc
+    s1 += 8 * ns
+    s1 += dc
+    s1 *= att
+    s1 += slot_base
+    np.multiply(att, hs, out=block[_ARC_H])
+    np.add(dc, block[_ARC_H], out=block[_ARC_D])
 
-    goal_edges = block[:, n_main:]
-    q = np.arange(n_goal, dtype=np.int32) - np.repeat(_starts(per_root), per_root)
-    right = np.repeat(n_right, per_root)
-    goal_edges[_HEAD] = goal
-    # LC of width c - 1 is at level 3c - 2, RC of width n - c at 3(n - c) + 1.
-    goal_edges[_TAIL0] = np.repeat(base[cell(3 * c - 2, 0, c)], per_root) + q // right
-    goal_edges[_TAIL1] = (
-        np.repeat(base[cell(3 * (n - c) + 1, 1, c)], per_root) + q % right
-    )
-    # Slot c is root(c).
-    goal_edges[_SLOT0] = goal_edges[_ARC_D] = np.repeat(c, per_root)
-    goal_edges[_SLOT1] = goal_edges[_ARC_H] = 0
-
-    level_nodes = np.append(cell_nodes.reshape(3 * n - 1, -1).sum(axis=1), 1)
-    return _Structure(n, block, level_nodes[level_nodes > 0])
+    level_nodes = cell_nodes.reshape(3 * top, -1).sum(axis=1)
+    goal_ids = base[(3 * n - 1) * chart.size + first + 2 * n]
+    return _Structure(lengths, block, level_nodes[level_nodes > 0], goal_ids, cs)
 
 
 def _slot_refs(pos: Sequence[int], V: int) -> np.ndarray:
@@ -566,149 +599,39 @@ def _slot_refs(pos: Sequence[int], V: int) -> np.ndarray:
     )
 
 
-class _Chart(NamedTuple):
-    """One sentence's chart: the shared structure, the log-weight index of
-    each edge's two weight slots (EM charts only: the expected counts read
-    them, decoding does not), and each edge's static score under the
-    parameters and length penalty it was built with."""
-
-    s: _Structure
-    refs: np.ndarray | None  # (2, edges)
-    score: np.ndarray        # (edges,)
-
-
-def _build_chart(
-    pos: Sequence[int], V: int, cap: int | None, wlog: np.ndarray, beta: float,
-    refs: bool = False,
-) -> _Chart:
-    """Chart of the sentence with tag ids `pos` under log-weights `wlog`,
-    with its edges' weight refs if `refs`."""
-    s = _compile(len(pos), cap)
-    slot_refs = _slot_refs(pos, V)
+def edge_scores(
+    s: _Structure, slot_refs: np.ndarray, wlog: np.ndarray, beta: float,
+    prices: np.ndarray | None = None,
+) -> np.ndarray:
+    """Every edge's score in `s`: its two weight slots' log-weights, read
+    from `wlog` through `slot_refs`, minus `beta` per length penalty unit
+    and minus its arc's price in the flat vector `prices`, if any."""
     w = np.append(wlog, 0.0)[slot_refs]  # the weight of every slot
     score = (0.0 + w[s.slots[0]]) + w[s.slots[1]]
     if beta:
         score[s.arc_edges] -= beta * s.arc_pen
-    return _Chart(s, slot_refs[s.slots] if refs else None, score)
+    if prices is not None:
+        score[s.arc_edges] -= prices[s.arc_price]
+    return score
 
 
-class ChartPlan(NamedTuple):
-    """The layout of a batch of charts, of any lengths and depth caps, that
-    every chart pass runs on: one node and edge numbering in which level l
-    of every chart follows level l - 1 of every chart, with one shared
-    sentinel. Edge arrays are in plan order; `levels` is as in `_Structure`.
-    Arc edge arc_edges[j] reads the price at arc_price[j] of the flat price
-    vector the plan was laid out for."""
-
-    n_nodes: int
-    goals: list[int]          # each chart's goal node
-    lengths: list[int]        # each chart's sentence length
-    levels: tuple
-    score: np.ndarray         # the charts' static edge scores
-    refs: np.ndarray | None   # their weight refs (EM charts only)
-    arc_edges: np.ndarray
-    arc_price: np.ndarray
-    arc_h: np.ndarray
-    arc_d: np.ndarray
-    tail0: np.ndarray
-    tail1: np.ndarray
-
-
-def chart_plan(charts: Sequence[_Chart], price_offsets: Sequence[int]) -> ChartPlan:
-    """Lay out `charts` for the chart passes, chart i reading its prices as
-    an (n+1, n+1) matrix flattened at price_offsets[i], its row's offset in
-    an `ArcLayout`. One chart runs on its structure's own arrays.
-
-    Level l of the plan is level l of every chart in chart order, so each
-    chart keeps its own node and edge order within a level, and a level's
-    edges stay grouped by head."""
-    if len(charts) == 1:
-        [(s, refs, score)] = charts
-        off = price_offsets[0]
-        return ChartPlan(
-            s.n_nodes, [s.goal], [s.n], s.levels, score, refs, s.arc_edges,
-            s.arc_price + off if off else s.arc_price,
-            s.arc_h, s.arc_d, s.tail0, s.tail1,
-        )
-    ss = [c.s for c in charts]
-    # Node and edge counts per (chart, level); each chart's sentinel counts
-    # as one more node, in a last column.
-    top = max(s.level_sizes.shape[1] for s in ss)
-    nodes = np.zeros((len(ss), top + 1), dtype=np.int32)
-    edges = np.zeros((len(ss), top), dtype=np.int32)
-    for i, s in enumerate(ss):
-        k = s.level_sizes.shape[1]
-        nodes[i, :k], edges[i, :k] = s.level_sizes
-    nodes[:, top] = 1
-    n_nodes = int(nodes[:, :top].sum())
-    node_to = _level_major(nodes)
-    node_to[:, top] = n_nodes  # every sentinel becomes the plan's one
-    node_new = _moved(nodes, node_to)
-    edge_new = _moved(edges, _level_major(edges))
-    slots, n_edges = nodes.sum(axis=1), edges.sum(axis=1)
-    node_base = np.cumsum(slots) - slots
-    shift = np.repeat(node_base.astype(np.int32), n_edges)
-
-    def place(arrays, renumber=False):
-        """The charts' per-edge `arrays` (edges on the last axis), in plan
-        order; node ids renumbered if `renumber`."""
-        flat = np.concatenate(arrays, axis=-1)
-        if renumber:
-            flat = node_new[flat + shift]
-        out = np.empty_like(flat)
-        out[..., edge_new] = flat
-        return out
-
-    head = place([s.head for s in ss], True)
-    tail0 = place([s.tail0 for s in ss], True)
-    tail1 = place([s.tail1 for s in ss], True)
-    first = np.searchsorted(head, np.arange(n_nodes + 1))
-    bounds = np.cumsum(nodes[:, :top].sum(axis=0)).tolist()
-    levels = []
-    for a, b in zip([0] + bounds, bounds):
-        e0, e1 = int(first[a]), int(first[b])
-        levels.append((a, b, first[a:b] - e0, slice(e0, e1), head[e0:e1],
-                       tail0[e0:e1], tail1[e0:e1]))
-    edge_base = np.cumsum(n_edges) - n_edges
-    return ChartPlan(
-        n_nodes, node_new[node_base + slots - 2].tolist(), [s.n for s in ss],
-        tuple(levels), place([c.score for c in charts]),
-        None if charts[0].refs is None else place([c.refs for c in charts]),
-        edge_new[np.concatenate([s.arc_edges + b for s, b in zip(ss, edge_base)])],
-        np.concatenate([s.arc_price + off for s, off in zip(ss, price_offsets)]),
-        place([s.arc_h for s in ss]), place([s.arc_d for s in ss]), tail0, tail1,
-    )
-
-
-def _level_major(counts: np.ndarray) -> np.ndarray:
-    """Where each (chart, level) block of sizes `counts` starts when the
-    blocks are laid out level by level, chart by chart within a level."""
-    by_level = counts.T.ravel()
-    return (np.cumsum(by_level) - by_level).reshape(counts.T.shape).T.copy()
-
-
-def _moved(counts: np.ndarray, to: np.ndarray) -> np.ndarray:
-    """New position of every element of (chart, level) blocks of sizes
-    `counts`, laid out chart by chart, when block (i, l) moves to to[i, l]."""
-    sizes = counts.ravel()
-    shift = to.ravel() - (np.cumsum(sizes) - sizes)
-    return np.arange(sizes.sum(), dtype=np.int32) + np.repeat(
-        shift.astype(np.int32), sizes)
+def _charts(xs: Sequence[Sentence], theta: DmvParams, cap: int | None, beta: float,
+            prices: np.ndarray | None = None):
+    """The compiled charts of `xs` under depth cap `cap`, their sentences'
+    slot refs laid end to end, and their `edge_scores`."""
+    s = _compile(tuple(x.n for x in xs), cap)
+    slot_refs = np.concatenate([_slot_refs(theta.tag_ids(x), theta.V) for x in xs])
+    return s, slot_refs, edge_scores(s, slot_refs, theta.log_weights(), beta, prices)
 
 
 def viterbi_batch(
-    plan: ChartPlan, prices: np.ndarray | None = None
+    s: _Structure, score: np.ndarray
 ) -> list[tuple[tuple[int, ...] | None, float]]:
-    """Best tree of each chart of `plan` under its edge scores minus the
-    prices of its arcs, read from the flat vector `prices`: the heads, or
-    None where no tree is feasible, and the best score."""
-    score = plan.score
-    if prices is not None:
-        score = score.copy()
-        score[plan.arc_edges] -= prices[plan.arc_price]
-    vals = np.zeros(plan.n_nodes + 1)
-    best = np.empty(plan.n_nodes, dtype=np.intp)
-    for a, b, seg, edges, head, t0, t1 in plan.levels:
+    """Best tree of each chart of `s` under the edge scores `score`: the
+    heads, or None where no tree is feasible, and the best score."""
+    vals = np.zeros(s.n_nodes + 1)
+    best = np.empty(s.n_nodes, dtype=np.intp)
+    for a, b, seg, edges, head, t0, t1 in s.levels:
         sc = score[edges] + vals[t0] + vals[t1]
         vals[a:b] = np.maximum.reduceat(sc, seg)
         # Ties keep the earliest-built derivation: each node takes the first
@@ -716,10 +639,10 @@ def viterbi_batch(
         hit = (sc == vals[head]).nonzero()[0]
         best[a:b] = hit[hit.searchsorted(seg)] + edges.start
     out = []
-    sentinel = plan.n_nodes
-    best_of, arc_d, arc_h = best.item, plan.arc_d.item, plan.arc_h.item
-    tail0, tail1 = plan.tail0.item, plan.tail1.item
-    for goal, n in zip(plan.goals, plan.lengths):
+    sentinel = s.n_nodes
+    best_of, arc_d, arc_h = best.item, s.arc_d.item, s.arc_h.item
+    tail0, tail1 = s.tail0.item, s.tail1.item
+    for goal, n in zip(s.goals.tolist(), s.lengths):
         if vals[goal] == NEG_INF:
             out.append((None, NEG_INF))
             continue
@@ -739,12 +662,13 @@ def viterbi_batch(
     return out
 
 
-def _inside(plan: ChartPlan) -> np.ndarray:
-    """Inside log-values of every node of `plan` (plus the zero sentinel)."""
-    vals = np.zeros(plan.n_nodes + 1)
+def _inside(s: _Structure, score: np.ndarray) -> np.ndarray:
+    """Inside log-values of every node of `s` under the edge scores `score`
+    (plus the zero sentinel)."""
+    vals = np.zeros(s.n_nodes + 1)
     with np.errstate(divide="ignore"):
-        for a, b, seg, edges, head, t0, t1 in plan.levels:
-            sc = plan.score[edges] + vals[t0] + vals[t1]
+        for a, b, seg, edges, head, t0, t1 in s.levels:
+            sc = score[edges] + vals[t0] + vals[t1]
             m = np.maximum.reduceat(sc, seg)
             m[m == NEG_INF] = 0.0  # no support: exp gives 0 and log -inf
             vals[a:b] = m
@@ -753,21 +677,25 @@ def _inside(plan: ChartPlan) -> np.ndarray:
     return vals
 
 
-def _expected_counts(plan: ChartPlan, vals: np.ndarray, size: int) -> np.ndarray:
+def _expected_counts(
+    s: _Structure, score: np.ndarray, refs: np.ndarray, vals: np.ndarray, size: int
+) -> np.ndarray:
     """Posterior mass of every log-weight index (the unit slot included) over
-    `plan`; each goal's outside value is -log Z, or -inf if it has no tree."""
-    out = np.full(plan.n_nodes + 1, NEG_INF)
-    logz = vals[plan.goals]
-    out[plan.goals] = np.where(logz > NEG_INF, -logz, NEG_INF)
-    post = np.empty(plan.score.size)
-    for a, b, seg, edges, head, t0, t1 in reversed(plan.levels):
-        c = out[head] + (plan.score[edges] + vals[t0] + vals[t1])
+    `s` under the edge scores `score`, each edge's mass going to its weight
+    refs `refs`; each goal's outside value is -log Z, or -inf if it has no
+    tree."""
+    out = np.full(s.n_nodes + 1, NEG_INF)
+    logz = vals[s.goals]
+    out[s.goals] = np.where(logz > NEG_INF, -logz, NEG_INF)
+    post = np.empty(score.size)
+    for a, b, seg, edges, head, t0, t1 in reversed(s.levels):
+        c = out[head] + (score[edges] + vals[t0] + vals[t1])
         post[edges] = np.exp(c)
         keep = (c > NEG_INF).nonzero()[0]
         c = c[keep]
         for t in (t0[keep], t1[keep]):
             np.logaddexp.at(out, t, c - vals[t])
-    return np.bincount(plan.refs.ravel(), np.tile(post, 2), minlength=size)
+    return np.bincount(refs.ravel(), np.tile(post, 2), minlength=size)
 
 
 # ---------------------------------------------------------------------------
@@ -811,8 +739,8 @@ def tree_logprob(
 
 def inside_loglik(x: Sentence, theta: DmvParams, cfg: ConstraintConfig) -> float:
     """Log of the constrained marginal: sum over feasible trees of P(x, y)*f."""
-    plan = chart_plan([build_decode_chart(x, theta, cfg)], [0])
-    return float(_inside(plan)[plan.goals[0]])
+    s, _, score = _charts([x], theta, cfg.max_ce_depth, cfg.dep_len_beta)
+    return float(_inside(s, score)[s.goals[0]])
 
 
 def viterbi_decode(
@@ -823,8 +751,9 @@ def viterbi_decode(
 ) -> tuple[DepTree, float]:
     """Best tree under -tree_logprob(x, y) + u.y, with the prices u an
     (n+1, n+1) matrix keyed [h, d]; returns (tree, minimum)."""
-    plan = chart_plan([build_decode_chart(x, theta, cfg)], [0])
-    [(heads, best)] = viterbi_batch(plan, None if u is None else u.ravel())
+    s, _, score = _charts([x], theta, cfg.max_ce_depth, cfg.dep_len_beta,
+                          None if u is None else u.ravel())
+    [(heads, best)] = viterbi_batch(s, score)
     if heads is None:
         raise InfeasibleParseError()
     return DepTree(heads), -best
@@ -842,35 +771,27 @@ def chart_edges(n: int, cap: int | None) -> int:
     )
 
 
-def build_decode_chart(x: Sentence, theta: DmvParams, cfg: ConstraintConfig) -> _Chart:
-    """Prebuild a chart for repeated price-modified decodes of one sentence.
-
-    The chart carries its edges' scores under `theta` and `cfg`, so decodes
-    that pass it must use the same parameters, and no weight refs.
-    """
-    return _build_chart(
-        theta.tag_ids(x), theta.V, cfg.max_ce_depth, theta.log_weights(),
-        cfg.dep_len_beta,
-    )
-
-
 # Sentences are decoded, and run through EM, in groups of similar length whose
-# charts hold at most this many edges under the depth cap. A group's charts and
-# plan take about 60 bytes per edge decoded, and 101-110 in EM (weight refs and
-# edge posteriors), so the bound keeps a group near 2 or 3.5 MB whatever the corpus.
+# charts hold at most this many edges under the depth cap. Compiling a group's
+# layout peaks at 81-112 bytes per edge, the layout included; a decode pass
+# then takes 18-29 more and EM 50-61 (weight refs and edge posteriors), as
+# tracemalloc measured on the benchmark corpora's groups at cap 1. So the bound
+# keeps a group under about 4 MB whatever the corpus.
 _GROUP_EDGES = 1 << 15
 
 
 def length_groups(lengths: Sequence[int], cap: int | None) -> Iterator[list[int]]:
     """Indices of `lengths`, longest first (stably), cut into groups under
     `_GROUP_EDGES`; a larger sentence is a group of its own. Edges are
-    counted from the chart templates, so cutting the groups compiles no
-    chart: each chart is compiled where its group runs. Longest first,
-    the largest chart is compiled while the fewest others are cached."""
+    counted from the chart templates, once per distinct length, so cutting
+    the groups compiles no chart: each group is compiled where it runs.
+    Longest first, the largest group is compiled while the fewest others
+    are cached."""
+    chart_size = {n: chart_edges(n, cap) for n in set(lengths)}
     group: list[int] = []
     edges = 0
     for i in sorted(range(len(lengths)), key=lambda i: -lengths[i]):
-        e = chart_edges(lengths[i], cap)
+        e = chart_size[lengths[i]]
         if group and edges + e > _GROUP_EDGES:
             yield group
             group, edges = [], 0
@@ -888,18 +809,24 @@ def decode_group(
 ) -> tuple[list[DepTree], list[bool]]:
     """Best tree of each sentence of `xs` under the grammar's score minus
     the `prices` of its arcs, flat in the `ArcLayout` of `xs` (none: zero),
-    as decoded alone, and whether its depth cap was lifted: a sentence with
-    no tree under the cap is decoded without it, as finite prices cannot
-    make it feasible."""
-    charts = [build_decode_chart(x, theta, cfg) for x in xs]
-    offsets = ArcLayout(x.n for x in xs).offsets
-    trees = viterbi_batch(chart_plan(charts, offsets), prices)
+    as decoded alone, and whether its depth cap was lifted: the sentences
+    with no tree under the cap are decoded again without it, as a group of
+    their own, since finite prices cannot make them feasible."""
+
+    def decode(rows, cap, prices):
+        xr = [xs[i] for i in rows]
+        s, _, score = _charts(xr, theta, cap, cfg.dep_len_beta, prices)
+        return viterbi_batch(s, score)
+
+    trees = decode(range(len(xs)), cfg.max_ce_depth, prices)
     lifted = [heads is None for heads, _ in trees]
     if any(lifted) and cfg.max_ce_depth is not None:
-        uncapped = replace(cfg, max_ce_depth=None)
-        charts = [build_decode_chart(x, theta, uncapped) if lift else chart
-                  for x, lift, chart in zip(xs, lifted, charts)]
-        trees = viterbi_batch(chart_plan(charts, offsets), prices)
+        rows = [i for i, lift in enumerate(lifted) if lift]
+        if prices is not None:
+            offsets = ArcLayout(x.n for x in xs).offsets
+            prices = np.concatenate([prices[offsets[i]:offsets[i + 1]] for i in rows])
+        for i, tree in zip(rows, decode(rows, None, prices)):
+            trees[i] = tree
     if any(heads is None for heads, _ in trees):
         raise InfeasibleParseError()
     return [DepTree(heads) for heads, _ in trees], lifted
@@ -917,17 +844,16 @@ def em_step(
     Sentences whose constrained marginal is zero are skipped and tallied in
     `diagnostics["skipped"]` when a dict is supplied.
     """
-    wlog = theta.log_weights()
-    counts = np.zeros(wlog.size + 1)  # the last entry takes the unit slot's mass
+    # The last entry takes the unit slot's mass.
+    counts = np.zeros(_WeightIndex(theta.V).size + 1)
     xs, cap = c.sentences, cfg.max_ce_depth
     logz = np.empty(len(xs))
     for group in length_groups([x.n for x in xs], cap):
-        charts = [_build_chart(theta.tag_ids(xs[i]), theta.V, cap, wlog,
-                               cfg.dep_len_beta, refs=True) for i in group]
-        plan = chart_plan(charts, [0] * len(group))  # EM reads no prices
-        vals = _inside(plan)
-        logz[group] = vals[plan.goals]
-        counts += _expected_counts(plan, vals, counts.size)
+        s, slot_refs, score = _charts([xs[i] for i in group], theta, cap,
+                                      cfg.dep_len_beta)
+        vals = _inside(s, score)
+        logz[group] = vals[s.goals]
+        counts += _expected_counts(s, score, slot_refs[s.slots], vals, counts.size)
     # Added in corpus order, so that the grouping cannot move its bits.
     total = functools.reduce(float.__add__, logz[logz > NEG_INF].tolist(), 0.0)
     if diagnostics is not None:

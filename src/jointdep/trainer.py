@@ -52,8 +52,9 @@ class TrainConfig:
             raise ValueError(
                 f"mstep_smoothing must be finite and >= 0, got {self.mstep_smoothing}"
             )
-        if not math.isfinite(self.g_weight):
-            raise ValueError(f"g_weight must be finite, got {self.g_weight}")
+        # Below 0 the ridge re-solve would raise g * G at the decoded trees.
+        if not 0 <= self.g_weight < math.inf:
+            raise ValueError(f"g_weight must be finite and >= 0, got {self.g_weight}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -236,7 +237,7 @@ def joint_train(
             # The header comes with the first row; each iteration appends one.
             with open(Path(checkpoint_dir) / "metrics.csv", "a" if it > 1 else "w",
                       newline="") as f:
-                wr = csv.writer(f)
+                wr = csv.writer(f, lineterminator="\n")
                 if it == 1:
                     wr.writerow(["iteration", "joint_objective", "cap_lifted"])
                 wr.writerow([it, "%.12g" % j_after, state.stats["cap_lifted"]])

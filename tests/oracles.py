@@ -537,14 +537,15 @@ def scalar_viterbi(s, pos, V, wlog, beta, prices=None):
             score = score + vals[t]
         if best[v] is None or score > vals[v]:
             vals[v], best[v] = score, e
-    heads = [-1] * s.n
-    stack = [s.goal]
+    [n], [goal] = s.lengths, s.goals
+    heads = [-1] * n
+    stack = [goal]
     while stack:
         e = best[stack.pop()]
         if s.arc_d[e]:
             heads[s.arc_d[e] - 1] = int(s.arc_h[e])
         stack.extend(int(t) for t in (s.tail0[e], s.tail1[e]) if t != s.n_nodes)
-    return tuple(heads), vals[s.goal]
+    return tuple(heads), vals[goal]
 
 
 def scalar_inside(s, pos, V, wlog, beta):
@@ -565,10 +566,11 @@ def scalar_expected_counts(s, pos, V, wlog, beta):
     """(inside values, expected count of every log-weight index with the
     unit slot last) by an edge-by-edge outside sweep from the goal."""
     vals = scalar_inside(s, pos, V, wlog, beta)
-    logz = vals[s.goal]
+    [goal] = s.goals
+    logz = vals[goal]
     edges = list(_scalar_edges(s, pos, V, wlog, beta, None))
     out = [-math.inf] * s.n_nodes
-    out[s.goal] = 0.0
+    out[goal] = 0.0
     counts = np.zeros(len(wlog) + 1)
     for v, tails, refs, score in reversed(edges):
         if out[v] == -math.inf:
@@ -636,7 +638,7 @@ def dd_decode_reference(x, theta, cfg_f, m, max_iters, g_weight=1.0):
     for k in range(1, max_iters + 1):
         while True:
             heads, y_score = scalar_viterbi(
-                dmv._compile(x.n, cfg_f.max_ce_depth), pos, theta.V, wlog,
+                dmv._compile((x.n,), cfg_f.max_ce_depth), pos, theta.V, wlog,
                 cfg_f.dep_len_beta, u,
             )
             if y_score > -math.inf:
@@ -674,8 +676,8 @@ def compile_reference(n, cap):
     """The compiled chart of a length-n sentence under depth cap `cap`, built
     cell by cell, split point by split point and state pair by state pair,
     with every attribute `dmv._Structure` has: the reference that the
-    template-tiled `dmv._compile` must equal array for array, dtypes
-    included.
+    template-tiled `dmv._compile((n,), cap)` must equal array for array,
+    dtypes included.
 
     Nodes are numbered by level, then in creation order; edges are sorted
     by head, then kept in emission order."""
@@ -813,7 +815,8 @@ def compile_reference(n, cap):
     head = renum[rec[:, 0]]
     by_head = np.argsort(head, kind="stable")
     rec = rec[by_head]
-    s = SimpleNamespace(n=n, n_nodes=n_nodes, goal=n_nodes - 1)
+    s = SimpleNamespace(lengths=(n,), n_nodes=n_nodes,
+                        goals=np.array([n_nodes - 1], dtype=np.int32))
     s.head = head[by_head]
     s.tail0 = renum[rec[:, 1]]
     s.tail1 = renum[rec[:, 2]]
@@ -826,12 +829,99 @@ def compile_reference(n, cap):
     s.arc_pen = np.where(arc_h > 0, np.abs(arc_h - arc_d) - 1, 0).astype(np.int32)
     first = np.searchsorted(s.head, np.arange(n_nodes + 1))
     starts = np.flatnonzero(np.diff(level[order])) + 1
-    bounds = [0, *starts.tolist(), n_nodes]
-    s.level_sizes = np.diff([bounds, first[bounds]]).astype(np.int32)
+    s.levels = _levels(s, first, [0, *starts.tolist(), n_nodes])
+    return s
+
+
+def _levels(s, first, bounds):
+    """`dmv._Structure.levels` of `s`, given each node's first edge and the
+    level bounds."""
     levels = []
     for a, b in zip(bounds, bounds[1:]):
         e0, e1 = int(first[a]), int(first[b])
         levels.append((a, b, first[a:b] - e0, slice(e0, e1), s.head[e0:e1],
                        s.tail0[e0:e1], s.tail1[e0:e1]))
-    s.levels = tuple(levels)
-    return s
+    return tuple(levels)
+
+
+def plan_reference(structures):
+    """The charts `structures`, each compiled alone (`compile_reference`),
+    laid out as one group with every attribute `dmv._Structure` has: the
+    reference that `dmv._compile(lengths, cap)` must equal array for array.
+
+    Level l of the group is level l of every chart in chart order, so each
+    chart keeps its own node and edge order within a level, a level's edges
+    stay grouped by head, and the charts share one sentinel. Chart i's slots
+    and arc prices follow those of the charts before it: 1 + 9n + n^2 slots
+    and (n + 1)^2 prices each."""
+    from types import SimpleNamespace
+
+    ss = list(structures)
+    # Node and edge counts per (chart, level); each chart's sentinel counts
+    # as one more node, in a last column.
+    top = max(len(s.levels) for s in ss)
+    nodes = np.zeros((len(ss), top + 1), dtype=np.int32)
+    edges = np.zeros((len(ss), top), dtype=np.int32)
+    for i, s in enumerate(ss):
+        for lv, (a, b, _, sl, *_) in enumerate(s.levels):
+            nodes[i, lv], edges[i, lv] = b - a, sl.stop - sl.start
+    nodes[:, top] = 1
+    n_nodes = int(nodes[:, :top].sum())
+    node_to = _level_major(nodes)
+    node_to[:, top] = n_nodes  # every sentinel becomes the group's one
+    node_new = _moved(nodes, node_to)
+    edge_new = _moved(edges, _level_major(edges))
+    slots, n_edges = nodes.sum(axis=1), edges.sum(axis=1)
+    node_base = np.cumsum(slots) - slots
+    shift = np.repeat(node_base.astype(np.int32), n_edges)
+
+    def place(arrays, renumber=False):
+        """The charts' per-edge `arrays` (edges on the last axis), in group
+        order; node ids renumbered if `renumber`."""
+        flat = np.concatenate(arrays, axis=-1)
+        if renumber:
+            flat = node_new[flat + shift]
+        out = np.empty_like(flat)
+        out[..., edge_new] = flat
+        return out
+
+    lengths = tuple(n for s in ss for n in s.lengths)
+    sizes = np.array([[1 + 9 * n + n * n, (n + 1) ** 2] for n in lengths])
+    slot_off, price_off = (np.cumsum(sizes, axis=0) - sizes).T.tolist()
+    out = SimpleNamespace(lengths=lengths, n_nodes=n_nodes,
+                          goals=node_new[node_base + slots - 2])
+    out.head = place([s.head for s in ss], True)
+    out.tail0 = place([s.tail0 for s in ss], True)
+    out.tail1 = place([s.tail1 for s in ss], True)
+    out.slots = place([s.slots + off for s, off in zip(ss, slot_off)])
+    out.arc_h = place([s.arc_h for s in ss])
+    out.arc_d = place([s.arc_d for s in ss])
+    edge_base = np.cumsum(n_edges) - n_edges
+    arc_edges = edge_new[
+        np.concatenate([s.arc_edges + b for s, b in zip(ss, edge_base)])
+    ]
+    by_edge = np.argsort(arc_edges)
+    out.arc_edges = arc_edges[by_edge]
+    out.arc_price = np.concatenate(
+        [s.arc_price + off for s, off in zip(ss, price_off)])[by_edge]
+    out.arc_pen = np.concatenate([s.arc_pen for s in ss])[by_edge]
+    first = np.searchsorted(out.head, np.arange(n_nodes + 1))
+    bounds = [0, *np.cumsum(nodes[:, :top].sum(axis=0)).tolist()]
+    out.levels = _levels(out, first, bounds)
+    return out
+
+
+def _level_major(counts):
+    """Where each (chart, level) block of sizes `counts` starts when the
+    blocks are laid out level by level, chart by chart within a level."""
+    by_level = counts.T.ravel()
+    return (np.cumsum(by_level) - by_level).reshape(counts.T.shape).T.copy()
+
+
+def _moved(counts, to):
+    """New position of every element of (chart, level) blocks of sizes
+    `counts`, laid out chart by chart, when block (i, l) moves to to[i, l]."""
+    sizes = counts.ravel()
+    shift = to.ravel() - (np.cumsum(sizes) - sizes)
+    return np.arange(sizes.sum(), dtype=np.int32) + np.repeat(
+        shift.astype(np.int32), sizes)

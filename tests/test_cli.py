@@ -328,7 +328,8 @@ def test_train_rejects_nonpositive_lambda(tmp_path, train_file, capsys):
 
 
 @pytest.mark.parametrize("setting", [
-    "g_weight=nan", "g_weight=inf", "mstep_smoothing=-0.5", "em_pretrain_iters=-1", "fw_pretrain_iters=-1",
+    "g_weight=nan", "g_weight=inf", "g_weight=-1", "mstep_smoothing=-0.5",
+    "em_pretrain_iters=-1", "fw_pretrain_iters=-1",
     "workers=0",
 ])
 def test_train_rejects_out_of_range_setting(tmp_path, train_file, capsys, setting):
@@ -692,14 +693,16 @@ def test_parse_reads_only_the_decode_settings(
         assert rc == EXIT_OK
         assert pred.read_bytes() == plain.read_bytes()
     # A decode setting out of range still fails with one line.
-    config = tmp_path / "beta.cfg"
-    config.write_text("dep_len_beta=-1\n")
-    capsys.readouterr()
-    rc = _parse(model_dir, train_file, tmp_path / "o.conllu", decoder,
-                "--config", str(config))
-    err = capsys.readouterr().err
-    assert rc == EXIT_DATA
-    assert err.startswith("error: dep_len_beta") and err.count("\n") == 1
+    for setting in ("dep_len_beta=-1", "g_weight=-1"):
+        config = tmp_path / "bad.cfg"
+        config.write_text(setting + "\n")
+        capsys.readouterr()
+        rc = _parse(model_dir, train_file, tmp_path / "o.conllu", decoder,
+                    "--config", str(config))
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        key = setting.split("=")[0]
+        assert err.startswith(f"error: {key}") and err.count("\n") == 1
 
 
 def test_malformed_rule_is_refused_on_its_line(tmp_path, train_file, capsys):

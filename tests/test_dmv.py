@@ -11,6 +11,7 @@ from oracles import (
     init_params_reference,
     logsumexp,
     make_sentence,
+    plan_reference,
     price_matrix,
     random_corpus,
     random_dmv_params,
@@ -296,7 +297,7 @@ def test_viterbi_matches_scalar_reference(rng, cap, beta, kind):
         if u is not None:
             u = price_matrix(u, n)
         want_heads, want = scalar_viterbi(
-            dmv._compile(n, cap), p.tag_ids(x), p.V, p.log_weights(), beta,
+            dmv._compile((n,), cap), p.tag_ids(x), p.V, p.log_weights(), beta,
             u,
         )
         if want == -math.inf:
@@ -309,38 +310,36 @@ def test_viterbi_matches_scalar_reference(rng, cap, beta, kind):
 
 
 def test_viterbi_batch_matches_scalar_reference(rng):
-    # Mixed batches of lengths 1-12 and caps None/0/1/2, each chart under its
-    # own grammar, some with impossible events, read prices from one flat
-    # vector at scattered offsets. Every row must give the scalar pass's
-    # heads and score bits, or come back infeasible where it has no tree.
+    # Groups of lengths 1-12 under one grammar (some with impossible
+    # events), cap (None/0/1/2) and length penalty each read their prices
+    # from one flat vector in the group's `ArcLayout`. Every row must give
+    # the scalar pass's heads and score bits, or come back infeasible where
+    # it has no tree.
     infeasible = feasible = 0
     for trial in range(24):
-        rows = []
-        for _ in range(int(rng.integers(1, 6))):
-            n = int(rng.integers(1, 13))
-            x = make_sentence([ENGINE_VOCAB[i] for i in rng.integers(0, 3, size=n)])
-            cap = (None, 0, 1, 2)[int(rng.integers(0, 4))]
-            beta = (0.0, 0.1)[int(rng.integers(0, 2))]
-            p = random_dmv_params(rng, ENGINE_VOCAB)
-            if rng.random() < 0.4:
-                p = _impossible_events(p)
-            rows.append((x, p, ConstraintConfig(cap, beta)))
+        xs = [make_sentence([ENGINE_VOCAB[i] for i in rng.integers(0, 3, size=n)])
+              for n in rng.integers(1, 13, size=int(rng.integers(1, 6)))]
+        cap = (None, 0, 1, 2)[int(rng.integers(0, 4))]
+        beta = (0.0, 0.1)[int(rng.integers(0, 2))]
+        p = random_dmv_params(rng, ENGINE_VOCAB)
+        if rng.random() < 0.4:
+            p = _impossible_events(p)
         mode = trial % 3  # no prices, integer prices (ties), real prices
-        sizes = [(x.n + 1) ** 2 for x, _, _ in rows]
-        # The rows' price matrices lie last row first, with gaps between.
-        spans = np.add(sizes, rng.integers(0, 4, size=len(rows)))[::-1]
-        offsets = (np.cumsum(spans) - spans)[::-1]
-        prices = rng.integers(-2, 3, size=int(spans.sum())).astype(float)
+        layout = ArcLayout(x.n for x in xs)
+        prices = rng.integers(-2, 3, size=layout.size).astype(float)
         if mode == 2:
             prices = rng.normal(size=prices.size)
-        charts = [dmv.build_decode_chart(x, p, cfg) for x, p, cfg in rows]
-        plan = dmv.chart_plan(charts, offsets.tolist())
-        got = dmv.viterbi_batch(plan, None if mode == 0 else prices)
-        for (x, p, cfg), off, size, (heads, best) in zip(rows, offsets, sizes, got):
-            u = None if mode == 0 else prices[off:off + size].reshape(x.n + 1, -1)
+        prices = None if mode == 0 else prices
+        s = dmv._compile(tuple(x.n for x in xs), cap)
+        slot_refs = np.concatenate([dmv._slot_refs(p.tag_ids(x), p.V) for x in xs])
+        got = dmv.viterbi_batch(
+            s, dmv.edge_scores(s, slot_refs, p.log_weights(), beta, prices)
+        )
+        blocks = [None] * len(xs) if prices is None else layout.views(prices)
+        for x, u, (heads, best) in zip(xs, blocks, got, strict=True):
             want_heads, want = scalar_viterbi(
-                dmv._compile(x.n, cfg.max_ce_depth), p.tag_ids(x), p.V,
-                p.log_weights(), cfg.dep_len_beta, u,
+                dmv._compile((x.n,), cap), p.tag_ids(x), p.V, p.log_weights(),
+                beta, u,
             )
             if want == -math.inf:
                 infeasible += 1
@@ -352,15 +351,16 @@ def test_viterbi_batch_matches_scalar_reference(rng):
     assert infeasible >= 5 and feasible >= 40
 
 
-def test_chart_plan_of_one_runs_on_the_structure(rng):
+def test_structure_of_one_is_its_chart(rng):
+    # A sentence decoded alone runs on the cached structure of its length,
+    # whose one goal is its top node, and its scores are the edges' own.
     p = random_dmv_params(rng, ENGINE_VOCAB)
-    chart = dmv.build_decode_chart(
-        make_sentence(["A", "B", "C", "A"]), p, ConstraintConfig(1, 0.1)
-    )
-    plan = dmv.chart_plan([chart], [0])
-    assert plan.levels is chart.s.levels
-    assert plan.tail0 is chart.s.tail0 and plan.score is chart.score
-    assert plan.refs is None
+    x = make_sentence(["A", "B", "C", "A"])
+    s, slot_refs, score = dmv._charts([x], p, 1, 0.1)
+    assert s is dmv._compile((4,), 1)
+    assert s.lengths == (4,) and s.goals.tolist() == [s.n_nodes - 1]
+    assert score.shape == s.head.shape
+    assert slot_refs.tolist() == slot_weight_refs(p.tag_ids(x), p.V)
 
 
 @pytest.mark.parametrize("cap", [None, 0, 1, 2])
@@ -375,24 +375,22 @@ def test_inside_and_counts_match_scalar_reference(rng, cap, beta, kind):
     loglik = 0.0
     for x in c:
         pos = p.tag_ids(x)
-        want_vals, want_counts = scalar_expected_counts(
-            dmv._compile(x.n, cap), pos, p.V, wlog, beta
-        )
-        chart = dmv._build_chart(pos, p.V, cap, wlog, beta, refs=True)
-        assert chart.refs.tolist() == [
-            [slot_weight_refs(pos, p.V)[k] for k in row]
-            for row in chart.s.slots
+        s = dmv._compile((x.n,), cap)
+        want_vals, want_counts = scalar_expected_counts(s, pos, p.V, wlog, beta)
+        slot_refs = dmv._slot_refs(pos, p.V)
+        refs = slot_refs[s.slots]
+        assert refs.tolist() == [
+            [slot_weight_refs(pos, p.V)[k] for k in row] for row in s.slots
         ]
-        plan = dmv.chart_plan([chart], [0])
-        assert plan.refs is chart.refs
-        vals = dmv._inside(plan)
+        score = dmv.edge_scores(s, slot_refs, wlog, beta)
+        vals = dmv._inside(s, score)
         np.testing.assert_allclose(vals[:-1], want_vals, rtol=ENGINE_RTOL, atol=0)
-        logz = want_vals[chart.s.goal]
+        logz = want_vals[s.goals[0]]
         if logz == -math.inf:
             continue
         loglik += logz
         total += want_counts
-        counts = dmv._expected_counts(plan, vals, total.size)
+        counts = dmv._expected_counts(s, score, refs, vals, total.size)
         np.testing.assert_allclose(counts, want_counts, rtol=ENGINE_RTOL, atol=0)
     new, ll = em_step(c, p, cfg, 0.0)
     want = dmv._params_from_counts(p, total[:-1], 0.0)
@@ -404,43 +402,41 @@ def test_inside_and_counts_match_scalar_reference(rng, cap, beta, kind):
 
 
 def test_plan_inside_and_counts_match_charts_alone(rng):
-    # One plan over EM charts of mixed lengths and caps, each under its own
-    # grammar, one of them with no tree: every goal keeps the inside bits of
-    # its chart run alone, and the plan's counts are the sum of the scalar
-    # counts of the charts that have a tree.
+    # One structure over EM charts of mixed lengths, under one grammar with
+    # impossible events and one cap and length penalty, with at least one
+    # chart that has no tree: every goal keeps the inside bits of its chart
+    # run alone, and the group's counts are the sum of the scalar counts of
+    # the charts that have a tree.
     wlog_size = dmv._WeightIndex(len(ENGINE_VOCAB)).size + 1
     infeasible = 0
     for trial in range(8):
-        rows = []
-        for _ in range(int(rng.integers(2, 7))):
-            n = int(rng.integers(1, 10))
-            pos = [int(t) for t in rng.integers(0, 3, size=n)]
-            rows.append((pos, random_dmv_params(rng, ENGINE_VOCAB),
-                         (None, 0, 1, 2)[int(rng.integers(0, 4))],
-                         (0.0, 0.1)[int(rng.integers(0, 2))]))
+        rows = [[int(t) for t in rng.integers(0, 3, size=n)]
+                for n in rng.integers(1, 10, size=int(rng.integers(2, 7)))]
+        cap = (None, 0, 1, 2)[int(rng.integers(0, 4))]
+        beta = (0.0, 0.1)[int(rng.integers(0, 2))]
         # A must take a right child, so a sentence ending in A has no tree.
-        impossible = _impossible_events(random_dmv_params(rng, ENGINE_VOCAB))
-        at = int(rng.integers(0, len(rows) + 1))
-        rows.insert(at, ([1, 2, 0], impossible, 1, 0.1))
-        charts = [
-            dmv._build_chart(pos, p.V, cap, p.log_weights(), beta, refs=True)
-            for pos, p, cap, beta in rows
-        ]
-        plan = dmv.chart_plan(charts, [0] * len(charts))
-        vals = dmv._inside(plan)
+        p = _impossible_events(random_dmv_params(rng, ENGINE_VOCAB))
+        rows.insert(int(rng.integers(0, len(rows) + 1)), [1, 2, 0])
+        wlog = p.log_weights()
+        s = dmv._compile(tuple(len(pos) for pos in rows), cap)
+        slot_refs = np.concatenate([dmv._slot_refs(pos, p.V) for pos in rows])
+        score = dmv.edge_scores(s, slot_refs, wlog, beta)
+        vals = dmv._inside(s, score)
         want = np.zeros(wlog_size)
-        for (pos, p, cap, beta), chart, goal in zip(rows, charts, plan.goals):
-            alone = dmv._inside(dmv.chart_plan([chart], [0]))[chart.s.goal]
-            assert vals[goal].hex() == alone.hex()
+        for pos, goal in zip(rows, s.goals, strict=True):
+            alone = dmv._compile((len(pos),), cap)
+            alone_score = dmv.edge_scores(alone, dmv._slot_refs(pos, p.V), wlog, beta)
+            alone_logz = dmv._inside(alone, alone_score)[alone.goals[0]]
+            assert vals[goal].hex() == alone_logz.hex()
             want_vals, want_counts = scalar_expected_counts(
-                chart.s, pos, p.V, p.log_weights(), beta
+                alone, pos, p.V, wlog, beta
             )
-            if want_vals[chart.s.goal] == -math.inf:
+            if want_vals[alone.goals[0]] == -math.inf:
                 infeasible += 1
-                assert alone == -math.inf
+                assert alone_logz == -math.inf
                 continue
             want += want_counts
-        got = dmv._expected_counts(plan, vals, wlog_size)
+        got = dmv._expected_counts(s, score, slot_refs[s.slots], vals, wlog_size)
         np.testing.assert_allclose(got, want, rtol=ENGINE_RTOL, atol=0)
     assert infeasible >= 8
 
@@ -459,9 +455,9 @@ def test_em_step_does_not_depend_on_the_grouping(rng, monkeypatch):
     def counted(name):
         fn = getattr(dmv, name)
 
-        def run(plan, *args):
-            passes.append((name, len(plan.goals)))
-            return fn(plan, *args)
+        def run(s, *args):
+            passes.append((name, len(s.goals)))
+            return fn(s, *args)
         return run
 
     for name in ("_inside", "_expected_counts"):
@@ -482,32 +478,22 @@ def test_em_step_does_not_depend_on_the_grouping(rng, monkeypatch):
 
 def test_chart_structure_is_shared_per_length_and_read_only(rng):
     p = random_dmv_params(rng, ENGINE_VOCAB)
-    cfg = ConstraintConfig(1, 0.1)
-    a = dmv.build_decode_chart(make_sentence(["A", "B", "C", "A"]), p, cfg)
-    b = dmv.build_decode_chart(make_sentence(["C", "C", "B", "A"]), p, cfg)
-    assert a.s is b.s
-    # Decode charts carry scores only; EM charts carry weight refs too.
-    assert a.refs is None and b.refs is None
-    assert not np.array_equal(a.score, b.score)
-    wlog = p.log_weights()
-    em_a, em_b = (
-        dmv._build_chart(p.tag_ids(x), p.V, 1, wlog, 0.1, refs=True)
-        for x in (make_sentence(["A", "B", "C", "A"]),
-                  make_sentence(["C", "C", "B", "A"]))
-    )
-    assert em_a.s is a.s and em_b.s is a.s
-    assert not np.array_equal(em_a.refs, em_b.refs)
-    assert em_a.score.tobytes() == a.score.tobytes()
-    arrays = [v for v in vars(a.s).values() if isinstance(v, np.ndarray)]
-    arrays += [v for lv in a.s.levels for v in lv if isinstance(v, np.ndarray)]
+    xa, xb = make_sentence(["A", "B", "C", "A"]), make_sentence(["C", "C", "B", "A"])
+    a, refs_a, score_a = dmv._charts([xa], p, 1, 0.1)
+    b, refs_b, score_b = dmv._charts([xb], p, 1, 0.1)
+    assert a is b
+    # The tags choose the weights the shared edges read.
+    assert not np.array_equal(refs_a, refs_b)
+    assert not np.array_equal(score_a, score_b)
+    group, _, _ = dmv._charts([xa, xb], p, 1, 0.1)
+    assert group is dmv._compile((4, 4), 1) and group is not a
+    arrays = [v for v in vars(a).values() if isinstance(v, np.ndarray)]
+    arrays += [v for lv in a.levels for v in lv if isinstance(v, np.ndarray)]
     assert len(arrays) > 10
     assert not any(arr.flags.writeable for arr in arrays)
     with pytest.raises(ValueError):
-        a.s.head[0] = 0
-    uncapped = dmv.build_decode_chart(
-        make_sentence(["A", "B", "C", "A"]), p, ConstraintConfig(None, 0.1)
-    )
-    assert uncapped.s is not a.s
+        a.head[0] = 0
+    assert dmv._compile((4,), None) is not a
 
 
 def _assert_same_structure(got, want):
@@ -535,12 +521,28 @@ def test_compile_equals_cell_by_cell_reference(cap):
     # Node order and edge order within a head decide ties, so the tiled
     # chart must equal the cell-by-cell one array for array.
     for n in range(1, 17):
-        _assert_same_structure(dmv._compile(n, cap), compile_reference(n, cap))
+        _assert_same_structure(dmv._compile((n,), cap), compile_reference(n, cap))
 
 
 @pytest.mark.parametrize("n", [25, 40])
 def test_compile_equals_cell_by_cell_reference_long(n):
-    _assert_same_structure(dmv._compile(n, 1), compile_reference(n, 1))
+    _assert_same_structure(dmv._compile((n,), 1), compile_reference(n, 1))
+
+
+@pytest.mark.parametrize("cap", [None, 0, 1, 2, 3])
+def test_compile_lays_out_a_group_as_its_charts_level_by_level(cap):
+    # A group's structure is its charts, each compiled alone, laid out level
+    # by level and chart by chart within a level: lengths ascending,
+    # descending, repeated and mixed, with n = 1 among them.
+    alone = {}
+    for lengths in [(1,), (1, 1), (2, 5), (5, 2), (3, 3, 3), (9, 4, 1),
+                    (1, 4, 9), (6, 1, 6, 2, 2), (12, 7, 12, 1)]:
+        for n in lengths:
+            if n not in alone:
+                alone[n] = compile_reference(n, cap)
+        _assert_same_structure(
+            dmv._compile(lengths, cap), plan_reference([alone[n] for n in lengths])
+        )
 
 
 def test_chart_edges_counts_without_compiling():
@@ -548,7 +550,7 @@ def test_chart_edges_counts_without_compiling():
     misses = dmv._compile.cache_info().misses
     counted = [dmv.chart_edges(n, cap) for n, cap in sizes]
     assert dmv._compile.cache_info().misses == misses
-    assert counted == [dmv._compile(n, cap).head.size for n, cap in sizes]
+    assert counted == [dmv._compile((n,), cap).head.size for n, cap in sizes]
 
 
 def test_decode_group_lifts_the_cap_of_infeasible_rows_only(rng):
@@ -575,7 +577,16 @@ def test_decode_group_lifts_the_cap_of_infeasible_rows_only(rng):
 
 def test_length_groups_cut_longest_first_under_the_edge_budget(monkeypatch):
     lengths = [3, 9, 5, 9, 1, 30]
+    counted = []
+
+    def chart_edges(n, cap, _fn=dmv.chart_edges):
+        counted.append(n)
+        return _fn(n, cap)
+
+    monkeypatch.setattr(dmv, "chart_edges", chart_edges)
     groups = list(dmv.length_groups(lengths, 1))
+    # Each distinct length's edges are counted once.
+    assert sorted(counted) == sorted(set(lengths))
     assert [i for g in groups for i in g] == [5, 1, 3, 2, 0, 4]
     edges = [sum(dmv.chart_edges(lengths[i], 1) for i in g) for g in groups]
     # A group is only over the budget when it holds one sentence, and no

@@ -141,7 +141,9 @@ def test_checkpoints_written_per_iteration(small_corpus, tmp_path):
         assert (d / "dmv.txt").exists()
         assert (d / "cmst.txt").exists()
         assert (d / "trees.conllu").exists()
-    lines = (tmp_path / "metrics.csv").read_text().splitlines()
+    metrics = (tmp_path / "metrics.csv").read_bytes()
+    assert b"\r" not in metrics  # lines end with \n, as in every other file
+    lines = metrics.decode().splitlines()
     assert lines[0] == "iteration,joint_objective,cap_lifted"
     assert len(lines) == state.iteration + 1
 
@@ -313,8 +315,8 @@ def test_decode_corpus_decoders(small_corpus):
 
 def test_decode_corpus_dmv_decodes_groups(monkeypatch):
     # One batched Viterbi pass per length group, with the trees of decoding
-    # each sentence alone; when a sentence has no tree under the depth cap,
-    # the group is decoded again with that sentence's cap lifted.
+    # each sentence alone; the sentences with no tree under the depth cap
+    # are decoded again, by themselves, with their cap lifted.
     c = Corpus(
         tuple(make_sentence(["B"] * k + ["C"]) for k in (2, 1, 3, 1)),
         ("A", "B", "C"),
@@ -322,14 +324,14 @@ def test_decode_corpus_dmv_decodes_groups(monkeypatch):
     state = TrainState(flat_grammar(), None)
     passes = []
 
-    def counted(plan, *args, _fn=dmv.viterbi_batch):
-        passes.append(len(plan.goals))
-        return _fn(plan, *args)
+    def counted(s, *args, _fn=dmv.viterbi_batch):
+        passes.append(len(s.goals))
+        return _fn(s, *args)
 
     monkeypatch.setattr(dmv, "viterbi_batch", counted)
     cfg = _fast_cfg(constraint=ConstraintConfig(0, 0.1))
     trees = decode_corpus(c, state, cfg, decoder="dmv")
-    assert passes == [4, 4]
+    assert passes == [4, 2]
     assert [t.heads for t in trees] == [(3, 3, 0), (2, 0), (4, 4, 4, 0), (2, 0)]
 
 
