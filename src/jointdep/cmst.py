@@ -533,17 +533,6 @@ def arc_costs(q: np.ndarray, v: np.ndarray, m: CmstModel) -> np.ndarray:
     return costs
 
 
-def lmo_decode(
-    terms: Iterable[tuple[np.ndarray, np.ndarray]], m: CmstModel
-) -> list[tuple[DepTree, float]]:
-    """Min-cost projective tree, and its cost, of every sentence with terms
-    (q, v) under the linearized objective, all in one `eisner_min` call.
-    `terms` may be an iterator, so that each sentence's terms are dropped once
-    its arc costs are built."""
-    costs = [arc_costs(q, v, m) for q, v in terms]
-    return [(DepTree(heads), score) for heads, score in eisner_min(costs)]
-
-
 # ---------------------------------------------------------------------------
 # Frank-Wolfe training over relaxed per-sentence tree variables
 # ---------------------------------------------------------------------------

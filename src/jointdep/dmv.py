@@ -60,7 +60,9 @@ class _WeightIndex:
     Layout: root probs (V), attach probs (2*V*V), stop probs (4*V),
     continue probs (4*V).  Stop and continue are indexed separately so that
     expected counts for both outcomes of the stop decision come back from a
-    single gradient-style accumulation.
+    single gradient-style accumulation.  Within a block, root(p) is p,
+    attach(h, dir, c) is (2h + dir) V + c, and stop and continue (h, dir,
+    adj) are 2(2h + dir) + adj.
     """
 
     def __init__(self, V: int):
@@ -69,18 +71,6 @@ class _WeightIndex:
         self.stop_off = V + 2 * V * V
         self.cont_off = self.stop_off + 4 * V
         self.size = self.cont_off + 4 * V
-
-    def root(self, p: int) -> int:
-        return p
-
-    def attach(self, h: int, direction: int, c: int) -> int:
-        return self.attach_off + (h * 2 + direction) * self.V + c
-
-    def stop(self, h: int, direction: int, adj: int) -> int:
-        return self.stop_off + (h * 2 + direction) * 2 + adj
-
-    def cont(self, h: int, direction: int, adj: int) -> int:
-        return self.cont_off + (h * 2 + direction) * 2 + adj
 
 
 @dataclass
@@ -702,39 +692,14 @@ def _expected_counts(
 # Public operations
 # ---------------------------------------------------------------------------
 
-def _tree_events(pos: Sequence[int], y: DepTree, wi: _WeightIndex) -> list[int]:
-    """Log-weight indices of the events that generate tree y over tag ids
-    `pos`: the root choice, then per head and direction a continue and an
-    attach for each child, and the stop."""
-    if y.n != len(pos):
-        raise ValueError(f"tree of length {y.n} for a sentence of length {len(pos)}")
-    events = [wi.root(pos[y.root() - 1])]
-    for h, kids in enumerate(y.children()[1:], start=1):
-        hp = pos[h - 1]
-        for direction, side in ((LEFT, [c for c in kids if c < h]),
-                                (RIGHT, [c for c in kids if c > h])):
-            adj = NO_CHILD
-            for c in side:
-                events += (wi.cont(hp, direction, adj),
-                           wi.attach(hp, direction, pos[c - 1]))
-                adj = HAS_CHILD
-            events.append(wi.stop(hp, direction, adj))
-    return events
-
-
 def tree_logprob(
     x: Sentence, y: DepTree, theta: DmvParams, cfg: ConstraintConfig
 ) -> float:
     """log P(x, y) plus the log constraint factor (soft penalty / hard cap)."""
-    events = _tree_events(theta.tag_ids(x), y, _WeightIndex(theta.V))
+    cost = tree_cost(Corpus((x,), theta.vocab), [y], theta, 0.0, cfg.dep_len_beta)
     if cfg.max_ce_depth is not None and ce_depth(y) > cfg.max_ce_depth:
         return NEG_INF
-    lp = float(theta.log_weights()[events].sum())
-    if cfg.dep_len_beta:
-        for d, h in enumerate(y.heads, start=1):
-            if h != 0:
-                lp -= cfg.dep_len_beta * (abs(h - d) - 1)
-    return lp
+    return -cost
 
 
 def inside_loglik(x: Sentence, theta: DmvParams, cfg: ConstraintConfig) -> float:
@@ -889,13 +854,57 @@ def _params_from_counts(
     return DmvParams(theta.vocab, root, attach, stop)
 
 
+def _tokens(c: Corpus, trees: Sequence[DepTree], theta: DmvParams):
+    """The tag id, head and 1-based position of every token of `c`, laid
+    end to end, under `trees`, one tree per sentence."""
+    tags, heads, pos = [], [], []
+    for x, y in zip(c, trees, strict=True):
+        if y.n != x.n:
+            raise ValueError(f"tree of length {y.n} for a sentence of length {x.n}")
+        tags += theta.tag_ids(x)
+        heads += y.heads
+        pos += range(1, x.n + 1)
+    return tuple(np.array(v, dtype=np.intp) for v in (tags, heads, pos))
+
+
 def tree_counts(c: Corpus, trees: Sequence[DepTree], theta: DmvParams) -> np.ndarray:
     """How often each event of `theta`'s `_WeightIndex` generates `trees`
-    over `c`, one tree per sentence; the depth cap plays no part."""
+    over `c`, one tree per sentence; the depth cap plays no part. A root
+    arc is a root event and any other arc an attach. A head side with k
+    children continues once with no child yet (if k > 0), k - 1 times with
+    one, and stops once, after a child iff k > 0; so child order plays no
+    part."""
     wi = _WeightIndex(theta.V)
-    events = [e for sent, tree in zip(c, trees, strict=True)
-              for e in _tree_events(theta.tag_ids(sent), tree, wi)]
-    return np.bincount(np.asarray(events, dtype=np.intp), minlength=wi.size)
+    tag, head, pos = _tokens(c, trees, theta)
+    arc = head > 0
+    # Each arc's head side 2t + dir, t the head's index in the corpus's
+    # token order, and each token side's row 2 tag + dir of the blocks.
+    side = 2 * (np.arange(tag.size) - pos + head)[arc] + (pos > head)[arc]
+    block = (2 * tag[:, None] + (LEFT, RIGHT)).ravel()
+    k = np.bincount(side, minlength=block.size)
+    first = np.minimum(k, 1)
+    events = np.concatenate((
+        tag[~arc],
+        wi.attach_off + block[side] * wi.V + tag[arc],
+        wi.stop_off + 2 * block + first,
+        np.repeat(wi.cont_off + 2 * block + NO_CHILD, first),
+        np.repeat(wi.cont_off + 2 * block + HAS_CHILD, k - first),
+    ))
+    return np.bincount(events, minlength=wi.size)
+
+
+def tree_cost(c: Corpus, trees: Sequence[DepTree], theta: DmvParams, eps: float,
+              beta: float) -> float:
+    """The grammar's cost of `trees` over `c`: -(counts + eps) . log theta,
+    with `counts` their `tree_counts`, plus `beta` per length penalty unit
+    |h - d| - 1 of every arc but the root's; the depth cap plays no part.
+    Under the Dirichlet prior eps the smoothed `mstep_from_trees` minimizes
+    it. Events of weight 0 are left out, so 0 * log 0 never enters."""
+    counts = tree_counts(c, trees, theta) + eps
+    used = counts > 0
+    _, head, pos = _tokens(c, trees, theta)
+    penalty = (np.abs(head - pos) - 1)[head > 0].sum()
+    return float(-(counts[used] @ theta.log_weights()[used]) + beta * penalty)
 
 
 def mstep_from_trees(

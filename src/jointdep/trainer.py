@@ -181,21 +181,11 @@ def joint_objective(
     cfg: TrainConfig,
     trees: Sequence[DepTree],
 ) -> float:
-    """F + G at fixed trees: the grammar's block -(counts + eps) . log theta
-    plus the length penalty, with `counts` the trees' events (no depth cap:
-    at fixed trees it is a constant) and eps = cfg.mstep_smoothing, a
-    Dirichlet prior under which the smoothed `mstep_from_trees` minimizes the
-    block; plus g_weight times `state.optimizer`'s objective at the trees
-    (w-regularizer included). Events of weight 0 are left out, so 0 * log 0
-    never enters."""
-    counts = dmv.tree_counts(c, trees, state.theta) + cfg.mstep_smoothing
-    used = counts > 0
-    penalty = sum(abs(h - d) - 1 for t in trees
-                  for d, h in enumerate(t.heads, start=1) if h)
-    return float(
-        cfg.g_weight * state.optimizer.objective(trees=trees)
-        - counts[used] @ state.theta.log_weights()[used]
-        + cfg.constraint.dep_len_beta * penalty
+    """F + G at fixed trees: the grammar's `dmv.tree_cost` under the
+    Dirichlet prior eps = cfg.mstep_smoothing, plus g_weight times
+    `state.optimizer`'s objective at the trees (w-regularizer included)."""
+    return cfg.g_weight * state.optimizer.objective(trees=trees) + dmv.tree_cost(
+        c, trees, state.theta, cfg.mstep_smoothing, cfg.constraint.dep_len_beta
     )
 
 
@@ -281,8 +271,9 @@ def decode_corpus(
     grammar's decoders run on `cfg.workers` processes."""
     cfg = cfg or TrainConfig()
     if decoder == "cmst":
-        terms = cmst.sentence_terms(c, state.model)
-        return [tree for tree, _ in cmst.lmo_decode(terms, state.model)]
+        costs = [cmst.arc_costs(q, v, state.model)
+                 for q, v in cmst.sentence_terms(c, state.model)]
+        return [DepTree(heads) for heads, _ in cmst.eisner_min(costs)]
     if decoder in ("dmv", "dd"):
         return _decode_all(c, state, cfg, decoder)[0]
     raise ValueError(f"unknown decoder {decoder!r}")

@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from jointdep.corpus import DepTree, Sentence, Token, Corpus
+from jointdep.dmv import HAS_CHILD, LEFT, NO_CHILD, RIGHT, _WeightIndex
 
 
 def _descendants(heads, h):
@@ -375,21 +376,74 @@ def sentence_objective(q, v, y, m, N):
     return tree_loss(y, q, v, m.mu, m.lam / (2.0 * N) * float(m.w @ m.w))
 
 
+class WeightIndexReference(_WeightIndex):
+    """`dmv._WeightIndex` with the log-weight index of each event spelled
+    out, one accessor per kind."""
+
+    def root(self, p: int) -> int:
+        return p
+
+    def attach(self, h: int, direction: int, c: int) -> int:
+        return self.attach_off + (h * 2 + direction) * self.V + c
+
+    def stop(self, h: int, direction: int, adj: int) -> int:
+        return self.stop_off + (h * 2 + direction) * 2 + adj
+
+    def cont(self, h: int, direction: int, adj: int) -> int:
+        return self.cont_off + (h * 2 + direction) * 2 + adj
+
+
+def tree_events_reference(pos, y, wi):
+    """Log-weight indices, under the `WeightIndexReference` wi, of the
+    events that generate tree y over tag ids `pos`, walked child by child:
+    the root choice, then per head and direction a continue and an attach
+    for each child, and the stop."""
+    if y.n != len(pos):
+        raise ValueError(f"tree of length {y.n} for a sentence of length {len(pos)}")
+    events = [wi.root(pos[y.root() - 1])]
+    for h, kids in enumerate(y.children()[1:], start=1):
+        hp = pos[h - 1]
+        for direction, side in ((LEFT, [c for c in kids if c < h]),
+                                (RIGHT, [c for c in kids if c > h])):
+            adj = NO_CHILD
+            for c in side:
+                events += (wi.cont(hp, direction, adj),
+                           wi.attach(hp, direction, pos[c - 1]))
+                adj = HAS_CHILD
+            events.append(wi.stop(hp, direction, adj))
+    return events
+
+
+def tree_logprob_reference(x, y, theta, cfg):
+    """`dmv.tree_logprob` event by event: the log-weights of
+    `tree_events_reference`, summed one by one, minus beta per length penalty
+    unit |h - d| - 1 of each arc but the root's; -inf when y is deeper than
+    the depth cap by `span_nesting_depth`."""
+    if cfg.max_ce_depth is not None and span_nesting_depth(y.heads) > cfg.max_ce_depth:
+        return -math.inf
+    w = theta.log_weights()
+    events = tree_events_reference(theta.tag_ids(x), y, WeightIndexReference(theta.V))
+    lp = sum(float(w[e]) for e in events)
+    return lp - cfg.dep_len_beta * sum(
+        abs(h - d) - 1 for d, h in enumerate(y.heads, start=1) if h
+    )
+
+
 def joint_objective_reference(c, state, cfg, trees):
     """`trainer.joint_objective` sentence by sentence: each sentence's
-    grammar loss -log p(tree) (depth cap lifted) and g_weight times its
-    `sentence_objective` at its 0/1 arc matrix, then the Dirichlet prior
-    -eps * sum(log theta), table by table, for eps > 0."""
+    grammar loss -log p(tree) by `tree_logprob_reference` (depth cap lifted)
+    and g_weight times its `sentence_objective` at its 0/1 arc matrix, then
+    the Dirichlet prior -eps * sum(log theta), table by table, for eps > 0."""
     from dataclasses import replace
 
-    from jointdep import cmst, dmv
+    from jointdep import cmst
     from jointdep.corpus import tree_matrix
 
     cfg_eval = replace(cfg.constraint, max_ce_depth=None)
     total = 0.0
     terms = cmst.sentence_terms(c, state.model)
     for sent, tree, (q, v) in zip(c, trees, terms, strict=True):
-        total += -dmv.tree_logprob(sent, tree, state.theta, cfg_eval)
+        total += -tree_logprob_reference(sent, tree, state.theta, cfg_eval)
         total += cfg.g_weight * sentence_objective(
             q, v, tree_matrix(tree), state.model, c.N
         )
@@ -493,9 +547,7 @@ def fw_run_reference(corpus, model, iters, trees=None):
 def slot_weight_refs(pos, V):
     """Log-weight index of every weight slot of a chart over tag ids `pos`;
     the unit slot maps to index size (the appended log 1)."""
-    from jointdep.dmv import LEFT, RIGHT, _WeightIndex
-
-    wi = _WeightIndex(V)
+    wi = WeightIndexReference(V)
     n = len(pos)
     refs = [wi.size]
     refs += [wi.root(pos[c]) for c in range(n)]

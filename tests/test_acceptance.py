@@ -112,7 +112,8 @@ def test_criterion_2_lmo_vs_oracle(rng):
         q, v = next(cmst.sentence_terms([x], m))
         costs = cmst.arc_costs(q, v, m)
         if u is None:
-            [(tree, score)] = cmst.lmo_decode([(q, v)], m)
+            [(heads, score)] = cmst.eisner_min([costs])
+            tree = DepTree(heads)
         else:
             costs = costs - u
             [(heads, score)] = cmst.eisner_min([costs])

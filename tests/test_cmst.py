@@ -29,7 +29,6 @@ from jointdep.cmst import (
     default_rules,
     eisner_min,
     extract_features,
-    lmo_decode,
     parse_rules,
     rule_vector,
     sentence_terms,
@@ -257,13 +256,14 @@ def test_objective_matches_naive_evaluation(rng):
 
 
 # ---------------------------------------------------------------------------
-# lmo_decode
+# eisner_min over arc_costs
 # ---------------------------------------------------------------------------
 
 def test_lmo_rule_dominated():
     x = make_sentence(["DET", "NOUN", "VERB"])
     m = CmstModel.create(("DET", "NOUN", "VERB"), mu=100.0)
-    [(tree, _)] = lmo_decode(sentence_terms([x], m), m)
+    [(heads, _)] = eisner_min([arc_costs(q, v, m) for q, v in sentence_terms([x], m)])
+    tree = DepTree(heads)
     v = rule_vector(x, m.rules)
     best_sat = max(
         float(np.vdot(v, tree_matrix(t))) for t in all_projective_trees(3)
@@ -283,7 +283,8 @@ def test_lmo_matches_bruteforce(rng):
         q, v = next(sentence_terms([x], m))
         costs = arc_costs(q, v, m)
         if u is None:
-            [(tree, score)] = lmo_decode([(q, v)], m)
+            [(heads, score)] = eisner_min([costs])
+            tree = DepTree(heads)
         else:
             costs = costs - u
             [(heads, score)] = eisner_min([costs])
@@ -414,7 +415,8 @@ def test_fw_toy_sentence_learns_rule_arcs():
     c = Corpus((x,), ("DET", "NOUN", "VERB"))
     m = CmstModel.create(c.pos_vocab, lam=1.0, mu=1.0)
     FrankWolfeOptimizer(c, m).run(60)
-    [(tree, _)] = lmo_decode(sentence_terms([x], m), m)
+    [(heads, _)] = eisner_min([arc_costs(q, v, m) for q, v in sentence_terms([x], m)])
+    tree = DepTree(heads)
     assert tree.heads == (2, 3, 0)
     # Brute-force check: the decoded tree minimizes the final objective.
     costs = arc_costs(*next(sentence_terms([x], m)), m)

@@ -19,6 +19,8 @@ from oracles import (
     scalar_viterbi,
     slot_weight_refs,
     span_nesting_depth,
+    tree_events_reference,
+    WeightIndexReference,
 )
 
 from jointdep import dmv
@@ -671,9 +673,9 @@ def test_tree_counts_sum_the_per_tree_events(rng):
     for x in c:
         heads = all_projective_heads(x.n)
         trees.append(DepTree(heads[rng.integers(len(heads))]))
-    wi = dmv._WeightIndex(theta.V)
+    wi = WeightIndexReference(theta.V)
     want = sum(
-        np.bincount(dmv._tree_events(theta.tag_ids(x), t, wi), minlength=wi.size)
+        np.bincount(tree_events_reference(theta.tag_ids(x), t, wi), minlength=wi.size)
         for x, t in zip(c, trees)
     )
     got = dmv.tree_counts(c, trees, theta)

@@ -6,10 +6,13 @@ import pytest
 
 from oracles import (
     all_projective_heads,
+    all_projective_trees,
     flat_grammar,
     joint_objective_reference,
     make_sentence,
     random_corpus,
+    random_dmv_params,
+    tree_logprob_reference,
 )
 
 from jointdep import cmst, dmv, trainer
@@ -269,6 +272,47 @@ def test_joint_objective_equals_the_per_sentence_sum(small_corpus, eps):
     attach.reshape(-1)[unused] = 0.0
     got = check(dmv.DmvParams(theta.vocab, theta.root, attach, theta.stop), trees)
     assert math.isfinite(got) == (eps == 0)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+@pytest.mark.parametrize("cap", [None, 0, 1])
+def test_fixed_tree_scores_under_impossible_events(rng, cap, beta):
+    # A grammar with zero attach, stop and continue probabilities: A never
+    # takes B as a right child, B never stops after a left child and A never
+    # takes a second right child. Over every projective tree, tree_logprob
+    # is the reference walker's score, and -inf (not NaN) where a used event
+    # is impossible; the unsmoothed joint objective, which lifts the cap, is
+    # +inf exactly there. Any 0 * log 0 would raise a RuntimeWarning.
+    vocab = ("A", "B")
+    theta = random_dmv_params(rng, vocab)
+    attach, stop = theta.attach.copy(), theta.stop.copy()
+    attach[0, dmv.RIGHT, 1] = 0.0
+    attach /= attach.sum(axis=2, keepdims=True)
+    stop[1, dmv.LEFT, dmv.HAS_CHILD] = 0.0
+    stop[0, dmv.RIGHT, dmv.HAS_CHILD] = 1.0
+    theta = dmv.DmvParams(vocab, theta.root, attach, stop)
+    cfg, lifted = ConstraintConfig(cap, beta), ConstraintConfig(None, beta)
+    train_cfg = _fast_cfg(constraint=cfg, mstep_smoothing=0.0)
+    impossible = []
+    for tags in (["B"], ["A", "B"], ["B", "A", "B"], ["A", "A", "B", "A"]):
+        x = make_sentence(tags)
+        c = Corpus((x,), vocab)
+        model = cmst.CmstModel.create(vocab)
+        opt = cmst.FrankWolfeOptimizer(c, model)
+        state = TrainState(theta, model, optimizer=opt)
+        for tree in all_projective_trees(x.n):
+            got = dmv.tree_logprob(x, tree, theta, cfg)
+            want = tree_logprob_reference(x, tree, theta, cfg)
+            if want == -math.inf:
+                assert got == -math.inf
+            else:
+                assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+            uncapped = tree_logprob_reference(x, tree, theta, lifted)
+            impossible.append(uncapped == -math.inf)
+            objective = joint_objective(c, state, train_cfg, [tree])
+            assert (objective == math.inf) == impossible[-1]
+            assert math.isfinite(objective) == (not impossible[-1])
+    assert any(impossible) and not all(impossible)
 
 
 def test_joint_weights_leave_the_separate_path(small_corpus):
