@@ -2,13 +2,13 @@
 min-cost decoding, and Frank-Wolfe training over relaxed tree variables with
 an exact ridge solve for the weights.
 
-An arc's features depend only on its cell [head tag, dependent tag,
-direction, distance bin] (`_arc_cells`). Decoding scores arcs from tables of
-weight sums (`sentence_terms`), one entry per cell, so it builds no feature
-matrix. Only Frank-Wolfe training builds the sparse features X
-(`extract_features`), in one numpy pass per sentence, and only it imports
-scipy. Its state is a few flat corpus vectors, so each step is a handful of
-corpus-wide numpy operations around one `eisner_min` call."""
+An arc's features depend only on its class (`_arc_classes`): its cell [head
+tag, dependent tag, direction, distance bin], and whether the root heads it.
+So no feature matrix is built: arc scores are gathered from weight sums per
+class (`FeatureTemplate.weight_sums`), and Frank-Wolfe's ridge system is
+solved from sums per class (`_NestedRidge`). Its state is a few flat corpus
+vectors, so each step is a handful of corpus-wide numpy operations around
+one `eisner_min` call."""
 
 from __future__ import annotations
 
@@ -16,14 +16,11 @@ import functools
 import importlib.resources
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .corpus import ArcLayout, Corpus, DepTree, Sentence
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 ROOT_TAG = "<ROOT>"
 UNK_TAG = "<UNK>"
@@ -41,7 +38,7 @@ class FeatureTemplate:
     Templates: bias; head tag; dependent tag; tag pair; pair + direction;
     pair + direction + distance bin; direction + distance bin; root-arc
     indicator; root + dependent tag.  Root arcs use the distinguished ROOT
-    head tag; tags unseen at extraction time map to UNK.
+    head tag; tags outside the vocabulary map to UNK.
     """
 
     # Each template's block of weights, in index order, named by the axes of
@@ -114,12 +111,12 @@ class FeatureTemplate:
     def tag_id(self, tag: str) -> int:
         return self._tag_index.get(tag, 1)  # UNK at index 1
 
-    def weight_sums(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The score of every arc feature cell under weights w: a (T, T, 2, B)
-        table keyed [head tag, dependent tag, direction, bin] for heads that
-        are tokens, and a (T, B) table keyed [dependent tag, bin] for the
-        root. Each entry adds its cell's weights to 0.0 one at a time, in
-        block order, as a CSR matvec sums a row of X @ w."""
+    def weight_sums(self, w: np.ndarray) -> np.ndarray:
+        """The score under weights w of every arc class (`_arc_classes`):
+        the (T, T, 2, B) cells [head tag, dependent tag, direction, bin] of
+        token-headed arcs, then the (T, B) cells [dependent tag, bin] of root
+        arcs, then 0.0 for non-arc cells. Each entry adds its class's weights
+        to 0.0 one at a time, in block order, as a CSR matvec sums X @ w."""
         split = len(self._blocks) - self._ROOT_BLOCKS
         sums = np.zeros((self.T, self.T, 2, _NUM_BINS))
         for shape, off, _ in self._blocks[:split]:
@@ -127,68 +124,22 @@ class FeatureTemplate:
         root = sums[self.tag_id(ROOT_TAG), :, 1, :]
         for shape, off, _ in self._blocks[split:]:
             root = root + w[off:off + math.prod(shape)].reshape(shape)[0, :, 0, :]
-        return sums, root
+        return np.concatenate([sums.ravel(), root.ravel(), [0.0]])
 
 
-def _arc_cells(x: Sentence, t: FeatureTemplate) -> tuple[np.ndarray, ...]:
-    """The feature cell [head tag, dependent tag, direction, distance bin] of
-    every cell [h, d] of x's (n+1, n+1) arc matrix, as four index arrays that
-    broadcast to (n+1, n+1). Row 0 is headed by the ROOT tag; direction is
-    1 when the head precedes the dependent."""
+def _arc_classes(x: Sentence, t: FeatureTemplate) -> np.ndarray:
+    """The (n+1, n+1) matrix of the class of every cell [h, d] of x's arc
+    matrix, each an index into `t.weight_sums(w)`, so that the gather of
+    those sums is bit for bit x's arc scores X @ w, with X never built."""
     ids = np.array([t.tag_id(tag) for tag in (ROOT_TAG,) + x.upos])
     pos = np.arange(x.n + 1)
-    right = (pos[:, None] < pos).astype(np.intp)
     bins = np.searchsorted(_BIN_EDGES, np.abs(pos[:, None] - pos))
-    return ids[:, None], ids, right, bins
-
-
-def _arc_scores(
-    x: Sentence, t: FeatureTemplate, sums: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """The (n+1, n+1) arc score matrix of x, keyed [h, d], read from the
-    tables `sums = t.weight_sums(w)`: bit for bit
-    (extract_features([x], t) @ w).reshape(n + 1, n + 1), with no feature
-    matrix built. Column 0 and the diagonal are 0."""
-    pair, root = sums
-    heads, deps, right, bins = _arc_cells(x, t)
-    q = pair[heads, deps, right, bins]
-    q[0] = root[deps, bins[0]]
-    q[:, 0] = 0.0
-    np.fill_diagonal(q, 0.0)
-    return q
-
-
-def _feature_rows(x: Sentence, t: FeatureTemplate) -> tuple[np.ndarray, np.ndarray]:
-    """The active feature indices of every cell [h, d] of x's arc matrix, in
-    row-major cell order and, within a cell, in block order, and the number
-    of them in each cell: one per block on root arcs, one per block but the
-    root-only ones on other arcs, none on non-arc cells (d = 0 or h = d)."""
-    blocks = t._blocks
-    offs = np.array([off for _, off, _ in blocks])
-    strides = np.array([s for _, _, s in blocks])  # (blocks, 4)
-    cells = np.stack(np.broadcast_arrays(*_arc_cells(x, t)), axis=-1)
-    idx = offs + cells @ strides.T  # (n+1, n+1, blocks): index in each block
-    pos = np.arange(x.n + 1)
-    arc = (pos != 0) & (pos[:, None] != pos)
-    fires = np.arange(len(blocks)) < len(blocks) - t._ROOT_BLOCKS
-    active = arc[..., None] & (fires | (pos == 0)[:, None, None])
-    return idx[active], active.sum(axis=2).ravel()
-
-
-def extract_features(xs: Sequence[Sentence], t: FeatureTemplate) -> sp.csr_matrix:
-    """Sparse 0/1 matrix with one row per cell [h, d] of each sentence's
-    (n+1, n+1) arc matrix, in row-major order, the sentences stacked in order.
-    Rows of non-arc cells (d = 0 or h = d) are empty, so the rows of sentence
-    x give (X @ w).reshape(n + 1, n + 1), its arc score matrix."""
-    # Imported here, not at module load, as in `FrankWolfeOptimizer`.
-    import scipy.sparse as sp
-
-    rows = [_feature_rows(x, t) for x in xs]
-    cols = np.concatenate([c for c, _ in rows])
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate([k for _, k in rows]))))
-    return sp.csr_matrix(
-        (np.ones(cols.size), cols, indptr), shape=(indptr.size - 1, t.dimension),
-    )
+    cells = 2 * t.T * t.T * _NUM_BINS
+    cls = ((ids[:, None] * t.T + ids) * 2 + (pos[:, None] < pos)) * _NUM_BINS + bins
+    cls[0] = cells + ids * _NUM_BINS + bins[0]  # headed by the root
+    cls[:, 0] = cells + t.T * _NUM_BINS
+    np.fill_diagonal(cls, cls[0, 0])
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +195,12 @@ def sentence_terms(
     xs: Iterable[Sentence], m: CmstModel
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The discriminative terms of each sentence of xs under a model, one at
-    a time: its arc scores q (see `_arc_scores`) and its rule matrix v (see
-    `rule_vector`), with the weight sums built once for all of them. Every
-    scorer below takes these rather than the sentence."""
+    a time: its arc scores q, gathered at its `_arc_classes`, and its rule
+    matrix v (see `rule_vector`), with the weight sums built once for all of
+    them. Every scorer below takes these rather than the sentence."""
     sums = m.templates.weight_sums(m.w)
     for x in xs:
-        yield _arc_scores(x, m.templates, sums), rule_vector(x, m.rules)
+        yield sums[_arc_classes(x, m.templates)], rule_vector(x, m.rules)
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +488,93 @@ def arc_costs(q: np.ndarray, v: np.ndarray, m: CmstModel) -> np.ndarray:
 # Frank-Wolfe training over relaxed per-sentence tree variables
 # ---------------------------------------------------------------------------
 
+def _spd_inverse(a: np.ndarray) -> np.ndarray:
+    """The inverse of a symmetric positive definite matrix by elementwise
+    Gauss-Jordan steps: LAPACK's splits its sums over BLAS threads from about
+    160 rows (see `_NestedRidge`)."""
+    n = len(a)
+    a = np.hstack([a, np.eye(n)])
+    for j in range(n):
+        a[j] /= a[j, j]
+        a -= np.outer(a[:, j] * (np.arange(n) != j), a[j])
+    return a[:, n:]
+
+
+class _NestedRidge:
+    """The ridge system (sum_i (1/n_i) X_i'X_i + lam*I) w = X'z of a corpus's
+    stacked arc features X, factored once and solved for any z from sums per
+    arc class (`_arc_classes`): c, of 1/n, fixes the matrix and b, of z, X'z.
+    Weights are solved out finest first: a pair + direction + bin weight is
+    fired by one cell's arcs, so its block is diagonal; a tag pair's pair and
+    pair + direction weights couple only to each other and to the global
+    blocks (a batched (T*T, 3, 3) inverse); the 3T + 2B + 2 global weights
+    are one dense system. Products are einsums: BLAS splits long sums over
+    threads, and trained weights must not depend on the thread count."""
+
+    def __init__(self, t: FeatureTemplate, lam: float, c: np.ndarray):
+        T, blocks, axes = t.T, t._blocks, t._BLOCK_AXES
+        pair = [i for i, a in enumerate(axes) if a[:2] == (True, True) and not a[3]]
+        coarse = pair + [i for i, a in enumerate(axes) if a[:2] != (True, True)]
+        # Every cell's weight index in every block. Root arcs fire the pair
+        # + direction + bin weight of the cell [ROOT, d, right, bin].
+        grid = np.indices((T, T, 2, _NUM_BINS)).reshape(4, -1).T
+        idx = grid @ np.array([s for *_, s in blocks]).T + [off for _, off, _ in blocks]
+        self._fine = idx[:, axes.index((True,) * 4)]
+        self._root = np.flatnonzero((grid[:, 0] == 0) & (grid[:, 2] == 1))
+        # Coarse weights in solve order: each tag pair's together, then the
+        # global ones; `_pos` has each cell's place in it in every block.
+        span = [off + np.arange(math.prod(shape)) for shape, off, _ in blocks]
+        self._order = np.concatenate(
+            [np.concatenate([span[i].reshape(T * T, -1) for i in pair], 1).ravel()]
+            + [span[i] for i in coarse[len(pair):]])
+        pos = np.empty(t.dimension, dtype=np.intp)
+        pos[self._order] = np.arange(self._order.size)
+        self._pos = pos[idx[:, coarse]].T
+        # Per cell: C and R sum 1/n over all its arcs and its root arcs. All
+        # fire its token-headed blocks and only root arcs the others, so g,
+        # each block's coupling to the fine weight, is C or R.
+        R = np.zeros(self._fine.size)
+        R[self._root] = c[self._fine.size:-1]
+        C = c[:self._fine.size] + R
+        self._d = d = lam + C
+        self._fires = fires = (np.array(coarse) < len(axes) - t._ROOT_BLOCKS)[:, None]
+        self._g = g = np.where(fires, C, R)
+        nP = sum(span[i].size for i in pair)
+        k, nG, p = nP // (T * T), self._order.size - nP, len(pair)
+        pp, cg = np.zeros(nP * k), np.zeros((nP + nG) * nG)
+        for i, row in enumerate(self._pos):
+            v = np.where(fires[i] & fires, C, R) - g[i] * g / d
+            key = row * nG + self._pos[p:] - nP
+            cg += np.bincount(key.ravel(), v[p:].ravel(), minlength=cg.size)
+            if i < p:
+                key = row * k + self._pos[:p] % k
+                pp += np.bincount(key.ravel(), v[:p].ravel(), minlength=pp.size)
+        cg = cg.reshape(nP + nG, nG)
+        spg = cg[:nP].reshape(T * T, k, nG)
+        self._A = np.linalg.inv(pp.reshape(T * T, k, k) + lam * np.eye(k))
+        self._Q = np.einsum("pij,pjg->pig", self._A, spg)
+        self._G = _spd_inverse(
+            cg[nP:] + lam * np.eye(nG) - np.einsum("pki,pkj->ij", spg, self._Q))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """w, given b."""
+        cells, (pairs, k, nG) = self._d.size, self._Q.shape
+        bR = np.zeros(cells)
+        bR[self._root] = b[cells:-1]
+        bf = b[:cells] + bR
+        # X'z less the fine weights' share, per block and cell.
+        u = np.where(self._fires, bf, bR) - self._g * (bf / self._d)
+        rhs = np.bincount(self._pos.ravel(), u.ravel(), minlength=pairs * k + nG)
+        rp, rg = rhs[:-nG].reshape(pairs, k), rhs[-nG:]
+        wg = np.einsum("ij,j", self._G, rg - np.einsum("pki,pk", self._Q, rp))
+        wp = np.einsum("pij,pj->pi", self._A, rp)
+        wp -= np.einsum("pki,i->pk", self._Q, wg)
+        w = np.zeros(rhs.size + cells)
+        w[self._order] = wc = np.concatenate([wp.ravel(), wg])
+        w[self._fine] = (bf - (self._g * wc[self._pos]).sum(axis=0)) / self._d
+        return w
+
+
 class FrankWolfeOptimizer:
     """Block optimization of the discriminative clustering objective: exact
     ridge re-solve for w given the relaxed tree variables, then one
@@ -544,52 +582,28 @@ class FrankWolfeOptimizer:
     search) on the relaxed variables jointly.
 
     The state is flat corpus vectors in the `ArcLayout` of the training
-    sentences, which is also the row layout of the stacked feature matrix
-    `X_all`. The relaxed trees, the rule matrices and the gradient, vertex
+    sentences. The relaxed trees, the rule matrices and the gradient, vertex
     and residual buffers all take that layout, and `y` and `v` are
     per-sentence views into the first two. So a step's elementwise algebra
     runs once over the corpus; only the sums run per sentence, one `np.vdot`
     on each sentence's views, added in corpus order as a per-sentence loop
-    over matrices adds them.
-
-    The ridge matrix sum_i (1/n_i) X_i'X_i + lam*I is the same for every
-    solve, so it is factored once. SuperLU gets a symmetric ordering: its
-    default column ordering fills the factors about 20 times more here."""
+    over matrices adds them. Arc scores are gathered from the weight sums
+    at each flat cell's class, and the ridge system is solved from sums
+    over the classes (`_NestedRidge`), so no feature matrix is built."""
 
     def __init__(self, corpus: Corpus, model: CmstModel):
         check_weights(model.lam, model.mu, train=True)
         if corpus.N == 0:
             raise ValueError("cannot train on an empty corpus")
-        # Imported here, not at module load: scipy costs about 0.2 s and
-        # 20 MB that parsing and evaluation never use.
-        import scipy.sparse as sp
-
         self.model = model
         self.layout = layout = ArcLayout(s.n for s in corpus)
-        # One CSR matvec with X_all scores every arc of the corpus, each row
-        # summed as sentence i's own features X_i @ w would sum it.
-        self.X_all = extract_features(corpus.sentences, model.templates)
-        # Per cell: its sentence's length n, as a float, and sqrt(n).
+        self._cls = np.concatenate(
+            [_arc_classes(s, model.templates).ravel() for s in corpus])
+        # Per cell: its sentence's length n, as a float.
         ns = np.array(layout.lengths, dtype=np.float64)
         self._n = np.repeat(ns, np.diff(layout.offsets))
-        self._sqrt_n = np.sqrt(self._n)
-        # The ridge design D is X_all with sentence i's rows scaled 1/sqrt(n),
-        # so that the normal equations sum (1/n) X'X per sentence. It shares
-        # X_all's structure.
-        scale = np.repeat(1.0 / np.sqrt(ns), np.diff(self.X_all.indptr[layout.offsets]))
-        D = sp.csr_matrix(
-            (scale, self.X_all.indices, self.X_all.indptr), shape=self.X_all.shape
-        )
-        gram = D.T @ D + model.lam * sp.identity(D.shape[1])
-        # Imported only now: imported before the features were built, it
-        # raised the peak RSS of cmst-only training by about 1 MB.
-        from scipy.sparse.linalg import splu
-
-        self._lu = splu(
-            gram.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
-        del D, gram
+        self._ridge = _NestedRidge(
+            model.templates, model.lam, np.bincount(self._cls, 1.0 / self._n))
         self._V = np.concatenate([rule_vector(s, model.rules).ravel() for s in corpus])
         self._Y = np.zeros(layout.size)
         self._grad = np.empty(layout.size)
@@ -610,13 +624,19 @@ class FrankWolfeOptimizer:
         flat.fill(0.0)
         flat[self.layout.arcs(heads)] = 1.0
 
+    def ridge_solve(self, z: np.ndarray) -> np.ndarray:
+        """The w solving (sum_i (1/n_i) X_i'X_i + lam*I) w = X'z, for X the
+        training sentences' stacked arc features and z a flat vector in
+        their layout: at z = Y / n, the objective's minimizer at trees Y."""
+        # Cell [0, 0] of every arc matrix has the last class.
+        return self._ridge.solve(np.bincount(self._cls, z))
+
     def _solve_w(self) -> None:
-        # D' (y / sqrt(n)) as X_all' (y / sqrt(n) * (1 / sqrt(n))): D's
-        # entries are 1 / sqrt(n) where X_all's are 1, so the products and
-        # their order are the same.
-        z = self._Y / self._sqrt_n
-        z *= 1.0 / self._sqrt_n
-        self.model.w = self._lu.solve(self.X_all.T @ z)
+        self.model.w = self.ridge_solve(self._Y / self._n)
+
+    def _scores(self) -> np.ndarray:
+        """The flat arc score vector at the current w."""
+        return self.model.templates.weight_sums(self.model.w)[self._cls]
 
     def _heads(self, trees: Sequence[DepTree]) -> Iterator[tuple[int, ...]]:
         """The head sequences of `trees`, one tree per training sentence in
@@ -637,11 +657,11 @@ class FrankWolfeOptimizer:
         """The objective at the current w, over the relaxed trees or, given
         `trees` (one per training sentence), over their 0/1 arc matrices,
         which leaves the relaxed trees as they are. `q` is the flat arc score
-        vector X_all @ w at the current w, when the caller already has it.
+        vector at the current w, when the caller already has it.
         Each sentence's loss (1/2n)||y - q||^2 - mu * v.y is added to the
         w-regularizer (lam/2)||w||^2 in corpus order."""
         if q is None:
-            q = self.X_all @ self.model.w
+            q = self._scores()
         Y, ys = self._Y, self.y
         if trees is not None:
             Y = self._vert
@@ -659,7 +679,7 @@ class FrankWolfeOptimizer:
         sentence's linear minimization runs in one `eisner_min` call, whose
         heads are scattered straight into the flat vertex."""
         self._solve_w()
-        q = self.X_all @ self.model.w
+        q = self._scores()
         g, s, diff = self._grad, self._vert, self._diff
         np.subtract(self._Y, q, out=g)
         g /= self._n

@@ -67,7 +67,7 @@ class TrainState:
     iteration: int = 0
     stats: dict = field(default_factory=dict)
     # The Frank-Wolfe optimizer that trains `model`, kept so that joint
-    # training continues from its features and factored ridge matrix.
+    # training continues from its arc classes and factored ridge system.
     optimizer: cmst.FrankWolfeOptimizer | None = field(default=None, repr=False)
 
     def save(self, out_dir, corpus: Corpus | None = None) -> None:

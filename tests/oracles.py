@@ -309,7 +309,7 @@ def dist_bin(dist: int) -> int:
 
 def arc_features(t, head_tag: str, dep_tag: str, h: int, d: int) -> list[int]:
     """Active feature indices of template `t` for the arc (h, d), block by
-    block: the per-arc reference for `cmst.extract_features`."""
+    block: the per-arc reference for `extract_features`."""
     ht = t.tag_id(head_tag)
     dt = t.tag_id(dep_tag)
     direction = 1 if h < d else 0  # 1 = head precedes dependent
@@ -321,8 +321,50 @@ def arc_features(t, head_tag: str, dep_tag: str, h: int, d: int) -> list[int]:
     ]
 
 
+def _feature_rows(x, t):
+    """The active feature indices of every cell [h, d] of x's arc matrix, in
+    row-major cell order and, within a cell, in block order, and the number
+    of them in each cell: one per block on root arcs, one per block but the
+    root-only ones on other arcs, none on non-arc cells (d = 0 or h = d)."""
+    from jointdep.cmst import _BIN_EDGES, ROOT_TAG
+
+    # Each cell's [head tag, dependent tag, direction, distance bin]; row 0
+    # is headed by the ROOT tag, and direction is 1 when the head precedes.
+    ids = np.array([t.tag_id(tag) for tag in (ROOT_TAG,) + x.upos])
+    pos = np.arange(x.n + 1)
+    right = (pos[:, None] < pos).astype(np.intp)
+    bins = np.searchsorted(_BIN_EDGES, np.abs(pos[:, None] - pos))
+    blocks = t._blocks
+    offs = np.array([off for _, off, _ in blocks])
+    strides = np.array([s for _, _, s in blocks])  # (blocks, 4)
+    cells = np.stack(np.broadcast_arrays(ids[:, None], ids, right, bins), axis=-1)
+    idx = offs + cells @ strides.T  # (n+1, n+1, blocks): index in each block
+    arc = (pos != 0) & (pos[:, None] != pos)
+    fires = np.arange(len(blocks)) < len(blocks) - t._ROOT_BLOCKS
+    active = arc[..., None] & (fires | (pos == 0)[:, None, None])
+    return idx[active], active.sum(axis=2).ravel()
+
+
+def extract_features(xs, t):
+    """Sparse 0/1 matrix with one row per cell [h, d] of each sentence's
+    (n+1, n+1) arc matrix, in row-major order, the sentences stacked in order,
+    built in one numpy pass per sentence. Rows of non-arc cells (d = 0 or
+    h = d) are empty, so the rows of sentence x give (X @ w).reshape(n + 1,
+    n + 1), its arc score matrix: the features that the parser scores
+    through `FeatureTemplate.weight_sums` and never builds."""
+    import scipy.sparse as sp
+
+    rows = [_feature_rows(x, t) for x in xs]
+    cols = np.concatenate([c for c, _ in rows])
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate([k for _, k in rows]))))
+    return sp.csr_matrix(
+        (np.ones(cols.size), cols, indptr), shape=(indptr.size - 1, t.dimension),
+    )
+
+
 def extract_features_reference(x, t):
-    """`cmst.extract_features`, built arc by arc from `arc_features`."""
+    """`extract_features` of one sentence, built arc by arc from
+    `arc_features`."""
     import scipy.sparse as sp
 
     from jointdep.cmst import ROOT_TAG
@@ -463,6 +505,21 @@ def sentence_gradient(X, y, m, N):
     return X.T @ (X @ m.w - y.ravel()) / (y.shape[0] - 1) + (m.lam / N) * m.w
 
 
+def ridge_reference(corpus, model, z):
+    """The ridge system (sum_i (1/n_i) X_i'X_i + lam*I) w = X'z that
+    `FrankWolfeOptimizer.ridge_solve` solves, with X the stacked
+    `extract_features` of `corpus` and z a flat vector in its arc layout,
+    built from X and solved by SuperLU. Returns w, the matrix and X'z."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
+    X = extract_features(corpus.sentences, model.templates)
+    n = np.repeat([float(s.n) for s in corpus], [(s.n + 1) ** 2 for s in corpus])
+    gram = (X.T @ sp.diags(1.0 / n) @ X + model.lam * sp.identity(X.shape[1])).tocsc()
+    rhs = X.T @ z
+    return splu(gram, permc_spec="MMD_AT_PLUS_A").solve(rhs), gram, rhs
+
+
 def fw_run_reference(corpus, model, iters, trees=None):
     """Frank-Wolfe training of `model` on `corpus` as a loop over
     per-sentence matrices: the reference for `cmst.FrankWolfeOptimizer`,
@@ -470,36 +527,31 @@ def fw_run_reference(corpus, model, iters, trees=None):
     `trees` with w re-solved at them, run `iters` steps. Each step re-solves
     w, takes each sentence's gradient, decodes each vertex with
     `eisner_min_reference` and builds it as a `DepTree` and a 0/1 matrix,
-    then line-searches. The ridge system and its factorization are those of
-    the optimizer, built from per-sentence feature matrices.
+    then line-searches. The ridge system and its solve are those of the
+    optimizer (`FrankWolfeOptimizer.ridge_solve`, checked against SuperLU
+    by `ridge_reference`); the arc scores are per-sentence feature
+    matrices times w.
 
     Returns the relaxed trees `y` (a list of matrices), the objective and
     gap histories, and `w` (also left in model.w)."""
     from types import SimpleNamespace
 
     import scipy.sparse as sp
-    from scipy.sparse.linalg import splu
 
+    from jointdep.cmst import FrankWolfeOptimizer
     from jointdep.corpus import tree_matrix
 
     X = [extract_features_reference(s, model.templates) for s in corpus]
     v = [rule_vector_reference(s, model.rules) for s in corpus]
     y = [tree_matrix(DepTree(tuple(range(s.n)))) for s in corpus]
     ns = np.array([s.n for s in corpus], dtype=np.float64)
-    D = sp.vstack([Xi / math.sqrt(n) for Xi, n in zip(X, ns)]).tocsr()
-    gram = D.T @ D + model.lam * sp.identity(D.shape[1])
-    lu = splu(
-        gram.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-        options=dict(SymmetricMode=True),
-    )
+    ridge_solve = FrankWolfeOptimizer(corpus, model).ridge_solve
     X_all = sp.vstack(X).tocsr()
     ends = np.cumsum([Xi.shape[0] for Xi in X])[:-1]
 
     def solve_w():
-        z = np.concatenate(
-            [yi.ravel() / s * (1.0 / s) for yi, s in zip(y, np.sqrt(ns))]
-        )
-        model.w = lu.solve(X_all.T @ z)
+        model.w = ridge_solve(
+            np.concatenate([yi.ravel() / n for yi, n in zip(y, ns)]))
 
     if trees is not None:
         y = [tree_matrix(t) for t in trees]

@@ -17,6 +17,7 @@ import pytest
 
 from oracles import (
     all_projective_trees,
+    extract_features,
     logsumexp,
     make_sentence,
     price_matrix,
@@ -129,7 +130,7 @@ def test_criterion_2_lmo_vs_oracle(rng):
 
 def _joint_cost(x, tree, theta, cfg, m):
     y = tree_matrix(tree)
-    X = cmst.extract_features([x], m.templates)
+    X = extract_features([x], m.templates)
     v = cmst.rule_vector(x, m.rules)
     resid = y.ravel() - X @ m.w
     g = float(resid @ resid) / (2 * x.n) - m.mu * float(np.vdot(v, y))
@@ -199,7 +200,7 @@ def test_criterion_6_gradient_check(rng):
         tree = trees[int(rng.integers(len(trees)))]
         N = int(rng.integers(1, 20))
         g = sentence_gradient(
-            cmst.extract_features([x], m.templates), tree_matrix(tree), m, N
+            extract_features([x], m.templates), tree_matrix(tree), m, N
         )
         # The objective Frank-Wolfe trains, at N copies of the tree, over N:
         # the sentence's loss plus its share (lam/2N)||w||^2 of the ridge.

@@ -461,9 +461,9 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_cli_import_leaves_sparse_solver_unloaded(tmp_path, model_dir, train_file):
-    # Only Frank-Wolfe training builds sparse features and factors the ridge
-    # system: importing the CLI, every parse decoder, eval and analyze must
-    # not import scipy at all. cmst-only training still does.
+    # No command builds sparse features or factors a sparse matrix: importing
+    # the CLI, every parse decoder, eval, analyze and Frank-Wolfe training,
+    # cmst-only or joint, must not import scipy at all.
     pred = tmp_path / "pred.conllu"
     commands = [
         ["parse", "--model", str(model_dir), "--decoder", decoder,
@@ -474,6 +474,9 @@ def test_cli_import_leaves_sparse_solver_unloaded(tmp_path, model_dir, train_fil
         ["analyze", "--pred", str(pred)],
         ["train", "--mode", "cmst-only", "--fw-pretrain-iters", "1",
          "--train", str(train_file), "--out", str(tmp_path / "cmst")],
+        ["train", "--mode", "joint", "--em-pretrain-iters", "1",
+         "--fw-pretrain-iters", "1", "--outer-iters", "1",
+         "--train", str(train_file), "--out", str(tmp_path / "joint")],
     ]
     src = str(Path(jointdep.__file__).resolve().parents[1])
     out = subprocess.run(
@@ -482,7 +485,7 @@ def test_cli_import_leaves_sparse_solver_unloaded(tmp_path, model_dir, train_fil
         text=True,
     )
     loaded = [line for line in out.stdout.splitlines() if line in ("True", "False")]
-    assert loaded == ["False"] * 6 + ["True"]
+    assert loaded == ["False"] * 8
 
 
 def test_train_determinism_via_cli(tmp_path, train_file, fast_args):

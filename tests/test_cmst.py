@@ -9,11 +9,13 @@ from oracles import (
     arc_features,
     dist_bin,
     eisner_min_reference,
+    extract_features,
     extract_features_reference,
     fw_run_reference,
     make_sentence,
     price_matrix,
     random_corpus,
+    ridge_reference,
     rule_vector_reference,
     sentence_gradient,
     tree_loss,
@@ -28,7 +30,6 @@ from jointdep.cmst import (
     arc_costs,
     default_rules,
     eisner_min,
-    extract_features,
     parse_rules,
     rule_vector,
     sentence_terms,
@@ -388,19 +389,49 @@ def test_fw_stacked_scores_match_per_sentence(rng):
 
 
 def test_stacked_features_equal_per_sentence_matrices(rng):
-    # Frank-Wolfe's X_all is `extract_features` of its corpus: the
-    # per-sentence matrices stacked in corpus order, array for array.
+    # `extract_features` of a corpus is the per-sentence matrices stacked in
+    # corpus order, array for array, and Frank-Wolfe's flat score gather is
+    # that stacked matrix times w, bit for bit, with weights over 16 orders
+    # of magnitude.
     import scipy.sparse as sp
 
     c = random_corpus(rng, UPOS_TAGS, 12, max_len=13, min_len=1)
     m = CmstModel.create(c.pos_vocab)
     got = extract_features(c.sentences, m.templates)
-    stacked = sp.vstack([extract_features([x], m.templates) for x in c], format="csr")
-    fw = FrankWolfeOptimizer(c, m).X_all
-    assert got.shape == stacked.shape == fw.shape
+    stacked = sp.vstack(
+        [extract_features_reference(x, m.templates) for x in c], format="csr")
+    assert got.shape == stacked.shape
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, name), getattr(stacked, name)), name
-        assert getattr(got, name).tobytes() == getattr(fw, name).tobytes(), name
+    opt = FrankWolfeOptimizer(c, m)
+    m.w = rng.normal(size=m.w.shape) * 10.0 ** rng.integers(-8, 8, size=m.w.size)
+    assert opt._scores().tobytes() == (stacked @ m.w).tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.01, 1.0, 100.0])
+def test_ridge_solve_equals_superlu_reference(rng, lam):
+    # The nested solve gives SuperLU's w on the stacked feature design, for
+    # random targets and at the trees `fit_trees` starts from. The corpus
+    # has one-token sentences and a token tagged <ROOT>, whose arcs share
+    # the cells of root arcs; the template maps two of its tags to UNK and
+    # has nine tags, and so many cells, that it never uses.
+    c = random_corpus(rng, UPOS_TAGS[:8], 30, max_len=12, min_len=1)
+    c = Corpus(c.sentences + (make_sentence([cmst.ROOT_TAG, "NOUN"]),), c.pos_vocab)
+    assert any(s.n == 1 for s in c)
+    m = CmstModel.create(UPOS_TAGS[2:], lam=lam)
+    opt = FrankWolfeOptimizer(c, m)
+    trees = [
+        DepTree(heads) for heads, _ in
+        eisner_min([rng.normal(size=(s.n + 1, s.n + 1)) for s in c])
+    ]
+    z_trees = np.concatenate([tree_matrix(t).ravel() / t.n for t in trees])
+    for z in (rng.normal(size=opt._Y.size), z_trees):
+        w = opt.ridge_solve(z)
+        want, gram, rhs = ridge_reference(c, m, z)
+        assert np.abs(w - want).max() <= 1e-10 * np.abs(want).max()
+        assert np.linalg.norm(gram @ w - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    opt.fit_trees(trees)
+    assert m.w.tobytes() == w.tobytes()
 
 
 def test_fw_large_lambda_kills_weights(rng):

@@ -12,6 +12,7 @@ from oracles import (
     DD_GAP_TOL,
     all_projective_trees,
     dd_decode_reference,
+    extract_features,
     flat_grammar,
     make_sentence,
     random_corpus,
@@ -26,7 +27,7 @@ from jointdep.dmv import ConstraintConfig, UNCONSTRAINED
 
 def _joint_objective(x, tree, theta, cfg, m, g_weight=1.0):
     y = tree_matrix(tree)
-    X = cmst.extract_features([x], m.templates)
+    X = extract_features([x], m.templates)
     v = cmst.rule_vector(x, m.rules)
     resid = y.ravel() - X @ m.w
     g = float(resid @ resid) / (2 * x.n) - m.mu * float(np.vdot(v, y))

@@ -65,18 +65,18 @@ def test_config_validation():
 
 def test_discriminative_terms_are_built_once(small_corpus, monkeypatch):
     # The joint objective scores with the optimizer's terms and builds none;
-    # joint decoding reads its arc scores from the weight sums, so it builds
-    # no feature matrix, and builds each sentence's rule matrix exactly once.
+    # joint decoding gathers its arc scores from the weight sums, and finds
+    # each sentence's arc classes and builds its rule matrix exactly once.
     cfg = _fast_cfg()
     state = pretrain(small_corpus, cfg)
     calls = collections.Counter()
-    for name in ("extract_features", "rule_vector"):
+    for name in ("_arc_classes", "rule_vector"):
         def counted(*args, _fn=getattr(cmst, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(cmst, name, counted)
     trees, _ = trainer._decode_all(small_corpus, state, cfg)
-    assert calls == {"rule_vector": small_corpus.N}
+    assert calls == {"_arc_classes": small_corpus.N, "rule_vector": small_corpus.N}
     calls.clear()
     joint_objective(small_corpus, state, cfg, trees)
     assert not calls
