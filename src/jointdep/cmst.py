@@ -191,18 +191,6 @@ def rule_vector(x: Sentence, r: RuleSet) -> np.ndarray:
     return v
 
 
-def sentence_terms(
-    xs: Iterable[Sentence], m: CmstModel
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The discriminative terms of each sentence of xs under a model, one at
-    a time: its arc scores q, gathered at its `_arc_classes`, and its rule
-    matrix v (see `rule_vector`), with the weight sums built once for all of
-    them. Every scorer below takes these rather than the sentence."""
-    sums = m.templates.weight_sums(m.w)
-    for x in xs:
-        yield sums[_arc_classes(x, m.templates)], rule_vector(x, m.rules)
-
-
 # ---------------------------------------------------------------------------
 # Model
 # ---------------------------------------------------------------------------
@@ -316,8 +304,9 @@ class CmstModel:
 # Arc-factored projective decoding: one batched split-head min-cost chart
 # ---------------------------------------------------------------------------
 #
-# Each sentence of length n owns an n*n block of two flat charts, cell (a, b)
-# of the block (1 <= a, b <= n) at offset + (a-1)*n + (b-1):
+# The charts are laid out as the costs are (`ArcLayout`): each sentence of
+# length n owns an (n+1)^2 block of two flat charts, cell [h, c] at
+# offset + h(n+1) + c, and rows and columns 0 are left unused:
 #   C[h, x]  best cost of h's half-span reaching x: its left half when x < h,
 #            its right half when x > h, and 0 when x == h;
 #   I[h, c]  best cost of the span between h and c with the arc h -> c.
@@ -341,13 +330,12 @@ _PASS_CUBES = 1 << 17
 class _EisnerPlan:
     """The chart layout of one tuple of sentence lengths."""
 
-    size: int                  # cells of the flat charts
-    offsets: tuple[int, ...]   # where each sentence's block starts
+    layout: ArcLayout          # of the costs and of the charts
     # Per width m = 1, 2, ...: the target cells, the (cells, m) candidate
     # indices of the two operands of I and of the two operands of C, and
     # the flat index of each target's first candidate.
     widths: tuple[tuple[np.ndarray, ...], ...]
-    root_cells: np.ndarray     # C[c, 1] then C[c, n], c = 1..n, per sentence
+    root_cells: np.ndarray     # cost[0, c], C[c, 1], C[c, n], c = 1..n, per sentence
 
 
 def _width_cells(n: int, m: int, offs: Sequence[int]) -> list[np.ndarray]:
@@ -355,17 +343,17 @@ def _width_cells(n: int, m: int, offs: Sequence[int]) -> list[np.ndarray]:
     the two operands of I and of C, of the width-m cells of sentences of
     length n at offsets `offs`: sentence by sentence, left arcs (c = h - m)
     before right ones."""
-    h = np.concatenate([np.arange(m + 1, n + 1), np.arange(1, n - m + 1)])
+    h = np.concatenate([np.arange(m + 1, n + 1), np.arange(1, n - m + 1)])[:, None]
     c = np.concatenate([h[: n - m] - m, h[n - m:] + m])
-    left = (c < h)[:, None]
-    h, c = h[:, None] - 1, c[:, None] - 1  # 0-based from here
+    left = c < h
     k = np.where(left, c, h + 1) + np.arange(m)  # split points of each cell
+    s = n + 1
     local = [
-        h * n + c,                           # target I[h, c] and C[h, c]
-        c * n + k,                           # I: C[c, k]
-        h * n + k + np.where(left, 1, -1),   # I: C[h, k + 1] or C[h, k - 1]
-        h * n + k,                           # C: I[h, k]
-        k * n + c,                           # C: C[k, c]
+        h * s + c,                           # target I[h, c] and C[h, c]
+        c * s + k,                           # I: C[c, k]
+        h * s + k + np.where(left, 1, -1),   # I: C[h, k + 1] or C[h, k - 1]
+        h * s + k,                           # C: I[h, k]
+        k * s + c,                           # C: C[k, c]
     ]
     offs = np.array(offs)[:, None, None]
     return [(offs + idx).reshape(-1, idx.shape[1]) for idx in local]
@@ -374,9 +362,9 @@ def _width_cells(n: int, m: int, offs: Sequence[int]) -> list[np.ndarray]:
 @functools.lru_cache(maxsize=8)
 def _eisner_plan(ns: tuple[int, ...]) -> _EisnerPlan:
     """Compile the chart layout of a batch of sentences of lengths `ns`."""
-    offsets = np.cumsum((0,) + tuple(n * n for n in ns)).tolist()
+    layout = ArcLayout(ns)
     by_length: dict[int, list[int]] = {}
-    for n, off in zip(ns, offsets):
+    for n, off in zip(ns, layout.offsets):
         by_length.setdefault(n, []).append(off)
     widths = []
     for m in range(1, max(ns)):
@@ -384,22 +372,20 @@ def _eisner_plan(ns: tuple[int, ...]) -> _EisnerPlan:
         tgt, *cand = (np.concatenate(rows) for rows in zip(*parts))
         widths.append((tgt[:, 0], *cand, np.arange(0, tgt.size * m, m)))
     root_cells = [
-        off + np.arange(n) * n + np.array([[0], [n - 1]])
-        for n, off in zip(ns, offsets)
+        off + np.arange(1, n + 1) * np.array([[1], [n + 1], [n + 1]]) + [[0], [1], [n]]
+        for n, off in zip(ns, layout.offsets)
     ]
-    return _EisnerPlan(
-        offsets[-1], tuple(offsets[:-1]), tuple(widths),
-        np.concatenate(root_cells, axis=1),
-    )
+    return _EisnerPlan(layout, tuple(widths), np.concatenate(root_cells, axis=1))
 
 
 def eisner_min(
-    costs: Sequence[np.ndarray],
+    lengths: Sequence[int], costs: np.ndarray
 ) -> list[tuple[tuple[int, ...], float]]:
     """Min-cost projective single-rooted tree, and its cost, of every
-    (n+1, n+1) arc-cost matrix in `costs`, keyed [head, dependent], with
-    row/column 0 the root pseudo-node. The matrices may have any sizes; they
-    are decoded together, in as few chart passes as the plan bound allows.
+    sentence of the given lengths, whose arc costs `costs` holds flat in
+    their `ArcLayout`, keyed [head, dependent] with row/column 0 the root
+    pseudo-node. The sentences may have any lengths; they are decoded
+    together, in as few chart passes as the plan bound allows.
 
     Costs are summed as min_k(C + C) + cost for incomplete spans, min_c(I + C)
     for complete ones and (cost[0, c] + C[c, 1]) + C[c, n] at the root. Ties
@@ -407,48 +393,47 @@ def eisner_min(
     attachment, then the leftmost root.
     """
     out: list[tuple[tuple[int, ...], float]] = []
-    batch: list[np.ndarray] = []
-    cubes = 0
-    for cost in costs:
-        n = cost.shape[0] - 1
+    batch: list[int] = []
+    cubes = start = 0
+    for n in lengths:
         if batch and cubes + n**3 > _PASS_CUBES:
-            out += _eisner_pass(batch)
+            out += _eisner_pass(tuple(batch), costs[start:])
+            start += sum((k + 1) ** 2 for k in batch)
             batch, cubes = [], 0
-        batch.append(cost)
+        batch.append(n)
         cubes += n**3
     if batch:
-        out += _eisner_pass(batch)
+        out += _eisner_pass(tuple(batch), costs[start:])
     return out
 
 
 def _eisner_pass(
-    costs: list[np.ndarray],
+    ns: tuple[int, ...], costs: np.ndarray
 ) -> list[tuple[tuple[int, ...], float]]:
-    """`eisner_min` of a non-empty batch in one chart pass."""
-    ns = tuple(c.shape[0] - 1 for c in costs)
+    """`eisner_min` of a non-empty batch in one chart pass, its costs the
+    head of `costs`."""
     plan = _eisner_plan(ns)
-    arc_cost = np.concatenate([c[1:, 1:].ravel() for c in costs])
-    C = np.zeros(plan.size)
-    I = np.zeros(plan.size)
-    back_C = np.zeros(plan.size, dtype=np.int32)
-    back_I = np.zeros(plan.size, dtype=np.int32)
+    C = np.zeros(plan.layout.size)
+    I = np.zeros(plan.layout.size)
+    back_C = np.zeros(plan.layout.size, dtype=np.int32)
+    back_I = np.zeros(plan.layout.size, dtype=np.int32)
     for tgt, a, b, ia, ib, first in plan.widths:
         cand = C[a]
         cand += C[b]
         j = cand.argmin(axis=1)
-        I[tgt] = cand.ravel()[first + j] + arc_cost[tgt]
+        I[tgt] = cand.ravel()[first + j] + costs[tgt]
         back_I[tgt] = j
         cand = I[ia]
         cand += C[ib]
         j = cand.argmin(axis=1)
         C[tgt] = cand.ravel()[first + j]
         back_C[tgt] = j
-    root_cost = np.concatenate([c[0, 1:] for c in costs])
-    root_vals = ((root_cost + C[plan.root_cells[0]]) + C[plan.root_cells[1]]).tolist()
+    root_arc, left, right = plan.root_cells
+    root_vals = ((costs[root_arc] + C[left]) + C[right]).tolist()
     back_C, back_I = back_C.tolist(), back_I.tolist()
     out = []
     start = 0
-    for n, off in zip(ns, plan.offsets):
+    for n, off in zip(ns, plan.layout.offsets):
         vals = root_vals[start:start + n]
         start += n
         best = min(vals)
@@ -459,7 +444,7 @@ def _eisner_pass(
             h, x = stack.pop()
             if x == h:
                 continue
-            row = off + (h - 1) * n - 1  # cell (h, y) is row + y
+            row = off + h * (n + 1)  # cell [h, y] is row + y
             if x < h:
                 c = x + back_C[row + x]
                 k = c + back_I[row + c]
@@ -473,14 +458,29 @@ def _eisner_pass(
     return out
 
 
-def arc_costs(q: np.ndarray, v: np.ndarray, m: CmstModel) -> np.ndarray:
-    """(n+1, n+1) matrix of the per-arc linear cost of the discriminative
-    objective over 0/1 trees, keyed [h, d], for a sentence with terms (q, v):
-    (1/2n)(1 - 2q[h, d]) - mu v[h, d] on arcs, 0 on non-arc cells.
-    """
-    costs = (1.0 - 2.0 * q) / (2.0 * (v.shape[0] - 1)) - m.mu * v
-    costs[:, 0] = 0.0
-    np.fill_diagonal(costs, 0.0)
+def _arc_terms(
+    xs: Sequence[Sentence], m: CmstModel
+) -> tuple[ArcLayout, np.ndarray, np.ndarray, np.ndarray]:
+    """The `ArcLayout` of xs and, flat in it, every cell's class
+    (`_arc_classes`), its rule entry (`rule_vector`) and its sentence's
+    length n, as a float: empty vectors for no sentences."""
+    layout = ArcLayout(x.n for x in xs)
+    cls = np.concatenate(
+        [np.empty(0, np.intp)] + [_arc_classes(x, m.templates).ravel() for x in xs])
+    v = np.concatenate([np.empty(0)] + [rule_vector(x, m.rules).ravel() for x in xs])
+    n = np.repeat(np.array(layout.lengths, dtype=np.float64), np.diff(layout.offsets))
+    return layout, cls, v, n
+
+
+def arc_costs(xs: Sequence[Sentence], m: CmstModel) -> np.ndarray:
+    """The per-arc linear cost of the discriminative objective over 0/1
+    trees of every sentence of xs, flat in their `ArcLayout`:
+    (1/2n)(1 - 2q[h, d]) - mu v[h, d] on the arc [h, d] of a sentence of
+    length n with arc scores q and rule matrix v, 0 on non-arc cells."""
+    _, cls, v, n = _arc_terms(xs, m)
+    sums = m.templates.weight_sums(m.w)
+    costs = (1.0 - 2.0 * sums[cls]) / (2.0 * n) - m.mu * v
+    costs[cls == sums.size - 1] = 0.0  # the class of every non-arc cell
     return costs
 
 
@@ -596,15 +596,10 @@ class FrankWolfeOptimizer:
         if corpus.N == 0:
             raise ValueError("cannot train on an empty corpus")
         self.model = model
-        self.layout = layout = ArcLayout(s.n for s in corpus)
-        self._cls = np.concatenate(
-            [_arc_classes(s, model.templates).ravel() for s in corpus])
-        # Per cell: its sentence's length n, as a float.
-        ns = np.array(layout.lengths, dtype=np.float64)
-        self._n = np.repeat(ns, np.diff(layout.offsets))
+        self.layout, self._cls, self._V, self._n = _arc_terms(corpus.sentences, model)
+        layout = self.layout
         self._ridge = _NestedRidge(
             model.templates, model.lam, np.bincount(self._cls, 1.0 / self._n))
-        self._V = np.concatenate([rule_vector(s, model.rules).ravel() for s in corpus])
         self._Y = np.zeros(layout.size)
         self._grad = np.empty(layout.size)
         self._diff = np.empty(layout.size)  # Y - S, then the residual Y - q
@@ -684,7 +679,7 @@ class FrankWolfeOptimizer:
         np.subtract(self._Y, q, out=g)
         g /= self._n
         g -= self.model.mu * self._V
-        self._scatter(s, (heads for heads, _ in eisner_min(self._grad_views)))
+        self._scatter(s, (heads for heads, _ in eisner_min(self.layout.lengths, g)))
         np.subtract(self._Y, s, out=diff)
         gap = 0.0
         denom = 0.0

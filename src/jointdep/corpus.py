@@ -198,7 +198,8 @@ def parse_conllu(stream: Iterable[str]) -> Corpus:
     """Parse CoNLL-U text into a Corpus.
 
     Multiword-token ranges ("1-2") and empty nodes ("1.1") are skipped.
-    Column 4 supplies the UPOS tag and column 7 the gold head when numeric.
+    Column 4 supplies the UPOS tag, which must be one non-empty word, and
+    column 7 the gold head when numeric.
     """
     sentences: list[Sentence] = []
     vocab: list[str] = []
@@ -226,6 +227,9 @@ def parse_conllu(stream: Iterable[str]) -> Corpus:
                         line_no,
                     )
             upos = fields[3]
+            if upos.split() != [upos]:  # model files are split on whitespace
+                raise ConlluParseError(
+                    f"UPOS tag {upos!r} is empty or holds whitespace", line_no)
             tokens.append(Token(fields[1], upos, gold_head, fields))
             if upos not in seen:
                 seen.add(upos)

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import cmst, dmv
 from .corpus import Corpus, DepTree, write_conllu_file
 
@@ -138,10 +136,7 @@ def _decode_worker(group: list[int]) -> tuple[list[int], list[DepTree], list[boo
     xs = [sents[i] for i in group]
     prices = None
     if model is not None:  # G is linear on 0/1 trees: it prices the arcs
-        terms = cmst.sentence_terms(xs, model)
-        prices = g_weight * np.concatenate(
-            [cmst.arc_costs(q, v, model).ravel() for q, v in terms]
-        )
+        prices = g_weight * cmst.arc_costs(xs, model)
     return (group, *dmv.decode_group(xs, theta, constraint, prices))
 
 
@@ -271,9 +266,8 @@ def decode_corpus(
     grammar's decoders run on `cfg.workers` processes."""
     cfg = cfg or TrainConfig()
     if decoder == "cmst":
-        costs = [cmst.arc_costs(q, v, state.model)
-                 for q, v in cmst.sentence_terms(c, state.model)]
-        return [DepTree(heads) for heads, _ in cmst.eisner_min(costs)]
+        costs = cmst.arc_costs(c.sentences, state.model)
+        return [DepTree(heads) for heads, _ in cmst.eisner_min([x.n for x in c], costs)]
     if decoder in ("dmv", "dd"):
         return _decode_all(c, state, cfg, decoder)[0]
     raise ValueError(f"unknown decoder {decoder!r}")

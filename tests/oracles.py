@@ -396,6 +396,26 @@ def rule_vector_reference(x, r):
     return v
 
 
+def arc_costs_reference(q, v, mu):
+    """`cmst.arc_costs` of one sentence with (n+1, n+1) arc scores q and
+    rule matrix v, arc by arc: (1 - 2q[h, d]) / (2n) - mu v[h, d] on arcs,
+    0.0 on column 0 and the diagonal."""
+    n = q.shape[0] - 1
+    cost = np.zeros((n + 1, n + 1))
+    for h in range(n + 1):
+        for d in range(1, n + 1):
+            if h != d:
+                cost[h, d] = (1.0 - 2.0 * q[h, d]) / (2.0 * n) - mu * v[h, d]
+    return cost
+
+
+def flat_costs(costs):
+    """The lengths of (n+1, n+1) arc-cost matrices and the matrices flat in
+    their `ArcLayout`, end to end: `cmst.eisner_min`'s arguments."""
+    lengths = [c.shape[0] - 1 for c in costs]
+    return lengths, np.concatenate([np.empty(0)] + [c.ravel() for c in costs])
+
+
 def tree_loss(y, q, v, mu, ridge=0.0):
     """The per-sentence loss at the (n+1, n+1) arc matrix y, with
     q = (Xw).reshape(n + 1, n + 1) the arc scores and `ridge` the sentence's
@@ -478,16 +498,17 @@ def joint_objective_reference(c, state, cfg, trees):
     the Dirichlet prior -eps * sum(log theta), table by table, for eps > 0."""
     from dataclasses import replace
 
-    from jointdep import cmst
     from jointdep.corpus import tree_matrix
 
     cfg_eval = replace(cfg.constraint, max_ce_depth=None)
     total = 0.0
-    terms = cmst.sentence_terms(c, state.model)
-    for sent, tree, (q, v) in zip(c, trees, terms, strict=True):
+    m = state.model
+    for sent, tree in zip(c, trees, strict=True):
+        v = rule_vector_reference(sent, m.rules)
+        q = (extract_features_reference(sent, m.templates) @ m.w).reshape(v.shape)
         total += -tree_logprob_reference(sent, tree, state.theta, cfg_eval)
         total += cfg.g_weight * sentence_objective(
-            q, v, tree_matrix(tree), state.model, c.N
+            q, v, tree_matrix(tree), m, c.N
         )
     if cfg.mstep_smoothing:
         theta = state.theta
@@ -728,13 +749,13 @@ def dd_decode_reference(x, theta, cfg_f, m, max_iters, g_weight=1.0):
     it; after `max_iters` iterations it ends the same way, uncertified."""
     from dataclasses import replace
 
-    from jointdep import cmst, dmv
+    from jointdep import dmv
     from jointdep.corpus import tree_matrix
 
     # Scored through per-arc features, not the decoders' weight sums.
     v = rule_vector_reference(x, m.rules)
     q = (extract_features_reference(x, m.templates) @ m.w).reshape(v.shape)
-    base = cmst.arc_costs(q, v, m) * g_weight
+    base = arc_costs_reference(q, v, m.mu) * g_weight
     pos, wlog = theta.tag_ids(x), theta.log_weights()
     u = np.zeros(v.shape)
     relaxed = False

@@ -18,6 +18,7 @@ import pytest
 from oracles import (
     all_projective_trees,
     extract_features,
+    flat_costs,
     logsumexp,
     make_sentence,
     price_matrix,
@@ -110,14 +111,13 @@ def test_criterion_2_lmo_vs_oracle(rng):
         m.w = rng.normal(scale=0.7, size=m.w.shape)
         u = (price_matrix(rng.normal(size=x.n * x.n), x.n)
              if rng.random() < 0.5 else None)
-        q, v = next(cmst.sentence_terms([x], m))
-        costs = cmst.arc_costs(q, v, m)
+        costs = cmst.arc_costs([x], m).reshape(x.n + 1, x.n + 1)
         if u is None:
-            [(heads, score)] = cmst.eisner_min([costs])
+            [(heads, score)] = cmst.eisner_min(*flat_costs([costs]))
             tree = DepTree(heads)
         else:
             costs = costs - u
-            [(heads, score)] = cmst.eisner_min([costs])
+            [(heads, score)] = cmst.eisner_min(*flat_costs([costs]))
             tree = DepTree(heads)
         best = min(
             float(np.vdot(costs, tree_matrix(t)))

@@ -680,6 +680,43 @@ def test_unknown_upos_is_data_error(tmp_path, model_dir, capsys, decoder):
     )
 
 
+@pytest.mark.parametrize("upos", ["VE RB", "", " NOUN"])
+def test_upos_that_is_not_one_word_is_refused_on_its_line(
+    tmp_path, train_file, model_dir, capsys, upos
+):
+    # CoNLL-U forbids an empty UPOS or one with a space, and model files
+    # list tags split on whitespace: a model trained on one would not load.
+    bad = tmp_path / "bad.conllu"
+    bad.write_text(
+        "# text\n"
+        "1\tw\tw\tNOUN\t_\t_\t0\t_\t_\t_\n"
+        f"2\tw\tw\t{upos}\t_\t_\t1\t_\t_\t_\n\n"
+    )
+    out, pred = tmp_path / "out", tmp_path / "pred.conllu"
+    for args in (
+        ["train", "--train", str(bad), "--out", str(out)],
+        ["parse", "--model", str(model_dir), "--input", str(bad),
+         "--output", str(pred)],
+        ["eval", "--gold", str(bad), "--pred", str(train_file)],
+        ["eval", "--gold", str(train_file), "--pred", str(bad)],
+        ["analyze", "--pred", str(bad)],
+    ):
+        assert run(args) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 3: UPOS tag {upos!r} is empty or holds whitespace\n"
+        )
+    assert not out.exists() and not pred.exists()
+
+
+@pytest.mark.parametrize("decoder", ["dd", "dmv", "cmst"])
+def test_parse_of_an_empty_input_writes_an_empty_file(tmp_path, model_dir, decoder):
+    empty = tmp_path / "empty.conllu"
+    empty.write_text("")
+    out = tmp_path / "out.conllu"
+    assert _parse(model_dir, empty, out, decoder) == EXIT_OK
+    assert out.read_bytes() == b""
+
+
 @pytest.mark.parametrize("decoder", ["dmv", "dd"])
 def test_parse_reads_only_the_decode_settings(
     tmp_path, train_file, model_dir, capsys, decoder

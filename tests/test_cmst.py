@@ -6,11 +6,13 @@ import pytest
 from oracles import (
     UPOS_TAGS,
     all_projective_trees,
+    arc_costs_reference,
     arc_features,
     dist_bin,
     eisner_min_reference,
     extract_features,
     extract_features_reference,
+    flat_costs,
     fw_run_reference,
     make_sentence,
     price_matrix,
@@ -32,7 +34,6 @@ from jointdep.cmst import (
     eisner_min,
     parse_rules,
     rule_vector,
-    sentence_terms,
 )
 
 
@@ -124,7 +125,7 @@ def test_non_arc_cells_are_empty(rng, n):
     assert not row_nnz.reshape(n + 1, n + 1)[~arcs].any()
     assert row_nnz.reshape(n + 1, n + 1)[arcs].all()
     assert np.array_equal(rule_vector(x, everything), arcs.astype(float))
-    costs = arc_costs(*next(sentence_terms([x], m)), m)
+    costs = arc_costs([x], m).reshape(n + 1, n + 1)
     assert not costs[~arcs].any()
     assert costs[arcs].all()
 
@@ -146,9 +147,36 @@ def test_arc_scores_equal_feature_matvec_in_bytes(rng, n):
         w[rng.random(w.size) < 0.2] = -0.0
         m.w = w
         want = (extract_features([x], m.templates) @ m.w).reshape(n + 1, n + 1)
-        got = next(sentence_terms([x], m))[0]
+        got = m.templates.weight_sums(m.w)[cmst._arc_classes(x, m.templates)]
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_arc_costs_equal_reference_formula_in_bytes(rng):
+    # A mixed-length batch's flat costs are, sentence by sentence and bit for
+    # bit, the per-arc formula fed the scores X @ w and the per-arc rule
+    # lookup, with the weights and tags of the test above; an empty batch
+    # costs nothing.
+    vocab = UPOS_TAGS[:5]
+    tags = (*vocab, "UNSEEN", cmst.UNK_TAG, cmst.ROOT_TAG)
+    for _ in range(5):
+        xs = [make_sentence([tags[i % len(tags)] for i in rng.permutation(n)])
+              for n in (1, 2, 11, 12)]
+        m = CmstModel.create(vocab, mu=float(rng.uniform(0.1, 2.0)))
+        w = rng.normal(size=m.w.shape) * 10.0 ** rng.integers(-8, 8, size=m.w.size)
+        w[rng.random(w.size) < 0.2] = 0.0
+        w[rng.random(w.size) < 0.2] = -0.0
+        m.w = w
+        want = []
+        for x in xs:
+            v = rule_vector_reference(x, m.rules)
+            q = (extract_features_reference(x, m.templates) @ m.w).reshape(v.shape)
+            want.append(arc_costs_reference(q, v, m.mu).ravel())
+        assert rule_vector_reference(xs[-1], m.rules).any()
+        got = arc_costs(xs, m)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.concatenate(want).tobytes()
+    assert arc_costs([], m).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +291,7 @@ def test_objective_matches_naive_evaluation(rng):
 def test_lmo_rule_dominated():
     x = make_sentence(["DET", "NOUN", "VERB"])
     m = CmstModel.create(("DET", "NOUN", "VERB"), mu=100.0)
-    [(heads, _)] = eisner_min([arc_costs(q, v, m) for q, v in sentence_terms([x], m)])
+    [(heads, _)] = eisner_min([x.n], arc_costs([x], m))
     tree = DepTree(heads)
     v = rule_vector(x, m.rules)
     best_sat = max(
@@ -281,14 +309,13 @@ def test_lmo_matches_bruteforce(rng):
         m.w = rng.normal(scale=0.5, size=m.w.shape)
         u = (price_matrix(rng.normal(size=n * n), n)
              if rng.random() < 0.5 else None)
-        q, v = next(sentence_terms([x], m))
-        costs = arc_costs(q, v, m)
+        costs = arc_costs([x], m).reshape(n + 1, n + 1)
         if u is None:
-            [(heads, score)] = eisner_min([costs])
+            [(heads, score)] = eisner_min(*flat_costs([costs]))
             tree = DepTree(heads)
         else:
             costs = costs - u
-            [(heads, score)] = eisner_min([costs])
+            [(heads, score)] = eisner_min(*flat_costs([costs]))
             tree = DepTree(heads)
         best = min(
             float(np.vdot(costs, tree_matrix(t))) for t in all_projective_trees(n)
@@ -300,9 +327,9 @@ def test_lmo_matches_bruteforce(rng):
 
 
 def test_eisner_min_trivial():
-    assert eisner_min([np.zeros((2, 2))]) == [((0,), 0.0)]
-    assert eisner_min([np.array([[0.0, -1.5], [7.0, 0.0]])]) == [((0,), -1.5)]
-    assert eisner_min([]) == []
+    assert eisner_min([1], np.zeros(4)) == [((0,), 0.0)]
+    assert eisner_min([1], np.array([0.0, -1.5, 7.0, 0.0])) == [((0,), -1.5)]
+    assert eisner_min([], np.zeros(0)) == []
 
 
 def _random_cost_batch(rng, integer):
@@ -319,7 +346,8 @@ def test_eisner_min_matches_reference(rng):
     sentences = 0
     for trial in range(60):
         costs = _random_cost_batch(rng, integer=trial % 3 == 0)
-        for cost, (heads, score) in zip(costs, eisner_min(costs), strict=True):
+        got = eisner_min(*flat_costs(costs))
+        for cost, (heads, score) in zip(costs, got, strict=True):
             ref_heads, ref_score = eisner_min_reference(cost)
             assert heads == ref_heads
             assert float(score).hex() == float(ref_score).hex()
@@ -334,11 +362,12 @@ def test_eisner_min_is_batch_invariant(rng, monkeypatch, pass_cubes):
     monkeypatch.setattr(cmst, "_PASS_CUBES", pass_cubes)
     for trial in range(20):
         costs = _random_cost_batch(rng, integer=trial % 2 == 0)
-        alone = [eisner_min([cost])[0] for cost in costs]
-        assert eisner_min(costs) == alone
+        alone = [eisner_min(*flat_costs([cost]))[0] for cost in costs]
+        assert eisner_min(*flat_costs(costs)) == alone
         order = rng.permutation(len(costs))
-        assert eisner_min([costs[i] for i in order]) == [alone[i] for i in order]
-        doubled = eisner_min(costs + costs[::-1])
+        assert eisner_min(*flat_costs([costs[i] for i in order])) == [
+            alone[i] for i in order]
+        doubled = eisner_min(*flat_costs(costs + costs[::-1]))
         assert doubled == alone + alone[::-1]
 
 
@@ -368,7 +397,7 @@ def test_fw_stacked_scores_match_per_sentence(rng):
     opt.run(3)
     trees = [
         DepTree(heads) for heads, _ in
-        eisner_min([rng.normal(size=(s.n + 1, s.n + 1)) for s in c])
+        eisner_min(*flat_costs([rng.normal(size=(s.n + 1, s.n + 1)) for s in c]))
     ]
     want = want_at_trees = m.lam / 2.0 * float(m.w @ m.w)
     for x, y, t in zip(c, opt.y, trees):
@@ -422,7 +451,7 @@ def test_ridge_solve_equals_superlu_reference(rng, lam):
     opt = FrankWolfeOptimizer(c, m)
     trees = [
         DepTree(heads) for heads, _ in
-        eisner_min([rng.normal(size=(s.n + 1, s.n + 1)) for s in c])
+        eisner_min(*flat_costs([rng.normal(size=(s.n + 1, s.n + 1)) for s in c]))
     ]
     z_trees = np.concatenate([tree_matrix(t).ravel() / t.n for t in trees])
     for z in (rng.normal(size=opt._Y.size), z_trees):
@@ -446,11 +475,11 @@ def test_fw_toy_sentence_learns_rule_arcs():
     c = Corpus((x,), ("DET", "NOUN", "VERB"))
     m = CmstModel.create(c.pos_vocab, lam=1.0, mu=1.0)
     FrankWolfeOptimizer(c, m).run(60)
-    [(heads, _)] = eisner_min([arc_costs(q, v, m) for q, v in sentence_terms([x], m)])
+    [(heads, _)] = eisner_min([x.n], arc_costs([x], m))
     tree = DepTree(heads)
     assert tree.heads == (2, 3, 0)
     # Brute-force check: the decoded tree minimizes the final objective.
-    costs = arc_costs(*next(sentence_terms([x], m)), m)
+    costs = arc_costs([x], m).reshape(x.n + 1, x.n + 1)
     best = min(
         float(np.vdot(costs, tree_matrix(t))) for t in all_projective_trees(3)
     )
@@ -487,7 +516,7 @@ def test_fit_trees_solves_for_a_stationary_w(rng, vocab):
     opt.run(2)
     trees = [
         DepTree(heads) for heads, _ in
-        eisner_min([rng.normal(size=(s.n + 1, s.n + 1)) for s in c])
+        eisner_min(*flat_costs([rng.normal(size=(s.n + 1, s.n + 1)) for s in c]))
     ]
     opt.fit_trees(trees)
     grad = sum(
@@ -516,7 +545,8 @@ def test_fw_flat_state_equals_per_sentence_reference(rng, from_trees):
         if from_trees:
             trees = [
                 DepTree(heads) for heads, _ in
-                eisner_min([rng.normal(size=(s.n + 1, s.n + 1)) for s in c])
+                eisner_min(*flat_costs(
+                    [rng.normal(size=(s.n + 1, s.n + 1)) for s in c]))
             ]
         ref = fw_run_reference(c, CmstModel.create(vocab[:6], lam, mu), 6, trees)
         m = CmstModel.create(vocab[:6], lam, mu)

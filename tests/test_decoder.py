@@ -83,7 +83,9 @@ def test_certified_tree_is_a_brute_force_optimum(rng, cap, g_weight):
         res = dd_decode_reference(x, theta, cfg, m, 50, g_weight)
         assert lifted == res.relaxed_depth_cap
         cfg_x = _uncapped(cfg, lifted)
-        [(q, v)] = cmst.sentence_terms([x], m)
+        v = oracles.rule_vector_reference(x, m.rules)
+        q = oracles.extract_features_reference(x, m.templates) @ m.w
+        q = q.reshape(v.shape)
 
         def cost(tree):
             g = oracles.tree_loss(tree_matrix(tree), q, v, m.mu)
@@ -189,7 +191,8 @@ def test_no_dual_value_exceeds_the_exact_cost(rng, kind):
                 cfg_x = _uncapped(cfg, lifted)
                 v = oracles.rule_vector_reference(x, m.rules)
                 q = oracles.extract_features_reference(x, m.templates) @ m.w
-                base = cmst.arc_costs(q.reshape(v.shape), v, m) * g_weight
+                q = q.reshape(v.shape)
+                base = oracles.arc_costs_reference(q, v, m.mu) * g_weight
 
                 def cost(t):
                     return (float(np.vdot(base, tree_matrix(t)))
