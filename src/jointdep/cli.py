@@ -8,7 +8,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import cmst, dmv, evaluation, trainer
+from . import cmst, dmv, trainer
 from .corpus import (
     ConlluParseError,
     DepTree,
@@ -191,6 +191,8 @@ def _pred_trees(path):
 
 
 def _emit_report(rows, out_path) -> None:
+    from . import evaluation
+
     if out_path:
         with open(out_path, "w", encoding="utf-8") as f:
             evaluation.write_csv(rows, f)
@@ -198,6 +200,8 @@ def _emit_report(rows, out_path) -> None:
 
 
 def _cmd_eval(args) -> int:
+    from . import evaluation
+
     gold = _read_corpus(args.gold)
     pred_corpus, trees = _pred_trees(args.pred)
     if pred_corpus.N != gold.N:
@@ -212,6 +216,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import evaluation
+
     rules = cmst.load_rules(_require_file(args.rules, "rules file")) \
         if args.rules else cmst.default_rules()
     pred_corpus, trees = _pred_trees(args.pred)

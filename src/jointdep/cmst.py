@@ -13,7 +13,6 @@ one `eisner_min` call."""
 from __future__ import annotations
 
 import functools
-import importlib.resources
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -170,6 +169,8 @@ def load_rules(path) -> RuleSet:
 
 
 def default_rules() -> RuleSet:
+    import importlib.resources
+
     text = (
         importlib.resources.files("jointdep.data")
         .joinpath("universal_rules.txt")
@@ -310,20 +311,20 @@ class CmstModel:
 #   C[h, x]  best cost of h's half-span reaching x: its left half when x < h,
 #            its right half when x > h, and 0 when x == h;
 #   I[h, c]  best cost of the span between h and c with the arc h -> c.
-# A cell of width m = |h - c| has exactly m split candidates whatever n is,
-#   I[h, c] = min_k (C[c, k] + C[h, k + 1]) + cost[h, c]   (c < h, k = c..h-1)
-#   I[h, c] = min_k (C[c, k] + C[h, k - 1]) + cost[h, c]   (c > h, k = h+1..c)
+# A span (l, r) of width m = r - l has exactly m split candidates whatever n
+# is, and its two arcs share them, and so their split point:
+#   I[r, l], I[l, r] = min_k (C[l, k] + C[r, k + 1]) + cost[r, l], cost[l, r]
 #   C[h, x] = min_c (I[h, c] + C[c, x])   (c = x..h-1 or h+1..x)
-# so the cells of one width from every sentence of a batch, of any lengths,
-# stack into one (cells, m) candidate array with no padding.
+# with k = l..r-1, so the spans of one width from every sentence of a batch,
+# of any lengths, stack into one (spans, m) candidate array with no padding.
 #
-# A plan takes about 12 bytes per n^3 of the sentences it covers, so a batch
+# A plan takes about 10 bytes per n^3 of the sentences it covers, so a batch
 # is decoded in passes of at most _PASS_CUBES: each pass's plan stays under
-# about 1.6 MB (a longer sentence gets a pass of its own), and the 8 cached
-# plans under about 13 MB, however large the corpus. Compiling a plan takes
-# about three times as long as one pass over it, so passes that fall out of
-# the cache still cost far less than a cell-by-cell chart.
-_PASS_CUBES = 1 << 17
+# about 2.7 MB (a longer sentence gets a pass of its own), and the 8 cached
+# plans under about 21 MB, however large the corpus. Compiling a plan takes
+# about twice as long as one pass over it, so passes that fall out of the
+# cache still cost far less than a cell-by-cell chart.
+_PASS_CUBES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -331,46 +332,36 @@ class _EisnerPlan:
     """The chart layout of one tuple of sentence lengths."""
 
     layout: ArcLayout          # of the costs and of the charts
-    # Per width m = 1, 2, ...: the target cells, the (cells, m) candidate
-    # indices of the two operands of I and of the two operands of C, and
-    # the flat index of each target's first candidate.
+    # Per width m = 1, 2, ...: the (2, spans) target cells [r, l] and [l, r]
+    # of every span, the (spans, m) candidate indices of the two operands of
+    # I, the (2, spans, m) ones of the two operands of C, the flat index of
+    # each target's first candidate, and its first split point or child: l
+    # for both I cells, l for C[r, l] and l + 1 for C[l, r].
     widths: tuple[tuple[np.ndarray, ...], ...]
     root_cells: np.ndarray     # cost[0, c], C[c, 1], C[c, n], c = 1..n, per sentence
-
-
-def _width_cells(n: int, m: int, offs: Sequence[int]) -> list[np.ndarray]:
-    """Target cells (as a column), and the (cells, m) candidate indices of
-    the two operands of I and of C, of the width-m cells of sentences of
-    length n at offsets `offs`: sentence by sentence, left arcs (c = h - m)
-    before right ones."""
-    h = np.concatenate([np.arange(m + 1, n + 1), np.arange(1, n - m + 1)])[:, None]
-    c = np.concatenate([h[: n - m] - m, h[n - m:] + m])
-    left = c < h
-    k = np.where(left, c, h + 1) + np.arange(m)  # split points of each cell
-    s = n + 1
-    local = [
-        h * s + c,                           # target I[h, c] and C[h, c]
-        c * s + k,                           # I: C[c, k]
-        h * s + k + np.where(left, 1, -1),   # I: C[h, k + 1] or C[h, k - 1]
-        h * s + k,                           # C: I[h, k]
-        k * s + c,                           # C: C[k, c]
-    ]
-    offs = np.array(offs)[:, None, None]
-    return [(offs + idx).reshape(-1, idx.shape[1]) for idx in local]
 
 
 @functools.lru_cache(maxsize=8)
 def _eisner_plan(ns: tuple[int, ...]) -> _EisnerPlan:
     """Compile the chart layout of a batch of sentences of lengths `ns`."""
     layout = ArcLayout(ns)
-    by_length: dict[int, list[int]] = {}
-    for n, off in zip(ns, layout.offsets):
-        by_length.setdefault(n, []).append(off)
+    lengths = np.array(ns)
     widths = []
     for m in range(1, max(ns)):
-        parts = [_width_cells(n, m, offs) for n, offs in by_length.items() if n > m]
-        tgt, *cand = (np.concatenate(rows) for rows in zip(*parts))
-        widths.append((tgt[:, 0], *cand, np.arange(0, tgt.size * m, m)))
+        # Every span (l, r), sentence by sentence, as columns.
+        count = np.maximum(lengths - m, 0)
+        before = np.repeat(np.cumsum(count) - count, count)  # earlier sentences' spans
+        l = (np.arange(before.size) - before + 1)[:, None]
+        off = np.repeat(layout.offsets[:-1], count)[:, None]
+        s = np.repeat(lengths + 1, count)[:, None]
+        r = l + m
+        k = l + np.arange(m)  # split points
+        tgt = (off + np.stack([r * s + l, l * s + r]))[..., 0]
+        ia = off + np.stack([r * s + k, l * s + k + 1])    # C: I[h, c]
+        ib = off + np.stack([k * s + l, (k + 1) * s + r])  # C: C[c, x]
+        first = np.arange(0, ia.size, m).reshape(tgt.shape)
+        base = np.stack([l, l + 1])[..., 0]
+        widths.append((tgt, off + l * s + k, off + r * s + k + 1, ia, ib, first, base))
     root_cells = [
         off + np.arange(1, n + 1) * np.array([[1], [n + 1], [n + 1]]) + [[0], [1], [n]]
         for n, off in zip(ns, layout.offsets)
@@ -415,47 +406,47 @@ def _eisner_pass(
     plan = _eisner_plan(ns)
     C = np.zeros(plan.layout.size)
     I = np.zeros(plan.layout.size)
-    back_C = np.zeros(plan.layout.size, dtype=np.int32)
-    back_I = np.zeros(plan.layout.size, dtype=np.int32)
-    for tgt, a, b, ia, ib, first in plan.widths:
+    back_C = np.zeros(plan.layout.size, dtype=np.int32)  # the child c of C[h, x]
+    back_I = np.zeros(plan.layout.size, dtype=np.int32)  # the split point k of I[h, c]
+    for tgt, a, b, ia, ib, first, base in plan.widths:
         cand = C[a]
         cand += C[b]
         j = cand.argmin(axis=1)
-        I[tgt] = cand.ravel()[first + j] + costs[tgt]
-        back_I[tgt] = j
+        I[tgt] = cand.ravel()[first[0] + j] + costs[tgt]
+        back_I[tgt] = base[0] + j
         cand = I[ia]
         cand += C[ib]
-        j = cand.argmin(axis=1)
+        j = cand.argmin(axis=2)
         C[tgt] = cand.ravel()[first + j]
-        back_C[tgt] = j
+        back_C[tgt] = base + j
+    # Each sentence's root is the first of its least root values.
     root_arc, left, right = plan.root_cells
-    root_vals = ((costs[root_arc] + C[left]) + C[right]).tolist()
-    back_C, back_I = back_C.tolist(), back_I.tolist()
-    out = []
-    start = 0
-    for n, off in zip(ns, plan.layout.offsets):
-        vals = root_vals[start:start + n]
-        start += n
-        best = min(vals)
-        root = vals.index(best) + 1
-        heads = [0] * n
-        stack = [(root, 1), (root, n)]
-        while stack:
-            h, x = stack.pop()
-            if x == h:
-                continue
-            row = off + h * (n + 1)  # cell [h, y] is row + y
-            if x < h:
-                c = x + back_C[row + x]
-                k = c + back_I[row + c]
-                stack += ((c, k), (h, k + 1), (c, x))
-            else:
-                c = h + 1 + back_C[row + x]
-                k = h + 1 + back_I[row + c]
-                stack += ((c, k), (h, k - 1), (c, x))
-            heads[c - 1] = h
-        out.append((tuple(heads), best))
-    return out
+    vals = (costs[root_arc] + C[left]) + C[right]
+    n = np.array(ns)
+    tok0 = np.cumsum(n) - n  # each sentence's first place in vals
+    least = np.flatnonzero(vals == np.repeat(np.minimum.reduceat(vals, tok0), n))
+    root = least[np.searchsorted(least, tok0)]
+    # Backtrack every sentence in lockstep: each round expands every open
+    # half-span [sentence, h, x] of the pass into its arc h -> c and the three
+    # narrower half-spans it splits into, the left one of h and c reaching k
+    # and the right one k + 1.
+    heads = np.zeros(vals.size, dtype=np.intp)
+    off, s = np.array(plan.layout.offsets[:-1]), n + 1
+    dep = tok0 - 1  # token c of sentence i is heads[dep[i] + c]
+    todo = np.array([np.arange(len(ns)), root - tok0 + 1, n]).repeat(2, axis=1)
+    todo[2, ::2] = 1
+    while (todo := todo[:, todo[1] != todo[2]]).size:
+        i, h, x = todo
+        row = off[i] + h * s[i]  # cell [h, y] is row + y
+        c = back_C[row + x]
+        k = back_I[row + c]
+        heads[dep[i] + c] = h
+        todo = np.array(
+            [[i, i, i], [np.minimum(h, c), np.maximum(h, c), c], [k, k + 1, x]]
+        ).reshape(3, -1)
+    heads = heads.tolist()
+    return [(tuple(heads[t:t + length]), best)
+            for t, length, best in zip(tok0.tolist(), ns, vals[root].tolist())]
 
 
 def _arc_terms(
@@ -537,8 +528,13 @@ class _NestedRidge:
         R[self._root] = c[self._fine.size:-1]
         C = c[:self._fine.size] + R
         self._d = d = lam + C
-        self._fires = fires = (np.array(coarse) < len(axes) - t._ROOT_BLOCKS)[:, None]
+        fires = (np.array(coarse) < len(axes) - t._ROOT_BLOCKS)[:, None]
         self._g = g = np.where(fires, C, R)
+        # The root blocks come last and are 0.0 off the root cells, so `solve`
+        # scatters them from those cells alone.
+        self._split = split = len(coarse) - t._ROOT_BLOCKS
+        self._scatter = np.concatenate(
+            [self._pos[:split].ravel(), self._pos[split:, self._root].ravel()])
         nP = sum(span[i].size for i in pair)
         k, nG, p = nP // (T * T), self._order.size - nP, len(pair)
         pp, cg = np.zeros(nP * k), np.zeros((nP + nG) * nG)
@@ -559,19 +555,24 @@ class _NestedRidge:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """w, given b."""
         cells, (pairs, k, nG) = self._d.size, self._Q.shape
+        root, g, split = self._root, self._g, self._split
         bR = np.zeros(cells)
-        bR[self._root] = b[cells:-1]
+        bR[root] = b[cells:-1]
         bf = b[:cells] + bR
         # X'z less the fine weights' share, per block and cell.
-        u = np.where(self._fires, bf, bR) - self._g * (bf / self._d)
-        rhs = np.bincount(self._pos.ravel(), u.ravel(), minlength=pairs * k + nG)
+        q = bf / self._d
+        u = np.concatenate([
+            (bf - g[:split] * q).ravel(),
+            (bR[root] - g[split:, root] * q[root]).ravel(),
+        ])
+        rhs = np.bincount(self._scatter, u, minlength=pairs * k + nG)
         rp, rg = rhs[:-nG].reshape(pairs, k), rhs[-nG:]
         wg = np.einsum("ij,j", self._G, rg - np.einsum("pki,pk", self._Q, rp))
         wp = np.einsum("pij,pj->pi", self._A, rp)
         wp -= np.einsum("pki,i->pk", self._Q, wg)
         w = np.zeros(rhs.size + cells)
         w[self._order] = wc = np.concatenate([wp.ravel(), wg])
-        w[self._fine] = (bf - (self._g * wc[self._pos]).sum(axis=0)) / self._d
+        w[self._fine] = (bf - (g * wc[self._pos]).sum(axis=0)) / self._d
         return w
 
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -153,6 +152,8 @@ def _decode_all(
     args = (c.sentences, state.theta, cfg.constraint, model, cfg.g_weight)
     groups = dmv.length_groups([x.n for x in c], cfg.constraint.max_ce_depth)
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=cfg.workers,
             initializer=_decode_worker_init,

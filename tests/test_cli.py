@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import io
 import json
@@ -488,6 +489,19 @@ def test_cli_import_leaves_sparse_solver_unloaded(tmp_path, model_dir, train_fil
     assert loaded == ["False"] * 8
 
 
+def test_cli_import_leaves_pool_and_evaluation_unloaded():
+    # Only a run at --workers above 1 starts a process pool, and only eval
+    # and analyze score trees: importing the CLI loads neither module.
+    src = str(Path(jointdep.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, jointdep.cli; print(sorted({"
+         "'concurrent.futures', 'jointdep.evaluation'} & set(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=src), check=True, capture_output=True,
+        text=True,
+    )
+    assert out.stdout == "[]\n"
+
+
 def test_train_determinism_via_cli(tmp_path, train_file, fast_args):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -774,13 +788,13 @@ def test_parse_workers_write_identical_trees(
     tmp_path, train_file, model_dir, monkeypatch
 ):
     pools = []
-    real_pool = trainer.ProcessPoolExecutor
+    real_pool = concurrent.futures.ProcessPoolExecutor
 
     def spy_pool(*args, **kwargs):
         pools.append(kwargs["max_workers"])
         return real_pool(*args, **kwargs)
 
-    monkeypatch.setattr(trainer, "ProcessPoolExecutor", spy_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy_pool)
     # Agreement decoding and the grammar alone both run on the workers.
     for decoder in ("dd", "dmv"):
         outputs = []

@@ -561,6 +561,26 @@ def test_fw_flat_state_equals_per_sentence_reference(rng, from_trees):
         assert opt.gap_history == ref.gap_history
 
 
+def test_fw_run_does_not_depend_on_the_pass_budget(rng, monkeypatch):
+    # A corpus of the benchmark's Frank-Wolfe shape (156 sentences of lengths
+    # 3-15) fits one chart pass at the default budget; a run decoding every
+    # sentence in a pass of its own leaves w and both histories bit for bit
+    # where the one-pass run leaves them.
+    lengths = rng.permutation(list(range(3, 16)) * 12)
+    c = Corpus(tuple(make_sentence(rng.choice(UPOS_TAGS, size=n).tolist())
+                     for n in lengths), UPOS_TAGS)
+    assert sum(int(n) ** 3 for n in lengths) <= cmst._PASS_CUBES
+    runs = []
+    for pass_cubes in (cmst._PASS_CUBES, 1):
+        monkeypatch.setattr(cmst, "_PASS_CUBES", pass_cubes)
+        m = CmstModel.create(c.pos_vocab)
+        opt = FrankWolfeOptimizer(c, m)
+        opt.run(10)
+        runs.append((m.w.tobytes(), opt.objective_history, opt.gap_history))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == 10
+
+
 def test_fit_trees_rejects_trees_of_other_lengths(toy_corpus):
     opt = FrankWolfeOptimizer(toy_corpus, CmstModel.create(toy_corpus.pos_vocab))
     trees = [DepTree(tuple(range(s.n + 1))) for s in toy_corpus]
