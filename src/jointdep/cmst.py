@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import ArcLayout, Corpus, DepTree, Sentence
+from .corpus import ArcLayout, Corpus, DepTree, Encoding, block_pairs
 
 ROOT_TAG = "<ROOT>"
 UNK_TAG = "<UNK>"
@@ -126,18 +126,30 @@ class FeatureTemplate:
         return np.concatenate([sums.ravel(), root.ravel(), [0.0]])
 
 
-def _arc_classes(x: Sentence, t: FeatureTemplate) -> np.ndarray:
-    """The (n+1, n+1) matrix of the class of every cell [h, d] of x's arc
-    matrix, each an index into `t.weight_sums(w)`, so that the gather of
-    those sums is bit for bit x's arc scores X @ w, with X never built."""
-    ids = np.array([t.tag_id(tag) for tag in (ROOT_TAG,) + x.upos])
-    pos = np.arange(x.n + 1)
-    bins = np.searchsorted(_BIN_EDGES, np.abs(pos[:, None] - pos))
+def _arc_kinds(enc: Encoding) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kind of the head and of the dependent, and d - h, of every cell
+    [h, d] of the arc matrices of `enc`'s rows, flat in their `ArcLayout`.
+    A token's kind is its tag's index in `enc.tags`, and the root
+    pseudo-node's is len(enc.tags)."""
+    # Every row's root, then its tokens, laid end to end.
+    kinds = np.insert(enc.ids, enc.offsets[:-1], len(enc.tags))
+    h, d = block_pairs(np.add(enc.lengths, 1))
+    return kinds[h], kinds[d], d - h
+
+
+def _arc_classes(enc: Encoding, t: FeatureTemplate) -> np.ndarray:
+    """The class of every cell [h, d] of the arc matrices of `enc`'s rows,
+    flat in their `ArcLayout`, each an index into `t.weight_sums(w)`, so
+    that the gather of those sums is bit for bit the rows' arc scores
+    X @ w, with X never built."""
+    kh, kd, dist = _arc_kinds(enc)
+    root = len(enc.tags)
+    ids = np.array([t.tag_id(tag) for tag in enc.tags + (ROOT_TAG,)])
+    bins = np.searchsorted(_BIN_EDGES, np.abs(dist))
     cells = 2 * t.T * t.T * _NUM_BINS
-    cls = ((ids[:, None] * t.T + ids) * 2 + (pos[:, None] < pos)) * _NUM_BINS + bins
-    cls[0] = cells + ids * _NUM_BINS + bins[0]  # headed by the root
-    cls[:, 0] = cells + t.T * _NUM_BINS
-    np.fill_diagonal(cls, cls[0, 0])
+    cls = bins + np.where(kh == root, cells + ids[kd] * _NUM_BINS,
+                          ((ids[kh] * t.T + ids[kd]) * 2 + (dist > 0)) * _NUM_BINS)
+    cls[(kd == root) | (dist == 0)] = cells + t.T * _NUM_BINS  # not arcs
     return cls
 
 
@@ -179,16 +191,17 @@ def default_rules() -> RuleSet:
     return parse_rules(text.splitlines())
 
 
-def rule_vector(x: Sentence, r: RuleSet) -> np.ndarray:
-    """(n+1, n+1) matrix keyed [h, d]: 1.0 on the arcs whose (head tag,
-    dependent tag) pair is licensed, 0 elsewhere and on non-arc cells. Read
-    from a table over the sentence's distinct tags and the "ROOT" literal."""
-    kinds: dict[str, int] = {}
-    ids = np.array([kinds.setdefault(tag, len(kinds)) for tag in ("ROOT",) + x.upos])
-    licensed = np.array([[(h, d) in r for d in kinds] for h in kinds], dtype=float)
-    v = licensed[ids[:, None], ids]
-    v[:, 0] = 0.0
-    np.fill_diagonal(v, 0.0)
+def rule_vector(enc: Encoding, r: RuleSet) -> np.ndarray:
+    """The arc matrices of `enc`'s rows, keyed [h, d] and flat in their
+    `ArcLayout`: 1.0 on the arcs whose (head tag, dependent tag) pair is
+    licensed, 0 elsewhere and on non-arc cells. Read from one table over
+    `enc`'s tags and the "ROOT" literal of the root pseudo-node, which a
+    token tagged ROOT shares."""
+    kh, kd, dist = _arc_kinds(enc)
+    tags = enc.tags + ("ROOT",)
+    licensed = np.array([[(h, d) in r for d in tags] for h in tags], dtype=float)
+    v = licensed[kh, kd]
+    v[(kd == len(enc.tags)) | (dist == 0)] = 0.0
     return v
 
 
@@ -450,25 +463,22 @@ def _eisner_pass(
 
 
 def _arc_terms(
-    xs: Sequence[Sentence], m: CmstModel
+    enc: Encoding, m: CmstModel
 ) -> tuple[ArcLayout, np.ndarray, np.ndarray, np.ndarray]:
-    """The `ArcLayout` of xs and, flat in it, every cell's class
-    (`_arc_classes`), its rule entry (`rule_vector`) and its sentence's
-    length n, as a float: empty vectors for no sentences."""
-    layout = ArcLayout(x.n for x in xs)
-    cls = np.concatenate(
-        [np.empty(0, np.intp)] + [_arc_classes(x, m.templates).ravel() for x in xs])
-    v = np.concatenate([np.empty(0)] + [rule_vector(x, m.rules).ravel() for x in xs])
+    """The `ArcLayout` of `enc`'s rows and, flat in it, every cell's class
+    (`_arc_classes`), its rule entry (`rule_vector`) and its row's length
+    n, as a float: empty vectors for no rows."""
+    layout = ArcLayout(enc.lengths)
     n = np.repeat(np.array(layout.lengths, dtype=np.float64), np.diff(layout.offsets))
-    return layout, cls, v, n
+    return layout, _arc_classes(enc, m.templates), rule_vector(enc, m.rules), n
 
 
-def arc_costs(xs: Sequence[Sentence], m: CmstModel) -> np.ndarray:
+def arc_costs(enc: Encoding, m: CmstModel) -> np.ndarray:
     """The per-arc linear cost of the discriminative objective over 0/1
-    trees of every sentence of xs, flat in their `ArcLayout`:
+    trees of every row of `enc`, flat in their `ArcLayout`:
     (1/2n)(1 - 2q[h, d]) - mu v[h, d] on the arc [h, d] of a sentence of
     length n with arc scores q and rule matrix v, 0 on non-arc cells."""
-    _, cls, v, n = _arc_terms(xs, m)
+    _, cls, v, n = _arc_terms(enc, m)
     sums = m.templates.weight_sums(m.w)
     costs = (1.0 - 2.0 * sums[cls]) / (2.0 * n) - m.mu * v
     costs[cls == sums.size - 1] = 0.0  # the class of every non-arc cell
@@ -597,7 +607,7 @@ class FrankWolfeOptimizer:
         if corpus.N == 0:
             raise ValueError("cannot train on an empty corpus")
         self.model = model
-        self.layout, self._cls, self._V, self._n = _arc_terms(corpus.sentences, model)
+        self.layout, self._cls, self._V, self._n = _arc_terms(corpus.encoding, model)
         layout = self.layout
         self._ridge = _NestedRidge(
             model.templates, model.lam, np.bincount(self._cls, 1.0 / self._n))

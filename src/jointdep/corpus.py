@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,6 +74,36 @@ class Corpus:
 
     def __iter__(self) -> Iterator[Sentence]:
         return iter(self.sentences)
+
+    @functools.cached_property
+    def encoding(self) -> "Encoding":
+        """The sentences' tags as integers, encoded on first use."""
+        index: dict[str, int] = {}
+        ids = [index.setdefault(t.upos, len(index)) for x in self for t in x.tokens]
+        lengths = tuple(x.n for x in self)
+        return Encoding(tuple(index), np.array(ids, dtype=np.intp), lengths)
+
+
+class Encoding(NamedTuple):
+    """The tags of sentences as integers: their distinct tags in order of
+    first appearance, every token's index into them, sentence by sentence,
+    and the sentences' lengths. A model maps `tags` to its own ids through
+    one small table, so that its per-token lookups are gathers over `ids`."""
+
+    tags: tuple[str, ...]
+    ids: np.ndarray
+    lengths: tuple[int, ...]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Where each sentence's tokens start in `ids`, then the token count."""
+        return np.cumsum([0, *self.lengths], dtype=np.intp)
+
+    def rows(self, rows: Sequence[int]) -> "Encoding":
+        """The encoding of the given rows, in that order, over the same tags."""
+        n = np.array([self.lengths[i] for i in rows], dtype=np.intp)
+        starts = self.offsets[np.asarray(rows, dtype=np.intp)]
+        return Encoding(self.tags, self.ids[ranges(starts, n)], tuple(n.tolist()))
 
 
 def _tree_spans(heads: Sequence[int]) -> list[tuple[int, int]]:
@@ -151,13 +182,6 @@ class DepTree:
 # arcs and stay 0.
 # ---------------------------------------------------------------------------
 
-def tree_matrix(tree: DepTree) -> np.ndarray:
-    """0/1 arc matrix of a tree: 1.0 at [heads[d-1], d] for d in 1..n."""
-    mat = np.zeros((tree.n + 1, tree.n + 1))
-    mat[tree.heads, np.arange(1, tree.n + 1)] = 1.0
-    return mat
-
-
 class ArcLayout:
     """Arc matrices of sentences of the given lengths in one flat vector: row
     i's fills (n+1)^2 cells in row-major order from offsets[i], so cell [h, d]
@@ -169,7 +193,7 @@ class ArcLayout:
         self.size = self.offsets[-1]
         # Every token's cell [0, d] and its row's stride n + 1, row by row.
         n = np.array(self.lengths, dtype=np.intp)
-        self._dep = _ranges(np.array(self.offsets[:-1], dtype=np.intp) + 1, n)
+        self._dep = ranges(np.array(self.offsets[:-1], dtype=np.intp) + 1, n)
         self._stride = np.repeat(n + 1, n)
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
@@ -184,10 +208,20 @@ class ArcLayout:
         return self._dep + h * self._stride
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The ranges [start, start + count) laid end to end."""
     shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
     return shift + np.arange(shift.size)
+
+
+def block_pairs(lengths: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (a, b) of places in one block, for blocks of the given
+    lengths laid end to end: block by block, and within a block in the
+    row-major order of its (n, n) matrix [a, b]."""
+    n = np.asarray(lengths, dtype=np.intp)
+    per_place = np.repeat(n, n)  # each place's block length
+    a = np.repeat(np.arange(per_place.size), per_place)
+    return a, ranges(np.repeat(np.cumsum(n) - n, n), per_place)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +236,6 @@ def parse_conllu(stream: Iterable[str]) -> Corpus:
     column 7 the gold head when numeric.
     """
     sentences: list[Sentence] = []
-    vocab: list[str] = []
-    seen = set()
     block: list[tuple[tuple[str, ...], int]] = []  # (fields, line number)
 
     def flush():
@@ -231,9 +263,6 @@ def parse_conllu(stream: Iterable[str]) -> Corpus:
                 raise ConlluParseError(
                     f"UPOS tag {upos!r} is empty or holds whitespace", line_no)
             tokens.append(Token(fields[1], upos, gold_head, fields))
-            if upos not in seen:
-                seen.add(upos)
-                vocab.append(upos)
         for i, tok in enumerate(tokens):
             if tok.gold_head == i + 1:
                 raise ConlluParseError(
@@ -272,6 +301,7 @@ def parse_conllu(stream: Iterable[str]) -> Corpus:
         expected_id += 1
         block.append((fields, line_no))
     flush()
+    vocab = dict.fromkeys(t.upos for x in sentences for t in x.tokens)
     return Corpus(tuple(sentences), tuple(vocab))
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import ArcLayout, Corpus, DepTree, Sentence
+from .corpus import ArcLayout, Corpus, DepTree, Encoding, block_pairs, ranges
 
 LEFT, RIGHT = 0, 1
 NO_CHILD, HAS_CHILD = 0, 1
@@ -86,22 +86,10 @@ class DmvParams:
     root: np.ndarray          # (V,)
     attach: np.ndarray        # (V, 2, V)
     stop: np.ndarray          # (V, 2, 2)
-    _tag_index: dict = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._tag_index = {t: i for i, t in enumerate(self.vocab)}
 
     @property
     def V(self) -> int:
         return len(self.vocab)
-
-    def tag_ids(self, sentence: Sentence) -> tuple[int, ...]:
-        try:
-            return tuple(self._tag_index[t] for t in sentence.upos)
-        except KeyError as exc:
-            raise ValueError(
-                f"UPOS tag {exc.args[0]!r} not in model vocabulary"
-            ) from None
 
     def validate(self, tol: float = 1e-12) -> None:
         if not math.isclose(self.root.sum(), 1.0, abs_tol=tol):
@@ -231,13 +219,15 @@ def init_params(c: Corpus, mode: str = "harmonic") -> DmvParams:
     if mode == "uniform":
         return uniform
     wi = _WeightIndex(V)
+    enc = c.encoding
+    ids = _tag_ids(enc, uniform)
+    h, d = block_pairs(enc.lengths)  # head h, dependent d
+    h, d = h[h != d], d[h != d]
+    # Root and attach entries fill disjoint counts, each in corpus order.
     counts = np.zeros(wi.size)
-    for sent in c:
-        ids = np.array(uniform.tag_ids(sent), dtype=np.intp)
-        i, j = (~np.eye(sent.n, dtype=bool)).nonzero()  # head i, dependent j
-        np.add.at(counts, ids, 1.0 / sent.n)
-        np.add.at(counts, wi.attach_off + (ids[i] * 2 + (j > i)) * V + ids[j],
-                  1.0 / (abs(i - j) + 1.0))
+    np.add.at(counts, ids, 1.0 / np.repeat(enc.lengths, enc.lengths))
+    np.add.at(counts, wi.attach_off + (ids[h] * 2 + (d > h)) * V + ids[d],
+              1.0 / (np.abs(h - d) + 1.0))
     return _params_from_counts(uniform, counts, 1.0)
 
 
@@ -574,19 +564,33 @@ def _compile(lengths: tuple[int, ...], cap: int | None) -> _Structure:
     return _Structure(lengths, block, level_nodes[level_nodes > 0], goal_ids, cs)
 
 
-def _slot_refs(pos: Sequence[int], V: int) -> np.ndarray:
-    """Log-weight index of every weight slot (in `_Structure`'s slot
-    order) of a sentence with tag ids `pos`; the unit slot maps to the
-    extra entry appended after the weights."""
+def _tag_ids(enc: Encoding, theta: DmvParams) -> np.ndarray:
+    """Every token's tag id in `theta`'s vocabulary, through one table over
+    `enc`'s tags; raises ValueError on the first tag that is not in it."""
+    index = {t: i for i, t in enumerate(theta.vocab)}
+    try:
+        table = np.array([index[t] for t in enc.tags], dtype=np.intp)
+    except KeyError as exc:
+        raise ValueError(f"UPOS tag {exc.args[0]!r} not in model vocabulary") from None
+    return table[enc.ids]
+
+
+def _slot_refs(ids: np.ndarray, lengths: Sequence[int], V: int) -> np.ndarray:
+    """Log-weight index of every weight slot (in `_Structure`'s slot order)
+    of sentences of the given lengths whose tokens have the tag ids `ids`;
+    the unit slot maps to the extra entry appended after the weights. The
+    refs are built part by part over the group (unit, root, stop, continue
+    and attach), then gathered sentence by sentence."""
     wi = _WeightIndex(V)
-    ids = np.asarray(pos, dtype=np.int64)
-    n = ids.size
+    ids, n = np.asarray(ids, dtype=np.intp), np.asarray(lengths, dtype=np.intp)
     hda = (4 * ids[:, None] + np.arange(4)).ravel()  # (h * 2 + dir) * 2 + adj
-    right = np.arange(n)[None, :] > np.arange(n)[:, None]  # c after h
-    att = wi.attach_off + (2 * ids[:, None] + right) * V + ids[None, :]
-    return np.concatenate(
-        ([wi.size], ids, wi.stop_off + hda, wi.cont_off + hda, att.ravel())
-    )
+    h, c = block_pairs(n)
+    att = wi.attach_off + (2 * ids[h] + (c > h)) * V + ids[c]  # c > h: right
+    refs = np.concatenate(
+        (np.full(n.size, wi.size), ids, wi.stop_off + hda, wi.cont_off + hda, att))
+    sizes = np.stack([np.ones_like(n), n, 4 * n, 4 * n, n * n])  # (parts, sentences)
+    starts = _starts(sizes.ravel()).reshape(sizes.shape)
+    return refs[ranges(starts.T.ravel(), sizes.T.ravel())]
 
 
 def edge_scores(
@@ -605,12 +609,12 @@ def edge_scores(
     return score
 
 
-def _charts(xs: Sequence[Sentence], theta: DmvParams, cap: int | None, beta: float,
+def _charts(enc: Encoding, theta: DmvParams, cap: int | None, beta: float,
             prices: np.ndarray | None = None):
-    """The compiled charts of `xs` under depth cap `cap`, their sentences'
+    """The compiled charts of `enc`'s rows under depth cap `cap`, their
     slot refs laid end to end, and their `edge_scores`."""
-    s = _compile(tuple(x.n for x in xs), cap)
-    slot_refs = np.concatenate([_slot_refs(theta.tag_ids(x), theta.V) for x in xs])
+    s = _compile(enc.lengths, cap)
+    slot_refs = _slot_refs(_tag_ids(enc, theta), enc.lengths, theta.V)
     return s, slot_refs, edge_scores(s, slot_refs, theta.log_weights(), beta, prices)
 
 
@@ -692,38 +696,6 @@ def _expected_counts(
 # Public operations
 # ---------------------------------------------------------------------------
 
-def tree_logprob(
-    x: Sentence, y: DepTree, theta: DmvParams, cfg: ConstraintConfig
-) -> float:
-    """log P(x, y) plus the log constraint factor (soft penalty / hard cap)."""
-    cost = tree_cost(Corpus((x,), theta.vocab), [y], theta, 0.0, cfg.dep_len_beta)
-    if cfg.max_ce_depth is not None and ce_depth(y) > cfg.max_ce_depth:
-        return NEG_INF
-    return -cost
-
-
-def inside_loglik(x: Sentence, theta: DmvParams, cfg: ConstraintConfig) -> float:
-    """Log of the constrained marginal: sum over feasible trees of P(x, y)*f."""
-    s, _, score = _charts([x], theta, cfg.max_ce_depth, cfg.dep_len_beta)
-    return float(_inside(s, score)[s.goals[0]])
-
-
-def viterbi_decode(
-    x: Sentence,
-    theta: DmvParams,
-    cfg: ConstraintConfig,
-    u: np.ndarray | None = None,
-) -> tuple[DepTree, float]:
-    """Best tree under -tree_logprob(x, y) + u.y, with the prices u an
-    (n+1, n+1) matrix keyed [h, d]; returns (tree, minimum)."""
-    s, _, score = _charts([x], theta, cfg.max_ce_depth, cfg.dep_len_beta,
-                          None if u is None else u.ravel())
-    [(heads, best)] = viterbi_batch(s, score)
-    if heads is None:
-        raise InfeasibleParseError()
-    return DepTree(heads), -best
-
-
 def chart_edges(n: int, cap: int | None) -> int:
     """Edges of the compiled chart of a length-n sentence under depth cap
     `cap`, counted from the templates without compiling the chart: width m
@@ -767,30 +739,26 @@ def length_groups(lengths: Sequence[int], cap: int | None) -> Iterator[list[int]
 
 
 def decode_group(
-    xs: Sequence[Sentence],
+    enc: Encoding,
     theta: DmvParams,
     cfg: ConstraintConfig,
     prices: np.ndarray | None = None,
 ) -> tuple[list[DepTree], list[bool]]:
-    """Best tree of each sentence of `xs` under the grammar's score minus
-    the `prices` of its arcs, flat in the `ArcLayout` of `xs` (none: zero),
-    as decoded alone, and whether its depth cap was lifted: the sentences
-    with no tree under the cap are decoded again without it, as a group of
-    their own, since finite prices cannot make them feasible."""
-
-    def decode(rows, cap, prices):
-        xr = [xs[i] for i in rows]
-        s, _, score = _charts(xr, theta, cap, cfg.dep_len_beta, prices)
-        return viterbi_batch(s, score)
-
-    trees = decode(range(len(xs)), cfg.max_ce_depth, prices)
+    """Best tree of each row of `enc` under the grammar's score minus the
+    `prices` of its arcs, flat in the `ArcLayout` of the rows (none: zero),
+    as decoded alone, and whether its depth cap was lifted: the rows with
+    no tree under the cap are decoded again without it, as a group of their
+    own, since finite prices cannot make them feasible."""
+    s, _, score = _charts(enc, theta, cfg.max_ce_depth, cfg.dep_len_beta, prices)
+    trees = viterbi_batch(s, score)
     lifted = [heads is None for heads, _ in trees]
     if any(lifted) and cfg.max_ce_depth is not None:
         rows = [i for i, lift in enumerate(lifted) if lift]
         if prices is not None:
-            offsets = ArcLayout(x.n for x in xs).offsets
+            offsets = ArcLayout(enc.lengths).offsets
             prices = np.concatenate([prices[offsets[i]:offsets[i + 1]] for i in rows])
-        for i, tree in zip(rows, decode(rows, None, prices)):
+        s, _, score = _charts(enc.rows(rows), theta, None, cfg.dep_len_beta, prices)
+        for i, tree in zip(rows, viterbi_batch(s, score)):
             trees[i] = tree
     if any(heads is None for heads, _ in trees):
         raise InfeasibleParseError()
@@ -811,11 +779,10 @@ def em_step(
     """
     # The last entry takes the unit slot's mass.
     counts = np.zeros(_WeightIndex(theta.V).size + 1)
-    xs, cap = c.sentences, cfg.max_ce_depth
-    logz = np.empty(len(xs))
-    for group in length_groups([x.n for x in xs], cap):
-        s, slot_refs, score = _charts([xs[i] for i in group], theta, cap,
-                                      cfg.dep_len_beta)
+    enc, cap = c.encoding, cfg.max_ce_depth
+    logz = np.empty(c.N)
+    for group in length_groups(enc.lengths, cap):
+        s, slot_refs, score = _charts(enc.rows(group), theta, cap, cfg.dep_len_beta)
         vals = _inside(s, score)
         logz[group] = vals[s.goals]
         counts += _expected_counts(s, score, slot_refs[s.slots], vals, counts.size)
@@ -857,14 +824,13 @@ def _params_from_counts(
 def _tokens(c: Corpus, trees: Sequence[DepTree], theta: DmvParams):
     """The tag id, head and 1-based position of every token of `c`, laid
     end to end, under `trees`, one tree per sentence."""
-    tags, heads, pos = [], [], []
-    for x, y in zip(c, trees, strict=True):
-        if y.n != x.n:
-            raise ValueError(f"tree of length {y.n} for a sentence of length {x.n}")
-        tags += theta.tag_ids(x)
-        heads += y.heads
-        pos += range(1, x.n + 1)
-    return tuple(np.array(v, dtype=np.intp) for v in (tags, heads, pos))
+    enc = c.encoding
+    for y, n in zip(trees, enc.lengths, strict=True):
+        if y.n != n:
+            raise ValueError(f"tree of length {y.n} for a sentence of length {n}")
+    heads = np.array([h for y in trees for h in y.heads], dtype=np.intp)
+    pos = np.arange(heads.size) - np.repeat(enc.offsets[:-1], enc.lengths) + 1
+    return _tag_ids(enc, theta), heads, pos
 
 
 def tree_counts(c: Corpus, trees: Sequence[DepTree], theta: DmvParams) -> np.ndarray:

@@ -126,13 +126,13 @@ def train_baseline_d_init(c: Corpus, cfg: TrainConfig) -> TrainState:
 _WORKER = {}
 
 
-def _decode_worker_init(sents, theta, constraint, model, g_weight):
-    _WORKER["args"] = (sents, theta, constraint, model, g_weight)
+def _decode_worker_init(enc, theta, constraint, model, g_weight):
+    _WORKER["args"] = (enc, theta, constraint, model, g_weight)
 
 
 def _decode_worker(group: list[int]) -> tuple[list[int], list[DepTree], list[bool]]:
-    sents, theta, constraint, model, g_weight = _WORKER["args"]
-    xs = [sents[i] for i in group]
+    enc, theta, constraint, model, g_weight = _WORKER["args"]
+    xs = enc.rows(group)
     prices = None
     if model is not None:  # G is linear on 0/1 trees: it prices the arcs
         prices = g_weight * cmst.arc_costs(xs, model)
@@ -149,8 +149,8 @@ def _decode_all(
     sentence's result does not depend on its group, so neither the grouping
     nor `cfg.workers` can change it."""
     model = state.model if decoder == "dd" else None
-    args = (c.sentences, state.theta, cfg.constraint, model, cfg.g_weight)
-    groups = dmv.length_groups([x.n for x in c], cfg.constraint.max_ce_depth)
+    args = (c.encoding, state.theta, cfg.constraint, model, cfg.g_weight)
+    groups = dmv.length_groups(c.encoding.lengths, cfg.constraint.max_ce_depth)
     if cfg.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -267,8 +267,9 @@ def decode_corpus(
     grammar's decoders run on `cfg.workers` processes."""
     cfg = cfg or TrainConfig()
     if decoder == "cmst":
-        costs = cmst.arc_costs(c.sentences, state.model)
-        return [DepTree(heads) for heads, _ in cmst.eisner_min([x.n for x in c], costs)]
+        enc = c.encoding
+        trees = cmst.eisner_min(enc.lengths, cmst.arc_costs(enc, state.model))
+        return [DepTree(heads) for heads, _ in trees]
     if decoder in ("dmv", "dd"):
         return _decode_all(c, state, cfg, decoder)[0]
     raise ValueError(f"unknown decoder {decoder!r}")

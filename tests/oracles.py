@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from jointdep import cmst, dmv
 from jointdep.corpus import DepTree, Sentence, Token, Corpus
 from jointdep.dmv import HAS_CHILD, LEFT, NO_CHILD, RIGHT, _WeightIndex
 
@@ -107,6 +108,58 @@ UPOS_TAGS = (
 
 def make_sentence(tags) -> Sentence:
     return Sentence(tuple(Token(f"w{i}", t) for i, t in enumerate(tags)))
+
+
+def encode(xs):
+    """The `Corpus.encoding` of the sentences xs."""
+    return Corpus(tuple(xs), ()).encoding
+
+
+def tag_ids(theta, x):
+    """x's tag ids in the grammar theta's vocabulary, one lookup per token."""
+    index = {t: i for i, t in enumerate(theta.vocab)}
+    return tuple(index[t] for t in x.upos)
+
+
+def tree_matrix(tree: DepTree) -> np.ndarray:
+    """0/1 arc matrix of a tree: 1.0 at [heads[d-1], d] for d in 1..n."""
+    mat = np.zeros((tree.n + 1, tree.n + 1))
+    mat[tree.heads, np.arange(1, tree.n + 1)] = 1.0
+    return mat
+
+
+def rule_matrix(x, r):
+    """`cmst.rule_vector` of the one sentence x as its (n+1, n+1) matrix."""
+    return cmst.rule_vector(encode([x]), r).reshape(x.n + 1, x.n + 1)
+
+
+# ---------------------------------------------------------------------------
+# One sentence through the grammar's batched engine
+# ---------------------------------------------------------------------------
+
+def tree_logprob(x, y, theta, cfg) -> float:
+    """log P(x, y) plus the log constraint factor (soft penalty / hard cap)."""
+    cost = dmv.tree_cost(Corpus((x,), theta.vocab), [y], theta, 0.0, cfg.dep_len_beta)
+    if cfg.max_ce_depth is not None and dmv.ce_depth(y) > cfg.max_ce_depth:
+        return -math.inf
+    return -cost
+
+
+def inside_loglik(x, theta, cfg) -> float:
+    """Log of the constrained marginal: sum over feasible trees of P(x, y)*f."""
+    s, _, score = dmv._charts(encode([x]), theta, cfg.max_ce_depth, cfg.dep_len_beta)
+    return float(dmv._inside(s, score)[s.goals[0]])
+
+
+def viterbi_decode(x, theta, cfg, u=None):
+    """Best tree under -tree_logprob(x, y) + u.y, with the prices u an
+    (n+1, n+1) matrix keyed [h, d]; returns (tree, minimum)."""
+    s, _, score = dmv._charts(encode([x]), theta, cfg.max_ce_depth, cfg.dep_len_beta,
+                              None if u is None else u.ravel())
+    [(heads, best)] = dmv.viterbi_batch(s, score)
+    if heads is None:
+        raise dmv.InfeasibleParseError()
+    return DepTree(heads), -best
 
 
 def price_matrix(values, n):
@@ -484,7 +537,7 @@ def tree_logprob_reference(x, y, theta, cfg):
     if cfg.max_ce_depth is not None and span_nesting_depth(y.heads) > cfg.max_ce_depth:
         return -math.inf
     w = theta.log_weights()
-    events = tree_events_reference(theta.tag_ids(x), y, WeightIndexReference(theta.V))
+    events = tree_events_reference(tag_ids(theta, x), y, WeightIndexReference(theta.V))
     lp = sum(float(w[e]) for e in events)
     return lp - cfg.dep_len_beta * sum(
         abs(h - d) - 1 for d, h in enumerate(y.heads, start=1) if h
@@ -497,8 +550,6 @@ def joint_objective_reference(c, state, cfg, trees):
     and g_weight times its `sentence_objective` at its 0/1 arc matrix, then
     the Dirichlet prior -eps * sum(log theta), table by table, for eps > 0."""
     from dataclasses import replace
-
-    from jointdep.corpus import tree_matrix
 
     cfg_eval = replace(cfg.constraint, max_ce_depth=None)
     total = 0.0
@@ -560,7 +611,6 @@ def fw_run_reference(corpus, model, iters, trees=None):
     import scipy.sparse as sp
 
     from jointdep.cmst import FrankWolfeOptimizer
-    from jointdep.corpus import tree_matrix
 
     X = [extract_features_reference(s, model.templates) for s in corpus]
     v = [rule_vector_reference(s, model.rules) for s in corpus]
@@ -749,14 +799,11 @@ def dd_decode_reference(x, theta, cfg_f, m, max_iters, g_weight=1.0):
     it; after `max_iters` iterations it ends the same way, uncertified."""
     from dataclasses import replace
 
-    from jointdep import dmv
-    from jointdep.corpus import tree_matrix
-
     # Scored through per-arc features, not the decoders' weight sums.
     v = rule_vector_reference(x, m.rules)
     q = (extract_features_reference(x, m.templates) @ m.w).reshape(v.shape)
     base = arc_costs_reference(q, v, m.mu) * g_weight
-    pos, wlog = theta.tag_ids(x), theta.log_weights()
+    pos, wlog = tag_ids(theta, x), theta.log_weights()
     u = np.zeros(v.shape)
     relaxed = False
     best_cost, best = math.inf, None

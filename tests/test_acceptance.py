@@ -17,15 +17,21 @@ import pytest
 
 from oracles import (
     all_projective_trees,
+    encode,
     extract_features,
     flat_costs,
+    inside_loglik,
     logsumexp,
     make_sentence,
     price_matrix,
     random_corpus,
     random_dmv_params,
+    rule_matrix,
     sentence_gradient,
     span_nesting_depth,
+    tree_logprob,
+    tree_matrix,
+    viterbi_decode,
 )
 
 from jointdep import cmst, dmv, evaluation, trainer
@@ -36,7 +42,6 @@ from jointdep.corpus import (
     DepTree,
     filter_corpus,
     read_conllu,
-    tree_matrix,
     write_conllu_file,
 )
 from jointdep.dmv import ConstraintConfig, UNCONSTRAINED
@@ -77,22 +82,22 @@ def test_criterion_1_chart_vs_oracle(rng):
         theta = random_dmv_params(rng, VOCAB)
         cfg = CONFIGS[trial % len(CONFIGS)]
         scores = [
-            dmv.tree_logprob(x, t, theta, cfg)
+            tree_logprob(x, t, theta, cfg)
             for t in all_projective_trees(x.n)
         ]
         finite = [s for s in scores if s > -math.inf]
         if finite:
-            tree, score = dmv.viterbi_decode(x, theta, cfg)
+            tree, score = viterbi_decode(x, theta, cfg)
             # viterbi_decode returns min over trees of -logprob + u.y (u = 0).
             worst_v = max(worst_v, abs(score - -max(finite)))
-            assert dmv.tree_logprob(x, tree, theta, cfg) == pytest.approx(
+            assert tree_logprob(x, tree, theta, cfg) == pytest.approx(
                 max(finite), abs=1e-9
             )
         else:
             with pytest.raises(dmv.InfeasibleParseError):
-                dmv.viterbi_decode(x, theta, cfg)
+                viterbi_decode(x, theta, cfg)
         want = logsumexp(scores)
-        got = dmv.inside_loglik(x, theta, cfg)
+        got = inside_loglik(x, theta, cfg)
         if want == -math.inf:
             assert got == -math.inf
         else:
@@ -111,7 +116,7 @@ def test_criterion_2_lmo_vs_oracle(rng):
         m.w = rng.normal(scale=0.7, size=m.w.shape)
         u = (price_matrix(rng.normal(size=x.n * x.n), x.n)
              if rng.random() < 0.5 else None)
-        costs = cmst.arc_costs([x], m).reshape(x.n + 1, x.n + 1)
+        costs = cmst.arc_costs(encode([x]), m).reshape(x.n + 1, x.n + 1)
         if u is None:
             [(heads, score)] = cmst.eisner_min(*flat_costs([costs]))
             tree = DepTree(heads)
@@ -131,10 +136,10 @@ def test_criterion_2_lmo_vs_oracle(rng):
 def _joint_cost(x, tree, theta, cfg, m):
     y = tree_matrix(tree)
     X = extract_features([x], m.templates)
-    v = cmst.rule_vector(x, m.rules)
+    v = rule_matrix(x, m.rules)
     resid = y.ravel() - X @ m.w
     g = float(resid @ resid) / (2 * x.n) - m.mu * float(np.vdot(v, y))
-    return -dmv.tree_logprob(x, tree, theta, cfg) + g
+    return -tree_logprob(x, tree, theta, cfg) + g
 
 
 def test_criterion_3_dd_certificate(rng):
@@ -236,7 +241,7 @@ def test_criterion_7_normalization_and_structure(rng):
         theta, _ = dmv.em_step(c, theta, UNCONSTRAINED, 0.0)
         check_norm(theta)
     for eps in (0.0, 0.1):
-        trees = [dmv.viterbi_decode(s, theta, UNCONSTRAINED)[0] for s in c]
+        trees = [viterbi_decode(s, theta, UNCONSTRAINED)[0] for s in c]
         check_norm(dmv.mstep_from_trees(c, trees, eps))
 
     # Fuzz decodes: projectivity, single-rootedness, and the depth cap.
@@ -250,7 +255,7 @@ def test_criterion_7_normalization_and_structure(rng):
         cap = [None, 0, 1][decodes % 3]
         cfg = ConstraintConfig(cap, 0.1 * (decodes % 2))
         try:
-            tree, _ = dmv.viterbi_decode(x, theta_i, cfg)
+            tree, _ = viterbi_decode(x, theta_i, cfg)
         except dmv.InfeasibleParseError:
             continue
         # DepTree construction validates projectivity and single-rootedness;

@@ -681,17 +681,35 @@ def test_malformed_cmst_record_is_refused_on_its_line(
     )
 
 
+# A sentence with a tag, ZZZ, outside the models' vocabulary.
+UNSEEN_TAG_CONLLU = (
+    "1\tw\tw\tNOUN\t_\t_\t0\t_\t_\t_\n"
+    "2\tw\tw\tZZZ\t_\t_\t1\t_\t_\t_\n\n"
+)
+
+
 @pytest.mark.parametrize("decoder", ["dmv", "dd"])
 def test_unknown_upos_is_data_error(tmp_path, model_dir, capsys, decoder):
     src = tmp_path / "zzz.conllu"
-    src.write_text(
-        "1\tw\tw\tNOUN\t_\t_\t0\t_\t_\t_\n"
-        "2\tw\tw\tZZZ\t_\t_\t1\t_\t_\t_\n\n"
-    )
+    src.write_text(UNSEEN_TAG_CONLLU)
     assert _parse(model_dir, src, tmp_path / "o.conllu", decoder) == EXIT_DATA
     assert capsys.readouterr().err == (
         "error: UPOS tag 'ZZZ' not in model vocabulary\n"
     )
+
+
+def test_unknown_upos_parses_as_unk_with_the_cmst_decoder(
+    tmp_path, model_dir, capsys
+):
+    # The discriminative features read an unseen tag as <UNK>, so the cmst
+    # decoder parses the file that the grammar refuses.
+    src, out = tmp_path / "zzz.conllu", tmp_path / "o.conllu"
+    src.write_text(UNSEEN_TAG_CONLLU)
+    assert _parse(model_dir, src, out, "cmst") == EXIT_OK
+    assert capsys.readouterr().err == ""
+    [sent] = read_conllu(out).sentences
+    assert [t.upos for t in sent.tokens] == ["NOUN", "ZZZ"]
+    DepTree(sent.gold_heads())  # a complete, valid tree
 
 
 @pytest.mark.parametrize("upos", ["VE RB", "", " NOUN"])

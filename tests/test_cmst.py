@@ -10,6 +10,7 @@ from oracles import (
     arc_features,
     dist_bin,
     eisner_min_reference,
+    encode,
     extract_features,
     extract_features_reference,
     flat_costs,
@@ -18,13 +19,15 @@ from oracles import (
     price_matrix,
     random_corpus,
     ridge_reference,
+    rule_matrix,
     rule_vector_reference,
     sentence_gradient,
     tree_loss,
+    tree_matrix,
 )
 
 from jointdep import cmst
-from jointdep.corpus import Corpus, DepTree, tree_matrix
+from jointdep.corpus import Corpus, DepTree
 from jointdep.cmst import (
     CmstModel,
     FeatureTemplate,
@@ -124,8 +127,8 @@ def test_non_arc_cells_are_empty(rng, n):
     row_nnz = np.diff(extract_features([x], m.templates).indptr)
     assert not row_nnz.reshape(n + 1, n + 1)[~arcs].any()
     assert row_nnz.reshape(n + 1, n + 1)[arcs].all()
-    assert np.array_equal(rule_vector(x, everything), arcs.astype(float))
-    costs = arc_costs([x], m).reshape(n + 1, n + 1)
+    assert np.array_equal(rule_matrix(x, everything), arcs.astype(float))
+    costs = arc_costs(encode([x]), m).reshape(n + 1, n + 1)
     assert not costs[~arcs].any()
     assert costs[arcs].all()
 
@@ -147,7 +150,8 @@ def test_arc_scores_equal_feature_matvec_in_bytes(rng, n):
         w[rng.random(w.size) < 0.2] = -0.0
         m.w = w
         want = (extract_features([x], m.templates) @ m.w).reshape(n + 1, n + 1)
-        got = m.templates.weight_sums(m.w)[cmst._arc_classes(x, m.templates)]
+        cls = cmst._arc_classes(encode([x]), m.templates).reshape(n + 1, n + 1)
+        got = m.templates.weight_sums(m.w)[cls]
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -156,9 +160,11 @@ def test_arc_costs_equal_reference_formula_in_bytes(rng):
     # A mixed-length batch's flat costs are, sentence by sentence and bit for
     # bit, the per-arc formula fed the scores X @ w and the per-arc rule
     # lookup, with the weights and tags of the test above; an empty batch
-    # costs nothing.
+    # costs nothing. NOUN, outside the vocabulary but named by the rules,
+    # shares UNK's features with UNSEEN but not its rule rows, and a token
+    # tagged with the ROOT literal shares the root pseudo-node's.
     vocab = UPOS_TAGS[:5]
-    tags = (*vocab, "UNSEEN", cmst.UNK_TAG, cmst.ROOT_TAG)
+    tags = (*vocab, "UNSEEN", cmst.UNK_TAG, cmst.ROOT_TAG, "NOUN", "ROOT")
     for _ in range(5):
         xs = [make_sentence([tags[i % len(tags)] for i in rng.permutation(n)])
               for n in (1, 2, 11, 12)]
@@ -173,10 +179,10 @@ def test_arc_costs_equal_reference_formula_in_bytes(rng):
             q = (extract_features_reference(x, m.templates) @ m.w).reshape(v.shape)
             want.append(arc_costs_reference(q, v, m.mu).ravel())
         assert rule_vector_reference(xs[-1], m.rules).any()
-        got = arc_costs(xs, m)
+        got = arc_costs(encode(xs), m)
         assert got.dtype == np.float64
         assert got.tobytes() == np.concatenate(want).tobytes()
-    assert arc_costs([], m).shape == (0,)
+    assert arc_costs(encode([]), m).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +191,13 @@ def test_arc_costs_equal_reference_formula_in_bytes(rng):
 
 def test_empty_ruleset_zero_vector():
     x = make_sentence(["DET", "NOUN", "VERB"])
-    assert not rule_vector(x, frozenset()).any()
+    assert not rule_matrix(x, frozenset()).any()
 
 
 def test_default_rule_membership():
     rules = default_rules()
     x = make_sentence(["DET", "NOUN", "VERB"])
-    v = rule_vector(x, rules)
+    v = rule_matrix(x, rules)
     assert v[2, 1] == 1.0  # NOUN -> DET
     assert v[1, 3] == 0.0  # DET -> VERB unlicensed
     assert v[0, 3] == 1.0  # ROOT -> VERB
@@ -207,16 +213,16 @@ def test_rule_vector_equals_per_arc_lookup(rng):
         n = int(rng.integers(1, 9))
         x = make_sentence([tags[i] for i in rng.integers(0, len(tags), size=n)])
         rules = frozenset(p for p in pairs if rng.random() < 0.4)
-        got, want = rule_vector(x, rules), rule_vector_reference(x, rules)
+        got, want = rule_matrix(x, rules), rule_vector_reference(x, rules)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_rule_vector_permutation_equivariance(rng):
     rules = default_rules()
     tags = ["DET", "NOUN", "VERB", "NOUN"]
-    x = rule_vector(make_sentence(tags), rules)
+    x = rule_matrix(make_sentence(tags), rules)
     perm = rng.permutation(4)
-    y = rule_vector(make_sentence([tags[i] for i in perm]), rules)
+    y = rule_matrix(make_sentence([tags[i] for i in perm]), rules)
     n = 4
     pos = {old + 1: int(np.where(perm == old)[0][0]) + 1 for old in range(n)}
     pos[0] = 0
@@ -259,7 +265,7 @@ def test_objective_vanishing_residual(rng):
     X = extract_features([x], m.templates)
     # Least-squares fit so that Xw == y (the system is underdetermined).
     m.w = np.linalg.lstsq(X.toarray(), y.ravel(), rcond=None)[0]
-    v = rule_vector(x, m.rules)
+    v = rule_matrix(x, m.rules)
     got = _copies_objective(x, m, 1)(tree)
     want = m.lam / 2.0 * float(m.w @ m.w) - 0.7 * float(np.vdot(v, y))
     assert got == pytest.approx(want, abs=1e-9)
@@ -274,7 +280,7 @@ def test_objective_matches_naive_evaluation(rng):
     N = 7
     # Naive re-evaluation with dense arithmetic.
     X = extract_features([x], m.templates).toarray()
-    v = rule_vector(x, m.rules)
+    v = rule_matrix(x, m.rules)
     naive = (
         float(np.sum((y.ravel() - X @ m.w) ** 2)) / (2 * 3)
         + m.lam / (2 * N) * float(np.sum(m.w**2))
@@ -291,9 +297,9 @@ def test_objective_matches_naive_evaluation(rng):
 def test_lmo_rule_dominated():
     x = make_sentence(["DET", "NOUN", "VERB"])
     m = CmstModel.create(("DET", "NOUN", "VERB"), mu=100.0)
-    [(heads, _)] = eisner_min([x.n], arc_costs([x], m))
+    [(heads, _)] = eisner_min([x.n], arc_costs(encode([x]), m))
     tree = DepTree(heads)
-    v = rule_vector(x, m.rules)
+    v = rule_matrix(x, m.rules)
     best_sat = max(
         float(np.vdot(v, tree_matrix(t))) for t in all_projective_trees(3)
     )
@@ -309,7 +315,7 @@ def test_lmo_matches_bruteforce(rng):
         m.w = rng.normal(scale=0.5, size=m.w.shape)
         u = (price_matrix(rng.normal(size=n * n), n)
              if rng.random() < 0.5 else None)
-        costs = arc_costs([x], m).reshape(n + 1, n + 1)
+        costs = arc_costs(encode([x]), m).reshape(n + 1, n + 1)
         if u is None:
             [(heads, score)] = eisner_min(*flat_costs([costs]))
             tree = DepTree(heads)
@@ -401,7 +407,7 @@ def test_fw_stacked_scores_match_per_sentence(rng):
     ]
     want = want_at_trees = m.lam / 2.0 * float(m.w @ m.w)
     for x, y, t in zip(c, opt.y, trees):
-        v = rule_vector(x, m.rules)
+        v = rule_matrix(x, m.rules)
         q = (extract_features([x], m.templates) @ m.w).reshape(y.shape)
         want += tree_loss(y, q, v, m.mu)
         want_at_trees += tree_loss(tree_matrix(t), q, v, m.mu)
@@ -475,11 +481,11 @@ def test_fw_toy_sentence_learns_rule_arcs():
     c = Corpus((x,), ("DET", "NOUN", "VERB"))
     m = CmstModel.create(c.pos_vocab, lam=1.0, mu=1.0)
     FrankWolfeOptimizer(c, m).run(60)
-    [(heads, _)] = eisner_min([x.n], arc_costs([x], m))
+    [(heads, _)] = eisner_min([x.n], arc_costs(encode([x]), m))
     tree = DepTree(heads)
     assert tree.heads == (2, 3, 0)
     # Brute-force check: the decoded tree minimizes the final objective.
-    costs = arc_costs([x], m).reshape(x.n + 1, x.n + 1)
+    costs = arc_costs(encode([x]), m).reshape(x.n + 1, x.n + 1)
     best = min(
         float(np.vdot(costs, tree_matrix(t))) for t in all_projective_trees(3)
     )

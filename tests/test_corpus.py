@@ -4,16 +4,16 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import all_projective_heads
+from oracles import all_projective_heads, random_corpus, tree_matrix
 
 from jointdep.corpus import (
     ArcLayout,
     ConlluParseError,
     Corpus,
     DepTree,
+    block_pairs,
     filter_corpus,
     parse_conllu,
-    tree_matrix,
     write_conllu,
 )
 
@@ -210,3 +210,32 @@ def test_arc_layout_agrees_with_tree_matrix(rng):
     for view, tree in zip(views, trees):
         assert np.array_equal(view, tree_matrix(tree))
         assert np.shares_memory(view, flat)
+
+
+def test_encoding_is_flat_tag_ids_and_a_row_gather(rng):
+    # A corpus is encoded once: its distinct tags in order of first
+    # appearance, whatever the vocabulary says, and every token's index into
+    # them. A group of rows, in any order, is a gather over the flat ids.
+    c = random_corpus(rng, ("DET", "NOUN", "VERB", "ADJ"), 30, max_len=6)
+    c = Corpus(c.sentences, ("ADJ", "VERB", "NOUN", "DET", "X"))
+    enc = c.encoding
+    assert enc is c.encoding
+    tokens = [t.upos for x in c for t in x.tokens]
+    assert enc.tags == tuple(dict.fromkeys(tokens))
+    assert [enc.tags[i] for i in enc.ids] == tokens
+    assert enc.lengths == tuple(x.n for x in c)
+    assert enc.offsets.tolist() == np.cumsum([0] + [x.n for x in c]).tolist()
+    rows = rng.permutation(c.N)[:12].tolist()
+    sub = enc.rows(rows)
+    assert sub.tags == enc.tags and sub.lengths == tuple(c.sentences[i].n for i in rows)
+    assert [enc.tags[i] for i in sub.ids] == [
+        t.upos for i in rows for t in c.sentences[i].tokens]
+    assert enc.rows([]).ids.size == 0
+
+
+def test_block_pairs_are_each_blocks_matrix_cells_in_row_major_order():
+    a, b = block_pairs([2, 1, 3])
+    want = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
+    want += [(3 + i, 3 + j) for i in range(3) for j in range(3)]
+    assert list(zip(a.tolist(), b.tolist())) == want
+    assert all(v.size == 0 for v in block_pairs([]))

@@ -14,24 +14,29 @@ from oracles import (
     dd_decode_reference,
     extract_features,
     flat_grammar,
+    inside_loglik,
     make_sentence,
     random_corpus,
     random_dmv_params,
+    rule_matrix,
+    tree_logprob,
+    tree_matrix,
+    viterbi_decode,
 )
 
 from jointdep import cmst, dmv, trainer
 from jointdep.cmst import CmstModel
-from jointdep.corpus import Corpus, DepTree, tree_matrix
+from jointdep.corpus import Corpus, DepTree
 from jointdep.dmv import ConstraintConfig, UNCONSTRAINED
 
 
 def _joint_objective(x, tree, theta, cfg, m, g_weight=1.0):
     y = tree_matrix(tree)
     X = extract_features([x], m.templates)
-    v = cmst.rule_vector(x, m.rules)
+    v = rule_matrix(x, m.rules)
     resid = y.ravel() - X @ m.w
     g = float(resid @ resid) / (2 * x.n) - m.mu * float(np.vdot(v, y))
-    return -dmv.tree_logprob(x, tree, theta, cfg) + g_weight * g
+    return -tree_logprob(x, tree, theta, cfg) + g_weight * g
 
 
 def _decode(xs, theta, cfg, m, g_weight=1.0):
@@ -89,7 +94,7 @@ def test_certified_tree_is_a_brute_force_optimum(rng, cap, g_weight):
 
         def cost(tree):
             g = oracles.tree_loss(tree_matrix(tree), q, v, m.mu)
-            return -dmv.tree_logprob(x, tree, theta, cfg_x) + g_weight * g
+            return -tree_logprob(x, tree, theta, cfg_x) + g_weight * g
 
         best = min(c for c in map(cost, all_projective_trees(n)) if math.isfinite(c))
         shared = g_weight * float(np.vdot(q, q)) / (2 * n)
@@ -196,7 +201,7 @@ def test_no_dual_value_exceeds_the_exact_cost(rng, kind):
 
                 def cost(t):
                     return (float(np.vdot(base, tree_matrix(t)))
-                            - dmv.tree_logprob(x, t, theta, cfg_x))
+                            - tree_logprob(x, t, theta, cfg_x))
 
                 exact = cost(tree)
                 rounding = 1e-12 * (1 + abs(res.dual))
@@ -217,12 +222,12 @@ def test_depth_cap_relaxation_flagged():
     theta = flat_grammar()
     x = make_sentence(["B", "B", "C"])
     cfg = ConstraintConfig(max_ce_depth=0, dep_len_beta=0.0)
-    assert dmv.inside_loglik(x, theta, cfg) == -math.inf
+    assert inside_loglik(x, theta, cfg) == -math.inf
     m = CmstModel.create(vocab)
     [(tree, lifted)] = _decode([x], theta, cfg, m)
     assert lifted
     assert tree.heads == (3, 3, 0)
-    assert dmv.tree_logprob(x, tree, theta, UNCONSTRAINED) > -math.inf
+    assert tree_logprob(x, tree, theta, UNCONSTRAINED) > -math.inf
 
 
 def test_g_weight_zero_reduces_to_viterbi(rng):
@@ -234,7 +239,7 @@ def test_g_weight_zero_reduces_to_viterbi(rng):
         m = CmstModel.create(vocab)
         m.w = rng.normal(size=m.w.shape)
         [(tree, _)] = _decode([x], theta, UNCONSTRAINED, m, 0.0)
-        y_tree, _ = dmv.viterbi_decode(x, theta, UNCONSTRAINED)
+        y_tree, _ = viterbi_decode(x, theta, UNCONSTRAINED)
         assert tree == y_tree
 
 
@@ -317,13 +322,13 @@ def test_group_results_equal_decoding_alone(rng, monkeypatch, case):
         # No sentence ends worse in F + G than the grammar's own tree, the
         # first tree DD's iterations visit.
         for x, (tree, _), (exact, rounding) in zip(xs, alone, costs):
-            y, _ = dmv.viterbi_decode(x, theta, cfg)
+            y, _ = viterbi_decode(x, theta, cfg)
             assert exact <= _joint_objective(x, y, theta, cfg, m, g) + rounding
     if case == "discriminative":
         # However hard the CMST side pulls, each sentence ends on a tree the
         # grammar can generate under the cap.
         for x, (tree, _) in zip(xs, alone):
-            assert dmv.tree_logprob(x, tree, theta, cfg) > -math.inf
+            assert tree_logprob(x, tree, theta, cfg) > -math.inf
     if case == "better-objective":
         # One more DD iteration only adds trees to choose from, so it never
         # ends a sentence on a tree of larger F + G.
@@ -337,7 +342,7 @@ def test_group_results_equal_decoding_alone(rng, monkeypatch, case):
         # tree ties in DD's discriminative subproblem, so its dual gap
         # closes at once, whether the two trees agree or not.
         assert [tree for tree, _ in alone] == [
-            dmv.viterbi_decode(x, theta, cfg)[0] for x in xs
+            viterbi_decode(x, theta, cfg)[0] for x in xs
         ]
         assert all(converged) and {r.iterations for r in refs} == {1}
         assert {r.final_gap for r in refs} == {0.0}

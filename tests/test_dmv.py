@@ -7,8 +7,10 @@ from oracles import (
     all_projective_heads,
     all_projective_trees,
     compile_reference,
+    encode,
     flat_grammar,
     init_params_reference,
+    inside_loglik,
     logsumexp,
     make_sentence,
     plan_reference,
@@ -19,7 +21,10 @@ from oracles import (
     scalar_viterbi,
     slot_weight_refs,
     span_nesting_depth,
+    tag_ids,
     tree_events_reference,
+    tree_logprob,
+    viterbi_decode,
     WeightIndexReference,
 )
 
@@ -31,10 +36,7 @@ from jointdep.dmv import (
     ce_depth,
     em_step,
     init_params,
-    inside_loglik,
     mstep_from_trees,
-    tree_logprob,
-    viterbi_decode,
 )
 
 
@@ -299,7 +301,7 @@ def test_viterbi_matches_scalar_reference(rng, cap, beta, kind):
         if u is not None:
             u = price_matrix(u, n)
         want_heads, want = scalar_viterbi(
-            dmv._compile((n,), cap), p.tag_ids(x), p.V, p.log_weights(), beta,
+            dmv._compile((n,), cap), tag_ids(p, x), p.V, p.log_weights(), beta,
             u,
         )
         if want == -math.inf:
@@ -333,14 +335,17 @@ def test_viterbi_batch_matches_scalar_reference(rng):
             prices = rng.normal(size=prices.size)
         prices = None if mode == 0 else prices
         s = dmv._compile(tuple(x.n for x in xs), cap)
-        slot_refs = np.concatenate([dmv._slot_refs(p.tag_ids(x), p.V) for x in xs])
+        slot_refs = dmv._slot_refs(
+            np.concatenate([tag_ids(p, x) for x in xs]), [x.n for x in xs], p.V)
+        assert slot_refs.tolist() == [
+            ref for x in xs for ref in slot_weight_refs(tag_ids(p, x), p.V)]
         got = dmv.viterbi_batch(
             s, dmv.edge_scores(s, slot_refs, p.log_weights(), beta, prices)
         )
         blocks = [None] * len(xs) if prices is None else layout.views(prices)
         for x, u, (heads, best) in zip(xs, blocks, got, strict=True):
             want_heads, want = scalar_viterbi(
-                dmv._compile((x.n,), cap), p.tag_ids(x), p.V, p.log_weights(),
+                dmv._compile((x.n,), cap), tag_ids(p, x), p.V, p.log_weights(),
                 beta, u,
             )
             if want == -math.inf:
@@ -358,11 +363,11 @@ def test_structure_of_one_is_its_chart(rng):
     # whose one goal is its top node, and its scores are the edges' own.
     p = random_dmv_params(rng, ENGINE_VOCAB)
     x = make_sentence(["A", "B", "C", "A"])
-    s, slot_refs, score = dmv._charts([x], p, 1, 0.1)
+    s, slot_refs, score = dmv._charts(encode([x]), p, 1, 0.1)
     assert s is dmv._compile((4,), 1)
     assert s.lengths == (4,) and s.goals.tolist() == [s.n_nodes - 1]
     assert score.shape == s.head.shape
-    assert slot_refs.tolist() == slot_weight_refs(p.tag_ids(x), p.V)
+    assert slot_refs.tolist() == slot_weight_refs(tag_ids(p, x), p.V)
 
 
 @pytest.mark.parametrize("cap", [None, 0, 1, 2])
@@ -376,10 +381,10 @@ def test_inside_and_counts_match_scalar_reference(rng, cap, beta, kind):
     total = np.zeros(wlog.size + 1)
     loglik = 0.0
     for x in c:
-        pos = p.tag_ids(x)
+        pos = tag_ids(p, x)
         s = dmv._compile((x.n,), cap)
         want_vals, want_counts = scalar_expected_counts(s, pos, p.V, wlog, beta)
-        slot_refs = dmv._slot_refs(pos, p.V)
+        slot_refs = dmv._slot_refs(pos, [x.n], p.V)
         refs = slot_refs[s.slots]
         assert refs.tolist() == [
             [slot_weight_refs(pos, p.V)[k] for k in row] for row in s.slots
@@ -421,13 +426,15 @@ def test_plan_inside_and_counts_match_charts_alone(rng):
         rows.insert(int(rng.integers(0, len(rows) + 1)), [1, 2, 0])
         wlog = p.log_weights()
         s = dmv._compile(tuple(len(pos) for pos in rows), cap)
-        slot_refs = np.concatenate([dmv._slot_refs(pos, p.V) for pos in rows])
+        slot_refs = dmv._slot_refs(
+            np.concatenate(rows), [len(pos) for pos in rows], p.V)
         score = dmv.edge_scores(s, slot_refs, wlog, beta)
         vals = dmv._inside(s, score)
         want = np.zeros(wlog_size)
         for pos, goal in zip(rows, s.goals, strict=True):
             alone = dmv._compile((len(pos),), cap)
-            alone_score = dmv.edge_scores(alone, dmv._slot_refs(pos, p.V), wlog, beta)
+            alone_refs = dmv._slot_refs(pos, [len(pos)], p.V)
+            alone_score = dmv.edge_scores(alone, alone_refs, wlog, beta)
             alone_logz = dmv._inside(alone, alone_score)[alone.goals[0]]
             assert vals[goal].hex() == alone_logz.hex()
             want_vals, want_counts = scalar_expected_counts(
@@ -481,13 +488,13 @@ def test_em_step_does_not_depend_on_the_grouping(rng, monkeypatch):
 def test_chart_structure_is_shared_per_length_and_read_only(rng):
     p = random_dmv_params(rng, ENGINE_VOCAB)
     xa, xb = make_sentence(["A", "B", "C", "A"]), make_sentence(["C", "C", "B", "A"])
-    a, refs_a, score_a = dmv._charts([xa], p, 1, 0.1)
-    b, refs_b, score_b = dmv._charts([xb], p, 1, 0.1)
+    a, refs_a, score_a = dmv._charts(encode([xa]), p, 1, 0.1)
+    b, refs_b, score_b = dmv._charts(encode([xb]), p, 1, 0.1)
     assert a is b
     # The tags choose the weights the shared edges read.
     assert not np.array_equal(refs_a, refs_b)
     assert not np.array_equal(score_a, score_b)
-    group, _, _ = dmv._charts([xa, xb], p, 1, 0.1)
+    group, _, _ = dmv._charts(encode([xa, xb]), p, 1, 0.1)
     assert group is dmv._compile((4, 4), 1) and group is not a
     arrays = [v for v in vars(a).values() if isinstance(v, np.ndarray)]
     arrays += [v for lv in a.levels for v in lv if isinstance(v, np.ndarray)]
@@ -565,16 +572,16 @@ def test_decode_group_lifts_the_cap_of_infeasible_rows_only(rng):
     xs = [make_sentence(["B"] * k + ["C"]) for k in (2, 1, 3, 1)]
     layout = ArcLayout(x.n for x in xs)
     for prices in (None, rng.normal(size=layout.size)):
-        trees, lifted = dmv.decode_group(xs, theta, cfg, prices)
+        trees, lifted = dmv.decode_group(encode(xs), theta, cfg, prices)
         assert lifted == [True, False, True, False]
         blocks = [None] * len(xs) if prices is None else layout.views(prices)
         for x, lift, tree, u in zip(xs, lifted, trees, blocks):
             assert tree == viterbi_decode(x, theta, uncapped if lift else cfg, u)[0]
     # With no cap to lift, or none that helps, the group cannot be decoded.
     with pytest.raises(dmv.InfeasibleParseError):
-        dmv.decode_group(xs + [make_sentence(["A", "C"])], theta, cfg)
+        dmv.decode_group(encode(xs + [make_sentence(["A", "C"])]), theta, cfg)
     with pytest.raises(dmv.InfeasibleParseError):
-        dmv.decode_group([make_sentence(["A", "C"])], theta, uncapped)
+        dmv.decode_group(encode([make_sentence(["A", "C"])]), theta, uncapped)
 
 
 def test_length_groups_cut_longest_first_under_the_edge_budget(monkeypatch):
@@ -675,7 +682,7 @@ def test_tree_counts_sum_the_per_tree_events(rng):
         trees.append(DepTree(heads[rng.integers(len(heads))]))
     wi = WeightIndexReference(theta.V)
     want = sum(
-        np.bincount(tree_events_reference(theta.tag_ids(x), t, wi), minlength=wi.size)
+        np.bincount(tree_events_reference(tag_ids(theta, x), t, wi), minlength=wi.size)
         for x, t in zip(c, trees)
     )
     got = dmv.tree_counts(c, trees, theta)

@@ -8,11 +8,14 @@ from oracles import (
     all_projective_heads,
     all_projective_trees,
     flat_grammar,
+    inside_loglik,
     joint_objective_reference,
     make_sentence,
     random_corpus,
     random_dmv_params,
+    tree_logprob,
     tree_logprob_reference,
+    viterbi_decode,
 )
 
 from jointdep import cmst, dmv, trainer
@@ -67,13 +70,14 @@ def test_discriminative_terms_are_built_once(small_corpus, monkeypatch):
     # The joint objective scores with the optimizer's terms and builds none;
     # joint decoding gathers its arc scores from the weight sums, and finds
     # each sentence's arc classes and builds its rule matrix exactly once.
+    # Both run on a batch of rows at a time; the count is of rows.
     cfg = _fast_cfg()
     state = pretrain(small_corpus, cfg)
     calls = collections.Counter()
     for name in ("_arc_classes", "rule_vector"):
-        def counted(*args, _fn=getattr(cmst, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
+        def counted(enc, *args, _fn=getattr(cmst, name), _name=name):
+            calls[_name] += len(enc.lengths)
+            return _fn(enc, *args)
         monkeypatch.setattr(cmst, name, counted)
     trees, _ = trainer._decode_all(small_corpus, state, cfg)
     assert calls == {"_arc_classes": small_corpus.N, "rule_vector": small_corpus.N}
@@ -301,7 +305,7 @@ def test_fixed_tree_scores_under_impossible_events(rng, cap, beta):
         opt = cmst.FrankWolfeOptimizer(c, model)
         state = TrainState(theta, model, optimizer=opt)
         for tree in all_projective_trees(x.n):
-            got = dmv.tree_logprob(x, tree, theta, cfg)
+            got = tree_logprob(x, tree, theta, cfg)
             want = tree_logprob_reference(x, tree, theta, cfg)
             if want == -math.inf:
                 assert got == -math.inf
@@ -391,7 +395,7 @@ def test_parallel_decode_matches_serial(small_corpus):
             small_corpus, state, _fast_cfg(workers=2), decoder
         )
     assert serial[0] == [
-        dmv.viterbi_decode(x, state.theta, cfg.constraint)[0] for x in small_corpus
+        viterbi_decode(x, state.theta, cfg.constraint)[0] for x in small_corpus
     ]
 
 
@@ -399,11 +403,11 @@ def test_dmv_only_improves_likelihood(small_corpus):
     cfg = _fast_cfg(mode="dmv-only", em_pretrain_iters=0, outer_iters=5)
     theta0 = dmv.init_params(small_corpus, cfg.init)
     ll0 = sum(
-        dmv.inside_loglik(s, theta0, cfg.constraint) for s in small_corpus
+        inside_loglik(s, theta0, cfg.constraint) for s in small_corpus
     )
     state = train(small_corpus, cfg)
     ll1 = sum(
-        dmv.inside_loglik(s, state.theta, cfg.constraint) for s in small_corpus
+        inside_loglik(s, state.theta, cfg.constraint) for s in small_corpus
     )
     assert ll1 >= ll0 - 1e-9
 
