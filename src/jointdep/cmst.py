@@ -271,6 +271,7 @@ class CmstModel:
             scalars = {}  # lambda and mu
             rules = set()
             weights = []
+            seen = {}  # the line of every record read, by kind and key
             arity = {"lambda": 2, "mu": 2, "tags": None, "rule": 3, "w": 3}
             for line_no, line in enumerate(f, start=2):
                 parts = line.split()
@@ -284,6 +285,7 @@ class CmstModel:
                         f"line {line_no}: {kind} record needs "
                         f"{arity[kind] - 1} fields, got {len(parts) - 1}"
                     )
+                key = None
                 try:
                     if kind in ("lambda", "mu"):
                         value = float(parts[1])
@@ -293,14 +295,20 @@ class CmstModel:
                     elif kind == "tags":
                         t = FeatureTemplate(tuple(parts[1:]))
                     elif kind == "rule":
-                        rules.add((parts[1], parts[2]))
+                        key = (parts[1], parts[2])
+                        rules.add(key)
                     else:
                         value = float(parts[2])
                         if not math.isfinite(value):
                             raise ValueError(f"must be finite, got {value}")
-                        weights.append((line_no, int(parts[1]), value))
+                        key = int(parts[1])
+                        weights.append((line_no, key, value))
                 except ValueError as exc:
                     raise ValueError(f"line {line_no}: {kind} record: {exc}") from None
+                first = seen.setdefault((kind, key), line_no)
+                if first != line_no:
+                    raise ValueError(
+                        f"line {line_no}: repeats the {kind} record of line {first}")
             if len(scalars) < 2 or t is None:
                 raise ValueError("incomplete model file")
             w = np.zeros(t.dimension)
@@ -594,12 +602,12 @@ class FrankWolfeOptimizer:
 
     The state is flat corpus vectors in the `ArcLayout` of the training
     sentences. The relaxed trees, the rule matrices and the gradient, vertex
-    and residual buffers all take that layout, and `y` and `v` are
-    per-sentence views into the first two. So a step's elementwise algebra
-    runs once over the corpus; only the sums run per sentence, one `np.vdot`
-    on each sentence's views, added in corpus order as a per-sentence loop
-    over matrices adds them. Arc scores are gathered from the weight sums
-    at each flat cell's class, and the ridge system is solved from sums
+    and residual buffers all take that layout, and `y` views the relaxed
+    trees sentence by sentence. So a step's elementwise algebra runs once
+    over the corpus; only the sums run per sentence, one dot product of its
+    arc matrices each (`_dots`), added in corpus order as a per-sentence
+    loop over matrices adds them. Arc scores are gathered from the weight
+    sums at each flat cell's class, and the ridge system is solved from sums
     over the classes (`_NestedRidge`), so no feature matrix is built."""
 
     def __init__(self, corpus: Corpus, model: CmstModel):
@@ -615,14 +623,38 @@ class FrankWolfeOptimizer:
         self._grad = np.empty(layout.size)
         self._diff = np.empty(layout.size)  # Y - S, then the residual Y - q
         self._vert = np.empty(layout.size)
-        self.v = layout.views(self._V)
-        self.y = layout.views(self._Y)
-        self._grad_views = layout.views(self._grad)
-        self._diff_views = layout.views(self._diff)
+        # Per length: its sentences, their arc matrices' first cells and the
+        # cell offsets within a matrix, from which `_dots` gathers the
+        # (sentences, (n+1)^2) rows on each call rather than keep them. The
+        # lengths come from a bincount: np.unique's first call adds 1.6 MB to
+        # a command's peak RSS.
+        self._lengths = np.array(layout.lengths)
+        starts = np.array(layout.offsets[:-1])
+        self._blocks = []
+        for n in np.flatnonzero(np.bincount(self._lengths)):
+            rows = np.flatnonzero(self._lengths == n)
+            self._blocks.append((rows, starts[rows, None], np.arange((n + 1) ** 2)))
         # Start from the chain trees: token 1 rooted, each next one chained.
         self._scatter(self._Y, [range(n) for n in layout.lengths])
         self.objective_history: list[float] = []
         self.gap_history: list[float] = []
+
+    @property
+    def y(self) -> list[np.ndarray]:
+        """Every sentence's relaxed tree, an (n+1, n+1) view of the state."""
+        return self.layout.views(self._Y)
+
+    def _dots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Every sentence's dot product of its arc matrices in the flat
+        vectors `a` and `b`, in corpus order: one (k,1,L) @ (k,L,1) matmul
+        per length, which sums each product as `np.vdot` does."""
+        out = np.empty(self._lengths.size)
+        for rows, starts, block in self._blocks:
+            cells = starts + block
+            a_rows = a[cells]
+            b_rows = a_rows if b is a else b[cells]
+            out[rows] = (a_rows[:, None, :] @ b_rows[:, :, None]).ravel()
+        return out
 
     def _scatter(self, flat: np.ndarray, heads: Iterable[Iterable[int]]) -> None:
         """Set `flat` to the 0/1 arc matrices of the trees with the given head
@@ -668,17 +700,16 @@ class FrankWolfeOptimizer:
         w-regularizer (lam/2)||w||^2 in corpus order."""
         if q is None:
             q = self._scores()
-        Y, ys = self._Y, self.y
+        Y = self._Y
         if trees is not None:
             Y = self._vert
             self._scatter(Y, self._heads(trees))
-            ys = self.layout.views(Y)
-        w, mu = self.model.w, self.model.mu
-        np.subtract(Y, q, out=self._diff)
+        w, r = self.model.w, self._diff
+        np.subtract(Y, q, out=r)
+        loss = (self._dots(r, r) / (2.0 * self._lengths)
+                - self.model.mu * self._dots(self._V, Y))
         total = self.model.lam / 2.0 * float(w @ w)
-        for r, v, y, n in zip(self._diff_views, self.v, ys, self.layout.lengths):
-            total += float(np.vdot(r, r)) / (2.0 * n) - mu * float(np.vdot(v, y))
-        return total
+        return functools.reduce(float.__add__, loss.tolist(), total)
 
     def step(self) -> float:
         """Run one iteration; returns the Frank-Wolfe duality gap. Every
@@ -692,11 +723,9 @@ class FrankWolfeOptimizer:
         g -= self.model.mu * self._V
         self._scatter(s, (heads for heads, _ in eisner_min(self.layout.lengths, g)))
         np.subtract(self._Y, s, out=diff)
-        gap = 0.0
-        denom = 0.0
-        for gi, di, n in zip(self._grad_views, self._diff_views, self.layout.lengths):
-            gap += float(np.vdot(gi, di))
-            denom += float(np.vdot(di, di)) / n
+        gap = functools.reduce(float.__add__, self._dots(g, diff).tolist(), 0.0)
+        denom = functools.reduce(
+            float.__add__, (self._dots(diff, diff) / self._lengths).tolist(), 0.0)
         if denom > 0.0:
             gamma = min(1.0, max(0.0, gap / denom))
             s -= self._Y

@@ -93,7 +93,7 @@ class DmvParams:
 
     def validate(self, tol: float = 1e-12) -> None:
         if not math.isclose(self.root.sum(), 1.0, abs_tol=tol):
-            raise ValueError(f"root distribution sums to {self.root.sum()!r}")
+            raise ValueError(f"root distribution sums to {float(self.root.sum())!r}")
         sums = self.attach.sum(axis=2)
         if not np.allclose(sums, 1.0, atol=tol, rtol=0.0):
             raise ValueError("attach distributions do not sum to one")
@@ -137,7 +137,7 @@ class DmvParams:
     @classmethod
     def load(cls, path) -> "DmvParams":
         """Read a saved parameter file; raises ValueError unless every record
-        is present, well formed and the tables are normalized."""
+        is present once, well formed and the tables are normalized."""
         with open(path, encoding="utf-8") as f:
             header = f.readline().split()
             if header[:2] != ["dmvparams", "1"]:
@@ -163,6 +163,7 @@ class DmvParams:
                 "root": (tag,), "attach": (tag, direction, tag),
                 "stop": (tag, direction, adj),
             }
+            seen: dict[tuple, int] = {}  # the line of every record read
             for line_no, line in enumerate(f, start=3):
                 parts = line.split()
                 if not parts:
@@ -177,6 +178,10 @@ class DmvParams:
                             f"got {len(parts) - 1}"
                         )
                     key = tuple(t[v] for t, v in zip(lookups, parts[1:-1]))
+                    first = seen.setdefault((parts[0], *key), line_no)
+                    if first != line_no:
+                        raise ValueError(
+                            f"repeats the {parts[0]} record of line {first}")
                     value = float(parts[-1])
                     if not math.isfinite(value):
                         raise ValueError(
@@ -277,15 +282,12 @@ _LO, _LC, _RO, _RC, _IL, _IR = range(6)
 _SIDE = (0, 0, 1, 1, 0, 1)  # left kinds come first in their level
 _LEVEL_OFF = (0, 1, 0, 1, -1, -1)  # a cell's level is 3 * width + this
 
-# Rows of a compiled edge block, in `_Structure`'s order.
-_HEAD, _TAIL0, _TAIL1, _SLOT0, _SLOT1, _ARC_H, _ARC_D = range(7)
-
 # Fields of a template edge, relative to the cell's head h: the head's state;
 # per tail the level, side, head offset and state of the tail's cell, level
-# -1 marking the sentinel; the first weight slot k * n + off + b * h (unit,
-# root, stop or continue); and att = 1 for the attachment of child h + dc,
-# whose weight is the second slot.  A goal edge (h = 0, att = 0) attaches
-# its root dc.
+# -1 marking the sentinel; the weight slot k * n + off + b * h (unit, root,
+# stop or continue); and att = 1 for the attachment of child h + dc, which
+# also reads attach(h, h + dc).  A goal edge (h = 0, att = 0) attaches its
+# root dc.
 _ST, _T0, _T1, _SLOT_K, _SLOT_OFF, _SLOT_B, _ATT, _DC = 0, 1, 5, 9, 10, 11, 12, 13
 _SENTINEL = (-1, 0, 0, 0)
 _UNIT = (0, 0, 0)
@@ -420,55 +422,39 @@ class _Structure:
     """Read-only compiled charts of sentences of the given lengths under one
     depth cap.
 
-    Edge e derives node head[e] from nodes tail0[e] and tail1[e]; the
-    sentinel node n_nodes, whose value is 0, fills unused tails.  It reads
-    the weight slots slots[:, e] of the sentences' slots laid end to end
-    (see `_slot_refs`); a sentence's slot 0 is the unit weight (log 1), then
-    come root(c), stop(h, dir, adj), continue(h, dir, adj) and attach(h, c)
-    for 1-based tokens.  arc_d[e] > 0 marks the attachment of token arc_d[e]
-    to arc_h[e] (0 for the root); the arc edges arc_edges read the price at
-    arc_price in a flat price vector in the `ArcLayout` of `lengths`.
-    goals[i] is chart i's goal.  Edges are sorted by head, then by build
-    order.  levels holds one tuple per topological level: its node range a,
-    b; seg, the offset of each of those nodes' first edge within the level;
-    the level's edge slice; and its views of head, tail0 and tail1.
+    Nodes are numbered by topological level, and edges sorted by the node
+    they derive, then by build order.  Edge e reads nodes tail0[e] and
+    tail1[e] (the sentinel n_nodes, of value 0, fills unused tails) and slot
+    slot[e] of the sentences' weight slots laid end to end (see
+    `_slot_refs`): a sentence's slot 0 is the unit weight (log 1), then come
+    root(c), stop(h, dir, adj), continue(h, dir, adj) and attach(h, c) for
+    1-based tokens.  Arc edge arc_edges[i] attaches a token d to h (0 for the
+    root): it also reads slot arc_slot[i], attach(h, d) or the unit slot, and
+    price arc_price[i], h (n + 1) + d into its chart's block of a flat price
+    vector in the `ArcLayout` of `lengths`, and has arc_pen[i] length penalty
+    units.  goals[i] is chart i's goal.  levels holds one tuple per level:
+    its node range a, b; seg, each node's first edge offset within the
+    level; count, each node's edge count; the level's edge slice; and its
+    views of tail0 and tail1.
     """
 
-    def __init__(self, lengths: tuple[int, ...], edges: np.ndarray,
-                 level_nodes: np.ndarray, goals: np.ndarray, chart: np.ndarray):
-        """Structure of the (7, edges) int32 block `edges`, whose rows are
-        head, tail0, tail1, the two slots, arc_h and arc_d, given the node
-        count of every level in order, the goals and each edge's chart."""
+    def __init__(self, lengths: tuple[int, ...], goals: np.ndarray, edges: np.ndarray,
+                 arcs: np.ndarray, node_edges: np.ndarray, level_nodes: np.ndarray):
+        """Structure of the int32 blocks `edges` (rows tail0, tail1, slot) and
+        `arcs` (arc_edges, arc_slot, arc_price, arc_pen), given the goals,
+        every node's edge count and every level's node count."""
         bounds = [0, *np.cumsum(level_nodes).tolist()]
-        n_nodes = bounds[-1]
-        self.lengths = lengths
-        self.n_nodes = n_nodes
-        self.goals = goals
-        self.head, self.tail0, self.tail1 = edges[_HEAD], edges[_TAIL0], edges[_TAIL1]
-        self.slots = edges[_SLOT0 : _SLOT1 + 1]
-        self.arc_h, self.arc_d = edges[_ARC_H], edges[_ARC_D]
-        self.arc_edges = np.flatnonzero(self.arc_d).astype(np.int32)
-        arc_h, arc_d = self.arc_h[self.arc_edges], self.arc_d[self.arc_edges]
-        n = np.array(lengths, dtype=np.int32)
-        chart = chart[self.arc_edges]
-        self.arc_price = arc_h * (n[chart] + 1) + arc_d + _starts((n + 1) ** 2)[chart]
-        # Length penalty units |h - d| - 1 per arc edge; root arcs are free.
-        self.arc_pen = np.where(
-            arc_h > 0, np.abs(arc_h - arc_d) - 1, 0
-        ).astype(np.int32)
-        first = np.searchsorted(self.head, np.arange(n_nodes + 1, dtype=np.int32))
-        for arr in (self.goals, self.head, self.tail0, self.tail1, self.slots,
-                    self.arc_h, self.arc_d, self.arc_edges, self.arc_price,
-                    self.arc_pen):
+        first = np.append(0, np.cumsum(node_edges))
+        seg = first[:-1] - np.repeat(first[bounds[:-1]], level_nodes)
+        for arr in (goals, edges, arcs, node_edges, seg):
             arr.flags.writeable = False
-        levels = []
-        for a, b in zip(bounds, bounds[1:]):
-            e0, e1 = int(first[a]), int(first[b])
-            seg = first[a:b] - e0
-            seg.flags.writeable = False
-            levels.append((a, b, seg, slice(e0, e1), self.head[e0:e1],
-                           self.tail0[e0:e1], self.tail1[e0:e1]))
-        self.levels = tuple(levels)
+        self.lengths, self.n_nodes, self.goals = lengths, bounds[-1], goals
+        self.tail0, self.tail1, self.slot = edges
+        self.arc_edges, self.arc_slot, self.arc_price, self.arc_pen = arcs
+        e = first[bounds].tolist()
+        self.levels = tuple(
+            (a, b, seg[a:b], node_edges[a:b], slice(e0, e1), self.tail0[e0:e1],
+             self.tail1[e0:e1]) for a, b, e0, e1 in zip(bounds, bounds[1:], e, e[1:]))
 
 
 def _starts(sizes: np.ndarray) -> np.ndarray:
@@ -478,10 +464,10 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
     return out
 
 
-# 32 group layouts of about 34 bytes per edge, each at most 1.1 MB
-# (`_GROUP_EDGES`) unless it holds one long sentence (7.2 MB at n = 40, cap 1).
+# 32 group layouts of about 20 bytes per edge, each at most 0.7 MB
+# (`_GROUP_EDGES`) unless it holds one long sentence (4.1 MB at n = 40, cap 1).
 # 2000 sentences of lengths 1-15 fall into 19 distinct groups, whose layouts
-# stay cached, about 15 MB at cap 1; lengths 1-40 give 43, and the cache
+# stay cached, about 9 MB at cap 1; lengths 1-40 give 43, and the cache
 # cycles.
 @functools.lru_cache(maxsize=32)
 def _compile(lengths: tuple[int, ...], cap: int | None) -> _Structure:
@@ -496,9 +482,8 @@ def _compile(lengths: tuple[int, ...], cap: int | None) -> _Structure:
     # Template ids: 6 * width + kind, then the goal of each distinct length;
     # id -1 has no states or edges.
     t_nodes = np.append(states.ravel(), [1] * len(goals) + [0]).astype(np.int32)
-    t_edges = np.append(
-        counts.ravel(), [g.rows.shape[1] for g in goals] + [0]
-    ).astype(np.int32)
+    t_edges = np.append(counts.ravel(),
+                        [g.rows.shape[1] for g in goals] + [0]).astype(np.int32)
     # The cells in node order, as a (level, position) grid of template ids.
     # Chart i takes 2 n_i + 1 positions of every level: the cell of head h
     # and side `side` at 2(h - 1) + side, then the goal, given head 0. A left
@@ -512,56 +497,70 @@ def _compile(lengths: tuple[int, ...], cap: int | None) -> _Structure:
     lv = np.arange(3 * top, dtype=np.int32)[:, None]
     width = (lv + 1) // 3
     kind = np.array([[_IL, _IR], [_LO, _RO], [_LC, _RC]])[lv - 3 * width + 1, side]
-    exists = np.where(
-        h > 0, np.where(side == 1, h <= nc - width, h > width), lv == 3 * nc - 1
-    )
+    exists = np.where(h > 0, np.where(side == 1, h <= nc - width, h > width),
+                      lv == 3 * nc - 1)
     tmpl = np.where(h > 0, 6 * width + kind, 6 * top + np.searchsorted(sizes, nc))
-    tmpl = np.where(exists, tmpl, -1).ravel()
+    tmpl = np.where(exists, tmpl, -1).astype(np.int32).ravel()
     cell_nodes, cell_edges = t_nodes[tmpl], t_edges[tmpl]
-
-    # Node ids: each cell's first, then the sentinel.
-    base = _starts(np.append(cell_nodes, 0).astype(np.int32))
-    n_edges = int(cell_edges.sum())
-    block = np.empty((7, n_edges), dtype=np.int32)
-    # Every edge is a template edge tiled at its cell's head h (hs) in its
-    # chart c (cs).
-    row = np.repeat(_starts(t_edges)[tmpl] - _starts(cell_edges), cell_edges)
-    row += np.arange(n_edges, dtype=np.int32)
-    hs = np.repeat(np.tile(h, 3 * top), cell_edges)
-    cs = np.repeat(np.tile(chart, 3 * top), cell_edges)
-
-    np.add(np.repeat(base[:-1], cell_edges), rows[_ST][row], out=block[_HEAD])
-    # A tail's cell: its level's row of the grid, then its head's position
-    # in the edge's chart.
-    at = first[cs] + 2 * hs
-    for out, t in ((block[_TAIL0], _T0), (block[_TAIL1], _T1)):
-        level, tside, dh, state = rows[t : t + 4]
-        real = (level >= 0).astype(np.int32)
-        const = np.where(real, level * chart.size + 2 * (dh - 1) + tside, base.size - 1)
-        np.multiply(real[row], at, out=out)
-        out += const[row]
-        out[:] = base[out]
-        out += state[row]
-    # Slots: chart c's follow the 1 + 9n + n^2 of each chart before it.
-    ns = n[cs]
-    slot_base = _starts(1 + 9 * n + n * n)[cs]
-    s0, s1 = block[_SLOT0], block[_SLOT1]
-    np.multiply(rows[_SLOT_K][row], ns, out=s0)
-    s0 += rows[_SLOT_OFF][row]
-    s0 += rows[_SLOT_B][row] * hs
-    s0 += slot_base
-    att, dc = rows[_ATT][row], rows[_DC][row]
-    np.multiply(ns + 1, hs, out=s1)  # attach(h, h + dc) is 8n + (n + 1)h + dc
-    s1 += 8 * ns
-    s1 += dc
-    s1 *= att
-    s1 += slot_base
-    np.multiply(att, hs, out=block[_ARC_H])
-    np.add(dc, block[_ARC_H], out=block[_ARC_D])
-
+    cell_pos = np.tile(np.arange(chart.size, dtype=np.int32), 3 * top)
     level_nodes = cell_nodes.reshape(3 * top, -1).sum(axis=1)
-    goal_ids = base[(3 * n - 1) * chart.size + first + 2 * n]
-    return _Structure(lengths, block, level_nodes[level_nodes > 0], goal_ids, cs)
+    # Node ids: each cell's first, then the sentinel's, n_nodes, once per
+    # position of a row past the last level. A node has the edge count of
+    # its template state.
+    base = _starts(np.append(cell_nodes, np.zeros(chart.size, dtype=np.int32)))
+    t_first = _starts(t_nodes)
+    state_edges = np.bincount(rows[_ST] + np.repeat(t_first[:-1], t_edges[:-1]),
+                              minlength=int(t_nodes.sum()))
+    node_edges = state_edges[ranges(t_first[tmpl], cell_nodes)]
+    # A tail is state i of grid cell g: its level's row, then its head's
+    # position in the edge's chart (the sentinel's row is past the last
+    # level). g is tail_at[row] plus the position of the head of the edge's
+    # own cell, and the tail is node base[g] + i.
+    tail_at = [
+        (np.where(lvl >= 0, lvl * chart.size + 2 * (dh - 1) + sd, tmpl.size)
+         .astype(np.intp), st)
+        for lvl, sd, dh, st in (rows[_T0 : _T0 + 4], rows[_T1 : _T1 + 4])
+    ]
+    # A template's edges read one kind of slot and are all arcs or none, as
+    # its first edge says. Chart c's slots follow those of the charts before
+    # it, and an edge reads slot k n + off + b h of its chart.
+    k_of, b_of, att_of, arc_of = rows[[_SLOT_K, _SLOT_B, _ATT, _DC]][
+        :, np.minimum(_starts(t_edges), rows.shape[1] - 1)]
+    slot_base = _starts(1 + 9 * n + n * n)[chart]
+    cell_slot = (k_of[tmpl] * nc[cell_pos] + b_of[tmpl] * h[cell_pos]
+                 + slot_base[cell_pos])
+    off, dc = rows[[_SLOT_OFF, _DC]]
+    del rows
+    # Every edge is template edge `row` tiled at its cell.
+    row = np.repeat((_starts(t_edges)[tmpl] - _starts(cell_edges)).astype(np.intp),
+                    cell_edges)
+    row += np.arange(row.size)
+    block = np.empty((3, row.size), dtype=np.int32)
+    at = np.repeat((first[chart] + 2 * h)[cell_pos], cell_edges)
+    for out, (g, state) in zip(block, tail_at):
+        tail = g[row]
+        tail += at
+        np.take(base, tail, out=out)
+        del tail  # before the next one is gathered
+        out += state[row]
+    del at
+    np.take(off, row, out=block[2])
+    block[2] += np.repeat(cell_slot, cell_edges)
+    # Arc edges: those of cells that attach child h + dc (att = 1), and of
+    # goals (root dc).
+    arc_cells = np.flatnonzero(arc_of[tmpl])
+    k, p = cell_edges[arc_cells], cell_pos[arc_cells]
+    arcs = np.empty((4, k.sum()), dtype=np.int32)
+    arcs[0] = np.flatnonzero(np.repeat(arc_of[tmpl] != 0, cell_edges))
+    dc = dc[row[arcs[0]]]
+    del row
+    att, ns = np.repeat(att_of[tmpl[arc_cells]], k), np.repeat(nc[p], k)
+    hs = att * np.repeat(h[p], k)
+    arcs[1] = att * (8 * ns + (ns + 1) * hs + dc) + np.repeat(slot_base[p], k)
+    arcs[2] = hs * (ns + 1) + hs + dc + np.repeat(_starts((n + 1) ** 2)[chart][p], k)
+    arcs[3] = att * (np.abs(dc) - 1)  # length penalty units; root arcs are free
+    return _Structure(lengths, base[(3 * n - 1) * chart.size + first + 2 * n], block,
+                      arcs, node_edges, level_nodes[level_nodes > 0])
 
 
 def _tag_ids(enc: Encoding, theta: DmvParams) -> np.ndarray:
@@ -597,15 +596,17 @@ def edge_scores(
     s: _Structure, slot_refs: np.ndarray, wlog: np.ndarray, beta: float,
     prices: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Every edge's score in `s`: its two weight slots' log-weights, read
+    """Every edge's score in `s`: the log-weights of its weight slots, read
     from `wlog` through `slot_refs`, minus `beta` per length penalty unit
     and minus its arc's price in the flat vector `prices`, if any."""
     w = np.append(wlog, 0.0)[slot_refs]  # the weight of every slot
-    score = (0.0 + w[s.slots[0]]) + w[s.slots[1]]
+    score = 0.0 + w[s.slot]
+    arc = score[s.arc_edges] + w[s.arc_slot]
     if beta:
-        score[s.arc_edges] -= beta * s.arc_pen
+        arc -= beta * s.arc_pen
     if prices is not None:
-        score[s.arc_edges] -= prices[s.arc_price]
+        arc -= prices[s.arc_price]
+    score[s.arc_edges] = arc
     return score
 
 
@@ -625,35 +626,34 @@ def viterbi_batch(
     heads, or None where no tree is feasible, and the best score."""
     vals = np.zeros(s.n_nodes + 1)
     best = np.empty(s.n_nodes, dtype=np.intp)
-    for a, b, seg, edges, head, t0, t1 in s.levels:
+    for a, b, seg, count, edges, t0, t1 in s.levels:
         sc = score[edges] + vals[t0] + vals[t1]
-        vals[a:b] = np.maximum.reduceat(sc, seg)
+        m = vals[a:b] = np.maximum.reduceat(sc, seg)
         # Ties keep the earliest-built derivation: each node takes the first
         # edge of its segment that reaches the maximum.
-        hit = (sc == vals[head]).nonzero()[0]
+        hit = (sc == m.repeat(count)).nonzero()[0]
         best[a:b] = hit[hit.searchsorted(seg)] + edges.start
-    out = []
-    sentinel = s.n_nodes
-    best_of, arc_d, arc_h = best.item, s.arc_d.item, s.arc_h.item
-    tail0, tail1 = s.tail0.item, s.tail1.item
-    for goal, n in zip(s.goals.tolist(), s.lengths):
-        if vals[goal] == NEG_INF:
-            out.append((None, NEG_INF))
-            continue
-        heads = [-1] * n
-        stack = [goal]
-        while stack:
-            e = best_of(stack.pop())
-            d = arc_d(e)
-            if d:
-                heads[d - 1] = arc_h(e)
-            t0, t1 = tail0(e), tail1(e)
-            if t0 != sentinel:
-                stack.append(t0)
-            if t1 != sentinel:
-                stack.append(t1)
-        out.append((tuple(heads), float(vals[goal])))
-    return out
+    used = []  # the edges of every tree
+    best_of, tail0, tail1, sentinel = best.item, s.tail0.item, s.tail1.item, s.n_nodes
+    stack = s.goals[vals[s.goals] > NEG_INF].tolist()
+    while stack:
+        v = stack.pop()
+        if v != sentinel:
+            e = best_of(v)
+            used.append(e)
+            stack += tail0(e), tail1(e)
+    # A tree's arc edges give its arcs h -> d, at price h (n + 1) + d.
+    on = np.zeros(score.size, dtype=bool)
+    on[used] = True
+    price = s.arc_price[on[s.arc_edges]]
+    n = np.array(s.lengths)
+    block = _starts((n + 1) ** 2)
+    chart = block.searchsorted(price, "right") - 1
+    h, d = np.divmod(price - block[chart], n[chart] + 1)
+    heads = np.empty(n.sum(), dtype=np.intp)
+    heads[_starts(n)[chart] + d - 1] = h
+    return [(tuple(t.tolist()), float(v)) if v > NEG_INF else (None, NEG_INF)
+            for t, v in zip(np.split(heads, np.cumsum(n)[:-1]), vals[s.goals].tolist())]
 
 
 def _inside(s: _Structure, score: np.ndarray) -> np.ndarray:
@@ -661,35 +661,35 @@ def _inside(s: _Structure, score: np.ndarray) -> np.ndarray:
     (plus the zero sentinel)."""
     vals = np.zeros(s.n_nodes + 1)
     with np.errstate(divide="ignore"):
-        for a, b, seg, edges, head, t0, t1 in s.levels:
+        for a, b, seg, count, edges, t0, t1 in s.levels:
             sc = score[edges] + vals[t0] + vals[t1]
             m = np.maximum.reduceat(sc, seg)
             m[m == NEG_INF] = 0.0  # no support: exp gives 0 and log -inf
-            vals[a:b] = m
-            total = np.add.reduceat(np.exp(sc - vals[head]), seg)
+            total = np.add.reduceat(np.exp(sc - m.repeat(count)), seg)
             vals[a:b] = m + np.log(total)
     return vals
 
 
-def _expected_counts(
-    s: _Structure, score: np.ndarray, refs: np.ndarray, vals: np.ndarray, size: int
-) -> np.ndarray:
+def _expected_counts(s: _Structure, score: np.ndarray, slot_refs: np.ndarray,
+                     vals: np.ndarray, size: int) -> np.ndarray:
     """Posterior mass of every log-weight index (the unit slot included) over
-    `s` under the edge scores `score`, each edge's mass going to its weight
-    refs `refs`; each goal's outside value is -log Z, or -inf if it has no
-    tree."""
+    `s` under the edge scores `score`, each edge's mass going to the weight
+    refs `slot_refs` of the slots it reads; each goal's outside value is
+    -log Z, or -inf if it has no tree."""
     out = np.full(s.n_nodes + 1, NEG_INF)
     logz = vals[s.goals]
     out[s.goals] = np.where(logz > NEG_INF, -logz, NEG_INF)
     post = np.empty(score.size)
-    for a, b, seg, edges, head, t0, t1 in reversed(s.levels):
-        c = out[head] + (score[edges] + vals[t0] + vals[t1])
+    for a, b, seg, count, edges, t0, t1 in reversed(s.levels):
+        c = out[a:b].repeat(count) + (score[edges] + vals[t0] + vals[t1])
         post[edges] = np.exp(c)
         keep = (c > NEG_INF).nonzero()[0]
         c = c[keep]
         for t in (t0[keep], t1[keep]):
             np.logaddexp.at(out, t, c - vals[t])
-    return np.bincount(refs.ravel(), np.tile(post, 2), minlength=size)
+    # Every edge's slot, then every arc edge's second, each in edge order.
+    refs = np.concatenate((slot_refs[s.slot], slot_refs[s.arc_slot]))
+    return np.bincount(refs, np.concatenate((post, post[s.arc_edges])), minlength=size)
 
 
 # ---------------------------------------------------------------------------
@@ -710,10 +710,10 @@ def chart_edges(n: int, cap: int | None) -> int:
 
 # Sentences are decoded, and run through EM, in groups of similar length whose
 # charts hold at most this many edges under the depth cap. Compiling a group's
-# layout peaks at 81-112 bytes per edge, the layout included; a decode pass
-# then takes 18-29 more and EM 50-61 (weight refs and edge posteriors), as
+# layout peaks at 48-83 bytes per edge, the layout included; a decode pass
+# then takes 16-22 more and EM 42-50 (weight refs and edge posteriors), as
 # tracemalloc measured on the benchmark corpora's groups at cap 1. So the bound
-# keeps a group under about 4 MB whatever the corpus.
+# keeps a group under about 3 MB whatever the corpus.
 _GROUP_EDGES = 1 << 15
 
 
@@ -785,7 +785,7 @@ def em_step(
         s, slot_refs, score = _charts(enc.rows(group), theta, cap, cfg.dep_len_beta)
         vals = _inside(s, score)
         logz[group] = vals[s.goals]
-        counts += _expected_counts(s, score, slot_refs[s.slots], vals, counts.size)
+        counts += _expected_counts(s, score, slot_refs, vals, counts.size)
     # Added in corpus order, so that the grouping cannot move its bits.
     total = functools.reduce(float.__add__, logz[logz > NEG_INF].tolist(), 0.0)
     if diagnostics is not None:

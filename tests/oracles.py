@@ -683,9 +683,44 @@ def slot_weight_refs(pos, V):
     return refs
 
 
+def expand_structure(s):
+    """The compiled chart `s` in the layout of `compile_reference`, rebuilt
+    from the per-edge arrays it keeps: every edge's head node, its two
+    weight slots (the second is the unit slot of its chart unless the edge
+    attaches a token), and its arc's head and dependent (0 and 0 unless it
+    attaches one), with `levels` viewing the head; the rest is `s`'s own."""
+    from types import SimpleNamespace
+
+    n = np.array(s.lengths)
+    out = SimpleNamespace(
+        lengths=s.lengths, n_nodes=s.n_nodes, goals=s.goals, tail0=s.tail0,
+        tail1=s.tail1, arc_edges=s.arc_edges, arc_price=s.arc_price,
+        arc_pen=s.arc_pen,
+    )
+    counts = np.concatenate([count for _, _, _, count, *_ in s.levels])
+    out.head = np.repeat(np.arange(s.n_nodes, dtype=np.int32), counts)
+    # A slot, or a price, lies in its chart's block.
+    slot0 = np.cumsum(1 + 9 * n + n * n) - (1 + 9 * n + n * n)
+    unit = slot0[np.searchsorted(slot0, s.slot, "right") - 1]
+    out.slots = np.stack([s.slot, unit]).astype(np.int32)
+    out.slots[1, s.arc_edges] = s.arc_slot
+    price0 = np.cumsum((n + 1) ** 2) - (n + 1) ** 2
+    chart = np.searchsorted(price0, s.arc_price, "right") - 1
+    h, d = np.divmod(s.arc_price - price0[chart], n[chart] + 1)
+    out.arc_h = np.zeros(s.tail0.size, dtype=np.int32)
+    out.arc_d = np.zeros(s.tail0.size, dtype=np.int32)
+    out.arc_h[s.arc_edges], out.arc_d[s.arc_edges] = h, d
+    out.levels = tuple((a, b, seg, edges, out.head[edges], t0, t1)
+                       for a, b, seg, _, edges, t0, t1 in s.levels)
+    return out
+
+
 def _scalar_edges(s, pos, V, wlog, beta, prices):
-    """Per edge: (head, tails, weight refs, score before tails), the score
-    summed as ((0.0 + w[r0]) + w[r1]) - beta*(|h-d|-1) - price."""
+    """Per edge of `expand_structure(s)`: (head, tails, weight refs, score
+    before tails), the score summed as ((0.0 + w[r0]) + w[r1]) -
+    beta*(|h-d|-1) - price. The refs are the slots the edge reads: r1 only
+    if it attaches a token, since r1 is otherwise the unit slot."""
+    s = expand_structure(s)
     refs = slot_weight_refs(pos, V)
     w = [float(v) for v in wlog] + [0.0]
     for e in range(s.head.size):
@@ -697,7 +732,7 @@ def _scalar_edges(s, pos, V, wlog, beta, prices):
         if d and prices is not None:
             score -= float(prices[h, d])
         tails = [int(t) for t in (s.tail0[e], s.tail1[e]) if t != s.n_nodes]
-        yield int(s.head[e]), tails, (r0, r1), score
+        yield int(s.head[e]), tails, (r0, r1) if d else (r0,), score
 
 
 def scalar_viterbi(s, pos, V, wlog, beta, prices=None):
@@ -712,6 +747,7 @@ def scalar_viterbi(s, pos, V, wlog, beta, prices=None):
             score = score + vals[t]
         if best[v] is None or score > vals[v]:
             vals[v], best[v] = score, e
+    s = expand_structure(s)
     [n], [goal] = s.lengths, s.goals
     heads = [-1] * n
     stack = [goal]

@@ -681,6 +681,43 @@ def test_malformed_cmst_record_is_refused_on_its_line(
     )
 
 
+@pytest.mark.parametrize("name, prefix, record", [
+    pytest.param("cmst.txt", "w ", None, id="cmst-w"),
+    pytest.param("cmst.txt", "lambda ", "lambda 2.5", id="cmst-lambda"),
+    pytest.param("cmst.txt", "rule ", None, id="cmst-rule"),
+    pytest.param("dmv.txt", "root ", None, id="dmv-root"),
+    pytest.param("dmv.txt", "stop ", None, id="dmv-stop"),
+])
+def test_repeated_model_record_is_refused_on_its_line(
+    tmp_path, train_file, model_dir, capsys, name, prefix, record
+):
+    # Read twice, a record would load with its last value, so a second one
+    # is refused even when it repeats the first (record None) word for word.
+    path = model_dir / name
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines.append(record or lines[i])
+    path.write_text("".join(line + "\n" for line in lines))
+    decoder = "cmst" if name == "cmst.txt" else "dmv"
+    assert _parse(model_dir, train_file, tmp_path / "o.conllu", decoder) == EXIT_DATA
+    kind = prefix.strip()
+    assert capsys.readouterr().err == (
+        f"error: line {len(lines)}: repeats the {kind} record of line {i + 1}\n"
+    )
+
+
+def test_root_distribution_sum_is_reported_as_a_plain_number(
+    tmp_path, train_file, model_dir, capsys
+):
+    path = model_dir / "dmv.txt"
+    path.write_text("".join(
+        ("root " + line.split()[1] + " 0.5" if line.startswith("root ") else line)
+        + "\n" for line in path.read_text().splitlines()
+    ))
+    assert _parse(model_dir, train_file, tmp_path / "o.conllu", "dmv") == EXIT_DATA
+    assert capsys.readouterr().err == "error: root distribution sums to 1.5\n"
+
+
 # A sentence with a tag, ZZZ, outside the models' vocabulary.
 UNSEEN_TAG_CONLLU = (
     "1\tw\tw\tNOUN\t_\t_\t0\t_\t_\t_\n"

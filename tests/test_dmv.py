@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from oracles import (
     all_projective_trees,
     compile_reference,
     encode,
+    expand_structure,
     flat_grammar,
     init_params_reference,
     inside_loglik,
@@ -366,7 +368,7 @@ def test_structure_of_one_is_its_chart(rng):
     s, slot_refs, score = dmv._charts(encode([x]), p, 1, 0.1)
     assert s is dmv._compile((4,), 1)
     assert s.lengths == (4,) and s.goals.tolist() == [s.n_nodes - 1]
-    assert score.shape == s.head.shape
+    assert score.shape == s.tail0.shape
     assert slot_refs.tolist() == slot_weight_refs(tag_ids(p, x), p.V)
 
 
@@ -385,9 +387,9 @@ def test_inside_and_counts_match_scalar_reference(rng, cap, beta, kind):
         s = dmv._compile((x.n,), cap)
         want_vals, want_counts = scalar_expected_counts(s, pos, p.V, wlog, beta)
         slot_refs = dmv._slot_refs(pos, [x.n], p.V)
-        refs = slot_refs[s.slots]
-        assert refs.tolist() == [
-            [slot_weight_refs(pos, p.V)[k] for k in row] for row in s.slots
+        slots = expand_structure(s).slots
+        assert slot_refs[slots].tolist() == [
+            [slot_weight_refs(pos, p.V)[k] for k in row] for row in slots
         ]
         score = dmv.edge_scores(s, slot_refs, wlog, beta)
         vals = dmv._inside(s, score)
@@ -397,7 +399,7 @@ def test_inside_and_counts_match_scalar_reference(rng, cap, beta, kind):
             continue
         loglik += logz
         total += want_counts
-        counts = dmv._expected_counts(s, score, refs, vals, total.size)
+        counts = dmv._expected_counts(s, score, slot_refs, vals, total.size)
         np.testing.assert_allclose(counts, want_counts, rtol=ENGINE_RTOL, atol=0)
     new, ll = em_step(c, p, cfg, 0.0)
     want = dmv._params_from_counts(p, total[:-1], 0.0)
@@ -445,7 +447,7 @@ def test_plan_inside_and_counts_match_charts_alone(rng):
                 assert alone_logz == -math.inf
                 continue
             want += want_counts
-        got = dmv._expected_counts(s, score, slot_refs[s.slots], vals, wlog_size)
+        got = dmv._expected_counts(s, score, slot_refs, vals, wlog_size)
         np.testing.assert_allclose(got, want, rtol=ENGINE_RTOL, atol=0)
     assert infeasible >= 8
 
@@ -501,8 +503,34 @@ def test_chart_structure_is_shared_per_length_and_read_only(rng):
     assert len(arrays) > 10
     assert not any(arr.flags.writeable for arr in arrays)
     with pytest.raises(ValueError):
-        a.head[0] = 0
+        a.tail0[0] = 0
     assert dmv._compile((4,), None) is not a
+
+
+@pytest.mark.parametrize("lengths", [(25,), (19, 16)])
+def test_compiled_layout_is_lean_per_edge(lengths):
+    # A layout keeps two tails and one weight slot per edge, plus the fields
+    # of its arc edges and its nodes' edge counts and offsets: at most 24
+    # bytes per edge, every buffer counted once. A cold compile (the
+    # templates cached) peaks at most at 56 bytes per edge, layout included.
+    dmv._compile(lengths, 1)
+    dmv._compile.cache_clear()
+    tracemalloc.start()
+    try:
+        s = dmv._compile(lengths, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = [v for v in vars(s).values() if isinstance(v, np.ndarray)]
+    arrays += [v for lv in s.levels for v in lv if isinstance(v, np.ndarray)]
+    buffers = {}
+    for arr in arrays:
+        while arr.base is not None:
+            arr = arr.base
+        buffers[id(arr)] = arr.nbytes
+    edges = s.tail0.size
+    assert sum(buffers.values()) <= 24 * edges
+    assert peak <= 56 * edges
 
 
 def _assert_same_structure(got, want):
@@ -530,12 +558,14 @@ def test_compile_equals_cell_by_cell_reference(cap):
     # Node order and edge order within a head decide ties, so the tiled
     # chart must equal the cell-by-cell one array for array.
     for n in range(1, 17):
-        _assert_same_structure(dmv._compile((n,), cap), compile_reference(n, cap))
+        _assert_same_structure(
+            expand_structure(dmv._compile((n,), cap)), compile_reference(n, cap))
 
 
 @pytest.mark.parametrize("n", [25, 40])
 def test_compile_equals_cell_by_cell_reference_long(n):
-    _assert_same_structure(dmv._compile((n,), 1), compile_reference(n, 1))
+    _assert_same_structure(
+        expand_structure(dmv._compile((n,), 1)), compile_reference(n, 1))
 
 
 @pytest.mark.parametrize("cap", [None, 0, 1, 2, 3])
@@ -550,7 +580,8 @@ def test_compile_lays_out_a_group_as_its_charts_level_by_level(cap):
             if n not in alone:
                 alone[n] = compile_reference(n, cap)
         _assert_same_structure(
-            dmv._compile(lengths, cap), plan_reference([alone[n] for n in lengths])
+            expand_structure(dmv._compile(lengths, cap)),
+            plan_reference([alone[n] for n in lengths]),
         )
 
 
@@ -559,7 +590,7 @@ def test_chart_edges_counts_without_compiling():
     misses = dmv._compile.cache_info().misses
     counted = [dmv.chart_edges(n, cap) for n, cap in sizes]
     assert dmv._compile.cache_info().misses == misses
-    assert counted == [dmv._compile((n,), cap).head.size for n, cap in sizes]
+    assert counted == [dmv._compile((n,), cap).tail0.size for n, cap in sizes]
 
 
 def test_decode_group_lifts_the_cap_of_infeasible_rows_only(rng):
