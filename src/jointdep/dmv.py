@@ -51,9 +51,6 @@ class ConstraintConfig:
             raise ValueError("dep_len_beta must be finite and >= 0")
 
 
-UNCONSTRAINED = ConstraintConfig(max_ce_depth=None, dep_len_beta=0.0)
-
-
 class _WeightIndex:
     """Flat indexing of all log-weights used by the charts.
 
@@ -464,12 +461,11 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
     return out
 
 
-# 32 group layouts of about 20 bytes per edge, each at most 0.7 MB
-# (`_GROUP_EDGES`) unless it holds one long sentence (4.1 MB at n = 40, cap 1).
-# 2000 sentences of lengths 1-15 fall into 19 distinct groups, whose layouts
-# stay cached, about 9 MB at cap 1; lengths 1-40 give 43, and the cache
-# cycles.
-@functools.lru_cache(maxsize=32)
+# A layout is kept by the code that reuses it, in its own dict (see `_charts`):
+# a training run keeps its corpus's until it ends, about 9 MB at cap 1 for the
+# 19 distinct groups of 2000 sentences of lengths 1-15, and a one-shot decode
+# one at a time, for the consecutive groups that share it. Each takes about
+# 20 bytes per edge (4.1 MB for one sentence of length 40 at cap 1).
 def _compile(lengths: tuple[int, ...], cap: int | None) -> _Structure:
     """The charts of sentences of `lengths` under depth cap `cap`, tiled
     from the templates of widths below the longest and the goals."""
@@ -611,10 +607,13 @@ def edge_scores(
 
 
 def _charts(enc: Encoding, theta: DmvParams, cap: int | None, beta: float,
-            prices: np.ndarray | None = None):
+            prices: np.ndarray | None = None, layouts: dict | None = None):
     """The compiled charts of `enc`'s rows under depth cap `cap`, their
-    slot refs laid end to end, and their `edge_scores`."""
-    s = _compile(enc.lengths, cap)
+    slot refs laid end to end, and their `edge_scores`. The charts are read
+    from, or compiled into, the owner's `layouts` keyed by (lengths, cap)."""
+    layouts = {} if layouts is None else layouts
+    key = (enc.lengths, cap)
+    s = layouts[key] = layouts.get(key) or _compile(*key)
     slot_refs = _slot_refs(_tag_ids(enc, theta), enc.lengths, theta.V)
     return s, slot_refs, edge_scores(s, slot_refs, theta.log_weights(), beta, prices)
 
@@ -711,9 +710,9 @@ def chart_edges(n: int, cap: int | None) -> int:
 # Sentences are decoded, and run through EM, in groups of similar length whose
 # charts hold at most this many edges under the depth cap. Compiling a group's
 # layout peaks at 48-83 bytes per edge, the layout included; a decode pass
-# then takes 16-22 more and EM 42-50 (weight refs and edge posteriors), as
-# tracemalloc measured on the benchmark corpora's groups at cap 1. So the bound
-# keeps a group under about 3 MB whatever the corpus.
+# then takes 16-22 more and EM 42-50, as tracemalloc measured on the benchmark
+# corpora's groups at cap 1. So a pass stays under about 3 MB, and a layout
+# that its owner keeps (see `_compile`) under 0.7 MB, unless it is one sentence.
 _GROUP_EDGES = 1 << 15
 
 
@@ -721,9 +720,9 @@ def length_groups(lengths: Sequence[int], cap: int | None) -> Iterator[list[int]
     """Indices of `lengths`, longest first (stably), cut into groups under
     `_GROUP_EDGES`; a larger sentence is a group of its own. Edges are
     counted from the chart templates, once per distinct length, so cutting
-    the groups compiles no chart: each group is compiled where it runs.
-    Longest first, the largest group is compiled while the fewest others
-    are cached."""
+    the groups compiles no chart: each is compiled where it runs, into its
+    owner's layouts (see `_compile`). Groups of equal lengths come out
+    consecutive, so one layout at a time is compiled once."""
     chart_size = {n: chart_edges(n, cap) for n in set(lengths)}
     group: list[int] = []
     edges = 0
@@ -743,21 +742,23 @@ def decode_group(
     theta: DmvParams,
     cfg: ConstraintConfig,
     prices: np.ndarray | None = None,
+    layouts: dict | None = None,
 ) -> tuple[list[DepTree], list[bool]]:
     """Best tree of each row of `enc` under the grammar's score minus the
     `prices` of its arcs, flat in the `ArcLayout` of the rows (none: zero),
     as decoded alone, and whether its depth cap was lifted: the rows with
     no tree under the cap are decoded again without it, as a group of their
-    own, since finite prices cannot make them feasible."""
-    s, _, score = _charts(enc, theta, cfg.max_ce_depth, cfg.dep_len_beta, prices)
+    own, since finite prices cannot make them feasible. `layouts`: see `_charts`."""
+    cap, beta = cfg.max_ce_depth, cfg.dep_len_beta
+    s, _, score = _charts(enc, theta, cap, beta, prices, layouts)
     trees = viterbi_batch(s, score)
     lifted = [heads is None for heads, _ in trees]
-    if any(lifted) and cfg.max_ce_depth is not None:
+    if any(lifted) and cap is not None:
         rows = [i for i, lift in enumerate(lifted) if lift]
         if prices is not None:
             offsets = ArcLayout(enc.lengths).offsets
             prices = np.concatenate([prices[offsets[i]:offsets[i + 1]] for i in rows])
-        s, _, score = _charts(enc.rows(rows), theta, None, cfg.dep_len_beta, prices)
+        s, _, score = _charts(enc.rows(rows), theta, None, beta, prices, layouts)
         for i, tree in zip(rows, viterbi_batch(s, score)):
             trees[i] = tree
     if any(heads is None for heads, _ in trees):
@@ -771,18 +772,19 @@ def em_step(
     cfg: ConstraintConfig,
     smoothing: float = 0.0,
     diagnostics: dict | None = None,
+    layouts: dict | None = None,
 ) -> tuple[DmvParams, float]:
     """One EM iteration; returns new parameters and the pre-step log likelihood.
 
     Sentences whose constrained marginal is zero are skipped and tallied in
-    `diagnostics["skipped"]` when a dict is supplied.
+    `diagnostics["skipped"]` when a dict is supplied. `layouts`: see `_charts`.
     """
     # The last entry takes the unit slot's mass.
     counts = np.zeros(_WeightIndex(theta.V).size + 1)
-    enc, cap = c.encoding, cfg.max_ce_depth
+    enc, cap, beta = c.encoding, cfg.max_ce_depth, cfg.dep_len_beta
     logz = np.empty(c.N)
     for group in length_groups(enc.lengths, cap):
-        s, slot_refs, score = _charts(enc.rows(group), theta, cap, cfg.dep_len_beta)
+        s, slot_refs, score = _charts(enc.rows(group), theta, cap, beta, None, layouts)
         vals = _inside(s, score)
         logz[group] = vals[s.goals]
         counts += _expected_counts(s, score, slot_refs, vals, counts.size)

@@ -4,6 +4,7 @@ and the separately trained baseline modes."""
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -82,11 +83,14 @@ class TrainState:
 # Pretraining and baselines
 # ---------------------------------------------------------------------------
 
-def _em(c: Corpus, theta: dmv.DmvParams, cfg: TrainConfig, iters: int) -> dmv.DmvParams:
-    """`iters` unsmoothed EM iterations from `theta`."""
+def _em(c: Corpus, theta: dmv.DmvParams, cfg: TrainConfig, iters: int,
+        layouts: dict | None = None) -> dmv.DmvParams:
+    """`iters` unsmoothed EM iterations from `theta`, on the run's chart
+    `layouts` (see `dmv._charts`), or on their own."""
     diag: dict = {}
+    layouts = {} if layouts is None else layouts
     for i in range(iters):
-        theta, _ = dmv.em_step(c, theta, cfg.constraint, 0.0, diag)
+        theta, _ = dmv.em_step(c, theta, cfg.constraint, 0.0, diag, layouts)
         if diag["skipped"]:
             log.info("EM iter %d: skipped %d infeasible sentences", i, diag["skipped"])
     return theta
@@ -100,9 +104,9 @@ def _pretrain_cmst(c: Corpus, cfg: TrainConfig) -> cmst.FrankWolfeOptimizer:
     return opt
 
 
-def pretrain(c: Corpus, cfg: TrainConfig) -> TrainState:
+def pretrain(c: Corpus, cfg: TrainConfig, layouts: dict | None = None) -> TrainState:
     """Train both models separately with their own algorithms."""
-    theta = _em(c, dmv.init_params(c, cfg.init), cfg, cfg.em_pretrain_iters)
+    theta = _em(c, dmv.init_params(c, cfg.init), cfg, cfg.em_pretrain_iters, layouts)
     opt = _pretrain_cmst(c, cfg)
     return TrainState(theta, opt.model, optimizer=opt)
 
@@ -123,51 +127,49 @@ def train_baseline_d_init(c: Corpus, cfg: TrainConfig) -> TrainState:
 # Joint training (coordinate descent with joint decoding)
 # ---------------------------------------------------------------------------
 
-_WORKER = {}
-
-
-def _decode_worker_init(enc, theta, constraint, model, g_weight):
-    _WORKER["args"] = (enc, theta, constraint, model, g_weight)
-
-
-def _decode_worker(group: list[int]) -> tuple[list[int], list[DepTree], list[bool]]:
-    enc, theta, constraint, model, g_weight = _WORKER["args"]
-    xs = enc.rows(group)
-    prices = None
-    if model is not None:  # G is linear on 0/1 trees: it prices the arcs
-        prices = g_weight * cmst.arc_costs(xs, model)
-    return (group, *dmv.decode_group(xs, theta, constraint, prices))
+def _decode_worker(args, batch: list[list[int]], layouts: dict | None = None) -> list:
+    """(sentence, tree, lifted) of each sentence of the groups of `batch`
+    under `args`, on the charts `layouts` (see `dmv._charts`), or on the
+    batch's own. G is linear on 0/1 trees, so `cmst.arc_costs` price arcs."""
+    enc, theta, constraint, model, g_weight = args
+    layouts = {} if layouts is None else layouts
+    out = []
+    for group in batch:
+        xs = enc.rows(group)
+        prices = None if model is None else g_weight * cmst.arc_costs(xs, model)
+        out += zip(group, *dmv.decode_group(xs, theta, constraint, prices, layouts))
+    return out
 
 
 def _decode_all(
-    c: Corpus, state: TrainState, cfg: TrainConfig, decoder: str = "dd"
+    c: Corpus, state: TrainState, cfg: TrainConfig, decoder: str = "dd",
+    layouts: dict | None = None,
 ) -> tuple[list[DepTree], list[bool]]:
     """Each sentence of `c`'s tree, and whether its depth cap was lifted,
     decoded one `dmv.length_groups` group per call: jointly ("dd"), the
     grammar's Viterbi priced by g_weight times `cmst.arc_costs`, which is
     the exact minimum of F + G, or by the grammar alone ("dmv"). A
     sentence's result does not depend on its group, so neither the grouping
-    nor `cfg.workers` can change it."""
+    nor `cfg.workers` can change it. The charts are the run's `layouts` on
+    one worker. Otherwise a run of groups of equal lengths is cut into a
+    batch per worker, which compiles their layout and drops it at its end."""
     model = state.model if decoder == "dd" else None
     args = (c.encoding, state.theta, cfg.constraint, model, cfg.g_weight)
-    groups = dmv.length_groups(c.encoding.lengths, cfg.constraint.max_ce_depth)
-    if cfg.workers > 1:
+    n, w = c.encoding.lengths, cfg.workers
+    runs = [list(run) for _, run in itertools.groupby(
+        dmv.length_groups(n, cfg.constraint.max_ce_depth), lambda g: [n[i] for i in g])]
+    batches = [run[i::w] for run in runs for i in range(min(w, len(run)))]
+    if w > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(
-            max_workers=cfg.workers,
-            initializer=_decode_worker_init,
-            initargs=args,
-        ) as pool:
-            decoded = list(pool.map(_decode_worker, groups))
+        with ProcessPoolExecutor(max_workers=w) as pool:
+            decoded = list(pool.map(_decode_worker, itertools.repeat(args), batches))
     else:
-        _decode_worker_init(*args)
-        decoded = map(_decode_worker, groups)
+        decoded = [_decode_worker(args, batch, layouts) for batch in batches]
     trees: list = [None] * c.N
     lifted = [False] * c.N
-    for group, group_trees, group_lifted in decoded:
-        for i, tree, lift in zip(group, group_trees, group_lifted):
-            trees[i], lifted[i] = tree, lift
+    for i, tree, lift in itertools.chain(*decoded):
+        trees[i], lifted[i] = tree, lift
     return trees, lifted
 
 
@@ -185,9 +187,7 @@ def joint_objective(
     )
 
 
-def joint_train(
-    c: Corpus, cfg: TrainConfig, checkpoint_dir=None
-) -> TrainState:
+def joint_train(c: Corpus, cfg: TrainConfig, checkpoint_dir=None) -> TrainState:
     """Coordinate descent: decode all sentences jointly, then minimize the
     joint objective at the decoded trees exactly (the smoothed M-step for the
     grammar, the ridge solve for the weights), then give each model a few
@@ -195,11 +195,12 @@ def joint_train(
     decoded trees."""
     if cfg.mode != "joint":
         raise ValueError(f"expected mode joint, got {cfg.mode!r}")
-    state = pretrain(c, cfg)
+    layouts: dict = {}  # the corpus's chart layouts, kept for the whole run
+    state = pretrain(c, cfg, layouts)
     opt = state.optimizer
     prev_heads = None
     for it in range(1, cfg.outer_iters + 1):
-        trees, lifted = _decode_all(c, state, cfg)
+        trees, lifted = _decode_all(c, state, cfg, layouts=layouts)
         j_before = joint_objective(c, state, cfg, trees)
 
         state.theta = dmv.mstep_from_trees(c, trees, cfg.mstep_smoothing)
@@ -211,7 +212,7 @@ def joint_train(
                 "(%.6f -> %.6f)", j_before, j_after,
             )
 
-        state.theta = _em(c, state.theta, cfg, cfg.extra_separate_iters)
+        state.theta = _em(c, state.theta, cfg, cfg.extra_separate_iters, layouts)
         if cfg.extra_separate_iters > 0:
             opt.run(cfg.extra_separate_iters)
 
@@ -257,14 +258,10 @@ def train(c: Corpus, cfg: TrainConfig, checkpoint_dir=None) -> TrainState:
     return state
 
 
-def decode_corpus(
-    c: Corpus,
-    state: TrainState,
-    cfg: TrainConfig | None = None,
-    decoder: str = "dd",
-) -> list[DepTree]:
+def decode_corpus(c: Corpus, state: TrainState, cfg: TrainConfig | None = None,
+                  decoder: str = "dd") -> list[DepTree]:
     """Parse a corpus with one model or with both jointly ("dd"); the
-    grammar's decoders run on `cfg.workers` processes."""
+    grammar's decoders run on `cfg.workers` processes, on one layout at a time."""
     cfg = cfg or TrainConfig()
     if decoder == "cmst":
         enc = c.encoding

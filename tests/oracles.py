@@ -17,6 +17,9 @@ from jointdep import cmst, dmv
 from jointdep.corpus import DepTree, Sentence, Token, Corpus
 from jointdep.dmv import HAS_CHILD, LEFT, NO_CHILD, RIGHT, _WeightIndex
 
+# No depth cap and no length penalty: the plain grammar.
+UNCONSTRAINED = dmv.ConstraintConfig(max_ce_depth=None, dep_len_beta=0.0)
+
 
 def _descendants(heads, h):
     out = set()

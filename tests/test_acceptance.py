@@ -32,6 +32,7 @@ from oracles import (
     tree_logprob,
     tree_matrix,
     viterbi_decode,
+    UNCONSTRAINED,
 )
 
 from jointdep import cmst, dmv, evaluation, trainer
@@ -44,7 +45,7 @@ from jointdep.corpus import (
     read_conllu,
     write_conllu_file,
 )
-from jointdep.dmv import ConstraintConfig, UNCONSTRAINED
+from jointdep.dmv import ConstraintConfig
 
 VOCAB = ("DET", "NOUN", "VERB", "ADJ")
 

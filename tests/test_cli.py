@@ -3,6 +3,8 @@ import functools
 import io
 import json
 import os
+import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -942,3 +944,96 @@ def test_loaders_load_or_raise_value_error(kind, data):
             _LOADERS[kind](path)
         except ValueError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# Malformed input through the command line: a fixed, seeded set of damages
+# to each kind of input file. Every run ends with exit 0, or with one
+# `error:` line and exit 1 or 2, never with a traceback.
+# ---------------------------------------------------------------------------
+
+_DAMAGES = ("cut", "field", "text", "repeat", "byte")
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _damaged_copies(text, sep, seed):
+    """`text` with each of `_DAMAGES` done to one line drawn by `seed`: the
+    line cut short, one of its `sep`-separated fields dropped, a number in it
+    replaced by text (its last field if it has none), the line repeated, and
+    a byte that is not UTF-8 put into it. Comment and blank lines are left."""
+    rnd = random.Random(seed)
+    lines = text.splitlines()
+    chosen = [i for i, line in enumerate(lines) if line.strip() and line[0] != "#"]
+    out = []
+    for damage in _DAMAGES:
+        i = rnd.choice(chosen)
+        line, fields = lines[i], lines[i].split(sep)
+        if damage == "cut":
+            new = [line[:rnd.randrange(len(line))]]
+        elif damage == "field":
+            del fields[rnd.randrange(len(fields))]
+            new = [sep.join(fields)]
+        elif damage == "text":
+            numbers = [k for k, f in enumerate(fields) if _is_number(f)]
+            fields[rnd.choice(numbers or [len(fields) - 1])] = "abc"
+            new = [sep.join(fields)]
+        elif damage == "repeat":
+            new = [line, line]
+        else:
+            k = rnd.randrange(len(line) + 1)
+            new = [line[:k] + "\udcff" + line[k:]]  # the byte 0xff
+        damaged = lines[:i] + new + lines[i + 1:]
+        out.append((damage, "".join(x + "\n" for x in damaged).encode(
+            "utf-8", "surrogateescape")))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["dmv", "cmst", "rules", "config", "conllu"])
+def test_malformed_input_gives_one_error_line(
+    tmp_path, train_file, model_dir, capsys, kind
+):
+    models, out = tmp_path / "damaged-models", tmp_path / "out.conllu"
+    shutil.copytree(model_dir, models)
+    path, sep = {
+        "dmv": (models / "dmv.txt", " "), "cmst": (models / "cmst.txt", " "),
+        "rules": (tmp_path / "rules.txt", " "),
+        "config": (tmp_path / "parse.cfg", "="),
+        "conllu": (tmp_path / "input.conllu", "\t"),
+    }[kind]
+    base = {
+        "rules": "# head dependent\nNOUN DET\nVERB NOUN\nROOT VERB\n",
+        "config": "max_ce_depth=1\ndep_len_beta=0.1\ng_weight=1.0\nworkers=1\n",
+        "conllu": train_file.read_text(),
+    }.get(kind) or path.read_text()
+    argv = {
+        "dmv": ["parse", "--model", str(models), "--decoder", "dmv",
+                "--input", str(train_file), "--output", str(out)],
+        "cmst": ["parse", "--model", str(models), "--decoder", "cmst",
+                 "--input", str(train_file), "--output", str(out)],
+        "rules": ["analyze", "--pred", str(train_file), "--rules", str(path)],
+        "config": ["parse", "--model", str(model_dir), "--config", str(path),
+                   "--input", str(train_file), "--output", str(out)],
+        "conllu": ["parse", "--model", str(model_dir), "--input", str(path),
+                   "--output", str(out)],
+    }[kind]
+    outcomes = set()
+    for seed in range(3):
+        for damage, data in _damaged_copies(base, sep, seed):
+            path.write_bytes(data)
+            rc = run(argv)
+            err = capsys.readouterr().err
+            assert "Traceback" not in err, (damage, seed)
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            assert len(errors) <= 1, (damage, seed, err)
+            assert rc == EXIT_OK or (rc in (EXIT_USAGE, EXIT_DATA) and errors), (
+                damage, seed, rc, err)
+            outcomes.add(rc)
+    # The damages reach the loaders' refusals, not only harmless lines.
+    assert outcomes - {EXIT_OK}

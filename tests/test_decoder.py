@@ -22,12 +22,13 @@ from oracles import (
     tree_logprob,
     tree_matrix,
     viterbi_decode,
+    UNCONSTRAINED,
 )
 
 from jointdep import cmst, dmv, trainer
 from jointdep.cmst import CmstModel
 from jointdep.corpus import Corpus, DepTree
-from jointdep.dmv import ConstraintConfig, UNCONSTRAINED
+from jointdep.dmv import ConstraintConfig
 
 
 def _joint_objective(x, tree, theta, cfg, m, g_weight=1.0):

@@ -27,6 +27,7 @@ from oracles import (
     tree_events_reference,
     tree_logprob,
     viterbi_decode,
+    UNCONSTRAINED,
     WeightIndexReference,
 )
 
@@ -34,7 +35,6 @@ from jointdep import dmv
 from jointdep.corpus import ArcLayout, Corpus, DepTree
 from jointdep.dmv import (
     ConstraintConfig,
-    UNCONSTRAINED,
     ce_depth,
     em_step,
     init_params,
@@ -361,12 +361,15 @@ def test_viterbi_batch_matches_scalar_reference(rng):
 
 
 def test_structure_of_one_is_its_chart(rng):
-    # A sentence decoded alone runs on the cached structure of its length,
-    # whose one goal is its top node, and its scores are the edges' own.
+    # A sentence decoded alone runs on the structure of its length, which
+    # the owner's layouts keep under that length and the cap. Its one goal
+    # is its top node, and its scores are the edges' own.
     p = random_dmv_params(rng, ENGINE_VOCAB)
     x = make_sentence(["A", "B", "C", "A"])
-    s, slot_refs, score = dmv._charts(encode([x]), p, 1, 0.1)
-    assert s is dmv._compile((4,), 1)
+    layouts = {}
+    s, slot_refs, score = dmv._charts(encode([x]), p, 1, 0.1, layouts=layouts)
+    assert layouts == {((4,), 1): s}
+    _assert_same_structure(s, dmv._compile((4,), 1))
     assert s.lengths == (4,) and s.goals.tolist() == [s.n_nodes - 1]
     assert score.shape == s.tail0.shape
     assert slot_refs.tolist() == slot_weight_refs(tag_ids(p, x), p.V)
@@ -488,33 +491,39 @@ def test_em_step_does_not_depend_on_the_grouping(rng, monkeypatch):
 
 
 def test_chart_structure_is_shared_per_length_and_read_only(rng):
+    # Within one owner's layouts, sentences of one length share one layout;
+    # another tuple of lengths or another cap has its own. No layout
+    # outlives its owner: without one, each call compiles its own.
     p = random_dmv_params(rng, ENGINE_VOCAB)
     xa, xb = make_sentence(["A", "B", "C", "A"]), make_sentence(["C", "C", "B", "A"])
-    a, refs_a, score_a = dmv._charts(encode([xa]), p, 1, 0.1)
-    b, refs_b, score_b = dmv._charts(encode([xb]), p, 1, 0.1)
+    layouts = {}
+    a, refs_a, score_a = dmv._charts(encode([xa]), p, 1, 0.1, layouts=layouts)
+    b, refs_b, score_b = dmv._charts(encode([xb]), p, 1, 0.1, layouts=layouts)
     assert a is b
     # The tags choose the weights the shared edges read.
     assert not np.array_equal(refs_a, refs_b)
     assert not np.array_equal(score_a, score_b)
-    group, _, _ = dmv._charts(encode([xa, xb]), p, 1, 0.1)
-    assert group is dmv._compile((4, 4), 1) and group is not a
+    group, _, _ = dmv._charts(encode([xa, xb]), p, 1, 0.1, layouts=layouts)
+    uncapped, _, _ = dmv._charts(encode([xa]), p, None, 0.1, layouts=layouts)
+    assert layouts == {((4,), 1): a, ((4, 4), 1): group, ((4,), None): uncapped}
+    assert len({id(s) for s in layouts.values()}) == 3
+    assert dmv._charts(encode([xa]), p, 1, 0.1)[0] is not a
     arrays = [v for v in vars(a).values() if isinstance(v, np.ndarray)]
     arrays += [v for lv in a.levels for v in lv if isinstance(v, np.ndarray)]
     assert len(arrays) > 10
     assert not any(arr.flags.writeable for arr in arrays)
     with pytest.raises(ValueError):
         a.tail0[0] = 0
-    assert dmv._compile((4,), None) is not a
 
 
 @pytest.mark.parametrize("lengths", [(25,), (19, 16)])
 def test_compiled_layout_is_lean_per_edge(lengths):
     # A layout keeps two tails and one weight slot per edge, plus the fields
     # of its arc edges and its nodes' edge counts and offsets: at most 24
-    # bytes per edge, every buffer counted once. A cold compile (the
-    # templates cached) peaks at most at 56 bytes per edge, layout included.
+    # bytes per edge, every buffer counted once. A compile (the templates
+    # cached by a first one) peaks at most at 56 bytes per edge, layout
+    # included.
     dmv._compile(lengths, 1)
-    dmv._compile.cache_clear()
     tracemalloc.start()
     try:
         s = dmv._compile(lengths, 1)
@@ -585,12 +594,16 @@ def test_compile_lays_out_a_group_as_its_charts_level_by_level(cap):
         )
 
 
-def test_chart_edges_counts_without_compiling():
+def test_chart_edges_counts_without_compiling(monkeypatch):
     sizes = [(n, cap) for cap in (None, 0, 1, 2) for n in range(1, 31)]
-    misses = dmv._compile.cache_info().misses
+    compile_ = dmv._compile
+
+    def no_compile(*args):
+        raise AssertionError("chart_edges compiled a chart")
+
+    monkeypatch.setattr(dmv, "_compile", no_compile)
     counted = [dmv.chart_edges(n, cap) for n, cap in sizes]
-    assert dmv._compile.cache_info().misses == misses
-    assert counted == [dmv._compile((n,), cap).tail0.size for n, cap in sizes]
+    assert counted == [compile_((n,), cap).tail0.size for n, cap in sizes]
 
 
 def test_decode_group_lifts_the_cap_of_infeasible_rows_only(rng):

@@ -1,5 +1,8 @@
 import collections
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -417,3 +420,77 @@ def test_state_save_without_trees(small_corpus, tmp_path):
     state.save(tmp_path)
     assert (tmp_path / "cmst.txt").exists()
     assert not (tmp_path / "dmv.txt").exists()
+
+
+def _counted_compiles(monkeypatch):
+    """Patch `dmv._compile` to record each call's key and a weak reference
+    to the layout it returns."""
+    compile_, calls = dmv._compile, []
+
+    def counted(lengths, cap):
+        s = compile_(lengths, cap)
+        calls.append(((lengths, cap), weakref.ref(s)))
+        return s
+
+    monkeypatch.setattr(dmv, "_compile", counted)
+    return calls
+
+
+def _sentences(rng, lengths, vocab=("DET", "NOUN", "VERB")):
+    return Corpus(tuple(make_sentence([vocab[i] for i in rng.integers(0, 3, size=n)])
+                        for n in lengths), vocab)
+
+
+def test_one_shot_decode_keeps_one_layout_at_a_time(rng, monkeypatch):
+    # Three groups, 25, 22 and 19 + 16, and each group's layout is dropped
+    # before the next is compiled: when the decode returns, no layout is
+    # reachable, and decoding all four peaks about as high as decoding the
+    # longest alone (whose templates a first decode cached).
+    c = _sentences(rng, (25, 22, 19, 16))
+    longest = Corpus(c.sentences[:1], c.pos_vocab)
+    state = TrainState(random_dmv_params(rng, c.pos_vocab),
+                       cmst.CmstModel.create(c.pos_vocab))
+    cfg = TrainConfig()
+    decode_corpus(longest, state, cfg, "dd")
+    calls = _counted_compiles(monkeypatch)
+    peaks = []
+    for corpus in (longest, c):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            decode_corpus(corpus, state, cfg, "dd")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert [key for key, _ in calls] == [
+        ((25,), 1), ((25,), 1), ((22,), 1), ((19, 16), 1)]
+    gc.collect()
+    assert all(ref() is None for _, ref in calls)
+    assert not any(isinstance(o, dmv._Structure) for o in gc.get_objects())
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_one_shot_decode_compiles_a_shared_layout_once(rng, monkeypatch):
+    # 60 sentences of length 25 are 60 groups of one layout.
+    c = _sentences(rng, [25] * 60)
+    state = TrainState(random_dmv_params(rng, c.pos_vocab), None)
+    calls = _counted_compiles(monkeypatch)
+    trees = decode_corpus(c, state, TrainConfig(), "dmv")
+    assert [key for key, _ in calls] == [((25,), 1)]
+    assert [t.n for t in trees] == [25] * 60
+
+
+def test_joint_run_compiles_each_group_layout_once(rng, monkeypatch):
+    # EM pretraining, then two outer iterations of joint decoding and EM,
+    # all on the run's layouts: one compile per distinct group, and two
+    # groups of one sentence of length 20 share one.
+    c = random_corpus(rng, ("DET", "NOUN", "VERB"), 50, max_len=20)
+    cfg = _fast_cfg(fw_pretrain_iters=2)
+    n = c.encoding.lengths
+    groups = [(tuple(n[i] for i in g), 1) for g in dmv.length_groups(n, 1)]
+    keys = set(groups)
+    assert len(keys) > 5 and groups.count(((20,), 1)) == 2
+    calls = _counted_compiles(monkeypatch)
+    state = joint_train(c, cfg)
+    assert state.iteration == 2
+    assert sorted(key for key, _ in calls) == sorted(keys)
