@@ -9,13 +9,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import cmst, dmv, trainer
-from .corpus import (
-    ConlluParseError,
-    DepTree,
-    filter_corpus,
-    read_conllu,
-    write_conllu_file,
-)
+from .corpus import DepTree, LineError, filter_corpus, numbered_lines, read_conllu
+from .corpus import write_conllu_file
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,29 +65,31 @@ class DataError(Exception):
 def load_config(path: str | None, overrides: dict) -> dict:
     """The defaults, overridden by the key=value lines of the file at `path`
     and then by the `overrides` that name a setting and are not None; each
-    text is read by its key's reader."""
+    text is read by its key's reader. A malformed file is a DataError that
+    names its line, and an override its key cannot read a UsageError."""
     cfg = {key: default for key, (_, default) in SETTINGS.items()}
-    text = {}
-    if path:
-        p = Path(path)
-        if not p.is_file():
-            raise DataError(f"config file not found: {path}")
-        for line_no, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+    lines = numbered_lines(_require_file(path, "config file")) if path else ()
+    try:
+        for line_no, raw in lines:
+            key, eq, value = (s.strip() for s in raw.split("#", 1)[0].partition("="))
+            if not (key or eq):
                 continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{line_no}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
+            if not eq:
+                raise LineError("expected key=value", line_no)
             if key not in SETTINGS:
-                raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
-            text[key] = value
-    text.update((k, v) for k, v in overrides.items() if k in SETTINGS and v is not None)
-    for key, value in text.items():
-        try:
-            cfg[key] = SETTINGS[key][0](value)
-        except ValueError:
-            raise UsageError(f"invalid value for {key}: {value!r}")
+                raise LineError(f"unknown config key {key!r}", line_no)
+            try:
+                cfg[key] = SETTINGS[key][0](value)
+            except ValueError:
+                raise LineError(f"invalid value for {key}: {value!r}", line_no)
+    except LineError as exc:
+        raise DataError(f"{path}:{exc.line_no}: {exc.message}")
+    for key, value in overrides.items():
+        if key in SETTINGS and value is not None:
+            try:
+                cfg[key] = SETTINGS[key][0](value)
+            except ValueError:
+                raise UsageError(f"invalid value for {key}: {value!r}")
     return cfg
 
 
@@ -123,7 +120,7 @@ def _require_file(path, what: str) -> Path:
 def _read_corpus(path):
     try:
         return read_conllu(_require_file(path, "input file"))
-    except ConlluParseError as exc:
+    except LineError as exc:
         raise DataError(f"{path}: {exc}")
 
 

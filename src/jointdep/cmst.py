@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .corpus import ArcLayout, Corpus, DepTree, Encoding, block_pairs
+from .corpus import LineError, numbered_lines, read_records
 
 ROOT_TAG = "<ROOT>"
 UNK_TAG = "<UNK>"
@@ -176,19 +177,13 @@ def parse_rules(lines) -> RuleSet:
 
 
 def load_rules(path) -> RuleSet:
-    with open(path, encoding="utf-8") as f:
-        return parse_rules(f)
+    return parse_rules(text for _, text in numbered_lines(path))
 
 
 def default_rules() -> RuleSet:
     import importlib.resources
 
-    text = (
-        importlib.resources.files("jointdep.data")
-        .joinpath("universal_rules.txt")
-        .read_text(encoding="utf-8")
-    )
-    return parse_rules(text.splitlines())
+    return load_rules(importlib.resources.files("jointdep.data") / "universal_rules.txt")
 
 
 def rule_vector(enc: Encoding, r: RuleSet) -> np.ndarray:
@@ -263,63 +258,47 @@ class CmstModel:
 
     @classmethod
     def load(cls, path) -> "CmstModel":
-        with open(path, encoding="utf-8") as f:
-            header = f.readline().split()
-            if header[:2] != ["cmstmodel", "1"]:
-                raise ValueError(f"line 1: unrecognized model header {header!r}")
-            t = None
-            scalars = {}  # lambda and mu
-            rules = set()
-            weights = []
-            seen = {}  # the line of every record read, by kind and key
-            arity = {"lambda": 2, "mu": 2, "tags": None, "rule": 3, "w": 3}
-            for line_no, line in enumerate(f, start=2):
-                parts = line.split()
-                if not parts:
-                    continue
-                kind = parts[0]
-                if kind not in arity:
-                    raise ValueError(f"line {line_no}: unrecognized record {kind!r}")
-                if arity[kind] not in (None, len(parts)):
-                    raise ValueError(
-                        f"line {line_no}: {kind} record needs "
-                        f"{arity[kind] - 1} fields, got {len(parts) - 1}"
-                    )
-                key = None
-                try:
-                    if kind in ("lambda", "mu"):
-                        value = float(parts[1])
-                        if not 0 <= value < math.inf:
-                            raise ValueError(f"must be finite and >= 0, got {value}")
-                        scalars[kind] = value
-                    elif kind == "tags":
-                        t = FeatureTemplate(tuple(parts[1:]))
-                    elif kind == "rule":
-                        key = (parts[1], parts[2])
-                        rules.add(key)
-                    else:
-                        value = float(parts[2])
-                        if not math.isfinite(value):
-                            raise ValueError(f"must be finite, got {value}")
-                        key = int(parts[1])
-                        weights.append((line_no, key, value))
-                except ValueError as exc:
-                    raise ValueError(f"line {line_no}: {kind} record: {exc}") from None
-                first = seen.setdefault((kind, key), line_no)
-                if first != line_no:
-                    raise ValueError(
-                        f"line {line_no}: repeats the {kind} record of line {first}")
-            if len(scalars) < 2 or t is None:
-                raise ValueError("incomplete model file")
-            w = np.zeros(t.dimension)
-            for line_no, i, v in weights:
-                if not 0 <= i < t.dimension:
-                    raise ValueError(
-                        f"line {line_no}: weight index {i} out of range for "
-                        f"dimension {t.dimension}"
-                    )
-                w[i] = v
-            return cls(w, scalars["lambda"], scalars["mu"], t, frozenset(rules))
+        lines = numbered_lines(path)
+        header = next(lines, (1, ""))[1].split()
+        if header[:2] != ["cmstmodel", "1"]:
+            raise LineError(f"unrecognized model header {header!r}", 1)
+        read_once = {}  # lambda, mu and the feature template ("tags")
+        weights = {}
+
+        def read(kind, fields):
+            try:
+                if kind == "tags":
+                    read_once[kind] = FeatureTemplate(tuple(fields))
+                elif kind == "rule":
+                    return tuple(fields)
+                elif kind == "w":
+                    value = float(fields[1])
+                    if not math.isfinite(value):
+                        raise ValueError(f"must be finite, got {value}")
+                    i = int(fields[0])
+                    weights[i] = value
+                    return i
+                else:
+                    value = float(fields[0])
+                    if not 0 <= value < math.inf:
+                        raise ValueError(f"must be finite and >= 0, got {value}")
+                    read_once[kind] = value
+            except ValueError as exc:
+                raise ValueError(f"{kind} record: {exc}") from None
+
+        arity = {"lambda": 1, "mu": 1, "tags": None, "rule": 2, "w": 2}
+        line_of = read_records(lines, arity, read)
+        if len(read_once) < 3:
+            raise ValueError("incomplete model file")
+        t = read_once["tags"]
+        w = np.zeros(t.dimension)
+        for i, v in weights.items():
+            if not 0 <= i < t.dimension:
+                raise LineError(f"weight index {i} out of range for dimension "
+                                f"{t.dimension}", line_of["w", i])
+            w[i] = v
+        rules = frozenset(key for kind, key in line_of if kind == "rule")
+        return cls(w, read_once["lambda"], read_once["mu"], t, rules)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,15 @@ import numpy as np
 _NUM_COLUMNS = 10
 
 
-class ConlluParseError(ValueError):
-    """Malformed CoNLL-U input; carries the offending 1-based line number."""
+class LineError(ValueError):
+    """Malformed text input: `message`, on the 1-based line `line_no`."""
 
     def __init__(self, message: str, line_no: int):
         super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+        self.message, self.line_no = message, line_no
+
+
+ConlluParseError = LineError  # the name that CoNLL-U readers catch
 
 
 @dataclass(frozen=True)
@@ -225,8 +228,50 @@ def block_pairs(lengths: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# CoNLL-U reading and writing
+# Text input (UTF-8 lines, each error on its line), CoNLL-U reading and writing
 # ---------------------------------------------------------------------------
+
+def numbered_lines(path) -> Iterator[tuple[int, str]]:
+    """Every line of the text file at `path`, numbered from 1, less its "\\n",
+    "\\r\\n" or "\\r" ending. A line that is not UTF-8 raises LineError: its
+    undecodable bytes read as lone surrogates, which UTF-8 text never holds."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for line_no, line in enumerate(f, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise LineError("not UTF-8 text", line_no) from None
+            yield line_no, line.rstrip("\n")
+
+
+def read_records(lines: Iterable[tuple[int, str]], arity: dict, read) -> dict:
+    """Read the records of `lines`, (line number, text) pairs, blank ones
+    skipped: a kind and `arity[kind]` fields (None: any), split on
+    whitespace. read(kind, fields) reads one and returns its key, and each
+    (kind, key) may be read once. Returns the line of each (kind, key).
+    Every error, a ValueError or KeyError (an unknown field) from `read`
+    included, is raised as a LineError on its line."""
+    first: dict[tuple, int] = {}
+    for line_no, text in lines:
+        parts = text.split()
+        if not parts:
+            continue
+        kind, *fields = parts
+        try:
+            if kind not in arity:
+                raise ValueError(f"unrecognized record {kind!r}")
+            if arity[kind] not in (None, len(fields)):
+                raise ValueError(
+                    f"{kind} record needs {arity[kind]} fields, got {len(fields)}")
+            key = (kind, read(kind, fields))
+            if first.setdefault(key, line_no) != line_no:
+                raise ValueError(f"repeats the {kind} record of line {first[key]}")
+        except KeyError as exc:
+            raise LineError(f"unknown field {exc.args[0]!r}", line_no) from None
+        except ValueError as exc:
+            raise LineError(str(exc), line_no) from None
+    return first
+
 
 def parse_conllu(stream: Iterable[str]) -> Corpus:
     """Parse CoNLL-U text into a Corpus.
@@ -306,8 +351,7 @@ def parse_conllu(stream: Iterable[str]) -> Corpus:
 
 
 def read_conllu(path) -> Corpus:
-    with open(path, encoding="utf-8") as f:
-        return parse_conllu(f)
+    return parse_conllu(text for _, text in numbered_lines(path))
 
 
 def filter_corpus(c: Corpus, max_len: int, count_punct: bool = True) -> Corpus:

@@ -17,6 +17,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import ArcLayout, Corpus, DepTree, Encoding, block_pairs, ranges
+from .corpus import LineError, numbered_lines, read_records
 
 LEFT, RIGHT = 0, 1
 NO_CHILD, HAS_CHILD = 0, 1
@@ -135,68 +136,44 @@ class DmvParams:
     def load(cls, path) -> "DmvParams":
         """Read a saved parameter file; raises ValueError unless every record
         is present once, well formed and the tables are normalized."""
-        with open(path, encoding="utf-8") as f:
-            header = f.readline().split()
-            if header[:2] != ["dmvparams", "1"]:
-                raise ValueError(f"unrecognized model header {header!r}")
-            vocab_line = f.readline().split()
-            if vocab_line[:1] != ["vocab"] or len(vocab_line) < 2:
-                raise ValueError("missing or empty vocab line")
-            vocab = tuple(vocab_line[1:])
-            tag = {t: i for i, t in enumerate(vocab)}
-            if len(tag) < len(vocab):
-                dup = next(t for i, t in enumerate(vocab) if tag[t] != i)
-                raise ValueError(f"line 2: vocab tag {dup!r} appears more than once")
-            V = len(vocab)
-            # NaN marks a record not read yet.
-            tables = {
-                "root": np.full(V, np.nan),
-                "attach": np.full((V, 2, V), np.nan),
-                "stop": np.full((V, 2, 2), np.nan),
-            }
-            direction = {"left": LEFT, "right": RIGHT}
-            adj = {str(NO_CHILD): NO_CHILD, str(HAS_CHILD): HAS_CHILD}
-            key_fields = {
-                "root": (tag,), "attach": (tag, direction, tag),
-                "stop": (tag, direction, adj),
-            }
-            seen: dict[tuple, int] = {}  # the line of every record read
-            for line_no, line in enumerate(f, start=3):
-                parts = line.split()
-                if not parts:
-                    continue
-                try:
-                    lookups = key_fields.get(parts[0])
-                    if lookups is None:
-                        raise ValueError(f"unrecognized record {parts[0]!r}")
-                    if len(parts) != len(lookups) + 2:
-                        raise ValueError(
-                            f"{parts[0]} record needs {len(lookups) + 1} fields, "
-                            f"got {len(parts) - 1}"
-                        )
-                    key = tuple(t[v] for t, v in zip(lookups, parts[1:-1]))
-                    first = seen.setdefault((parts[0], *key), line_no)
-                    if first != line_no:
-                        raise ValueError(
-                            f"repeats the {parts[0]} record of line {first}")
-                    value = float(parts[-1])
-                    if not math.isfinite(value):
-                        raise ValueError(
-                            f"{parts[0]} probability {parts[-1]!r} is not finite"
-                        )
-                except KeyError as exc:
-                    raise ValueError(
-                        f"line {line_no}: unknown field {exc.args[0]!r}"
-                    ) from None
-                except ValueError as exc:
-                    raise ValueError(f"line {line_no}: {exc}") from None
-                tables[parts[0]][key] = value
-            missing = sum(int(np.isnan(t).sum()) for t in tables.values())
-            if missing:
-                raise ValueError(f"incomplete model file: {missing} records missing")
-            params = cls(vocab, tables["root"], tables["attach"], tables["stop"])
-            params.validate()
-            return params
+        lines = numbered_lines(path)
+        header = next(lines, (1, ""))[1].split()
+        if header[:2] != ["dmvparams", "1"]:
+            raise LineError(f"unrecognized model header {header!r}", 1)
+        vocab = tuple(next(lines, (2, ""))[1].split())
+        if vocab[:1] != ("vocab",) or len(vocab) < 2:
+            raise LineError("missing or empty vocab line", 2)
+        vocab = vocab[1:]
+        tag = {t: i for i, t in enumerate(vocab)}
+        if len(tag) < len(vocab):
+            dup = next(t for i, t in enumerate(vocab) if tag[t] != i)
+            raise LineError(f"vocab tag {dup!r} appears more than once", 2)
+        V = len(vocab)
+        # NaN marks a record not read yet.
+        tables = {"root": np.full(V, np.nan), "attach": np.full((V, 2, V), np.nan),
+                  "stop": np.full((V, 2, 2), np.nan)}
+        direction = {"left": LEFT, "right": RIGHT}
+        adj = {str(NO_CHILD): NO_CHILD, str(HAS_CHILD): HAS_CHILD}
+        key_fields = {
+            "root": (tag,), "attach": (tag, direction, tag),
+            "stop": (tag, direction, adj),
+        }
+
+        def read(kind, fields):
+            key = tuple(t[v] for t, v in zip(key_fields[kind], fields))
+            value = float(fields[-1])
+            if not math.isfinite(value):
+                raise ValueError(f"{kind} probability {fields[-1]!r} is not finite")
+            tables[kind][key] = value
+            return key
+
+        read_records(lines, {k: len(f) + 1 for k, f in key_fields.items()}, read)
+        missing = sum(int(np.isnan(t).sum()) for t in tables.values())
+        if missing:
+            raise ValueError(f"incomplete model file: {missing} records missing")
+        params = cls(vocab, tables["root"], tables["attach"], tables["stop"])
+        params.validate()
+        return params
 
 
 # ---------------------------------------------------------------------------

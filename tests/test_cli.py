@@ -19,7 +19,7 @@ from conftest import CONLLU_SAMPLE
 from oracles import UPOS_TAGS, random_corpus, random_dmv_params
 
 import jointdep
-from jointdep import cli, trainer
+from jointdep import cli, cmst, trainer
 from jointdep.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, load_config, run
 from jointdep.corpus import DepTree, parse_conllu, read_conllu, write_conllu_file
 from jointdep.cmst import CmstModel
@@ -369,14 +369,14 @@ def test_train_rejects_unknown_init_in_every_mode(
 def test_train_rejects_removed_step_settings(tmp_path, train_file, capsys, setting):
     # Agreement decoding takes Polyak steps only and ends on the best tree it
     # found: the step schedule and fallback settings are gone, and a config
-    # file naming one is a usage error.
+    # file naming one is a data error on its line.
     config = tmp_path / "train.cfg"
     config.write_text(setting + "\n")
     rc = run(["train", "--config", str(config), "--train", str(train_file),
               "--out", str(tmp_path / "m")])
     err = capsys.readouterr().err
     key = setting.split("=")[0]
-    assert rc == EXIT_USAGE
+    assert rc == EXIT_DATA
     assert err == f"error: {config}:1: unknown config key {key!r}\n"
     assert not (tmp_path / "m").exists()
 
@@ -387,7 +387,7 @@ def test_config_naming_dd_max_iters_is_refused(
 ):
     # Joint decoding is exact and runs no iterations, so the setting of the
     # old iteration budget is gone, and a config file that still names it
-    # is a usage error on its line.
+    # is a data error on its line.
     config = tmp_path / "old.cfg"
     config.write_text("g_weight=1.0\ndd_max_iters=50\n")
     out = tmp_path / "out"
@@ -397,7 +397,7 @@ def test_config_naming_dd_max_iters_is_refused(
                   "--output", str(out)],
     }[command]
     rc = run([*args, "--config", str(config)])
-    assert rc == EXIT_USAGE
+    assert rc == EXIT_DATA
     assert capsys.readouterr().err == (
         f"error: {config}:2: unknown config key 'dd_max_iters'\n"
     )
@@ -557,8 +557,14 @@ def _tags(tags):
 
 
 @pytest.mark.parametrize("name, damage, message", [
-    pytest.param("dmv.txt", lambda lines: [], None, id="dmv-empty"),
-    pytest.param("dmv.txt", lambda lines: lines[:1], None, id="dmv-header-only"),
+    pytest.param(
+        "dmv.txt", lambda lines: [], "line 1: unrecognized model header []",
+        id="dmv-empty",
+    ),
+    pytest.param(
+        "dmv.txt", lambda lines: lines[:1], "line 2: missing or empty vocab line",
+        id="dmv-header-only",
+    ),
     pytest.param("dmv.txt", lambda lines: lines[:30], None, id="dmv-head-30"),
     pytest.param("dmv.txt", lambda lines: lines[:-1], None, id="dmv-last-missing"),
     pytest.param(
@@ -949,7 +955,7 @@ def test_loaders_load_or_raise_value_error(kind, data):
 # ---------------------------------------------------------------------------
 # Malformed input through the command line: a fixed, seeded set of damages
 # to each kind of input file. Every run ends with exit 0, or with one
-# `error:` line and exit 1 or 2, never with a traceback.
+# `error:` line and exit 2, never with a traceback.
 # ---------------------------------------------------------------------------
 
 _DAMAGES = ("cut", "field", "text", "repeat", "byte")
@@ -1032,8 +1038,84 @@ def test_malformed_input_gives_one_error_line(
             assert "Traceback" not in err, (damage, seed)
             errors = [line for line in err.splitlines() if line.startswith("error:")]
             assert len(errors) <= 1, (damage, seed, err)
-            assert rc == EXIT_OK or (rc in (EXIT_USAGE, EXIT_DATA) and errors), (
+            assert rc == EXIT_OK or (rc == EXIT_DATA and errors), (
                 damage, seed, rc, err)
             outcomes.add(rc)
     # The damages reach the loaders' refusals, not only harmless lines.
     assert outcomes - {EXIT_OK}
+
+
+_KINDS = ["dmv", "cmst", "rules", "config", "conllu"]
+
+
+def _text_inputs(tmp_path, train_file, model_dir):
+    """One file of each kind that the command line reads, with the argv of a
+    run that reads it."""
+    rules, config = tmp_path / "rules.txt", tmp_path / "parse.cfg"
+    conllu, out = tmp_path / "input.conllu", tmp_path / "out"
+    rules.write_text("# head dependent\nNOUN DET\n\nVERB NOUN\nROOT VERB\n")
+    config.write_text("max_ce_depth=1\n\ng_weight = 0.5  # a comment\nworkers=1\n")
+    shutil.copy(train_file, conllu)
+    parse = ["parse", "--model", str(model_dir), "--input", str(train_file),
+             "--output", str(out)]
+    return {
+        "dmv": (model_dir / "dmv.txt", [*parse, "--decoder", "dmv"]),
+        "cmst": (model_dir / "cmst.txt", [*parse, "--decoder", "cmst"]),
+        "rules": (rules, ["train", "--mode", "cmst-only", "--rules", str(rules),
+                          "--train", str(train_file), "--out", str(out)]),
+        "config": (config, [*parse, "--config", str(config)]),
+        "conllu": (conllu, [*parse[:3], "--input", str(conllu), *parse[5:]]),
+    }
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_non_utf8_byte_is_refused_on_its_line(
+    tmp_path, train_file, model_dir, capsys, kind
+):
+    # Every reader decodes line by line, so a byte that is not UTF-8 is
+    # named by its line, in the format of that reader's other errors.
+    path, argv = _text_inputs(tmp_path, train_file, model_dir)[kind]
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2][:2] + b"\xff" + lines[2][2:]
+    path.write_bytes(b"\n".join(lines))
+    assert run(argv) == EXIT_DATA
+    where = {"config": f"{path}:3: ", "conllu": f"{path}: line 3: "}.get(
+        kind, "line 3: ")
+    assert capsys.readouterr().err == f"error: {where}not UTF-8 text\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_crlf_file_loads_as_its_lf_copy(tmp_path, train_file, model_dir, kind):
+    # "\r\n" line endings read as "\n": the same corpus, tables, weights,
+    # rules or settings, and the same run.
+    path, argv = _text_inputs(tmp_path, train_file, model_dir)[kind]
+    load = {
+        "dmv": DmvParams.load, "cmst": CmstModel.load,
+        "rules": cmst.load_rules, "config": lambda p: load_config(str(p), {}),
+        "conllu": read_conllu,
+    }[kind]
+
+    def loaded():
+        value = load(path)
+        if kind in ("dmv", "cmst"):
+            return {k: v.tolist() if isinstance(v, np.ndarray) else v
+                    for k, v in vars(value).items()}
+        return value
+
+    def written():
+        assert run(argv) == EXIT_OK
+        out = tmp_path / "out"
+        files = sorted(out.rglob("*")) if out.is_dir() else [out]
+        data = {p.relative_to(out): p.read_bytes() for p in files if p.is_file()}
+        if out.is_dir():
+            shutil.rmtree(out)
+        else:
+            out.unlink()
+        return data
+
+    lf = loaded(), written()
+    text = path.read_bytes()
+    assert b"\r" not in text
+    path.write_bytes(text.replace(b"\n", b"\r\n"))
+    assert (loaded(), written()) == lf
