@@ -318,10 +318,10 @@ class CmstModel:
 # with k = l..r-1, so the spans of one width from every sentence of a batch,
 # of any lengths, stack into one (spans, m) candidate array with no padding.
 #
-# A plan takes about 10 bytes per n^3 of the sentences it covers, so a batch
+# A plan takes about 7.6 bytes per n^3 of the sentences it covers, so a batch
 # is decoded in passes of at most _PASS_CUBES: each pass's plan stays under
-# about 2.7 MB (a longer sentence gets a pass of its own), and the 8 cached
-# plans under about 21 MB, however large the corpus. Compiling a plan takes
+# about 2.0 MB (a longer sentence gets a pass of its own), and the 8 cached
+# plans under about 16 MB, however large the corpus. Compiling a plan takes
 # about twice as long as one pass over it, so passes that fall out of the
 # cache still cost far less than a cell-by-cell chart.
 _PASS_CUBES = 1 << 18
@@ -333,10 +333,11 @@ class _EisnerPlan:
 
     layout: ArcLayout          # of the costs and of the charts
     # Per width m = 1, 2, ...: the (2, spans) target cells [r, l] and [l, r]
-    # of every span, the (spans, m) candidate indices of the two operands of
-    # I, the (2, spans, m) ones of the two operands of C, the flat index of
-    # each target's first candidate, and its first split point or child: l
-    # for both I cells, l for C[r, l] and l + 1 for C[l, r].
+    # of every span, the (spans, m) candidate indices a and b of the two
+    # operands of I, the (2, spans, m) ones of C's operand C[c, x] (its I[h,
+    # c] are at b - 1 and a + 1), the flat index of each target's first
+    # candidate, and its first split point or child: l for both I cells, l
+    # for C[r, l] and l + 1 for C[l, r].
     widths: tuple[tuple[np.ndarray, ...], ...]
     root_cells: np.ndarray     # cost[0, c], C[c, 1], C[c, n], c = 1..n, per sentence
 
@@ -357,11 +358,10 @@ def _eisner_plan(ns: tuple[int, ...]) -> _EisnerPlan:
         r = l + m
         k = l + np.arange(m)  # split points
         tgt = (off + np.stack([r * s + l, l * s + r]))[..., 0]
-        ia = off + np.stack([r * s + k, l * s + k + 1])    # C: I[h, c]
         ib = off + np.stack([k * s + l, (k + 1) * s + r])  # C: C[c, x]
-        first = np.arange(0, ia.size, m).reshape(tgt.shape)
+        first = np.arange(0, ib.size, m).reshape(tgt.shape)
         base = np.stack([l, l + 1])[..., 0]
-        widths.append((tgt, off + l * s + k, off + r * s + k + 1, ia, ib, first, base))
+        widths.append((tgt, off + l * s + k, off + r * s + k + 1, ib, first, base))
     root_cells = [
         off + np.arange(1, n + 1) * np.array([[1], [n + 1], [n + 1]]) + [[0], [1], [n]]
         for n, off in zip(ns, layout.offsets)
@@ -405,17 +405,19 @@ def _eisner_pass(
     head of `costs`."""
     plan = _eisner_plan(ns)
     C = np.zeros(plan.layout.size)
-    I = np.zeros(plan.layout.size)
+    I_pad = np.zeros(plan.layout.size + 1)
+    I = I_pad[1:]  # so I[r, k] is I_pad[b] and I[l, k + 1] is I_pad[2:][a]
     back_C = np.zeros(plan.layout.size, dtype=np.int32)  # the child c of C[h, x]
     back_I = np.zeros(plan.layout.size, dtype=np.int32)  # the split point k of I[h, c]
-    for tgt, a, b, ia, ib, first, base in plan.widths:
+    for tgt, a, b, ib, first, base in plan.widths:
         cand = C[a]
         cand += C[b]
         j = cand.argmin(axis=1)
         I[tgt] = cand.ravel()[first[0] + j] + costs[tgt]
         back_I[tgt] = base[0] + j
-        cand = I[ia]
-        cand += C[ib]
+        cand = C[ib]
+        cand[0] += I_pad[b]
+        cand[1] += I_pad[2:][a]
         j = cand.argmin(axis=2)
         C[tgt] = cand.ravel()[first + j]
         back_C[tgt] = base + j
@@ -527,22 +529,22 @@ class _NestedRidge:
         self._d = d = lam + C
         fires = (np.array(coarse) < len(axes) - t._ROOT_BLOCKS)[:, None]
         self._g = g = np.where(fires, C, R)
-        # The root blocks come last and are 0.0 off the root cells, so `solve`
-        # scatters them from those cells alone.
-        self._split = split = len(coarse) - t._ROOT_BLOCKS
-        self._scatter = np.concatenate(
-            [self._pos[:split].ravel(), self._pos[split:, self._root].ravel()])
+        # The root blocks come last and are 0.0 off the root cells.
+        self._split = len(coarse) - t._ROOT_BLOCKS
         nP = sum(span[i].size for i in pair)
         k, nG, p = nP // (T * T), self._order.size - nP, len(pair)
-        pp, cg = np.zeros(nP * k), np.zeros((nP + nG) * nG)
+        # An entry's row and column each belong to one block, so a small
+        # bincount per block pair (i, j) sums its cells in the order of a
+        # full-width one.
+        pp, cg = np.zeros((nP, k)), np.zeros((nP + nG, nG))
         for i, row in enumerate(self._pos):
-            v = np.where(fires[i] & fires, C, R) - g[i] * g / d
-            key = row * nG + self._pos[p:] - nP
-            cg += np.bincount(key.ravel(), v[p:].ravel(), minlength=cg.size)
-            if i < p:
-                key = row * k + self._pos[:p] % k
-                pp += np.bincount(key.ravel(), v[:p].ravel(), minlength=pp.size)
-        cg = cg.reshape(nP + nG, nG)
+            for j in range(0 if i < p else p, len(coarse)):
+                v = (C if fires[i] & fires[j] else R) - g[i] * g[j] / d
+                out, col = (pp, self._pos[j] % k) if j < p else (cg, self._pos[j] - nP)
+                r0, c0 = row.min(), col.min()
+                h, wd = row.max() + 1 - r0, col.max() + 1 - c0
+                sums = np.bincount((row - r0) * wd + col - c0, v, minlength=h * wd)
+                out[r0:r0 + h, c0:c0 + wd] += sums.reshape(h, wd)
         spg = cg[:nP].reshape(T * T, k, nG)
         self._A = np.linalg.inv(pp.reshape(T * T, k, k) + lam * np.eye(k))
         self._Q = np.einsum("pij,pjg->pig", self._A, spg)
@@ -552,24 +554,28 @@ class _NestedRidge:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """w, given b."""
         cells, (pairs, k, nG) = self._d.size, self._Q.shape
-        root, g, split = self._root, self._g, self._split
+        g, split = self._g, self._split
         bR = np.zeros(cells)
-        bR[root] = b[cells:-1]
+        bR[self._root] = b[cells:-1]
         bf = b[:cells] + bR
-        # X'z less the fine weights' share, per block and cell.
+        # X'z less the fine weights' share, per block and cell, summed into
+        # the block's positions.
         q = bf / self._d
-        u = np.concatenate([
-            (bf - g[:split] * q).ravel(),
-            (bR[root] - g[split:, root] * q[root]).ravel(),
-        ])
-        rhs = np.bincount(self._scatter, u, minlength=pairs * k + nG)
+        rhs = np.zeros(pairs * k + nG)
+        for i, pos in enumerate(self._pos):
+            at = slice(None) if i < split else self._root  # 0.0 off the root cells
+            u = (bf if i < split else bR)[at] - g[i, at] * q[at]
+            rhs += np.bincount(pos[at], u, minlength=rhs.size)
         rp, rg = rhs[:-nG].reshape(pairs, k), rhs[-nG:]
         wg = np.einsum("ij,j", self._G, rg - np.einsum("pki,pk", self._Q, rp))
         wp = np.einsum("pij,pj->pi", self._A, rp)
         wp -= np.einsum("pki,i->pk", self._Q, wg)
         w = np.zeros(rhs.size + cells)
         w[self._order] = wc = np.concatenate([wp.ravel(), wg])
-        w[self._fine] = (bf - (g * wc[self._pos]).sum(axis=0)) / self._d
+        share = g[0] * wc[self._pos[0]]  # summed block by block, as sum(axis=0)
+        for gi, pos in zip(g[1:], self._pos[1:]):
+            share += gi * wc[pos]
+        w[self._fine] = (bf - share) / self._d
         return w
 
 
@@ -594,7 +600,8 @@ class FrankWolfeOptimizer:
         if corpus.N == 0:
             raise ValueError("cannot train on an empty corpus")
         self.model = model
-        self.layout, self._cls, self._V, self._n = _arc_terms(corpus.encoding, model)
+        self.layout, self._cls, V, self._n = _arc_terms(corpus.encoding, model)
+        self._V = V.astype(bool)  # the rule entries are 0/1: a byte per cell
         layout = self.layout
         self._ridge = _NestedRidge(
             model.templates, model.lam, np.bincount(self._cls, 1.0 / self._n))

@@ -233,9 +233,10 @@ def block_pairs(lengths: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
 
 def numbered_lines(path) -> Iterator[tuple[int, str]]:
     """Every line of the text file at `path`, numbered from 1, less its "\\n",
-    "\\r\\n" or "\\r" ending. A line that is not UTF-8 raises LineError: its
-    undecodable bytes read as lone surrogates, which UTF-8 text never holds."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+    "\\r\\n" or "\\r" ending, and the file less a leading byte-order mark. A
+    line that is not UTF-8 raises LineError: its undecodable bytes read as
+    lone surrogates, which UTF-8 text never holds."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as f:
         for line_no, line in enumerate(f, start=1):
             try:
                 line.encode("utf-8")

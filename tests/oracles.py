@@ -595,6 +595,77 @@ def ridge_reference(corpus, model, z):
     return splu(gram, permc_spec="MMD_AT_PLUS_A").solve(rhs), gram, rhs
 
 
+def nested_ridge_reference(t, lam, c):
+    """The factor and solve of `cmst._NestedRidge(t, lam, c)` built densely:
+    every block's coupling to every other summed by one full-width bincount
+    per block, and the right-hand side and the fine weights' share summed
+    over all blocks at once. The nested ridge must equal it in bytes.
+    Returns A, Q, G and solve(b), as `_NestedRidge` names them."""
+    from types import SimpleNamespace
+
+    from jointdep.cmst import _NUM_BINS, _spd_inverse
+
+    T, blocks, axes = t.T, t._blocks, t._BLOCK_AXES
+    pair = [i for i, a in enumerate(axes) if a[:2] == (True, True) and not a[3]]
+    coarse = pair + [i for i, a in enumerate(axes) if a[:2] != (True, True)]
+    grid = np.indices((T, T, 2, _NUM_BINS)).reshape(4, -1).T
+    idx = grid @ np.array([s for *_, s in blocks]).T + [off for _, off, _ in blocks]
+    fine = idx[:, axes.index((True,) * 4)]
+    root = np.flatnonzero((grid[:, 0] == 0) & (grid[:, 2] == 1))
+    span = [off + np.arange(math.prod(shape)) for shape, off, _ in blocks]
+    order = np.concatenate(
+        [np.concatenate([span[i].reshape(T * T, -1) for i in pair], 1).ravel()]
+        + [span[i] for i in coarse[len(pair):]])
+    where = np.empty(t.dimension, dtype=np.intp)
+    where[order] = np.arange(order.size)
+    pos = where[idx[:, coarse]].T
+    R = np.zeros(fine.size)
+    R[root] = c[fine.size:-1]
+    C = c[:fine.size] + R
+    d = lam + C
+    fires = (np.array(coarse) < len(axes) - t._ROOT_BLOCKS)[:, None]
+    g = np.where(fires, C, R)
+    split = len(coarse) - t._ROOT_BLOCKS
+    scatter = np.concatenate([pos[:split].ravel(), pos[split:, root].ravel()])
+    nP = sum(span[i].size for i in pair)
+    k, nG, p = nP // (T * T), order.size - nP, len(pair)
+    pp, cg = np.zeros(nP * k), np.zeros((nP + nG) * nG)
+    for i, row in enumerate(pos):
+        v = np.where(fires[i] & fires, C, R) - g[i] * g / d
+        key = row * nG + pos[p:] - nP
+        cg += np.bincount(key.ravel(), v[p:].ravel(), minlength=cg.size)
+        if i < p:
+            key = row * k + pos[:p] % k
+            pp += np.bincount(key.ravel(), v[:p].ravel(), minlength=pp.size)
+    cg = cg.reshape(nP + nG, nG)
+    spg = cg[:nP].reshape(T * T, k, nG)
+    A = np.linalg.inv(pp.reshape(T * T, k, k) + lam * np.eye(k))
+    Q = np.einsum("pij,pjg->pig", A, spg)
+    G = _spd_inverse(cg[nP:] + lam * np.eye(nG) - np.einsum("pki,pkj->ij", spg, Q))
+
+    def solve(b):
+        cells = d.size
+        bR = np.zeros(cells)
+        bR[root] = b[cells:-1]
+        bf = b[:cells] + bR
+        q = bf / d
+        u = np.concatenate([
+            (bf - g[:split] * q).ravel(),
+            (bR[root] - g[split:, root] * q[root]).ravel(),
+        ])
+        rhs = np.bincount(scatter, u, minlength=nP + nG)
+        rp, rg = rhs[:-nG].reshape(T * T, k), rhs[-nG:]
+        wg = np.einsum("ij,j", G, rg - np.einsum("pki,pk", Q, rp))
+        wp = np.einsum("pij,pj->pi", A, rp)
+        wp -= np.einsum("pki,i->pk", Q, wg)
+        w = np.zeros(rhs.size + cells)
+        w[order] = wc = np.concatenate([wp.ravel(), wg])
+        w[fine] = (bf - (g * wc[pos]).sum(axis=0)) / d
+        return w
+
+    return SimpleNamespace(A=A, Q=Q, G=G, solve=solve)
+
+
 def fw_run_reference(corpus, model, iters, trees=None):
     """Frank-Wolfe training of `model` on `corpus` as a loop over
     per-sentence matrices: the reference for `cmst.FrankWolfeOptimizer`,

@@ -1,3 +1,4 @@
+import codecs
 import concurrent.futures
 import functools
 import io
@@ -1085,10 +1086,10 @@ def test_non_utf8_byte_is_refused_on_its_line(
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("kind", _KINDS)
-def test_crlf_file_loads_as_its_lf_copy(tmp_path, train_file, model_dir, kind):
-    # "\r\n" line endings read as "\n": the same corpus, tables, weights,
-    # rules or settings, and the same run.
+def _assert_loads_as_before(tmp_path, train_file, model_dir, kind, edit):
+    """The file of `kind`, its bytes edited by `edit`, loads to the same
+    corpus, tables, weights, rules or settings, and the run that reads it
+    writes the same bytes."""
     path, argv = _text_inputs(tmp_path, train_file, model_dir)[kind]
     load = {
         "dmv": DmvParams.load, "cmst": CmstModel.load,
@@ -1114,8 +1115,27 @@ def test_crlf_file_loads_as_its_lf_copy(tmp_path, train_file, model_dir, kind):
             out.unlink()
         return data
 
-    lf = loaded(), written()
-    text = path.read_bytes()
-    assert b"\r" not in text
-    path.write_bytes(text.replace(b"\n", b"\r\n"))
-    assert (loaded(), written()) == lf
+    before = loaded(), written()
+    path.write_bytes(edit(path.read_bytes()))
+    assert (loaded(), written()) == before
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_crlf_file_loads_as_its_lf_copy(tmp_path, train_file, model_dir, kind):
+    # "\r\n" line endings read as "\n".
+    def crlf(text):
+        assert b"\r" not in text
+        return text.replace(b"\n", b"\r\n")
+
+    _assert_loads_as_before(tmp_path, train_file, model_dir, kind, crlf)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_bom_file_reads_as_unmarked(tmp_path, train_file, model_dir, kind):
+    # A leading UTF-8 byte-order mark, as some editors write, is not read as
+    # part of the first line.
+    def bom(text):
+        assert not text.startswith(codecs.BOM_UTF8)
+        return codecs.BOM_UTF8 + text
+
+    _assert_loads_as_before(tmp_path, train_file, model_dir, kind, bom)

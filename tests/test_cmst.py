@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from oracles import (
     flat_costs,
     fw_run_reference,
     make_sentence,
+    nested_ridge_reference,
     price_matrix,
     random_corpus,
     ridge_reference,
@@ -467,6 +470,83 @@ def test_ridge_solve_equals_superlu_reference(rng, lam):
         assert np.linalg.norm(gram @ w - rhs) <= 1e-10 * np.linalg.norm(rhs)
     opt.fit_trees(trees)
     assert m.w.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("vocab_size", [1, 4, 9, 17])
+def test_nested_ridge_equals_dense_reference_in_bytes(rng, vocab_size):
+    # The block-by-block factor and solve give the bytes of the dense one
+    # (`nested_ridge_reference`) at T = 3 to 19, for several lambda and for
+    # right-hand sides of a corpus (zero on its unseen classes) and random
+    # ones. The corpora draw from more tags than the template has, so cells
+    # of UNK and unused cells are both present.
+    vocab = UPOS_TAGS[:vocab_size]
+    c = random_corpus(rng, UPOS_TAGS[:vocab_size + 2], 40, max_len=9, min_len=1)
+    m = CmstModel.create(vocab)
+    opt = FrankWolfeOptimizer(c, m)
+    sums = np.bincount(opt._cls, 1.0 / opt._n)
+    for lam in (1e-3, 0.7, 50.0):
+        got = cmst._NestedRidge(m.templates, lam, sums)
+        want = nested_ridge_reference(m.templates, lam, sums)
+        for name in ("A", "Q", "G"):
+            assert getattr(got, "_" + name).tobytes() == getattr(want, name).tobytes()
+        for b in (np.bincount(opt._cls, rng.normal(size=opt._Y.size) / opt._n,
+                              minlength=sums.size),
+                  rng.normal(size=sums.size) * 10.0 ** rng.integers(-6, 6, sums.size)):
+            assert got.solve(b).tobytes() == want.solve(b).tobytes()
+
+
+def _traced(f):
+    """f()'s result, the bytes it holds and its peak above what was held
+    before the call, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = f()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak
+
+
+def test_nested_ridge_builds_and_solves_block_by_block(rng):
+    # At T = 19 (5,054 cells) the factor is built one block pair at a time
+    # and the solve one block at a time. Measured: a build peaks at 3.16 MB
+    # and a solve at 0.32 MB; the dense build and solve of
+    # `nested_ridge_reference` peaked at 3.89 and 0.81 MB.
+    c = random_corpus(rng, UPOS_TAGS, 40, max_len=9)
+    m = CmstModel.create(UPOS_TAGS)
+    opt = FrankWolfeOptimizer(c, m)
+    sums = np.bincount(opt._cls, 1.0 / opt._n)
+    b = np.bincount(opt._cls, opt._Y / opt._n, minlength=sums.size)
+    assert m.templates.T == 19
+    ridge, _, build = _traced(lambda: cmst._NestedRidge(m.templates, 1.0, sums))
+    ridge.solve(b)
+    _, _, solve = _traced(lambda: ridge.solve(b))
+    assert build <= 3.4e6
+    assert solve <= 0.45e6
+
+
+def test_eisner_plan_holds_under_8_bytes_per_cube():
+    # A plan of train-cmst's lengths (3-15, 12 each) holds 7.70 bytes per
+    # n^3 of its sentences: C's I operands are read at the I candidates'
+    # indices, which it keeps, rather than at indices of their own (10.35).
+    ns = tuple(range(3, 16)) * 12
+    cmst._eisner_plan.__wrapped__(ns)
+    plan, held, _ = _traced(lambda: cmst._eisner_plan.__wrapped__(ns))
+    assert len(plan.widths) == 14
+    assert held <= 8.0 * sum(n**3 for n in ns)
+
+
+def test_fw_state_bytes_per_arc_cell(rng):
+    # After set-up, Frank-Wolfe holds 63.3 bytes per arc cell of 1,300
+    # sentences of lengths 3-15, its ridge factor included: the rule entries
+    # are a byte per cell (with float64 ones, 72.0).
+    c = random_corpus(rng, UPOS_TAGS, 1300, max_len=15, min_len=3)
+    m = CmstModel.create(c.pos_vocab)
+    FrankWolfeOptimizer(c, m)
+    opt, held, _ = _traced(lambda: FrankWolfeOptimizer(c, m))
+    assert opt._V.dtype == bool
+    assert held <= 65.0 * opt.layout.size
 
 
 def test_fw_large_lambda_kills_weights(rng):
