@@ -283,7 +283,7 @@ def run(argv) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ValueError, KeyError, OSError, dmv.InfeasibleParseError) as exc:
+    except (DataError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

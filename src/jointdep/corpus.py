@@ -247,7 +247,7 @@ def numbered_lines(path) -> Iterator[tuple[int, str]]:
 
 def read_records(lines: Iterable[tuple[int, str]], arity: dict, read) -> dict:
     """Read the records of `lines`, (line number, text) pairs, blank ones
-    skipped: a kind and `arity[kind]` fields (None: any), split on
+    ignored: a kind and `arity[kind]` fields (None: any), split on
     whitespace. read(kind, fields) reads one and returns its key, and each
     (kind, key) may be read once. Returns the line of each (kind, key).
     Every error, a ValueError or KeyError (an unknown field) from `read`
@@ -277,7 +277,7 @@ def read_records(lines: Iterable[tuple[int, str]], arity: dict, read) -> dict:
 def parse_conllu(stream: Iterable[str]) -> Corpus:
     """Parse CoNLL-U text into a Corpus.
 
-    Multiword-token ranges ("1-2") and empty nodes ("1.1") are skipped.
+    Multiword-token ranges ("1-2") and empty nodes ("1.1") are ignored.
     Column 4 supplies the UPOS tag, which must be one non-empty word, and
     column 7 the gold head when numeric.
     """

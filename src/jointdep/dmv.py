@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import ArcLayout, Corpus, DepTree, Encoding, block_pairs, ranges
+from .corpus import Corpus, DepTree, Encoding, block_pairs, ranges
 from .corpus import LineError, numbered_lines, read_records
 
 LEFT, RIGHT = 0, 1
@@ -90,16 +90,24 @@ class DmvParams:
         return len(self.vocab)
 
     def validate(self, tol: float = 1e-12) -> None:
+        """Raise ValueError unless each distribution sums to one within `tol`
+        and gives every outcome some probability: root and attach entries in
+        (0, 1], stop entries in (0, 1). So every sentence has a tree under any
+        depth cap: its chain tree, which has depth 0."""
         if not math.isclose(self.root.sum(), 1.0, abs_tol=tol):
             raise ValueError(f"root distribution sums to {float(self.root.sum())!r}")
         sums = self.attach.sum(axis=2)
         if not np.allclose(sums, 1.0, atol=tol, rtol=0.0):
             raise ValueError("attach distributions do not sum to one")
-        for name, table in (
-            ("root", self.root), ("attach", self.attach), ("stop", self.stop)
+        for name, table, ok, interval in (
+            ("root", self.root, self.root <= 1.0 + tol, "(0, 1]"),
+            ("attach", self.attach, self.attach <= 1.0 + tol, "(0, 1]"),
+            ("stop", self.stop, self.stop < 1.0, "(0, 1)"),
         ):
-            if np.any(table < -tol) or np.any(table > 1.0 + tol):
-                raise ValueError(f"{name} probabilities outside [0, 1]")
+            ok &= table > 0
+            if not ok.all():
+                raise ValueError(
+                    f"{name} probability {float(table[~ok][0])!r} outside {interval}")
 
     def log_weights(self) -> np.ndarray:
         wi = _WeightIndex(self.V)
@@ -720,27 +728,13 @@ def decode_group(
     cfg: ConstraintConfig,
     prices: np.ndarray | None = None,
     layouts: dict | None = None,
-) -> tuple[list[DepTree], list[bool]]:
+) -> list[DepTree]:
     """Best tree of each row of `enc` under the grammar's score minus the
     `prices` of its arcs, flat in the `ArcLayout` of the rows (none: zero),
-    as decoded alone, and whether its depth cap was lifted: the rows with
-    no tree under the cap are decoded again without it, as a group of their
-    own, since finite prices cannot make them feasible. `layouts`: see `_charts`."""
-    cap, beta = cfg.max_ce_depth, cfg.dep_len_beta
-    s, _, score = _charts(enc, theta, cap, beta, prices, layouts)
-    trees = viterbi_batch(s, score)
-    lifted = [heads is None for heads, _ in trees]
-    if any(lifted) and cap is not None:
-        rows = [i for i, lift in enumerate(lifted) if lift]
-        if prices is not None:
-            offsets = ArcLayout(enc.lengths).offsets
-            prices = np.concatenate([prices[offsets[i]:offsets[i + 1]] for i in rows])
-        s, _, score = _charts(enc.rows(rows), theta, None, beta, prices, layouts)
-        for i, tree in zip(rows, viterbi_batch(s, score)):
-            trees[i] = tree
-    if any(heads is None for heads, _ in trees):
-        raise InfeasibleParseError()
-    return [DepTree(heads) for heads, _ in trees], lifted
+    as decoded alone. Every row has one under a strictly positive grammar
+    (see `DmvParams.validate`) and finite prices. `layouts`: see `_charts`."""
+    s, _, score = _charts(enc, theta, cfg.max_ce_depth, cfg.dep_len_beta, prices, layouts)
+    return [DepTree(heads) for heads, _ in viterbi_batch(s, score)]
 
 
 def em_step(
@@ -748,13 +742,12 @@ def em_step(
     theta: DmvParams,
     cfg: ConstraintConfig,
     smoothing: float = 0.0,
-    diagnostics: dict | None = None,
     layouts: dict | None = None,
 ) -> tuple[DmvParams, float]:
     """One EM iteration; returns new parameters and the pre-step log likelihood.
 
-    Sentences whose constrained marginal is zero are skipped and tallied in
-    `diagnostics["skipped"]` when a dict is supplied. `layouts`: see `_charts`.
+    A sentence whose constrained marginal is zero, which only a grammar with
+    zero probabilities can give, adds nothing. `layouts`: see `_charts`.
     """
     # The last entry takes the unit slot's mass.
     counts = np.zeros(_WeightIndex(theta.V).size + 1)
@@ -767,10 +760,7 @@ def em_step(
         counts += _expected_counts(s, score, slot_refs, vals, counts.size)
     # Added in corpus order, so that the grouping cannot move its bits.
     total = functools.reduce(float.__add__, logz[logz > NEG_INF].tolist(), 0.0)
-    if diagnostics is not None:
-        diagnostics["skipped"] = int((logz == NEG_INF).sum())
-    new = _params_from_counts(theta, counts[:-1], smoothing)
-    return new, total
+    return _params_from_counts(theta, counts[:-1], smoothing), total
 
 
 def _params_from_counts(

@@ -62,7 +62,7 @@ def directed_accuracy(
     """Fraction of scored tokens whose predicted head matches the gold head.
 
     Punctuation tokens are not scored when exclude_punct; sentences longer
-    than max_len are skipped.  Both the max_len slice and the <=15 slice are
+    than max_len are left out.  Both the max_len slice and the <=15 slice are
     reported.
     """
     if max_len < 1:

@@ -46,9 +46,10 @@ class TrainConfig:
             raise ValueError("extra_separate_iters must be >= 0")
         if self.em_pretrain_iters < 0 or self.fw_pretrain_iters < 0:
             raise ValueError("em_pretrain_iters and fw_pretrain_iters must be >= 0")
-        if not 0 <= self.mstep_smoothing < math.inf:
+        # Above 0 every EM and tree M-step gives every event some probability.
+        if not 0 < self.mstep_smoothing < math.inf:
             raise ValueError(
-                f"mstep_smoothing must be finite and >= 0, got {self.mstep_smoothing}"
+                f"mstep_smoothing must be finite and > 0, got {self.mstep_smoothing}"
             )
         # Below 0 the ridge re-solve would raise g * G at the decoded trees.
         if not 0 <= self.g_weight < math.inf:
@@ -85,14 +86,11 @@ class TrainState:
 
 def _em(c: Corpus, theta: dmv.DmvParams, cfg: TrainConfig, iters: int,
         layouts: dict | None = None) -> dmv.DmvParams:
-    """`iters` unsmoothed EM iterations from `theta`, on the run's chart
-    `layouts` (see `dmv._charts`), or on their own."""
-    diag: dict = {}
+    """`iters` MAP-EM iterations from `theta`, smoothed by cfg.mstep_smoothing,
+    on the run's chart `layouts` (see `dmv._charts`), or on their own."""
     layouts = {} if layouts is None else layouts
-    for i in range(iters):
-        theta, _ = dmv.em_step(c, theta, cfg.constraint, 0.0, diag, layouts)
-        if diag["skipped"]:
-            log.info("EM iter %d: skipped %d infeasible sentences", i, diag["skipped"])
+    for _ in range(iters):
+        theta, _ = dmv.em_step(c, theta, cfg.constraint, cfg.mstep_smoothing, layouts)
     return theta
 
 
@@ -128,31 +126,31 @@ def train_baseline_d_init(c: Corpus, cfg: TrainConfig) -> TrainState:
 # ---------------------------------------------------------------------------
 
 def _decode_worker(args, batch: list[list[int]], layouts: dict | None = None) -> list:
-    """(sentence, tree, lifted) of each sentence of the groups of `batch`
-    under `args`, on the charts `layouts` (see `dmv._charts`), or on the
-    batch's own. G is linear on 0/1 trees, so `cmst.arc_costs` price arcs."""
+    """(sentence, tree) of each sentence of the groups of `batch` under
+    `args`, on the charts `layouts` (see `dmv._charts`), or on the batch's
+    own. G is linear on 0/1 trees, so `cmst.arc_costs` price arcs."""
     enc, theta, constraint, model, g_weight = args
     layouts = {} if layouts is None else layouts
     out = []
     for group in batch:
         xs = enc.rows(group)
         prices = None if model is None else g_weight * cmst.arc_costs(xs, model)
-        out += zip(group, *dmv.decode_group(xs, theta, constraint, prices, layouts))
+        out += zip(group, dmv.decode_group(xs, theta, constraint, prices, layouts))
     return out
 
 
 def _decode_all(
     c: Corpus, state: TrainState, cfg: TrainConfig, decoder: str = "dd",
     layouts: dict | None = None,
-) -> tuple[list[DepTree], list[bool]]:
-    """Each sentence of `c`'s tree, and whether its depth cap was lifted,
-    decoded one `dmv.length_groups` group per call: jointly ("dd"), the
-    grammar's Viterbi priced by g_weight times `cmst.arc_costs`, which is
-    the exact minimum of F + G, or by the grammar alone ("dmv"). A
-    sentence's result does not depend on its group, so neither the grouping
-    nor `cfg.workers` can change it. The charts are the run's `layouts` on
-    one worker. Otherwise a run of groups of equal lengths is cut into a
-    batch per worker, which compiles their layout and drops it at its end."""
+) -> list[DepTree]:
+    """Each sentence of `c`'s tree, decoded one `dmv.length_groups` group
+    per call: jointly ("dd"), the grammar's Viterbi priced by g_weight times
+    `cmst.arc_costs`, which is the exact minimum of F + G, or by the grammar
+    alone ("dmv"). A sentence's result does not depend on its group, so
+    neither the grouping nor `cfg.workers` can change it. The charts are the
+    run's `layouts` on one worker. Otherwise a run of groups of equal
+    lengths is cut into a batch per worker, which compiles their layout and
+    drops it at its end."""
     model = state.model if decoder == "dd" else None
     args = (c.encoding, state.theta, cfg.constraint, model, cfg.g_weight)
     n, w = c.encoding.lengths, cfg.workers
@@ -167,10 +165,9 @@ def _decode_all(
     else:
         decoded = [_decode_worker(args, batch, layouts) for batch in batches]
     trees: list = [None] * c.N
-    lifted = [False] * c.N
-    for i, tree, lift in itertools.chain(*decoded):
-        trees[i], lifted[i] = tree, lift
-    return trees, lifted
+    for i, tree in itertools.chain(*decoded):
+        trees[i] = tree
+    return trees
 
 
 def joint_objective(
@@ -200,7 +197,7 @@ def joint_train(c: Corpus, cfg: TrainConfig, checkpoint_dir=None) -> TrainState:
     opt = state.optimizer
     prev_heads = None
     for it in range(1, cfg.outer_iters + 1):
-        trees, lifted = _decode_all(c, state, cfg, layouts=layouts)
+        trees = _decode_all(c, state, cfg, layouts=layouts)
         j_before = joint_objective(c, state, cfg, trees)
 
         state.theta = dmv.mstep_from_trees(c, trees, cfg.mstep_smoothing)
@@ -218,7 +215,7 @@ def joint_train(c: Corpus, cfg: TrainConfig, checkpoint_dir=None) -> TrainState:
 
         state.trees = trees
         state.iteration = it
-        state.stats = {"cap_lifted": sum(lifted), "joint_objective": j_after}
+        state.stats = {"joint_objective": j_after}
         if checkpoint_dir is not None:
             state.save(Path(checkpoint_dir) / f"iter{it:03d}", c)
             # The header comes with the first row; each iteration appends one.
@@ -226,8 +223,8 @@ def joint_train(c: Corpus, cfg: TrainConfig, checkpoint_dir=None) -> TrainState:
                       newline="") as f:
                 wr = csv.writer(f, lineterminator="\n")
                 if it == 1:
-                    wr.writerow(["iteration", "joint_objective", "cap_lifted"])
-                wr.writerow([it, "%.12g" % j_after, state.stats["cap_lifted"]])
+                    wr.writerow(["iteration", "joint_objective"])
+                wr.writerow([it, "%.12g" % j_after])
         heads = tuple(t.heads for t in trees)
         if heads == prev_heads:
             log.info("decoded trees unchanged at iteration %d; stopping", it)
@@ -268,5 +265,5 @@ def decode_corpus(c: Corpus, state: TrainState, cfg: TrainConfig | None = None,
         trees = cmst.eisner_min(enc.lengths, cmst.arc_costs(enc, state.model))
         return [DepTree(heads) for heads, _ in trees]
     if decoder in ("dmv", "dd"):
-        return _decode_all(c, state, cfg, decoder)[0]
+        return _decode_all(c, state, cfg, decoder)
     raise ValueError(f"unknown decoder {decoder!r}")

@@ -228,26 +228,6 @@ def init_params_reference(c, mode="harmonic"):
     return DmvParams(vocab, root, attach, stop)
 
 
-def flat_grammar():
-    """A grammar whose only parse of B...B C is the flat tree under C: the
-    root is C, C takes one or more left children, all B, and A and B take
-    none. Every B but the first lies strictly inside C's span, so from two
-    Bs on the parse has nesting depth 1 and cap 0 is infeasible."""
-    from jointdep.dmv import DmvParams
-
-    vocab = ("A", "B", "C")
-    V = 3
-    root = np.array([0.0, 0.0, 1.0])  # root must be C
-    attach = np.zeros((V, 2, V))
-    attach[2, :, 1] = 1.0  # C only ever attaches B
-    attach[1, :, 0] = 1.0
-    attach[0, :, 0] = 1.0
-    stop = np.ones((V, 2, 2))  # A and B never take children
-    stop[2, 0, 0] = 0.0  # C must take a first left child
-    stop[2, 0, 1] = 0.5  # and may keep taking more
-    return DmvParams(vocab, root, attach, stop)
-
-
 # ---------------------------------------------------------------------------
 # Scalar reference for the batched Eisner chart
 # ---------------------------------------------------------------------------

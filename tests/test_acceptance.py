@@ -265,12 +265,12 @@ def test_criterion_7_normalization_and_structure(rng):
             cap_violations += 1
         decodes += 1
         if decodes % 4 == 0:
-            [tree], [lifted] = trainer._decode_all(
+            [tree] = trainer._decode_all(
                 Corpus((x,), VOCAB), trainer.TrainState(theta_i, m),
                 trainer.TrainConfig(constraint=cfg),
             )
             d = span_nesting_depth(tree.heads)
-            if cap is not None and not lifted and d > cap:
+            if cap is not None and d > cap:
                 cap_violations += 1
             decodes += 1
     ok = norm_err < 1e-12 and cap_violations == 0

@@ -333,6 +333,7 @@ def test_train_rejects_nonpositive_lambda(tmp_path, train_file, capsys):
 
 @pytest.mark.parametrize("setting", [
     "g_weight=nan", "g_weight=inf", "g_weight=-1", "mstep_smoothing=-0.5",
+    "mstep_smoothing=0",
     "em_pretrain_iters=-1", "fw_pretrain_iters=-1",
     "workers=0",
 ])
@@ -538,14 +539,18 @@ def _parse(model, input_file, output, decoder="dd", *flags):
     ])
 
 
-def _negative_root(lines):
-    """Root probabilities -1, 1, 1: they sum to one, but one is negative."""
-    values = iter(("-1", "1", "1"))
-    return [
-        f"root {line.split()[1]} {next(values)}" if line.startswith("root ")
-        else line
-        for line in lines
-    ]
+def _values(prefix, *values):
+    """Damage to dmv.txt: the first records that start with `prefix` given
+    `values`, in file order."""
+    def damage(lines):
+        new = iter(values)
+        return [
+            f"{line.rsplit(' ', 1)[0]} {v}"
+            if line.startswith(prefix) and (v := next(new, None)) is not None
+            else line
+            for line in lines
+        ]
+    return damage
 
 
 def _tags(tags):
@@ -576,7 +581,19 @@ def _tags(tags):
         "dmv.txt", lambda lines: lines[:-1] + [lines[-1].replace("VERB", "ADJ")],
         None, id="dmv-unknown-tag",
     ),
-    pytest.param("dmv.txt", _negative_root, None, id="dmv-negative-root"),
+    # Root probabilities -1, 1, 1: they sum to one, but one is negative.
+    pytest.param("dmv.txt", _values("root ", "-1", "1", "1"), None,
+                 id="dmv-negative-root"),
+    # A strictly positive grammar only: no probability 0, and no stop
+    # probability 1, whose continuing probability is 0.
+    pytest.param("dmv.txt", _values("root ", "0", "0.5", "0.5"),
+                 "root probability 0.0 outside (0, 1]", id="dmv-root-zero"),
+    pytest.param("dmv.txt", _values("attach NOUN right ", "0.5", "0.5", "0"),
+                 "attach probability 0.0 outside (0, 1]", id="dmv-attach-zero"),
+    pytest.param("dmv.txt", _values("stop VERB left 1 ", "0"),
+                 "stop probability 0.0 outside (0, 1)", id="dmv-stop-zero"),
+    pytest.param("dmv.txt", _values("stop DET right 0 ", "1"),
+                 "stop probability 1.0 outside (0, 1)", id="dmv-stop-one"),
     pytest.param("cmst.txt", lambda lines: lines[:1], None, id="cmst-header-only"),
     pytest.param("cmst.txt", lambda lines: lines + ["w 3"], None, id="cmst-short-w"),
     pytest.param(

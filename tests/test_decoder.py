@@ -13,8 +13,6 @@ from oracles import (
     all_projective_trees,
     dd_decode_reference,
     extract_features,
-    flat_grammar,
-    inside_loglik,
     make_sentence,
     random_corpus,
     random_dmv_params,
@@ -41,17 +39,11 @@ def _joint_objective(x, tree, theta, cfg, m, g_weight=1.0):
 
 
 def _decode(xs, theta, cfg, m, g_weight=1.0):
-    """(tree, depth cap lifted) of each sentence of `xs` by the exact joint
-    decode, in the trainer's length groups, as training and
-    `parse --decoder dd` run it."""
+    """The tree of each sentence of `xs` by the exact joint decode, in the
+    trainer's length groups, as training and `parse --decoder dd` run it."""
     state = trainer.TrainState(theta, m)
     tcfg = trainer.TrainConfig(constraint=cfg, g_weight=g_weight)
-    trees, lifted = trainer._decode_all(Corpus(tuple(xs), theta.vocab), state, tcfg)
-    return list(zip(trees, lifted))
-
-
-def _uncapped(cfg, lifted):
-    return ConstraintConfig(None, cfg.dep_len_beta) if lifted else cfg
+    return trainer._decode_all(Corpus(tuple(xs), theta.vocab), state, tcfg)
 
 
 def test_single_token_converges_immediately(rng):
@@ -59,7 +51,7 @@ def test_single_token_converges_immediately(rng):
     x = make_sentence(["NOUN"])
     theta = random_dmv_params(rng, vocab)
     m = CmstModel.create(vocab)
-    assert _decode([x], theta, UNCONSTRAINED, m) == [(DepTree((0,)), False)]
+    assert _decode([x], theta, UNCONSTRAINED, m) == [DepTree((0,))]
     res = dd_decode_reference(x, theta, UNCONSTRAINED, m, 50)
     assert res.converged
     assert res.iterations == 1
@@ -85,17 +77,16 @@ def test_certified_tree_is_a_brute_force_optimum(rng, cap, g_weight):
         theta = random_dmv_params(rng, vocab)
         m = CmstModel.create(vocab, mu=float(rng.uniform(0, 1)))
         m.w = rng.normal(scale=1.0, size=m.w.shape)
-        [(tree, lifted)] = _decode([x], theta, cfg, m, g_weight)
+        [tree] = _decode([x], theta, cfg, m, g_weight)
         res = dd_decode_reference(x, theta, cfg, m, 50, g_weight)
-        assert lifted == res.relaxed_depth_cap
-        cfg_x = _uncapped(cfg, lifted)
+        assert not res.relaxed_depth_cap
         v = oracles.rule_vector_reference(x, m.rules)
         q = oracles.extract_features_reference(x, m.templates) @ m.w
         q = q.reshape(v.shape)
 
         def cost(tree):
             g = oracles.tree_loss(tree_matrix(tree), q, v, m.mu)
-            return -tree_logprob(x, tree, theta, cfg_x) + g_weight * g
+            return -tree_logprob(x, tree, theta, cfg) + g_weight * g
 
         best = min(c for c in map(cost, all_projective_trees(n)) if math.isfinite(c))
         shared = g_weight * float(np.vdot(q, q)) / (2 * n)
@@ -141,31 +132,13 @@ def test_uncertified_tree_is_the_best_grammar_tree_visited(rng, monkeypatch):
         assert len(visited) == k
         best = min(_joint_objective(x, DepTree(h), theta, cfg, m) for h in visited)
         assert _joint_objective(x, res.tree, theta, cfg, m) == best
-        [(tree, _)] = _decode([x], theta, cfg, m)
+        [tree] = _decode([x], theta, cfg, m)
         rounding = 1e-12 * (1 + abs(best))
         assert _joint_objective(x, tree, theta, cfg, m) <= best + rounding
     assert uncertified >= 10
 
 
-# Under `_lifting_grammar` each of these has several trees, none of them
-# under cap 0.
-LIFTED_TAGS = ("BBCC", "BCBBCC", "BCBBBC", "BBBCBC", "BBBCCC", "BCBBC", "BBCCC")
-
-
-def _lifting_grammar(rng):
-    """A random grammar over A B C in which only C roots, B takes no
-    dependents, C takes no A and at least one left dependent."""
-    p = random_dmv_params(rng, ("A", "B", "C"))
-    root = np.array([0.0, 0.0, 1.0])
-    attach, stop = p.attach.copy(), p.stop.copy()
-    attach[2, :, 0] = 0.0
-    attach[2] /= attach[2].sum(axis=1, keepdims=True)
-    stop[1] = 1.0
-    stop[2, dmv.LEFT, dmv.NO_CHILD] = 0.0
-    return dmv.DmvParams(p.vocab, root, attach, stop)
-
-
-@pytest.mark.parametrize("kind", ["capped", "lifted"])
+@pytest.mark.parametrize("kind", ["capped", "uncapped"])
 def test_no_dual_value_exceeds_the_exact_cost(rng, kind):
     # On 0/1 trees G is linear, so the grammar's Viterbi priced by g_weight
     # times `cmst.arc_costs` minimizes F + G exactly: no dual value of the
@@ -173,28 +146,22 @@ def test_no_dual_value_exceeds_the_exact_cost(rng, kind):
     # certifies costs the same, within its gap. P, like the reference's
     # bounds, leaves out the term G gives every tree alike, and scores
     # through per-arc features.
+    vocab = ("DET", "NOUN", "VERB")
     checked = certified = 0
     for g_weight in (0.5, 1.0, 3.0):
         for random_w in (False, True):
             for _ in range(8):
-                if kind == "capped":
-                    vocab = ("DET", "NOUN", "VERB")
-                    n = int(rng.integers(1, 7))
-                    x = make_sentence([vocab[i] for i in rng.integers(0, 3, size=n)])
-                    theta = random_dmv_params(rng, vocab)
-                    cfg = ConstraintConfig(int(rng.integers(0, 2)), 0.1)
-                else:
-                    vocab = ("A", "B", "C")
-                    x = make_sentence(LIFTED_TAGS[int(rng.integers(len(LIFTED_TAGS)))])
-                    theta = _lifting_grammar(rng)
-                    cfg = ConstraintConfig(0, 0.1)
+                n = int(rng.integers(1, 7))
+                x = make_sentence([vocab[i] for i in rng.integers(0, 3, size=n)])
+                theta = random_dmv_params(rng, vocab)
+                cap = int(rng.integers(0, 2)) if kind == "capped" else None
+                cfg = ConstraintConfig(cap, 0.1)
                 m = CmstModel.create(vocab, mu=float(rng.uniform(0, 1)))
                 if random_w:
                     m.w = rng.normal(scale=1.0, size=m.w.shape)
-                [(tree, lifted)] = _decode([x], theta, cfg, m, g_weight)
+                [tree] = _decode([x], theta, cfg, m, g_weight)
                 res = dd_decode_reference(x, theta, cfg, m, 50, g_weight)
-                assert lifted == res.relaxed_depth_cap == (kind == "lifted")
-                cfg_x = _uncapped(cfg, lifted)
+                assert not res.relaxed_depth_cap
                 v = oracles.rule_vector_reference(x, m.rules)
                 q = oracles.extract_features_reference(x, m.templates) @ m.w
                 q = q.reshape(v.shape)
@@ -202,7 +169,7 @@ def test_no_dual_value_exceeds_the_exact_cost(rng, kind):
 
                 def cost(t):
                     return (float(np.vdot(base, tree_matrix(t)))
-                            - tree_logprob(x, t, theta, cfg_x))
+                            - tree_logprob(x, t, theta, cfg))
 
                 exact = cost(tree)
                 rounding = 1e-12 * (1 + abs(res.dual))
@@ -216,21 +183,6 @@ def test_no_dual_value_exceeds_the_exact_cost(rng, kind):
     assert checked == 48 and certified >= 40
 
 
-def test_depth_cap_relaxation_flagged():
-    # The only parse of "B B C" is the flat tree (3, 3, 0), of nesting depth
-    # 1.  The decoder must relax cap 0 for this sentence and flag it.
-    vocab = ("A", "B", "C")
-    theta = flat_grammar()
-    x = make_sentence(["B", "B", "C"])
-    cfg = ConstraintConfig(max_ce_depth=0, dep_len_beta=0.0)
-    assert inside_loglik(x, theta, cfg) == -math.inf
-    m = CmstModel.create(vocab)
-    [(tree, lifted)] = _decode([x], theta, cfg, m)
-    assert lifted
-    assert tree.heads == (3, 3, 0)
-    assert tree_logprob(x, tree, theta, UNCONSTRAINED) > -math.inf
-
-
 def test_g_weight_zero_reduces_to_viterbi(rng):
     vocab = ("DET", "NOUN", "VERB")
     for _ in range(10):
@@ -239,7 +191,7 @@ def test_g_weight_zero_reduces_to_viterbi(rng):
         theta = random_dmv_params(rng, vocab)
         m = CmstModel.create(vocab)
         m.w = rng.normal(size=m.w.shape)
-        [(tree, _)] = _decode([x], theta, UNCONSTRAINED, m, 0.0)
+        [tree] = _decode([x], theta, UNCONSTRAINED, m, 0.0)
         y_tree, _ = viterbi_decode(x, theta, UNCONSTRAINED)
         assert tree == y_tree
 
@@ -266,10 +218,6 @@ def _group_case(rng, case):
     budget, g_weight)."""
     m = CmstModel.create(GROUP_VOCAB, mu=float(rng.uniform(0, 1)))
     m.w = rng.normal(scale=1.0, size=m.w.shape)
-    if case.startswith("relaxed"):
-        xs = [make_sentence(["B"] * k + ["C"]) for k in (1, 2, 3, 1, 2)]
-        k = 1 if case == "relaxed-at-cap" else 4
-        return xs, flat_grammar(), ConstraintConfig(0, 0.1), m, k, 1.0
     xs = list(random_corpus(rng, GROUP_VOCAB, 10, max_len=6).sentences)
     theta = random_dmv_params(rng, GROUP_VOCAB)
     cfg = ConstraintConfig(1, 0.1)
@@ -287,14 +235,14 @@ def _group_case(rng, case):
 
 @pytest.mark.parametrize("case", [
     "converging", "generative", "discriminative", "better-objective",
-    "g_weight_zero", "relaxed", "relaxed-at-cap",
+    "g_weight_zero",
 ])
 def test_group_results_equal_decoding_alone(rng, monkeypatch, case):
-    # Every sentence gets the same tree and cap flag decoded alone, in a
-    # mixed group, in a permuted group, and with an edge budget that makes
-    # each sentence a group of its own. The paper's DD, run sentence by
-    # sentence by the reference with the case's iteration budget, lifts the
-    # same caps and ends no sentence on a tree of lower F + G.
+    # Every sentence gets the same tree decoded alone, in a mixed group, in
+    # a permuted group, and with an edge budget that makes each sentence a
+    # group of its own. The paper's DD, run sentence by sentence by the
+    # reference with the case's iteration budget, lifts no cap and ends no
+    # sentence on a tree of lower F + G.
     xs, theta, cfg, m, k, g = _group_case(rng, case)
     alone = [_decode([x], theta, cfg, m, g)[0] for x in xs]
     assert _decode(xs, theta, cfg, m, g) == alone
@@ -303,11 +251,10 @@ def test_group_results_equal_decoding_alone(rng, monkeypatch, case):
     monkeypatch.setattr(dmv, "_GROUP_EDGES", 1)
     assert _decode(xs, theta, cfg, m, g) == alone
     refs = [dd_decode_reference(x, theta, cfg, m, k, g) for x in xs]
-    assert [lift for _, lift in alone] == [r.relaxed_depth_cap for r in refs]
+    assert not any(r.relaxed_depth_cap for r in refs)
     costs = []
-    for x, (tree, lift), r in zip(xs, alone, refs):
-        cfg_x = _uncapped(cfg, lift)
-        exact, dd = (_joint_objective(x, t, theta, cfg_x, m, g) for t in (tree, r.tree))
+    for x, tree, r in zip(xs, alone, refs):
+        exact, dd = (_joint_objective(x, t, theta, cfg, m, g) for t in (tree, r.tree))
         rounding = 1e-12 * (1 + abs(exact))
         assert exact <= dd + rounding
         if r.converged:
@@ -322,13 +269,13 @@ def test_group_results_equal_decoding_alone(rng, monkeypatch, case):
     if case == "generative":
         # No sentence ends worse in F + G than the grammar's own tree, the
         # first tree DD's iterations visit.
-        for x, (tree, _), (exact, rounding) in zip(xs, alone, costs):
+        for x, (exact, rounding) in zip(xs, costs):
             y, _ = viterbi_decode(x, theta, cfg)
             assert exact <= _joint_objective(x, y, theta, cfg, m, g) + rounding
     if case == "discriminative":
         # However hard the CMST side pulls, each sentence ends on a tree the
         # grammar can generate under the cap.
-        for x, (tree, _) in zip(xs, alone):
+        for x, tree in zip(xs, alone):
             assert tree_logprob(x, tree, theta, cfg) > -math.inf
     if case == "better-objective":
         # One more DD iteration only adds trees to choose from, so it never
@@ -342,19 +289,6 @@ def test_group_results_equal_decoding_alone(rng, monkeypatch, case):
         # With G zero the joint decode is the grammar's Viterbi, and every
         # tree ties in DD's discriminative subproblem, so its dual gap
         # closes at once, whether the two trees agree or not.
-        assert [tree for tree, _ in alone] == [
-            viterbi_decode(x, theta, cfg)[0] for x in xs
-        ]
+        assert alone == [viterbi_decode(x, theta, cfg)[0] for x in xs]
         assert all(converged) and {r.iterations for r in refs} == {1}
         assert {r.final_gap for r in refs} == {0.0}
-    if case.startswith("relaxed"):
-        relaxed = [lift for _, lift in alone]
-        assert any(relaxed) and not all(relaxed)
-        assert any(converged) == (case == "relaxed")
-
-
-def test_group_with_an_unparseable_sentence_raises(rng):
-    m = CmstModel.create(GROUP_VOCAB)
-    xs = [make_sentence(["B", "C"]), make_sentence(["A", "C"])]
-    with pytest.raises(dmv.InfeasibleParseError):
-        _decode(xs, flat_grammar(), ConstraintConfig(0, 0.1), m)

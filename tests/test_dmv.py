@@ -10,7 +10,6 @@ from oracles import (
     compile_reference,
     encode,
     expand_structure,
-    flat_grammar,
     init_params_reference,
     inside_loglik,
     logsumexp,
@@ -456,9 +455,9 @@ def test_plan_inside_and_counts_match_charts_alone(rng):
 
 
 def test_em_step_does_not_depend_on_the_grouping(rng, monkeypatch):
-    # Sentences one per group give the log likelihood's bits and the skipped
-    # count of the default groups, and tables within summation order; each
-    # group takes one inside and one outside pass.
+    # Sentences one per group give the log likelihood's bits of the default
+    # groups, the impossible sentences left out, and tables within
+    # summation order; each group takes one inside and one outside pass.
     c = random_corpus(rng, ENGINE_VOCAB, 40, max_len=13)
     p = _impossible_events(random_dmv_params(rng, ENGINE_VOCAB))
     cfg = ConstraintConfig(1, 0.1)
@@ -476,14 +475,12 @@ def test_em_step_does_not_depend_on_the_grouping(rng, monkeypatch):
 
     for name in ("_inside", "_expected_counts"):
         monkeypatch.setattr(dmv, name, counted(name))
-    diag, diag_alone = {}, {}
-    grouped, ll = em_step(c, p, cfg, 0.0, diag)
+    grouped, ll = em_step(c, p, cfg, 0.0)
     assert passes == [
         (name, len(g)) for g in groups for name in ("_inside", "_expected_counts")
     ]
     monkeypatch.setattr(dmv, "_GROUP_EDGES", 1)
-    alone, ll_alone = em_step(c, p, cfg, 0.0, diag_alone)
-    assert diag["skipped"] == diag_alone["skipped"] > 0
+    alone, ll_alone = em_step(c, p, cfg, 0.0)
     assert ll.hex() == ll_alone.hex()
     for got, want in ((grouped.root, alone.root), (grouped.attach, alone.attach),
                       (grouped.stop, alone.stop)):
@@ -606,28 +603,6 @@ def test_chart_edges_counts_without_compiling(monkeypatch):
     assert counted == [compile_((n,), cap).tail0.size for n, cap in sizes]
 
 
-def test_decode_group_lifts_the_cap_of_infeasible_rows_only(rng):
-    # Under the flat grammar, B B C and B B B C have no tree at cap 0 and B C
-    # has one. Each row's tree is that of decoding its sentence alone, under
-    # its own block of the flat prices: without the cap where the group
-    # lifted it, under it elsewhere.
-    theta = flat_grammar()
-    cfg, uncapped = ConstraintConfig(0, 0.1), ConstraintConfig(None, 0.1)
-    xs = [make_sentence(["B"] * k + ["C"]) for k in (2, 1, 3, 1)]
-    layout = ArcLayout(x.n for x in xs)
-    for prices in (None, rng.normal(size=layout.size)):
-        trees, lifted = dmv.decode_group(encode(xs), theta, cfg, prices)
-        assert lifted == [True, False, True, False]
-        blocks = [None] * len(xs) if prices is None else layout.views(prices)
-        for x, lift, tree, u in zip(xs, lifted, trees, blocks):
-            assert tree == viterbi_decode(x, theta, uncapped if lift else cfg, u)[0]
-    # With no cap to lift, or none that helps, the group cannot be decoded.
-    with pytest.raises(dmv.InfeasibleParseError):
-        dmv.decode_group(encode(xs + [make_sentence(["A", "C"])]), theta, cfg)
-    with pytest.raises(dmv.InfeasibleParseError):
-        dmv.decode_group(encode([make_sentence(["A", "C"])]), theta, uncapped)
-
-
 def test_length_groups_cut_longest_first_under_the_edge_budget(monkeypatch):
     lengths = [3, 9, 5, 9, 1, 30]
     counted = []
@@ -701,14 +676,23 @@ def test_em_fixpoint_on_forced_tree(rng):
 
 
 def test_em_skips_impossible_sentences(rng):
-    vocab = ("A",)
-    c = Corpus((make_sentence(["A", "A"]),), vocab)
+    # A takes no dependents, so A A has no tree, while A, B A and A B A each
+    # have some. Put among them, in the group of B A, A A adds nothing to the
+    # log likelihood or to the counts: both keep their bits.
+    vocab = ("A", "B")
     p = random_dmv_params(rng, vocab)
-    p.stop[:] = 1.0  # no attachments possible; n=2 needs one
-    diag = {}
-    _, ll = em_step(c, p, UNCONSTRAINED, 0.0, diag)
-    assert diag["skipped"] == 1
-    assert ll == 0.0
+    p.stop[0] = 1.0
+    possible = [make_sentence(tags) for tags in (["B", "A"], ["A"], ["A", "B", "A"])]
+    impossible = make_sentence(["A", "A"])
+    assert inside_loglik(impossible, p, UNCONSTRAINED) == -math.inf
+    alone, ll_alone = em_step(Corpus(tuple(possible), vocab), p, UNCONSTRAINED, 0.0)
+    c = Corpus((possible[0], impossible, *possible[1:]), vocab)
+    assert len(list(dmv.length_groups(c.encoding.lengths, None))) == 1
+    new, ll = em_step(c, p, UNCONSTRAINED, 0.0)
+    assert math.isfinite(ll) and ll.hex() == ll_alone.hex()
+    for got, want in ((new.root, alone.root), (new.attach, alone.attach),
+                      (new.stop, alone.stop)):
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +730,10 @@ def test_mstep_single_event_counts():
     p = mstep_from_trees(c, [DepTree((2, 0))], smoothing=0.0)
     assert p.root[1] == 1.0
     assert p.attach[1, dmv.LEFT, 0] == 1.0
-    p.validate()
+    # The tables sum to one, but unsmoothed, the events no tree uses get
+    # probability 0, which a valid grammar may not hold.
+    with pytest.raises(ValueError, match=r"^root probability 0\.0 outside \(0, 1\]$"):
+        p.validate()
 
 
 def test_mstep_add_one_smoothing():

@@ -10,7 +10,6 @@ import pytest
 from oracles import (
     all_projective_heads,
     all_projective_trees,
-    flat_grammar,
     inside_loglik,
     joint_objective_reference,
     make_sentence,
@@ -22,7 +21,7 @@ from oracles import (
 )
 
 from jointdep import cmst, dmv, trainer
-from jointdep.corpus import Corpus, DepTree
+from jointdep.corpus import Corpus, DepTree, read_conllu
 from jointdep.dmv import ConstraintConfig
 from jointdep.trainer import (
     TrainConfig,
@@ -61,7 +60,8 @@ def test_config_validation():
         TrainConfig(extra_separate_iters=-1)
     for key, value in [
         ("em_pretrain_iters", -1), ("fw_pretrain_iters", -1),
-        ("mstep_smoothing", -0.5), ("mstep_smoothing", math.inf),
+        ("mstep_smoothing", -0.5), ("mstep_smoothing", 0.0),
+        ("mstep_smoothing", math.inf),
         ("mstep_smoothing", math.nan), ("g_weight", math.nan),
         ("g_weight", -math.inf), ("workers", 0),
     ]:
@@ -82,7 +82,7 @@ def test_discriminative_terms_are_built_once(small_corpus, monkeypatch):
             calls[_name] += len(enc.lengths)
             return _fn(enc, *args)
         monkeypatch.setattr(cmst, name, counted)
-    trees, _ = trainer._decode_all(small_corpus, state, cfg)
+    trees = trainer._decode_all(small_corpus, state, cfg)
     assert calls == {"_arc_classes": small_corpus.N, "rule_vector": small_corpus.N}
     calls.clear()
     joint_objective(small_corpus, state, cfg, trees)
@@ -126,7 +126,7 @@ def test_joint_train_runs_and_reports(small_corpus):
     state = joint_train(small_corpus, _fast_cfg())
     assert state.iteration >= 1
     assert len(state.trees) == small_corpus.N
-    assert state.stats["cap_lifted"] == 0
+    assert list(state.stats) == ["joint_objective"]
     assert math.isfinite(state.stats["joint_objective"])
     for sent, tree in zip(small_corpus, state.trees):
         assert len(tree.heads) == sent.n
@@ -154,30 +154,41 @@ def test_checkpoints_written_per_iteration(small_corpus, tmp_path):
     metrics = (tmp_path / "metrics.csv").read_bytes()
     assert b"\r" not in metrics  # lines end with \n, as in every other file
     lines = metrics.decode().splitlines()
-    assert lines[0] == "iteration,joint_objective,cap_lifted"
+    assert lines[0] == "iteration,joint_objective"
     assert len(lines) == state.iteration + 1
 
 
-def test_metrics_record_the_lifted_caps(tmp_path, monkeypatch):
-    # `cap_lifted` counts the sentences of each outer iteration's decode
-    # that have no tree under the depth cap. Training starts here from the
-    # flat grammar, under which B B C and B B B C have none at cap 0; the
-    # smoothed M-step then gives every tree some probability.
-    c = Corpus(
-        tuple(make_sentence(["B"] * k + ["C"]) for k in (2, 1, 3, 1, 2)),
-        ("A", "B", "C"),
-    )
+def test_joint_run_at_default_settings_keeps_every_grammar_positive(
+    rng, tmp_path, monkeypatch
+):
+    # PUNCT only ever stands alone, so no tree attaches it: unsmoothed EM
+    # would give it attach probability 0, and the joint objective, whose
+    # Dirichlet prior reads every probability, would be +inf. MAP-EM and the
+    # smoothed M-step leave no zero, so every checkpoint's grammar passes
+    # the strict loader, and the objective is finite before every update and
+    # recomputed from every checkpoint.
+    small = random_corpus(rng, ("DET", "NOUN", "VERB"), 12, max_len=5)
+    punct = make_sentence(["PUNCT"])
+    c = Corpus((*small.sentences, punct, punct), ("DET", "NOUN", "PUNCT", "VERB"))
+    cfg = TrainConfig()
+    objectives = []
 
-    def flat_start(*args, _fn=trainer.pretrain):
-        state = _fn(*args)
-        state.theta = flat_grammar()
-        return state
+    def recorded(*args, _fn=trainer.joint_objective):
+        objectives.append(_fn(*args))
+        return objectives[-1]
 
-    monkeypatch.setattr(trainer, "pretrain", flat_start)
-    state = joint_train(c, _fast_cfg(constraint=ConstraintConfig(0, 0.1)), tmp_path)
-    rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
-    assert [row.split(",")[2] for row in rows] == ["3", "0"]
-    assert state.stats["cap_lifted"] == 0
+    monkeypatch.setattr(trainer, "joint_objective", recorded)
+    state = joint_train(c, cfg, tmp_path)
+    j_before = objectives[::2]
+    assert len(j_before) == state.iteration >= 2
+    assert all(map(math.isfinite, objectives))
+    for it in range(1, state.iteration + 1):
+        d = tmp_path / f"iter{it:03d}"
+        theta = dmv.DmvParams.load(d / "dmv.txt")
+        model = cmst.CmstModel.load(d / "cmst.txt")
+        trees = [DepTree(x.gold_heads()) for x in read_conllu(d / "trees.conllu")]
+        again = TrainState(theta, model, optimizer=cmst.FrankWolfeOptimizer(c, model))
+        assert math.isfinite(joint_objective(c, again, cfg, trees))
 
 
 def _nudged(theta, t, ds):
@@ -196,48 +207,43 @@ def test_parameter_update_does_not_increase_objective(small_corpus):
     # At fixed trees the smoothed M-step is the exact minimizer of the
     # grammar's part of the joint objective (its Dirichlet prior included)
     # and the ridge solve that of the discriminative part, so one block can
-    # only lower the objective. The second block starts from a smoothed
-    # grammar, where the objective before the update is finite.
-    for eps in (0.0, 0.1):
-        cfg = _fast_cfg(mstep_smoothing=eps)
-        state = pretrain(small_corpus, cfg)
-        opt = state.optimizer
-        for _ in range(2):
-            trees, _ = trainer._decode_all(small_corpus, state, cfg)
-            before = joint_objective(small_corpus, state, cfg, trees)
-            state.theta = dmv.mstep_from_trees(small_corpus, trees, eps)
-            opt.fit_trees(trees)
-            after = joint_objective(small_corpus, state, cfg, trees)
-            assert math.isfinite(after)
-            assert after <= before + 1e-9
+    # only lower the objective. Pretraining's MAP-EM leaves no zero, so the
+    # objective before each update is finite.
+    cfg = _fast_cfg()
+    state = pretrain(small_corpus, cfg)
+    opt = state.optimizer
+    for _ in range(2):
+        trees = trainer._decode_all(small_corpus, state, cfg)
+        before = joint_objective(small_corpus, state, cfg, trees)
         assert math.isfinite(before)
+        state.theta = dmv.mstep_from_trees(small_corpus, trees, cfg.mstep_smoothing)
+        opt.fit_trees(trees)
+        after = joint_objective(small_corpus, state, cfg, trees)
+        assert math.isfinite(after)
+        assert after <= before + 1e-9
 
-        # Moving off the update raises the objective: w scaled either way;
-        # theta toward uniform, and with smoothing (no zero or one entries
-        # then) also away from uniform and with stop shifted either way.
-        best_theta, best_w = state.theta, state.model.w
-        for scale in (1.01, 0.99):
-            state.model.w = best_w * scale
-            again = joint_objective(small_corpus, state, cfg, trees)
-            assert again > after
-        state.model.w = best_w
-        nudges = [(1e-3, 0.0)]
-        if eps:
-            nudges += [(-1e-3, 0.0), (0.0, 1e-4), (0.0, -1e-4)]
-        for t, ds in nudges:
-            state.theta = _nudged(best_theta, t, ds)
-            again = joint_objective(small_corpus, state, cfg, trees)
-            assert again > after
+    # Moving off the update raises the objective: w scaled either way;
+    # theta toward and away from uniform, and with stop shifted either way.
+    best_theta, best_w = state.theta, state.model.w
+    for scale in (1.01, 0.99):
+        state.model.w = best_w * scale
+        again = joint_objective(small_corpus, state, cfg, trees)
+        assert again > after
+    state.model.w = best_w
+    for t, ds in [(1e-3, 0.0), (-1e-3, 0.0), (0.0, 1e-4), (0.0, -1e-4)]:
+        state.theta = _nudged(best_theta, t, ds)
+        again = joint_objective(small_corpus, state, cfg, trees)
+        assert again > after
 
 
-@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("eps", [0.1, 1.0])
 def test_joint_objective_equals_the_per_sentence_sum(small_corpus, eps):
     # Frank-Wolfe's objective at the decoded trees, added to the grammar's
     # terms, is the sum of each sentence's F + G, before and after the
     # parameter update.
     cfg = _fast_cfg(mstep_smoothing=eps, g_weight=0.7)
     state = pretrain(small_corpus, cfg)
-    trees, _ = trainer._decode_all(small_corpus, state, cfg)
+    trees = trainer._decode_all(small_corpus, state, cfg)
     for _ in range(2):
         got = joint_objective(small_corpus, state, cfg, trees)
         want = joint_objective_reference(small_corpus, state, cfg, trees)
@@ -264,9 +270,8 @@ def test_joint_objective_equals_the_per_sentence_sum(small_corpus, eps):
     assert max(map(dmv.ce_depth, deep)) > cfg.constraint.max_ce_depth
     assert math.isfinite(check(theta, deep))
 
-    # A zero probability that the trees use gives +inf on both sides; zero
-    # probabilities that no tree uses leave the objective finite without
-    # the prior, and make it +inf with it.
+    # A zero probability that the trees use gives +inf on both sides, and
+    # so do zero probabilities that no tree uses, through the prior.
     counts = dmv.tree_counts(small_corpus, trees, theta)
     wi = dmv._WeightIndex(theta.V)
     root = theta.root.copy()
@@ -278,7 +283,7 @@ def test_joint_objective_equals_the_per_sentence_sum(small_corpus, eps):
     attach = theta.attach.copy()
     attach.reshape(-1)[unused] = 0.0
     got = check(dmv.DmvParams(theta.vocab, theta.root, attach, theta.stop), trees)
-    assert math.isfinite(got) == (eps == 0)
+    assert got == math.inf
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.3])
@@ -288,8 +293,9 @@ def test_fixed_tree_scores_under_impossible_events(rng, cap, beta):
     # takes B as a right child, B never stops after a left child and A never
     # takes a second right child. Over every projective tree, tree_logprob
     # is the reference walker's score, and -inf (not NaN) where a used event
-    # is impossible; the unsmoothed joint objective, which lifts the cap, is
-    # +inf exactly there. Any 0 * log 0 would raise a RuntimeWarning.
+    # is impossible; the unsmoothed grammar cost `dmv.tree_cost`, which
+    # knows no cap, is +inf exactly there. Any 0 * log 0 would raise a
+    # RuntimeWarning.
     vocab = ("A", "B")
     theta = random_dmv_params(rng, vocab)
     attach, stop = theta.attach.copy(), theta.stop.copy()
@@ -299,14 +305,10 @@ def test_fixed_tree_scores_under_impossible_events(rng, cap, beta):
     stop[0, dmv.RIGHT, dmv.HAS_CHILD] = 1.0
     theta = dmv.DmvParams(vocab, theta.root, attach, stop)
     cfg, lifted = ConstraintConfig(cap, beta), ConstraintConfig(None, beta)
-    train_cfg = _fast_cfg(constraint=cfg, mstep_smoothing=0.0)
     impossible = []
     for tags in (["B"], ["A", "B"], ["B", "A", "B"], ["A", "A", "B", "A"]):
         x = make_sentence(tags)
         c = Corpus((x,), vocab)
-        model = cmst.CmstModel.create(vocab)
-        opt = cmst.FrankWolfeOptimizer(c, model)
-        state = TrainState(theta, model, optimizer=opt)
         for tree in all_projective_trees(x.n):
             got = tree_logprob(x, tree, theta, cfg)
             want = tree_logprob_reference(x, tree, theta, cfg)
@@ -316,9 +318,9 @@ def test_fixed_tree_scores_under_impossible_events(rng, cap, beta):
                 assert got == pytest.approx(want, rel=0.0, abs=1e-12)
             uncapped = tree_logprob_reference(x, tree, theta, lifted)
             impossible.append(uncapped == -math.inf)
-            objective = joint_objective(c, state, train_cfg, [tree])
-            assert (objective == math.inf) == impossible[-1]
-            assert math.isfinite(objective) == (not impossible[-1])
+            cost = dmv.tree_cost(c, [tree], theta, 0.0, beta)
+            assert (cost == math.inf) == impossible[-1]
+            assert math.isfinite(cost) == (not impossible[-1])
     assert any(impossible) and not all(impossible)
 
 
@@ -364,15 +366,17 @@ def test_decode_corpus_decoders(small_corpus):
         decode_corpus(small_corpus, state, cfg, decoder="bogus")
 
 
-def test_decode_corpus_dmv_decodes_groups(monkeypatch):
+def test_decode_corpus_dmv_decodes_groups(rng, monkeypatch):
     # One batched Viterbi pass per length group, with the trees of decoding
-    # each sentence alone; the sentences with no tree under the depth cap
-    # are decoded again, by themselves, with their cap lifted.
+    # each sentence alone. Under a strictly positive grammar every sentence
+    # has a tree under the depth cap, so no group takes a second pass.
     c = Corpus(
         tuple(make_sentence(["B"] * k + ["C"]) for k in (2, 1, 3, 1)),
         ("A", "B", "C"),
     )
-    state = TrainState(flat_grammar(), None)
+    state = TrainState(random_dmv_params(rng, c.pos_vocab), None)
+    cfg = _fast_cfg(constraint=ConstraintConfig(0, 0.1))
+    alone = [viterbi_decode(x, state.theta, cfg.constraint)[0] for x in c]
     passes = []
 
     def counted(s, *args, _fn=dmv.viterbi_batch):
@@ -380,15 +384,17 @@ def test_decode_corpus_dmv_decodes_groups(monkeypatch):
         return _fn(s, *args)
 
     monkeypatch.setattr(dmv, "viterbi_batch", counted)
-    cfg = _fast_cfg(constraint=ConstraintConfig(0, 0.1))
-    trees = decode_corpus(c, state, cfg, decoder="dmv")
-    assert passes == [4, 2]
-    assert [t.heads for t in trees] == [(3, 3, 0), (2, 0), (4, 4, 4, 0), (2, 0)]
+    assert decode_corpus(c, state, cfg, decoder="dmv") == alone
+    assert passes == [4]
+    passes.clear()
+    monkeypatch.setattr(dmv, "_GROUP_EDGES", 1)
+    assert decode_corpus(c, state, cfg, decoder="dmv") == alone
+    assert passes == [1, 1, 1, 1]
 
 
 def test_parallel_decode_matches_serial(small_corpus):
     # Joint decoding and the grammar alone, as `parse --decoder dmv`
-    # decodes: the same trees and cap flags on two workers as on one; the
+    # decodes: the same trees on two workers as on one; the
     # grammar's trees are those of decoding each sentence alone.
     cfg = _fast_cfg()
     state = pretrain(small_corpus, cfg)
@@ -397,7 +403,7 @@ def test_parallel_decode_matches_serial(small_corpus):
         assert serial == trainer._decode_all(
             small_corpus, state, _fast_cfg(workers=2), decoder
         )
-    assert serial[0] == [
+    assert serial == [
         viterbi_decode(x, state.theta, cfg.constraint)[0] for x in small_corpus
     ]
 
