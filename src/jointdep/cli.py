@@ -66,30 +66,35 @@ def load_config(path: str | None, overrides: dict) -> dict:
     """The defaults, overridden by the key=value lines of the file at `path`
     and then by the `overrides` that name a setting and are not None; each
     text is read by its key's reader. A malformed file is a DataError that
-    names its line, and an override its key cannot read a UsageError."""
+    names it and its line, and an override its key cannot read a UsageError."""
     cfg = {key: default for key, (_, default) in SETTINGS.items()}
-    lines = numbered_lines(_require_file(path, "config file")) if path else ()
-    try:
-        for line_no, raw in lines:
-            key, eq, value = (s.strip() for s in raw.split("#", 1)[0].partition("="))
-            if not (key or eq):
-                continue
-            if not eq:
-                raise LineError("expected key=value", line_no)
-            if key not in SETTINGS:
-                raise LineError(f"unknown config key {key!r}", line_no)
-            try:
-                cfg[key] = SETTINGS[key][0](value)
-            except ValueError:
-                raise LineError(f"invalid value for {key}: {value!r}", line_no)
-    except LineError as exc:
-        raise DataError(f"{path}:{exc.line_no}: {exc.message}")
+    if path:
+        cfg.update(_read(path, "config file", _read_settings))
     for key, value in overrides.items():
         if key in SETTINGS and value is not None:
             try:
                 cfg[key] = SETTINGS[key][0](value)
             except ValueError:
                 raise UsageError(f"invalid value for {key}: {value!r}")
+    return cfg
+
+
+def _read_settings(path) -> dict:
+    """The settings of the key=value lines of the file at `path`, each text
+    read by its key's reader; a malformed line raises LineError."""
+    cfg = {}
+    for line_no, raw in numbered_lines(path):
+        key, eq, value = (s.strip() for s in raw.split("#", 1)[0].partition("="))
+        if not (key or eq):
+            continue
+        if not eq:
+            raise LineError("expected key=value", line_no)
+        if key not in SETTINGS:
+            raise LineError(f"unknown config key {key!r}", line_no)
+        try:
+            cfg[key] = SETTINGS[key][0](value)
+        except ValueError:
+            raise LineError(f"invalid value for {key}: {value!r}", line_no) from None
     return cfg
 
 
@@ -100,28 +105,22 @@ def _decode_settings(cfg: dict) -> dict:
                 workers=cfg["workers"])
 
 
-def _train_config(cfg: dict) -> trainer.TrainConfig:
+def _train_config(cfg: dict, rules: cmst.RuleSet | None) -> trainer.TrainConfig:
     kw = {f.name: cfg[f.name] for f in fields(trainer.TrainConfig) if f.name in cfg}
-    kw.update(
-        _decode_settings(cfg),
-        lam=cfg["lambda"],
-        rules=cmst.load_rules(cfg["rules"]) if cfg["rules"] else None,
-    )
+    kw.update(_decode_settings(cfg), lam=cfg["lambda"], rules=rules)
     return trainer.TrainConfig(**kw)
 
 
-def _require_file(path, what: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
+def _read(path, what: str, reader):
+    """`reader` run on the file at `path`, which must exist. A ValueError it
+    raises becomes a DataError that names the file: `FILE: line N: message`
+    for a LineError, and `FILE: message` for a fault of the whole file."""
+    if not Path(path).is_file():
         raise DataError(f"{what} not found: {path}")
-    return p
-
-
-def _read_corpus(path):
     try:
-        return read_conllu(_require_file(path, "input file"))
-    except LineError as exc:
-        raise DataError(f"{path}: {exc}")
+        return reader(Path(path))
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _cmd_train(args) -> int:
@@ -132,8 +131,7 @@ def _cmd_train(args) -> int:
         return EXIT_OK
     if not args.train:
         raise UsageError("--train is required")
-    if cfg["rules"]:
-        _require_file(cfg["rules"], "rules file")
+    rules = _read(cfg["rules"], "rules file", cmst.load_rules) if cfg["rules"] else None
     if args.out:
         # Checked before training, whose checkpoints would fail only at the end.
         first = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
@@ -142,10 +140,11 @@ def _cmd_train(args) -> int:
         if first == Path(args.out) and any(first.iterdir()):
             # An earlier run's checkpoints would sit beside this run's.
             raise DataError(f"--out {args.out}: directory is not empty")
-    corpus = filter_corpus(_read_corpus(args.train), cfg["max_len"], cfg["count_punct"])
+    corpus = filter_corpus(_read(args.train, "input file", read_conllu),
+                           cfg["max_len"], cfg["count_punct"])
     if corpus.N == 0:
         raise DataError(f"no sentences of length <= {cfg['max_len']} in {args.train}")
-    trainer.train(corpus, _train_config(cfg), args.out)
+    trainer.train(corpus, _train_config(cfg, rules), args.out)
     return EXIT_OK
 
 
@@ -155,18 +154,16 @@ def _load_models(model_dir, decoder: str) -> trainer.TrainState:
         raise DataError(f"model directory not found: {model_dir}")
     theta = model = None
     if decoder in ("dmv", "dd"):
-        theta = dmv.DmvParams.load(_require_file(d / "dmv.txt", "generative model"))
+        theta = _read(d / "dmv.txt", "generative model", dmv.DmvParams.load)
     if decoder in ("cmst", "dd"):
-        model = cmst.CmstModel.load(
-            _require_file(d / "cmst.txt", "discriminative model")
-        )
+        model = _read(d / "cmst.txt", "discriminative model", cmst.CmstModel.load)
     return trainer.TrainState(theta, model)
 
 
 def _cmd_parse(args) -> int:
     cfg = load_config(args.config, vars(args))
     state = _load_models(args.model, args.decoder)
-    corpus = _read_corpus(args.input)
+    corpus = _read(args.input, "input file", read_conllu)
     tcfg = trainer.TrainConfig(**_decode_settings(cfg))
     trees = trainer.decode_corpus(corpus, state, tcfg, args.decoder)
     write_conllu_file(corpus, trees, args.output)
@@ -174,7 +171,7 @@ def _cmd_parse(args) -> int:
 
 
 def _pred_trees(path):
-    pred = _read_corpus(path)
+    pred = _read(path, "input file", read_conllu)
     trees = []
     for i, sent in enumerate(pred):
         heads = sent.gold_heads()
@@ -199,7 +196,7 @@ def _emit_report(rows, out_path) -> None:
 def _cmd_eval(args) -> int:
     from . import evaluation
 
-    gold = _read_corpus(args.gold)
+    gold = _read(args.gold, "input file", read_conllu)
     pred_corpus, trees = _pred_trees(args.pred)
     if pred_corpus.N != gold.N:
         raise DataError(
@@ -215,7 +212,7 @@ def _cmd_eval(args) -> int:
 def _cmd_analyze(args) -> int:
     from . import evaluation
 
-    rules = cmst.load_rules(_require_file(args.rules, "rules file")) \
+    rules = _read(args.rules, "rules file", cmst.load_rules) \
         if args.rules else cmst.default_rules()
     pred_corpus, trees = _pred_trees(args.pred)
     report = evaluation.analyze(trees, pred_corpus, rules)

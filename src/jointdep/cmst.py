@@ -169,9 +169,8 @@ def parse_rules(lines) -> RuleSet:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(
-                f"line {line_no}: rule line must be 'HEADTAG DEPTAG': {raw.strip()!r}"
-            )
+            raise LineError(
+                f"rule line must be 'HEADTAG DEPTAG': {raw.strip()!r}", line_no)
         rules.add((parts[0], parts[1]))
     return frozenset(rules)
 
@@ -188,15 +187,15 @@ def default_rules() -> RuleSet:
 
 def rule_vector(enc: Encoding, r: RuleSet) -> np.ndarray:
     """The arc matrices of `enc`'s rows, keyed [h, d] and flat in their
-    `ArcLayout`: 1.0 on the arcs whose (head tag, dependent tag) pair is
-    licensed, 0 elsewhere and on non-arc cells. Read from one table over
-    `enc`'s tags and the "ROOT" literal of the root pseudo-node, which a
-    token tagged ROOT shares."""
+    `ArcLayout`: True on the arcs whose (head tag, dependent tag) pair is
+    licensed, False elsewhere and on non-arc cells, a byte per cell. Read
+    from one table over `enc`'s tags and the "ROOT" literal of the root
+    pseudo-node, which a token tagged ROOT shares."""
     kh, kd, dist = _arc_kinds(enc)
     tags = enc.tags + ("ROOT",)
-    licensed = np.array([[(h, d) in r for d in tags] for h in tags], dtype=float)
+    licensed = np.array([[(h, d) in r for d in tags] for h in tags], dtype=bool)
     v = licensed[kh, kd]
-    v[(kd == len(enc.tags)) | (dist == 0)] = 0.0
+    v[(kd == len(enc.tags)) | (dist == 0)] = False
     return v
 
 
@@ -600,8 +599,7 @@ class FrankWolfeOptimizer:
         if corpus.N == 0:
             raise ValueError("cannot train on an empty corpus")
         self.model = model
-        self.layout, self._cls, V, self._n = _arc_terms(corpus.encoding, model)
-        self._V = V.astype(bool)  # the rule entries are 0/1: a byte per cell
+        self.layout, self._cls, self._V, self._n = _arc_terms(corpus.encoding, model)
         layout = self.layout
         self._ridge = _NestedRidge(
             model.templates, model.lam, np.bincount(self._cls, 1.0 / self._n))

@@ -275,60 +275,39 @@ def read_records(lines: Iterable[tuple[int, str]], arity: dict, read) -> dict:
 
 
 def parse_conllu(stream: Iterable[str]) -> Corpus:
-    """Parse CoNLL-U text into a Corpus.
+    """Parse CoNLL-U text into a Corpus, checking each line as it is read, so
+    that the first fault in the text is the one raised: only a head's range
+    waits for the end of its sentence, which fixes n.
 
     Multiword-token ranges ("1-2") and empty nodes ("1.1") are ignored.
     Column 4 supplies the UPOS tag, which must be one non-empty word, and
     column 7 the gold head when numeric.
     """
     sentences: list[Sentence] = []
-    block: list[tuple[tuple[str, ...], int]] = []  # (fields, line number)
+    tokens: list[Token] = []
+    heads: list[tuple[int, int]] = []  # the sentence's (numeric head, line number)
 
     def flush():
-        if not block:
-            return
-        tokens = []
-        n = len(block)
-        for fields, line_no in block:
-            head_field = fields[6]
-            gold_head: int | None = None
-            if head_field not in ("_", ""):
-                try:
-                    gold_head = int(head_field)
-                except ValueError as exc:
-                    raise ConlluParseError(
-                        f"non-integer head {head_field!r}", line_no
-                    ) from exc
-                if not 0 <= gold_head <= n:
-                    raise ConlluParseError(
-                        f"head index {gold_head} out of range for length {n}",
-                        line_no,
-                    )
-            upos = fields[3]
-            if upos.split() != [upos]:  # model files are split on whitespace
-                raise ConlluParseError(
-                    f"UPOS tag {upos!r} is empty or holds whitespace", line_no)
-            tokens.append(Token(fields[1], upos, gold_head, fields))
-        for i, tok in enumerate(tokens):
-            if tok.gold_head == i + 1:
-                raise ConlluParseError(
-                    f"token {i + 1} is its own head", block[i][1]
-                )
-        sentences.append(Sentence(tuple(tokens)))
-        block.clear()
+        n = len(tokens)
+        for head, line_no in heads:
+            if not 0 <= head <= n:
+                raise LineError(f"head index {head} out of range for length {n}",
+                                line_no)
+        if tokens:
+            sentences.append(Sentence(tuple(tokens)))
+        tokens.clear()
+        heads.clear()
 
-    expected_id = 1
     for line_no, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
         if line == "":
             flush()
-            expected_id = 1
             continue
         if line.startswith("#"):
             continue
         fields = tuple(line.split("\t"))
         if len(fields) != _NUM_COLUMNS:
-            raise ConlluParseError(
+            raise LineError(
                 f"expected {_NUM_COLUMNS} tab-separated columns, got {len(fields)}",
                 line_no,
             )
@@ -337,15 +316,27 @@ def parse_conllu(stream: Iterable[str]) -> Corpus:
             continue  # multiword range or empty node
         try:
             parsed_id = int(tok_id)
-        except ValueError as exc:
-            raise ConlluParseError(f"non-integer token ID {tok_id!r}", line_no) from exc
-        if parsed_id != expected_id:
-            raise ConlluParseError(
-                f"token ID {parsed_id} out of sequence (expected {expected_id})",
+        except ValueError:
+            raise LineError(f"non-integer token ID {tok_id!r}", line_no) from None
+        if parsed_id != len(tokens) + 1:
+            raise LineError(
+                f"token ID {parsed_id} out of sequence (expected {len(tokens) + 1})",
                 line_no,
             )
-        expected_id += 1
-        block.append((fields, line_no))
+        head_field = fields[6]
+        gold_head: int | None = None
+        if head_field not in ("_", ""):
+            try:
+                gold_head = int(head_field)
+            except ValueError:
+                raise LineError(f"non-integer head {head_field!r}", line_no) from None
+            if gold_head == parsed_id:
+                raise LineError(f"token {parsed_id} is its own head", line_no)
+            heads.append((gold_head, line_no))
+        upos = fields[3]
+        if upos.split() != [upos]:  # model files are split on whitespace
+            raise LineError(f"UPOS tag {upos!r} is empty or holds whitespace", line_no)
+        tokens.append(Token(fields[1], upos, gold_head, fields))
     flush()
     vocab = dict.fromkeys(t.upos for x in sentences for t in x.tokens)
     return Corpus(tuple(sentences), tuple(vocab))

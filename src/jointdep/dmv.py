@@ -20,6 +20,7 @@ from .corpus import Corpus, DepTree, Encoding, block_pairs, ranges
 from .corpus import LineError, numbered_lines, read_records
 
 LEFT, RIGHT = 0, 1
+_DIRECTIONS = ("left", "right")  # their names in dmv.txt, indexed by LEFT, RIGHT
 NO_CHILD, HAS_CHILD = 0, 1
 NEG_INF = float("-inf")
 
@@ -93,21 +94,32 @@ class DmvParams:
         """Raise ValueError unless each distribution sums to one within `tol`
         and gives every outcome some probability: root and attach entries in
         (0, 1], stop entries in (0, 1). So every sentence has a tree under any
-        depth cap: its chain tree, which has depth 0."""
+        depth cap: its chain tree, which has depth 0. An error names the head
+        of a distribution that does not sum to one, or else the first record
+        at fault in the root, then attach, then stop table, as `save` writes it."""
         if not math.isclose(self.root.sum(), 1.0, abs_tol=tol):
             raise ValueError(f"root distribution sums to {float(self.root.sum())!r}")
         sums = self.attach.sum(axis=2)
-        if not np.allclose(sums, 1.0, atol=tol, rtol=0.0):
-            raise ValueError("attach distributions do not sum to one")
-        for name, table, ok, interval in (
-            ("root", self.root, self.root <= 1.0 + tol, "(0, 1]"),
-            ("attach", self.attach, self.attach <= 1.0 + tol, "(0, 1]"),
-            ("stop", self.stop, self.stop < 1.0, "(0, 1)"),
+        off = np.argwhere(~np.isclose(sums, 1.0, atol=tol, rtol=0.0))
+        if off.size:
+            h, d = off[0]
+            raise ValueError(f"attach distribution of {self.vocab[h]} "
+                             f"{_DIRECTIONS[d]} sums to {float(sums[h, d])!r}")
+        tags = self.vocab
+        # Each table, the interval of its entries and the names of its keys.
+        for name, table, ok, interval, names in (
+            ("root", self.root, self.root <= 1.0 + tol, "(0, 1]", (tags,)),
+            ("attach", self.attach, self.attach <= 1.0 + tol, "(0, 1]",
+             (tags, _DIRECTIONS, tags)),
+            ("stop", self.stop, self.stop < 1.0, "(0, 1)",
+             (tags, _DIRECTIONS, ("0", "1"))),
         ):
             ok &= table > 0
             if not ok.all():
+                key = tuple(np.argwhere(~ok)[0])
+                record = " ".join([name, *(n[k] for n, k in zip(names, key))])
                 raise ValueError(
-                    f"{name} probability {float(table[~ok][0])!r} outside {interval}")
+                    f"{record}: probability {float(table[key])!r} outside {interval}")
 
     def log_weights(self) -> np.ndarray:
         wi = _WeightIndex(self.V)
@@ -128,7 +140,7 @@ class DmvParams:
             for p, tag in enumerate(self.vocab):
                 f.write(f"root {tag} " + _LOG_FMT % self.root[p] + "\n")
             for h, ht in enumerate(self.vocab):
-                for d, dname in ((LEFT, "left"), (RIGHT, "right")):
+                for d, dname in enumerate(_DIRECTIONS):
                     for c, ct in enumerate(self.vocab):
                         f.write(
                             f"attach {ht} {dname} {ct} "
@@ -160,7 +172,7 @@ class DmvParams:
         # NaN marks a record not read yet.
         tables = {"root": np.full(V, np.nan), "attach": np.full((V, 2, V), np.nan),
                   "stop": np.full((V, 2, 2), np.nan)}
-        direction = {"left": LEFT, "right": RIGHT}
+        direction = {name: d for d, name in enumerate(_DIRECTIONS)}
         adj = {str(NO_CHILD): NO_CHILD, str(HAS_CHILD): HAS_CHILD}
         key_fields = {
             "root": (tag,), "attach": (tag, direction, tag),

@@ -103,9 +103,10 @@ def _pretrain_cmst(c: Corpus, cfg: TrainConfig) -> cmst.FrankWolfeOptimizer:
 
 
 def pretrain(c: Corpus, cfg: TrainConfig, layouts: dict | None = None) -> TrainState:
-    """Train both models separately with their own algorithms."""
-    theta = _em(c, dmv.init_params(c, cfg.init), cfg, cfg.em_pretrain_iters, layouts)
+    """Train both models separately with their own algorithms: Frank-Wolfe
+    first, whose set-up checks the weights and the corpus tags, then EM."""
     opt = _pretrain_cmst(c, cfg)
+    theta = _em(c, dmv.init_params(c, cfg.init), cfg, cfg.em_pretrain_iters, layouts)
     return TrainState(theta, opt.model, optimizer=opt)
 
 
@@ -234,13 +235,7 @@ def joint_train(c: Corpus, cfg: TrainConfig, checkpoint_dir=None) -> TrainState:
 
 
 def train(c: Corpus, cfg: TrainConfig, checkpoint_dir=None) -> TrainState:
-    """Dispatch on the configured training mode. Every mode but dmv-only
-    trains the discriminative model, so its weights and the corpus tags its
-    features are built from are checked first, before any EM iteration
-    runs."""
-    if cfg.mode != "dmv-only":
-        cmst.check_weights(cfg.lam, cfg.mu, train=True)
-        cmst.FeatureTemplate.for_vocab(c.pos_vocab)
+    """Dispatch on the configured training mode."""
     if cfg.mode == "joint":
         return joint_train(c, cfg, checkpoint_dir)
     if cfg.mode == "dmv-only":

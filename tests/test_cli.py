@@ -100,7 +100,9 @@ def test_dump_config_prints_every_default(capsys):
     )
 
 
-def test_every_setting_reads_alike_from_config_file_and_flag(tmp_path):
+def test_every_setting_reads_alike_from_config_file_and_flag(
+    tmp_path, train_file, monkeypatch
+):
     rules = tmp_path / "rules.txt"
     rules.write_text("VERB NOUN\n")
     values = {
@@ -121,8 +123,15 @@ def test_every_setting_reads_alike_from_config_file_and_flag(tmp_path):
     defaults = load_config(None, {})
     assert all(from_file[k] != defaults[k] for k in values)
     assert from_flags == from_file
-    assert cli._train_config(from_flags) == cli._train_config(from_file)
-    assert cli._train_config(from_file).rules == frozenset({("VERB", "NOUN")})
+    # Both forms reach training alike, the rules file read into its rule set.
+    trained = []
+    monkeypatch.setattr(trainer, "train", lambda *args: trained.append(args))
+    base = ["train", "--train", str(train_file), "--out", str(tmp_path / "m")]
+    assert run([*base, "--config", str(config)]) == EXIT_OK
+    assert run([*base, *flags]) == EXIT_OK
+    (_, from_file_cfg, _), (_, from_flags_cfg, _) = trained
+    assert from_flags_cfg == from_file_cfg
+    assert from_file_cfg.rules == frozenset({("VERB", "NOUN")})
 
 
 @pytest.mark.parametrize("setting", ["lambda=0", "lambda=inf", "mu=nan", "mu=-1"])
@@ -379,7 +388,7 @@ def test_train_rejects_removed_step_settings(tmp_path, train_file, capsys, setti
     err = capsys.readouterr().err
     key = setting.split("=")[0]
     assert rc == EXIT_DATA
-    assert err == f"error: {config}:1: unknown config key {key!r}\n"
+    assert err == f"error: {config}: line 1: unknown config key {key!r}\n"
     assert not (tmp_path / "m").exists()
 
 
@@ -401,7 +410,7 @@ def test_config_naming_dd_max_iters_is_refused(
     rc = run([*args, "--config", str(config)])
     assert rc == EXIT_DATA
     assert capsys.readouterr().err == (
-        f"error: {config}:2: unknown config key 'dd_max_iters'\n"
+        f"error: {config}: line 2: unknown config key 'dd_max_iters'\n"
     )
     assert not out.exists()
 
@@ -587,14 +596,23 @@ def _tags(tags):
     # A strictly positive grammar only: no probability 0, and no stop
     # probability 1, whose continuing probability is 0.
     pytest.param("dmv.txt", _values("root ", "0", "0.5", "0.5"),
-                 "root probability 0.0 outside (0, 1]", id="dmv-root-zero"),
+                 "root DET: probability 0.0 outside (0, 1]", id="dmv-root-zero"),
     pytest.param("dmv.txt", _values("attach NOUN right ", "0.5", "0.5", "0"),
-                 "attach probability 0.0 outside (0, 1]", id="dmv-attach-zero"),
+                 "attach NOUN right VERB: probability 0.0 outside (0, 1]",
+                 id="dmv-attach-zero"),
     pytest.param("dmv.txt", _values("stop VERB left 1 ", "0"),
-                 "stop probability 0.0 outside (0, 1)", id="dmv-stop-zero"),
+                 "stop VERB left 1: probability 0.0 outside (0, 1)",
+                 id="dmv-stop-zero"),
     pytest.param("dmv.txt", _values("stop DET right 0 ", "1"),
-                 "stop probability 1.0 outside (0, 1)", id="dmv-stop-one"),
-    pytest.param("cmst.txt", lambda lines: lines[:1], None, id="cmst-header-only"),
+                 "stop DET right 0: probability 1.0 outside (0, 1)",
+                 id="dmv-stop-one"),
+    pytest.param("dmv.txt", _values("attach VERB left ", "0.5", "0.5", "0.5"),
+                 "attach distribution of VERB left sums to 1.5",
+                 id="dmv-attach-sum"),
+    pytest.param("cmst.txt", lambda lines: lines[:1], "incomplete model file",
+                 id="cmst-header-only"),
+    pytest.param("cmst.txt", lambda lines: lines[:3], "incomplete model file",
+                 id="cmst-truncated"),
     pytest.param("cmst.txt", lambda lines: lines + ["w 3"], None, id="cmst-short-w"),
     pytest.param(
         "cmst.txt", lambda lines: lines + ["w 99999999 1.0"],
@@ -634,12 +652,14 @@ def test_damaged_model_file_is_data_error(
     path.write_text("".join(
         line + "\n" for line in damage(path.read_text().splitlines())
     ))
-    rc = _parse(model_dir, train_file, tmp_path / "o.conllu")
-    err = capsys.readouterr().err
-    assert rc == EXIT_DATA
-    assert err.startswith("error: ") and err.count("\n") == 1
-    if message is not None:
-        assert err == f"error: {message}\n"
+    # The dd decoder reads both files, a single-model decoder only its own.
+    for decoder in ("dd", name.removesuffix(".txt")):
+        rc = _parse(model_dir, train_file, tmp_path / "o.conllu", decoder)
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        if message is not None:
+            assert err == f"error: {path}: {message}\n"
 
 
 def test_non_finite_probability_is_refused_on_its_line(
@@ -654,7 +674,7 @@ def test_non_finite_probability_is_refused_on_its_line(
     path.write_text("".join(line + "\n" for line in lines))
     assert _parse(model_dir, train_file, tmp_path / "o.conllu", "dmv") == EXIT_DATA
     assert capsys.readouterr().err == (
-        f"error: line {i + 1}: stop probability 'nan' is not finite\n"
+        f"error: {path}: line {i + 1}: stop probability 'nan' is not finite\n"
     )
 
 
@@ -703,7 +723,7 @@ def test_malformed_cmst_record_is_refused_on_its_line(
     path.write_text("".join(line + "\n" for line in lines))
     assert _parse(model_dir, train_file, tmp_path / "o.conllu", "cmst") == EXIT_DATA
     assert capsys.readouterr().err == (
-        f"error: line {i + 1}: {message.format(dimension=dimension)}\n"
+        f"error: {path}: line {i + 1}: {message.format(dimension=dimension)}\n"
     )
 
 
@@ -728,7 +748,7 @@ def test_repeated_model_record_is_refused_on_its_line(
     assert _parse(model_dir, train_file, tmp_path / "o.conllu", decoder) == EXIT_DATA
     kind = prefix.strip()
     assert capsys.readouterr().err == (
-        f"error: line {len(lines)}: repeats the {kind} record of line {i + 1}\n"
+        f"error: {path}: line {len(lines)}: repeats the {kind} record of line {i + 1}\n"
     )
 
 
@@ -741,7 +761,7 @@ def test_root_distribution_sum_is_reported_as_a_plain_number(
         + "\n" for line in path.read_text().splitlines()
     ))
     assert _parse(model_dir, train_file, tmp_path / "o.conllu", "dmv") == EXIT_DATA
-    assert capsys.readouterr().err == "error: root distribution sums to 1.5\n"
+    assert capsys.readouterr().err == f"error: {path}: root distribution sums to 1.5\n"
 
 
 # A sentence with a tag, ZZZ, outside the models' vocabulary.
@@ -847,7 +867,7 @@ def test_malformed_rule_is_refused_on_its_line(tmp_path, train_file, capsys):
               "--train", str(train_file), "--out", str(tmp_path / "out")])
     assert rc == EXIT_DATA
     assert capsys.readouterr().err == (
-        "error: line 4: rule line must be 'HEADTAG DEPTAG': "
+        f"error: {rules}: line 4: rule line must be 'HEADTAG DEPTAG': "
         "'VERB NOUN ADJ  # three'\n"
     )
 
@@ -1091,15 +1111,13 @@ def test_non_utf8_byte_is_refused_on_its_line(
     tmp_path, train_file, model_dir, capsys, kind
 ):
     # Every reader decodes line by line, so a byte that is not UTF-8 is
-    # named by its line, in the format of that reader's other errors.
+    # named by its file and line, as every other refusal of a file is.
     path, argv = _text_inputs(tmp_path, train_file, model_dir)[kind]
     lines = path.read_bytes().split(b"\n")
     lines[2] = lines[2][:2] + b"\xff" + lines[2][2:]
     path.write_bytes(b"\n".join(lines))
     assert run(argv) == EXIT_DATA
-    where = {"config": f"{path}:3: ", "conllu": f"{path}: line 3: "}.get(
-        kind, "line 3: ")
-    assert capsys.readouterr().err == f"error: {where}not UTF-8 text\n"
+    assert capsys.readouterr().err == f"error: {path}: line 3: not UTF-8 text\n"
     assert not (tmp_path / "out").exists()
 
 

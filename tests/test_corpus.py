@@ -53,6 +53,17 @@ def test_parse_error_carries_line_number():
         parse_conllu(["x\tw\tw\tNOUN\t_\t_\t0\t_\t_\t_\n"])
 
 
+@pytest.mark.parametrize("head, line_no", [("x", 1), ("1", 1), ("5", 2)])
+def test_parse_reports_the_first_fault_in_file_order(head, line_no):
+    # Each line is checked as it is read. Only a head's range waits for the
+    # end of its sentence, which fixes n, so a later short line comes first.
+    lines = ["1\tw\tw\tNOUN\t_\t_\t%s\t_\t_\t_\n" % head,
+             "2\tw\tw\tNOUN\t_\t_\t1\t_\t_\n"]
+    with pytest.raises(ConlluParseError) as exc:
+        parse_conllu(lines)
+    assert exc.value.line_no == line_no
+
+
 def test_parse_head_out_of_range():
     with pytest.raises(ConlluParseError):
         parse_conllu(["1\tw\tw\tNOUN\t_\t_\t5\t_\t_\t_\n"])

@@ -732,7 +732,8 @@ def test_mstep_single_event_counts():
     assert p.attach[1, dmv.LEFT, 0] == 1.0
     # The tables sum to one, but unsmoothed, the events no tree uses get
     # probability 0, which a valid grammar may not hold.
-    with pytest.raises(ValueError, match=r"^root probability 0\.0 outside \(0, 1\]$"):
+    message = r"^root NOUN: probability 0\.0 outside \(0, 1\]$"
+    with pytest.raises(ValueError, match=message):
         p.validate()
 
 
