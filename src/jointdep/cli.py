@@ -123,6 +123,23 @@ def _read(path, what: str, reader):
         raise DataError(f"{path}: {exc}") from None
 
 
+def _check_output(flag: str, path, is_dir: bool = False) -> None:
+    """Refuse, before any work, an output `path` (if given) that could not be
+    written at the end: a file's directory must exist, and a directory, which
+    is made with its parents (`is_dir`), must have one as its first existing
+    ancestor. A file's path must not name a directory."""
+    if not path:
+        return
+    p = Path(path)
+    first = next(a for a in (p, *p.parents) if a.exists()) if is_dir else p.parent
+    if not first.exists():
+        raise DataError(f"{flag} {path}: directory {first} does not exist")
+    if not first.is_dir():
+        raise DataError(f"{flag} {path}: {first} is not a directory")
+    if not is_dir and p.is_dir():
+        raise DataError(f"{flag} {path}: is a directory")
+
+
 def _cmd_train(args) -> int:
     cfg = load_config(args.config, vars(args))
     if args.dump_config:
@@ -132,14 +149,10 @@ def _cmd_train(args) -> int:
     if not args.train:
         raise UsageError("--train is required")
     rules = _read(cfg["rules"], "rules file", cmst.load_rules) if cfg["rules"] else None
-    if args.out:
-        # Checked before training, whose checkpoints would fail only at the end.
-        first = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
-        if not first.is_dir():
-            raise DataError(f"--out {args.out}: {first} is not a directory")
-        if first == Path(args.out) and any(first.iterdir()):
-            # An earlier run's checkpoints would sit beside this run's.
-            raise DataError(f"--out {args.out}: directory is not empty")
+    _check_output("--out", args.out, is_dir=True)
+    if args.out and Path(args.out).is_dir() and any(Path(args.out).iterdir()):
+        # An earlier run's checkpoints would sit beside this run's.
+        raise DataError(f"--out {args.out}: directory is not empty")
     corpus = filter_corpus(_read(args.train, "input file", read_conllu),
                            cfg["max_len"], cfg["count_punct"])
     if corpus.N == 0:
@@ -162,8 +175,17 @@ def _load_models(model_dir, decoder: str) -> trainer.TrainState:
 
 def _cmd_parse(args) -> int:
     cfg = load_config(args.config, vars(args))
+    _check_output("--output", args.output)
     state = _load_models(args.model, args.decoder)
     corpus = _read(args.input, "input file", read_conllu)
+    if state.theta is not None:
+        # The grammar reads no tag outside its vocabulary; the first one in
+        # the file is refused at the line of its sentence.
+        tag = next((t for t in corpus.pos_vocab if t not in state.theta.vocab), None)
+        if tag is not None:
+            line = next(x.line for x in corpus if tag in x.upos)
+            raise DataError(f"{args.input}: line {line}: UPOS tag {tag!r} not in "
+                            "model vocabulary")
     tcfg = trainer.TrainConfig(**_decode_settings(cfg))
     trees = trainer.decode_corpus(corpus, state, tcfg, args.decoder)
     write_conllu_file(corpus, trees, args.output)
@@ -173,14 +195,14 @@ def _cmd_parse(args) -> int:
 def _pred_trees(path):
     pred = _read(path, "input file", read_conllu)
     trees = []
-    for i, sent in enumerate(pred):
+    for sent in pred:
         heads = sent.gold_heads()
         if heads is None:
-            raise DataError(f"{path}: sentence {i} has no predicted heads")
+            raise DataError(f"{path}: line {sent.line}: no predicted heads")
         try:
             trees.append(DepTree(heads))
         except ValueError as exc:
-            raise DataError(f"{path}: sentence {i}: {exc}")
+            raise DataError(f"{path}: line {sent.line}: {exc}")
     return pred, trees
 
 
@@ -196,6 +218,7 @@ def _emit_report(rows, out_path) -> None:
 def _cmd_eval(args) -> int:
     from . import evaluation
 
+    _check_output("--out", args.out)
     gold = _read(args.gold, "input file", read_conllu)
     pred_corpus, trees = _pred_trees(args.pred)
     if pred_corpus.N != gold.N:
@@ -212,6 +235,7 @@ def _cmd_eval(args) -> int:
 def _cmd_analyze(args) -> int:
     from . import evaluation
 
+    _check_output("--out", args.out)
     rules = _read(args.rules, "rules file", cmst.load_rules) \
         if args.rules else cmst.default_rules()
     pred_corpus, trees = _pred_trees(args.pred)

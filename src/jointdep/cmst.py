@@ -318,11 +318,9 @@ class CmstModel:
 # of any lengths, stack into one (spans, m) candidate array with no padding.
 #
 # A plan takes about 7.6 bytes per n^3 of the sentences it covers, so a batch
-# is decoded in passes of at most _PASS_CUBES: each pass's plan stays under
-# about 2.0 MB (a longer sentence gets a pass of its own), and the 8 cached
-# plans under about 16 MB, however large the corpus. Compiling a plan takes
-# about twice as long as one pass over it, so passes that fall out of the
-# cache still cost far less than a cell-by-cell chart.
+# is decoded in passes of at most _PASS_CUBES, each plan under about 2.0 MB (a
+# longer sentence gets a pass of its own). Frank-Wolfe keeps one plan per pass
+# of its corpus for its lifetime; a one-shot decode holds one at a time.
 _PASS_CUBES = 1 << 18
 
 
@@ -341,7 +339,6 @@ class _EisnerPlan:
     root_cells: np.ndarray     # cost[0, c], C[c, 1], C[c, n], c = 1..n, per sentence
 
 
-@functools.lru_cache(maxsize=8)
 def _eisner_plan(ns: tuple[int, ...]) -> _EisnerPlan:
     """Compile the chart layout of a batch of sentences of lengths `ns`."""
     layout = ArcLayout(ns)
@@ -369,13 +366,14 @@ def _eisner_plan(ns: tuple[int, ...]) -> _EisnerPlan:
 
 
 def eisner_min(
-    lengths: Sequence[int], costs: np.ndarray
+    lengths: Sequence[int], costs: np.ndarray, plans: dict | None = None
 ) -> list[tuple[tuple[int, ...], float]]:
     """Min-cost projective single-rooted tree, and its cost, of every
     sentence of the given lengths, whose arc costs `costs` holds flat in
     their `ArcLayout`, keyed [head, dependent] with row/column 0 the root
     pseudo-node. The sentences may have any lengths; they are decoded
-    together, in as few chart passes as the plan bound allows.
+    together, in as few chart passes as the plan bound allows. A pass's plan is
+    kept in the owner's `plans`, keyed by its lengths, else for the pass alone.
 
     Costs are summed as min_k(C + C) + cost for incomplete spans, min_c(I + C)
     for complete ones and (cost[0, c] + C[c, 1]) + C[c, n] at the root. Ties
@@ -387,22 +385,23 @@ def eisner_min(
     cubes = start = 0
     for n in lengths:
         if batch and cubes + n**3 > _PASS_CUBES:
-            out += _eisner_pass(tuple(batch), costs[start:])
+            out += _eisner_pass(tuple(batch), costs[start:], plans)
             start += sum((k + 1) ** 2 for k in batch)
             batch, cubes = [], 0
         batch.append(n)
         cubes += n**3
     if batch:
-        out += _eisner_pass(tuple(batch), costs[start:])
+        out += _eisner_pass(tuple(batch), costs[start:], plans)
     return out
 
 
 def _eisner_pass(
-    ns: tuple[int, ...], costs: np.ndarray
+    ns: tuple[int, ...], costs: np.ndarray, plans: dict | None
 ) -> list[tuple[tuple[int, ...], float]]:
     """`eisner_min` of a non-empty batch in one chart pass, its costs the
-    head of `costs`."""
-    plan = _eisner_plan(ns)
+    head of `costs`, its plan from `plans` (see `eisner_min`)."""
+    plans = {} if plans is None else plans
+    plan = plans[ns] = plans.get(ns) or _eisner_plan(ns)
     C = np.zeros(plan.layout.size)
     I_pad = np.zeros(plan.layout.size + 1)
     I = I_pad[1:]  # so I[r, k] is I_pad[b] and I[l, k + 1] is I_pad[2:][a]
@@ -607,6 +606,7 @@ class FrankWolfeOptimizer:
         self._grad = np.empty(layout.size)
         self._diff = np.empty(layout.size)  # Y - S, then the residual Y - q
         self._vert = np.empty(layout.size)
+        self._plans: dict = {}  # the corpus's Eisner plans (see `eisner_min`)
         # Per length: its sentences, their arc matrices' first cells and the
         # cell offsets within a matrix, from which `_dots` gathers the
         # (sentences, (n+1)^2) rows on each call rather than keep them. The
@@ -705,7 +705,7 @@ class FrankWolfeOptimizer:
         np.subtract(self._Y, q, out=g)
         g /= self._n
         g -= self.model.mu * self._V
-        self._scatter(s, (heads for heads, _ in eisner_min(self.layout.lengths, g)))
+        self._scatter(s, (h for h, _ in eisner_min(self.layout.lengths, g, self._plans)))
         np.subtract(self._Y, s, out=diff)
         gap = functools.reduce(float.__add__, self._dots(g, diff).tolist(), 0.0)
         denom = functools.reduce(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -40,6 +40,8 @@ class Token:
 @dataclass(frozen=True)
 class Sentence:
     tokens: tuple[Token, ...]
+    # The line of its first token in the CoNLL-U text it was read from.
+    line: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.tokens:
@@ -281,7 +283,8 @@ def parse_conllu(stream: Iterable[str]) -> Corpus:
 
     Multiword-token ranges ("1-2") and empty nodes ("1.1") are ignored.
     Column 4 supplies the UPOS tag, which must be one non-empty word, and
-    column 7 the gold head when numeric.
+    column 7 the gold head when numeric. Each sentence keeps the line of its
+    first token, by which later refusals name it.
     """
     sentences: list[Sentence] = []
     tokens: list[Token] = []
@@ -294,7 +297,7 @@ def parse_conllu(stream: Iterable[str]) -> Corpus:
                 raise LineError(f"head index {head} out of range for length {n}",
                                 line_no)
         if tokens:
-            sentences.append(Sentence(tuple(tokens)))
+            sentences.append(Sentence(tuple(tokens), start))
         tokens.clear()
         heads.clear()
 
@@ -336,6 +339,8 @@ def parse_conllu(stream: Iterable[str]) -> Corpus:
         upos = fields[3]
         if upos.split() != [upos]:  # model files are split on whitespace
             raise LineError(f"UPOS tag {upos!r} is empty or holds whitespace", line_no)
+        if not tokens:
+            start = line_no
         tokens.append(Token(fields[1], upos, gold_head, fields))
     flush()
     vocab = dict.fromkeys(t.upos for x in sentences for t in x.tokens)

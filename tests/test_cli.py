@@ -196,6 +196,30 @@ def test_train_out_naming_a_file_is_refused_before_training(
     assert rc == EXIT_OK and len(trained) == 1
 
 
+def test_output_in_a_missing_directory_is_refused_before_any_work(
+    tmp_path, train_file, model_dir, capsys, monkeypatch
+):
+    # An output path whose directory does not exist, or that names a
+    # directory, is refused with exit code 2 before the corpus is decoded or
+    # scored, and nothing is written.
+    decoded = []
+    monkeypatch.setattr(trainer, "_decode_all", lambda *args: decoded.append(args))
+    missing = tmp_path / "nodir" / "o.conllu"
+    assert _parse(model_dir, train_file, missing) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: --output {missing}: directory {missing.parent} does not exist\n"
+    )
+    assert _parse(model_dir, train_file, tmp_path) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: --output {tmp_path}: is a directory\n"
+    assert decoded == []
+    for command in (["eval", "--gold", str(train_file)], ["analyze"]):
+        rc = run([*command, "--pred", str(train_file), "--out", str(missing)])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr() == (
+            "", f"error: --out {missing}: directory {missing.parent} does not exist\n")
+    assert not missing.parent.exists()
+
+
 def test_train_into_a_used_out_is_refused_before_training(
     tmp_path, train_file, fast_args, capsys, monkeypatch
 ):
@@ -320,7 +344,32 @@ def test_eval_rejects_invalid_predicted_tree(tmp_path, train_file, capsys):
     )
     rc = run(["eval", "--gold", str(bad), "--pred", str(bad)])
     assert rc == EXIT_DATA  # two roots is not a valid tree
-    assert "sentence 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 1: invalid dependency tree (0, 0): expected exactly "
+        "one root, found 2\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+def test_predicted_tree_faults_name_the_line_of_their_sentence(
+    tmp_path, capsys, command
+):
+    # Each sentence is named by its first token's line: the second sentence
+    # of `pred` starts on line 5, after a blank line and a comment, and the
+    # third, whose heads are missing, on line 8.
+    good = "1\tw\tw\tNOUN\t_\t_\t0\t_\t_\t_\n2\tw\tw\tNOUN\t_\t_\t1\t_\t_\t_\n"
+    two_roots = good.replace("\t1\t_", "\t0\t_")
+    headless = good.replace("\t1\t_", "\t_\t_")
+    pred = tmp_path / "pred.conllu"
+    for text, line, fault in [
+        (good + "\n# sent_id = 2\n" + two_roots, 5,
+         "invalid dependency tree (0, 0): expected exactly one root, found 2"),
+        (good + "\n# sent_id = 2\n" + good + "\n" + headless, 8, "no predicted heads"),
+    ]:
+        pred.write_text(text)
+        gold = ["--gold", str(pred)] if command == "eval" else []
+        assert run([command, *gold, "--pred", str(pred)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {pred}: line {line}: {fault}\n"
 
 
 def test_max_ce_depth_inf_accepted(tmp_path, train_file, fast_args):
@@ -772,13 +821,23 @@ UNSEEN_TAG_CONLLU = (
 
 
 @pytest.mark.parametrize("decoder", ["dmv", "dd"])
-def test_unknown_upos_is_data_error(tmp_path, model_dir, capsys, decoder):
+def test_unknown_upos_is_data_error(tmp_path, model_dir, capsys, monkeypatch, decoder):
+    # The first unknown tag of the file is named at the line of its
+    # sentence's first token (line 4 in the second file, after a comment),
+    # before the corpus is decoded.
+    decoded = []
+    monkeypatch.setattr(trainer, "_decode_all", lambda *args: decoded.append(args))
     src = tmp_path / "zzz.conllu"
-    src.write_text(UNSEEN_TAG_CONLLU)
-    assert _parse(model_dir, src, tmp_path / "o.conllu", decoder) == EXIT_DATA
-    assert capsys.readouterr().err == (
-        "error: UPOS tag 'ZZZ' not in model vocabulary\n"
-    )
+    later = ("1\tw\tw\tNOUN\t_\t_\t0\t_\t_\t_\n\n# sent_id = 2\n"
+             + UNSEEN_TAG_CONLLU + UNSEEN_TAG_CONLLU.replace("ZZZ", "YYY"))
+    for text, line in [(UNSEEN_TAG_CONLLU, 1), (later, 4)]:
+        src.write_text(text)
+        assert _parse(model_dir, src, tmp_path / "o.conllu", decoder) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {src}: line {line}: UPOS tag 'ZZZ' not in model vocabulary\n"
+        )
+    assert decoded == []
+    assert not (tmp_path / "o.conllu").exists()
 
 
 def test_unknown_upos_parses_as_unk_with_the_cmst_decoder(

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -531,8 +532,8 @@ def test_eisner_plan_holds_under_8_bytes_per_cube():
     # n^3 of its sentences: C's I operands are read at the I candidates'
     # indices, which it keeps, rather than at indices of their own (10.35).
     ns = tuple(range(3, 16)) * 12
-    cmst._eisner_plan.__wrapped__(ns)
-    plan, held, _ = _traced(lambda: cmst._eisner_plan.__wrapped__(ns))
+    cmst._eisner_plan(ns)
+    plan, held, _ = _traced(lambda: cmst._eisner_plan(ns))
     assert len(plan.widths) == 14
     assert held <= 8.0 * sum(n**3 for n in ns)
 
@@ -665,6 +666,66 @@ def test_fw_run_does_not_depend_on_the_pass_budget(rng, monkeypatch):
         runs.append((m.w.tobytes(), opt.objective_history, opt.gap_history))
     assert runs[0] == runs[1]
     assert len(runs[0][1]) == 10
+
+
+def _plan_spy(monkeypatch):
+    """Spy on `cmst._eisner_plan` from now on: the tuple of lengths of every
+    plan it compiles, how many of the plans it compiled before are alive at
+    that moment, and a weak reference to each plan."""
+    compiled, alive, refs = [], [], []
+
+    def spy(ns, _fn=cmst._eisner_plan):
+        alive.append(sum(ref() is not None for ref in refs))
+        compiled.append(ns)
+        plan = _fn(ns)
+        refs.append(weakref.ref(plan))
+        return plan
+
+    monkeypatch.setattr(cmst, "_eisner_plan", spy)
+    return compiled, alive, refs
+
+
+def test_fw_compiles_each_pass_plan_once_per_optimizer(rng, monkeypatch):
+    # At a budget of 3,000 cubes, 156 shuffled sentences of lengths 3-15 need
+    # more than 8 passes, so a bounded 8-plan cache would recompile each one
+    # on every step, and a length-15 sentence (3,375 cubes) is a pass of its
+    # own, so some pass tuples repeat within a step. The optimizer keeps every plan: its first
+    # step compiles each distinct tuple once, and no later step compiles.
+    lengths = rng.permutation(list(range(3, 16)) * 12)
+    c = Corpus(tuple(make_sentence(rng.choice(UPOS_TAGS, size=n).tolist())
+                     for n in lengths), UPOS_TAGS)
+    monkeypatch.setattr(cmst, "_PASS_CUBES", 3000)
+    passes = []
+
+    def counted(ns, costs, plans, _fn=cmst._eisner_pass):
+        passes.append(ns)
+        return _fn(ns, costs, plans)
+
+    monkeypatch.setattr(cmst, "_eisner_pass", counted)
+    compiled, _, _ = _plan_spy(monkeypatch)
+    opt = FrankWolfeOptimizer(c, CmstModel.create(c.pos_vocab))
+    opt.step()
+    step = passes.copy()
+    assert len(set(step)) > 8
+    assert len(step) > len(set(step))  # a repeated tuple
+    assert sorted(compiled) == sorted(set(step))
+    opt.run(4)
+    assert passes == step * 5
+    assert sorted(compiled) == sorted(set(step))
+
+
+def test_one_shot_eisner_min_holds_one_plan_at_a_time(rng, monkeypatch):
+    # With no plans dict, each pass compiles its plan and drops it when the
+    # pass ends: no earlier plan is alive when the next one is compiled, and
+    # none is kept after the call.
+    monkeypatch.setattr(cmst, "_PASS_CUBES", 3000)
+    compiled, alive, refs = _plan_spy(monkeypatch)
+    lengths = rng.permutation(list(range(3, 16)) * 3)
+    got = eisner_min(*flat_costs([rng.normal(size=(n + 1, n + 1)) for n in lengths]))
+    assert len(got) == len(lengths)
+    assert len(compiled) > 8
+    assert alive == [0] * len(compiled)
+    assert all(ref() is None for ref in refs)
 
 
 def test_fit_trees_rejects_trees_of_other_lengths(toy_corpus):

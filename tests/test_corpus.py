@@ -45,6 +45,17 @@ def test_parse_skips_ranges_and_empty_nodes(conllu_sample):
     assert c.sentences[1].gold_heads() == (2, 0)
 
 
+def test_parse_records_each_sentences_first_token_line(conllu_sample):
+    # Line 1 is a comment and line 7 a multiword range, so the sentences'
+    # first tokens sit on lines 2 and 8. The line is not part of a sentence's
+    # value: the same tokens read from another place compare equal.
+    c = parse_conllu(io.StringIO(conllu_sample))
+    assert [s.line for s in c] == [2, 8]
+    moved = parse_conllu(io.StringIO("\n\n" + conllu_sample))
+    assert [s.line for s in moved] == [4, 10]
+    assert moved.sentences == c.sentences
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ConlluParseError) as exc:
         parse_conllu(["1\tonly\tthree\tcolumns\n"])

@@ -95,9 +95,9 @@ def test_corpus_lmo_callers_make_one_engine_call(small_corpus, monkeypatch):
     # with the trees that decoding each sentence alone gives.
     calls = []
 
-    def counted(lengths, costs, _fn=cmst.eisner_min):
+    def counted(lengths, costs, plans=None, _fn=cmst.eisner_min):
         calls.append(len(lengths))
-        return _fn(lengths, costs)
+        return _fn(lengths, costs, plans)
 
     monkeypatch.setattr(cmst, "eisner_min", counted)
     N = small_corpus.N
