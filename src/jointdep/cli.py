@@ -222,12 +222,18 @@ def _cmd_eval(args) -> int:
     gold = _read(args.gold, "input file", read_conllu)
     pred_corpus, trees = _pred_trees(args.pred)
     if pred_corpus.N != gold.N:
-        raise DataError(
-            f"gold has {gold.N} sentences but predictions have {pred_corpus.N}"
+        raise DataError(f"{args.pred}: has {pred_corpus.N} sentences, {args.gold} "
+                        f"has {gold.N}")
+    for sent, pred, tree in zip(gold, pred_corpus, trees):
+        if tree.n != sent.n:
+            raise DataError(f"{args.pred}: line {pred.line}: tree length {tree.n} "
+                            f"!= gold sentence length {sent.n}")
+    try:
+        report = evaluation.directed_accuracy(
+            gold, trees, args.max_len, not args.include_punct
         )
-    report = evaluation.directed_accuracy(
-        gold, trees, args.max_len, not args.include_punct
-    )
+    except LineError as exc:  # a gold sentence with no heads
+        raise DataError(f"{args.gold}: {exc}") from None
     _emit_report(report.rows(), args.out)
     return EXIT_OK
 
@@ -239,8 +245,7 @@ def _cmd_analyze(args) -> int:
     rules = _read(args.rules, "rules file", cmst.load_rules) \
         if args.rules else cmst.default_rules()
     pred_corpus, trees = _pred_trees(args.pred)
-    report = evaluation.analyze(trees, pred_corpus, rules)
-    _emit_report(report.rows(), args.out)
+    _emit_report(evaluation.analyze(trees, pred_corpus, rules), args.out)
     return EXIT_OK
 
 

@@ -584,14 +584,15 @@ class FrankWolfeOptimizer:
     search) on the relaxed variables jointly.
 
     The state is flat corpus vectors in the `ArcLayout` of the training
-    sentences. The relaxed trees, the rule matrices and the gradient, vertex
-    and residual buffers all take that layout, and `y` views the relaxed
-    trees sentence by sentence. So a step's elementwise algebra runs once
-    over the corpus; only the sums run per sentence, one dot product of its
-    arc matrices each (`_dots`), added in corpus order as a per-sentence
-    loop over matrices adds them. Arc scores are gathered from the weight
-    sums at each flat cell's class, and the ridge system is solved from sums
-    over the classes (`_NestedRidge`), so no feature matrix is built."""
+    sentences: the relaxed trees, which `y` views sentence by sentence, the
+    rule entries, each cell's class and its sentence's length. A step makes
+    its gradient, vertex and residual afresh in that layout, so its
+    elementwise algebra runs once over the corpus; only the sums run per
+    sentence, one dot product of its arc matrices each (`_dots`), added in
+    corpus order as a per-sentence loop over matrices adds them. Arc scores
+    are gathered from the weight sums at each flat cell's class, and the
+    ridge system is solved from sums over the classes (`_NestedRidge`), so
+    no feature matrix is built."""
 
     def __init__(self, corpus: Corpus, model: CmstModel):
         check_weights(model.lam, model.mu, train=True)
@@ -602,10 +603,6 @@ class FrankWolfeOptimizer:
         layout = self.layout
         self._ridge = _NestedRidge(
             model.templates, model.lam, np.bincount(self._cls, 1.0 / self._n))
-        self._Y = np.zeros(layout.size)
-        self._grad = np.empty(layout.size)
-        self._diff = np.empty(layout.size)  # Y - S, then the residual Y - q
-        self._vert = np.empty(layout.size)
         self._plans: dict = {}  # the corpus's Eisner plans (see `eisner_min`)
         # Per length: its sentences, their arc matrices' first cells and the
         # cell offsets within a matrix, from which `_dots` gathers the
@@ -619,7 +616,7 @@ class FrankWolfeOptimizer:
             rows = np.flatnonzero(self._lengths == n)
             self._blocks.append((rows, starts[rows, None], np.arange((n + 1) ** 2)))
         # Start from the chain trees: token 1 rooted, each next one chained.
-        self._scatter(self._Y, [range(n) for n in layout.lengths])
+        self._Y = self._scatter(range(n) for n in layout.lengths)
         self.objective_history: list[float] = []
         self.gap_history: list[float] = []
 
@@ -640,11 +637,12 @@ class FrankWolfeOptimizer:
             out[rows] = (a_rows[:, None, :] @ b_rows[:, :, None]).ravel()
         return out
 
-    def _scatter(self, flat: np.ndarray, heads: Iterable[Iterable[int]]) -> None:
-        """Set `flat` to the 0/1 arc matrices of the trees with the given head
+    def _scatter(self, heads: Iterable[Iterable[int]]) -> np.ndarray:
+        """The flat 0/1 arc matrices of the trees with the given head
         sequences, one per sentence in corpus order."""
-        flat.fill(0.0)
+        flat = np.zeros(self.layout.size)
         flat[self.layout.arcs(heads)] = 1.0
+        return flat
 
     def ridge_solve(self, z: np.ndarray) -> np.ndarray:
         """The w solving (sum_i (1/n_i) X_i'X_i + lam*I) w = X'z, for X the
@@ -670,7 +668,7 @@ class FrankWolfeOptimizer:
     def fit_trees(self, trees: Sequence[DepTree]) -> None:
         """Set the relaxed tree variables to fixed trees and re-solve w: the
         exact minimizer of the objective over w at those trees."""
-        self._scatter(self._Y, self._heads(trees))
+        self._Y = self._scatter(self._heads(trees))
         self._solve_w()
 
     def objective(
@@ -684,12 +682,8 @@ class FrankWolfeOptimizer:
         w-regularizer (lam/2)||w||^2 in corpus order."""
         if q is None:
             q = self._scores()
-        Y = self._Y
-        if trees is not None:
-            Y = self._vert
-            self._scatter(Y, self._heads(trees))
-        w, r = self.model.w, self._diff
-        np.subtract(Y, q, out=r)
+        Y = self._Y if trees is None else self._scatter(self._heads(trees))
+        w, r = self.model.w, Y - q
         loss = (self._dots(r, r) / (2.0 * self._lengths)
                 - self.model.mu * self._dots(self._V, Y))
         total = self.model.lam / 2.0 * float(w @ w)
@@ -701,15 +695,15 @@ class FrankWolfeOptimizer:
         heads are scattered straight into the flat vertex."""
         self._solve_w()
         q = self._scores()
-        g, s, diff = self._grad, self._vert, self._diff
-        np.subtract(self._Y, q, out=g)
+        g = self._Y - q
         g /= self._n
         g -= self.model.mu * self._V
-        self._scatter(s, (h for h, _ in eisner_min(self.layout.lengths, g, self._plans)))
-        np.subtract(self._Y, s, out=diff)
+        s = self._scatter(h for h, _ in eisner_min(self.layout.lengths, g, self._plans))
+        diff = self._Y - s
         gap = functools.reduce(float.__add__, self._dots(g, diff).tolist(), 0.0)
         denom = functools.reduce(
             float.__add__, (self._dots(diff, diff) / self._lengths).tolist(), 0.0)
+        del g, diff  # the objective's residual takes their place
         if denom > 0.0:
             gamma = min(1.0, max(0.0, gap / denom))
             s -= self._Y

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import dmv
-from .corpus import Corpus, DepTree
+from .corpus import Corpus, DepTree, LineError
 from .cmst import RuleSet
 
 
@@ -27,30 +27,6 @@ class EvalReport:
             ("tokens_scored_le15", str(self.tokens_scored_le15)),
             ("sentences_scored", str(self.sentences_scored)),
         ]
-
-
-@dataclass
-class AnalysisReport:
-    rule_satisfaction_overall: float
-    rule_satisfaction_by_head_tag: dict[str, float]
-    arcs_total: int
-    avg_dep_length: float | None
-    ce_depth_histogram: dict[int, int]
-
-    def rows(self) -> list[tuple[str, str]]:
-        out = [
-            ("rule_satisfaction_overall", "%.6f" % self.rule_satisfaction_overall),
-        ]
-        for tag in sorted(self.rule_satisfaction_by_head_tag):
-            out.append(
-                (f"rule_satisfaction[{tag}]",
-                 "%.6f" % self.rule_satisfaction_by_head_tag[tag])
-            )
-        if self.avg_dep_length is not None:
-            out.append(("avg_dep_length", "%.6f" % self.avg_dep_length))
-        for depth in sorted(self.ce_depth_histogram):
-            out.append((f"ce_depth[{depth}]", str(self.ce_depth_histogram[depth])))
-        return out
 
 
 def directed_accuracy(
@@ -77,7 +53,7 @@ def directed_accuracy(
             continue
         heads = sent.gold_heads()
         if heads is None:
-            raise ValueError(f"sentence {i} is missing gold heads")
+            raise LineError("no gold heads", sent.line)
         if tree.n != sent.n:
             raise ValueError(
                 f"sentence {i}: tree length {tree.n} != sentence length {sent.n}"
@@ -140,26 +116,21 @@ def avg_dep_length(pred: Sequence[DepTree]) -> float:
     return total / count
 
 
-def ce_depth_histogram(pred: Sequence[DepTree]) -> dict[int, int]:
-    hist = Counter(dmv.ce_depth(t) for t in pred)
-    return dict(hist)
-
-
 def analyze(
     pred: Sequence[DepTree], c: Corpus, r: RuleSet
-) -> AnalysisReport:
-    overall, by_tag, total = rule_satisfaction(pred, c, r)
+) -> list[tuple[str, str]]:
+    """The (name, value) rows of `jointdep analyze`: rule satisfaction,
+    overall and by head tag, the mean dependency length when there is a
+    non-root arc, and how many trees have each center-embedding depth."""
+    overall, by_tag, _ = rule_satisfaction(pred, c, r)
+    rows = [("rule_satisfaction_overall", "%.6f" % overall)]
+    rows += [(f"rule_satisfaction[{t}]", "%.6f" % by_tag[t]) for t in sorted(by_tag)]
     try:
-        adl = avg_dep_length(pred)
+        rows.append(("avg_dep_length", "%.6f" % avg_dep_length(pred)))
     except ValueError:
-        adl = None
-    return AnalysisReport(
-        rule_satisfaction_overall=overall,
-        rule_satisfaction_by_head_tag=by_tag,
-        arcs_total=total,
-        avg_dep_length=adl,
-        ce_depth_histogram=ce_depth_histogram(pred),
-    )
+        pass
+    depths = Counter(dmv.ce_depth(t) for t in pred)
+    return rows + [(f"ce_depth[{d}]", str(depths[d])) for d in sorted(depths)]
 
 
 def write_csv(rows: Sequence[tuple[str, str]], sink) -> None:

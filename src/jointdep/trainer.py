@@ -210,9 +210,11 @@ def joint_train(c: Corpus, cfg: TrainConfig, checkpoint_dir=None) -> TrainState:
                 "(%.6f -> %.6f)", j_before, j_after,
             )
 
-        state.theta = _em(c, state.theta, cfg, cfg.extra_separate_iters, layouts)
         if cfg.extra_separate_iters > 0:
+            state.theta = _em(c, state.theta, cfg, cfg.extra_separate_iters, layouts)
             opt.run(cfg.extra_separate_iters)
+            # The objective reported is that of the models saved below.
+            j_after = joint_objective(c, state, cfg, trees)
 
         state.trees = trees
         state.iteration = it

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -372,6 +373,26 @@ def test_predicted_tree_faults_name_the_line_of_their_sentence(
         assert capsys.readouterr().err == f"error: {pred}: line {line}: {fault}\n"
 
 
+def test_gold_and_pairing_faults_name_their_file(tmp_path, capsys):
+    # A gold sentence without heads is named by its first token's line in
+    # the gold file; a predicted tree of another length, or another number
+    # of sentences, by the predictions file.
+    one = "1\tw\tw\tNOUN\t_\t_\t0\t_\t_\t_\n"
+    two = one + "2\tw\tw\tNOUN\t_\t_\t1\t_\t_\t_\n"
+    gold, pred = tmp_path / "gold.conllu", tmp_path / "pred.conllu"
+    for gold_text, pred_text, fault in [
+        (two + "\n# sent_id = 2\n" + two.replace("\t1\t_", "\t_\t_"), two + "\n" + two,
+         f"{gold}: line 5: no gold heads"),
+        (two + "\n" + two, two + "\n# sent_id = 2\n" + one,
+         f"{pred}: line 5: tree length 1 != gold sentence length 2"),
+        (two + "\n" + two, two, f"{pred}: has 1 sentences, {gold} has 2"),
+    ]:
+        gold.write_text(gold_text)
+        pred.write_text(pred_text)
+        assert run(["eval", "--gold", str(gold), "--pred", str(pred)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {fault}\n"
+
+
 def test_max_ce_depth_inf_accepted(tmp_path, train_file, fast_args):
     out_dir = tmp_path / "m"
     rc = run(
@@ -562,6 +583,19 @@ def test_cli_import_leaves_pool_and_evaluation_unloaded():
         text=True,
     )
     assert out.stdout == "[]\n"
+
+
+def test_submodule_import_loads_no_other_package_module():
+    # The package root imports nothing, so a caller of one submodule loads
+    # that module and the modules it imports itself, and `corpus` imports none.
+    src = str(Path(jointdep.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, jointdep.corpus; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'jointdep'))"],
+        env=dict(os.environ, PYTHONPATH=src), check=True, capture_output=True,
+        text=True,
+    )
+    assert out.stdout == "['jointdep', 'jointdep.corpus']\n"
 
 
 def test_train_determinism_via_cli(tmp_path, train_file, fast_args):
@@ -1055,7 +1089,7 @@ def test_loaders_load_or_raise_value_error(kind, data):
 # `error:` line and exit 2, never with a traceback.
 # ---------------------------------------------------------------------------
 
-_DAMAGES = ("cut", "field", "text", "repeat", "byte")
+_DAMAGES = ("cut", "field", "text", "repeat", "byte", "blank")
 
 
 def _is_number(text):
@@ -1069,8 +1103,9 @@ def _is_number(text):
 def _damaged_copies(text, sep, seed):
     """`text` with each of `_DAMAGES` done to one line drawn by `seed`: the
     line cut short, one of its `sep`-separated fields dropped, a number in it
-    replaced by text (its last field if it has none), the line repeated, and
-    a byte that is not UTF-8 put into it. Comment and blank lines are left."""
+    replaced by text (its last field if it has none), the line repeated, a
+    byte that is not UTF-8 put into it, and its last number (a CoNLL-U head)
+    replaced by `_`. Comment and blank lines are left."""
     rnd = random.Random(seed)
     lines = text.splitlines()
     chosen = [i for i, line in enumerate(lines) if line.strip() and line[0] != "#"]
@@ -1089,43 +1124,59 @@ def _damaged_copies(text, sep, seed):
             new = [sep.join(fields)]
         elif damage == "repeat":
             new = [line, line]
-        else:
+        elif damage == "byte":
             k = rnd.randrange(len(line) + 1)
             new = [line[:k] + "\udcff" + line[k:]]  # the byte 0xff
+        else:
+            numbers = [k for k, f in enumerate(fields) if _is_number(f)]
+            fields[(numbers or [len(fields) - 1])[-1]] = "_"
+            new = [sep.join(fields)]
         damaged = lines[:i] + new + lines[i + 1:]
         out.append((damage, "".join(x + "\n" for x in damaged).encode(
             "utf-8", "surrogateescape")))
     return out
 
 
-@pytest.mark.parametrize("kind", ["dmv", "cmst", "rules", "config", "conllu"])
+@pytest.mark.parametrize(
+    "kind", ["dmv", "cmst", "rules", "config", "conllu", "gold", "pred"])
 def test_malformed_input_gives_one_error_line(
     tmp_path, train_file, model_dir, capsys, kind
 ):
-    models, out = tmp_path / "damaged-models", tmp_path / "out.conllu"
+    # Every refusal is one line of one form: `error: FILE: ` and, for a fault
+    # of one line, `line N: `, FILE the damaged file; and for an output path
+    # that could not be written, `error: --output PATH: ` (`--out` for eval
+    # and analyze).
+    models, out = tmp_path / "damaged-models", tmp_path / "report"
     shutil.copytree(model_dir, models)
     path, sep = {
         "dmv": (models / "dmv.txt", " "), "cmst": (models / "cmst.txt", " "),
         "rules": (tmp_path / "rules.txt", " "),
         "config": (tmp_path / "parse.cfg", "="),
         "conllu": (tmp_path / "input.conllu", "\t"),
+        "gold": (tmp_path / "gold.conllu", "\t"),
+        "pred": (tmp_path / "pred.conllu", "\t"),
     }[kind]
     base = {
         "rules": "# head dependent\nNOUN DET\nVERB NOUN\nROOT VERB\n",
         "config": "max_ce_depth=1\ndep_len_beta=0.1\ng_weight=1.0\nworkers=1\n",
-        "conllu": train_file.read_text(),
-    }.get(kind) or path.read_text()
+    }.get(kind) or (train_file if sep == "\t" else path).read_text()
+    parse = ["parse", "--model", str(models), "--input", str(train_file),
+             "--output", str(out)]
     argv = {
-        "dmv": ["parse", "--model", str(models), "--decoder", "dmv",
-                "--input", str(train_file), "--output", str(out)],
-        "cmst": ["parse", "--model", str(models), "--decoder", "cmst",
-                 "--input", str(train_file), "--output", str(out)],
-        "rules": ["analyze", "--pred", str(train_file), "--rules", str(path)],
+        "dmv": parse + ["--decoder", "dmv"],
+        "cmst": parse + ["--decoder", "cmst"],
+        "rules": ["analyze", "--pred", str(train_file), "--rules", str(path),
+                  "--out", str(out)],
         "config": ["parse", "--model", str(model_dir), "--config", str(path),
                    "--input", str(train_file), "--output", str(out)],
         "conllu": ["parse", "--model", str(model_dir), "--input", str(path),
                    "--output", str(out)],
+        "gold": ["eval", "--gold", str(path), "--pred", str(train_file),
+                 "--out", str(out)],
+        "pred": ["eval", "--gold", str(train_file), "--pred", str(path),
+                 "--out", str(out)],
     }[kind]
+    file_fault = re.compile(rf"error: {re.escape(str(path))}: (line [1-9]\d*: )?\S")
     outcomes = set()
     for seed in range(3):
         for damage, data in _damaged_copies(base, sep, seed):
@@ -1137,9 +1188,18 @@ def test_malformed_input_gives_one_error_line(
             assert len(errors) <= 1, (damage, seed, err)
             assert rc == EXIT_OK or (rc == EXIT_DATA and errors), (
                 damage, seed, rc, err)
+            if rc == EXIT_DATA:
+                assert file_fault.match(errors[0]), (damage, seed, err)
             outcomes.add(rc)
     # The damages reach the loaders' refusals, not only harmless lines.
     assert outcomes - {EXIT_OK}
+    # With the file mended, an output in a missing directory is refused.
+    path.write_text(base)
+    flag = argv[argv.index(str(out)) - 1]
+    nodir = tmp_path / "nodir" / "report"
+    assert run([str(nodir) if a == str(out) else a for a in argv]) == EXIT_DATA
+    assert re.fullmatch(rf"error: {flag} {re.escape(str(nodir))}: \S.*\n",
+                        capsys.readouterr().err)
 
 
 _KINDS = ["dmv", "cmst", "rules", "config", "conllu"]

@@ -158,6 +158,24 @@ def test_checkpoints_written_per_iteration(small_corpus, tmp_path):
     assert len(lines) == state.iteration + 1
 
 
+def test_reported_objective_is_that_of_each_checkpoint(small_corpus, tmp_path):
+    # With extra separate iterations, each `iterNNN/` saves the models from
+    # after them, and `metrics.csv` reports J of those models at its trees.
+    cfg = _fast_cfg(outer_iters=3)
+    state = joint_train(small_corpus, cfg, tmp_path)
+    rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
+    assert len(rows) == state.iteration >= 2
+    for row in rows:
+        it, reported = row.split(",")
+        d = tmp_path / f"iter{int(it):03d}"
+        model = cmst.CmstModel.load(d / "cmst.txt")
+        again = TrainState(dmv.DmvParams.load(d / "dmv.txt"), model,
+                           optimizer=cmst.FrankWolfeOptimizer(small_corpus, model))
+        trees = [DepTree(x.gold_heads()) for x in read_conllu(d / "trees.conllu")]
+        assert joint_objective(small_corpus, again, cfg, trees) == pytest.approx(
+            float(reported), rel=1e-11)
+
+
 def test_joint_run_at_default_settings_keeps_every_grammar_positive(
     rng, tmp_path, monkeypatch
 ):
@@ -179,7 +197,10 @@ def test_joint_run_at_default_settings_keeps_every_grammar_positive(
 
     monkeypatch.setattr(trainer, "joint_objective", recorded)
     state = joint_train(c, cfg, tmp_path)
-    j_before = objectives[::2]
+    # Each iteration computes J before and after its update, and again after
+    # the default 3 extra separate iterations.
+    j_before = objectives[::3]
+    assert len(objectives) == 3 * state.iteration
     assert len(j_before) == state.iteration >= 2
     assert all(map(math.isfinite, objectives))
     for it in range(1, state.iteration + 1):
