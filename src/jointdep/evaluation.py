@@ -53,6 +53,8 @@ def directed_accuracy(
             continue
         heads = sent.gold_heads()
         if heads is None:
+            if sent.line is None:
+                raise ValueError(f"sentence {i}: no gold heads")
             raise LineError("no gold heads", sent.line)
         if tree.n != sent.n:
             raise ValueError(
@@ -82,7 +84,7 @@ def directed_accuracy(
 
 def rule_satisfaction(
     pred: Sequence[DepTree], c: Corpus, r: RuleSet
-) -> tuple[float, dict[str, float], int]:
+) -> tuple[float, dict[str, float]]:
     """Fraction of predicted arcs licensed by the rule set, overall and
     grouped by head tag (root arcs grouped under ROOT)."""
     if len(pred) != c.N:
@@ -99,7 +101,7 @@ def rule_satisfaction(
     total = sum(tot.values())
     overall = sum(sat.values()) / total if total else 0.0
     by_tag = {tag: sat[tag] / tot[tag] for tag in tot}
-    return overall, by_tag, total
+    return overall, by_tag
 
 
 def avg_dep_length(pred: Sequence[DepTree]) -> float:
@@ -122,7 +124,7 @@ def analyze(
     """The (name, value) rows of `jointdep analyze`: rule satisfaction,
     overall and by head tag, the mean dependency length when there is a
     non-root arc, and how many trees have each center-embedding depth."""
-    overall, by_tag, _ = rule_satisfaction(pred, c, r)
+    overall, by_tag = rule_satisfaction(pred, c, r)
     rows = [("rule_satisfaction_overall", "%.6f" % overall)]
     rows += [(f"rule_satisfaction[{t}]", "%.6f" % by_tag[t]) for t in sorted(by_tag)]
     try:

@@ -81,14 +81,13 @@ class TrainState:
 
 
 # ---------------------------------------------------------------------------
-# Pretraining and baselines
+# Pretraining
 # ---------------------------------------------------------------------------
 
 def _em(c: Corpus, theta: dmv.DmvParams, cfg: TrainConfig, iters: int,
-        layouts: dict | None = None) -> dmv.DmvParams:
+        layouts: dict) -> dmv.DmvParams:
     """`iters` MAP-EM iterations from `theta`, smoothed by cfg.mstep_smoothing,
-    on the run's chart `layouts` (see `dmv._charts`), or on their own."""
-    layouts = {} if layouts is None else layouts
+    on the run's chart `layouts` (see `dmv._charts`)."""
     for _ in range(iters):
         theta, _ = dmv.em_step(c, theta, cfg.constraint, cfg.mstep_smoothing, layouts)
     return theta
@@ -104,26 +103,16 @@ def _pretrain_cmst(c: Corpus, cfg: TrainConfig) -> cmst.FrankWolfeOptimizer:
 
 def pretrain(c: Corpus, cfg: TrainConfig, layouts: dict | None = None) -> TrainState:
     """Train both models separately with their own algorithms: Frank-Wolfe
-    first, whose set-up checks the weights and the corpus tags, then EM."""
+    first, whose set-up checks the weights and the corpus tags, then EM on
+    the run's chart `layouts`, or on its own."""
     opt = _pretrain_cmst(c, cfg)
-    theta = _em(c, dmv.init_params(c, cfg.init), cfg, cfg.em_pretrain_iters, layouts)
+    theta = _em(c, dmv.init_params(c, cfg.init), cfg, cfg.em_pretrain_iters,
+                {} if layouts is None else layouts)
     return TrainState(theta, opt.model, optimizer=opt)
 
 
-def train_baseline_d_init(c: Corpus, cfg: TrainConfig) -> TrainState:
-    """Train the discriminative model, parse the training data with it, use
-    the parses to initialize the generative model, then train with EM."""
-    if cfg.mode != "dmv-init-from-cmst":
-        raise ValueError(f"expected mode dmv-init-from-cmst, got {cfg.mode!r}")
-    model = _pretrain_cmst(c, cfg).model
-    trees = decode_corpus(c, TrainState(None, model), cfg, "cmst")
-    theta = _em(c, dmv.mstep_from_trees(c, trees, cfg.mstep_smoothing), cfg,
-                cfg.outer_iters)
-    return TrainState(theta, model, trees)
-
-
 # ---------------------------------------------------------------------------
-# Joint training (coordinate descent with joint decoding)
+# Decoding and training (coordinate descent with joint decoding)
 # ---------------------------------------------------------------------------
 
 def _decode_worker(args, batch: list[list[int]], layouts: dict | None = None) -> list:
@@ -140,18 +129,27 @@ def _decode_worker(args, batch: list[list[int]], layouts: dict | None = None) ->
     return out
 
 
-def _decode_all(
-    c: Corpus, state: TrainState, cfg: TrainConfig, decoder: str = "dd",
-    layouts: dict | None = None,
+def decode_corpus(
+    c: Corpus, state: TrainState, cfg: TrainConfig | None = None,
+    decoder: str = "dd", layouts: dict | None = None,
 ) -> list[DepTree]:
-    """Each sentence of `c`'s tree, decoded one `dmv.length_groups` group
-    per call: jointly ("dd"), the grammar's Viterbi priced by g_weight times
-    `cmst.arc_costs`, which is the exact minimum of F + G, or by the grammar
-    alone ("dmv"). A sentence's result does not depend on its group, so
-    neither the grouping nor `cfg.workers` can change it. The charts are the
-    run's `layouts` on one worker. Otherwise a run of groups of equal
-    lengths is cut into a batch per worker, which compiles their layout and
-    drops it at its end."""
+    """Each sentence of `c`'s tree. "cmst" is the discriminative model's
+    minimum-cost tree, for all sentences in one `cmst.eisner_min` call. The
+    grammar's decoders run one `dmv.length_groups` group per call: jointly
+    ("dd"), the grammar's Viterbi priced by g_weight times `cmst.arc_costs`,
+    which is the exact minimum of F + G, or by the grammar alone ("dmv"). A
+    sentence's result does not depend on its group, so neither the grouping
+    nor `cfg.workers` can change it. On one worker the charts are the run's
+    `layouts`, or one layout at a time without them. Otherwise a run of
+    groups of equal lengths is cut into a batch per worker, which compiles
+    their layout and drops it at its end."""
+    cfg = cfg or TrainConfig()
+    if decoder == "cmst":
+        enc = c.encoding
+        trees = cmst.eisner_min(enc.lengths, cmst.arc_costs(enc, state.model))
+        return [DepTree(heads) for heads, _ in trees]
+    if decoder not in ("dmv", "dd"):
+        raise ValueError(f"unknown decoder {decoder!r}")
     model = state.model if decoder == "dd" else None
     args = (c.encoding, state.theta, cfg.constraint, model, cfg.g_weight)
     n, w = c.encoding.lengths, cfg.workers
@@ -185,20 +183,18 @@ def joint_objective(
     )
 
 
-def joint_train(c: Corpus, cfg: TrainConfig, checkpoint_dir=None) -> TrainState:
+def _joint_train(c: Corpus, cfg: TrainConfig, layouts: dict,
+                 checkpoint_dir) -> TrainState:
     """Coordinate descent: decode all sentences jointly, then minimize the
     joint objective at the decoded trees exactly (the smoothed M-step for the
     grammar, the ridge solve for the weights), then give each model a few
     separate training iterations, the Frank-Wolfe ones starting from the
     decoded trees."""
-    if cfg.mode != "joint":
-        raise ValueError(f"expected mode joint, got {cfg.mode!r}")
-    layouts: dict = {}  # the corpus's chart layouts, kept for the whole run
     state = pretrain(c, cfg, layouts)
     opt = state.optimizer
     prev_heads = None
     for it in range(1, cfg.outer_iters + 1):
-        trees = _decode_all(c, state, cfg, layouts=layouts)
+        trees = decode_corpus(c, state, cfg, layouts=layouts)
         j_before = joint_objective(c, state, cfg, trees)
 
         state.theta = dmv.mstep_from_trees(c, trees, cfg.mstep_smoothing)
@@ -237,30 +233,22 @@ def joint_train(c: Corpus, cfg: TrainConfig, checkpoint_dir=None) -> TrainState:
 
 
 def train(c: Corpus, cfg: TrainConfig, checkpoint_dir=None) -> TrainState:
-    """Dispatch on the configured training mode."""
+    """Train in the configured mode, with the run's chart layouts (see
+    `dmv._charts`) compiled once. dmv-init-from-cmst parses the corpus with
+    the trained discriminative model and starts EM from those trees."""
+    layouts: dict = {}  # the corpus's chart layouts, kept for the whole run
     if cfg.mode == "joint":
-        return joint_train(c, cfg, checkpoint_dir)
+        return _joint_train(c, cfg, layouts, checkpoint_dir)
     if cfg.mode == "dmv-only":
         iters = cfg.em_pretrain_iters + cfg.outer_iters
-        state = TrainState(_em(c, dmv.init_params(c, cfg.init), cfg, iters), None)
+        state = TrainState(_em(c, dmv.init_params(c, cfg.init), cfg, iters, layouts), None)
     elif cfg.mode == "cmst-only":
         state = TrainState(None, _pretrain_cmst(c, cfg).model)
     else:
-        state = train_baseline_d_init(c, cfg)
+        model = _pretrain_cmst(c, cfg).model
+        trees = decode_corpus(c, TrainState(None, model), cfg, "cmst")
+        theta = dmv.mstep_from_trees(c, trees, cfg.mstep_smoothing)
+        state = TrainState(_em(c, theta, cfg, cfg.outer_iters, layouts), model, trees)
     if checkpoint_dir is not None:
         state.save(checkpoint_dir, c)
     return state
-
-
-def decode_corpus(c: Corpus, state: TrainState, cfg: TrainConfig | None = None,
-                  decoder: str = "dd") -> list[DepTree]:
-    """Parse a corpus with one model or with both jointly ("dd"); the
-    grammar's decoders run on `cfg.workers` processes, on one layout at a time."""
-    cfg = cfg or TrainConfig()
-    if decoder == "cmst":
-        enc = c.encoding
-        trees = cmst.eisner_min(enc.lengths, cmst.arc_costs(enc, state.model))
-        return [DepTree(heads) for heads, _ in trees]
-    if decoder in ("dmv", "dd"):
-        return _decode_all(c, state, cfg, decoder)
-    raise ValueError(f"unknown decoder {decoder!r}")

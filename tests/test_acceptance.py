@@ -265,7 +265,7 @@ def test_criterion_7_normalization_and_structure(rng):
             cap_violations += 1
         decodes += 1
         if decodes % 4 == 0:
-            [tree] = trainer._decode_all(
+            [tree] = trainer.decode_corpus(
                 Corpus((x,), VOCAB), trainer.TrainState(theta_i, m),
                 trainer.TrainConfig(constraint=cfg),
             )

@@ -204,7 +204,7 @@ def test_output_in_a_missing_directory_is_refused_before_any_work(
     # directory, is refused with exit code 2 before the corpus is decoded or
     # scored, and nothing is written.
     decoded = []
-    monkeypatch.setattr(trainer, "_decode_all", lambda *args: decoded.append(args))
+    monkeypatch.setattr(trainer, "decode_corpus", lambda *args: decoded.append(args))
     missing = tmp_path / "nodir" / "o.conllu"
     assert _parse(model_dir, train_file, missing) == EXIT_DATA
     assert capsys.readouterr().err == (
@@ -860,7 +860,7 @@ def test_unknown_upos_is_data_error(tmp_path, model_dir, capsys, monkeypatch, de
     # sentence's first token (line 4 in the second file, after a comment),
     # before the corpus is decoded.
     decoded = []
-    monkeypatch.setattr(trainer, "_decode_all", lambda *args: decoded.append(args))
+    monkeypatch.setattr(trainer, "decode_corpus", lambda *args: decoded.append(args))
     src = tmp_path / "zzz.conllu"
     later = ("1\tw\tw\tNOUN\t_\t_\t0\t_\t_\t_\n\n# sent_id = 2\n"
              + UNSEEN_TAG_CONLLU + UNSEEN_TAG_CONLLU.replace("ZZZ", "YYY"))

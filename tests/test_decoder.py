@@ -43,7 +43,7 @@ def _decode(xs, theta, cfg, m, g_weight=1.0):
     trainer's length groups, as training and `parse --decoder dd` run it."""
     state = trainer.TrainState(theta, m)
     tcfg = trainer.TrainConfig(constraint=cfg, g_weight=g_weight)
-    return trainer._decode_all(Corpus(tuple(xs), theta.vocab), state, tcfg)
+    return trainer.decode_corpus(Corpus(tuple(xs), theta.vocab), state, tcfg)
 
 
 def test_single_token_converges_immediately(rng):

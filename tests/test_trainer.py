@@ -28,7 +28,6 @@ from jointdep.trainer import (
     TrainState,
     decode_corpus,
     joint_objective,
-    joint_train,
     pretrain,
     train,
 )
@@ -82,7 +81,7 @@ def test_discriminative_terms_are_built_once(small_corpus, monkeypatch):
             calls[_name] += len(enc.lengths)
             return _fn(enc, *args)
         monkeypatch.setattr(cmst, name, counted)
-    trees = trainer._decode_all(small_corpus, state, cfg)
+    trees = decode_corpus(small_corpus, state, cfg)
     assert calls == {"_arc_classes": small_corpus.N, "rule_vector": small_corpus.N}
     calls.clear()
     joint_objective(small_corpus, state, cfg, trees)
@@ -123,7 +122,7 @@ def test_pretrain_produces_valid_models(small_corpus):
 
 
 def test_joint_train_runs_and_reports(small_corpus):
-    state = joint_train(small_corpus, _fast_cfg())
+    state = train(small_corpus, _fast_cfg())
     assert state.iteration >= 1
     assert len(state.trees) == small_corpus.N
     assert list(state.stats) == ["joint_objective"]
@@ -134,8 +133,8 @@ def test_joint_train_runs_and_reports(small_corpus):
 
 def test_joint_train_is_deterministic(small_corpus, tmp_path):
     cfg = _fast_cfg()
-    a = joint_train(small_corpus, cfg, tmp_path / "a")
-    b = joint_train(small_corpus, cfg, tmp_path / "b")
+    a = train(small_corpus, cfg, tmp_path / "a")
+    b = train(small_corpus, cfg, tmp_path / "b")
     assert [t.heads for t in a.trees] == [t.heads for t in b.trees]
     for name in ("dmv.txt", "cmst.txt", "trees.conllu", "../metrics.csv"):
         fa = (tmp_path / "a" / f"iter{a.iteration:03d}" / name).resolve()
@@ -145,7 +144,7 @@ def test_joint_train_is_deterministic(small_corpus, tmp_path):
 
 def test_checkpoints_written_per_iteration(small_corpus, tmp_path):
     cfg = _fast_cfg(outer_iters=3)
-    state = joint_train(small_corpus, cfg, tmp_path)
+    state = train(small_corpus, cfg, tmp_path)
     for it in range(1, state.iteration + 1):
         d = tmp_path / f"iter{it:03d}"
         assert (d / "dmv.txt").exists()
@@ -162,7 +161,7 @@ def test_reported_objective_is_that_of_each_checkpoint(small_corpus, tmp_path):
     # With extra separate iterations, each `iterNNN/` saves the models from
     # after them, and `metrics.csv` reports J of those models at its trees.
     cfg = _fast_cfg(outer_iters=3)
-    state = joint_train(small_corpus, cfg, tmp_path)
+    state = train(small_corpus, cfg, tmp_path)
     rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
     assert len(rows) == state.iteration >= 2
     for row in rows:
@@ -196,7 +195,7 @@ def test_joint_run_at_default_settings_keeps_every_grammar_positive(
         return objectives[-1]
 
     monkeypatch.setattr(trainer, "joint_objective", recorded)
-    state = joint_train(c, cfg, tmp_path)
+    state = train(c, cfg, tmp_path)
     # Each iteration computes J before and after its update, and again after
     # the default 3 extra separate iterations.
     j_before = objectives[::3]
@@ -234,7 +233,7 @@ def test_parameter_update_does_not_increase_objective(small_corpus):
     state = pretrain(small_corpus, cfg)
     opt = state.optimizer
     for _ in range(2):
-        trees = trainer._decode_all(small_corpus, state, cfg)
+        trees = decode_corpus(small_corpus, state, cfg)
         before = joint_objective(small_corpus, state, cfg, trees)
         assert math.isfinite(before)
         state.theta = dmv.mstep_from_trees(small_corpus, trees, cfg.mstep_smoothing)
@@ -264,7 +263,7 @@ def test_joint_objective_equals_the_per_sentence_sum(small_corpus, eps):
     # parameter update.
     cfg = _fast_cfg(mstep_smoothing=eps, g_weight=0.7)
     state = pretrain(small_corpus, cfg)
-    trees = trainer._decode_all(small_corpus, state, cfg)
+    trees = decode_corpus(small_corpus, state, cfg)
     for _ in range(2):
         got = joint_objective(small_corpus, state, cfg, trees)
         want = joint_objective_reference(small_corpus, state, cfg, trees)
@@ -350,7 +349,7 @@ def test_joint_weights_leave_the_separate_path(small_corpus):
     # weights differ from those of the same number of plain Frank-Wolfe
     # steps after the same pretraining.
     cfg = _fast_cfg(extra_separate_iters=1)
-    joint = joint_train(small_corpus, cfg)
+    joint = train(small_corpus, cfg)
     separate = train(small_corpus, _fast_cfg(
         mode="cmst-only",
         fw_pretrain_iters=cfg.fw_pretrain_iters + joint.iteration,
@@ -366,13 +365,6 @@ def test_mode_dispatch(small_corpus):
     s = train(small_corpus, _fast_cfg(mode="dmv-init-from-cmst", outer_iters=1))
     assert s.theta is not None and s.model is not None
     assert len(s.trees) == small_corpus.N
-
-
-def test_mode_mismatch_raises(small_corpus):
-    with pytest.raises(ValueError):
-        joint_train(small_corpus, _fast_cfg(mode="dmv-only"))
-    with pytest.raises(ValueError):
-        trainer.train_baseline_d_init(small_corpus, _fast_cfg(mode="joint"))
 
 
 def test_decode_corpus_decoders(small_corpus):
@@ -420,8 +412,8 @@ def test_parallel_decode_matches_serial(small_corpus):
     cfg = _fast_cfg()
     state = pretrain(small_corpus, cfg)
     for decoder in ("dd", "dmv"):
-        serial = trainer._decode_all(small_corpus, state, cfg, decoder)
-        assert serial == trainer._decode_all(
+        serial = decode_corpus(small_corpus, state, cfg, decoder)
+        assert serial == decode_corpus(
             small_corpus, state, _fast_cfg(workers=2), decoder
         )
     assert serial == [
@@ -507,17 +499,18 @@ def test_one_shot_decode_compiles_a_shared_layout_once(rng, monkeypatch):
     assert [t.n for t in trees] == [25] * 60
 
 
-def test_joint_run_compiles_each_group_layout_once(rng, monkeypatch):
-    # EM pretraining, then two outer iterations of joint decoding and EM,
-    # all on the run's layouts: one compile per distinct group, and two
-    # groups of one sentence of length 20 share one.
+@pytest.mark.parametrize("mode", ["joint", "dmv-only", "dmv-init-from-cmst"])
+def test_joint_run_compiles_each_group_layout_once(rng, monkeypatch, mode):
+    # Every mode that runs EM runs it on the run's layouts, and joint
+    # training decodes its two outer iterations on them too: one compile per
+    # distinct group, and two groups of one sentence of length 20 share one.
     c = random_corpus(rng, ("DET", "NOUN", "VERB"), 50, max_len=20)
-    cfg = _fast_cfg(fw_pretrain_iters=2)
+    cfg = _fast_cfg(mode=mode, fw_pretrain_iters=2)
     n = c.encoding.lengths
     groups = [(tuple(n[i] for i in g), 1) for g in dmv.length_groups(n, 1)]
     keys = set(groups)
     assert len(keys) > 5 and groups.count(((20,), 1)) == 2
     calls = _counted_compiles(monkeypatch)
-    state = joint_train(c, cfg)
-    assert state.iteration == 2
+    state = train(c, cfg)
+    assert state.iteration == (2 if mode == "joint" else 0)
     assert sorted(key for key, _ in calls) == sorted(keys)
